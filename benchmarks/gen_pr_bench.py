@@ -80,19 +80,22 @@ from repro.workloads.runner import run_observed
 
 PR = 10
 
-#: (entry name, workload, params, config overrides recorded in params)
+#: (entry name, workload, params, ClientConfig overrides, backend
+#: arguments of ``make_env``) -- the last two are recorded in params
 RUNS = (
-    ("andrew", "andrew", {"mdcache": True}, {}),
+    ("andrew", "andrew", {"mdcache": True}, {}, {}),
     ("createlist", "createlist", {"files": 100, "dirs": 5},
-     {"readahead": True}),
-    ("office", "office", {}, {}),
-    ("postmark", "postmark", {"files": 100, "transactions": 100}, {}),
+     {"readahead": True}, {}),
+    ("office", "office", {}, {}, {}),
+    ("postmark", "postmark", {"files": 100, "transactions": 100}, {}, {}),
     ("postmark_sharded", "postmark",
-     {"files": 100, "transactions": 100}, {"shards": 4, "replicas": 2}),
+     {"files": 100, "transactions": 100}, {},
+     {"shards": 4, "replicas": 2}),
     ("postmark_rebalance", "postmark",
-     {"files": 100, "transactions": 100}, {"shards": 4, "replicas": 2}),
+     {"files": 100, "transactions": 100}, {},
+     {"shards": 4, "replicas": 2}),
     ("postmark_concurrent", "postmark",
-     {"files": 100, "transactions": 100}, {"concurrency": 8}),
+     {"files": 100, "transactions": 100}, {"concurrency": 8}, {}),
 )
 
 #: many-client harness scale recorded as the ``throughput`` entry.
@@ -211,7 +214,7 @@ def _rebalance_section(server, marks: dict) -> dict:
 
 def main(out_dir: str = "benchmarks/results") -> int:
     workloads = {}
-    for entry, name, params, overrides in RUNS:
+    for entry, name, params, overrides, backend in RUNS:
         config = ClientConfig(**overrides) if overrides else None
         env_out: list = []
         marks: dict = {}
@@ -219,9 +222,9 @@ def main(out_dir: str = "benchmarks/results") -> int:
                  if entry == "postmark_rebalance" else None)
         payload, _spans = run_observed(name, params=params, config=config,
                                        wire_trace=True, setup=setup,
-                                       _env_out=env_out)
-        payload["params"].update(overrides)
-        if overrides.get("shards"):
+                                       _env_out=env_out, **backend)
+        payload["params"].update(overrides, **backend)
+        if backend:
             payload["replication"] = _replication_section(
                 env_out[0].server)
         if marks:

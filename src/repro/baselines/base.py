@@ -18,6 +18,8 @@ from ..errors import (BlobNotFound, DirectoryNotEmpty, FileExists,
                       FileNotFound, FilesystemError, IsADirectory,
                       NotADirectory)
 from ..fs import path as fspath
+from ..fs.blobio import (_REQUEST_HEADER_BYTES, _RESPONSE_HEADER_BYTES,
+                         BlobIO)
 from ..fs.cache import LruCache
 from ..fs.client import ClientConfig
 from ..fs.inode import InodeAllocator
@@ -30,14 +32,11 @@ from ..obs.tracing import Tracer, traced
 from ..principals.users import User
 from ..serialize import Reader, Writer
 from ..sim.costmodel import CostModel
-from ..storage.blobs import BlobId, data_blob, meta_blob
+from ..storage.blobs import data_blob, meta_blob
 from ..storage.server import StorageServer
 from .codecs import (DataCodec, MetadataCodec, PlainData, PlainMetadata,
                      PubOptMetadata, PublicMetadata, SharedKeyStore,
                      SymmetricData)
-
-_REQUEST_HEADER_BYTES = 64
-_RESPONSE_HEADER_BYTES = 16
 
 
 def _table_payload(entries: dict[str, int]) -> bytes:
@@ -124,42 +123,15 @@ class BaselineFilesystem:
         bind_cache_stats(self.metrics, self.cache)
         bind_crypto_counters(self.metrics, self.provider)
         bind_server_stats(self.metrics, volume.server)
-
-    # -- wire -----------------------------------------------------------------
+        #: the same framed single ops as the SHAROES client (the shared
+        #: networking substrate), with no readahead slots, journal or
+        #: scheduler.
+        self.blobs = BlobIO(volume.server, None, tracer=self.tracer,
+                            metrics=self.metrics, cost=cost_model)
 
     def _charge_other(self) -> None:
         if self.cost is not None:
             self.cost.charge_other()
-
-    def _get(self, blob_id: BlobId) -> bytes:
-        with self.tracer.span("network", op="get", kind=blob_id.kind):
-            try:
-                payload = self.volume.server.get(blob_id)
-            except BlobNotFound:
-                if self.cost is not None:
-                    self.cost.charge_request(_REQUEST_HEADER_BYTES,
-                                             _RESPONSE_HEADER_BYTES)
-                raise
-            if self.cost is not None:
-                self.cost.charge_request(
-                    _REQUEST_HEADER_BYTES,
-                    len(payload) + _RESPONSE_HEADER_BYTES)
-            return payload
-
-    def _put(self, blob_id: BlobId, payload: bytes) -> None:
-        with self.tracer.span("network", op="put", kind=blob_id.kind):
-            if self.cost is not None:
-                self.cost.charge_request(
-                    len(payload) + _REQUEST_HEADER_BYTES,
-                    _RESPONSE_HEADER_BYTES)
-            self.volume.server.put(blob_id, payload)
-
-    def _delete(self, blob_id: BlobId) -> None:
-        with self.tracer.span("network", op="delete", kind=blob_id.kind):
-            if self.cost is not None:
-                self.cost.charge_request(_REQUEST_HEADER_BYTES,
-                                         _RESPONSE_HEADER_BYTES)
-            self.volume.server.delete(blob_id)
 
     # -- internals ---------------------------------------------------------------
 
@@ -188,7 +160,7 @@ class BaselineFilesystem:
             if cached is not None:
                 with self.tracer.span("cache", hit=True, kind="meta"):
                     return cached
-        blob = self._get(meta_blob(inode, "-"))
+        blob = self.blobs.get(meta_blob(inode, "-"))
         payload = self._meta.decode(self.provider, self.volume.keystore,
                                     inode, blob, self.user.keypair)
         attrs = MetadataAttrs.from_reader(Reader(payload))
@@ -202,7 +174,8 @@ class BaselineFilesystem:
         blob = self._meta.encode(self.provider, self.volume.keystore,
                                  attrs.inode, writer.getvalue(),
                                  self.user.keypair)
-        self._put(meta_blob(attrs.inode, "-"), blob)
+        self.blobs.send([(meta_blob(attrs.inode, "-"), blob)],
+                        grouped=False)
         if self.config.metadata_cache:
             # Write-through: no need to re-fetch our own write.
             self.cache.put(("meta", attrs.inode), attrs, len(blob))
@@ -214,7 +187,7 @@ class BaselineFilesystem:
             if cached is not None:
                 with self.tracer.span("cache", hit=True, kind="table"):
                     return cached
-        blob = self._get(data_blob(inode, "t"))
+        blob = self.blobs.get(data_blob(inode, "t"))
         entries = _parse_table(self._data.decode(
             self.provider, self.volume.keystore, inode, blob))
         if self.config.metadata_cache:
@@ -224,7 +197,7 @@ class BaselineFilesystem:
     def _write_table(self, inode: int, entries: dict[str, int]) -> None:
         blob = self._data.encode(self.provider, self.volume.keystore,
                                  inode, _table_payload(entries))
-        self._put(data_blob(inode, "t"), blob)
+        self.blobs.send([(data_blob(inode, "t"), blob)], grouped=False)
         if self.config.metadata_cache:
             # Write-through: no need to re-fetch our own write.
             self.cache.put(("table", inode), entries, len(blob))
@@ -302,7 +275,7 @@ class BaselineFilesystem:
             if cached is not None:
                 return cached
         try:
-            blob = self._get(data_blob(attrs.inode, "b"))
+            blob = self.blobs.get(data_blob(attrs.inode, "b"))
         except BlobNotFound:
             return b""
         content = self._data.decode(self.provider, self.volume.keystore,
@@ -320,7 +293,8 @@ class BaselineFilesystem:
             raise IsADirectory(path)
         blob = self._data.encode(self.provider, self.volume.keystore,
                                  attrs.inode, content)
-        self._put(data_blob(attrs.inode, "b"), blob)
+        self.blobs.send([(data_blob(attrs.inode, "b"), blob)],
+                        grouped=False)
         if self.config.data_cache:
             self.cache.put(("data", attrs.inode), content, len(content))
 

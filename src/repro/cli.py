@@ -154,16 +154,14 @@ def _cmd_bench_workload(args: argparse.Namespace) -> int:
     if args.workload == "throughput":
         return _cmd_bench_throughput(args)
     config = None
-    if args.shards or args.concurrency:
+    if args.concurrency:
         from .fs.client import ClientConfig
-        config = ClientConfig(shards=args.shards,
-                              replicas=args.replicas,
-                              concurrency=args.concurrency)
+        config = ClientConfig(concurrency=args.concurrency)
     payload, _spans = run_observed(
         args.workload, impl=args.impl,
         params=_workload_params(args.workload, args.scale),
         flaky_p=args.flaky_p, flaky_seed=args.flaky_seed,
-        config=config)
+        config=config, shards=args.shards, replicas=args.replicas)
     print(op_table(payload, title=f"{args.workload} per-operation costs "
                                   f"({args.impl})"))
     path = write_bench_json(payload, args.out_dir)

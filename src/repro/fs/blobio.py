@@ -1,0 +1,405 @@
+"""The client's one blob channel to the SSP.
+
+The SSP only does ``put/get/delete`` on opaque blobs; everything about
+*how* a sealed blob travels lives here, below the filesystem class,
+which is left with paths, CAPs and keys:
+
+* the **read-your-writes overlay** -- the active journal batch, then the
+  write-behind queue, then the consume-once readahead slots -- consulted
+  by every read, probe and speculation through one walk;
+* **mutation routing** -- one :meth:`BlobIO.send` decides whether a put
+  or delete is deferred into the journal batch, staged write-behind, or
+  shipped now (fenced with its lease epoch, as one ``OP_BATCH`` frame or
+  as single ops);
+* **frame accounting** -- ``request_count``, the ``network`` span and the
+  header-byte charge of every wire exchange are taken in one helper.
+
+Stack, assembled once by ``SharoesFilesystem.__init__``::
+
+    filesystem -> BlobIO -> RequestScheduler -> ResilientTransport
+               -> TracedServer -> wire / SSP
+
+Lease CAS, consistency-log and ``fences_stale`` traffic keep their own
+modules; ``exists`` probes and lease frames are (still) uncounted.
+"""
+
+from __future__ import annotations
+
+from contextlib import contextmanager
+from typing import Iterable, Sequence
+
+from ..errors import (BlobNotFound, PartialWriteError, StaleEpochError,
+                      StorageError, TransientPartialWriteError)
+from ..storage.blobs import BlobId, lease_blob
+from ..storage.server import BatchOp
+from . import journal
+
+#: simulated framing overhead of one wire exchange, charged on top of
+#: the payload bytes (the only definition; the scheduler, baselines and
+#: migration price their frames with the same two numbers).
+_REQUEST_HEADER_BYTES = 64
+_RESPONSE_HEADER_BYTES = 16
+
+#: explicit sub-op-count buckets for the ``client.batch.size`` histogram
+#: (the default latency buckets top out below real batch sizes).
+_BATCH_SIZE_BUCKETS = (1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0,
+                       32.0, 48.0, 64.0, 128.0, 256.0, 1024.0)
+
+#: hard cap on sub-ops per speculative readahead frame, mirroring the
+#: wire protocol's MAX_BATCH_OPS so a huge directory cannot build an
+#: unsendable frame.
+_MAX_PREFETCH = 1024
+
+#: (deleting, grouped) -> journal ``StagedCall`` kind, so a replay
+#: reproduces the original request grouping.
+_STAGED_KIND = {(False, False): journal.PUT,
+                (False, True): journal.PUT_MANY,
+                (True, False): journal.DELETE,
+                (True, True): journal.DELETE_MANY}
+
+
+class BlobIO:
+    """Every object-blob exchange of one mounted client.
+
+    Parameters
+    ----------
+    server:
+        What the client talks to (the ``ResilientTransport`` when a
+        retry policy is set).
+    cache:
+        The client's ``LruCache``: readahead parks sealed bytes in its
+        ``("raw", blob_id)`` slots, under the same byte budget as the
+        decrypted objects.  None (baselines) means no readahead slots.
+    batching:
+        Ship grouped sends as one ``OP_BATCH`` frame; False drops to one
+        round trip per blob (the differential reference execution).
+    window / write_behind:
+        ``window >= 2`` attaches a ``RequestScheduler`` of that many
+        overlapped requests; ``write_behind`` lets unfenced mutations
+        stage in its queue (the client turns it off under the journal,
+        whose append/apply/commit order is a durability contract).
+    """
+
+    def __init__(self, server, cache, *, tracer, metrics, cost=None,
+                 batching: bool = True, window: int = 0,
+                 write_behind: bool = False):
+        self.server = server
+        self.cache = cache
+        self.tracer = tracer
+        self.metrics = metrics
+        self.cost = cost
+        self.batching = batching
+        #: SSP requests issued by this client (a batch counts once).
+        self.request_count = 0
+        #: the active mutation's journal batch (None outside one): sends
+        #: are deferred into it and reads see its staged state first.
+        self.batch: journal.MutationBatch | None = None
+        self.scheduler = None
+        if window:
+            from .scheduler import RequestScheduler
+            self.scheduler = RequestScheduler(
+                server, window, cost=cost, tracer=tracer,
+                write_behind=write_behind,
+                count_request=self._count, observe_batch=self._observe_batch)
+            metrics.register_source(
+                "client.scheduler", self.scheduler.snapshot,
+                help="pipelined request scheduler: write-behind "
+                     "staging, fetch flights, dedup and stale drops")
+
+    # -- frame accounting ----------------------------------------------------
+
+    def _count(self) -> None:
+        self.request_count += 1
+
+    def _observe_batch(self, count: int) -> None:
+        self.metrics.histogram(
+            "client.batch.size", help="sub-ops per OP_BATCH frame",
+            buckets=_BATCH_SIZE_BUCKETS).observe(float(count))
+
+    def charge(self, up: int = 0, down: int = 0) -> None:
+        """Bill one exchange: payload bytes plus the frame headers."""
+        if self.cost is not None:
+            self.cost.charge_request(up + _REQUEST_HEADER_BYTES,
+                                     down + _RESPONSE_HEADER_BYTES)
+
+    @contextmanager
+    def frame(self, op: str, **attrs):
+        """One counted wire exchange inside its ``network`` span.
+
+        ``count=N`` marks an ``OP_BATCH`` frame of N sub-ops.  The body
+        calls :meth:`charge` itself: single ops charge before the call,
+        batches after it (only what the replies show crossed the wire).
+        """
+        self._count()
+        with self.tracer.span("network", op=op, **attrs):
+            if "count" in attrs:
+                self._observe_batch(attrs["count"])
+            yield
+
+    # -- read-your-writes overlay ---------------------------------------------
+
+    def _staged(self, blob_id: BlobId,
+                probe: str) -> tuple[bool, "bytes | bool | None"]:
+        """(covered, state) from the journal batch, then the queue.
+
+        Staged state is newer than both the SSP copy and any raw slot;
+        serving it locally is what keeps a mutation ordered before its
+        dependent reads.  ``probe`` picks the question: ``"read"``
+        (state = payload, None if deleted), ``"exists"`` (state = bool)
+        or ``"covers"`` (speculation: no overlay-read counter bump).
+        """
+        if self.batch is not None:
+            if probe == "exists":
+                known = self.batch.exists(blob_id)
+                hit = (known is not None, known)
+            else:
+                hit = self.batch.read(blob_id)
+            if hit[0]:
+                return hit
+        if self.scheduler is None:
+            return False, None
+        if probe == "read":
+            return self.scheduler.staged_read(blob_id)
+        if probe == "exists":
+            known = self.scheduler.staged_exists(blob_id)
+            return known is not None, known
+        return self.scheduler.covers(blob_id), None
+
+    def get(self, blob_id: BlobId) -> bytes:
+        covered, payload = self._staged(blob_id, "read")
+        if covered:
+            if payload is None:
+                raise BlobNotFound(str(blob_id))
+            return payload
+        if self.cache is not None:
+            raw = self.cache.get(("raw", blob_id))
+            if raw is not None:
+                # Speculatively fetched by an earlier readahead frame
+                # (already paid for there).  Single-shot: the buffered
+                # bytes are only as fresh as that fetch, so consume them
+                # once and let any re-read go back to the SSP.
+                self.cache.invalidate(("raw", blob_id))
+                self.metrics.counter(
+                    "client.readahead.hits",
+                    help="gets served from the speculative read "
+                         "buffer").inc()
+                with self.tracer.span("cache", hit=True, kind="raw"):
+                    return raw
+        with self.frame("get", kind=blob_id.kind):
+            try:
+                payload = self.server.get(blob_id)
+            except BlobNotFound:
+                self.charge()
+                raise
+            self.charge(down=len(payload))
+            return payload
+
+    def exists(self, blob_id: BlobId) -> bool:
+        """Existence probe, consistent with the staged state."""
+        covered, known = self._staged(blob_id, "exists")
+        return known if covered else self.server.exists(blob_id)
+
+    # -- mutations -----------------------------------------------------------
+
+    def flush(self) -> int:
+        """Ship every staged write-behind mutation; sub-ops shipped."""
+        return self.scheduler.flush() if self.scheduler is not None else 0
+
+    def send(self, blobs: Sequence[tuple[BlobId, "bytes | None"]], *,
+             grouped: bool,
+             fences: "dict[int, int] | None" = None) -> None:
+        """Upload (payload) or delete (``None``) blobs, all one kind.
+
+        ``grouped`` sends are one request: the paper's Figure 8 prices a
+        create as one "metadata send" and one "parent-dir send" however
+        many CAP replicas ride along (the per-CAP multiplier applies to
+        the crypto column, not the network column).  Ungrouped blobs are
+        one wire call each.  ``fences`` maps inode -> lease epoch; a
+        covered blob's write is fenced on its lease blob.
+        """
+        if not blobs:
+            return
+        if not grouped and len(blobs) > 1:
+            for blob in blobs:
+                self.send((blob,), grouped=False, fences=fences)
+            return
+        deleting = blobs[0][1] is None
+        if self.cache is not None:
+            for blob_id, _ in blobs:
+                self.cache.invalidate(("raw", blob_id))
+        if self.batch is not None:
+            self.batch.stage(_STAGED_KIND[deleting, grouped], blobs)
+            return
+        epoch_of = (fences or {}).get
+        scheduler = self.scheduler
+        if (scheduler is not None and scheduler.write_behind
+                and len(blobs) <= scheduler.window
+                and all(epoch_of(bid.inode) is None for bid, _ in blobs)):
+            # Small independent groups ride the write-behind queue and
+            # merge with neighbouring ops into shared RTT waves.  A
+            # group larger than the window would *lose* by staging (its
+            # single OP_BATCH frame costs one RTT; waves cost several),
+            # so it flushes the queue and ships the classic way.
+            if not grouped:
+                blob_id, payload = blobs[0]
+                if deleting:
+                    scheduler.stage_delete(blob_id)
+                else:
+                    scheduler.stage_put(blob_id, payload)
+            elif deleting:
+                scheduler.stage_delete_many([bid for bid, _ in blobs])
+            else:
+                scheduler.stage_put_many(blobs)
+            return
+        # A direct (fenced or oversized) write must order after
+        # everything staged.
+        self.flush()
+        if not (grouped and self.batching):
+            for blob_id, payload in blobs:
+                self._send_one(blob_id, payload, epoch_of(blob_id.inode))
+            return
+        ops = [self._op(bid, payload, epoch_of(bid.inode))
+               for bid, payload in blobs]
+        with self.frame("delete_many" if deleting else "put_many",
+                        count=len(ops)):
+            replies = self.server.batch(ops)
+            # One request header for the batch (blob ids ride in its
+            # payload), and only what crossed the wire: on a partial
+            # failure the unattempted tail never left the client.
+            self.charge(up=sum(
+                op.sent_bytes() for op, reply in zip(ops, replies)
+                if reply.status != "unattempted"))
+            for index, reply in enumerate(replies):
+                if reply.status == "ok":
+                    continue
+                if deleting:
+                    # Deletes never wrapped errors in PartialWriteError;
+                    # re-raise each sub-op failure as the single-op
+                    # exception (fenced -> StaleEpochError, and so on).
+                    reply.raise_for_status()
+                    continue
+                self._raise_put_failure(blobs, index, reply)
+
+    @staticmethod
+    def _op(blob_id: BlobId, payload: "bytes | None",
+            epoch: "int | None") -> BatchOp:
+        if epoch is None:
+            return (BatchOp.delete(blob_id) if payload is None
+                    else BatchOp.put(blob_id, payload))
+        fence = lease_blob(blob_id.inode)
+        return (BatchOp.delete_fenced(blob_id, fence, epoch)
+                if payload is None
+                else BatchOp.put_fenced(blob_id, payload, fence, epoch))
+
+    def _send_one(self, blob_id: BlobId, payload: "bytes | None",
+                  epoch: "int | None") -> None:
+        with self.frame("delete" if payload is None else "put",
+                        kind=blob_id.kind):
+            self.charge(up=0 if payload is None else len(payload))
+            if epoch is None:
+                if payload is None:
+                    self.server.delete(blob_id)
+                else:
+                    self.server.put(blob_id, payload)
+            elif payload is None:
+                self.server.delete_fenced(
+                    blob_id, lease_blob(blob_id.inode), epoch)
+            else:
+                self.server.put_fenced(
+                    blob_id, payload, lease_blob(blob_id.inode), epoch)
+
+    def _raise_put_failure(self, blobs, index: int, reply) -> None:
+        blob_id = blobs[index][0]
+        if reply.status == "fenced":
+            # A fenced-out write is not a half-applied batch to retry:
+            # the lease moved on.  Surface it untouched so the mutation
+            # pipeline converts it to LeaseLostError.
+            raise StaleEpochError(
+                f"batched upload fenced out at {blob_id}",
+                current_epoch=reply.epoch or 0)
+        # Surface the exact shape of the half-applied batch instead of
+        # a bare StorageError; transient causes keep their
+        # retry-eligible type.
+        self.metrics.counter(
+            "transport.partial_writes",
+            help="batched uploads that failed part-way").inc()
+        cls = (TransientPartialWriteError if reply.transient
+               else PartialWriteError)
+        raise cls(
+            f"batched upload failed at {blob_id} "
+            f"({index}/{len(blobs)} blobs applied): {reply.message}",
+            applied=[bid for bid, _ in blobs[:index]],
+            failed=blob_id,
+            remaining=[bid for bid, _ in blobs[index + 1:]])
+
+    # -- speculation ---------------------------------------------------------
+
+    def _cold(self, blob_ids: Iterable[BlobId]) -> list[BlobId]:
+        """The ids worth a speculative fetch (none if fewer than two).
+
+        Skips blobs already parked in a raw slot and blobs with staged
+        state: that is newer than the SSP copy, so fetching the server
+        bytes now would plant a stale raw slot that outlives the flush
+        (the overlay serves these reads).
+        """
+        wanted = [blob_id for blob_id in blob_ids
+                  if self.cache.get(("raw", blob_id)) is None
+                  and not self._staged(blob_id, "covers")[0]]
+        if len(wanted) < 2:
+            return []  # nothing to amortize: the demand path pays 1 RTT
+        return wanted[:_MAX_PREFETCH]
+
+    def _park(self, blob_id: BlobId, payload: bytes) -> None:
+        self.cache.put(("raw", blob_id), payload, len(payload))
+        self.metrics.counter(
+            "client.readahead.prefetched",
+            help="blobs fetched speculatively").inc()
+
+    def prefetch(self, blob_ids: Iterable[BlobId]) -> None:
+        """Speculatively fetch blobs in one ``OP_BATCH`` round trip.
+
+        Fetched bytes land in the ``("raw", blob_id)`` slots and are
+        consumed (once) by the next :meth:`get` of that blob.  A cold or
+        already-deleted candidate answers as a per-sub-op miss, which
+        costs nothing beyond its id on the wire; a storage error voids
+        the whole speculation silently -- the demand path re-fetches
+        with its own non-speculative error semantics.
+        """
+        wanted = self._cold(blob_ids)
+        if not wanted:
+            return
+        with self.frame("get_many", count=len(wanted)):
+            try:
+                replies = self.server.batch(
+                    [BatchOp.get(blob_id) for blob_id in wanted])
+            except StorageError:
+                self.charge()
+                return
+            down = 0
+            for blob_id, reply in zip(wanted, replies):
+                if reply.status == "ok" and reply.payload is not None:
+                    down += len(reply.payload)
+                    self._park(blob_id, reply.payload)
+            self.charge(down=down)
+
+    def fetch_tail(self, blob_ids: Iterable[BlobId]) -> None:
+        """Overlap independent reads as one scheduler flight.
+
+        Waves of ``window`` requests share RTTs (the scheduler counts
+        and charges them); the sealed bytes park in the raw slots the
+        sequential loop's :meth:`get` drains -- same bytes, same
+        verification, fewer serialized round trips.  A missing blob
+        stays unfetched and the demand path surfaces the usual error.
+        A no-op without a scheduler.
+        """
+        if self.scheduler is None:
+            return
+        wanted = self._cold(blob_ids)
+        if not wanted:
+            return
+        with self.tracer.span("network", op="fetch_tail",
+                              count=len(wanted)):
+            fetched = self.scheduler.fetch_many(wanted)
+        for blob_id, payload in fetched.items():
+            if payload is not None:
+                self._park(blob_id, payload)

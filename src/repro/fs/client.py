@@ -33,10 +33,8 @@ from ..crypto.provider import CryptoProvider
 from ..errors import (BlobNotFound, CryptoError, DirectoryNotEmpty,
                       FileExists, FileNotFound, FilesystemError,
                       IntegrityError, IsADirectory, LeaseHeldError,
-                      LeaseLostError, NotADirectory, PartialWriteError,
-                      PermissionDenied, SharoesError, StaleEpochError,
-                      StorageError, TransientPartialWriteError,
-                      TransientStorageError)
+                      LeaseLostError, NotADirectory, PermissionDenied,
+                      SharoesError, StaleEpochError, StorageError)
 from ..fs import path as fspath
 from ..obs.metrics import (MetricsRegistry, bind_cache_stats,
                            bind_cost_model, bind_crypto_counters,
@@ -46,10 +44,9 @@ from ..principals.groups import UserAgent
 from ..principals.users import User
 from ..sim.costmodel import CostModel
 from ..storage.blobs import (BlobId, group_key_blob, journal_blob,
-                             lease_blob, lockbox_blob, meta_blob,
-                             superblock_blob)
-from ..storage.server import BatchOp
+                             lockbox_blob, meta_blob, superblock_blob)
 from . import journal
+from .blobio import BlobIO
 from .cache import LruCache
 from .dirtable import (DIRECT, SPLIT, VIEW_FULL, ZERO, DirEntry,
                        DirPointer, TableView)
@@ -61,19 +58,6 @@ from .permissions import DIRECTORY, FILE, SYMLINK, AclEntry
 from .sealed import bind_context, open_verified, seal_and_sign
 from .superblock import Superblock
 from .volume import SharoesVolume, block_blob_id, table_blob_id
-
-_REQUEST_HEADER_BYTES = 64
-_RESPONSE_HEADER_BYTES = 16
-
-#: explicit sub-op-count buckets for the ``client.batch.size`` histogram
-#: (the default latency buckets top out below real batch sizes).
-_BATCH_SIZE_BUCKETS = (1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0,
-                       32.0, 48.0, 64.0, 128.0, 256.0, 1024.0)
-
-#: hard cap on sub-ops per speculative readahead frame, mirroring the
-#: wire protocol's MAX_BATCH_OPS so a huge directory cannot build an
-#: unsendable frame.
-_MAX_PREFETCH = 1024
 
 # CAP permission sets live in mdcache so the pre-materialized listing
 # verdicts are evaluated against the exact same sets the demand path
@@ -179,20 +163,6 @@ class ClientConfig:
     #: trace tree -- see docs/OBSERVABILITY.md.  Zero simulated cost and
     #: byte-identical wire frames when False.
     wire_trace: bool = False
-    #: sharded multi-SSP backend: ``shards > 0`` makes environment
-    #: builders (``make_env``) replace the single StorageServer with a
-    #: :class:`~repro.storage.shards.ShardedServer` of that many backend
-    #: SSPs, each blob consistently hashed to ``replicas`` of them --
-    #: see docs/ROBUSTNESS.md "Sharding & replication".  0 (default)
-    #: keeps the paper's single-SSP testbed.  The client itself is
-    #: oblivious (the sharded server presents the StorageServer
-    #: interface); these knobs live here so benchmark configs carry the
-    #: whole stack description.
-    shards: int = 0
-    #: replicas per blob when ``shards > 0`` (k-way replication; writes
-    #: fan out to all k, reads are served by the first live replica and
-    #: quorum-checked on disagreement).
-    replicas: int = 2
     #: pipelined request window: ``concurrency >= 2`` attaches a
     #: :class:`~repro.fs.scheduler.RequestScheduler` that keeps up to
     #: this many independent requests in flight -- write-behind staging
@@ -352,8 +322,6 @@ class SharoesFilesystem:
                         and self.config.metadata_cache else None)
         #: optional fork-consistency log (see enable_consistency_log)
         self.consistency = None
-        #: SSP requests issued by this client (batched puts count once).
-        self.request_count = 0
         self._superblock: Superblock | None = None
         #: unified observability: one registry tree + a span tracer on
         #: the simulated clock.  The legacy stats structs (CacheStats,
@@ -381,10 +349,9 @@ class SharoesFilesystem:
         self.metrics.gauge("client.requests",
                            help="SSP requests issued by this client",
                            fn=lambda: self.request_count)
-        #: crash consistency: the active mutation's staged wire calls
-        #: (None outside a mutation) and intents journaled at the SSP but
-        #: not yet committed -- see fs/journal.py.
-        self._batch: journal.MutationBatch | None = None
+        #: crash consistency: intents journaled at the SSP but not yet
+        #: committed -- see fs/journal.py.  (The active mutation's staged
+        #: wire calls live in ``self.blobs.batch``.)
         self._pending: list[journal.IntentRecord] = []
         self._journal_seq = 0
         if self.config.journal:
@@ -433,25 +400,26 @@ class SharoesFilesystem:
             bind_transport(self.metrics, self.server)
         else:
             self.server = raw
-        #: pipelined request scheduler (``ClientConfig(concurrency=K)``):
-        #: overlaps independent requests in a window of K -- see
-        #: fs/scheduler.py and docs/CONCURRENCY.md.  Sits *above* the
-        #: resilient transport so every wave rides the batch
-        #: partial-retry path.  None (default) keeps the sequential
-        #: client untouched.
-        self.scheduler = None
-        if self.config.concurrency >= 2 and self.config.batching:
-            from .scheduler import RequestScheduler
-            self.scheduler = RequestScheduler(
-                self.server, self.config.concurrency,
-                cost=cost_model, tracer=self.tracer,
-                write_behind=not self.config.journal,
-                count_request=self._count_wire_request,
-                observe_batch=self._observe_batch)
-            self.metrics.register_source(
-                "client.scheduler", self.scheduler.snapshot,
-                help="pipelined request scheduler: write-behind "
-                     "staging, fetch flights, dedup and stale drops")
+        #: the one blob channel (fs/blobio.py): every object-blob get,
+        #: put, delete, probe and prefetch goes through it.  The config's
+        #: "requires" chains are settled here, once: the pipelined
+        #: scheduler (``concurrency=K``, fs/scheduler.py) needs
+        #: ``batching`` and sits *above* the resilient transport so every
+        #: wave rides the batch partial-retry path; write-behind is off
+        #: under the journal (its ordering is a durability contract) while
+        #: fetch flights stay on; readahead needs ``batching`` and
+        #: ``metadata_cache``.
+        batching = self.config.batching
+        self.blobs = BlobIO(
+            self.server, self.cache, tracer=self.tracer,
+            metrics=self.metrics, cost=cost_model, batching=batching,
+            window=(self.config.concurrency
+                    if self.config.concurrency >= 2 and batching else 0),
+            write_behind=not self.config.journal)
+        #: None (default) keeps the sequential client untouched.
+        self.scheduler = self.blobs.scheduler
+        self._readahead = (self.config.readahead and batching
+                           and self.config.metadata_cache)
         #: multi-client safety: per-inode signed leases with fencing
         #: epochs (fs/lease.py).  ``_fences`` maps inode -> held epoch
         #: for the *current* mutation; the journaled intent carries it
@@ -499,10 +467,7 @@ class SharoesFilesystem:
         self._charge_other()
         self.flush_staged()
         statement = self.consistency.publish(self.server)
-        if self.cost is not None:
-            self.cost.charge_request(
-                len(statement.to_bytes()) + _REQUEST_HEADER_BYTES,
-                _RESPONSE_HEADER_BYTES)
+        self.blobs.charge(up=len(statement.to_bytes()))
         return statement
 
     @traced("sync_statements", path_arg=None)
@@ -520,11 +485,8 @@ class SharoesFilesystem:
             peer_ids = [u.user_id
                         for u in self.volume.registry.users()]
         accepted = self.consistency.sync(self.server, peer_ids)
-        if self.cost is not None:
-            for statement in accepted:
-                self.cost.charge_request(
-                    _REQUEST_HEADER_BYTES,
-                    len(statement.to_bytes()) + _RESPONSE_HEADER_BYTES)
+        for statement in accepted:
+            self.blobs.charge(down=len(statement.to_bytes()))
         return accepted
 
     # ------------------------------------------------------------------ wire
@@ -533,335 +495,24 @@ class SharoesFilesystem:
         if self.cost is not None:
             self.cost.charge_other()
 
-    def _count_wire_request(self) -> None:
-        self.request_count += 1
-
-    def _write_behind_on(self) -> bool:
-        return self.scheduler is not None and self.scheduler.write_behind
+    @property
+    def request_count(self) -> int:
+        """SSP requests issued by this client (batched puts count once)."""
+        return self.blobs.request_count
 
     def flush_staged(self) -> int:
         """Barrier: ship every staged write-behind mutation now.
 
         Called at every point where staged state must be visible beyond
         this client -- close-to-open ``revalidate()``, ``unmount()``,
-        consistency-log publishes -- and before any mutation that must
-        order directly against the SSP (fenced writes, oversized
-        groups).  A no-op without a scheduler.  Returns the number of
-        sub-ops shipped.
+        consistency-log publishes.  (Mutations that must order directly
+        against the SSP -- fenced writes, oversized groups -- flush
+        inside :meth:`BlobIO.send`.)  A no-op without a scheduler.
+        Returns the number of sub-ops shipped.
         """
-        if self.scheduler is None:
-            return 0
-        return self.scheduler.flush()
+        return self.blobs.flush()
 
-    def _get(self, blob_id: BlobId) -> bytes:
-        if self._batch is not None:
-            # Read-your-writes: an op that re-reads a blob it just staged
-            # (symlink resolving its fresh entry, writeback re-reading
-            # block 0) must observe its own deferred state.
-            covered, payload = self._batch.read(blob_id)
-            if covered:
-                if payload is None:
-                    raise BlobNotFound(str(blob_id))
-                return payload
-        if self.scheduler is not None:
-            # Read-your-writes against the write-behind queue: the
-            # staged state is newer than both the SSP copy and any
-            # speculative raw slot, and serving it here is what keeps a
-            # mutation ordered before its dependent reads.
-            covered, payload = self.scheduler.staged_read(blob_id)
-            if covered:
-                if payload is None:
-                    raise BlobNotFound(str(blob_id))
-                return payload
-        raw = self.cache.get(("raw", blob_id))
-        if raw is not None:
-            # Speculatively fetched by an earlier OP_BATCH readahead
-            # frame (already paid for there).  Single-shot: the buffered
-            # bytes are only as fresh as that fetch, so consume them
-            # once and let any re-read go back to the SSP.
-            self.cache.invalidate(("raw", blob_id))
-            self.metrics.counter(
-                "client.readahead.hits",
-                help="gets served from the speculative read buffer").inc()
-            with self.tracer.span("cache", hit=True, kind="raw"):
-                return raw
-        self.request_count += 1
-        with self.tracer.span("network", op="get", kind=blob_id.kind):
-            try:
-                payload = self.server.get(blob_id)
-            except BlobNotFound:
-                if self.cost is not None:
-                    self.cost.charge_request(_REQUEST_HEADER_BYTES,
-                                             _RESPONSE_HEADER_BYTES)
-                raise
-            if self.cost is not None:
-                self.cost.charge_request(
-                    _REQUEST_HEADER_BYTES,
-                    len(payload) + _RESPONSE_HEADER_BYTES)
-            return payload
-
-    def _exists(self, blob_id: BlobId) -> bool:
-        """Existence probe, consistent with the active batch overlay."""
-        if self._batch is not None:
-            known = self._batch.exists(blob_id)
-            if known is not None:
-                return known
-        if self.scheduler is not None:
-            known = self.scheduler.staged_exists(blob_id)
-            if known is not None:
-                return known
-        return self.server.exists(blob_id)
-
-    def _fence_for(self, blob_id: BlobId,
-                   fences: "dict[int, int] | None") -> int | None:
-        """Fencing epoch to apply to this blob's write, if any."""
-        if not fences:
-            return None
-        return fences.get(blob_id.inode)
-
-    def _put(self, blob_id: BlobId, payload: bytes,
-             fences: "dict[int, int] | None" = None) -> None:
-        self.cache.invalidate(("raw", blob_id))
-        if self._batch is not None:
-            self._batch.stage(journal.PUT, [(blob_id, payload)])
-            return
-        if (self._write_behind_on()
-                and self._fence_for(blob_id, fences) is None):
-            self.scheduler.stage_put(blob_id, payload)
-            return
-        # A direct (fenced) write must order after everything staged.
-        self.flush_staged()
-        self.request_count += 1
-        with self.tracer.span("network", op="put", kind=blob_id.kind):
-            if self.cost is not None:
-                self.cost.charge_request(
-                    len(payload) + _REQUEST_HEADER_BYTES,
-                    _RESPONSE_HEADER_BYTES)
-            epoch = self._fence_for(blob_id, fences)
-            if epoch is None:
-                self.server.put(blob_id, payload)
-            else:
-                self.server.put_fenced(blob_id, payload,
-                                       lease_blob(blob_id.inode), epoch)
-
-    def _put_many(self, blobs: list[tuple[BlobId, bytes]],
-                  fences: "dict[int, int] | None" = None) -> None:
-        """Upload several blobs in one request (one round trip).
-
-        Matches the paper's Figure 8 cost table: a create performs one
-        "metadata send" and one "parent-dir send" even when multiple CAP
-        replicas are involved -- the per-CAP multiplier applies to the
-        crypto column, not the network column.  With ``batching`` on
-        (default) the blobs really do ride one ``OP_BATCH`` frame; with
-        it off each blob is its own round trip and pays its own headers
-        -- the honest reference execution the differential harness
-        compares against.
-        """
-        if not blobs:
-            return
-        for blob_id, _ in blobs:
-            self.cache.invalidate(("raw", blob_id))
-        if self._batch is not None:
-            self._batch.stage(journal.PUT_MANY, list(blobs))
-            return
-        if (self._write_behind_on()
-                and len(blobs) <= self.scheduler.window
-                and all(self._fence_for(bid, fences) is None
-                        for bid, _ in blobs)):
-            # Small independent groups ride the write-behind queue and
-            # merge with neighbouring ops into shared RTT waves.  A
-            # group larger than the window would *lose* by staging (its
-            # single OP_BATCH frame costs one RTT; waves cost several),
-            # so it flushes the queue and ships the classic way.
-            self.scheduler.stage_put_many(blobs)
-            return
-        self.flush_staged()
-        if not self.config.batching:
-            for blob_id, payload in blobs:
-                self._put(blob_id, payload, fences=fences)
-            return
-        ops = []
-        for blob_id, payload in blobs:
-            epoch = self._fence_for(blob_id, fences)
-            if epoch is None:
-                ops.append(BatchOp.put(blob_id, payload))
-            else:
-                ops.append(BatchOp.put_fenced(
-                    blob_id, payload, lease_blob(blob_id.inode), epoch))
-        self.request_count += 1
-        with self.tracer.span("network", op="put_many", count=len(blobs)):
-            self._observe_batch(len(ops))
-            replies = self.server.batch(ops)
-            if self.cost is not None:
-                # Charge only what crossed the wire: on a partial
-                # failure the unattempted tail never left the client
-                # (the pre-batch code charged the whole batch upfront
-                # even when most of it was never sent).
-                attempted = sum(
-                    op.sent_bytes() for op, reply in zip(ops, replies)
-                    if reply.status != "unattempted")
-                self.cost.charge_request(attempted + _REQUEST_HEADER_BYTES,
-                                         _RESPONSE_HEADER_BYTES)
-            for index, reply in enumerate(replies):
-                if reply.status == "ok":
-                    continue
-                blob_id = blobs[index][0]
-                if reply.status == "fenced":
-                    # A fenced-out write is not a half-applied batch to
-                    # retry: the lease moved on.  Surface it untouched so
-                    # the mutation pipeline converts it to LeaseLostError.
-                    raise StaleEpochError(
-                        f"batched upload fenced out at {blob_id}",
-                        current_epoch=reply.epoch or 0)
-                # Surface the exact shape of the half-applied batch
-                # instead of a bare StorageError; transient causes
-                # keep their retry-eligible type.
-                self.metrics.counter(
-                    "transport.partial_writes",
-                    help="batched uploads that failed part-way").inc()
-                cls = (TransientPartialWriteError if reply.transient
-                       else PartialWriteError)
-                raise cls(
-                    f"batched upload failed at {blob_id} "
-                    f"({index}/{len(blobs)} blobs applied): "
-                    f"{reply.message}",
-                    applied=[bid for bid, _ in blobs[:index]],
-                    failed=blob_id,
-                    remaining=[bid for bid, _ in blobs[index + 1:]],
-                )
-
-    def _delete(self, blob_id: BlobId,
-                fences: "dict[int, int] | None" = None) -> None:
-        self.cache.invalidate(("raw", blob_id))
-        if self._batch is not None:
-            self._batch.stage(journal.DELETE, [(blob_id, None)])
-            return
-        if (self._write_behind_on()
-                and self._fence_for(blob_id, fences) is None):
-            self.scheduler.stage_delete(blob_id)
-            return
-        self.flush_staged()
-        self.request_count += 1
-        with self.tracer.span("network", op="delete", kind=blob_id.kind):
-            if self.cost is not None:
-                self.cost.charge_request(_REQUEST_HEADER_BYTES,
-                                         _RESPONSE_HEADER_BYTES)
-            epoch = self._fence_for(blob_id, fences)
-            if epoch is None:
-                self.server.delete(blob_id)
-            else:
-                self.server.delete_fenced(blob_id,
-                                          lease_blob(blob_id.inode), epoch)
-
-    def _delete_many(self, blob_ids: list[BlobId],
-                     fences: "dict[int, int] | None" = None) -> None:
-        """Batch deletion: one request regardless of blob count."""
-        if not blob_ids:
-            return
-        for blob_id in blob_ids:
-            self.cache.invalidate(("raw", blob_id))
-        if self._batch is not None:
-            self._batch.stage(journal.DELETE_MANY,
-                              [(bid, None) for bid in blob_ids])
-            return
-        if (self._write_behind_on()
-                and len(blob_ids) <= self.scheduler.window
-                and all(self._fence_for(bid, fences) is None
-                        for bid in blob_ids)):
-            self.scheduler.stage_delete_many(blob_ids)
-            return
-        self.flush_staged()
-        if not self.config.batching:
-            for blob_id in blob_ids:
-                self._delete(blob_id, fences=fences)
-            return
-        ops = []
-        for blob_id in blob_ids:
-            epoch = self._fence_for(blob_id, fences)
-            if epoch is None:
-                ops.append(BatchOp.delete(blob_id))
-            else:
-                ops.append(BatchOp.delete_fenced(
-                    blob_id, lease_blob(blob_id.inode), epoch))
-        self.request_count += 1
-        with self.tracer.span("network", op="delete_many",
-                              count=len(blob_ids)):
-            self._observe_batch(len(ops))
-            replies = self.server.batch(ops)
-            if self.cost is not None:
-                # One request header for the batch, like _put_many --
-                # blob ids ride in the payload of a single round trip.
-                self.cost.charge_request(_REQUEST_HEADER_BYTES,
-                                         _RESPONSE_HEADER_BYTES)
-            for reply in replies:
-                # Deletes never wrapped errors in PartialWriteError;
-                # re-raise each sub-op failure as the single-op
-                # exception (fenced -> StaleEpochError, and so on).
-                reply.raise_for_status()
-
-    # ------------------------------------------------------------------ batch
-
-    def _observe_batch(self, count: int) -> None:
-        self.metrics.histogram(
-            "client.batch.size",
-            help="sub-ops per OP_BATCH frame",
-            buckets=_BATCH_SIZE_BUCKETS).observe(float(count))
-
-    def _readahead_on(self) -> bool:
-        return (self.config.readahead and self.config.batching
-                and self.config.metadata_cache)
-
-    def _prefetch(self, blob_ids: list[BlobId]) -> None:
-        """Speculatively fetch blobs in one ``OP_BATCH`` round trip.
-
-        Fetched bytes land in the cache under ``("raw", blob_id)`` keys
-        and are consumed (once) by the next :meth:`_get` of that blob.
-        A cold or already-deleted candidate answers as a per-sub-op
-        miss, which costs nothing beyond its id on the wire; a storage
-        error voids the whole speculation silently -- the demand path
-        re-fetches with its own non-speculative error semantics.
-        """
-        wanted = []
-        for blob_id in blob_ids:
-            if self.cache.get(("raw", blob_id)) is not None:
-                continue
-            if self._batch is not None and self._batch.read(blob_id)[0]:
-                continue
-            if self.scheduler is not None and self.scheduler.covers(
-                    blob_id):
-                # Staged state is newer than the SSP copy: fetching the
-                # server bytes now would plant a stale raw slot that
-                # outlives the flush.  The overlay serves these reads.
-                continue
-            wanted.append(blob_id)
-        if len(wanted) < 2:
-            return  # nothing to amortize: let the demand path pay 1 RTT
-        wanted = wanted[:_MAX_PREFETCH]
-        self.request_count += 1
-        with self.tracer.span("network", op="get_many",
-                              count=len(wanted)):
-            self._observe_batch(len(wanted))
-            try:
-                replies = self.server.batch(
-                    [BatchOp.get(blob_id) for blob_id in wanted])
-            except StorageError:
-                if self.cost is not None:
-                    self.cost.charge_request(_REQUEST_HEADER_BYTES,
-                                             _RESPONSE_HEADER_BYTES)
-                return
-            down = 0
-            for blob_id, reply in zip(wanted, replies):
-                if reply.status == "ok" and reply.payload is not None:
-                    down += len(reply.payload)
-                    self.cache.put(("raw", blob_id), reply.payload,
-                                   len(reply.payload))
-                    self.metrics.counter(
-                        "client.readahead.prefetched",
-                        help="blobs fetched speculatively").inc()
-            if self.cost is not None:
-                self.cost.charge_request(
-                    _REQUEST_HEADER_BYTES,
-                    down + _RESPONSE_HEADER_BYTES)
+    # ------------------------------------------------------------------ readahead
 
     def _prefetch_walk(self, inode: int, selector: str) -> None:
         """Path-walk readahead for a not-yet-terminal component.
@@ -876,8 +527,8 @@ class SharoesFilesystem:
             return
         if self.cache.get(("table", inode, selector)) is not None:
             return
-        self._prefetch([meta_blob(inode, selector),
-                        table_blob_id(inode, selector)])
+        self.blobs.prefetch([meta_blob(inode, selector),
+                             table_blob_id(inode, selector)])
 
     def _prefetch_children(self, table: TableView) -> None:
         """Directory-scan readahead: batch the children's metadata.
@@ -898,7 +549,7 @@ class SharoesFilesystem:
             if self.cache.get(key) is not None:
                 continue
             wanted.append(meta_blob(entry.inode, entry.pointer.selector))
-        self._prefetch(wanted)
+        self.blobs.prefetch(wanted)
 
     # ------------------------------------------------------------------ journal
 
@@ -916,20 +567,20 @@ class SharoesFilesystem:
         pending and is replayed (idempotently) before the next mutation
         or at the next mount.
         """
-        if not self.config.journal or self._batch is not None:
+        if not self.config.journal or self.blobs.batch is not None:
             yield
             return
         self._replay_pending()
         batch = journal.MutationBatch(op)
-        self._batch = batch
+        self.blobs.batch = batch
         self._fences = {}
         try:
             yield
         except BaseException:
-            self._batch = None
+            self.blobs.batch = None
             self._release_fences()
             raise
-        self._batch = None
+        self.blobs.batch = None
         if not batch.calls:
             self._release_fences()
             return
@@ -1011,7 +662,7 @@ class SharoesFilesystem:
         intervening writer (the epoch chain only moved through us), so
         the cache stays warm.
         """
-        if self.lease is None or self._batch is None:
+        if self.lease is None or self.blobs.batch is None:
             return
         if inode in self._fences:
             return
@@ -1085,7 +736,8 @@ class SharoesFilesystem:
                                     self._pending)
         with self.tracer.span("journal", phase=phase,
                               pending=len(self._pending)):
-            self._put(journal_blob(self.agent.user_id), blob)
+            self.blobs.send([(journal_blob(self.agent.user_id), blob)],
+                            grouped=False)
 
     def _apply_record(self, record: journal.IntentRecord) -> None:
         """Replay an intent's staged calls for real.
@@ -1100,16 +752,9 @@ class SharoesFilesystem:
         """
         fences = dict(record.fences) or None
         for call in record.calls:
-            if call.kind == journal.PUT:
-                ((blob_id, payload),) = call.blobs
-                self._put(blob_id, payload, fences=fences)
-            elif call.kind == journal.PUT_MANY:
-                self._put_many(list(call.blobs), fences=fences)
-            elif call.kind == journal.DELETE:
-                ((blob_id, _),) = call.blobs
-                self._delete(blob_id, fences=fences)
-            else:
-                self._delete_many(list(call.blob_ids()), fences=fences)
+            self.blobs.send(
+                call.blobs, fences=fences,
+                grouped=call.kind in (journal.PUT_MANY, journal.DELETE_MANY))
 
     def _replay_pending(self) -> None:
         """Re-apply intents whose first apply failed part-way.
@@ -1151,10 +796,10 @@ class SharoesFilesystem:
         :class:`IntegrityError` here and is never applied.
         """
         outcome = journal.RecoveryOutcome()
-        if self._batch is not None:  # nested mount inside a mutation
+        if self.blobs.batch is not None:  # nested mount inside a mutation
             return outcome
         try:
-            blob = self._get(journal_blob(self.agent.user_id))
+            blob = self.blobs.get(journal_blob(self.agent.user_id))
         except BlobNotFound:
             return outcome
         records = journal.open_journal(self.provider, self.agent.user,
@@ -1210,12 +855,12 @@ class SharoesFilesystem:
         normal access path (paper section III-C).
         """
         self._charge_other()
-        blob = self._get(superblock_blob(self.agent.user_id))
+        blob = self.blobs.get(superblock_blob(self.agent.user_id))
         self._superblock = Superblock.unwrap(
             self.provider, self.agent.user.private_key, blob)
         for group_id in sorted(self.agent.user.groups):
             try:
-                wrapped = self._get(
+                wrapped = self.blobs.get(
                     group_key_blob(group_id, self.agent.user_id))
             except BlobNotFound:
                 continue
@@ -1268,13 +913,9 @@ class SharoesFilesystem:
         count = len(self.lease.held_inodes())
         if count == 0:
             return []
-        self.request_count += 1
-        with self.tracer.span("network", op="renew_leases", count=count):
-            self._observe_batch(count)
+        with self.blobs.frame("renew_leases", count=count):
             renewed, lost, up, down = self.lease.renew_all()
-            if self.cost is not None:
-                self.cost.charge_request(up + _REQUEST_HEADER_BYTES,
-                                         down + _RESPONSE_HEADER_BYTES)
+            self.blobs.charge(up, down)
         for inode in lost:
             self._fences.pop(inode, None)
             self._invalidate(inode)
@@ -1330,7 +971,7 @@ class SharoesFilesystem:
                 return cached
         blob_id = meta_blob(inode, selector)
         try:
-            blob = self._get(blob_id)
+            blob = self.blobs.get(blob_id)
         except BlobNotFound:
             raise PermissionDenied(
                 f"inode {inode}: no metadata replica for your permissions"
@@ -1383,7 +1024,7 @@ class SharoesFilesystem:
         dek = node.view.require_dek()
         dvk = node.view.require_dvk()
         blob_id = table_blob_id(node.inode, node.selector)
-        blob = self._get(blob_id)
+        blob = self.blobs.get(blob_id)
         with self.tracer.span("crypto", op="open_table"):
             payload = open_verified(
                 self.provider, dek, dvk,
@@ -1445,7 +1086,7 @@ class SharoesFilesystem:
         """Split-point resolution: try each of this agent's identities."""
         for principal_id in self.agent.principal_ids():
             try:
-                blob = self._get(lockbox_blob(inode, principal_id))
+                blob = self.blobs.get(lockbox_blob(inode, principal_id))
             except BlobNotFound:
                 continue
             payload = self.agent.unwrap(principal_id, blob)
@@ -1466,7 +1107,7 @@ class SharoesFilesystem:
             selector = entry.pointer.selector
             mek = entry.pointer.mek
             mvk_raw = entry.pointer.mvk
-            if lookahead and self._readahead_on():
+            if lookahead and self._readahead:
                 # The walk continues below this component: its metadata
                 # *and* its table will both be needed, so fetch the pair
                 # in one round trip.
@@ -1667,7 +1308,7 @@ class SharoesFilesystem:
                 f"{path}: listing requires read permission "
                 f"(CAP {node.cap_id})")
         table = self._fetch_table(node)
-        if self._readahead_on():
+        if self._readahead:
             self._prefetch_children(table)
         names = table.list_names()
         if self.mdcache is not None:
@@ -1712,7 +1353,7 @@ class SharoesFilesystem:
             if plain is None:
                 blob_id = block_blob_id(node.inode, index)
                 try:
-                    blob = self._get(blob_id)
+                    blob = self.blobs.get(blob_id)
                 except BlobNotFound:
                     if index == 0:
                         return b"", []  # empty file: no blocks at all
@@ -1729,50 +1370,20 @@ class SharoesFilesystem:
             if index == 0:
                 total = int.from_bytes(plain[:4], "big")
                 plain = plain[4:]
-                self._fetch_tail_blocks(node.inode, total)
+                if total > 2:
+                    # Block 0 just told us the real block count; the
+                    # loop would now pay one full RTT per remaining
+                    # block.  With a scheduler, the not-yet-cached tail
+                    # is fetched as one flight into the raw slots the
+                    # loop's gets drain.
+                    self.blobs.fetch_tail(
+                        block_blob_id(node.inode, i)
+                        for i in range(1, total)
+                        if not (self.config.data_cache and self.cache.get(
+                            ("data", node.inode, i)) is not None))
             blocks.append(plain)
             index += 1
         return b"".join(blocks), blocks
-
-    def _fetch_tail_blocks(self, inode: int, total: int) -> None:
-        """Overlap the tail of a multi-block read (scheduler only).
-
-        Block 0 just told us the real block count; the sequential loop
-        would now pay one full RTT per remaining block.  With a
-        scheduler, fetch the not-yet-cached tail as one flight (waves
-        of ``concurrency`` requests sharing RTTs) and park the sealed
-        bytes in the consume-once ``("raw", ...)`` slots the loop's
-        :meth:`_get` drains -- same bytes, same verification, fewer
-        serialized round trips.  A missing block simply stays unfetched
-        and the demand path surfaces the usual truncation error.
-        """
-        if self.scheduler is None or total <= 2:
-            return
-        wanted = []
-        for index in range(1, total):
-            if (self.config.data_cache and
-                    self.cache.get(("data", inode, index)) is not None):
-                continue
-            blob_id = block_blob_id(inode, index)
-            if self.cache.get(("raw", blob_id)) is not None:
-                continue
-            if self._batch is not None and self._batch.read(blob_id)[0]:
-                continue
-            if self.scheduler.covers(blob_id):
-                continue
-            wanted.append(blob_id)
-        if len(wanted) < 2:
-            return
-        wanted = wanted[:_MAX_PREFETCH]
-        with self.tracer.span("network", op="fetch_tail",
-                              count=len(wanted)):
-            fetched = self.scheduler.fetch_many(wanted)
-        for blob_id, payload in fetched.items():
-            if payload is not None:
-                self.cache.put(("raw", blob_id), payload, len(payload))
-                self.metrics.counter(
-                    "client.readahead.prefetched",
-                    help="blobs fetched speculatively").inc()
 
     @traced("read_file")
     def read_file(self, path: str) -> bytes:
@@ -1880,7 +1491,7 @@ class SharoesFilesystem:
                 blob = seal_and_sign(self.provider, dek, dsk, context,
                                      payload)
                 outgoing.append((block_blob_id(node.inode, index), blob))
-        self._put_many(outgoing)
+        self.blobs.send(outgoing, grouped=True)
         self._delete_tail_blocks(node.inode, new_count,
                                  max(old_count, node.attrs.block_count))
         for index in range(new_count, max(old_count,
@@ -1905,11 +1516,11 @@ class SharoesFilesystem:
         """Remove blocks past the new end, sweeping past stale counts."""
         victims = []
         index = new_count
-        while index < known_old_count or self._exists(
+        while index < known_old_count or self.blobs.exists(
                 block_blob_id(inode, index)):
-            victims.append(block_blob_id(inode, index))
+            victims.append((block_blob_id(inode, index), None))
             index += 1
-        self._delete_many(victims)
+        self.blobs.send(victims, grouped=True)
 
     # ------------------------------------------------------------------ create
 
@@ -1939,7 +1550,7 @@ class SharoesFilesystem:
             blob = record.metadata_blob(self.provider, selector, cap,
                                         selector == owner_selector)
             blobs.append((meta_blob(attrs.inode, selector), blob))
-        self._put_many(blobs)
+        self.blobs.send(blobs, grouped=True)
         self.cache.invalidate_prefix(("meta", attrs.inode))
 
     def _write_empty_tables(self, record: ObjectRecord) -> None:
@@ -1958,7 +1569,7 @@ class SharoesFilesystem:
             blobs.append((table_blob_id(attrs.inode, selector), blob))
             if selector == self.volume.scheme.owner_selector(attrs):
                 self._cache_table(attrs.inode, selector, view, len(blob))
-        self._put_many(blobs)
+        self.blobs.send(blobs, grouped=True)
 
     def _entry_for_selector(self, parent_attrs: MetadataAttrs,
                             child_record: ObjectRecord,
@@ -2001,7 +1612,7 @@ class SharoesFilesystem:
             context = bind_context("table", attrs.inode, selector)
             view = self._cached_table(attrs.inode, selector)
             if view is None:
-                blob = self._get(table_blob_id(attrs.inode, selector))
+                blob = self.blobs.get(table_blob_id(attrs.inode, selector))
                 payload = open_verified(self.provider, dek,
                                         parent.view.require_dvk(),
                                         context, blob)
@@ -2015,7 +1626,7 @@ class SharoesFilesystem:
             # need to re-fetch and re-verify its own write.  Under the
             # verified cache this also drops the directory's listing.
             self._cache_table(attrs.inode, selector, view, len(new_blob))
-        self._put_many(outgoing)
+        self.blobs.send(outgoing, grouped=True)
 
     def _write_lockboxes(self, record: ObjectRecord) -> None:
         scheme = self.volume.scheme
@@ -2024,8 +1635,10 @@ class SharoesFilesystem:
             payload = lockbox_payload(selector,
                                       record.selector_meks[selector],
                                       record.mvk.to_bytes())
-            self._put(lockbox_blob(record.attrs.inode, user_id),
-                      self.provider.pk_encrypt(public, payload))
+            self.blobs.send(
+                [(lockbox_blob(record.attrs.inode, user_id),
+                  self.provider.pk_encrypt(public, payload))],
+                grouped=False)
 
     @_mutating("create")
     def _create(self, path: str, mode: int, ftype: str,
@@ -2108,14 +1721,15 @@ class SharoesFilesystem:
         if attrs.ftype != DIRECTORY:
             index = 0
             while (index < max(attrs.block_count, 1)
-                   or self._exists(
+                   or self.blobs.exists(
                        block_blob_id(attrs.inode, index))):
                 victims.append(block_blob_id(attrs.inode, index))
                 index += 1
         if attrs.acl or scheme.supports_splits():
             for user_id in scheme.lockbox_map(attrs):
                 victims.append(lockbox_blob(attrs.inode, user_id))
-        self._delete_many(victims)
+        self.blobs.send([(victim, None) for victim in victims],
+                        grouped=True)
         self._invalidate(attrs.inode)
         self.freshness.forget(attrs.inode)
 
@@ -2247,7 +1861,8 @@ class SharoesFilesystem:
                 context = bind_context("data", attrs.inode, f"b{index}")
                 blob = seal_and_sign(self.provider, record.dek, record.dsk,
                                      context, payload)
-                self._put(block_blob_id(attrs.inode, index), blob)
+                self.blobs.send([(block_blob_id(attrs.inode, index), blob)],
+                                grouped=False)
         else:
             self._rebuild_tables(record, node, old_attrs or attrs)
         self._invalidate(attrs.inode)
@@ -2278,7 +1893,7 @@ class SharoesFilesystem:
         old_owner_sel = scheme.owner_selector(old_attrs)
 
         def fetch_old_view(selector: str, dek: bytes) -> TableView:
-            blob = self._get(table_blob_id(attrs.inode, selector))
+            blob = self.blobs.get(table_blob_id(attrs.inode, selector))
             context = bind_context("table", attrs.inode, selector)
             payload = open_verified(self.provider, dek, old_record.dvk,
                                     context, blob)
@@ -2341,7 +1956,7 @@ class SharoesFilesystem:
             blob = seal_and_sign(self.provider, dek, record.dsk, context,
                                  view.to_bytes())
             outgoing.append((table_blob_id(attrs.inode, selector), blob))
-        self._put_many(outgoing)
+        self.blobs.send(outgoing, grouped=True)
 
     def _recover_row(self, name: str, canonical: TableView,
                      old_view: TableView | None, old_record: ObjectRecord,
@@ -2409,10 +2024,13 @@ class SharoesFilesystem:
             # every table view is rebuilt from the management copy.
             self._reencrypt_data(record, node, old_attrs)
         self._write_metadata_replicas(record)
+        doomed = []
         for selector in dropped:
-            self._delete(meta_blob(record.attrs.inode, selector))
+            doomed.append((meta_blob(record.attrs.inode, selector), None))
             if record.attrs.ftype == DIRECTORY:
-                self._delete(table_blob_id(record.attrs.inode, selector))
+                doomed.append(
+                    (table_blob_id(record.attrs.inode, selector), None))
+        self.blobs.send(doomed, grouped=False)
         self._refresh_parent_pointers(path, record, old_attrs)
         return Stat.from_attrs(record.attrs)
 
@@ -2503,10 +2121,13 @@ class SharoesFilesystem:
         record.rekey_metadata()
         self._reencrypt_data(record, node, old_attrs)
         self._write_metadata_replicas(record)
+        doomed = []
         for selector in dropped:
-            self._delete(meta_blob(record.attrs.inode, selector))
+            doomed.append((meta_blob(record.attrs.inode, selector), None))
             if record.attrs.ftype == DIRECTORY:
-                self._delete(table_blob_id(record.attrs.inode, selector))
+                doomed.append(
+                    (table_blob_id(record.attrs.inode, selector), None))
+        self.blobs.send(doomed, grouped=False)
         self._refresh_parent_pointers(path, record, old_attrs)
         return Stat.from_attrs(record.attrs)
 
@@ -2545,7 +2166,9 @@ class SharoesFilesystem:
         removed_users = ({e.user_id for e in old_attrs.acl}
                          - {e.user_id for e in entries})
         for user_id in removed_users:
-            self._delete(lockbox_blob(record.attrs.inode, user_id))
+            self.blobs.send(
+                [(lockbox_blob(record.attrs.inode, user_id), None)],
+                grouped=False)
         self._refresh_parent_pointers(path, record, old_attrs)
         return Stat.from_attrs(record.attrs)
 

@@ -48,9 +48,7 @@ from ..errors import (BlobNotFound, PartialWriteError, StaleEpochError,
                       StorageError, TransientPartialWriteError)
 from ..storage.blobs import BlobId
 from ..storage.server import BatchOp, BatchReply
-
-_REQUEST_HEADER_BYTES = 64
-_RESPONSE_HEADER_BYTES = 16
+from .blobio import _REQUEST_HEADER_BYTES, _RESPONSE_HEADER_BYTES
 
 
 class _NullScope:
@@ -85,8 +83,9 @@ class RequestScheduler:
         a durability contract the write-behind queue must not reorder --
         while fetch flights stay available.
     count_request / observe_batch:
-        Callbacks into the owning client's request counter and batch-
-        size histogram, so wire-frame accounting stays in one place.
+        Callbacks into the owning :class:`~repro.fs.blobio.BlobIO`'s
+        request counter and batch-size histogram, so wire-frame
+        accounting stays in one place.
     """
 
     def __init__(self, server, window: int, cost=None, tracer=None,

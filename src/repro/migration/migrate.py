@@ -24,6 +24,7 @@ from ..caps.model import VIEW_NONE, cap_for_bits
 from ..caps.record import ObjectRecord, lockbox_payload
 from ..crypto.provider import CryptoProvider
 from ..errors import MigrationError, UnsupportedPermission
+from ..fs.blobio import _REQUEST_HEADER_BYTES, _RESPONSE_HEADER_BYTES
 from ..fs.dirtable import SPLIT, DirEntry, DirPointer, TableView
 from ..fs.metadata import MetadataAttrs
 from ..fs.permissions import DIRECTORY, EXEC, FILE, READ, WRITE
@@ -34,7 +35,6 @@ from ..storage.blobs import lockbox_blob, meta_blob
 from .localfs import LocalNode, LocalTree
 
 _BATCH_SIZE = 100
-_REQUEST_HEADER_BYTES = 64
 
 
 def degrade_bits(bits: int, ftype: str) -> int:
@@ -126,7 +126,8 @@ class MigrationTool:
 
     def _flush_batch(self) -> None:
         if self.cost is not None and self._batch_count:
-            self.cost.charge_request(self._pending_batch_bytes, 16)
+            self.cost.charge_request(self._pending_batch_bytes,
+                                     _RESPONSE_HEADER_BYTES)
         self._pending_batch_bytes = 0
         self._batch_count = 0
 

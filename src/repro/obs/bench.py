@@ -122,6 +122,8 @@ def load_bench(path: str | pathlib.Path) -> dict[str, dict[str, Any]]:
 
 
 def _wall_seconds(payload: dict[str, Any]) -> float:
+    if "ops_per_sec" in payload:  # many-client throughput entry
+        return float(payload.get("sim_seconds", 0.0))
     cost = payload.get("cost_model")
     if cost and "total" in cost:
         return float(cost["total"])
@@ -129,6 +131,9 @@ def _wall_seconds(payload: dict[str, Any]) -> float:
 
 
 def _request_count(payload: dict[str, Any]) -> float | None:
+    if "ops_per_sec" in payload:
+        requests = payload.get("wire_requests")
+        return float(requests) if requests is not None else None
     metrics = payload.get("metrics")
     if metrics and "client.requests" in metrics:
         return float(metrics["client.requests"])

@@ -5,10 +5,10 @@ from .accounting import (S3_2008_DOLLARS_PER_GB_MONTH, ServerStats,
 from .blobs import (DATA, GROUP_KEY, LOCKBOX, META, SHARED, SUPERBLOCK,
                     BlobId, data_blob, group_key_blob, lockbox_blob,
                     meta_blob, principal_hash, superblock_blob)
-from .faults import FlakyServer, RollbackServer, TamperingServer
+from .faults import RollbackServer, TamperingServer
 from .disk import DiskStorageServer
-from .resilient import (OutageServer, ResilientTransport, RetryPolicy,
-                        ServerWrapper, SlowServer)
+from .resilient import (FlakyServer, OutageServer, ResilientTransport,
+                        RetryPolicy, ServerWrapper, SlowServer)
 from .server import StorageServer
 from .wire import RemoteStorageClient, SspServer
 

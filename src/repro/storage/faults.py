@@ -7,7 +7,7 @@ injectors simulate those behaviours so the test suite can assert that
 every one is *detected* by client-side verification (the deterrent the
 paper pairs with SLA penalties).
 
-All three are delegating :class:`~repro.storage.resilient.ServerWrapper`
+Both are delegating :class:`~repro.storage.resilient.ServerWrapper`
 decorators, so they compose with any backend -- a plain in-memory
 server, a disk store, a remote proxy, or one shard of a
 :class:`~repro.storage.shards.ShardedServer` -- and with each other,
@@ -18,12 +18,8 @@ The wrapper base routes ``batch()`` through the instance's own
 single-op methods, so a malicious SSP tampers, rolls back, or fails
 *inside* an ``OP_BATCH`` frame with no extra code, and the batched-read
 paths inherit the same detection guarantees (asserted by the batch
-fuzz/chaos suites).
-
-:class:`FlakyServer` here is the transient-fault injector from
-:mod:`repro.storage.resilient` specialised to its historical contract:
-one ``failure_rate`` knob covering ``put``/``get`` only (the ops the
-original standalone class failed), adjustable after construction.
+fuzz/chaos suites).  The transient-fault injector is
+:class:`repro.storage.resilient.FlakyServer`.
 """
 
 from __future__ import annotations
@@ -31,7 +27,6 @@ from __future__ import annotations
 from typing import Callable
 
 from .blobs import BlobId
-from .resilient import FlakyServer as _WrappedFlakyServer
 from .resilient import ServerWrapper
 from .server import StorageServer
 
@@ -103,36 +98,6 @@ class RollbackServer(ServerWrapper):
         if self._should_rollback(blob_id):
             return self._first_version.get(blob_id, payload)
         return payload
-
-
-class FlakyServer(_WrappedFlakyServer):
-    """Fails a fraction of ``put``/``get`` requests, adjustably.
-
-    The historical standalone flaky SSP, now a thin specialisation of
-    the composable wrapper in :mod:`repro.storage.resilient` (one
-    implementation, two construction styles).  ``_failure_rate`` stays
-    writable after construction -- provisioning code turns failures off
-    while formatting a volume, then back on.
-    """
-
-    def __init__(self, name: str = "flaky-ssp",
-                 failure_rate: float = 0.1, seed: int = 0,
-                 inner: StorageServer | None = None):
-        if not isinstance(failure_rate, dict):
-            failure_rate = {"put": failure_rate, "get": failure_rate}
-        super().__init__(inner if inner is not None
-                         else StorageServer(name),
-                         failure_rate=failure_rate, seed=seed, name=name)
-
-    @property
-    def _failure_rate(self) -> float:
-        return self.rates["put"]
-
-    @_failure_rate.setter
-    def _failure_rate(self, rate: float) -> None:
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError("failure_rate must be within [0, 1]")
-        self.rates = dict(self.rates, put=rate, get=rate)
 
 
 class CrashingRebalancer:

@@ -48,7 +48,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..storage.blobs import LEASE
-from ..storage.faults import FlakyServer, RollbackServer, TamperingServer
+from ..storage.faults import RollbackServer, TamperingServer
+from ..storage.resilient import FlakyServer
 from ..storage.shards import ShardedServer, ShardRepairReport
 from .fsck import VolumeAuditor
 from .interleave import (MODES, InterleaveCase, InterleaveMatrix,
@@ -153,7 +154,8 @@ class Campaign(InterleaveMatrix):
             self.server.wrap_shard(
                 scenario.flaky,
                 lambda backend: FlakyServer(
-                    inner=backend, failure_rate=self.flaky_p,
+                    backend, failure_rate={"put": self.flaky_p,
+                                           "get": self.flaky_p},
                     seed=self.seed * 100_003 + seq))
         if scenario.rollback is not None:
             self.server.wrap_shard(

@@ -120,7 +120,8 @@ def make_env(impl: str, profile: CostProfile = PAPER_2008,
              extra_users: tuple[str, ...] = (),
              flaky_p: float = 0.0, flaky_seed: int = 0,
              wire_trace: bool = False,
-             tracer_sinks: tuple = ()) -> BenchEnv:
+             tracer_sinks: tuple = (),
+             shards: int = 0, replicas: int = 2) -> BenchEnv:
     """Build a formatted volume + mounted client for one implementation.
 
     ``flaky_p`` > 0 interposes a transient-fault injector between the
@@ -134,6 +135,12 @@ def make_env(impl: str, profile: CostProfile = PAPER_2008,
     of the environment (sharoes only -- baselines have no wire layer to
     trace, so the flag is a no-op there); ``tracer_sinks`` are attached
     to every client's tracer.
+
+    ``shards`` > 0 replaces the single StorageServer with a
+    :class:`~repro.storage.shards.ShardedServer` of that many backend
+    SSPs, each blob consistently hashed to ``replicas`` of them (see
+    docs/ROBUSTNESS.md "Sharding & replication"); 0 keeps the paper's
+    single-SSP testbed.  The client is oblivious either way.
     """
     if impl not in IMPLEMENTATIONS:
         raise SharoesError(f"unknown implementation {impl!r}; "
@@ -142,7 +149,6 @@ def make_env(impl: str, profile: CostProfile = PAPER_2008,
         raise SharoesError(
             "fault injection (flaky_p) requires the sharoes "
             "implementation; baselines have no retry layer")
-    shards = getattr(config, "shards", 0) if config is not None else 0
     if shards and impl != "sharoes":
         raise SharoesError(
             "a sharded backend (shards > 0) requires the sharoes "
@@ -158,7 +164,7 @@ def make_env(impl: str, profile: CostProfile = PAPER_2008,
         # volume/client/fsck code is oblivious; per-shard breaker
         # cooldowns run on the same simulated clock as the cost model.
         from ..storage.shards import ShardedServer
-        server = ShardedServer(shards=shards, replicas=config.replicas,
+        server = ShardedServer(shards=shards, replicas=replicas,
                                clock=clock)
     else:
         server = StorageServer()
@@ -229,7 +235,8 @@ def run_observed(workload: str, impl: str = "sharoes",
                  wire_trace: bool = False,
                  tracer_sinks: tuple = (),
                  setup=None,
-                 _env_out: list | None = None):
+                 _env_out: list | None = None,
+                 shards: int = 0, replicas: int = 2):
     """Run one named workload with full span/metrics capture.
 
     Returns ``(payload, spans)``: the machine-readable ``BENCH_*``
@@ -246,14 +253,16 @@ def run_observed(workload: str, impl: str = "sharoes",
     interpose wrappers (e.g. a mid-run rebalance trigger) under the
     clients the workload will mount.  ``_env_out``, when a list,
     receives the environment so callers (``run_traced``) can reach the
-    server spans.
+    server spans.  ``shards``/``replicas`` select a sharded backend
+    (see :func:`make_env`).
     """
     from ..obs.bench import bench_payload, op_report
 
     params = dict(params or {})
     env = make_env(impl, profile=profile, flaky_p=flaky_p,
                    flaky_seed=flaky_seed, config=config,
-                   wire_trace=wire_trace, tracer_sinks=tracer_sinks)
+                   wire_trace=wire_trace, tracer_sinks=tracer_sinks,
+                   shards=shards, replicas=replicas)
     if _env_out is not None:
         _env_out.append(env)
     if setup is not None:

@@ -31,7 +31,8 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.fs.client import _BATCH_SIZE_BUCKETS, ClientConfig
+from repro.fs.blobio import _BATCH_SIZE_BUCKETS
+from repro.fs.client import ClientConfig
 from repro.fs.permissions import DIRECTORY, AclEntry
 from repro.tools.fsck import VolumeAuditor
 from repro.workloads.runner import BenchEnv, make_env

@@ -29,8 +29,8 @@ import pytest
 from repro.crypto.provider import CryptoProvider
 from repro.errors import (ClientCrashed, FileNotFound, SharoesError,
                           StaleEpochError, TransientStorageError)
-from repro.fs.client import (_BATCH_SIZE_BUCKETS, ClientConfig,
-                             SharoesFilesystem)
+from repro.fs.blobio import _BATCH_SIZE_BUCKETS
+from repro.fs.client import ClientConfig, SharoesFilesystem
 from repro.fs.volume import SharoesVolume
 from repro.principals.groups import GroupKeyService
 from repro.sim.costmodel import CostModel

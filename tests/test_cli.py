@@ -1,6 +1,7 @@
 """The command-line interface."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -156,3 +157,29 @@ class TestBenchDiffResolveGate:
         assert main(["stats", "--workload", "office",
                      "--mdcache"]) == 2
         assert "andrew" in capsys.readouterr().err
+
+
+class TestBenchTrajectory:
+    """``repro bench --list`` over the committed benchmarks/results/."""
+
+    RESULTS = (pathlib.Path(__file__).resolve().parents[1]
+               / "benchmarks" / "results")
+
+    def test_every_committed_entry_has_wall_and_requests(self):
+        from repro.obs.bench import bench_trajectory
+        rows = bench_trajectory(self.RESULTS)
+        assert {row["pr"] for row in rows} >= {4, 10}
+        for row in rows:
+            assert row["wall_s"] > 0, row
+            assert row["requests"], row
+
+    def test_throughput_entry_reads_its_own_fields(self, capsys):
+        from repro.obs.bench import bench_trajectory
+        (row,) = [r for r in bench_trajectory(self.RESULTS)
+                  if (r["pr"], r["workload"]) == (10, "throughput")]
+        assert row["wall_s"] == pytest.approx(8139.033, abs=1e-3)
+        assert row["requests"] == 57014
+        assert main(["bench", "--list",
+                     "--out-dir", str(self.RESULTS)]) == 0
+        out = capsys.readouterr().out
+        assert "8139.033" in out and "57014" in out

@@ -188,7 +188,7 @@ class TestMountCosts:
 
 
 class TestBatchDeleteCosts:
-    """_delete_many is "one request regardless of blob count" -- its
+    """A grouped delete is "one request regardless of blob count" -- its
     network charge must match that claim (it used to charge one request
     *header per blob*, overpricing unlink against the Figure 8 model)."""
 
@@ -196,9 +196,10 @@ class TestBatchDeleteCosts:
         from repro.storage.blobs import data_blob
         fs, cost = costed
         with cost.span() as single:
-            fs._delete(data_blob(999, "b0"))
+            fs.blobs.send([(data_blob(999, "b0"), None)], grouped=False)
         with cost.span() as batch:
-            fs._delete_many([data_blob(999, f"b{i}") for i in range(8)])
+            fs.blobs.send([(data_blob(999, f"b{i}"), None)
+                           for i in range(8)], grouped=True)
         # Headers are all that cross the wire either way: cost parity.
         assert batch.network == pytest.approx(single.network)
         assert batch.network > 0
@@ -240,9 +241,9 @@ class TestBatchPutCosts:
         fs, cost = costed
         payload = b"p" * 700
         with cost.span() as single:
-            fs._put(data_blob(998, "b0"), payload)
+            fs.blobs.send([(data_blob(998, "b0"), payload)], grouped=False)
         with cost.span() as batch:
-            fs._put_many([(data_blob(998, "b1"), payload)])
+            fs.blobs.send([(data_blob(998, "b1"), payload)], grouped=True)
         # Same bytes, same single round trip: Figure 8/9 rows built from
         # one-blob traffic are untouched by the batching default.
         assert batch.network == pytest.approx(single.network)
@@ -251,7 +252,7 @@ class TestBatchPutCosts:
     def test_partial_failure_charges_only_attempted_bytes(
             self, volume, registry):
         from repro.errors import PartialWriteError, StorageError
-        from repro.fs.client import (_REQUEST_HEADER_BYTES,
+        from repro.fs.blobio import (_REQUEST_HEADER_BYTES,
                                      _RESPONSE_HEADER_BYTES)
         from repro.storage.blobs import data_blob
         from repro.storage.resilient import ServerWrapper
@@ -280,7 +281,7 @@ class TestBatchPutCosts:
         poison.poison = blobs[2][0]
         with cost.span() as span:
             with pytest.raises(PartialWriteError) as exc:
-                fs._put_many(blobs)
+                fs.blobs.send(blobs, grouped=True)
         assert exc.value.applied == (blobs[0][0], blobs[1][0])
         assert exc.value.failed == blobs[2][0]
         assert exc.value.remaining == (blobs[3][0],)
@@ -293,7 +294,7 @@ class TestBatchPutCosts:
         assert span.network == pytest.approx(expected)
 
     def test_full_batch_charges_payload_plus_one_header(self, costed):
-        from repro.fs.client import (_REQUEST_HEADER_BYTES,
+        from repro.fs.blobio import (_REQUEST_HEADER_BYTES,
                                      _RESPONSE_HEADER_BYTES)
         from repro.storage.blobs import data_blob
         fs, cost = costed
@@ -302,7 +303,7 @@ class TestBatchPutCosts:
                  for i, n in enumerate(sizes)]
         requests = fs.request_count
         with cost.span() as span:
-            fs._put_many(blobs)
+            fs.blobs.send(blobs, grouped=True)
         assert fs.request_count - requests == 1
         expected = PAPER_2008.link.request_time(
             sum(sizes) + _REQUEST_HEADER_BYTES, _RESPONSE_HEADER_BYTES)

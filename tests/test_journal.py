@@ -295,7 +295,7 @@ class TestPartialWrite:
         blobs = [(BlobId("data", 99, f"b{i}"), b"p%d" % i)
                  for i in range(4)]
         with pytest.raises(TransientPartialWriteError) as err:
-            fs._put_many(blobs)
+            fs.blobs.send(blobs, grouped=True)
         assert err.value.applied == (blobs[0][0],)
         assert err.value.failed == blobs[1][0]
         assert err.value.remaining == (blobs[2][0], blobs[3][0])
@@ -307,5 +307,5 @@ class TestPartialWrite:
         fs = SharoesFilesystem(volume, registry.user("alice"),
                                server=wrapper)
         with pytest.raises(TransientStorageError):
-            fs._put_many([(BlobId("data", 99, "b0"), b"p")])
+            fs.blobs.send([(BlobId("data", 99, "b0"), b"p")], grouped=True)
         assert issubclass(TransientPartialWriteError, PartialWriteError)

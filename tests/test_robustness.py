@@ -15,7 +15,7 @@ from repro.fs.volume import SharoesVolume
 from repro.principals.groups import GroupKeyService
 from repro.principals.registry import PrincipalRegistry
 from repro.serialize import SerializationError
-from repro.storage.faults import FlakyServer
+from repro.storage.resilient import FlakyServer
 from repro.storage.server import StorageServer
 
 
@@ -105,13 +105,15 @@ class TestMalformedInputs:
 
 class TestFlakySsp:
     def _stack(self, registry, failure_rate, seed=3):
-        server = FlakyServer(failure_rate=failure_rate, seed=seed)
+        rates = {"put": failure_rate, "get": failure_rate}
+        server = FlakyServer(StorageServer("flaky-ssp"),
+                             failure_rate=rates, seed=seed)
         # format must succeed: disable failures during provisioning
-        server._failure_rate = 0.0
+        server.rates = dict(server.rates, put=0.0, get=0.0)
         volume = SharoesVolume(server, registry)
         volume.format(root_owner="alice", root_group="eng")
         GroupKeyService(registry, server, CryptoProvider()).publish_all()
-        server._failure_rate = failure_rate
+        server.rates = dict(server.rates, **rates)
         return server, volume
 
     def test_errors_propagate_cleanly(self, registry):
@@ -142,7 +144,7 @@ class TestFlakySsp:
                 except Exception:
                     pass
                 continue
-        server._failure_rate = 0.0
+        server.rates = dict(server.rates, put=0.0, get=0.0)
         fs.cache.clear()
         assert fs.read_file("/f") == b"eventually"
 

@@ -17,7 +17,6 @@ import pytest
 
 from repro.errors import (BlobNotFound, CasConflictError, StaleEpochError,
                           TransientStorageError)
-from repro.fs.client import ClientConfig
 from repro.sim.clock import SimClock
 from repro.storage.blobs import LEASE, BlobId, data_blob, meta_blob
 from repro.storage.faults import RollbackServer, TamperingServer
@@ -401,8 +400,8 @@ def _reference_run(workload: str):
 
 def _sharded_killed_run(workload: str, kill: int, duration: float):
     with _pinned_entropy():
-        config = ClientConfig(shards=4, replicas=2)
-        env = make_env("sharoes", config=config, extra_users=("bob",))
+        env = make_env("sharoes", shards=4, replicas=2,
+                       extra_users=("bob",))
         server = env.server
         # The shard dies mid-workload (40% through the reference run's
         # simulated timeline) and never comes back until repair time.
@@ -445,7 +444,7 @@ def test_kill_any_shard_mid_workload(workload, kills):
 def test_sharded_config_rejected_for_baselines():
     from repro.errors import SharoesError
     with pytest.raises(SharoesError):
-        make_env("public", config=ClientConfig(shards=4))
+        make_env("public", shards=4)
 
 
 # ---------------------------------------------------------------------------
@@ -478,8 +477,8 @@ def _sharded_rebalanced_run(workload: str, members, replicas: int,
                                          Rebalancer)
     key = _reb_key()
     with _pinned_entropy():
-        config = ClientConfig(shards=4, replicas=2)
-        env = make_env("sharoes", config=config, extra_users=("bob",))
+        env = make_env("sharoes", shards=4, replicas=2,
+                       extra_users=("bob",))
         server = env.server
         for _ in range(spares):
             server.add_shard()

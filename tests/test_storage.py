@@ -7,9 +7,16 @@ from repro.storage.accounting import monthly_storage_dollars
 from repro.storage.blobs import (BlobId, data_blob, group_key_blob,
                                  lockbox_blob, meta_blob, principal_hash,
                                  superblock_blob)
-from repro.storage.faults import (FlakyServer, RollbackServer,
-                                  TamperingServer)
+from repro.storage.faults import RollbackServer, TamperingServer
+from repro.storage.resilient import FlakyServer
 from repro.storage.server import StorageServer
+
+
+def _flaky(failure_rate: float, seed: int = 0) -> FlakyServer:
+    """A standalone flaky SSP failing ``put``/``get`` only."""
+    return FlakyServer(StorageServer("flaky-ssp"),
+                       failure_rate={"put": failure_rate,
+                                     "get": failure_rate}, seed=seed)
 
 
 class TestBlobIds:
@@ -130,8 +137,8 @@ class TestFaultServers:
         assert server.get(meta_blob(1, "o")) == b"v2"
 
     def test_flaky_failures_deterministic(self):
-        a = FlakyServer(failure_rate=0.5, seed=42)
-        b = FlakyServer(failure_rate=0.5, seed=42)
+        a = _flaky(0.5, seed=42)
+        b = _flaky(0.5, seed=42)
         outcomes_a, outcomes_b = [], []
         for outcomes, server in ((outcomes_a, a), (outcomes_b, b)):
             for i in range(20):
@@ -146,10 +153,10 @@ class TestFaultServers:
 
     def test_flaky_rate_bounds(self):
         with pytest.raises(ValueError):
-            FlakyServer(failure_rate=1.5)
+            _flaky(1.5)
 
     def test_flaky_zero_never_fails(self):
-        server = FlakyServer(failure_rate=0.0)
+        server = _flaky(0.0)
         for i in range(50):
             server.put(meta_blob(i, "o"), b"x")
 
