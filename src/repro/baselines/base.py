@@ -104,7 +104,7 @@ class BaselineFilesystem:
         self.volume = volume
         self.user = user
         self.config = config or ClientConfig()
-        self.provider = CryptoProvider(self.config.engine or "stream")
+        self.provider = CryptoProvider()
         self.cost = cost_model
         if cost_model is not None:
             self.provider.add_listener(cost_model.on_crypto_event)

@@ -89,14 +89,6 @@ class ClientConfig:
     #: owner next touches the object (block 0 carries the authoritative
     #: block count, so reads are unaffected).
     update_metadata_on_close: bool = False
-    #: track metadata version monotonicity to detect SSP rollbacks of
-    #: previously-visited objects (the paper's SUNDR-inspired integrity
-    #: future work; see fs/freshness.py).
-    check_freshness: bool = True
-    #: symmetric engine override ("stream" fast / "aes" real AES).
-    #: None (default) inherits the volume's engine -- sealed blobs from
-    #: different engines do not interoperate.
-    engine: str | None = None
     #: wrap SSP traffic in a :class:`ResilientTransport` with this
     #: :class:`~repro.storage.resilient.RetryPolicy` (retries, backoff,
     #: circuit breaker, stale-read fallback -- see docs/ROBUSTNESS.md).
@@ -305,8 +297,9 @@ class SharoesFilesystem:
                  server=None):
         self.volume = volume
         self.config = config or ClientConfig()
-        engine = self.config.engine or getattr(volume, "engine", "stream")
-        self.provider = CryptoProvider(engine)
+        # The symmetric engine is a volume property: sealed blobs from
+        # different engines do not interoperate.
+        self.provider = CryptoProvider(volume.engine)
         self.cost = cost_model
         if cost_model is not None:
             self.provider.add_listener(cost_model.on_crypto_event)
@@ -979,9 +972,8 @@ class SharoesFilesystem:
         with self.tracer.span("crypto", op="open_metadata"):
             view = open_metadata_blob(self.provider, inode, selector, mek,
                                       mvk, blob)
-        if self.config.check_freshness:
-            self.freshness.observe_metadata(
-                inode, view.attrs.version, self._attrs_digest(view.attrs))
+        self.freshness.observe_metadata(
+            inode, view.attrs.version, self._attrs_digest(view.attrs))
         if self.consistency is not None:
             self.consistency.observe(inode, view.attrs.version)
         if not self._was_degraded(blob_id):

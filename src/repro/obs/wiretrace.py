@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 from ..storage.resilient import ServerWrapper
+from ..storage.server import ok_reply
 from .tracing import Span
 
 __all__ = [
@@ -60,7 +61,7 @@ class TraceContext:
     parent_span_id: int | None = None
 
 
-# Wire handlers (storage.wire._Handler) install the decoded frame
+# Wire dispatch (storage.wire._traced_dispatch) installs the decoded frame
 # context here so an in-process TracedServer behind a TCP loopback sees
 # the same context a directly-wrapped one gets from ``context_fn``.
 _WIRE_CONTEXT: contextvars.ContextVar[TraceContext | None] = \
@@ -200,23 +201,6 @@ class TracedServer(ServerWrapper):
         self.spans.append(root)
         return root
 
-    def _observe(self, op: str, request_bytes: int, call,
-                 success_cost, error_cost=None, **attrs: Any):
-        ctx = self._ctx()
-        start = self.clock.now
-        decode_s = self._decode_seconds(request_bytes)
-        try:
-            result = call()
-        except Exception as exc:
-            disk_s, verify_s = (error_cost(exc) if error_cost is not None
-                                else (0.0, 0.0))
-            self._emit(op, ctx, start, decode_s, disk_s, verify_s,
-                       error=type(exc).__name__, **attrs)
-            raise
-        disk_s, verify_s = success_cost(result)
-        self._emit(op, ctx, start, decode_s, disk_s, verify_s, **attrs)
-        return result
-
     def _lookup_cost(self, exc: Exception) -> tuple[float, float]:
         """Errors that prove the store was consulted still cost a seek;
         guard rejections (CAS/fence) additionally cost the check."""
@@ -230,68 +214,27 @@ class TracedServer(ServerWrapper):
 
     # -- traced operations ------------------------------------------------
 
-    def put(self, blob_id, payload):
-        prof = self.profile
-        size = len(payload)
-        return self._observe(
-            "put", _request_bytes(blob_id, payload),
-            lambda: self.inner.put(blob_id, payload),
-            lambda _r: (prof.disk_fixed_s + prof.disk_per_byte_s * size,
-                        0.0),
-            self._lookup_cost, kind=blob_id.kind, bytes=size)
-
-    def get(self, blob_id):
-        prof = self.profile
-        return self._observe(
-            "get", _request_bytes(blob_id, None),
-            lambda: self.inner.get(blob_id),
-            lambda r: (prof.disk_fixed_s + prof.disk_per_byte_s * len(r),
-                       0.0),
-            self._lookup_cost, kind=blob_id.kind)
-
-    def delete(self, blob_id):
-        prof = self.profile
-        return self._observe(
-            "delete", _request_bytes(blob_id, None),
-            lambda: self.inner.delete(blob_id),
-            lambda _r: (prof.disk_fixed_s, 0.0),
-            self._lookup_cost, kind=blob_id.kind)
-
-    def exists(self, blob_id):
-        prof = self.profile
-        return self._observe(
-            "exists", _request_bytes(blob_id, None),
-            lambda: self.inner.exists(blob_id),
-            lambda _r: (prof.disk_fixed_s, 0.0),
-            self._lookup_cost, kind=blob_id.kind)
-
-    def put_if(self, blob_id, payload, expected):
-        prof = self.profile
-        size = len(payload)
-        return self._observe(
-            "put_if", _request_bytes(blob_id, payload),
-            lambda: self.inner.put_if(blob_id, payload, expected),
-            lambda _r: (prof.disk_fixed_s + prof.disk_per_byte_s * size,
-                        prof.verify_fixed_s),
-            self._lookup_cost, kind=blob_id.kind, bytes=size)
-
-    def put_fenced(self, blob_id, payload, fence, epoch):
-        prof = self.profile
-        size = len(payload)
-        return self._observe(
-            "put_fenced", _request_bytes(blob_id, payload),
-            lambda: self.inner.put_fenced(blob_id, payload, fence, epoch),
-            lambda _r: (prof.disk_fixed_s + prof.disk_per_byte_s * size,
-                        prof.verify_fixed_s),
-            self._lookup_cost, kind=blob_id.kind, bytes=size)
-
-    def delete_fenced(self, blob_id, fence, epoch):
-        prof = self.profile
-        return self._observe(
-            "delete_fenced", _request_bytes(blob_id, None),
-            lambda: self.inner.delete_fenced(blob_id, fence, epoch),
-            lambda _r: (prof.disk_fixed_s, prof.verify_fixed_s),
-            self._lookup_cost, kind=blob_id.kind)
+    def _forward(self, op):
+        """One ``server.<kind>`` span per single request, priced exactly
+        like the same op riding a batch (:meth:`_sub_costs`); a raising
+        request is priced by how far it got (:meth:`_lookup_cost`)."""
+        ctx = self._ctx()
+        start = self.clock.now
+        decode_s = self._decode_seconds(
+            _request_bytes(op.blob_id, op.payload))
+        attrs: dict[str, Any] = {"kind": op.blob_id.kind}
+        if op.payload is not None:
+            attrs["bytes"] = len(op.payload)
+        try:
+            result = op.call(self.inner)
+        except Exception as exc:
+            disk_s, verify_s = self._lookup_cost(exc)
+            self._emit(op.kind, ctx, start, decode_s, disk_s, verify_s,
+                       error=type(exc).__name__, **attrs)
+            raise
+        disk_s, verify_s = self._sub_costs(op, ok_reply(op, result))
+        self._emit(op.kind, ctx, start, decode_s, disk_s, verify_s, **attrs)
+        return result
 
     def batch(self, ops):
         """One span for the frame, one child per attempted sub-op.

@@ -54,7 +54,8 @@ from ..errors import (IntegrityError, StaleEpochError,
                       TransientStorageError)
 from .blobs import LEASE, PLAN, BlobId, parse_blob_id, plan_blob
 from .resilient import ServerWrapper
-from .server import EPOCH_PREFIX_BYTES, StorageServer, fence_epoch
+from .server import (EPOCH_PREFIX_BYTES, MUTATION_KINDS, BatchOp,
+                     StorageServer, fence_epoch)
 from .shards import RingSpec, ShardedServer
 
 # -- plan states --------------------------------------------------------------
@@ -678,7 +679,7 @@ class MidRunRebalance(ServerWrapper):
     mutation the first stage callable runs (propose + copy + verify),
     before the 80th the second (flip + drop + finish) -- a rebalance
     genuinely interleaved with live traffic, deterministically.
-    Counts the same mutation set as ``CrashingServer``/``PauseServer``.
+    Counts ``MUTATION_KINDS``, like ``CrashingServer``/``PauseServer``.
     """
 
     def __init__(self, inner: StorageServer,
@@ -695,25 +696,7 @@ class MidRunRebalance(ServerWrapper):
             self.fired += 1
             stage()
 
-    def put(self, blob_id: BlobId, payload: bytes) -> None:
-        self._mutation()
-        self.inner.put(blob_id, payload)
-
-    def delete(self, blob_id: BlobId) -> None:
-        self._mutation()
-        self.inner.delete(blob_id)
-
-    def put_if(self, blob_id: BlobId, payload: bytes,
-               expected: bytes | None) -> None:
-        self._mutation()
-        self.inner.put_if(blob_id, payload, expected)
-
-    def put_fenced(self, blob_id: BlobId, payload: bytes,
-                   fence: BlobId, epoch: int) -> None:
-        self._mutation()
-        self.inner.put_fenced(blob_id, payload, fence, epoch)
-
-    def delete_fenced(self, blob_id: BlobId,
-                      fence: BlobId, epoch: int) -> None:
-        self._mutation()
-        self.inner.delete_fenced(blob_id, fence, epoch)
+    def _forward(self, op: BatchOp):
+        if op.kind in MUTATION_KINDS:
+            self._mutation()
+        return op.call(self.inner)

@@ -38,15 +38,20 @@ from ..fs.cache import LruCache
 from ..sim.clock import SimClock
 from ..sim.costmodel import NETWORK, CostModel
 from .blobs import BlobId
-from .server import BatchOp, BatchReply, StorageServer, apply_batch
+from .server import (MUTATION_KINDS, BatchOp, BatchReply, OpMethods,
+                     StorageServer, apply_batch, ok_reply)
 
 
-class ServerWrapper:
+class ServerWrapper(OpMethods):
     """Delegating base for transparent StorageServer decorators.
 
     Unlike the subclass-style fault servers in :mod:`repro.storage.
     faults`, a wrapper composes with *any* backend -- in-memory, disk,
     remote proxy, or another wrapper -- without owning blob state.
+
+    A decorator implements its rule once, in ``_forward(op)``; the seven
+    named methods (:class:`~repro.storage.server.OpMethods`) and every
+    sub-op of a batch arrive there.
     """
 
     def __init__(self, inner: StorageServer, name: str | None = None):
@@ -56,29 +61,11 @@ class ServerWrapper:
     def __getattr__(self, attr):
         return getattr(self.inner, attr)
 
-    def put(self, blob_id: BlobId, payload: bytes) -> None:
-        self.inner.put(blob_id, payload)
-
-    def get(self, blob_id: BlobId) -> bytes:
-        return self.inner.get(blob_id)
-
-    def delete(self, blob_id: BlobId) -> None:
-        self.inner.delete(blob_id)
-
-    def exists(self, blob_id: BlobId) -> bool:
-        return self.inner.exists(blob_id)
-
-    def put_if(self, blob_id: BlobId, payload: bytes,
-               expected: bytes | None) -> None:
-        self.inner.put_if(blob_id, payload, expected)
-
-    def put_fenced(self, blob_id: BlobId, payload: bytes,
-                   fence: BlobId, epoch: int) -> None:
-        self.inner.put_fenced(blob_id, payload, fence, epoch)
-
-    def delete_fenced(self, blob_id: BlobId,
-                      fence: BlobId, epoch: int) -> None:
-        self.inner.delete_fenced(blob_id, fence, epoch)
+    def _forward(self, op: BatchOp):
+        """The decorator's hook: run its rule, then pass the op on --
+        always as ``op.call(self.inner)``, the inner layer's own named
+        method, never a private fast path."""
+        return op.call(self.inner)
 
     def batch(self, ops) -> list[BatchReply]:
         """Apply sub-ops through *this wrapper's own* single-op methods.
@@ -95,13 +82,14 @@ class ServerWrapper:
 class CrashingServer(ServerWrapper):
     """Kills the client at the k-th mutation (crash-point injection).
 
-    Counts *mutations* (put/delete) only -- reads never change SSP state,
-    so crash points between them are indistinguishable from crashing at
-    the next mutation.  With ``crash_after=k`` the k-th mutation raises
-    :class:`~repro.errors.ClientCrashed` *before* touching the backend
-    (the paper's SSP applies a request atomically or not at all; the
-    interesting partial states come from dying *between* blobs of a
-    multi-blob op, which per-mutation counting covers exhaustively).
+    Counts *mutations* (``MUTATION_KINDS``) only -- reads never change
+    SSP state, so crash points between them are indistinguishable from
+    crashing at the next mutation.  With ``crash_after=k`` the k-th
+    mutation raises :class:`~repro.errors.ClientCrashed` *before*
+    touching the backend (the paper's SSP applies a request atomically
+    or not at all; the interesting partial states come from dying
+    *between* blobs of a multi-blob op, which per-mutation counting
+    covers exhaustively).
     ``crash_after=None`` never crashes: the harness uses a counting run
     to discover how many crash points an op has.
     """
@@ -121,28 +109,10 @@ class CrashingServer(ServerWrapper):
             raise ClientCrashed(
                 f"injected crash at mutation {self.mutations}")
 
-    def put(self, blob_id: BlobId, payload: bytes) -> None:
-        self._mutation()
-        self.inner.put(blob_id, payload)
-
-    def delete(self, blob_id: BlobId) -> None:
-        self._mutation()
-        self.inner.delete(blob_id)
-
-    def put_if(self, blob_id: BlobId, payload: bytes,
-               expected: bytes | None) -> None:
-        self._mutation()
-        self.inner.put_if(blob_id, payload, expected)
-
-    def put_fenced(self, blob_id: BlobId, payload: bytes,
-                   fence: BlobId, epoch: int) -> None:
-        self._mutation()
-        self.inner.put_fenced(blob_id, payload, fence, epoch)
-
-    def delete_fenced(self, blob_id: BlobId,
-                      fence: BlobId, epoch: int) -> None:
-        self._mutation()
-        self.inner.delete_fenced(blob_id, fence, epoch)
+    def _forward(self, op: BatchOp):
+        if op.kind in MUTATION_KINDS:
+            self._mutation()
+        return op.call(self.inner)
 
 
 # -- transient-fault injectors ------------------------------------------------
@@ -158,12 +128,21 @@ class FlakyServer(ServerWrapper):
     """
 
     OPS = ("put", "get", "delete", "exists")
+    #: CAS and fenced forms fail at the rate of the plain op they guard.
+    _RATE_OF = {"put": "put", "put_if": "put", "put_fenced": "put",
+                "get": "get", "exists": "exists",
+                "delete": "delete", "delete_fenced": "delete"}
 
     def __init__(self, inner: StorageServer,
                  failure_rate: float | dict[str, float] = 0.1,
                  seed: int = 0, name: str = "flaky-ssp"):
         super().__init__(inner, name)
         if isinstance(failure_rate, dict):
+            unknown = sorted(set(failure_rate) - set(self.OPS))
+            if unknown:
+                raise ValueError(
+                    f"unknown op(s) {unknown} in failure_rate; "
+                    f"allowed: {list(self.OPS)}")
             rates = {op: float(failure_rate.get(op, 0.0))
                      for op in self.OPS}
         else:
@@ -184,36 +163,9 @@ class FlakyServer(ServerWrapper):
             raise TransientStorageError(
                 f"{self.name}: injected {op} failure for {blob_id}")
 
-    def put(self, blob_id: BlobId, payload: bytes) -> None:
-        self._maybe_fail("put", blob_id)
-        self.inner.put(blob_id, payload)
-
-    def get(self, blob_id: BlobId) -> bytes:
-        self._maybe_fail("get", blob_id)
-        return self.inner.get(blob_id)
-
-    def delete(self, blob_id: BlobId) -> None:
-        self._maybe_fail("delete", blob_id)
-        self.inner.delete(blob_id)
-
-    def exists(self, blob_id: BlobId) -> bool:
-        self._maybe_fail("exists", blob_id)
-        return self.inner.exists(blob_id)
-
-    def put_if(self, blob_id: BlobId, payload: bytes,
-               expected: bytes | None) -> None:
-        self._maybe_fail("put", blob_id)
-        self.inner.put_if(blob_id, payload, expected)
-
-    def put_fenced(self, blob_id: BlobId, payload: bytes,
-                   fence: BlobId, epoch: int) -> None:
-        self._maybe_fail("put", blob_id)
-        self.inner.put_fenced(blob_id, payload, fence, epoch)
-
-    def delete_fenced(self, blob_id: BlobId,
-                      fence: BlobId, epoch: int) -> None:
-        self._maybe_fail("delete", blob_id)
-        self.inner.delete_fenced(blob_id, fence, epoch)
+    def _forward(self, op: BatchOp):
+        self._maybe_fail(self._RATE_OF[op.kind], op.blob_id)
+        return op.call(self.inner)
 
 
 class SlowServer(ServerWrapper):
@@ -243,36 +195,9 @@ class SlowServer(ServerWrapper):
         elif self._clock is not None:
             self._clock.advance(self.delay_s)
 
-    def put(self, blob_id: BlobId, payload: bytes) -> None:
+    def _forward(self, op: BatchOp):
         self._stall()
-        self.inner.put(blob_id, payload)
-
-    def get(self, blob_id: BlobId) -> bytes:
-        self._stall()
-        return self.inner.get(blob_id)
-
-    def delete(self, blob_id: BlobId) -> None:
-        self._stall()
-        self.inner.delete(blob_id)
-
-    def exists(self, blob_id: BlobId) -> bool:
-        self._stall()
-        return self.inner.exists(blob_id)
-
-    def put_if(self, blob_id: BlobId, payload: bytes,
-               expected: bytes | None) -> None:
-        self._stall()
-        self.inner.put_if(blob_id, payload, expected)
-
-    def put_fenced(self, blob_id: BlobId, payload: bytes,
-                   fence: BlobId, epoch: int) -> None:
-        self._stall()
-        self.inner.put_fenced(blob_id, payload, fence, epoch)
-
-    def delete_fenced(self, blob_id: BlobId,
-                      fence: BlobId, epoch: int) -> None:
-        self._stall()
-        self.inner.delete_fenced(blob_id, fence, epoch)
+        return op.call(self.inner)
 
     def batch(self, ops) -> list[BatchReply]:
         """One frame = one request = one stall; sub-ops ride for free.
@@ -308,36 +233,9 @@ class OutageServer(ServerWrapper):
                 f"{self.name}: outage until t={self.end_s:g}s "
                 f"(now {self._clock.now:g}s, {op} {blob_id})")
 
-    def put(self, blob_id: BlobId, payload: bytes) -> None:
-        self._gate("put", blob_id)
-        self.inner.put(blob_id, payload)
-
-    def get(self, blob_id: BlobId) -> bytes:
-        self._gate("get", blob_id)
-        return self.inner.get(blob_id)
-
-    def delete(self, blob_id: BlobId) -> None:
-        self._gate("delete", blob_id)
-        self.inner.delete(blob_id)
-
-    def exists(self, blob_id: BlobId) -> bool:
-        self._gate("exists", blob_id)
-        return self.inner.exists(blob_id)
-
-    def put_if(self, blob_id: BlobId, payload: bytes,
-               expected: bytes | None) -> None:
-        self._gate("put_if", blob_id)
-        self.inner.put_if(blob_id, payload, expected)
-
-    def put_fenced(self, blob_id: BlobId, payload: bytes,
-                   fence: BlobId, epoch: int) -> None:
-        self._gate("put_fenced", blob_id)
-        self.inner.put_fenced(blob_id, payload, fence, epoch)
-
-    def delete_fenced(self, blob_id: BlobId,
-                      fence: BlobId, epoch: int) -> None:
-        self._gate("delete_fenced", blob_id)
-        self.inner.delete_fenced(blob_id, fence, epoch)
+    def _forward(self, op: BatchOp):
+        self._gate(op.kind, op.blob_id)
+        return op.call(self.inner)
 
     def batch(self, ops) -> list[BatchReply]:
         """An outage rejects the whole frame at the door (one request)."""
@@ -463,6 +361,7 @@ class ResilientTransport(ServerWrapper):
         self.failed_attempts = 0
         self.giveups = 0
         self.degraded_reads = 0
+        self._stale_mark = 0  # degraded_reads at the last consume_stale_flags
         self.breaker_opens = 0
         self.breaker_rejections = 0
         self.backoff_seconds = 0.0
@@ -601,102 +500,73 @@ class ResilientTransport(ServerWrapper):
     def consume_stale_flags(self) -> int:
         """Degraded reads served since the last call (for callers that
         must flag results stale, e.g. the chaos harness)."""
-        count = self.degraded_reads - getattr(self, "_stale_mark", 0)
+        count = self.degraded_reads - self._stale_mark
         self._stale_mark = self.degraded_reads
         return count
 
     # -- the StorageServer interface ----------------------------------------
 
-    def put(self, blob_id: BlobId, payload: bytes) -> None:
-        self._execute("put", blob_id,
-                      lambda: self.inner.put(blob_id, payload))
-        if self.policy.cache_fallback:
-            # Write-through: this client's own upload is the freshest
-            # possible fallback copy.
-            self._fallback.put(blob_id, bytes(payload), len(payload))
+    def _forward(self, op: BatchOp):
+        """One retried request: every named method arrives here.
 
-    def get(self, blob_id: BlobId) -> bytes:
-        degraded_before = self.degraded_reads
-        payload = self._execute(
-            "get", blob_id, lambda: self.inner.get(blob_id),
-            fallback_fn=lambda: self._serve_stale(blob_id))
-        if (self.policy.cache_fallback
-                and self.degraded_reads == degraded_before):
-            # A genuinely fresh fetch: refresh the fallback copy and
-            # clear any stale mark from an earlier degraded serve.
-            self._fallback.put(blob_id, payload, len(payload))
-            self.stale_blob_ids.discard(blob_id)
-        return payload
-
-    def delete(self, blob_id: BlobId) -> None:
-        self._fallback.invalidate(blob_id)
-        self.stale_blob_ids.discard(blob_id)
-        self._execute("delete", blob_id,
-                      lambda: self.inner.delete(blob_id))
-
-    def exists(self, blob_id: BlobId) -> bool:
-        return self._execute("exists", blob_id,
-                             lambda: self.inner.exists(blob_id))
-
-    def put_if(self, blob_id: BlobId, payload: bytes,
-               expected: bytes | None) -> None:
-        """Retried CAS: transient faults are retried like any put, but a
-        genuine conflict is terminal (:class:`CasConflictError` is a plain
-        StorageError and propagates immediately).
-
-        One subtlety: if an earlier attempt *applied* before its ack was
-        lost, the retry sees a "conflict" whose current bytes are exactly
-        what we tried to write -- that is success, not a lost race.
+        Transient faults are retried; a genuine CAS conflict or a stale
+        fence is terminal (plain StorageErrors propagate immediately --
+        a revoked fence can only move further away).
         """
-        def attempt() -> None:
+        blob_id = op.blob_id
+        if op.kind in ("delete", "delete_fenced"):
+            # Invalidate before the attempt: even when every try fails,
+            # a blob this client asked to delete is never served back
+            # from the fallback cache.
+            self._fallback.invalidate(blob_id)
+            self.stale_blob_ids.discard(blob_id)
+
+        def attempt():
             try:
-                self.inner.put_if(blob_id, payload, expected)
+                return op.call(self.inner)
             except CasConflictError as exc:
-                if exc.current == bytes(payload):
-                    return  # our own earlier attempt landed
+                # If an earlier attempt *applied* before its ack was
+                # lost, the retry sees a "conflict" whose current bytes
+                # are exactly what we tried to write -- that is success,
+                # not a lost race.
+                if (op.kind == "put_if"
+                        and exc.current == bytes(op.payload or b"")):
+                    return None  # our own earlier attempt landed
                 raise
 
-        self._execute("put_if", blob_id, attempt)
-        if self.policy.cache_fallback:
-            self._fallback.put(blob_id, bytes(payload), len(payload))
-
-    def put_fenced(self, blob_id: BlobId, payload: bytes,
-                   fence: BlobId, epoch: int) -> None:
-        """Retried fenced put.  :class:`~repro.errors.StaleEpochError`
-        is terminal and propagates unretried -- a revoked fence can only
-        move further away."""
-        self._execute("put_fenced", blob_id,
-                      lambda: self.inner.put_fenced(blob_id, payload,
-                                                    fence, epoch))
-        if self.policy.cache_fallback:
-            self._fallback.put(blob_id, bytes(payload), len(payload))
-
-    def delete_fenced(self, blob_id: BlobId,
-                      fence: BlobId, epoch: int) -> None:
-        self._fallback.invalidate(blob_id)
-        self.stale_blob_ids.discard(blob_id)
-        self._execute("delete_fenced", blob_id,
-                      lambda: self.inner.delete_fenced(blob_id, fence,
-                                                       epoch))
-
-    # -- batched requests ----------------------------------------------------
+        degraded_before = self.degraded_reads
+        result = self._execute(
+            op.kind, blob_id, attempt,
+            fallback_fn=((lambda: self._serve_stale(blob_id))
+                         if op.kind == "get" else None))
+        if self.degraded_reads == degraded_before:
+            # Acknowledged by the backend (not a stale serve): same
+            # fallback-cache upkeep as an ``ok`` batch sub-reply.
+            self._absorb_subop(op, ok_reply(op, result))
+        return result
 
     def _absorb_subop(self, op: BatchOp, reply: BatchReply) -> None:
-        """Fallback-cache upkeep for one terminally-resolved sub-op."""
+        """Fallback-cache upkeep for one terminally-resolved op."""
         if not self.policy.cache_fallback:
             return
         if reply.status == "ok":
             if op.kind in ("put", "put_if", "put_fenced"):
+                # Write-through: this client's own upload is the
+                # freshest possible fallback copy.
                 payload = op.payload or b""
                 self._fallback.put(op.blob_id, bytes(payload),
                                    len(payload))
             elif op.kind == "get":
+                # A genuinely fresh fetch: refresh the fallback copy and
+                # clear any stale mark from an earlier degraded serve.
                 payload = reply.payload or b""
                 self._fallback.put(op.blob_id, payload, len(payload))
                 self.stale_blob_ids.discard(op.blob_id)
             elif op.kind in ("delete", "delete_fenced"):
                 self._fallback.invalidate(op.blob_id)
                 self.stale_blob_ids.discard(op.blob_id)
+
+    # -- batched requests ----------------------------------------------------
 
     def batch(self, ops) -> list[BatchReply]:
         """Batched request with *partial-failure* retry.

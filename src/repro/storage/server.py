@@ -45,6 +45,11 @@ def fence_epoch(raw: bytes | None) -> int:
 BATCH_KINDS = ("put", "get", "delete", "exists", "put_if",
                "put_fenced", "delete_fenced")
 
+#: The kinds that change SSP state.  Crash, pause and mid-run rebalance
+#: injectors all count exactly this set, so their sweeps share one k.
+MUTATION_KINDS = frozenset(
+    {"put", "delete", "put_if", "put_fenced", "delete_fenced"})
+
 #: Sub-reply statuses.  ``unattempted`` marks the tail after the batch
 #: stopped at a failed or fenced sub-op -- those ops never reached the
 #: store and are safe to re-send verbatim.
@@ -54,7 +59,12 @@ REPLY_STATUSES = ("ok", "missing", "conflict", "fenced", "error",
 
 @dataclass(frozen=True)
 class BatchOp:
-    """One sub-operation inside an ``OP_BATCH`` frame."""
+    """One storage request as a value.
+
+    The one request value of the storage stack: a sub-operation inside
+    an ``OP_BATCH`` frame, and what every decorator's ``_forward`` hook
+    receives for a single named-method call (see :class:`OpMethods`).
+    """
 
     kind: str
     blob_id: BlobId
@@ -102,6 +112,34 @@ class BatchOp:
         """Uplink payload bytes this sub-op carries (for cost parity)."""
         return len(self.payload) if self.payload is not None else 0
 
+    def call(self, server):
+        """Invoke this op as ``server``'s named method; return its result.
+
+        The only place a kind becomes a method call.  Layers forward
+        with ``op.call(self.inner)``, so the named methods stay the
+        protocol *between* layers and a subclass that overrides one of
+        them is still honoured by the layer above.
+        """
+        kind = self.kind
+        if kind == "put":
+            return server.put(self.blob_id, self.payload or b"")
+        if kind == "get":
+            return server.get(self.blob_id)
+        if kind == "delete":
+            return server.delete(self.blob_id)
+        if kind == "exists":
+            return server.exists(self.blob_id)
+        if kind == "put_if":
+            return server.put_if(self.blob_id, self.payload or b"",
+                                 self.expected)
+        if kind == "put_fenced":
+            return server.put_fenced(self.blob_id, self.payload or b"",
+                                     self.fence, self.epoch or 0)
+        if kind == "delete_fenced":
+            return server.delete_fenced(self.blob_id, self.fence,
+                                        self.epoch or 0)
+        raise StorageError(f"unknown batch sub-op kind {kind!r}")
+
 
 @dataclass
 class BatchReply:
@@ -141,6 +179,34 @@ class BatchReply:
         raise StorageError(self.message or "batched op failed")
 
 
+def ok_reply(op: BatchOp, result) -> BatchReply:
+    """The ``ok`` reply carrying a named method's return value."""
+    if op.kind == "exists":
+        result = b"\x01" if result else b"\x00"
+    return BatchReply("ok", payload=result)
+
+
+def execute(server: "StorageServer", op: BatchOp) -> BatchReply:
+    """Run one op through ``server``'s named method; outcome as a reply.
+
+    The only exception -> status mapping.  ``missing`` and ``conflict``
+    are answers; ``fenced`` and ``error`` are what stop a batch.
+    ``ClientCrashed`` is not a storage outcome and propagates.
+    """
+    try:
+        return ok_reply(op, op.call(server))
+    except BlobNotFound:
+        return BatchReply("missing")
+    except CasConflictError as exc:
+        return BatchReply("conflict", payload=exc.current)
+    except StaleEpochError as exc:
+        return BatchReply("fenced", epoch=exc.current_epoch)
+    except TransientStorageError as exc:
+        return BatchReply("error", message=str(exc), transient=True)
+    except StorageError as exc:
+        return BatchReply("error", message=str(exc))
+
+
 def apply_batch(server: "StorageServer",
                 ops: Sequence[BatchOp]) -> list["BatchReply"]:
     """Apply sub-ops in order through ``server``'s own single-op methods.
@@ -150,8 +216,7 @@ def apply_batch(server: "StorageServer",
     see the sub-ops exactly as they would single requests.  Application
     stops at the first ``error`` or ``fenced`` sub-op (the tail reads
     ``unattempted``); ``missing`` and ``conflict`` are answers, not
-    failures, and do not stop the batch.  ``ClientCrashed`` is not a
-    storage outcome and propagates.
+    failures, and do not stop the batch.
     """
     for op in ops:
         if op.kind not in BATCH_KINDS:
@@ -162,46 +227,47 @@ def apply_batch(server: "StorageServer",
         if stopped:
             replies.append(BatchReply("unattempted"))
             continue
-        try:
-            if op.kind == "put":
-                server.put(op.blob_id, op.payload or b"")
-                replies.append(BatchReply("ok"))
-            elif op.kind == "get":
-                replies.append(BatchReply("ok",
-                                          payload=server.get(op.blob_id)))
-            elif op.kind == "delete":
-                server.delete(op.blob_id)
-                replies.append(BatchReply("ok"))
-            elif op.kind == "exists":
-                present = server.exists(op.blob_id)
-                replies.append(BatchReply(
-                    "ok", payload=b"\x01" if present else b"\x00"))
-            elif op.kind == "put_if":
-                server.put_if(op.blob_id, op.payload or b"", op.expected)
-                replies.append(BatchReply("ok"))
-            elif op.kind == "put_fenced":
-                server.put_fenced(op.blob_id, op.payload or b"",
-                                  op.fence, op.epoch or 0)
-                replies.append(BatchReply("ok"))
-            else:  # delete_fenced
-                server.delete_fenced(op.blob_id, op.fence, op.epoch or 0)
-                replies.append(BatchReply("ok"))
-        except BlobNotFound:
-            replies.append(BatchReply("missing"))
-        except CasConflictError as exc:
-            replies.append(BatchReply("conflict", payload=exc.current))
-        except StaleEpochError as exc:
-            replies.append(BatchReply("fenced",
-                                      epoch=exc.current_epoch))
-            stopped = True
-        except TransientStorageError as exc:
-            replies.append(BatchReply("error", message=str(exc),
-                                      transient=True))
-            stopped = True
-        except StorageError as exc:
-            replies.append(BatchReply("error", message=str(exc)))
-            stopped = True
+        reply = execute(server, op)
+        stopped = reply.status in ("fenced", "error")
+        replies.append(reply)
     return replies
+
+
+class OpMethods:
+    """The seven named storage methods, written once.
+
+    Each builds the :class:`BatchOp` for its arguments and hands it to
+    ``self._forward(op)``, which returns what the named method returns
+    (``bytes`` for get, ``bool`` for exists, ``None`` otherwise) or
+    raises what it raises.  A layer that mixes this in implements its
+    rule once, in ``_forward``, for single calls and -- through
+    :func:`apply_batch` -- for every sub-op of a batch.
+    """
+
+    def put(self, blob_id: BlobId, payload: bytes) -> None:
+        return self._forward(BatchOp.put(blob_id, payload))
+
+    def get(self, blob_id: BlobId) -> bytes:
+        return self._forward(BatchOp.get(blob_id))
+
+    def delete(self, blob_id: BlobId) -> None:
+        return self._forward(BatchOp.delete(blob_id))
+
+    def exists(self, blob_id: BlobId) -> bool:
+        return self._forward(BatchOp.exists(blob_id))
+
+    def put_if(self, blob_id: BlobId, payload: bytes,
+               expected: bytes | None) -> None:
+        return self._forward(BatchOp.put_if(blob_id, payload, expected))
+
+    def put_fenced(self, blob_id: BlobId, payload: bytes,
+                   fence: BlobId, epoch: int) -> None:
+        return self._forward(
+            BatchOp.put_fenced(blob_id, payload, fence, epoch))
+
+    def delete_fenced(self, blob_id: BlobId,
+                      fence: BlobId, epoch: int) -> None:
+        return self._forward(BatchOp.delete_fenced(blob_id, fence, epoch))
 
 
 class StorageServer:

@@ -86,7 +86,7 @@ from .accounting import ServerStats
 from .blobs import LEASE, PLAN, BlobId
 from .resilient import (_BREAKER_GAUGE, OutageServer, ResilientTransport,
                         RetryPolicy)
-from .server import (BatchOp, BatchReply, StorageServer, apply_batch,
+from .server import (BatchOp, BatchReply, StorageServer, execute,
                      fence_epoch)
 
 #: Default per-shard transport policy: fail over fast (the *replicas*
@@ -793,7 +793,7 @@ class ShardedServer:
                 i += 1
                 continue
             if ops[i].kind == "put_if":
-                reply = self._single_subop(ops[i])
+                reply = execute(self, ops[i])
                 merged.append(reply)
                 if reply.status in ("fenced", "error"):
                     stopped = True
@@ -882,7 +882,7 @@ class ShardedServer:
         """Merge one sub-op's per-shard replies (or run it single-op)."""
         if op.kind in ("get", "exists"):
             if resolve_single or not replies:
-                return self._single_subop(op)
+                return execute(self, op)
             reply = next(iter(replies.values()))
             if reply.status == "ok":
                 if self.plan is not None and \
@@ -896,10 +896,10 @@ class ShardedServer:
                 if reply.payload == b"\x01":
                     return reply
                 # one replica's "absent" is not authoritative
-                return self._single_subop(op)
+                return execute(self, op)
             # failed / missing / unattempted primary: the single-op
             # path fans out across the remaining replicas.
-            return self._single_subop(op)
+            return execute(self, op)
 
         # replicated mutation: ok once any replica applied it, but a
         # fence rejection from any replica overrides (max-epoch rule)
@@ -931,10 +931,6 @@ class ShardedServer:
             self._after_delete(op.blob_id, missed)
             self.stats.record_delete(op.blob_id.kind, 0)
         return BatchReply("ok")
-
-    def _single_subop(self, op: BatchOp) -> BatchReply:
-        """Resolve one sub-op through the quorum single-op methods."""
-        return apply_batch(self, [op])[0]
 
     # -- many-op conveniences (same contract as StorageServer) ---------------
 

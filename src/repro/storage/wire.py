@@ -65,7 +65,7 @@ import threading
 from ..errors import (BlobNotFound, CasConflictError, StaleEpochError,
                       StorageError, TransientStorageError)
 from .blobs import BlobId
-from .server import BatchOp, BatchReply, StorageServer
+from .server import BatchOp, BatchReply, OpMethods, StorageServer
 
 OP_PUT = 1
 OP_GET = 2
@@ -383,6 +383,45 @@ def _send_message(sock: socket.socket, body: bytes) -> None:
     sock.sendall(struct.pack(">I", len(body)) + body)
 
 
+def _traced_dispatch(backend: StorageServer, opcode: int,
+                     body: bytes) -> bytes:
+    """Strip an optional trace-context block and install it around
+    dispatch so a TracedServer backend parents its spans under the
+    requesting client span."""
+    if not opcode & TRACE_FLAG:
+        return _dispatch(backend, opcode, body)
+    if not OP_PUT <= opcode & (TRACE_FLAG - 1) <= OP_BATCH:
+        # Garbage opcode that happens to carry the trace bit: report
+        # it as unknown rather than complaining about the context.
+        raise StorageError(f"unknown opcode {opcode}")
+    ctx, body = decode_trace_context(body)
+    from ..obs.wiretrace import pop_wire_context, push_wire_context
+    token = push_wire_context(ctx)
+    try:
+        return _dispatch(backend, opcode & (TRACE_FLAG - 1), body)
+    finally:
+        pop_wire_context(token)
+
+
+def _dispatch(backend: StorageServer, opcode: int, body: bytes) -> bytes:
+    if opcode == OP_BATCH:
+        # Full validation first: a malformed frame raises here and
+        # becomes a top-level ERROR with zero sub-ops applied.
+        ops = _decode_batch_request(body)
+        replies = backend.batch(ops)
+        return bytes([STATUS_OK]) + _encode_batch_reply(replies)
+    if opcode not in _OPCODE_TO_KIND:
+        raise StorageError(f"unknown opcode {opcode}")
+    # A single-op body is byte-identical to a batch sub-op body.
+    op = _decode_sub_fields(opcode, body)
+    result = op.call(backend)
+    if op.kind == "get":
+        return bytes([STATUS_OK]) + result
+    if op.kind == "exists":
+        return bytes([STATUS_OK, 1 if result else 0])
+    return bytes([STATUS_OK])
+
+
 def dispatch_message(backend: StorageServer, message: bytes) -> bytes:
     """One request frame body -> one response frame body.
 
@@ -396,7 +435,7 @@ def dispatch_message(backend: StorageServer, message: bytes) -> bytes:
         # dying on message[0].
         return bytes([STATUS_ERROR]) + b"empty request frame"
     try:
-        return _Handler._traced_dispatch(backend, message[0], message[1:])
+        return _traced_dispatch(backend, message[0], message[1:])
     except BlobNotFound:
         return bytes([STATUS_MISSING])
     except CasConflictError as exc:
@@ -421,71 +460,6 @@ class _Handler(socketserver.BaseRequestHandler):
                 _send_message(self.request, response)
             except OSError:
                 return  # client vanished mid-reply; thread stays clean
-
-    @classmethod
-    def _traced_dispatch(cls, backend: StorageServer, opcode: int,
-                         body: bytes) -> bytes:
-        """Strip an optional trace-context block and install it around
-        dispatch so a TracedServer backend parents its spans under the
-        requesting client span."""
-        if not opcode & TRACE_FLAG:
-            return cls._dispatch(backend, opcode, body)
-        if not OP_PUT <= opcode & (TRACE_FLAG - 1) <= OP_BATCH:
-            # Garbage opcode that happens to carry the trace bit: report
-            # it as unknown rather than complaining about the context.
-            raise StorageError(f"unknown opcode {opcode}")
-        ctx, body = decode_trace_context(body)
-        from ..obs.wiretrace import pop_wire_context, push_wire_context
-        token = push_wire_context(ctx)
-        try:
-            return cls._dispatch(backend, opcode & (TRACE_FLAG - 1), body)
-        finally:
-            pop_wire_context(token)
-
-    @staticmethod
-    def _dispatch(backend: StorageServer, opcode: int,
-                  body: bytes) -> bytes:
-        if opcode == OP_PUT:
-            blob_raw, payload = _unpack_fields(body, 2)
-            backend.put(_parse_blob_id(blob_raw), payload)
-            return bytes([STATUS_OK])
-        if opcode == OP_GET:
-            (blob_raw,) = _unpack_fields(body, 1)
-            payload = backend.get(_parse_blob_id(blob_raw))
-            return bytes([STATUS_OK]) + payload
-        if opcode == OP_DELETE:
-            (blob_raw,) = _unpack_fields(body, 1)
-            backend.delete(_parse_blob_id(blob_raw))
-            return bytes([STATUS_OK])
-        if opcode == OP_EXISTS:
-            (blob_raw,) = _unpack_fields(body, 1)
-            present = backend.exists(_parse_blob_id(blob_raw))
-            return bytes([STATUS_OK, 1 if present else 0])
-        if opcode == OP_PUT_IF:
-            blob_raw, expected_raw, payload = _unpack_fields(body, 3)
-            backend.put_if(_parse_blob_id(blob_raw), payload,
-                           _unpack_presence(expected_raw))
-            return bytes([STATUS_OK])
-        if opcode == OP_PUT_FENCED:
-            blob_raw, fence_raw, epoch_raw, payload = \
-                _unpack_fields(body, 4)
-            backend.put_fenced(_parse_blob_id(blob_raw), payload,
-                               _parse_blob_id(fence_raw),
-                               _parse_epoch(epoch_raw))
-            return bytes([STATUS_OK])
-        if opcode == OP_DELETE_FENCED:
-            blob_raw, fence_raw, epoch_raw = _unpack_fields(body, 3)
-            backend.delete_fenced(_parse_blob_id(blob_raw),
-                                  _parse_blob_id(fence_raw),
-                                  _parse_epoch(epoch_raw))
-            return bytes([STATUS_OK])
-        if opcode == OP_BATCH:
-            # Full validation first: a malformed frame raises here and
-            # becomes a top-level ERROR with zero sub-ops applied.
-            ops = _decode_batch_request(body)
-            replies = backend.batch(ops)
-            return bytes([STATUS_OK]) + _encode_batch_reply(replies)
-        raise StorageError(f"unknown opcode {opcode}")
 
 
 class SspServer:
@@ -527,7 +501,7 @@ class SspServer:
         self.stop()
 
 
-class RemoteStorageClient(StorageServer):
+class RemoteStorageClient(OpMethods, StorageServer):
     """Client-side proxy: the StorageServer interface over a socket.
 
     Subclasses :class:`StorageServer` so everything that takes a server
@@ -616,60 +590,37 @@ class RemoteStorageClient(StorageServer):
                                   current_epoch=_parse_epoch(payload))
         raise StorageError(f"SSP error: {payload.decode(errors='replace')}")
 
-    def put(self, blob_id: BlobId, payload: bytes) -> None:
-        self.stats.record_put(blob_id.kind, len(payload))
-        body = self._frame(OP_PUT, _pack_fields(
-            str(blob_id).encode(), payload))
-        self._check(self._roundtrip(body))
+    def _record(self, op: BatchOp, reply: BatchReply) -> None:
+        """Local stats for one *acknowledged* op, single or batched: a
+        refused, fenced or timed-out request is not traffic served."""
+        if reply.status == "ok":
+            if op.kind in ("put", "put_if", "put_fenced"):
+                self.stats.record_put(op.blob_id.kind, op.sent_bytes())
+            elif op.kind == "get":
+                self.stats.record_get(op.blob_id.kind,
+                                      len(reply.payload or b""))
+            elif op.kind in ("delete", "delete_fenced"):
+                # Bytes freed are unknowable through the wire protocol: 0.
+                self.stats.record_delete(op.blob_id.kind)
+        elif reply.status == "missing" and op.kind == "get":
+            self.stats.record_miss()
 
-    def get(self, blob_id: BlobId) -> bytes:
-        body = self._frame(OP_GET, _pack_fields(str(blob_id).encode()))
+    # The base class implements the named methods against its own dict;
+    # the proxy ships every one of them to the real backend instead.
+
+    def _forward(self, op: BatchOp):
+        body = self._frame(_KIND_TO_OPCODE[op.kind], _encode_sub_body(op))
         try:
             payload = self._check(self._roundtrip(body))
         except BlobNotFound:
-            self.stats.record_miss()
+            self._record(op, BatchReply("missing"))
             raise
-        self.stats.record_get(blob_id.kind, len(payload))
-        return payload
-
-    def delete(self, blob_id: BlobId) -> None:
-        # Bytes freed are unknowable through the wire protocol: 0.
-        self.stats.record_delete(blob_id.kind)
-        body = self._frame(OP_DELETE,
-                           _pack_fields(str(blob_id).encode()))
-        self._check(self._roundtrip(body))
-
-    def exists(self, blob_id: BlobId) -> bool:
-        body = self._frame(OP_EXISTS,
-                           _pack_fields(str(blob_id).encode()))
-        payload = self._check(self._roundtrip(body))
-        return bool(payload and payload[0])
-
-    # The base class implements CAS/fencing against its own dict; the
-    # proxy must ship them to the real backend instead.
-
-    def put_if(self, blob_id: BlobId, payload: bytes,
-               expected: bytes | None) -> None:
-        self.stats.record_put(blob_id.kind, len(payload))
-        body = self._frame(OP_PUT_IF, _pack_fields(
-            str(blob_id).encode(), _pack_presence(expected), payload))
-        self._check(self._roundtrip(body))
-
-    def put_fenced(self, blob_id: BlobId, payload: bytes,
-                   fence: BlobId, epoch: int) -> None:
-        self.stats.record_put(blob_id.kind, len(payload))
-        body = self._frame(OP_PUT_FENCED, _pack_fields(
-            str(blob_id).encode(), str(fence).encode(),
-            struct.pack(">Q", epoch), payload))
-        self._check(self._roundtrip(body))
-
-    def delete_fenced(self, blob_id: BlobId,
-                      fence: BlobId, epoch: int) -> None:
-        self.stats.record_delete(blob_id.kind)
-        body = self._frame(OP_DELETE_FENCED, _pack_fields(
-            str(blob_id).encode(), str(fence).encode(),
-            struct.pack(">Q", epoch)))
-        self._check(self._roundtrip(body))
+        self._record(op, BatchReply("ok", payload=payload))
+        if op.kind == "get":
+            return payload
+        if op.kind == "exists":
+            return bool(payload and payload[0])
+        return None
 
     def batch(self, ops) -> list[BatchReply]:
         """Ship all sub-ops in one OP_BATCH frame: one round trip."""
@@ -679,17 +630,7 @@ class RemoteStorageClient(StorageServer):
         payload = self._check(self._roundtrip(body))
         replies = _decode_batch_reply(payload, len(ops))
         for op, reply in zip(ops, replies):
-            if reply.status == "ok":
-                if op.kind in ("put", "put_if", "put_fenced"):
-                    self.stats.record_put(op.blob_id.kind,
-                                          op.sent_bytes())
-                elif op.kind == "get":
-                    self.stats.record_get(op.blob_id.kind,
-                                          len(reply.payload or b""))
-                elif op.kind in ("delete", "delete_fenced"):
-                    self.stats.record_delete(op.blob_id.kind)
-            elif reply.status == "missing" and op.kind == "get":
-                self.stats.record_miss()
+            self._record(op, reply)
         return replies
 
     # The proxy cannot enumerate or audit the remote store.

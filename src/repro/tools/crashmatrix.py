@@ -31,7 +31,7 @@ from typing import Callable
 
 from ..crypto import rsa
 from ..crypto.provider import CryptoProvider
-from ..errors import ClientCrashed, FileNotFound, FilesystemError
+from ..errors import ClientCrashed
 from ..fs.client import ClientConfig, SharoesFilesystem
 from ..fs.volume import SharoesVolume
 from ..principals.groups import GroupKeyService
@@ -40,6 +40,7 @@ from ..principals.users import User
 from ..storage.resilient import CrashingServer
 from ..storage.server import StorageServer
 from .fsck import VolumeAuditor
+from .twin import holds, path_exists
 
 #: recovery modes the matrix can exercise.
 MOUNT = "mount"
@@ -77,27 +78,6 @@ class CrashOutcome:
                 and self.fsck_clean and self.orphans == 0)
 
 
-def _exists(fs: SharoesFilesystem, path: str) -> bool:
-    try:
-        fs.lstat(path)
-        return True
-    except (FileNotFound, FilesystemError):
-        return False
-
-
-def _holds(pred: Callable[[SharoesFilesystem], bool],
-           fs: SharoesFilesystem) -> bool:
-    """Evaluate an oracle; a missing path means 'predicate false'.
-
-    Integrity errors are deliberately NOT caught -- a signature failure
-    after recovery is a real bug, never a benign 'other state'.
-    """
-    try:
-        return bool(pred(fs))
-    except FilesystemError:
-        return False
-
-
 def build_cases(data: bytes | None = None,
                 new: bytes | None = None) -> list[CrashCase]:
     """The op suite: every mutation family the client exposes.
@@ -124,37 +104,37 @@ def build_cases(data: bytes | None = None,
             "create_file",
             prepare=lambda fs: None,
             run=lambda fs: fs.create_file("/d/new", _DATA),
-            applied=lambda fs: (_exists(fs, "/d/new")
+            applied=lambda fs: (path_exists(fs, "/d/new")
                                 and fs.read_file("/d/new") == _DATA),
-            rolled_back=lambda fs: not _exists(fs, "/d/new")),
+            rolled_back=lambda fs: not path_exists(fs, "/d/new")),
         CrashCase(
             "mkdir",
             prepare=lambda fs: None,
             run=lambda fs: fs.mkdir("/d/sub"),
-            applied=lambda fs: (_exists(fs, "/d/sub")
+            applied=lambda fs: (path_exists(fs, "/d/sub")
                                 and fs.readdir("/d/sub") == []),
-            rolled_back=lambda fs: not _exists(fs, "/d/sub")),
+            rolled_back=lambda fs: not path_exists(fs, "/d/sub")),
         CrashCase(
             "unlink",
             prepare=lambda fs: fs.create_file("/d/victim", _DATA),
             run=lambda fs: fs.unlink("/d/victim"),
-            applied=lambda fs: not _exists(fs, "/d/victim"),
+            applied=lambda fs: not path_exists(fs, "/d/victim"),
             rolled_back=lambda fs: (
-                _exists(fs, "/d/victim")
+                path_exists(fs, "/d/victim")
                 and fs.read_file("/d/victim") == _DATA)),
         CrashCase(
             "rmdir",
             prepare=lambda fs: fs.mkdir("/d/doomed"),
             run=lambda fs: fs.rmdir("/d/doomed"),
-            applied=lambda fs: not _exists(fs, "/d/doomed"),
-            rolled_back=lambda fs: _exists(fs, "/d/doomed")),
+            applied=lambda fs: not path_exists(fs, "/d/doomed"),
+            rolled_back=lambda fs: path_exists(fs, "/d/doomed")),
         CrashCase(
             "rename",
             prepare=lambda fs: fs.create_file("/d/old", _DATA),
             run=lambda fs: fs.rename("/d/old", "/d/moved"),
-            applied=lambda fs: (not _exists(fs, "/d/old")
+            applied=lambda fs: (not path_exists(fs, "/d/old")
                                 and fs.read_file("/d/moved") == _DATA),
-            rolled_back=lambda fs: (not _exists(fs, "/d/moved")
+            rolled_back=lambda fs: (not path_exists(fs, "/d/moved")
                                     and fs.read_file("/d/old") == _DATA)),
         CrashCase(
             "link",
@@ -162,7 +142,7 @@ def build_cases(data: bytes | None = None,
             run=lambda fs: fs.link("/d/orig", "/d/alias"),
             applied=lambda fs: (fs.read_file("/d/alias") == _DATA
                                 and fs.lstat("/d/orig").nlink == 2),
-            rolled_back=lambda fs: (not _exists(fs, "/d/alias")
+            rolled_back=lambda fs: (not path_exists(fs, "/d/alias")
                                     and fs.lstat("/d/orig").nlink == 1)),
         CrashCase(
             "symlink",
@@ -170,7 +150,7 @@ def build_cases(data: bytes | None = None,
             run=lambda fs: fs.symlink("/d/target", "/d/ln"),
             applied=lambda fs: (fs.readlink("/d/ln") == "/d/target"
                                 and fs.read_file("/d/ln") == _DATA),
-            rolled_back=lambda fs: not _exists(fs, "/d/ln")),
+            rolled_back=lambda fs: not path_exists(fs, "/d/ln")),
         CrashCase(
             "writeback-pwrite",
             prepare=lambda fs: fs.create_file("/d/f", _DATA),
@@ -240,7 +220,7 @@ class CrashMatrix:
         counter = CrashingServer(self.server)
         case.run(self.client(server=counter))
         total = counter.mutations
-        if not _holds(case.applied, self.client()):
+        if not holds(case.applied, self.client()):
             raise AssertionError(f"{case.name}: oracle rejects the "
                                  f"crash-free run")
 
@@ -257,9 +237,8 @@ class CrashMatrix:
             if recovery == FSCK:
                 VolumeAuditor(self.volume).repair()
             probe = self.client()  # mount() replays pending intents
-            applied = _holds(case.applied, probe)
-            rolled_back = (not applied) and _holds(case.rolled_back,
-                                                   probe)
+            applied = holds(case.applied, probe)
+            rolled_back = (not applied) and holds(case.rolled_back, probe)
             clean, orphans = self._audit()
             outcome = ("applied" if applied
                        else "rolled_back" if rolled_back

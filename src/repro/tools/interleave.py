@@ -41,8 +41,7 @@ from typing import Callable
 
 from ..crypto import rsa
 from ..crypto.provider import CryptoProvider
-from ..errors import (ClientCrashed, FileNotFound, FilesystemError,
-                      LeaseHeldError, LeaseLostError)
+from ..errors import ClientCrashed, LeaseHeldError, LeaseLostError
 from ..fs.client import ClientConfig, SharoesFilesystem
 from ..fs.consistency import ForkDetected
 from ..fs.volume import SharoesVolume
@@ -50,10 +49,10 @@ from ..principals.groups import GroupKeyService
 from ..principals.registry import PrincipalRegistry
 from ..principals.users import User
 from ..sim.clock import SimClock
-from ..storage.blobs import BlobId
 from ..storage.resilient import CrashingServer, ServerWrapper
-from ..storage.server import StorageServer
+from ..storage.server import MUTATION_KINDS, BatchOp, StorageServer
 from .fsck import VolumeAuditor
+from .twin import holds, path_exists
 
 #: interleaving modes the matrix sweeps.
 SEQUENTIAL = "sequential"
@@ -74,7 +73,7 @@ class PauseServer(ServerWrapper):
 
     The synchronous stand-in for a context switch: the wrapped client
     is "descheduled" at an exact point in its wire sequence while other
-    clients run.  Counts the same mutation set as
+    clients run.  Counts ``MUTATION_KINDS`` like
     :class:`~repro.storage.resilient.CrashingServer` (puts, deletes,
     CAS and fenced variants), so crash and preempt sweeps share k.
     """
@@ -96,28 +95,10 @@ class PauseServer(ServerWrapper):
             self._fired = True
             self.hook()
 
-    def put(self, blob_id: BlobId, payload: bytes) -> None:
-        self._mutation()
-        self.inner.put(blob_id, payload)
-
-    def delete(self, blob_id: BlobId) -> None:
-        self._mutation()
-        self.inner.delete(blob_id)
-
-    def put_if(self, blob_id: BlobId, payload: bytes,
-               expected: bytes | None) -> None:
-        self._mutation()
-        self.inner.put_if(blob_id, payload, expected)
-
-    def put_fenced(self, blob_id: BlobId, payload: bytes,
-                   fence: BlobId, epoch: int) -> None:
-        self._mutation()
-        self.inner.put_fenced(blob_id, payload, fence, epoch)
-
-    def delete_fenced(self, blob_id: BlobId,
-                      fence: BlobId, epoch: int) -> None:
-        self._mutation()
-        self.inner.delete_fenced(blob_id, fence, epoch)
+    def _forward(self, op: BatchOp):
+        if op.kind in MUTATION_KINDS:
+            self._mutation()
+        return op.call(self.inner)
 
 
 @dataclass(frozen=True)
@@ -159,22 +140,6 @@ class InterleaveOutcome:
                 and self.vsl_ok)
 
 
-def _exists(fs: SharoesFilesystem, path: str) -> bool:
-    try:
-        fs.lstat(path)
-        return True
-    except (FileNotFound, FilesystemError):
-        return False
-
-
-def _holds(pred: Callable[[SharoesFilesystem], bool],
-           fs: SharoesFilesystem) -> bool:
-    try:
-        return bool(pred(fs))
-    except FilesystemError:
-        return False
-
-
 def build_cases(payloads: dict[str, bytes]) -> list[InterleaveCase]:
     """The schedule families.
 
@@ -192,7 +157,7 @@ def build_cases(payloads: dict[str, bytes]) -> list[InterleaveCase]:
             others=(("bob", lambda fs: fs.create_file("/d/b", pb)),),
             all_applied=lambda fs: (fs.read_file("/d/a") == pa
                                     and fs.read_file("/d/b") == pb),
-            first_rolled_back=lambda fs: (not _exists(fs, "/d/a")
+            first_rolled_back=lambda fs: (not path_exists(fs, "/d/a")
                                           and fs.read_file("/d/b") == pb)),
         InterleaveCase(
             "create-create-create",
@@ -204,7 +169,7 @@ def build_cases(payloads: dict[str, bytes]) -> list[InterleaveCase]:
                                     and fs.read_file("/d/t2") == pb
                                     and fs.read_file("/d/t3") == pc),
             first_rolled_back=lambda fs: (
-                not _exists(fs, "/d/t1")
+                not path_exists(fs, "/d/t1")
                 and fs.read_file("/d/t2") == pb
                 and fs.read_file("/d/t3") == pc)),
         InterleaveCase(
@@ -212,10 +177,10 @@ def build_cases(payloads: dict[str, bytes]) -> list[InterleaveCase]:
             prepare=lambda fs: fs.create_file("/d/x", px),
             first=lambda fs: fs.rename("/d/x", "/d/y"),
             others=(("bob", lambda fs: fs.create_file("/d/c", pc)),),
-            all_applied=lambda fs: (not _exists(fs, "/d/x")
+            all_applied=lambda fs: (not path_exists(fs, "/d/x")
                                     and fs.read_file("/d/y") == px
                                     and fs.read_file("/d/c") == pc),
-            first_rolled_back=lambda fs: (not _exists(fs, "/d/y")
+            first_rolled_back=lambda fs: (not path_exists(fs, "/d/y")
                                           and fs.read_file("/d/x") == px
                                           and fs.read_file("/d/c") == pc)),
         InterleaveCase(
@@ -223,18 +188,18 @@ def build_cases(payloads: dict[str, bytes]) -> list[InterleaveCase]:
             prepare=lambda fs: fs.create_file("/d/x", px),
             first=lambda fs: fs.unlink("/d/x"),
             others=(("bob", lambda fs: fs.mkdir("/d/sub")),),
-            all_applied=lambda fs: (not _exists(fs, "/d/x")
-                                    and _exists(fs, "/d/sub")),
+            all_applied=lambda fs: (not path_exists(fs, "/d/x")
+                                    and path_exists(fs, "/d/sub")),
             first_rolled_back=lambda fs: (fs.read_file("/d/x") == px
-                                          and _exists(fs, "/d/sub"))),
+                                          and path_exists(fs, "/d/sub"))),
         InterleaveCase(
             "mkdir-create",
             prepare=lambda fs: None,
             first=lambda fs: fs.mkdir("/d/s"),
             others=(("bob", lambda fs: fs.create_file("/d/b2", pb)),),
-            all_applied=lambda fs: (_exists(fs, "/d/s")
+            all_applied=lambda fs: (path_exists(fs, "/d/s")
                                     and fs.read_file("/d/b2") == pb),
-            first_rolled_back=lambda fs: (not _exists(fs, "/d/s")
+            first_rolled_back=lambda fs: (not path_exists(fs, "/d/s")
                                           and fs.read_file("/d/b2") == pb)),
     ]
 
@@ -414,9 +379,9 @@ class InterleaveMatrix:
         vsl_ok = drained and self._vsl_round(survivors)
 
         probe = self._probe()
-        if _holds(case.all_applied, probe):
+        if holds(case.all_applied, probe):
             outcome = "all_applied"
-        elif (first_error and _holds(case.first_rolled_back, probe)):
+        elif (first_error and holds(case.first_rolled_back, probe)):
             outcome = "first_rolled_back"
         else:
             outcome = (f"INCONSISTENT (first_error="

@@ -32,15 +32,12 @@ Deterministic per seed, like :mod:`repro.tools.crashmatrix`.
 from __future__ import annotations
 
 import random
-import secrets
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Sequence
 
 from ..crypto import rsa
 from ..errors import ClientCrashed
 from ..fs.client import ClientConfig, SharoesFilesystem
-from ..fs.permissions import DIRECTORY
 from ..fs.volume import SharoesVolume
 from ..principals.groups import GroupKeyService
 from ..principals.registry import PrincipalRegistry
@@ -52,62 +49,12 @@ from ..storage.server import StorageServer
 from ..storage.shards import RingSpec, ShardedServer
 from ..crypto.provider import CryptoProvider
 from .fsck import VolumeAuditor
+from .twin import pinned_entropy, visible_tree
 
 #: recovery variants crossed with every crash point.
 VARIANTS = ("resume", "repair", "writes", "shard-down")
 
 _BLOCK = 256
-
-
-class _SeededEntropy:
-    """Drop-in for the ``secrets`` functions the crypto stack uses."""
-
-    def __init__(self, seed: int):
-        self._rng = random.Random(seed)
-
-    def token_bytes(self, n: int) -> bytes:
-        return self._rng.randbytes(n)
-
-    def randbelow(self, n: int) -> int:
-        return self._rng.randrange(n)
-
-    def randbits(self, k: int) -> int:
-        return self._rng.getrandbits(k)
-
-
-@contextmanager
-def _pinned_entropy(seed: int):
-    """Route ``secrets`` through a seeded stream (twin-run determinism).
-
-    Both stacks replay the same op sequence under the same seed, so
-    they draw identical keys/IVs in identical order and produce
-    byte-identical ciphertext -- the property every cell's differential
-    judgement rests on.
-    """
-    det = _SeededEntropy(seed)
-    saved = (secrets.token_bytes, secrets.randbelow, secrets.randbits)
-    secrets.token_bytes = det.token_bytes
-    secrets.randbelow = det.randbelow
-    secrets.randbits = det.randbits
-    try:
-        yield
-    finally:
-        secrets.token_bytes, secrets.randbelow, secrets.randbits = saved
-
-
-def _visible_tree(fs: SharoesFilesystem, path: str = "/") -> dict:
-    """Everything an application can see below ``path``."""
-    out = {}
-    for name in sorted(fs.readdir(path)):
-        child = path.rstrip("/") + "/" + name
-        stat = fs.getattr(child)
-        entry = {"stat": stat}
-        if stat.ftype == DIRECTORY:
-            entry["children"] = _visible_tree(fs, child)
-        else:
-            entry["content"] = fs.read_file(child)
-        out[name] = entry
-    return out
 
 
 @dataclass
@@ -149,7 +96,7 @@ class RebalanceMatrix:
                  for _ in range(files)]
         self.payloads = [bytes(rng.randrange(256) for _ in range(size))
                          for size in sizes]
-        with _pinned_entropy(seed * 7 + 1):
+        with pinned_entropy(seed * 7 + 1):
             self.registry = PrincipalRegistry()
             self.registry.add_user(User(
                 user_id="alice",
@@ -179,13 +126,13 @@ class RebalanceMatrix:
                 "pinning no longer covers every crypto draw")
         self._base_next_s = self.volume_s.allocator._next
         self._base_next_p = self.volume_p.allocator._next
-        self._base_tree = _visible_tree(self._probe(self.volume_p))
+        self._base_tree = visible_tree(self._probe(self.volume_p))
 
     # -- setup ---------------------------------------------------------------
 
     def _build(self, server, clock) -> SharoesVolume:
         """Format + populate one stack (identical entropy stream each)."""
-        with _pinned_entropy(self.seed * 7 + 2):
+        with pinned_entropy(self.seed * 7 + 2):
             volume = SharoesVolume(server, self.registry,
                                    block_size=_BLOCK, clock=clock)
             volume.format(root_owner="alice", root_group="eng")
@@ -241,7 +188,7 @@ class RebalanceMatrix:
     def _extra_writes(self, cell_seed: int) -> None:
         """The same mid-recovery ops on both stacks (pinned per cell)."""
         for volume in (self.volume_p, self.volume_s):
-            with _pinned_entropy(cell_seed):
+            with pinned_entropy(cell_seed):
                 fs = self._client(volume)
                 fs.write_file("/d/f0", b"rewritten-" + bytes(
                     random.Random(cell_seed).randrange(256)
@@ -303,10 +250,10 @@ class RebalanceMatrix:
                    else ring == "target")
         blobs_ok = server.raw_blobs() == self.plain.raw_blobs()
         if variant == "writes" and crashed:
-            tree_ok = (_visible_tree(self._probe(self.volume_s))
-                       == _visible_tree(self._probe(self.volume_p)))
+            tree_ok = (visible_tree(self._probe(self.volume_s))
+                       == visible_tree(self._probe(self.volume_p)))
         else:
-            tree_ok = (_visible_tree(self._probe(self.volume_s))
+            tree_ok = (visible_tree(self._probe(self.volume_s))
                        == self._base_tree)
         audit = VolumeAuditor(self.volume_s).audit()
         return RebalanceOutcome(

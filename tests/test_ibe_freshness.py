@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.crypto import ibe
 from repro.crypto.ibe import KeyAuthority, jacobi
 from repro.errors import CryptoError, IntegrityError
-from repro.fs.client import ClientConfig, SharoesFilesystem
+from repro.fs.client import SharoesFilesystem
 from repro.fs.freshness import FreshnessMonitor, StaleObjectError
 from repro.principals.ibe import (IdentityEnvelope,
                                   unwrap_with_identity_key,
@@ -200,18 +200,3 @@ class TestClientFreshness:
         newcomer = SharoesFilesystem(volume, registry.user("alice"))
         newcomer.mount()
         assert newcomer.getattr("/g").mode == 0o644  # sees the rollback
-
-    def test_freshness_optional(self, volume, registry, server):
-        config = ClientConfig(check_freshness=False)
-        alice = SharoesFilesystem(volume, registry.user("alice"),
-                                  config=config)
-        alice.mount()
-        alice.mknod("/h", mode=0o644)
-        inode = alice.getattr("/h").inode
-        old_blob = server.get(meta_blob(inode, "o"))
-        alice.chmod("/h", 0o600)
-        alice.cache.clear()
-        alice.getattr("/h")
-        server.put(meta_blob(inode, "o"), old_blob)
-        alice.cache.clear()
-        assert alice.getattr("/h").mode == 0o644  # accepted silently

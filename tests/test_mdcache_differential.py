@@ -37,8 +37,6 @@ zero stale-served cells.
 
 from __future__ import annotations
 
-import random
-import secrets
 from contextlib import contextmanager
 
 import pytest
@@ -47,7 +45,7 @@ from repro.errors import ClientCrashed, LeaseLostError, PermissionDenied
 from repro.fs.client import ClientConfig, SharoesFilesystem
 from repro.fs.freshness import StaleObjectError
 from repro.fs.mdcache import _VerifiedView
-from repro.fs.permissions import DIRECTORY, AclEntry
+from repro.fs.permissions import AclEntry
 from repro.fs.volume import SharoesVolume, meta_blob
 from repro.principals.groups import GroupKeyService
 from repro.crypto.provider import CryptoProvider
@@ -56,6 +54,8 @@ from repro.storage.resilient import CrashingServer
 from repro.storage.server import StorageServer
 from repro.tools.fsck import VolumeAuditor
 from repro.tools.interleave import PauseServer
+from repro.tools.twin import pinned_entropy
+from repro.tools.twin import visible_tree as _visible_tree
 from repro.workloads.runner import BenchEnv, make_env
 
 _SEED = 0xCACE
@@ -64,33 +64,8 @@ _SEED = 0xCACE
 # -- part 1: cached-vs-uncached differential ---------------------------------
 
 
-class _SeededEntropy:
-    """Drop-in for the ``secrets`` functions the crypto stack uses."""
-
-    def __init__(self, seed: int):
-        self._rng = random.Random(seed)
-
-    def token_bytes(self, n: int) -> bytes:
-        return self._rng.randbytes(n)
-
-    def randbelow(self, n: int) -> int:
-        return self._rng.randrange(n)
-
-    def randbits(self, k: int) -> int:
-        return self._rng.getrandbits(k)
-
-
-@contextmanager
 def _pinned_entropy(seed: int = _SEED):
-    det = _SeededEntropy(seed)
-    saved = (secrets.token_bytes, secrets.randbelow, secrets.randbits)
-    secrets.token_bytes = det.token_bytes
-    secrets.randbelow = det.randbelow
-    secrets.randbits = det.randbits
-    try:
-        yield
-    finally:
-        secrets.token_bytes, secrets.randbelow, secrets.randbits = saved
+    return pinned_entropy(seed)
 
 
 @contextmanager
@@ -147,24 +122,6 @@ def _run_workload(workload: str, env: BenchEnv) -> None:
         _sharing_script(env)
     else:  # pragma: no cover
         raise AssertionError(workload)
-
-
-def _visible_tree(fs, path: str = "/") -> dict:
-    """Everything an application can see below ``path``."""
-    out = {}
-    for name in sorted(fs.readdir(path)):
-        child = (path.rstrip("/") + "/" + name)
-        stat = fs.getattr(child)
-        entry = {"stat": stat}
-        if stat.ftype == DIRECTORY:
-            entry["children"] = _visible_tree(fs, child)
-        else:
-            try:
-                entry["content"] = fs.read_file(child)
-            except Exception as exc:  # symlinks etc.: record the shape
-                entry["content"] = type(exc).__name__
-        out[name] = entry
-    return out
 
 
 def _differential_run(workload: str, mdcache: bool):

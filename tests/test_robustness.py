@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.crypto.provider import CryptoProvider
 from repro.errors import (IntegrityError, SharoesError, StorageError)
-from repro.fs.client import ClientConfig, SharoesFilesystem
+from repro.fs.client import SharoesFilesystem
 from repro.fs.dirtable import TableView
 from repro.fs.metadata import MetadataAttrs, MetadataView
 from repro.fs.superblock import Superblock
@@ -40,16 +40,6 @@ class TestAesEngineVolume:
         bob = SharoesFilesystem(aes_volume, registry.user("bob"))
         bob.mount()
         assert bob.read_file("/d/f") == b"real AES all the way down"
-
-    def test_client_engine_override_breaks_interop(self, aes_volume,
-                                                   registry):
-        """A client forcing the wrong engine cannot open volume blobs --
-        which is why the engine is a volume property."""
-        fs = SharoesFilesystem(aes_volume, registry.user("alice"),
-                               config=ClientConfig(engine="stream"))
-        fs.mount()  # superblock is public-key wrapped: engine-agnostic
-        with pytest.raises(Exception):
-            fs.getattr("/")
 
     def test_clients_inherit_volume_engine(self, aes_volume, registry):
         fs = SharoesFilesystem(aes_volume, registry.user("alice"))

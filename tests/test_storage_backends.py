@@ -1,15 +1,18 @@
 """Disk-backed SSP storage and the TCP wire protocol."""
 
+import dataclasses
+
 import pytest
 
 from repro.crypto.provider import CryptoProvider
-from repro.errors import BlobNotFound, StorageError
+from repro.errors import (BlobNotFound, CasConflictError, StaleEpochError,
+                          StorageError, TransientStorageError)
 from repro.fs.client import SharoesFilesystem
 from repro.fs.volume import SharoesVolume
 from repro.principals.groups import GroupKeyService
-from repro.storage.blobs import data_blob, meta_blob
+from repro.storage.blobs import data_blob, lease_blob, meta_blob
 from repro.storage.disk import DiskStorageServer
-from repro.storage.server import StorageServer
+from repro.storage.server import BatchOp, StorageServer
 from repro.storage.wire import RemoteStorageClient, SspServer
 
 
@@ -129,6 +132,48 @@ class TestWireProtocol:
             client.raw_blobs()
         with pytest.raises(StorageError):
             client.blob_count()
+
+    def test_only_acknowledged_ops_are_counted(self):
+        """One stats rule on the proxy: a put that was refused (stale
+        fence) or lost (dead socket) is not traffic served, whether it
+        travelled alone or inside a batch -- and an acknowledged one
+        counts the same either way."""
+        backend = StorageServer()
+        server = SspServer(backend).start()
+        client = RemoteStorageClient(*server.address, timeout=2.0)
+        blob, fence = data_blob(1, "b0"), lease_blob(1)
+        try:
+            client.put(fence, (5).to_bytes(8, "big") + b"lease")
+            before = dataclasses.asdict(client.stats)
+            with pytest.raises(StaleEpochError):
+                client.put_fenced(blob, b"zombie", fence, 4)
+            with pytest.raises(StaleEpochError):
+                client.delete_fenced(blob, fence, 4)
+            with pytest.raises(CasConflictError):
+                client.put_if(fence, b"steal", None)
+            replies = client.batch([
+                BatchOp.put_if(fence, b"steal", None),
+                BatchOp.put_fenced(blob, b"zombie", fence, 4)])
+            assert [r.status for r in replies] == ["conflict", "fenced"]
+            assert dataclasses.asdict(client.stats) == before
+
+            client.put_fenced(blob, b"live", fence, 5)
+            client.batch([BatchOp.put_fenced(blob, b"live", fence, 5)])
+            assert client.stats.puts == before["puts"] + 2
+            assert client.stats.bytes_received == \
+                before["bytes_received"] + 8
+            before = dataclasses.asdict(client.stats)
+        finally:
+            server.stop()
+            client.close()  # next request reconnects; nobody listens
+        for _ in range(2):  # the retry a transport would make
+            with pytest.raises(TransientStorageError):
+                client.put(blob, b"lost")
+            with pytest.raises(TransientStorageError):
+                client.delete(blob)
+            with pytest.raises(TransientStorageError):
+                client.batch([BatchOp.put(blob, b"lost")])
+        assert dataclasses.asdict(client.stats) == before
 
     def test_full_filesystem_over_tcp(self, registry):
         """A complete SHAROES mount where every blob crosses a socket."""
