@@ -501,6 +501,33 @@ def _cmd_fsck(args: argparse.Namespace) -> int:
     return 0 if report.clean else 1
 
 
+def _choose(flag: str, wanted: str | None,
+            known) -> tuple[str, ...] | None:
+    """Parse a ``--<flag> a,b,c`` list against the known names.
+
+    Returns the names as given (all of ``known`` when the flag is
+    absent), or None after saying what was unknown: the caller exits 2.
+    """
+    if not wanted:
+        return tuple(known)
+    names = tuple(wanted.split(","))
+    unknown = sorted(set(names) - set(known))
+    if unknown:
+        print(f"unknown {flag}: {unknown}; choose from {list(known)}")
+        return None
+    return names
+
+
+def _emit_table(args: argparse.Namespace, table: str, ok: bool) -> int:
+    """Write ``--out`` if asked, print the table, exit 0 iff ``ok``."""
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(table + "\n")
+        print(f"wrote {args.out}")
+    print(table)
+    return 0 if ok else 1
+
+
 def _cmd_crash_matrix(args: argparse.Namespace) -> int:
     from .tools.crashmatrix import (FSCK, MOUNT, CrashMatrix, build_cases,
                                     outcomes_table)
@@ -509,22 +536,13 @@ def _cmd_crash_matrix(args: argparse.Namespace) -> int:
     recoveries = {"mount": (MOUNT,), "fsck": (FSCK,),
                   "both": (MOUNT, FSCK)}[args.recovery]
     cases = build_cases(matrix.data, matrix.new)
-    if args.ops:
-        wanted = set(args.ops.split(","))
-        known = {c.name for c in cases}
-        if wanted - known:
-            print(f"unknown ops: {sorted(wanted - known)}; "
-                  f"choose from {sorted(known)}")
-            return 2
-        cases = [c for c in cases if c.name in wanted]
-    outcomes = matrix.run(recoveries, cases)
-    table = outcomes_table(outcomes)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(table + "\n")
-        print(f"wrote {args.out}")
-    print(table)
-    return 0 if all(o.consistent for o in outcomes) else 1
+    wanted = _choose("ops", args.ops, sorted(c.name for c in cases))
+    if wanted is None:
+        return 2
+    outcomes = matrix.run(recoveries,
+                          [c for c in cases if c.name in wanted])
+    return _emit_table(args, outcomes_table(outcomes),
+                       all(o.consistent for o in outcomes))
 
 
 def _cmd_interleave(args: argparse.Namespace) -> int:
@@ -532,31 +550,17 @@ def _cmd_interleave(args: argparse.Namespace) -> int:
                                    outcomes_table)
 
     matrix = InterleaveMatrix(seed=args.seed)
-    modes = MODES
-    if args.modes:
-        wanted = tuple(args.modes.split(","))
-        if set(wanted) - set(MODES):
-            print(f"unknown modes: {sorted(set(wanted) - set(MODES))}; "
-                  f"choose from {list(MODES)}")
-            return 2
-        modes = wanted
+    modes = _choose("modes", args.modes, MODES)
+    if modes is None:
+        return 2
     cases = build_cases(matrix.payloads)
-    if args.cases:
-        wanted_cases = set(args.cases.split(","))
-        known = {c.name for c in cases}
-        if wanted_cases - known:
-            print(f"unknown cases: {sorted(wanted_cases - known)}; "
-                  f"choose from {sorted(known)}")
-            return 2
-        cases = [c for c in cases if c.name in wanted_cases]
+    wanted = _choose("cases", args.cases, sorted(c.name for c in cases))
+    if wanted is None:
+        return 2
+    cases = [c for c in cases if c.name in wanted]
     outcomes = matrix.run(modes, cases)
-    table = outcomes_table(outcomes)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(table + "\n")
-        print(f"wrote {args.out}")
-    print(table)
-    return 0 if all(o.consistent for o in outcomes) else 1
+    return _emit_table(args, outcomes_table(outcomes),
+                       all(o.consistent for o in outcomes))
 
 
 def _cmd_shard_repair(args: argparse.Namespace) -> int:
@@ -616,41 +620,21 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                         replicas=args.replicas,
                         read_quorum=args.read_quorum,
                         flaky_p=args.flaky_p)
-    modes = MODES
-    if args.modes:
-        wanted = tuple(args.modes.split(","))
-        if set(wanted) - set(MODES):
-            print(f"unknown modes: {sorted(set(wanted) - set(MODES))}; "
-                  f"choose from {list(MODES)}")
-            return 2
-        modes = wanted
+    modes = _choose("modes", args.modes, MODES)
+    if modes is None:
+        return 2
     cases = build_cases(campaign.payloads)
-    if args.cases:
-        wanted_cases = set(args.cases.split(","))
-        known = {c.name for c in cases}
-        if wanted_cases - known:
-            print(f"unknown cases: {sorted(wanted_cases - known)}; "
-                  f"choose from {sorted(known)}")
-            return 2
-        cases = [c for c in cases if c.name in wanted_cases]
-    scenarios = DEFAULT_SCENARIOS
-    if args.scenarios:
-        wanted_sc = set(args.scenarios.split(","))
-        known = {s.name for s in DEFAULT_SCENARIOS}
-        if wanted_sc - known:
-            print(f"unknown scenarios: {sorted(wanted_sc - known)}; "
-                  f"choose from {sorted(known)}")
-            return 2
-        scenarios = tuple(s for s in DEFAULT_SCENARIOS
-                          if s.name in wanted_sc)
+    wanted = _choose("cases", args.cases, sorted(c.name for c in cases))
+    if wanted is None:
+        return 2
+    cases = [c for c in cases if c.name in wanted]
+    wanted = _choose("scenarios", args.scenarios,
+                     sorted(s.name for s in DEFAULT_SCENARIOS))
+    if wanted is None:
+        return 2
+    scenarios = tuple(s for s in DEFAULT_SCENARIOS if s.name in wanted)
     report = campaign.run(modes, cases, scenarios)
-    table = campaign_table(report)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(table + "\n")
-        print(f"wrote {args.out}")
-    print(table)
-    return 0 if report.ok else 1
+    return _emit_table(args, campaign_table(report), report.ok)
 
 
 def _cmd_shard_rebalance(args: argparse.Namespace) -> int:
@@ -744,24 +728,13 @@ def _cmd_rebalance_matrix(args: argparse.Namespace) -> int:
     from .tools.rebalancematrix import (VARIANTS, RebalanceMatrix,
                                         outcomes_table)
 
-    variants = VARIANTS
-    if args.variants:
-        wanted = tuple(args.variants.split(","))
-        if set(wanted) - set(VARIANTS):
-            print(f"unknown variants: "
-                  f"{sorted(set(wanted) - set(VARIANTS))}; "
-                  f"choose from {list(VARIANTS)}")
-            return 2
-        variants = wanted
+    variants = _choose("variants", args.variants, VARIANTS)
+    if variants is None:
+        return 2
     matrix = RebalanceMatrix(seed=args.seed)
     outcomes = matrix.run(variants)
-    table = outcomes_table(outcomes)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(table + "\n")
-        print(f"wrote {args.out}")
-    print(table)
-    return 0 if all(o.consistent for o in outcomes) else 1
+    return _emit_table(args, outcomes_table(outcomes),
+                       all(o.consistent for o in outcomes))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -25,7 +25,7 @@ import functools
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from ..caps.model import VIEW_NONE, Cap, cap_for_bits
+from ..caps.model import cap_for_bits
 from ..caps.record import (ObjectRecord, lockbox_payload, open_metadata_blob,
                            parse_lockbox_payload)
 from ..crypto import esign
@@ -45,7 +45,7 @@ from ..principals.users import User
 from ..sim.costmodel import CostModel
 from ..storage.blobs import (BlobId, group_key_blob, journal_blob,
                              lockbox_blob, meta_blob, superblock_blob)
-from . import journal
+from . import journal, layout
 from .blobio import BlobIO
 from .cache import LruCache
 from .dirtable import (DIRECT, SPLIT, VIEW_FULL, ZERO, DirEntry,
@@ -55,9 +55,8 @@ from .mdcache import (DIR_WRITE_CAPS, LIST_CAPS, TRAVERSE_CAPS,
                       VerifiedMetadataCache)
 from .metadata import MetadataAttrs, MetadataView, Stat
 from .permissions import DIRECTORY, FILE, SYMLINK, AclEntry
-from .sealed import bind_context, open_verified, seal_and_sign
 from .superblock import Superblock
-from .volume import SharoesVolume, block_blob_id, table_blob_id
+from .volume import SharoesVolume
 
 # CAP permission sets live in mdcache so the pre-materialized listing
 # verdicts are evaluated against the exact same sets the demand path
@@ -83,12 +82,6 @@ class ClientConfig:
     #: re-encrypt immediately on revocation (paper's prototype default)
     #: or lazily on next write (Plutus-style).
     immediate_revocation: bool = True
-    #: rewrite metadata replicas on close so size/version stay fresh.
-    #: Default False: the paper's Figure 8 prices close as exactly
-    #: "1-dataencrypt, data send", leaving metadata sizes stale until the
-    #: owner next touches the object (block 0 carries the authoritative
-    #: block count, so reads are unaffected).
-    update_metadata_on_close: bool = False
     #: wrap SSP traffic in a :class:`ResilientTransport` with this
     #: :class:`~repro.storage.resilient.RetryPolicy` (retries, backoff,
     #: circuit breaker, stale-read fallback -- see docs/ROBUSTNESS.md).
@@ -521,7 +514,7 @@ class SharoesFilesystem:
         if self.cache.get(("table", inode, selector)) is not None:
             return
         self.blobs.prefetch([meta_blob(inode, selector),
-                             table_blob_id(inode, selector)])
+                             layout.table_blob_id(inode, selector)])
 
     def _prefetch_children(self, table: TableView) -> None:
         """Directory-scan readahead: batch the children's metadata.
@@ -1015,13 +1008,11 @@ class SharoesFilesystem:
                 return cached
         dek = node.view.require_dek()
         dvk = node.view.require_dvk()
-        blob_id = table_blob_id(node.inode, node.selector)
+        blob_id = layout.table_blob_id(node.inode, node.selector)
         blob = self.blobs.get(blob_id)
         with self.tracer.span("crypto", op="open_table"):
-            payload = open_verified(
-                self.provider, dek, dvk,
-                bind_context("table", node.inode, node.selector), blob)
-        view = TableView.from_bytes(payload)
+            view = layout.open_table(self.provider, dek, dvk, node.inode,
+                                     node.selector, blob)
         if not self._was_degraded(blob_id):
             self._cache_table(node.inode, node.selector, view, len(blob))
         return view
@@ -1261,18 +1252,7 @@ class SharoesFilesystem:
         record.attrs.nlink += 1
         record.attrs.version += 1
         self._write_metadata_replicas(record)
-
-        split_seen = False
-
-        def add_row(view: TableView, selector: str, dek: bytes) -> None:
-            nonlocal split_seen
-            entry = self._entry_for_selector(new_parent.attrs, record,
-                                             selector, name)
-            split_seen = split_seen or entry.kind == SPLIT
-            view.add(entry, provider=self.provider, table_dek=dek)
-
-        self._update_parent_tables(new_parent, add_row)
-        if split_seen or record.attrs.acl:
+        if self._add_row(new_parent, name, record) or record.attrs.acl:
             self._write_lockboxes(record)
         return Stat.from_attrs(record.attrs)
 
@@ -1343,7 +1323,7 @@ class SharoesFilesystem:
                     plain = self.cache.get(cache_key)
                     cspan.attrs["hit"] = plain is not None
             if plain is None:
-                blob_id = block_blob_id(node.inode, index)
+                blob_id = layout.block_blob_id(node.inode, index)
                 try:
                     blob = self.blobs.get(blob_id)
                 except BlobNotFound:
@@ -1352,16 +1332,14 @@ class SharoesFilesystem:
                     raise IntegrityError(
                         f"inode {node.inode}: block {index} missing "
                         f"(truncation attack?)") from None
-                context = bind_context("data", node.inode, f"b{index}")
                 with self.tracer.span("crypto", op="decrypt_block"):
-                    plain = open_verified(self.provider, dek, dvk,
-                                          context, blob)
+                    plain = layout.open_block(self.provider, dek, dvk,
+                                              node.inode, index, blob)
                 if self.config.data_cache and not self._was_degraded(
                         blob_id):
                     self.cache.put(cache_key, plain, len(plain))
             if index == 0:
-                total = int.from_bytes(plain[:4], "big")
-                plain = plain[4:]
+                total, plain = layout.split_count(plain)
                 if total > 2:
                     # Block 0 just told us the real block count; the
                     # loop would now pay one full RTT per remaining
@@ -1369,7 +1347,7 @@ class SharoesFilesystem:
                     # is fetched as one flight into the raw slots the
                     # loop's gets drain.
                     self.blobs.fetch_tail(
-                        block_blob_id(node.inode, i)
+                        layout.block_blob_id(node.inode, i)
                         for i in range(1, total)
                         if not (self.config.data_cache and self.cache.get(
                             ("data", node.inode, i)) is not None))
@@ -1429,13 +1407,6 @@ class SharoesFilesystem:
         with self.open(path, "a") as handle:
             handle.write(data)
 
-    def _split_blocks(self, content: bytes) -> list[bytes]:
-        block_size = self.volume.block_size
-        if not content:
-            return []
-        return [content[i:i + block_size]
-                for i in range(0, len(content), block_size)]
-
     @_mutating("writeback")
     def _flush_file(self, node: ResolvedNode, content: bytes,
                     original_blocks: list[bytes]) -> None:
@@ -1460,7 +1431,7 @@ class SharoesFilesystem:
                 record.rekey_data()
                 dek, dsk = record.dek, record.dsk
                 rekeyed = True
-        new_blocks = self._split_blocks(content)
+        new_blocks = layout.split_blocks(content, self.volume.block_size)
         old_count = len(original_blocks)
         new_count = len(new_blocks)
         outgoing = []
@@ -1470,19 +1441,15 @@ class SharoesFilesystem:
                              and index < old_count
                              and original_blocks[index] == block
                              and (index > 0 or old_count == new_count))
-                payload = block
-                if index == 0:
-                    payload = new_count.to_bytes(4, "big") + block
+                payload = layout.block_payload(new_blocks, index)
                 if self.config.data_cache:
                     # Write-through: the plaintext just left this client.
                     self.cache.put(("data", node.inode, index), payload,
                                    len(payload))
                 if unchanged:
                     continue
-                context = bind_context("data", node.inode, f"b{index}")
-                blob = seal_and_sign(self.provider, dek, dsk, context,
-                                     payload)
-                outgoing.append((block_blob_id(node.inode, index), blob))
+                outgoing.append(layout.seal_block(
+                    self.provider, dek, dsk, node.inode, index, payload))
         self.blobs.send(outgoing, grouped=True)
         self._delete_tail_blocks(node.inode, new_count,
                                  max(old_count, node.attrs.block_count))
@@ -1493,11 +1460,9 @@ class SharoesFilesystem:
         # data send": metadata is NOT rewritten on close (writers other
         # than the owner could not sign it anyway -- MSK is owner-only).
         # Sizes in metadata may go stale; block 0 carries the
-        # authoritative block count.  Exceptions: a pending lazy
-        # revocation (the fresh DEK must reach the replicas), or the
-        # update_metadata_on_close convenience option.
-        if record is not None and (
-                rekeyed or self.config.update_metadata_on_close):
+        # authoritative block count.  The exception: a pending lazy
+        # revocation (the fresh DEK must reach the replicas).
+        if record is not None and rekeyed:
             record.attrs.size = len(content)
             record.attrs.block_count = new_count
             record.attrs.version += 1
@@ -1509,8 +1474,8 @@ class SharoesFilesystem:
         victims = []
         index = new_count
         while index < known_old_count or self.blobs.exists(
-                block_blob_id(inode, index)):
-            victims.append((block_blob_id(inode, index), None))
+                layout.block_blob_id(inode, index)):
+            victims.append((layout.block_blob_id(inode, index), None))
             index += 1
         self.blobs.send(victims, grouped=True)
 
@@ -1533,33 +1498,23 @@ class SharoesFilesystem:
 
     def _write_metadata_replicas(self, record: ObjectRecord) -> None:
         self._lease_for_write(record.attrs.inode)
-        scheme = self.volume.scheme
-        attrs = record.attrs
-        owner_selector = scheme.owner_selector(attrs)
-        blobs = []
-        for selector in scheme.selectors(attrs):
-            cap = scheme.cap_for_selector(attrs, selector)
-            blob = record.metadata_blob(self.provider, selector, cap,
-                                        selector == owner_selector)
-            blobs.append((meta_blob(attrs.inode, selector), blob))
-        self.blobs.send(blobs, grouped=True)
-        self.cache.invalidate_prefix(("meta", attrs.inode))
+        self.blobs.send(list(layout.metadata_replicas(
+            self.volume.scheme, self.provider, record)), grouped=True)
+        self.cache.invalidate_prefix(("meta", record.attrs.inode))
 
     def _write_empty_tables(self, record: ObjectRecord) -> None:
         attrs = record.attrs
+        scheme = self.volume.scheme
         blobs = []
-        for selector in self.volume.scheme.selectors(attrs):
-            style = self.volume.table_style(attrs, selector)
-            if style == VIEW_NONE:
-                continue
+        for selector, style in layout.table_views(scheme, attrs).items():
             dek = record.table_deks[selector]
             view = TableView.build(style, [], provider=self.provider,
                                    table_dek=dek)
-            context = bind_context("table", attrs.inode, selector)
-            blob = seal_and_sign(self.provider, dek, record.dsk, context,
-                                 view.to_bytes())
-            blobs.append((table_blob_id(attrs.inode, selector), blob))
-            if selector == self.volume.scheme.owner_selector(attrs):
+            blob_id, blob = layout.seal_table(
+                self.provider, dek, record.dsk, attrs.inode, selector,
+                view)
+            blobs.append((blob_id, blob))
+            if selector == scheme.owner_selector(attrs):
                 self._cache_table(attrs.inode, selector, view, len(blob))
         self.blobs.send(blobs, grouped=True)
 
@@ -1585,7 +1540,6 @@ class SharoesFilesystem:
         cryptography enforces the *nix w+x requirement.
         """
         self._lease_for_write(parent.inode)
-        scheme = self.volume.scheme
         attrs = parent.attrs
         dsk = parent.view.require_dsk()
         table_deks = parent.view.table_deks
@@ -1593,32 +1547,55 @@ class SharoesFilesystem:
             raise PermissionDenied(
                 f"inode {parent.inode}: write CAP carries no table keys")
         outgoing: list = []
-        for selector in scheme.selectors(attrs):
-            if self.volume.table_style(attrs, selector) == VIEW_NONE:
-                continue
+        for selector in layout.table_views(self.volume.scheme, attrs):
             dek = table_deks.get(selector)
             if dek is None:
                 raise PermissionDenied(
                     f"inode {parent.inode}: missing table key for "
                     f"{selector!r}")
-            context = bind_context("table", attrs.inode, selector)
             view = self._cached_table(attrs.inode, selector)
             if view is None:
-                blob = self.blobs.get(table_blob_id(attrs.inode, selector))
-                payload = open_verified(self.provider, dek,
-                                        parent.view.require_dvk(),
-                                        context, blob)
-                view = TableView.from_bytes(payload)
+                blob = self.blobs.get(
+                    layout.table_blob_id(attrs.inode, selector))
+                view = layout.open_table(
+                    self.provider, dek, parent.view.require_dvk(),
+                    attrs.inode, selector, blob)
             mutate(view, selector, dek)
-            new_blob = seal_and_sign(self.provider, dek, dsk, context,
-                                     view.to_bytes())
-            outgoing.append((table_blob_id(attrs.inode, selector),
-                             new_blob))
+            blob_id, new_blob = layout.seal_table(
+                self.provider, dek, dsk, attrs.inode, selector, view)
+            outgoing.append((blob_id, new_blob))
             # Write-through: the client just produced this view, no
             # need to re-fetch and re-verify its own write.  Under the
             # verified cache this also drops the directory's listing.
             self._cache_table(attrs.inode, selector, view, len(new_blob))
         self.blobs.send(outgoing, grouped=True)
+
+    def _add_row(self, parent: ResolvedNode, name: str,
+                 record: ObjectRecord, replace: bool = False) -> bool:
+        """Point every view of ``parent``'s table at ``record`` as
+        ``name`` (``replace`` drops the name's previous row first).
+
+        Returns whether any view got a SPLIT marker: the caller then owes
+        the child's lockboxes.
+        """
+        split_seen = False
+
+        def add_row(view: TableView, selector: str, dek: bytes) -> None:
+            nonlocal split_seen
+            entry = self._entry_for_selector(parent.attrs, record,
+                                             selector, name)
+            split_seen = split_seen or entry.kind == SPLIT
+            if replace:
+                view.remove(name, provider=self.provider, table_dek=dek)
+            view.add(entry, provider=self.provider, table_dek=dek)
+
+        self._update_parent_tables(parent, add_row)
+        return split_seen
+
+    def _remove_row(self, parent: ResolvedNode, name: str) -> None:
+        self._update_parent_tables(
+            parent, lambda view, selector, dek: view.remove(
+                name, provider=self.provider, table_dek=dek))
 
     def _write_lockboxes(self, record: ObjectRecord) -> None:
         scheme = self.volume.scheme
@@ -1661,18 +1638,7 @@ class SharoesFilesystem:
             view = record.view_for(owner_selector, cap, True)
             self._cache_view(inode, owner_selector, view,
                              len(view.to_bytes()))
-
-        split_seen = False
-
-        def add_row(view: TableView, selector: str, dek: bytes) -> None:
-            nonlocal split_seen
-            entry = self._entry_for_selector(parent.attrs, record,
-                                             selector, name)
-            split_seen = split_seen or entry.kind == SPLIT
-            view.add(entry, provider=self.provider, table_dek=dek)
-
-        self._update_parent_tables(parent, add_row)
-        if split_seen or attrs.acl:
+        if self._add_row(parent, name, record) or attrs.acl:
             self._write_lockboxes(record)
         return Stat.from_attrs(attrs)
 
@@ -1705,17 +1671,13 @@ class SharoesFilesystem:
     def _delete_object_blobs(self, attrs: MetadataAttrs) -> None:
         self._lease_for_write(attrs.inode)
         scheme = self.volume.scheme
-        victims = []
-        for selector in scheme.selectors(attrs):
-            victims.append(meta_blob(attrs.inode, selector))
-            if attrs.ftype == DIRECTORY:
-                victims.append(table_blob_id(attrs.inode, selector))
+        victims = layout.replica_ids(scheme, attrs)
         if attrs.ftype != DIRECTORY:
             index = 0
             while (index < max(attrs.block_count, 1)
                    or self.blobs.exists(
-                       block_blob_id(attrs.inode, index))):
-                victims.append(block_blob_id(attrs.inode, index))
+                       layout.block_blob_id(attrs.inode, index))):
+                victims.append(layout.block_blob_id(attrs.inode, index))
                 index += 1
         if attrs.acl or scheme.supports_splits():
             for user_id in scheme.lockbox_map(attrs):
@@ -1741,9 +1703,7 @@ class SharoesFilesystem:
         child = self._lookup_child(parent, name)
         if child.attrs.ftype == DIRECTORY:
             raise IsADirectory(path)
-        self._update_parent_tables(
-            parent, lambda view, sel, dek: view.remove(
-                name, provider=self.provider, table_dek=dek))
+        self._remove_row(parent, name)
         if child.attrs.nlink > 1:
             if child.view.is_owner_view:
                 record = ObjectRecord.from_owner_view(child.view,
@@ -1771,9 +1731,7 @@ class SharoesFilesystem:
             ) from None
         if table.entry_count():
             raise DirectoryNotEmpty(path)
-        self._update_parent_tables(
-            parent, lambda view, sel, dek: view.remove(
-                name, provider=self.provider, table_dek=dek))
+        self._remove_row(parent, name)
         self._delete_object_blobs(child.attrs)
 
     @traced("rename")
@@ -1789,17 +1747,9 @@ class SharoesFilesystem:
         new_table = self._fetch_table(new_parent)
         if new_name in new_table:
             raise FileExists(new_path)
-        record = self._child_record_for_rows(child)
-
-        def add_row(view: TableView, selector: str, dek: bytes) -> None:
-            entry = self._entry_for_selector(new_parent.attrs, record,
-                                             selector, new_name)
-            view.add(entry, provider=self.provider, table_dek=dek)
-
-        self._update_parent_tables(new_parent, add_row)
-        self._update_parent_tables(
-            old_parent, lambda view, sel, dek: view.remove(
-                old_name, provider=self.provider, table_dek=dek))
+        self._add_row(new_parent, new_name,
+                      self._child_record_for_rows(child))
+        self._remove_row(old_parent, old_name)
 
     def _child_record_for_rows(self, child: ResolvedNode) -> ObjectRecord:
         """A record sufficient to mint parent rows for ``child``.
@@ -1834,7 +1784,7 @@ class SharoesFilesystem:
         return False
 
     def _reencrypt_data(self, record: ObjectRecord, node: ResolvedNode,
-                        old_attrs: MetadataAttrs | None = None) -> None:
+                        old_attrs: MetadataAttrs) -> None:
         """Re-encrypt a file's blocks (or a dir's tables) under new keys.
 
         ``node`` still carries the *old* view (old DEK), so the content is
@@ -1845,18 +1795,14 @@ class SharoesFilesystem:
         attrs = record.attrs
         if attrs.ftype != DIRECTORY:
             content, _ = self._read_blocks(node)
-            blocks = self._split_blocks(content)
-            for index, block in enumerate(blocks):
-                payload = block
-                if index == 0:
-                    payload = len(blocks).to_bytes(4, "big") + block
-                context = bind_context("data", attrs.inode, f"b{index}")
-                blob = seal_and_sign(self.provider, record.dek, record.dsk,
-                                     context, payload)
-                self.blobs.send([(block_blob_id(attrs.inode, index), blob)],
-                                grouped=False)
+            blocks = layout.split_blocks(content, self.volume.block_size)
+            for index in range(len(blocks)):
+                self.blobs.send([layout.seal_block(
+                    self.provider, record.dek, record.dsk, attrs.inode,
+                    index, layout.block_payload(blocks, index))],
+                    grouped=False)
         else:
-            self._rebuild_tables(record, node, old_attrs or attrs)
+            self._rebuild_tables(record, node, old_attrs)
         self._invalidate(attrs.inode)
 
     def _rebuild_tables(self, record: ObjectRecord, node: ResolvedNode,
@@ -1885,11 +1831,10 @@ class SharoesFilesystem:
         old_owner_sel = scheme.owner_selector(old_attrs)
 
         def fetch_old_view(selector: str, dek: bytes) -> TableView:
-            blob = self.blobs.get(table_blob_id(attrs.inode, selector))
-            context = bind_context("table", attrs.inode, selector)
-            payload = open_verified(self.provider, dek, old_record.dvk,
-                                    context, blob)
-            return TableView.from_bytes(payload)
+            blob = self.blobs.get(
+                layout.table_blob_id(attrs.inode, selector))
+            return layout.open_table(self.provider, dek, old_record.dvk,
+                                     attrs.inode, selector, blob)
 
         canonical = fetch_old_view(old_owner_sel,
                                    old_record.table_deks[old_owner_sel])
@@ -1916,22 +1861,16 @@ class SharoesFilesystem:
             child_records[name] = result
             return result
 
+        old_views = layout.table_views(scheme, old_attrs)
         outgoing = []
-        for selector in scheme.selectors(attrs):
-            style = self.volume.table_style(attrs, selector)
-            if style == VIEW_NONE:
-                continue
-            old_style = (self.volume.table_style(old_attrs, selector)
-                         if selector in scheme.selectors(old_attrs)
-                         else VIEW_NONE)
+        for selector, style in layout.table_views(scheme, attrs).items():
             old_view = None
-            if old_style not in (VIEW_NONE,):
-                old_dek = old_record.table_deks.get(selector)
-                if old_dek is not None:
-                    try:
-                        old_view = fetch_old_view(selector, old_dek)
-                    except (BlobNotFound, CryptoError):
-                        old_view = None
+            old_dek = old_record.table_deks.get(selector)
+            if selector in old_views and old_dek is not None:
+                try:
+                    old_view = fetch_old_view(selector, old_dek)
+                except (BlobNotFound, CryptoError):
+                    old_view = None
 
             dek = record.table_deks[selector]
             view = TableView.build(style, [], provider=self.provider,
@@ -1944,10 +1883,9 @@ class SharoesFilesystem:
                                              child_record_for, selector,
                                              attrs)
                 view.add(entry, provider=self.provider, table_dek=dek)
-            context = bind_context("table", attrs.inode, selector)
-            blob = seal_and_sign(self.provider, dek, record.dsk, context,
-                                 view.to_bytes())
-            outgoing.append((table_blob_id(attrs.inode, selector), blob))
+            outgoing.append(layout.seal_table(
+                self.provider, dek, record.dsk, attrs.inode, selector,
+                view))
         self.blobs.send(outgoing, grouped=True)
 
     def _recover_row(self, name: str, canonical: TableView,
@@ -1982,59 +1920,68 @@ class SharoesFilesystem:
         return self._entry_for_selector(parent_attrs, child, selector,
                                         name)
 
-    @traced("chmod")
-    @_mutating("chmod")
-    def chmod(self, path: str, mode: int) -> Stat:
-        """Change permissions (owner only -- MSK is the capability).
+    def _change_attrs(self, path: str, edit, rotate: bool = False) -> Stat:
+        """The one owner-side attribute change (MSK is the capability).
 
-        Creates/destroys CAP replicas as needed; on revocation the
-        prototype's immediate mode re-encrypts the data under fresh keys
-        right away, the lazy mode defers to the next write (paper
-        section IV discusses both).
+        ``edit(attrs)`` validates, then applies, the change on a copy of
+        the current attributes.  What follows is the same for every
+        caller: CAP replicas are created/destroyed to match the new
+        attributes; ``rotate`` re-keys everything; otherwise any lost
+        read or write ability -- a mode bit or an ACL entry -- re-keys
+        the data (immediately, or lazily on the owner's next write:
+        paper section IV discusses both); replicas are rewritten, the
+        replicas and table views of CAPs that no longer exist are
+        deleted, and the parent's pointers refreshed.
         """
         self._charge_other()
         node = self._resolve(path)
-        self._validate_mode(mode, node.attrs.ftype, node.attrs.acl)
+        new_attrs = node.attrs.copy()
+        edit(new_attrs)
         record = ObjectRecord.from_owner_view(node.view, node.mvk)
-        old_attrs = record.attrs.copy()
-        record.attrs.mode = mode
-        record.attrs.version += 1
-        revoked = self._is_revocation(old_attrs, record.attrs)
+        old_attrs, record.attrs = record.attrs, new_attrs
+        new_attrs.version += 1
         scheme = self.volume.scheme
-        new_selectors = scheme.selectors(record.attrs)
-        record.ensure_selector_keys(new_selectors)
-        dropped = record.drop_selectors(new_selectors)
-        if revoked:
+        selectors = scheme.selectors(new_attrs)
+        record.ensure_selector_keys(selectors)
+        record.drop_selectors(selectors)
+        kept_users = {entry.user_id for entry in new_attrs.acl}
+        gone_users = [entry.user_id for entry in old_attrs.acl
+                      if entry.user_id not in kept_users]
+        if rotate:
+            record.rekey_data()
+            record.rekey_metadata()
+            self._reencrypt_data(record, node, old_attrs)
+        elif gone_users or self._is_revocation(old_attrs, new_attrs):
             if self.config.immediate_revocation:
                 record.rekey_data()
                 self._reencrypt_data(record, node, old_attrs)
             else:
                 record.needs_rekey = True
-        elif record.attrs.ftype == DIRECTORY and self._table_layout_changed(
-                old_attrs, record.attrs):
+        elif layout.table_views(scheme, old_attrs) != layout.table_views(
+                scheme, new_attrs):
             # View styles or the view set changed (e.g. o--x -> o-rx):
             # every table view is rebuilt from the management copy.
             self._reencrypt_data(record, node, old_attrs)
         self._write_metadata_replicas(record)
-        doomed = []
-        for selector in dropped:
-            doomed.append((meta_blob(record.attrs.inode, selector), None))
-            if record.attrs.ftype == DIRECTORY:
-                doomed.append(
-                    (table_blob_id(record.attrs.inode, selector), None))
-        self.blobs.send(doomed, grouped=False)
+        kept = set(layout.replica_ids(scheme, new_attrs))
+        doomed = [blob_id for blob_id in layout.replica_ids(scheme, old_attrs)
+                  if blob_id not in kept]
+        doomed += [lockbox_blob(new_attrs.inode, user_id)
+                   for user_id in gone_users]
+        self.blobs.send([(blob_id, None) for blob_id in doomed],
+                        grouped=False)
         self._refresh_parent_pointers(path, record, old_attrs)
-        return Stat.from_attrs(record.attrs)
+        return Stat.from_attrs(new_attrs)
 
-    def _table_layout_changed(self, old_attrs: MetadataAttrs,
-                              new_attrs: MetadataAttrs) -> bool:
-        """Did the set of table views, or any view's style, change?"""
-        scheme = self.volume.scheme
-        old_styles = {s: self.volume.table_style(old_attrs, s)
-                      for s in scheme.selectors(old_attrs)}
-        new_styles = {s: self.volume.table_style(new_attrs, s)
-                      for s in scheme.selectors(new_attrs)}
-        return old_styles != new_styles
+    @traced("chmod")
+    @_mutating("chmod")
+    def chmod(self, path: str, mode: int) -> Stat:
+        """Change permissions (owner only)."""
+        def edit(attrs: MetadataAttrs) -> None:
+            self._validate_mode(mode, attrs.ftype, attrs.acl)
+            attrs.mode = mode
+
+        return self._change_attrs(path, edit)
 
     def _refresh_parent_pointers(self, path: str, record: ObjectRecord,
                                  old_attrs: MetadataAttrs) -> None:
@@ -2064,15 +2011,7 @@ class SharoesFilesystem:
             for s in scheme.selectors(parent.attrs)}
         if (old_pointers != new_pointers
                 or self._pointer_keys_changed(record, parent, name)):
-
-            def refresh_row(view: TableView, selector: str,
-                            dek: bytes) -> None:
-                entry = self._entry_for_selector(parent.attrs, record,
-                                                 selector, name)
-                view.remove(name, provider=self.provider, table_dek=dek)
-                view.add(entry, provider=self.provider, table_dek=dek)
-
-            self._update_parent_tables(parent, refresh_row)
+            self._add_row(parent, name, record, replace=True)
         if any(kind == SPLIT for kind, _ in new_pointers.values()) or (
                 record.attrs.acl):
             self._write_lockboxes(record)
@@ -2097,31 +2036,13 @@ class SharoesFilesystem:
     def chown(self, path: str, new_owner: str,
               new_group: str | None = None) -> Stat:
         """Transfer ownership: full rekey (the old owner knew every key)."""
-        self._charge_other()
-        node = self._resolve(path)
-        record = ObjectRecord.from_owner_view(node.view, node.mvk)
-        old_attrs = record.attrs.copy()
-        self.volume.registry.user(new_owner)  # must exist
-        record.attrs.owner = new_owner
-        if new_group is not None:
-            record.attrs.group = new_group
-        record.attrs.version += 1
-        new_selectors = self.volume.scheme.selectors(record.attrs)
-        record.ensure_selector_keys(new_selectors)
-        dropped = record.drop_selectors(new_selectors)
-        record.rekey_data()
-        record.rekey_metadata()
-        self._reencrypt_data(record, node, old_attrs)
-        self._write_metadata_replicas(record)
-        doomed = []
-        for selector in dropped:
-            doomed.append((meta_blob(record.attrs.inode, selector), None))
-            if record.attrs.ftype == DIRECTORY:
-                doomed.append(
-                    (table_blob_id(record.attrs.inode, selector), None))
-        self.blobs.send(doomed, grouped=False)
-        self._refresh_parent_pointers(path, record, old_attrs)
-        return Stat.from_attrs(record.attrs)
+        def edit(attrs: MetadataAttrs) -> None:
+            self.volume.registry.user(new_owner)  # must exist
+            attrs.owner = new_owner
+            if new_group is not None:
+                attrs.group = new_group
+
+        return self._change_attrs(path, edit, rotate=True)
 
     @traced("set_acl")
     @_mutating("set_acl")
@@ -2131,38 +2052,13 @@ class SharoesFilesystem:
         ACL grants are delivered through public-key lockboxes -- the
         paper's split-point machinery (section III-D).
         """
-        self._charge_other()
-        node = self._resolve(path)
-        for entry in entries:
-            self.volume.registry.user(entry.user_id)
-        self._validate_mode(node.attrs.mode, node.attrs.ftype, entries)
-        record = ObjectRecord.from_owner_view(node.view, node.mvk)
-        old_attrs = record.attrs.copy()
-        revoked = any(e.user_id not in {n.user_id for n in entries}
-                      for e in old_attrs.acl)
-        record.attrs.acl = tuple(entries)
-        record.attrs.version += 1
-        new_selectors = self.volume.scheme.selectors(record.attrs)
-        record.ensure_selector_keys(new_selectors)
-        record.drop_selectors(new_selectors)
-        if revoked:
-            if self.config.immediate_revocation:
-                record.rekey_data()
-                self._reencrypt_data(record, node, old_attrs)
-            else:
-                record.needs_rekey = True
-        elif record.attrs.ftype == DIRECTORY and self._table_layout_changed(
-                old_attrs, record.attrs):
-            self._reencrypt_data(record, node, old_attrs)
-        self._write_metadata_replicas(record)
-        removed_users = ({e.user_id for e in old_attrs.acl}
-                         - {e.user_id for e in entries})
-        for user_id in removed_users:
-            self.blobs.send(
-                [(lockbox_blob(record.attrs.inode, user_id), None)],
-                grouped=False)
-        self._refresh_parent_pointers(path, record, old_attrs)
-        return Stat.from_attrs(record.attrs)
+        def edit(attrs: MetadataAttrs) -> None:
+            for entry in entries:
+                self.volume.registry.user(entry.user_id)
+            self._validate_mode(attrs.mode, attrs.ftype, entries)
+            attrs.acl = tuple(entries)
+
+        return self._change_attrs(path, edit)
 
     @traced("rekey")
     @_mutating("rekey")
@@ -2173,14 +2069,4 @@ class SharoesFilesystem:
         group replica's MEK, so metadata keys rotate and parent pointers
         are refreshed.
         """
-        self._charge_other()
-        node = self._resolve(path)
-        record = ObjectRecord.from_owner_view(node.view, node.mvk)
-        old_attrs = record.attrs.copy()
-        record.attrs.version += 1
-        record.rekey_data()
-        record.rekey_metadata()
-        self._reencrypt_data(record, node)
-        self._write_metadata_replicas(record)
-        self._refresh_parent_pointers(path, record, old_attrs)
-        return Stat.from_attrs(record.attrs)
+        return self._change_attrs(path, lambda attrs: None, rotate=True)

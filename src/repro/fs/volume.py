@@ -13,33 +13,25 @@ workstation".
 
 from __future__ import annotations
 
-from ..caps.model import VIEW_FULL, VIEW_NONE
 from ..caps.record import ObjectRecord
 from ..caps.schemes import ReplicationScheme, make_scheme
 from ..crypto.keys import OBJECT_SIGNATURE_PRIME_BITS
 from ..crypto.provider import CryptoProvider
 from ..errors import SharoesError
 from ..principals.registry import PrincipalRegistry
-from ..storage.blobs import data_blob, meta_blob, superblock_blob
+# meta_blob, block_blob_id and table_blob_id are re-exported: existing
+# importers take the blob-id helpers from here.
+from ..storage.blobs import meta_blob, superblock_blob  # noqa: F401
 from ..storage.server import StorageServer
+from . import layout
 from .dirtable import TableView
 from .inode import InodeAllocator
+from .layout import block_blob_id, table_blob_id  # noqa: F401
 from .metadata import MetadataAttrs
 from .permissions import DIRECTORY
-from .sealed import bind_context, seal_and_sign
 from .superblock import Superblock
 
 DEFAULT_BLOCK_SIZE = 64 * 1024
-
-
-def table_blob_id(inode: int, selector: str):
-    """Blob id of one directory-table view."""
-    return data_blob(inode, "t:" + selector)
-
-
-def block_blob_id(inode: int, index: int):
-    """Blob id of one file data block."""
-    return data_blob(inode, f"b{index}")
 
 
 class SharoesVolume:
@@ -101,46 +93,24 @@ class SharoesVolume:
                      record: ObjectRecord,
                      table_entries=None) -> None:
         """Write all metadata replicas (and table views for a directory)."""
-        attrs = record.attrs
-        owner_selector = self.scheme.owner_selector(attrs)
-        for selector in self.scheme.selectors(attrs):
-            cap = self.scheme.cap_for_selector(attrs, selector)
-            blob = record.metadata_blob(provider, selector, cap,
-                                        selector == owner_selector)
-            self.server.put(meta_blob(attrs.inode, selector), blob)
-        if attrs.ftype == DIRECTORY:
+        for blob_id, blob in layout.metadata_replicas(self.scheme, provider,
+                                                      record):
+            self.server.put(blob_id, blob)
+        if record.attrs.ftype == DIRECTORY:
             self.write_tables(provider, record, table_entries or {})
-
-    def table_style(self, attrs: MetadataAttrs, selector: str) -> str:
-        """View style for one table replica.
-
-        The owner's table view is always the full management copy: the
-        owner needs canonical rows to rebuild every view on chmod/chown,
-        and honest-client checks still apply the owner's actual CAP.
-        Zero-CAP selectors have no table view at all (VIEW_NONE) -- their
-        metadata replica exists for stat, but the directory's data block
-        is unreachable.
-        """
-        if selector == self.scheme.owner_selector(attrs):
-            return VIEW_FULL
-        return self.scheme.cap_for_selector(attrs, selector).table_view
 
     def write_tables(self, provider: CryptoProvider, record: ObjectRecord,
                      entries_by_selector: dict[str, list]) -> None:
         """Seal + sign + store every table view of a directory."""
         attrs = record.attrs
-        for selector in self.scheme.selectors(attrs):
-            style = self.table_style(attrs, selector)
-            if style == VIEW_NONE:
-                continue
+        for selector, style in layout.table_views(self.scheme,
+                                                  attrs).items():
             dek = record.table_deks[selector]
             view = TableView.build(
                 style, entries_by_selector.get(selector, []),
                 provider=provider, table_dek=dek)
-            context = bind_context("table", attrs.inode, selector)
-            blob = seal_and_sign(provider, dek, record.dsk, context,
-                                 view.to_bytes())
-            self.server.put(table_blob_id(attrs.inode, selector), blob)
+            self.server.put(*layout.seal_table(
+                provider, dek, record.dsk, attrs.inode, selector, view))
 
     def write_superblocks(self, provider: CryptoProvider,
                           root_record: ObjectRecord) -> int:

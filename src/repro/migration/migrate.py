@@ -20,18 +20,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..caps.model import VIEW_NONE, cap_for_bits
+from ..caps.model import cap_for_bits
 from ..caps.record import ObjectRecord, lockbox_payload
 from ..crypto.provider import CryptoProvider
 from ..errors import MigrationError, UnsupportedPermission
+from ..fs import layout
 from ..fs.blobio import _REQUEST_HEADER_BYTES, _RESPONSE_HEADER_BYTES
 from ..fs.dirtable import SPLIT, DirEntry, DirPointer, TableView
 from ..fs.metadata import MetadataAttrs
 from ..fs.permissions import DIRECTORY, EXEC, FILE, READ, WRITE
-from ..fs.sealed import bind_context, seal_and_sign
-from ..fs.volume import SharoesVolume, block_blob_id, table_blob_id
+from ..fs.volume import SharoesVolume
 from ..sim.costmodel import CostModel
-from ..storage.blobs import lockbox_blob, meta_blob
+from ..storage.blobs import lockbox_blob
 from .localfs import LocalNode, LocalTree
 
 _BATCH_SIZE = 100
@@ -191,43 +191,26 @@ class MigrationTool:
         return record
 
     def _write_replicas(self, record: ObjectRecord) -> None:
-        scheme = self.volume.scheme
-        attrs = record.attrs
-        owner_selector = scheme.owner_selector(attrs)
-        for selector in scheme.selectors(attrs):
-            cap = scheme.cap_for_selector(attrs, selector)
-            blob = record.metadata_blob(self.provider, selector, cap,
-                                        selector == owner_selector)
-            self._upload(meta_blob(attrs.inode, selector), blob,
-                         compressible=False)
+        for blob_id, blob in layout.metadata_replicas(
+                self.volume.scheme, self.provider, record):
+            self._upload(blob_id, blob, compressible=False)
             self.report.replicas += 1
 
     def _write_file_blocks(self, record: ObjectRecord,
                            content: bytes) -> None:
         attrs = record.attrs
-        block_size = self.volume.block_size
-        blocks = ([content[i:i + block_size]
-                   for i in range(0, len(content), block_size)]
-                  if content else [])
+        blocks = layout.split_blocks(content, self.volume.block_size)
         attrs.block_count = len(blocks)
-        for index, block in enumerate(blocks):
-            payload = block
-            if index == 0:
-                payload = len(blocks).to_bytes(4, "big") + block
-            context = bind_context("data", attrs.inode, f"b{index}")
-            blob = seal_and_sign(self.provider, record.dek, record.dsk,
-                                 context, payload)
-            self._upload(block_blob_id(attrs.inode, index), blob,
-                         compressible=True)
+        for index in range(len(blocks)):
+            self._upload(*layout.seal_block(
+                self.provider, record.dek, record.dsk, attrs.inode, index,
+                layout.block_payload(blocks, index)), compressible=True)
 
     def _write_tables(self, record: ObjectRecord,
                       children: dict[str, ObjectRecord]) -> None:
         scheme = self.volume.scheme
         attrs = record.attrs
-        for selector in scheme.selectors(attrs):
-            style = self.volume.table_style(attrs, selector)
-            if style == VIEW_NONE:
-                continue
+        for selector, style in layout.table_views(scheme, attrs).items():
             dek = record.table_deks[selector]
             view = TableView.build(style, [], provider=self.provider,
                                    table_dek=dek)
@@ -252,11 +235,9 @@ class MigrationTool:
                             mek=child.selector_meks[child_selector],
                             mvk=child.mvk.to_bytes()))
                 view.add(entry, provider=self.provider, table_dek=dek)
-            context = bind_context("table", attrs.inode, selector)
-            blob = seal_and_sign(self.provider, dek, record.dsk, context,
-                                 view.to_bytes())
-            self._upload(table_blob_id(attrs.inode, selector), blob,
-                         compressible=False)
+            self._upload(*layout.seal_table(
+                self.provider, dek, record.dsk, attrs.inode, selector,
+                view), compressible=False)
 
     def _maybe_write_lockboxes(self, record: ObjectRecord) -> None:
         """ACL entries always need lockboxes, split or not."""

@@ -13,7 +13,9 @@ What it detects:
 * SSP rollbacks of objects visited twice (via the client's freshness
   monitor);
 * orphaned blobs -- storage the SSP bills for that no user can reach
-  (e.g. left over from interrupted deletes);
+  (e.g. left over from interrupted deletes), including metadata replicas
+  and table views of a live object that its attributes no longer call
+  for (the replica census, ``fs/layout.replica_ids``);
 * pending or forged write-ahead intents in per-user journals (clients
   that died mid-mutation; SSP-injected journal bytes).
 
@@ -34,11 +36,13 @@ from dataclasses import dataclass, field
 from ..crypto.provider import CryptoProvider
 from ..errors import (BlobNotFound, FilesystemError, IntegrityError,
                       PermissionDenied, SharoesError, StorageError)
-from ..fs import journal
-from ..fs.client import ClientConfig, SharoesFilesystem
+from ..fs import journal, layout
+from ..fs.client import SharoesFilesystem
+from ..fs.metadata import MetadataAttrs
 from ..fs.volume import SharoesVolume
 from ..storage.blobs import BlobId, journal_blob
-from ..storage.server import StorageServer
+from ..storage.resilient import ServerWrapper
+from ..storage.server import MUTATION_KINDS, BatchOp
 
 
 @dataclass
@@ -101,29 +105,24 @@ class RepairReport:
                 f"{len(self.advanced_epochs)} lease epochs advanced")
 
 
-class _RecordingServer:
-    """Pass-through server proxy recording every blob id touched."""
+class _RecordingServer(ServerWrapper):
+    """Read-only pass-through recording every blob id touched.
 
-    def __init__(self, inner: StorageServer):
-        self._inner = inner
+    One hook covers the named methods and every sub-op of a batch, so a
+    fenced put or a batched delete is refused like a plain one and a
+    batched read is recorded like a single get.
+    """
+
+    def __init__(self, inner):
+        super().__init__(inner)
         self.touched: set[BlobId] = set()
 
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-    def get(self, blob_id: BlobId) -> bytes:
-        self.touched.add(blob_id)
-        return self._inner.get(blob_id)
-
-    def put(self, blob_id: BlobId, payload: bytes) -> None:
-        raise SharoesError("fsck is read-only; write attempted")
-
-    def delete(self, blob_id: BlobId) -> None:
-        raise SharoesError("fsck is read-only; delete attempted")
-
-    def exists(self, blob_id: BlobId) -> bool:
-        self.touched.add(blob_id)
-        return self._inner.exists(blob_id)
+    def _forward(self, op: BatchOp):
+        if op.kind in MUTATION_KINDS:
+            raise SharoesError(
+                f"fsck is read-only; {op.kind} of {op.blob_id} attempted")
+        self.touched.add(op.blob_id)
+        return op.call(self.inner)
 
 
 class VolumeAuditor:
@@ -135,12 +134,14 @@ class VolumeAuditor:
     def audit(self, check_orphans: bool = True) -> AuditReport:
         report = AuditReport()
         recorder = _RecordingServer(self.volume.server)
-        shadow = _ShadowVolume(self.volume, recorder)
-        visited_inodes: set[int] = set()
+        #: inode -> attributes, as the first user to reach it saw them
+        visited_inodes: dict[int, MetadataAttrs] = {}
 
         for user in self.volume.registry.users():
-            fs = SharoesFilesystem(shadow, user,
-                                   config=ClientConfig())
+            # The client's ``server=`` seam puts the read-only recorder
+            # under this mount; scheme, allocator and registry stay the
+            # volume's own.
+            fs = SharoesFilesystem(self.volume, user, server=recorder)
             try:
                 fs.mount()
             except Exception:
@@ -313,18 +314,20 @@ class VolumeAuditor:
     # -- traversal --------------------------------------------------------------
 
     def _walk(self, fs: SharoesFilesystem, path: str,
-              report: AuditReport, visited: set[int]) -> None:
+              report: AuditReport,
+              visited: dict[int, MetadataAttrs]) -> None:
         try:
-            stat = fs.lstat(path)
+            # lstat, but keeping the ACL: the census needs it.
+            attrs = fs._resolve(path, follow_last=False).attrs
         except (PermissionDenied, FilesystemError):
             return
         except IntegrityError as exc:
             report.integrity_errors.append(f"{path}: {exc}")
             return
-        first_visit = stat.inode not in visited
-        visited.add(stat.inode)
+        first_visit = attrs.inode not in visited
+        visited.setdefault(attrs.inode, attrs)
 
-        if stat.ftype == "dir":
+        if attrs.ftype == "dir":
             try:
                 names = fs.readdir(path)
             except PermissionDenied:
@@ -342,7 +345,7 @@ class VolumeAuditor:
                     report.integrity_errors.append(f"{child}: {exc}")
                 except SharoesError as exc:
                     report.structural_errors.append(f"{child}: {exc}")
-        elif stat.ftype == "symlink":
+        elif attrs.ftype == "symlink":
             if first_visit:
                 report.symlinks_verified += 1
             try:
@@ -363,18 +366,26 @@ class VolumeAuditor:
 
     def _find_orphans(self, recorder: _RecordingServer,
                       report: AuditReport,
-                      visited_inodes: set[int]) -> None:
-        """Blobs belonging to no reachable inode.
+                      visited_inodes: dict[int, MetadataAttrs]) -> None:
+        """Blobs belonging to no reachable inode, plus replicas of a
+        reachable inode that its attributes do not call for.
 
         Reachability is inode-granular: an exec-only directory's hidden
         table views and empty-class metadata replicas are legitimately
-        never *read* by a listing walk, but their inode is known.
+        never *read* by a listing walk, but their inode is known.  Below
+        that, every replica carries the object's full attributes, so the
+        metadata replicas and table views an inode *should* have are
+        computable (``layout.replica_ids``); one stored beyond them is
+        the leftover of a revoked CAP.
         """
         try:
             all_ids = set(self.volume.server.raw_blobs())
         except StorageError:
             return  # remote SSPs expose no census
-        for blob_id in sorted(all_ids - recorder.touched):
+        expected = {
+            inode: set(layout.replica_ids(self.volume.scheme, attrs))
+            for inode, attrs in visited_inodes.items()}
+        for blob_id in sorted(all_ids):
             # Lockboxes, superblocks and group keys are only read by
             # their single addressee on specific paths; journals are
             # per-user recovery state audited separately; lease chains
@@ -385,21 +396,11 @@ class VolumeAuditor:
             if blob_id.kind in ("super", "groupkey", "lockbox",
                                 "journal", "lease", "vsl"):
                 continue
-            if blob_id.inode in visited_inodes:
-                continue
-            report.orphaned_blobs.append(str(blob_id))
+            if blob_id.inode not in expected:
+                orphaned = blob_id not in recorder.touched
+            else:
+                orphaned = (layout.in_census(blob_id)
+                            and blob_id not in expected[blob_id.inode])
+            if orphaned:
+                report.orphaned_blobs.append(str(blob_id))
 
-
-class _ShadowVolume:
-    """The auditor's volume handle with the recording (read-only) server.
-
-    Delegates everything except the server to the real volume, so scheme,
-    allocator and registry stay shared.
-    """
-
-    def __init__(self, volume: SharoesVolume, server: _RecordingServer):
-        self._volume = volume
-        self.server = server
-
-    def __getattr__(self, name):
-        return getattr(self._volume, name)

@@ -97,13 +97,6 @@ class TestCreateAndRead:
         assert alice_fs.getattr("/f").size == 0
         assert alice_fs.read_file("/f") == b"12345"
 
-    def test_size_fresh_with_option(self, make_fs):
-        from repro.fs.client import ClientConfig
-        fs = make_fs("alice", config=ClientConfig(
-            update_metadata_on_close=True))
-        fs.create_file("/sized", b"12345")
-        assert fs.getattr("/sized").size == 5
-
 
 class TestReaddir:
     def test_lists_sorted(self, alice_fs):

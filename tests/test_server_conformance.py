@@ -8,7 +8,8 @@ front-ends; return values, exception types and the final blobs must
 equal the reference run.  Alongside: the three mutation-counting
 injectors count exactly ``MUTATION_KINDS``, and ``FlakyServer``'s RNG
 draw order over the script is pinned to the sequence recorded before
-the layers were rewritten over ``_forward``.
+the layers were rewritten over ``_forward``.  fsck's read-only recorder
+has its own table: transparent for reads, every mutation kind refused.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.errors import StorageError, TransientStorageError
+from repro.errors import SharoesError, StorageError, TransientStorageError
 from repro.obs.wiretrace import TracedServer
 from repro.sim.clock import SimClock
 from repro.storage.aiowire import AsyncSspServer
@@ -32,6 +33,7 @@ from repro.storage.server import (BATCH_KINDS, MUTATION_KINDS, BatchOp,
                                   StorageServer)
 from repro.storage.shards import ShardOutageServer
 from repro.storage.wire import RemoteStorageClient, SspServer
+from repro.tools.fsck import _RecordingServer
 from repro.tools.interleave import PauseServer
 
 A, B, C = data_blob(1, "b0"), data_blob(2, "b0"), data_blob(3, "b0")
@@ -121,6 +123,11 @@ LAYERS = {
     "RemoteStorageClient/asyncio": lambda: _remote(AsyncSspServer),
 }
 
+#: Layers that forward reads untouched and refuse every mutation.
+READ_ONLY = {
+    "_RecordingServer": lambda: _in_process(_RecordingServer),
+}
+
 
 def _outcome(server, op: BatchOp):
     """What a caller of the named method observes, as a value."""
@@ -169,8 +176,37 @@ def test_table_covers_every_decorator_in_src():
 
     in_src = {cls.__name__ for cls in subclasses(ServerWrapper)
               if cls.__module__.startswith("repro.")}
-    assert in_src <= set(LAYERS), \
-        f"decorators missing from LAYERS: {sorted(in_src - set(LAYERS))}"
+    covered = set(LAYERS) | set(READ_ONLY)
+    assert in_src <= covered, \
+        f"decorators missing from LAYERS: {sorted(in_src - covered)}"
+
+
+@pytest.mark.parametrize("name", READ_ONLY)
+def test_read_only_layer_forwards_reads_and_refuses_mutations(name):
+    with READ_ONLY[name]() as (layer, backend):
+        for op in SCRIPT:
+            if op.kind not in MUTATION_KINDS:
+                assert _outcome(layer, op) == _outcome(backend, op), op
+                continue
+            before = backend.raw_blobs()
+            with pytest.raises(SharoesError, match="read-only") as refused:
+                op.call(layer)
+            assert refused.type is SharoesError  # not a storage outcome
+            assert backend.raw_blobs() == before, op
+            _outcome(backend, op)  # the script's state, for later reads
+        # A frame of reads is answered and recorded sub-op by sub-op; one
+        # mutation anywhere in a frame refuses it (the hole the
+        # hand-written get/put/delete/exists proxy had).
+        reads = [op for op in BATCH if op.kind not in MUTATION_KINDS]
+        layer.touched.clear()
+        assert layer.batch(reads) == backend.batch(reads)
+        assert layer.touched == {op.blob_id for op in reads}
+        before = backend.raw_blobs()
+        with pytest.raises(SharoesError, match="read-only"):
+            layer.batch([BatchOp.get(B), BatchOp.delete(B)])
+        with pytest.raises(SharoesError, match="read-only"):
+            layer.put_fenced(C, b"c9", FENCE, 9)
+        assert backend.raw_blobs() == before
 
 
 @pytest.mark.parametrize("counter", [CrashingServer, PauseServer,
