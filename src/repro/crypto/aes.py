@@ -19,6 +19,7 @@ from __future__ import annotations
 import secrets
 
 from ..errors import CryptoError
+from .hashes import xor_bytes
 
 BLOCK_SIZE = 16
 
@@ -236,9 +237,8 @@ def encrypt_cbc(key: bytes, plaintext: bytes, iv: bytes | None = None) -> bytes:
     out = bytearray(iv)
     previous = iv
     for offset in range(0, len(padded), BLOCK_SIZE):
-        block = bytes(a ^ b for a, b in
-                      zip(padded[offset:offset + BLOCK_SIZE], previous))
-        previous = cipher.encrypt_block(block)
+        previous = cipher.encrypt_block(
+            xor_bytes(padded[offset:offset + BLOCK_SIZE], previous))
         out.extend(previous)
     return bytes(out)
 
@@ -253,8 +253,7 @@ def decrypt_cbc(key: bytes, ciphertext: bytes) -> bytes:
     previous = iv
     for offset in range(0, len(body), BLOCK_SIZE):
         block = body[offset:offset + BLOCK_SIZE]
-        plain = cipher.decrypt_block(block)
-        out.extend(a ^ b for a, b in zip(plain, previous))
+        out.extend(xor_bytes(cipher.decrypt_block(block), previous))
         previous = block
     return pkcs7_unpad(bytes(out))
 
@@ -272,7 +271,7 @@ def encrypt_ctr(key: bytes, plaintext: bytes, nonce: bytes | None = None) -> byt
         keystream = cipher.encrypt_block(
             nonce + counter.to_bytes(8, "big"))
         chunk = plaintext[offset:offset + BLOCK_SIZE]
-        out.extend(a ^ b for a, b in zip(chunk, keystream))
+        out.extend(xor_bytes(chunk, keystream[:len(chunk)]))
         counter += 1
     return bytes(out)
 
@@ -288,7 +287,7 @@ def decrypt_ctr(key: bytes, ciphertext: bytes) -> bytes:
     for offset in range(0, len(body), BLOCK_SIZE):
         keystream = cipher.encrypt_block(nonce + counter.to_bytes(8, "big"))
         chunk = body[offset:offset + BLOCK_SIZE]
-        out.extend(a ^ b for a, b in zip(chunk, keystream))
+        out.extend(xor_bytes(chunk, keystream[:len(chunk)]))
         counter += 1
     return bytes(out)
 

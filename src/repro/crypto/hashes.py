@@ -29,6 +29,18 @@ def hexdigest(data: bytes, algorithm: str = DEFAULT_HASH) -> str:
     return hashlib.new(algorithm, data).hexdigest()
 
 
+def xor_bytes(a: bytes, b: bytes) -> bytes:
+    """XOR of two equal-length byte strings.
+
+    One big-integer XOR in C rather than a Python step per byte; every
+    cipher mode in :mod:`repro.crypto` combines keystream and data here.
+    """
+    if len(a) != len(b):
+        raise ValueError("xor_bytes needs operands of equal length")
+    return (int.from_bytes(a, "little")
+            ^ int.from_bytes(b, "little")).to_bytes(len(a), "little")
+
+
 def hmac(key: bytes, data: bytes, algorithm: str = DEFAULT_HASH) -> bytes:
     """HMAC of ``data`` under ``key``."""
     return _hmac.new(key, data, algorithm).digest()

@@ -49,7 +49,7 @@ class _SymmetricEngine(Protocol):
 
 
 class StreamEngine:
-    """SHA-256-CTR + HMAC engine (fast path; see crypto.stream)."""
+    """SHAKE-256 keystream + HMAC engine (fast path; see crypto.stream)."""
 
     name = "stream"
 

@@ -1,12 +1,86 @@
 """Primes, hashes/KDF, stream cipher, serialization helpers."""
 
+import hashlib
+import random
+import secrets
+import sys
+from math import log2, sqrt
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import hashes, primes, stream
+from repro.crypto import esign, hashes, primes, rsa, stream
 from repro.errors import CryptoError, IntegrityError
 from repro.serialize import Reader, SerializationError, Writer
+from repro.tools.twin import pinned_entropy
+
+
+def _profile_events(fn) -> int:
+    """Python-level and C-level calls made while running ``fn``.
+
+    Deterministic and machine-independent, unlike a timing: a per-byte
+    or per-block Python loop shows up as thousands of events.
+    """
+    events = 0
+
+    def profiler(frame, event, arg):
+        nonlocal events
+        if event in ("call", "c_call"):
+            events += 1
+
+    sys.setprofile(profiler)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return events
+
+
+def _reference_is_prime(n: int, rounds: int = 40) -> bool:
+    """The plain form of ``primes.is_prime`` it must agree with: Python
+    trial division, halving loop, eager witness list."""
+    if n < 2:
+        return False
+    for p in primes.SMALL_PRIMES:
+        if n == p:
+            return True
+        if n % p == 0:
+            return False
+    d = n - 1
+    r = 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    if n < primes._DETERMINISTIC_LIMIT:
+        witnesses = [w for w in primes._DETERMINISTIC_WITNESSES if w < n - 1]
+    else:
+        witnesses = [secrets.randbelow(n - 3) + 2 for _ in range(rounds)]
+    return all(primes._miller_rabin_round(n, d, r, w) for w in witnesses)
+
+
+def _dlp_log2_bound(k: int, t: int) -> float:
+    """log2 of the Damgard-Landrock-Pomerance bound on p(k,t): the chance
+    that a random odd k-bit number passing t Miller-Rabin rounds is
+    composite (HAC fact 4.48; the estimates behind FIPS 186-4 C.3)."""
+    bounds = [0.0]
+    if t == 1:
+        bounds.append(2 * log2(k) + 2 * (2 - sqrt(k)))
+    if (t == 2 and k >= 88) or (3 <= t <= k / 9 and k >= 21):
+        bounds.append(1.5 * log2(k) + t - 0.5 * log2(t)
+                      + 2 * (2 - sqrt(t * k)))
+    if k >= 21 and k / 9 <= t <= k / 4:
+        bounds.append(log2(7 / 20 * k * 2.0 ** (-5 * t)
+                           + 1 / 7 * k ** 3.75 * 2.0 ** (-k / 2 - 2 * t)
+                           + 12 * k * 2.0 ** (-k / 4 - 3 * t)))
+    if k >= 21 and t >= k / 4:
+        bounds.append(log2(1 / 7) + 3.75 * log2(k) - k / 2 - 2 * t)
+    return min(bounds)
+
+
+# p * q for two 48-bit primes: survives the small-prime sieve and fails
+# the base-2 Fermat test, so one random witness exposes it.
+_SEMIPRIME_96 = 49703518805828595149928461623
 
 
 class TestPrimes:
@@ -46,7 +120,78 @@ class TestPrimes:
     def test_random_prime_3mod4(self):
         p = primes.random_prime_3mod4(64)
         assert p % 4 == 3
+        assert p >> 62 == 0b11
         assert primes.is_prime(p)
+
+    def test_agrees_with_reference_below_20000(self):
+        for n in range(-3, 20_000):
+            assert primes.is_prime(n) == _reference_is_prime(n), n
+
+    def test_agrees_with_reference_on_random_64_bit(self):
+        rnd = random.Random(2008)
+        for _ in range(2000):
+            n = rnd.getrandbits(64) | 1
+            assert primes.is_prime(n) == _reference_is_prime(n), n
+
+    def test_agrees_with_reference_on_96_bit_semiprimes(self):
+        rnd = random.Random(2008)
+
+        def prime48():
+            while True:
+                candidate = rnd.getrandbits(48) | (1 << 47) | 1
+                if _reference_is_prime(candidate):
+                    return candidate
+
+        for _ in range(200):
+            n = prime48() * prime48()
+            assert n > primes._DETERMINISTIC_LIMIT   # random-witness path
+            assert not _reference_is_prime(n)
+            assert not primes.is_prime(n), n
+
+    def test_carmichael_and_strong_pseudoprimes_rejected(self):
+        # The last four are the smallest strong pseudoprimes to bases
+        # {2}, {2,3,5}, {2..17} and {2..37}.
+        for n in (561, 1105, 41041, 2047, 3215031751, 341550071728321,
+                  3825123056546413051):
+            assert not _reference_is_prime(n)
+            assert not primes.is_prime(n), n
+
+    def test_round_table_keeps_average_case_error_below_2_to_minus_80(self):
+        table = primes.AVERAGE_CASE_ROUNDS
+        assert [k for k, _ in table] == sorted((k for k, _ in table),
+                                               reverse=True)
+        # Two bits of margin: the candidates have two forced bits
+        # (see the comment on the table).
+        upper = 4097
+        for low, rounds in table:
+            assert rounds < primes.WORST_CASE_ROUNDS
+            for bits in range(low, upper):
+                assert _dlp_log2_bound(bits, rounds) + 2 <= -80, (bits, rounds)
+            upper = low
+
+    def test_round_table_is_what_random_prime_passes(self, monkeypatch):
+        seen = []
+        real = primes.is_prime
+
+        def spy(n, rounds=40):
+            seen.append(rounds)
+            return real(n, rounds)
+
+        monkeypatch.setattr(primes, "is_prime", spy)
+        low, rounds = primes.AVERAGE_CASE_ROUNDS[-1]
+        primes.random_prime(low)
+        assert set(seen) == {rounds}
+        seen.clear()
+        primes.random_prime_3mod4(low - 1)
+        assert set(seen) == {40}        # below the table: the default
+        assert real.__defaults__ == (primes.WORST_CASE_ROUNDS,) == (40,)
+
+    def test_composite_costs_one_witness_not_forty(self):
+        assert pow(2, _SEMIPRIME_96 - 1, _SEMIPRIME_96) != 1
+        assert _SEMIPRIME_96.bit_length() == 96
+        # ~16 events; an eager list of 40 witnesses is ~290.
+        events = _profile_events(lambda: primes.is_prime(_SEMIPRIME_96))
+        assert events < 40, events
 
 
 class TestHashes:
@@ -83,6 +228,25 @@ class TestHashes:
     def test_fingerprint_short(self):
         assert len(hashes.fingerprint(b"data")) == 16
 
+    def test_xor_bytes_edges(self):
+        assert hashes.xor_bytes(b"", b"") == b""
+        assert hashes.xor_bytes(b"\x00\x0f\x00", b"\x00\xff\x00") == (
+            b"\x00\xf0\x00")
+        with pytest.raises(ValueError):
+            hashes.xor_bytes(b"ab", b"a")
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 8), st.binary(max_size=5000),
+           st.binary(max_size=5000), st.integers(0, 8))
+    def test_xor_bytes_matches_per_byte_loop(self, lead, a, b, trail):
+        # Zero bytes at either end are where an integer round-trip
+        # would lose length.
+        size = min(len(a), len(b))
+        a = bytes(lead) + a[:size] + bytes(trail)
+        b = bytes(lead) + b[:size] + bytes(trail)
+        assert hashes.xor_bytes(a, b) == bytes(x ^ y for x, y in zip(a, b))
+        assert hashes.xor_bytes(a, a) == bytes(len(a))
+
 
 class TestStreamCipher:
     def test_roundtrip(self):
@@ -99,8 +263,71 @@ class TestStreamCipher:
         assert stream.encrypt(key, b"same") != stream.encrypt(key, b"same")
 
     def test_empty_key_rejected(self):
-        with pytest.raises(CryptoError):
+        sealed = stream.seal(b"k", b"msg")
+        with pytest.raises(CryptoError, match="empty key"):
             stream.encrypt(b"", b"msg")
+        with pytest.raises(CryptoError, match="empty key"):
+            stream.decrypt(b"", sealed)
+        with pytest.raises(CryptoError, match="empty key"):
+            stream.open_sealed(b"", sealed)
+
+    # The stored form, pinned across commits: SHAKE-256 keystream over
+    # "sharoes-stream" || key || nonce, nonce prepended.
+    KAT_KEY = bytes(range(16))
+    KAT_NONCE = bytes(range(0xa0, 0xb0))
+    KAT_BODY_33 = bytes.fromhex(
+        "8f4067be136610fc32336e4de517e1ca87fd0580a675b900df0f8dd9ebd3cff7ea")
+
+    @staticmethod
+    def _kat_plaintext(length):
+        return bytes(i % 251 for i in range(length))
+
+    @pytest.mark.parametrize("length", [0, 1, 31, 32, 33])
+    def test_known_answer_short(self, length):
+        ciphertext = stream.encrypt(self.KAT_KEY, self._kat_plaintext(length),
+                                    nonce=self.KAT_NONCE)
+        assert ciphertext == self.KAT_NONCE + self.KAT_BODY_33[:length]
+        assert stream.decrypt(self.KAT_KEY, ciphertext) == (
+            self._kat_plaintext(length))
+
+    def test_known_answer_64k(self):
+        ciphertext = stream.encrypt(self.KAT_KEY, self._kat_plaintext(65536),
+                                    nonce=self.KAT_NONCE)
+        assert ciphertext[:49] == self.KAT_NONCE + self.KAT_BODY_33
+        assert hashlib.sha256(ciphertext).hexdigest() == (
+            "79e07ff2960b372a82ff413c28805651"
+            "c7063b988f8059315e61dd5ad1ea922c")
+
+    def test_known_answer_seal(self, monkeypatch):
+        monkeypatch.setattr(secrets, "token_bytes",
+                            lambda n: self.KAT_NONCE[:n])
+        sealed = stream.seal(self.KAT_KEY, b"sharoes")
+        assert sealed.hex() == (
+            "a0a1a2a3a4a5a6a7a8a9aaabacadaeaf"      # nonce
+            "fc2904cf780665"                        # body
+            "bd9e3aa21fb821757f3dc10c6368159a"      # HMAC-SHA256 tag
+            "2923003d5d3180429b5105419986a370")
+        assert len(sealed) == 7 + stream.NONCE_SIZE + stream.TAG_SIZE
+        assert stream.open_sealed(self.KAT_KEY, sealed) == b"sharoes"
+
+    def test_payload_costs_a_constant_number_of_calls(self):
+        key = b"k" * 16
+
+        def roundtrip():
+            assert stream.open_sealed(
+                key, stream.seal(key, bytes(65536))) == bytes(65536)
+
+        # ~60 events whatever the length; a generator step per byte or a
+        # hash call per 32-byte keystream block is tens of thousands.
+        events = _profile_events(roundtrip)
+        assert events < 100, events
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.binary(max_size=5000), st.binary(min_size=1, max_size=32))
+    def test_encrypt_roundtrip_property(self, msg, key):
+        ciphertext = stream.encrypt(key, msg)
+        assert len(ciphertext) == len(msg) + stream.NONCE_SIZE
+        assert stream.decrypt(key, ciphertext) == msg
 
     def test_seal_open(self):
         key = b"k" * 16
@@ -129,6 +356,25 @@ class TestStreamCipher:
     @given(st.binary(max_size=2000), st.binary(min_size=1, max_size=32))
     def test_seal_roundtrip_property(self, msg, key):
         assert stream.open_sealed(key, stream.seal(key, msg)) == msg
+
+
+class TestEntropyResolvedAtCallTime:
+    """``pinned_entropy`` works by reassigning ``secrets.token_bytes/
+    randbelow/randbits``; a crypto module that bound one of them at import
+    would silently un-pin every differential suite."""
+
+    @staticmethod
+    def _draw(seed):
+        with pinned_entropy(seed):
+            return (esign.generate_keypair(96).signing.to_bytes(),
+                    rsa.generate_keypair(512).private.to_bytes(),
+                    stream.seal(b"k" * 16, b"message"))
+
+    def test_same_seed_same_bytes_other_seed_other_bytes(self):
+        first, again, other = self._draw(5), self._draw(5), self._draw(6)
+        assert first == again
+        for pinned, different in zip(first, other):
+            assert pinned != different
 
 
 class TestSerialize:
