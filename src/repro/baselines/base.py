@@ -155,17 +155,15 @@ class BaselineFilesystem:
 
     def _fetch_attrs(self, inode: int) -> MetadataAttrs:
         key = ("meta", inode)
-        if self.config.metadata_cache:
-            cached = self.cache.get(key)
-            if cached is not None:
-                with self.tracer.span("cache", hit=True, kind="meta"):
-                    return cached
+        cached = self.cache.get(key)
+        if cached is not None:
+            with self.tracer.span("cache", hit=True, kind="meta"):
+                return cached
         blob = self.blobs.get(meta_blob(inode, "-"))
         payload = self._meta.decode(self.provider, self.volume.keystore,
                                     inode, blob, self.user.keypair)
         attrs = MetadataAttrs.from_reader(Reader(payload))
-        if self.config.metadata_cache:
-            self.cache.put(key, attrs, len(blob))
+        self.cache.put(key, attrs, len(blob))
         return attrs
 
     def _write_attrs(self, attrs: MetadataAttrs) -> None:
@@ -176,31 +174,27 @@ class BaselineFilesystem:
                                  self.user.keypair)
         self.blobs.send([(meta_blob(attrs.inode, "-"), blob)],
                         grouped=False)
-        if self.config.metadata_cache:
-            # Write-through: no need to re-fetch our own write.
-            self.cache.put(("meta", attrs.inode), attrs, len(blob))
+        # Write-through: no need to re-fetch our own write.
+        self.cache.put(("meta", attrs.inode), attrs, len(blob))
 
     def _fetch_table(self, inode: int) -> dict[str, int]:
         key = ("table", inode)
-        if self.config.metadata_cache:
-            cached = self.cache.get(key)
-            if cached is not None:
-                with self.tracer.span("cache", hit=True, kind="table"):
-                    return cached
+        cached = self.cache.get(key)
+        if cached is not None:
+            with self.tracer.span("cache", hit=True, kind="table"):
+                return cached
         blob = self.blobs.get(data_blob(inode, "t"))
         entries = _parse_table(self._data.decode(
             self.provider, self.volume.keystore, inode, blob))
-        if self.config.metadata_cache:
-            self.cache.put(key, entries, len(blob))
+        self.cache.put(key, entries, len(blob))
         return entries
 
     def _write_table(self, inode: int, entries: dict[str, int]) -> None:
         blob = self._data.encode(self.provider, self.volume.keystore,
                                  inode, _table_payload(entries))
         self.blobs.send([(data_blob(inode, "t"), blob)], grouped=False)
-        if self.config.metadata_cache:
-            # Write-through: no need to re-fetch our own write.
-            self.cache.put(("table", inode), entries, len(blob))
+        # Write-through: no need to re-fetch our own write.
+        self.cache.put(("table", inode), entries, len(blob))
 
     def _resolve(self, path: str) -> MetadataAttrs:
         with self.tracer.span("resolve", path=path):

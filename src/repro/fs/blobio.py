@@ -71,8 +71,8 @@ class BlobIO:
         ``("raw", blob_id)`` slots, under the same byte budget as the
         decrypted objects.  None (baselines) means no readahead slots.
     batching:
-        Ship grouped sends as one ``OP_BATCH`` frame; False drops to one
-        round trip per blob (the differential reference execution).
+        Ship grouped sends as one ``OP_BATCH`` frame; False (tests only)
+        is the one-round-trip-per-blob differential reference execution.
     window / write_behind:
         ``window >= 2`` attaches a ``RequestScheduler`` of that many
         overlapped requests; ``write_behind`` lets unfenced mutations

@@ -58,12 +58,10 @@ from .permissions import DIRECTORY, FILE, SYMLINK, AclEntry
 from .superblock import Superblock
 from .volume import SharoesVolume
 
-# CAP permission sets live in mdcache so the pre-materialized listing
-# verdicts are evaluated against the exact same sets the demand path
-# checks -- a drifted copy would make the fast path lie.
-_TRAVERSE_CAPS = TRAVERSE_CAPS
-_LIST_CAPS = LIST_CAPS
-_DIR_WRITE_CAPS = DIR_WRITE_CAPS
+#: backoff while waiting out a held lease (``lease_wait_attempts``):
+#: first wait and the cap its doubling stops at, in simulated seconds.
+LEASE_WAIT_BASE_S = 0.05
+LEASE_WAIT_MAX_S = 2.0
 
 
 @dataclass
@@ -73,10 +71,6 @@ class ClientConfig:
     #: unified decrypted-object cache budget in bytes (None = unbounded,
     #: 0 = disabled).  The Postmark benchmark sweeps this.
     cache_bytes: int | None = None
-    #: cache metadata/table objects?  Disabled for close-to-open style
-    #: consistency (each operation revalidates), as the Andrew benchmark
-    #: requires.
-    metadata_cache: bool = True
     #: cache decrypted file data blocks?
     data_cache: bool = True
     #: re-encrypt immediately on revocation (paper's prototype default)
@@ -106,21 +100,13 @@ class ClientConfig:
     #: sim-clock lifetime of an acquired lease before peers may take it
     #: over (rolling the holder's journal forward first).
     lease_duration_s: float = 30.0
-    #: ship multi-blob writes (and batched reads/renewals) as a single
-    #: ``OP_BATCH`` wire frame instead of looping single ops.  On the
-    #: success path this charges exactly what the single-frame
-    #: accounting always claimed, so costs are unchanged; ``False``
-    #: drops to one round trip per blob (the honest reference execution
-    #: the differential harness compares against).
-    batching: bool = True
     #: speculative read batching: during a path walk, fetch a cold
     #: component's metadata and directory table in one frame; after
     #: ``readdir``, prefetch the listed children's metadata blobs.
     #: Default True (since PR 7): readahead trades bytes for round
     #: trips, which departs from the paper's 2008 prototype -- pass
     #: ``readahead=False`` to reproduce the paper's per-op cost tables
-    #: (Figures 8/13) exactly.  Requires ``batching`` and
-    #: ``metadata_cache``.
+    #: (Figures 8/13) exactly.
     readahead: bool = True
     #: verified metadata cache + pre-materialized listings: keep
     #: decrypted, signature-verified metadata/table entries warm across
@@ -130,18 +116,15 @@ class ClientConfig:
     #: PR 8, after soaking behind BENCH_7's andrew resolve gate and the
     #: coherence matrix): pass ``mdcache=False`` for the paper's strict
     #: re-fetch-per-open consistency model (the ablation path the
-    #: paper-faithful workload pins use).  Requires ``metadata_cache``.
+    #: paper-faithful workload pins use).
     mdcache: bool = True
     #: how many times a mutation waits out a :class:`LeaseHeldError`
     #: (another client's unexpired lease) before surfacing it.  0
     #: (default) preserves the historical fail-fast behaviour.  Waiting
     #: advances the sim clock, so a dead holder's lease can expire and
-    #: be taken over mid-wait.
+    #: be taken over mid-wait.  Backoff: ``LEASE_WAIT_BASE_S``,
+    #: doubling per attempt up to ``LEASE_WAIT_MAX_S``.
     lease_wait_attempts: int = 0
-    #: first backoff before re-attempting a held lease; doubles per
-    #: attempt up to ``lease_wait_max_s``.
-    lease_wait_base_s: float = 0.05
-    lease_wait_max_s: float = 2.0
     #: end-to-end wire tracing: attach trace_id/parent_span_id context
     #: to every SSP request and record server-side spans (decode/disk/
     #: verify on a synthetic timeline) that stitch under this client's
@@ -154,10 +137,9 @@ class ClientConfig:
     #: for plain puts/deletes and waved fetch flights for multi-block
     #: reads -- with latency overlapped but bandwidth still shared (see
     #: docs/CONCURRENCY.md).  0 (default) keeps the paper's strictly
-    #: sequential client and its exact cost numbers.  Requires
-    #: ``batching``; with ``journal=True`` write-behind is disabled
-    #: (journal ordering is a durability contract) but fetch flights
-    #: stay on.
+    #: sequential client and its exact cost numbers.  With
+    #: ``journal=True`` write-behind is disabled (journal ordering is a
+    #: durability contract) but fetch flights stay on.
     concurrency: int = 0
 
 
@@ -241,6 +223,8 @@ class OpenFile:
             return len(data)
 
     def truncate(self, size: int = 0) -> None:
+        if self._closed:
+            raise FilesystemError("truncate on closed handle")
         if not self.writable:
             raise PermissionDenied(f"{self.path}: not opened for writing")
         self._ensure_loaded()
@@ -266,11 +250,11 @@ class OpenFile:
 
 
 def _mutating(op: str):
-    """Scope a client method as one crash-consistent mutation.
+    """Scope a client method as one mutation (``_mutation``).
 
     Composes with ``@traced``: the span covers the journal append/apply/
     commit cycle.  Reentrant -- nested mutating calls (``create_file``
-    -> ``mknod`` -> ``_create``) join the outer op's batch.
+    -> ``mknod`` -> ``_create``) join the outer op.
     """
     def wrap(fn):
         @functools.wraps(fn)
@@ -299,13 +283,12 @@ class SharoesFilesystem:
         self.agent = UserAgent(user, self.provider)
         self.cache = LruCache(self.config.cache_bytes)
         self.freshness = FreshnessMonitor()
-        #: verified metadata cache: coherence manager over ``cache`` for
-        #: metadata views, tables and pre-materialized listings -- see
-        #: fs/mdcache.py.  None when disabled (the default): close-to-
-        #: open boundaries then drop metadata entries wholesale.
-        self.mdcache = (VerifiedMetadataCache(self.cache, self.freshness)
-                        if self.config.mdcache
-                        and self.config.metadata_cache else None)
+        #: the cache front (fs/mdcache.py): every verified entry in
+        #: ``cache`` -- views, tables, listings, data blocks -- is read,
+        #: written and invalidated through it.
+        self.mdcache = VerifiedMetadataCache(
+            self.cache, self.freshness, warm=self.config.mdcache,
+            data=self.config.data_cache)
         #: optional fork-consistency log (see enable_consistency_log)
         self.consistency = None
         self._superblock: Superblock | None = None
@@ -321,10 +304,9 @@ class SharoesFilesystem:
             cost_model.tracer = self.tracer
             bind_cost_model(self.metrics, cost_model)
         bind_cache_stats(self.metrics, self.cache)
-        if self.mdcache is not None:
-            self.metrics.register_source(
-                "client.mdcache", self.mdcache.snapshot,
-                help="verified metadata cache coherence counters")
+        self.metrics.register_source(
+            "client.mdcache", self.mdcache.snapshot,
+            help="verified metadata cache coherence counters")
         bind_crypto_counters(self.metrics, self.provider)
         bind_server_stats(self.metrics, volume.server)
         if hasattr(volume.server, "shard_snapshot"):
@@ -387,31 +369,33 @@ class SharoesFilesystem:
         else:
             self.server = raw
         #: the one blob channel (fs/blobio.py): every object-blob get,
-        #: put, delete, probe and prefetch goes through it.  The config's
-        #: "requires" chains are settled here, once: the pipelined
-        #: scheduler (``concurrency=K``, fs/scheduler.py) needs
-        #: ``batching`` and sits *above* the resilient transport so every
-        #: wave rides the batch partial-retry path; write-behind is off
-        #: under the journal (its ordering is a durability contract) while
-        #: fetch flights stay on; readahead needs ``batching`` and
-        #: ``metadata_cache``.
-        batching = self.config.batching
+        #: put, delete, probe and prefetch goes through it.  The
+        #: pipelined scheduler (``concurrency=K``, fs/scheduler.py) sits
+        #: *above* the resilient transport so every wave rides the batch
+        #: partial-retry path; write-behind is off under the journal (its
+        #: ordering is a durability contract) while fetch flights stay
+        #: on.
         self.blobs = BlobIO(
             self.server, self.cache, tracer=self.tracer,
-            metrics=self.metrics, cost=cost_model, batching=batching,
+            metrics=self.metrics, cost=cost_model,
             window=(self.config.concurrency
-                    if self.config.concurrency >= 2 and batching else 0),
+                    if self.config.concurrency >= 2 else 0),
             write_behind=not self.config.journal)
         #: None (default) keeps the sequential client untouched.
         self.scheduler = self.blobs.scheduler
-        self._readahead = (self.config.readahead and batching
-                           and self.config.metadata_cache)
+        if self.scheduler is not None:
+            # Staged writes a failed flush drops are invalidated like a
+            # failed mutation's (``_mutation``).
+            self.scheduler.on_drop = self._invalidate
         #: multi-client safety: per-inode signed leases with fencing
         #: epochs (fs/lease.py).  ``_fences`` maps inode -> held epoch
         #: for the *current* mutation; the journaled intent carries it
         #: and the apply phase fences each write with it.
         self.lease = None
         self._fences: dict[int, int] = {}
+        #: inodes the current outermost mutation has written (None
+        #: outside one) -- see ``_mutation``.
+        self._touched: set[int] | None = None
         if self.config.lease:
             if not self.config.journal:
                 raise SharoesError(
@@ -509,9 +493,8 @@ class SharoesFilesystem:
         one frame; if the component turns out to be a file (no table
         blob) the table sub-op is just a miss.
         """
-        if self.cache.get(("meta", inode, selector)) is not None:
-            return
-        if self.cache.get(("table", inode, selector)) is not None:
+        if (self.mdcache.has_view(inode, selector)
+                or self.mdcache.has_table(inode, selector)):
             return
         self.blobs.prefetch([meta_blob(inode, selector),
                              layout.table_blob_id(inode, selector)])
@@ -531,8 +514,7 @@ class SharoesFilesystem:
         for entry in table.entries.values():
             if entry.kind != DIRECT or entry.pointer is None:
                 continue
-            key = ("meta", entry.inode, entry.pointer.selector)
-            if self.cache.get(key) is not None:
+            if self.mdcache.has_view(entry.inode, entry.pointer.selector):
                 continue
             wanted.append(meta_blob(entry.inode, entry.pointer.selector))
         self.blobs.prefetch(wanted)
@@ -541,21 +523,46 @@ class SharoesFilesystem:
 
     @contextmanager
     def _mutation(self, op: str):
-        """Scope one crash-consistent mutation (see fs/journal.py).
+        """Scope one mutating op: the cache's one failure rule.
 
-        With journaling off (default) or inside an enclosing mutation
-        this is a no-op.  Otherwise every put/delete the body issues is
-        deferred into a :class:`~repro.fs.journal.MutationBatch`; on
-        clean exit the batch is sealed into a signed intent, journaled at
-        the SSP, applied, and committed.  If the body raises before
-        staging completes, nothing was sent: the op rolls back by
-        construction.  If applying fails part-way, the intent stays
-        pending and is replayed (idempotently) before the next mutation
-        or at the next mount.
+        What a mutation writes through to the cache (its own table
+        views, metadata views and plaintext blocks) is trusted only if
+        the mutation returns.  The outermost scope keeps the inodes the
+        op touched (``_touch``); any exception leaving it -- a refused
+        put, a failed journal append, a partial apply, a lease takeover
+        -- invalidates each of them, so this client re-reads what the
+        SSP actually holds.  Nested mutating calls join the outer op;
+        with ``journal=True`` the op is also one intent (``_journaled``).
         """
-        if not self.config.journal or self.blobs.batch is not None:
+        if self._touched is not None:
             yield
             return
+        self._touched = set()
+        try:
+            if self.config.journal:
+                with self._journaled(op):
+                    yield
+            else:
+                yield
+        except BaseException:
+            for inode in self._touched:
+                self._invalidate(inode)
+            raise
+        finally:
+            self._touched = None
+
+    @contextmanager
+    def _journaled(self, op: str):
+        """One crash-consistent mutation (see fs/journal.py).
+
+        Every put/delete the body issues is deferred into a
+        :class:`~repro.fs.journal.MutationBatch`; on clean exit the
+        batch is sealed into a signed intent, journaled at the SSP,
+        applied, and committed.  If the body raises before staging
+        completes, nothing was sent: the op rolls back by construction.
+        If applying fails part-way, the intent stays pending and is
+        replayed (idempotently) before the next mutation or at mount.
+        """
         self._replay_pending()
         batch = journal.MutationBatch(op)
         self.blobs.batch = batch
@@ -602,7 +609,9 @@ class SharoesFilesystem:
             # journaled intent forward before bumping the epoch, so the
             # op is *applied* -- by them, not us.  Drop the pending
             # record (the successor already truncated our journal at the
-            # SSP), forget the stale leases, and surface the loss.
+            # SSP), forget the stale leases, and surface the loss (the
+            # successor may have kept writing: ``_mutation`` invalidates
+            # every inode this op touched).
             self._pending.remove(record)
             try:
                 # Best-effort scrub: if our append raced *after* the
@@ -614,11 +623,6 @@ class SharoesFilesystem:
                 self._journal_write("commit")
             except StorageError:
                 pass
-            # The successor rolled our intent forward and may have kept
-            # writing under its lease: every inode this mutation fenced
-            # is now suspect, so cached views of it must not be served.
-            for inode in list(self._fences):
-                self._invalidate(inode)
             self._forget_fences()
             self.metrics.counter(
                 "lease.lost",
@@ -638,23 +642,26 @@ class SharoesFilesystem:
             self.consistency.observe_journal(record.seq)
         self._release_fences()
 
-    def _lease_for_write(self, inode: int) -> None:
-        """Acquire (or renew) the write lease covering ``inode``.
+    def _touch(self, inode: int) -> None:
+        """The current mutation is about to write ``inode``.
 
-        Called at the top of every read-modify-write so the lease is
-        held *before* the stale read can happen.  A fresh acquisition
-        invalidates the local cache for the inode: another client may
-        have written it since we last looked.  A renewal implies no
-        intervening writer (the epoch chain only moved through us), so
-        the cache stays warm.
+        Called by every writer before its first write -- to the SSP or
+        through to the cache -- so a mutation that raises knows what to
+        invalidate (``_mutation``).  With leasing on it also acquires
+        (or renews) the inode's write lease, *before* the stale read
+        can happen.  A fresh acquisition invalidates the local cache
+        for the inode: another client may have written it since we last
+        looked.  A renewal implies no intervening writer (the epoch
+        chain only moved through us), so the cache stays warm.
         """
+        self._touched.add(inode)
         if self.lease is None or self.blobs.batch is None:
             return
         if inode in self._fences:
             return
         fresh = self.lease.held_epoch(inode) is None
         attempts = max(0, self.config.lease_wait_attempts)
-        delay = max(0.0, self.config.lease_wait_base_s)
+        delay = LEASE_WAIT_BASE_S
         for attempt in range(attempts + 1):
             try:
                 record = self.lease.acquire(inode)
@@ -670,8 +677,7 @@ class SharoesFilesystem:
                     "lease.waits",
                     help="backoffs spent waiting out held leases").inc()
                 self._wait_for_lease(delay)
-                delay = min(delay * 2,
-                            max(delay, self.config.lease_wait_max_s))
+                delay = min(delay * 2, LEASE_WAIT_MAX_S)
         self._fences[inode] = record.epoch
         if fresh:
             self._invalidate(inode)
@@ -742,29 +748,44 @@ class SharoesFilesystem:
                 call.blobs, fences=fences,
                 grouped=call.kind in (journal.PUT_MANY, journal.DELETE_MANY))
 
-    def _replay_pending(self) -> None:
-        """Re-apply intents whose first apply failed part-way.
+    def _replay(self, record: journal.IntentRecord, phase: str) -> bool:
+        """Apply a journaled intent again (in-session or at mount).
+
+        Its first apply stopped part-way and the failed mutation's
+        inodes were invalidated, so whatever was read of them since is
+        the half-applied state.  From here the SSP moves past that --
+        whether this replay completes, fails again further on, or finds
+        a lease successor already did the writing -- so the cache
+        forgets those inodes first (``send`` only drops raw slots).
 
         Replays stay *fenced*: if a successor took over our lease since
         the intent was journaled, it already rolled the intent forward,
-        so a :class:`StaleEpochError` here means the work is done (by
-        them) and our stale copy must be dropped, not retried -- an
-        unfenced replay would overwrite the successor's newer writes.
+        so a :class:`StaleEpochError` means the work is done (by them)
+        and our stale copy must be dropped, not retried -- an unfenced
+        replay would overwrite the successor's newer writes.  Returns
+        False in that case.
         """
+        for inode in record.inodes():
+            self._invalidate(inode)
+        try:
+            with self.tracer.span("journal", phase=phase, op=record.op):
+                self._apply_record(record)
+        except StaleEpochError:
+            self.metrics.counter(
+                "journal.fenced_replays",
+                help="pending intents dropped: already rolled "
+                     "forward by a lease successor").inc()
+            return False
+        return True
+
+    def _replay_pending(self) -> None:
+        """Re-apply intents whose first apply failed part-way."""
         while self._pending:
             record = self._pending[0]
-            try:
-                with self.tracer.span("journal", phase="replay",
-                                      op=record.op):
-                    self._apply_record(record)
-            except StaleEpochError:
-                self._pending.pop(0)
-                self.metrics.counter(
-                    "journal.fenced_replays",
-                    help="pending intents dropped: already rolled "
-                         "forward by a lease successor").inc()
-                continue
+            applied = self._replay(record, "replay")
             self._pending.pop(0)
+            if not applied:
+                continue
             try:
                 self._journal_write("commit")
             except BaseException:
@@ -807,18 +828,8 @@ class SharoesFilesystem:
         self._journal_seq = max(self._journal_seq,
                                 max(r.seq for r in records))
         for record in records:
-            try:
-                with self.tracer.span("journal", phase="recover",
-                                      op=record.op):
-                    self._apply_record(record)
-            except StaleEpochError:
-                # A lease successor already rolled this intent forward
-                # (fenced replay; see _replay_pending).
+            if not self._replay(record, "recover"):
                 outcome.aborted.append(record)
-                self.metrics.counter(
-                    "journal.fenced_replays",
-                    help="pending intents dropped: already rolled "
-                         "forward by a lease successor").inc()
                 continue
             outcome.replayed.append(record)
             self.metrics.counter(
@@ -929,29 +940,12 @@ class SharoesFilesystem:
         self.metrics.counter(
             "client.cache.degraded_skips",
             help="verified payloads not cached: served degraded").inc()
-        if self.mdcache is not None:
-            self.mdcache.degraded_skips += 1
+        self.mdcache.degraded_skips += 1
         return True
-
-    def _cached_view(self, inode: int, selector: str) -> MetadataView | None:
-        if not self.config.metadata_cache:
-            return None
-        if self.mdcache is not None:
-            return self.mdcache.get_view(inode, selector)
-        return self.cache.get(("meta", inode, selector))
-
-    def _cache_view(self, inode: int, selector: str, view: MetadataView,
-                    size_bytes: int) -> None:
-        if not self.config.metadata_cache:
-            return
-        if self.mdcache is not None:
-            self.mdcache.put_view(inode, selector, view, size_bytes)
-        else:
-            self.cache.put(("meta", inode, selector), view, size_bytes)
 
     def _fetch_view(self, inode: int, selector: str, mek: bytes,
                     mvk: esign.VerificationKey) -> MetadataView:
-        cached = self._cached_view(inode, selector)
+        cached = self.mdcache.get_view(inode, selector)
         if cached is not None:
             with self.tracer.span("cache", hit=True, kind="meta"):
                 return cached
@@ -970,7 +964,7 @@ class SharoesFilesystem:
         if self.consistency is not None:
             self.consistency.observe(inode, view.attrs.version)
         if not self._was_degraded(blob_id):
-            self._cache_view(inode, selector, view, len(blob))
+            self.mdcache.put_view(inode, selector, view, len(blob))
         return view
 
     @staticmethod
@@ -983,26 +977,10 @@ class SharoesFilesystem:
         attrs.to_writer(writer)
         return writer.getvalue()
 
-    def _cached_table(self, inode: int, selector: str) -> TableView | None:
-        if not self.config.metadata_cache:
-            return None
-        if self.mdcache is not None:
-            return self.mdcache.get_table(inode, selector)
-        return self.cache.get(("table", inode, selector))
-
-    def _cache_table(self, inode: int, selector: str, view: TableView,
-                     size_bytes: int) -> None:
-        if not self.config.metadata_cache:
-            return
-        if self.mdcache is not None:
-            self.mdcache.put_table(inode, selector, view, size_bytes)
-        else:
-            self.cache.put(("table", inode, selector), view, size_bytes)
-
     def _fetch_table(self, node: ResolvedNode) -> TableView:
         if node.attrs.ftype != DIRECTORY:
             raise NotADirectory(f"inode {node.inode} is not a directory")
-        cached = self._cached_table(node.inode, node.selector)
+        cached = self.mdcache.get_table(node.inode, node.selector)
         if cached is not None:
             with self.tracer.span("cache", hit=True, kind="table"):
                 return cached
@@ -1014,7 +992,8 @@ class SharoesFilesystem:
             view = layout.open_table(self.provider, dek, dvk, node.inode,
                                      node.selector, blob)
         if not self._was_degraded(blob_id):
-            self._cache_table(node.inode, node.selector, view, len(blob))
+            self.mdcache.put_table(node.inode, node.selector, view,
+                                   len(blob))
         return view
 
     def _invalidate(self, inode: int) -> None:
@@ -1022,38 +1001,17 @@ class SharoesFilesystem:
             # Cancel in-flight speculation: a fetch that raced this
             # invalidation must not land in any cache.
             self.scheduler.note_invalidation()
-        if self.mdcache is not None:
-            self.mdcache.invalidate_inode(inode)
-            return
-        self.cache.invalidate_prefix(("meta", inode))
-        self.cache.invalidate_prefix(("table", inode))
-        self.cache.invalidate_prefix(("listing", inode))
-        self.cache.invalidate_prefix(("data", inode))
-        # Raw readahead buffers are keyed by blob id, not inode, so they
-        # cannot be invalidated per-inode; drop them all.  Invalidation
-        # means "another client may have written here" -- stale
-        # speculative bytes are exactly what must not survive that.
-        self.cache.invalidate_prefix(("raw",))
+        self.mdcache.invalidate_inode(inode)
 
     def revalidate(self) -> None:
         """Close-to-open consistency boundary.
 
-        Without the verified metadata cache this is the paper-faithful
-        conservative drop: forget every cached metadata view and
-        directory table so the next open re-fetches and re-verifies.
-        With ``ClientConfig(mdcache=True)`` the entries stay warm --
-        they are version-pinned and every staleness event invalidates
-        through :meth:`_invalidate` -- so the boundary costs nothing.
+        "My writes are visible to the next opener": staged write-behind
+        state reaches the SSP, then the cache front applies its policy
+        (:meth:`VerifiedMetadataCache.revalidate`).
         """
-        # Close-to-open means "my writes are visible to the next
-        # opener": staged write-behind state must reach the SSP first.
         self.flush_staged()
-        if self.mdcache is not None:
-            self.mdcache.revalidate()
-            return
-        self.cache.invalidate_prefix(("meta",))
-        self.cache.invalidate_prefix(("table",))
-        self.cache.invalidate_prefix(("listing",))
+        self.mdcache.revalidate()
 
     # ------------------------------------------------------------------ resolve
 
@@ -1090,7 +1048,7 @@ class SharoesFilesystem:
             selector = entry.pointer.selector
             mek = entry.pointer.mek
             mvk_raw = entry.pointer.mvk
-            if lookahead and self._readahead:
+            if lookahead and self.config.readahead:
                 # The walk continues below this component: its metadata
                 # *and* its table will both be needed, so fetch the pair
                 # in one round trip.
@@ -1102,7 +1060,7 @@ class SharoesFilesystem:
 
     def _lookup_child(self, dir_node: ResolvedNode, name: str,
                       lookahead: bool = False) -> ResolvedNode:
-        if dir_node.cap_id not in _TRAVERSE_CAPS:
+        if dir_node.cap_id not in TRAVERSE_CAPS:
             raise PermissionDenied(
                 f"inode {dir_node.inode}: traversal requires exec "
                 f"permission (CAP {dir_node.cap_id})")
@@ -1263,29 +1221,27 @@ class SharoesFilesystem:
         node = self._resolve(path)
         if node.attrs.ftype != DIRECTORY:
             raise NotADirectory(path)
-        if self.mdcache is not None:
-            listing = self.mdcache.get_listing(node.inode, node.selector)
-            if listing is not None and listing.cap_id == node.cap_id:
-                # Pre-materialized fast path: the permission verdict and
-                # the name tuple were both evaluated when the listing was
-                # built from a verified table -- O(1), zero round trips.
-                with self.tracer.span("cache", hit=True, kind="listing"):
-                    if not listing.can_list:
-                        raise PermissionDenied(
-                            f"{path}: listing requires read permission "
-                            f"(CAP {node.cap_id})")
-                    return list(listing.names)
-        if node.cap_id not in _LIST_CAPS:
+        listing = self.mdcache.get_listing(node.inode, node.selector)
+        if listing is not None and listing.cap_id == node.cap_id:
+            # Pre-materialized fast path: the permission verdict and the
+            # name tuple were both evaluated when the listing was built
+            # from a verified table -- O(1), zero round trips.
+            with self.tracer.span("cache", hit=True, kind="listing"):
+                if not listing.can_list:
+                    raise PermissionDenied(
+                        f"{path}: listing requires read permission "
+                        f"(CAP {node.cap_id})")
+                return list(listing.names)
+        if node.cap_id not in LIST_CAPS:
             raise PermissionDenied(
                 f"{path}: listing requires read permission "
                 f"(CAP {node.cap_id})")
         table = self._fetch_table(node)
-        if self._readahead:
+        if self.config.readahead:
             self._prefetch_children(table)
         names = table.list_names()
-        if self.mdcache is not None:
-            self.mdcache.put_listing(node.inode, node.selector, table,
-                                     node.cap_id)
+        self.mdcache.put_listing(node.inode, node.selector, table,
+                                 node.cap_id)
         return names
 
     @traced("access")
@@ -1316,11 +1272,10 @@ class SharoesFilesystem:
         index = 0
         total = 1  # until block 0 tells us the real count
         while index < total:
-            cache_key = ("data", node.inode, index)
             plain: bytes | None = None
-            if self.config.data_cache:
+            if self.mdcache.data:
                 with self.tracer.span("cache", kind="data") as cspan:
-                    plain = self.cache.get(cache_key)
+                    plain = self.mdcache.get_block(node.inode, index)
                     cspan.attrs["hit"] = plain is not None
             if plain is None:
                 blob_id = layout.block_blob_id(node.inode, index)
@@ -1335,9 +1290,8 @@ class SharoesFilesystem:
                 with self.tracer.span("crypto", op="decrypt_block"):
                     plain = layout.open_block(self.provider, dek, dvk,
                                               node.inode, index, blob)
-                if self.config.data_cache and not self._was_degraded(
-                        blob_id):
-                    self.cache.put(cache_key, plain, len(plain))
+                if self.mdcache.data and not self._was_degraded(blob_id):
+                    self.mdcache.put_block(node.inode, index, plain)
             if index == 0:
                 total, plain = layout.split_count(plain)
                 if total > 2:
@@ -1349,8 +1303,7 @@ class SharoesFilesystem:
                     self.blobs.fetch_tail(
                         layout.block_blob_id(node.inode, i)
                         for i in range(1, total)
-                        if not (self.config.data_cache and self.cache.get(
-                            ("data", node.inode, i)) is not None))
+                        if self.mdcache.get_block(node.inode, i) is None)
             blocks.append(plain)
             index += 1
         return b"".join(blocks), blocks
@@ -1420,7 +1373,7 @@ class SharoesFilesystem:
         If a lazy revocation is pending (owner view, needs_rekey), this
         write is the moment it takes effect: fresh keys, full rewrite.
         """
-        self._lease_for_write(node.inode)
+        self._touch(node.inode)
         dek = node.view.require_dek()
         dsk = node.view.require_dsk()
         record = None
@@ -1442,20 +1395,17 @@ class SharoesFilesystem:
                              and original_blocks[index] == block
                              and (index > 0 or old_count == new_count))
                 payload = layout.block_payload(new_blocks, index)
-                if self.config.data_cache:
-                    # Write-through: the plaintext just left this client.
-                    self.cache.put(("data", node.inode, index), payload,
-                                   len(payload))
+                # Write-through: the plaintext is leaving this client.
+                self.mdcache.put_block(node.inode, index, payload)
                 if unchanged:
                     continue
                 outgoing.append(layout.seal_block(
                     self.provider, dek, dsk, node.inode, index, payload))
         self.blobs.send(outgoing, grouped=True)
-        self._delete_tail_blocks(node.inode, new_count,
-                                 max(old_count, node.attrs.block_count))
-        for index in range(new_count, max(old_count,
-                                          node.attrs.block_count) + 1):
-            self.cache.invalidate(("data", node.inode, index))
+        old_end = max(old_count, node.attrs.block_count)
+        self._delete_tail_blocks(node.inode, new_count, old_end)
+        for index in range(new_count, old_end + 1):
+            self.mdcache.drop_block(node.inode, index)
         # Per the paper's Figure 8, close costs exactly "1-dataencrypt,
         # data send": metadata is NOT rewritten on close (writers other
         # than the owner could not sign it anyway -- MSK is owner-only).
@@ -1484,7 +1434,7 @@ class SharoesFilesystem:
     def _require_dir_write(self, node: ResolvedNode, path: str) -> None:
         if node.attrs.ftype != DIRECTORY:
             raise NotADirectory(path)
-        if node.cap_id not in _DIR_WRITE_CAPS:
+        if node.cap_id not in DIR_WRITE_CAPS:
             raise PermissionDenied(
                 f"{path}: modifying a directory requires write+exec "
                 f"(CAP {node.cap_id})")
@@ -1497,10 +1447,10 @@ class SharoesFilesystem:
             cap_for_bits(entry.bits, ftype)
 
     def _write_metadata_replicas(self, record: ObjectRecord) -> None:
-        self._lease_for_write(record.attrs.inode)
+        self._touch(record.attrs.inode)
         self.blobs.send(list(layout.metadata_replicas(
             self.volume.scheme, self.provider, record)), grouped=True)
-        self.cache.invalidate_prefix(("meta", record.attrs.inode))
+        self.mdcache.drop_views(record.attrs.inode)
 
     def _write_empty_tables(self, record: ObjectRecord) -> None:
         attrs = record.attrs
@@ -1515,7 +1465,8 @@ class SharoesFilesystem:
                 view)
             blobs.append((blob_id, blob))
             if selector == scheme.owner_selector(attrs):
-                self._cache_table(attrs.inode, selector, view, len(blob))
+                self.mdcache.put_table(attrs.inode, selector, view,
+                                       len(blob))
         self.blobs.send(blobs, grouped=True)
 
     def _entry_for_selector(self, parent_attrs: MetadataAttrs,
@@ -1539,7 +1490,7 @@ class SharoesFilesystem:
         the parent write CAP (table DEK map + DSK), which is how the
         cryptography enforces the *nix w+x requirement.
         """
-        self._lease_for_write(parent.inode)
+        self._touch(parent.inode)
         attrs = parent.attrs
         dsk = parent.view.require_dsk()
         table_deks = parent.view.table_deks
@@ -1553,7 +1504,7 @@ class SharoesFilesystem:
                 raise PermissionDenied(
                     f"inode {parent.inode}: missing table key for "
                     f"{selector!r}")
-            view = self._cached_table(attrs.inode, selector)
+            view = self.mdcache.get_table(attrs.inode, selector)
             if view is None:
                 blob = self.blobs.get(
                     layout.table_blob_id(attrs.inode, selector))
@@ -1565,9 +1516,10 @@ class SharoesFilesystem:
                 self.provider, dek, dsk, attrs.inode, selector, view)
             outgoing.append((blob_id, new_blob))
             # Write-through: the client just produced this view, no
-            # need to re-fetch and re-verify its own write.  Under the
-            # verified cache this also drops the directory's listing.
-            self._cache_table(attrs.inode, selector, view, len(new_blob))
+            # need to re-fetch and re-verify its own write.  This also
+            # drops the directory's listing.
+            self.mdcache.put_table(attrs.inode, selector, view,
+                                   len(new_blob))
         self.blobs.send(outgoing, grouped=True)
 
     def _add_row(self, parent: ResolvedNode, name: str,
@@ -1629,15 +1581,14 @@ class SharoesFilesystem:
         self._write_metadata_replicas(record)
         if ftype == DIRECTORY:
             self._write_empty_tables(record)
-        if self.config.metadata_cache:
-            # Write-through: the creator will almost always touch the new
-            # object next (write/readdir); no need to re-fetch its own
-            # freshly uploaded replica.
-            owner_selector = scheme.owner_selector(attrs)
-            cap = scheme.cap_for_selector(attrs, owner_selector)
-            view = record.view_for(owner_selector, cap, True)
-            self._cache_view(inode, owner_selector, view,
-                             len(view.to_bytes()))
+        # Write-through: the creator will almost always touch the new
+        # object next (write/readdir); no need to re-fetch its own
+        # freshly uploaded replica.
+        owner_selector = scheme.owner_selector(attrs)
+        cap = scheme.cap_for_selector(attrs, owner_selector)
+        view = record.view_for(owner_selector, cap, True)
+        self.mdcache.put_view(inode, owner_selector, view,
+                              len(view.to_bytes()))
         if self._add_row(parent, name, record) or attrs.acl:
             self._write_lockboxes(record)
         return Stat.from_attrs(attrs)
@@ -1669,7 +1620,7 @@ class SharoesFilesystem:
     # ------------------------------------------------------------------ remove
 
     def _delete_object_blobs(self, attrs: MetadataAttrs) -> None:
-        self._lease_for_write(attrs.inode)
+        self._touch(attrs.inode)
         scheme = self.volume.scheme
         victims = layout.replica_ids(scheme, attrs)
         if attrs.ftype != DIRECTORY:
@@ -1793,6 +1744,7 @@ class SharoesFilesystem:
         itself changes with the owner.
         """
         attrs = record.attrs
+        self._touch(attrs.inode)
         if attrs.ftype != DIRECTORY:
             content, _ = self._read_blocks(node)
             blocks = layout.split_blocks(content, self.volume.block_size)

@@ -134,6 +134,11 @@ class IntentRecord:
         """Total individual puts+deletes this intent will apply."""
         return sum(len(call.blobs) for call in self.calls)
 
+    def inodes(self) -> set[int]:
+        """The inodes whose blobs this intent (re)writes or deletes."""
+        return {blob_id.inode for call in self.calls
+                for blob_id in call.blob_ids()}
+
     def to_writer(self, writer: Writer) -> None:
         writer.put_int(self.seq)
         writer.put_str(self.op)

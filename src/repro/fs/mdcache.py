@@ -25,13 +25,23 @@ mutable-fixed-point metadata over an immutable encrypted block store):
   served (``stale_rejects``);
 * coherence is event-driven, not fetch-driven: a close-to-open
   ``revalidate()`` keeps entries warm, while lease-epoch advancement
-  (fresh acquire, takeover, renewal loss), local deletes/rekeys, and
-  unmount invalidate;
+  (fresh acquire, takeover, renewal loss), local deletes/rekeys, a
+  local mutation that raised, a dropped write-behind queue and unmount
+  invalidate;
 * storage is the client's existing byte-budgeted LRU, so metadata
   views, directory tables, pre-materialized listings, data blocks and
   the speculative readahead buffer share **one** coherence surface and
   one eviction policy -- ``invalidate_inode`` is the single choke point
   every trigger funnels through.
+
+This module is the only one that knows the verified key space
+(``("meta"|"table"|"listing", inode, selector)``, ``("data", inode,
+block)``) and both policies: ``warm=False`` is the paper's strict
+close-to-open regime over the same entries (``revalidate()`` drops
+every view and table, listings are neither stored nor served),
+``data=False`` makes the block family a no-op.  The ``("raw", blob_id)``
+readahead slots are :class:`~.blobio.BlobIO`'s -- unverified ciphertext,
+a different trust class, only ever dropped wholesale here.
 
 On top of the table cache sit **pre-materialized listings** (Tiger
 Cache's pre-computed permission sets, scaled down to one principal): a
@@ -53,6 +63,9 @@ from .dirtable import TableView
 from .freshness import FreshnessMonitor
 from .metadata import MetadataView
 
+# The CAP permission sets live here so the pre-materialized listing
+# verdicts are evaluated against the exact same sets the client's demand
+# path checks -- a drifted copy would make the fast path lie.
 #: CAP ids that allow traversing a directory (the *nix x bit).
 TRAVERSE_CAPS = frozenset({"drx", "drwx", "dx"})
 #: CAP ids that allow listing a directory (the *nix r bit).
@@ -100,27 +113,30 @@ class _VerifiedView:
 
 
 class VerifiedMetadataCache:
-    """Coherence manager for verified metadata over a shared LRU store.
+    """The client's cache front: every verified entry, both policies
+    (``warm`` = ``ClientConfig.mdcache``, ``data`` = ``data_cache``).
 
     The cache owns no storage of its own: entries live in the client's
-    byte-budgeted :class:`~.cache.LruCache` under ``("meta", ...)``,
-    ``("table", ...)`` and ``("listing", ...)`` keys, next to the data
-    blocks and the readahead buffer.  This class decides *when an entry
-    may be trusted* -- version pinning against the freshness monitor,
-    and the event-driven invalidation documented in docs/CACHING.md.
+    byte-budgeted :class:`~.cache.LruCache`, next to the readahead
+    buffer.  This class decides *when an entry may be trusted* --
+    version pinning against the freshness monitor, and the event-driven
+    invalidation documented in docs/CACHING.md.
     """
 
-    def __init__(self, store: LruCache, freshness: FreshnessMonitor):
+    def __init__(self, store: LruCache, freshness: FreshnessMonitor,
+                 *, warm: bool, data: bool):
         self.store = store
         self.freshness = freshness
+        self.warm = warm
+        self.data = data
         #: coherence counters, exported as ``client.mdcache.*``.
         self.hits = 0
         self.misses = 0
         self.listing_hits = 0
         self.listing_builds = 0
-        #: close-to-open boundaries crossed with entries kept warm.
+        #: close-to-open boundaries crossed.
         self.revalidations = 0
-        #: per-inode invalidation events (lease churn, deletes, rekeys).
+        #: per-inode invalidation events (docs/CACHING.md rule 3).
         self.invalidations = 0
         #: entries discarded because their pinned version fell behind
         #: the freshness monitor's high watermark -- a stale entry is
@@ -156,6 +172,14 @@ class VerifiedMetadataCache:
                        _VerifiedView(view, view.attrs.version),
                        size_bytes)
 
+    def has_view(self, inode: int, selector: str) -> bool:
+        """Readahead's probe: is fetching this replica wasted bytes?"""
+        return self.store.get(("meta", inode, selector)) is not None
+
+    def drop_views(self, inode: int) -> None:
+        """The inode's replicas were rewritten (every selector's)."""
+        self.store.invalidate_prefix(("meta", inode))
+
     # --------------------------------------------------------- tables
 
     def get_table(self, inode: int, selector: str) -> TableView | None:
@@ -173,43 +197,72 @@ class VerifiedMetadataCache:
         # rebuilt lazily from this cached view -- still zero round trips.
         self.store.invalidate(("listing", inode, selector))
 
+    def has_table(self, inode: int, selector: str) -> bool:
+        """Readahead's probe, as :meth:`has_view`."""
+        return self.store.get(("table", inode, selector)) is not None
+
     # ------------------------------------------------------- listings
 
     def get_listing(self, inode: int, selector: str) -> Listing | None:
+        if not self.warm:
+            return None
         listing = self.store.get(("listing", inode, selector))
         if listing is not None:
             self.listing_hits += 1
         return listing
 
     def put_listing(self, inode: int, selector: str, table: TableView,
-                    cap_id: str) -> Listing:
+                    cap_id: str) -> None:
+        if not self.warm:
+            return
         listing = Listing.build(table, cap_id)
         size = sum(len(name) for name in listing.names) + len(cap_id)
         self.store.put(("listing", inode, selector), listing, size)
         self.listing_builds += 1
-        return listing
+
+    # ---------------------------------------------------- data blocks
+
+    def get_block(self, inode: int, index: int) -> bytes | None:
+        if not self.data:
+            return None
+        return self.store.get(("data", inode, index))
+
+    def put_block(self, inode: int, index: int, plain: bytes) -> None:
+        if self.data:
+            self.store.put(("data", inode, index), plain, len(plain))
+
+    def drop_block(self, inode: int, index: int) -> None:
+        self.store.invalidate(("data", inode, index))
 
     # ------------------------------------------------------ coherence
 
     def revalidate(self) -> None:
         """Close-to-open boundary crossed.
 
-        The legacy model drops every metadata entry here; the verified
-        cache keeps them -- entries were signature-verified on entry,
-        version-pinned against rollback, and every event that could have
-        made them stale (lease churn, local mutation, unmount) funnels
-        through :meth:`invalidate_inode` or :meth:`clear`.  See
+        The paper's strict model (``warm=False``) drops every view,
+        table and listing here, so the next open re-fetches and
+        re-verifies.  The warm cache keeps them -- entries were
+        signature-verified on entry, version-pinned against rollback,
+        and every event that could have made them stale (lease churn,
+        local mutation, unmount) funnels through
+        :meth:`invalidate_inode` or the store's ``clear()``.  See
         docs/CACHING.md for the staleness bound this implies.
         """
         self.revalidations += 1
+        if not self.warm:
+            self.store.invalidate_prefix(("meta",))
+            self.store.invalidate_prefix(("table",))
+            self.store.invalidate_prefix(("listing",))
 
     def invalidate_inode(self, inode: int) -> None:
-        """Another writer may have touched ``inode``: drop everything.
+        """What this client holds of ``inode`` may not be what the SSP
+        holds -- another writer, or a local write that did not land:
+        drop everything.
 
         The raw readahead buffer is keyed by blob id, not inode, so it
-        cannot be dropped per-inode; invalidation means "a concurrent
-        writer exists", which is exactly when speculative bytes must not
-        survive either -- one coherence surface, one rule.
+        cannot be dropped per-inode; invalidation means "the SSP copy
+        moved under us", which is exactly when speculative bytes must
+        not survive either -- one coherence surface, one rule.
         """
         self.store.invalidate_prefix(("meta", inode))
         self.store.invalidate_prefix(("table", inode))
@@ -217,9 +270,6 @@ class VerifiedMetadataCache:
         self.store.invalidate_prefix(("data", inode))
         self.store.invalidate_prefix(("raw",))
         self.invalidations += 1
-
-    def clear(self) -> None:
-        self.store.clear()
 
     # -------------------------------------------------------- metrics
 

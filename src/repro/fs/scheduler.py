@@ -47,19 +47,9 @@ from typing import Callable, Iterable, Sequence
 from ..errors import (BlobNotFound, PartialWriteError, StaleEpochError,
                       StorageError, TransientPartialWriteError)
 from ..storage.blobs import BlobId
+from ..storage.resilient import _NULL_SCOPE
 from ..storage.server import BatchOp, BatchReply
 from .blobio import _REQUEST_HEADER_BYTES, _RESPONSE_HEADER_BYTES
-
-
-class _NullScope:
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc):
-        return False
-
-
-_NULL_SCOPE = _NullScope()
 
 
 class RequestScheduler:
@@ -99,6 +89,10 @@ class RequestScheduler:
         self.cost = cost
         self.tracer = tracer
         self.write_behind = write_behind
+        #: called once per inode whose staged writes a failed
+        #: :meth:`flush` dropped; the owning client sets it to stop
+        #: trusting what it cached of them.
+        self.on_drop: Callable[[int], None] = lambda inode: None
         self._count_request = count_request or (lambda: None)
         self._observe_batch = observe_batch or (lambda n: None)
         #: staged mutations in arrival order (put/delete sub-ops only).
@@ -266,7 +260,10 @@ class RequestScheduler:
         (cannot happen for staged ops -- fenced writes bypass staging),
         a failed put -> ``PartialWriteError`` (transient cause keeps its
         retryable type) carrying applied/failed/remaining blob ids, any
-        other failure via ``BatchReply.raise_for_status``.
+        other failure via ``BatchReply.raise_for_status``.  The failed
+        and remaining sub-ops (of this or of earlier, already returned
+        client ops) never reached the SSP: each of their inodes is
+        reported through ``on_drop`` before the error surfaces.
         """
         ops, self._staged = self._staged, []
         self._overlay = {}
@@ -274,21 +271,26 @@ class RequestScheduler:
             return 0
         self.flushes += 1
         applied: list[BlobId] = []
-        with self._span("flush", count=len(ops), window=self.window):
-            for base in range(0, len(ops), self.window):
-                wave = ops[base:base + self.window]
-                self.flush_waves += 1
-                self._count_request()
-                self._observe_batch(len(wave))
-                replies = self.server.batch(wave)
-                self._charge_wave(wave, replies)
-                for index, (op, reply) in enumerate(zip(wave, replies)):
-                    if reply.ok:
-                        applied.append(op.blob_id)
-                        self.flushed_ops += 1
-                        continue
-                    self._raise_wave_failure(ops, base + index, op,
-                                             reply, applied)
+        try:
+            with self._span("flush", count=len(ops), window=self.window):
+                for base in range(0, len(ops), self.window):
+                    wave = ops[base:base + self.window]
+                    self.flush_waves += 1
+                    self._count_request()
+                    self._observe_batch(len(wave))
+                    replies = self.server.batch(wave)
+                    self._charge_wave(wave, replies)
+                    for index, (op, reply) in enumerate(zip(wave, replies)):
+                        if reply.ok:
+                            applied.append(op.blob_id)
+                            self.flushed_ops += 1
+                            continue
+                        self._raise_wave_failure(ops, base + index, op,
+                                                 reply, applied)
+        except BaseException:
+            for inode in {op.blob_id.inode for op in ops[len(applied):]}:
+                self.on_drop(inode)
+            raise
         return len(ops)
 
     def _raise_wave_failure(self, ops: Sequence[BatchOp], index: int,

@@ -29,6 +29,7 @@ immediately -- retrying cannot change either.
 
 from __future__ import annotations
 
+import contextlib
 import random
 from dataclasses import dataclass
 
@@ -246,6 +247,9 @@ class OutageServer(ServerWrapper):
 
 # -- the retry / breaker / degradation layer ----------------------------------
 
+#: byte budget of the last-known-good cache (``cache_fallback``).
+_FALLBACK_CACHE_BYTES = 8 * 1024 * 1024
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -275,8 +279,6 @@ class RetryPolicy:
     #: serve the last-known-good cached blob (flagged stale) when a read
     #: exhausts its retries or hits an open breaker.
     cache_fallback: bool = True
-    #: byte budget of the last-known-good blob cache (None = unbounded).
-    fallback_cache_bytes: int | None = 8 * 1024 * 1024
     #: seeds the jitter RNG: same seed -> identical retry schedule.
     seed: int = 0
 
@@ -296,15 +298,9 @@ BREAKER_OPEN = "open"
 _BREAKER_GAUGE = {BREAKER_CLOSED: 0, BREAKER_HALF_OPEN: 1, BREAKER_OPEN: 2}
 
 
-class _NullScope:
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc):
-        return False
-
-
-_NULL_SCOPE = _NullScope()
+#: the span stand-in when no tracer is attached (also fs/scheduler.py,
+#: fs/lease.py).
+_NULL_SCOPE = contextlib.nullcontext()
 
 
 class ResilientTransport(ServerWrapper):
@@ -349,8 +345,8 @@ class ResilientTransport(ServerWrapper):
             self._clock = SimClock()
         self._tracer = tracer
         self._rng = random.Random(self.policy.seed)
-        self._fallback = LruCache(self.policy.fallback_cache_bytes
-                                  if self.policy.cache_fallback else 0)
+        self._fallback = LruCache(
+            _FALLBACK_CACHE_BYTES if self.policy.cache_fallback else 0)
         # breaker state
         self.breaker_state = BREAKER_CLOSED
         self._consecutive_failures = 0

@@ -109,8 +109,8 @@ def run_andrew(env: BenchEnv, seed: int = 5,
     keep entries warm, collapsing the path-resolve re-verification the
     strict model pays -- see docs/CACHING.md.
     """
-    config = ClientConfig(metadata_cache=True, data_cache=True,
-                          readahead=False, mdcache=mdcache)
+    config = ClientConfig(data_cache=True, readahead=False,
+                          mdcache=mdcache)
     fs = env.fresh_client(config=config)
     cost = env.cost
     dirs, files = _source_tree(seed)

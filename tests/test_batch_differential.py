@@ -1,10 +1,10 @@
 """Differential harness: batching changes round trips, never semantics.
 
-Every seeded workload is run twice -- ``ClientConfig(batching=True)``
-(multi-blob writes ride one ``OP_BATCH`` frame) against
-``batching=False`` (the honest one-round-trip-per-blob reference
-execution).  The two runs must be indistinguishable to everyone except
-the network:
+Every seeded workload is run twice -- the client as shipped (multi-blob
+writes ride one ``OP_BATCH`` frame) against ``BlobIO(batching=False)``
+(the honest one-round-trip-per-blob reference execution, a constructor
+seam only the ``reference_run`` fixture below reaches).  The two runs must
+be indistinguishable to everyone except the network:
 
 * the final SSP state is **byte-identical** (same blob ids, same
   ciphertext bytes);
@@ -25,11 +25,13 @@ crypto layer, so the call sequences match).
 
 from __future__ import annotations
 
+import functools
 from contextlib import contextmanager
 
 import pytest
 
-from repro.fs.blobio import _BATCH_SIZE_BUCKETS
+from repro.fs import client as fs_client
+from repro.fs.blobio import _BATCH_SIZE_BUCKETS, BlobIO
 from repro.fs.client import ClientConfig
 from repro.fs.permissions import AclEntry
 from repro.tools.fsck import VolumeAuditor
@@ -108,11 +110,21 @@ def _run_workload(workload: str, env: BenchEnv) -> None:
         raise AssertionError(workload)
 
 
-def _differential_run(workload: str, batching: bool,
-                      readahead: bool = False):
-    with _pinned_entropy(), _forced_config(batching=batching,
-                                           readahead=readahead):
-        config = ClientConfig(batching=batching, readahead=readahead)
+@pytest.fixture
+def reference_run(monkeypatch):
+    """``_differential_run`` on the reference execution: every client
+    it mounts builds its blob channel as ``BlobIO(batching=False)``."""
+    def run(workload: str):
+        with monkeypatch.context() as patch:
+            patch.setattr(fs_client, "BlobIO",
+                          functools.partial(BlobIO, batching=False))
+            return _differential_run(workload)
+    return run
+
+
+def _differential_run(workload: str, readahead: bool = False):
+    with _pinned_entropy(), _forced_config(readahead=readahead):
+        config = ClientConfig(readahead=readahead)
         env = make_env("sharoes", config=config, extra_users=("bob",))
         _run_workload(workload, env)
         fs = env.fs
@@ -132,9 +144,9 @@ WORKLOADS = ("postmark", "andrew", "createlist", "sharing")
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
-def test_batching_differential(workload):
-    batched = _differential_run(workload, batching=True)
-    unbatched = _differential_run(workload, batching=False)
+def test_batching_differential(workload, reference_run):
+    batched = _differential_run(workload)
+    unbatched = reference_run(workload)
 
     # Byte-identical final SSP state: same blob ids, same ciphertext.
     assert set(batched["blobs"]) == set(unbatched["blobs"])
@@ -165,10 +177,8 @@ def test_batching_differential(workload):
 def test_readahead_differential_createlist():
     """Readahead is purely speculative: same state, same semantics,
     fewer round trips on the list-heavy phase."""
-    plain = _differential_run("createlist", batching=True,
-                              readahead=False)
-    eager = _differential_run("createlist", batching=True,
-                              readahead=True)
+    plain = _differential_run("createlist", readahead=False)
+    eager = _differential_run("createlist", readahead=True)
     assert eager["blobs"] == plain["blobs"]
     assert eager["tree"] == plain["tree"]
     assert eager["requests"] < plain["requests"]
@@ -180,8 +190,7 @@ def test_readahead_cold_component_falls_back():
     """A prefetch miss (cold/absent blob) must degrade to the demand
     path silently: same answers, fsck clean."""
     with _pinned_entropy():
-        env = make_env("sharoes",
-                       config=ClientConfig(batching=True, readahead=True))
+        env = make_env("sharoes", config=ClientConfig(readahead=True))
         fs = env.fs
         fs.mkdir("/d", mode=0o755)
         fs.create_file("/d/f", b"x" * 100, mode=0o644)

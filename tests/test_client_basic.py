@@ -194,6 +194,15 @@ class TestWrite:
         with pytest.raises(FilesystemError):
             handle.read()
 
+    def test_closed_handle_refuses_truncate(self, alice_fs):
+        """A truncate after close used to be accepted and dropped."""
+        alice_fs.create_file("/f", b"0123456789")
+        handle = alice_fs.open("/f", "rw")
+        handle.close()
+        with pytest.raises(FilesystemError, match="closed handle"):
+            handle.truncate(4)
+        assert alice_fs.read_file("/f") == b"0123456789"
+
     def test_bad_open_mode(self, alice_fs):
         alice_fs.mknod("/f")
         with pytest.raises(FilesystemError):

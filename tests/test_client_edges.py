@@ -141,7 +141,7 @@ class TestCacheModes:
     def test_metadata_cache_off_refetches(self, volume, registry,
                                           server):
         fs = SharoesFilesystem(volume, registry.user("alice"),
-                               config=ClientConfig(metadata_cache=False))
+                               config=ClientConfig(cache_bytes=0))
         fs.mount()
         fs.mknod("/nocache")
         server.stats.reset()

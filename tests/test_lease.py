@@ -18,7 +18,8 @@ from repro.crypto.provider import CryptoProvider
 from repro.errors import (CasConflictError, ClientCrashed, IntegrityError,
                           LeaseHeldError, LeaseLostError, StaleEpochError)
 from repro.fs import journal
-from repro.fs.client import ClientConfig, SharoesFilesystem
+from repro.fs.client import (LEASE_WAIT_BASE_S, LEASE_WAIT_MAX_S,
+                             ClientConfig, SharoesFilesystem)
 from repro.fs.consistency import ForkDetected
 from repro.fs.freshness import StaleObjectError
 from repro.fs.lease import LeaseManager, LeaseRecord, break_record
@@ -517,6 +518,35 @@ class TestCostParity:
         assert "lease" in kinds and "journal" in kinds
 
 
+class _OpTap(ServerWrapper):
+    """Records every op (batch sub-ops included) in arrival order."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.ops = []
+
+    def _forward(self, op):
+        self.ops.append(op)
+        return op.call(self.inner)
+
+
+def test_leased_revocation_leases_before_it_reads_the_blocks(shared,
+                                                             registry):
+    """A revoking chmod re-keys the file's blocks: it must hold the
+    inode's lease before it reads the content it is about to re-send,
+    or a peer's write between the read and the lease is overwritten."""
+    server, volume = shared
+    tap = _OpTap(server)
+    fs = make_leased(volume, registry, "alice", server=tap)
+    inode = fs.create_file("/f", b"z" * 300, mode=0o664).inode
+    del tap.ops[:]
+    fs.chmod("/f", 0o660)  # o-r: a revocation
+    ids = [op.blob_id for op in tap.ops]
+    first_block = next(at for at, blob_id in enumerate(ids)
+                       if (blob_id.kind, blob_id.inode) == ("data", inode))
+    assert ids.index(lease_blob(inode)) < first_block
+
+
 # -- lease contention backoff (ClientConfig surface) --------------------------
 
 
@@ -524,6 +554,17 @@ def _waiting_config(**overrides) -> ClientConfig:
     return ClientConfig(journal=True, lease=True,
                         lease_duration_s=_LEASE_S, cache_bytes=0,
                         **overrides)
+
+
+def _backoff_until(held_s: float, attempts: int) -> list[float]:
+    """The waits a client spends on a lease that stays held for
+    ``held_s``: the constants' doubling schedule, cut where the lease
+    has expired or the attempt budget ran out."""
+    waits, delay = [], LEASE_WAIT_BASE_S
+    while len(waits) < attempts and sum(waits) < held_s:
+        waits.append(delay)
+        delay = min(delay * 2, LEASE_WAIT_MAX_S)
+    return waits
 
 
 class TestLeaseWaitRetry:
@@ -546,9 +587,7 @@ class TestLeaseWaitRetry:
         simulated clock until the holder's lease expires, then takes
         over (rolling any stranded journal forward) and writes."""
         server, volume = shared
-        config = _waiting_config(lease_wait_attempts=6,
-                                 lease_wait_base_s=0.25,
-                                 lease_wait_max_s=2.0)
+        config = _waiting_config(lease_wait_attempts=6)
         fs = SharoesFilesystem(volume, registry.user("alice"),
                                config=config)
         fs.mount()
@@ -558,10 +597,13 @@ class TestLeaseWaitRetry:
         make_manager(registry, server, clock, "bob",
                      duration=1.0).acquire(inode)
         before = clock.now
-        fs.write_file("/f", b"v2")  # waits ~0.25+0.5+1.0s, then takes over
+        fs.write_file("/f", b"v2")  # 0.05+0.1+0.2+0.4+0.8 s, then takes over
         assert fs.read_file("/f") == b"v2"
+        expected = _backoff_until(1.0, attempts=6)
         waits = fs.metrics.counter("lease.waits").value
+        assert waits == len(expected)
         assert waits >= 2  # genuinely backed off more than once
+        assert clock.now - before == pytest.approx(sum(expected))
         assert clock.now - before >= 1.0  # the holder's term elapsed
         report = VolumeAuditor(volume).audit()
         assert report.clean, report.summary()
@@ -570,8 +612,7 @@ class TestLeaseWaitRetry:
         """A holder that outlives every backoff window still wins: the
         waiter re-raises the typed error after its attempt budget."""
         server, volume = shared
-        config = _waiting_config(lease_wait_attempts=2,
-                                 lease_wait_base_s=0.1)
+        config = _waiting_config(lease_wait_attempts=2)
         fs = SharoesFilesystem(volume, registry.user("alice"),
                                config=config)
         fs.mount()
@@ -579,9 +620,12 @@ class TestLeaseWaitRetry:
         inode = fs.getattr("/f").inode
         make_manager(registry, server, clock, "bob",
                      duration=3600.0).acquire(inode)
+        before = clock.now
         with pytest.raises(LeaseHeldError):
             fs.write_file("/f", b"v2")
         assert fs.metrics.counter("lease.waits").value == 2
+        assert clock.now - before == pytest.approx(
+            sum(_backoff_until(3600.0, attempts=2)))
 
     def test_shared_clock_charges_wait_as_other(self, shared, registry,
                                                 clock):
@@ -591,8 +635,7 @@ class TestLeaseWaitRetry:
         from repro.sim.profiles import FREE
         server, volume = shared
         cost = CostModel(FREE, clock=clock)
-        config = _waiting_config(lease_wait_attempts=6,
-                                 lease_wait_base_s=0.25)
+        config = _waiting_config(lease_wait_attempts=6)
         fs = SharoesFilesystem(volume, registry.user("alice"),
                                cost_model=cost, config=config)
         fs.mount()
@@ -602,7 +645,8 @@ class TestLeaseWaitRetry:
                      duration=1.0).acquire(inode)
         other_before = cost.totals.other
         fs.write_file("/f", b"v2")
-        assert cost.totals.other - other_before >= 1.0
+        assert cost.totals.other - other_before >= sum(
+            _backoff_until(1.0, attempts=6)) >= 1.0
 
 
 # -- batched lease renewal ----------------------------------------------------
@@ -676,3 +720,31 @@ class TestBatchedRenewal:
         requests = fs.request_count
         assert fs.renew_leases() == []
         assert fs.request_count == requests
+
+
+# -- the recorded lost update (ROADMAP item 4) --------------------------------
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4")
+def test_alternating_shared_appends_keep_every_record(shared, registry):
+    """``append_file`` reads its base through the block cache *before*
+    ``_flush_file`` takes the lease, so with the data cache on each
+    writer appends to the file as it last saw it and overwrites the
+    other's records.  The fix is measured and deferred (it moves a
+    committed BENCH number); this pins the defect until it lands."""
+    server, volume = shared
+    config = ClientConfig(journal=True, lease=True, data_cache=True,
+                          lease_duration_s=_LEASE_S)
+    writers = {}
+    for user_id in ("alice", "bob"):
+        fs = SharoesFilesystem(volume, registry.user(user_id),
+                               config=config)
+        fs.mount()
+        writers[user_id[0]] = fs
+    writers["a"].create_file("/log", b"", mode=0o664)
+    records = [f"<{i}:{'ab'[i % 2]}>".encode() for i in range(6)]
+    for i, record in enumerate(records):
+        writers["ab"[i % 2]].append_file("/log", record)
+    reader = SharoesFilesystem(volume, registry.user("bob"))
+    reader.mount()
+    assert reader.read_file("/log") == b"".join(records)

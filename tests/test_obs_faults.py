@@ -249,7 +249,7 @@ class TestAttemptSpanObservability:
         fs, fault = _resilient_stack(
             registry,
             ClientConfig(retry_policy=RetryPolicy(jitter=False),
-                         batching=True, readahead=True))
+                         readahead=True))
         fs.mkdir("/d0", mode=0o755)
         fs.mkdir("/d0/d1", mode=0o755)
         fs.create_file("/d0/d1/f", b"deep", mode=0o644)
