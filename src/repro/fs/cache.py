@@ -57,6 +57,10 @@ class LruCache:
     def __len__(self) -> int:
         return len(self._entries)
 
+    def __contains__(self, key: Hashable) -> bool:
+        """Membership only: no hit/miss counted, recency untouched."""
+        return key in self._entries
+
     def get(self, key: Hashable) -> Any | None:
         """Return the cached value or None; refreshes recency on hit."""
         entry = self._entries.get(key)

@@ -164,12 +164,26 @@ class ResolvedNode:
 
 @dataclass
 class OpenFile:
-    """A write-back file handle: writes buffer locally, flush on close.
+    """A write-back file handle over a sparse map of the file's blocks.
 
     This mirrors the paper's prototype ("we cache all writes locally and
     only encrypt the file before sending it to the SSP as the result of a
-    file close"), and its block layout means a partial update only
-    re-encrypts and re-uploads the touched blocks.
+    file close"), and its block layout (section II-B) means an access
+    costs the blocks it touches, not the file.  Nothing is loaded at
+    ``open``; each access loads what it lacks through the filesystem's
+    one block loader, which verifies and decrypts every block it returns:
+
+    * ``read(size, offset)`` -- block 0 (it carries the block count) and
+      the blocks the range covers; ``read()`` loads every block;
+    * ``pwrite`` -- block 0 and the blocks the write touches (also the
+      last block when the write starts beyond it: the gap is zero-filled
+      from the file's end);
+    * ``write`` (append) -- block 0, then the last block: its length is
+      the only record of the file's size;
+    * ``truncate`` -- block 0 and the new last block (to cut or pad it);
+    * ``close`` -- nothing; it seals the written blocks (and block 0
+      again when the count changed).  Only a pending lazy revocation
+      loads the rest, to re-seal every block under the fresh key.
     """
 
     fs: "SharoesFilesystem"
@@ -177,59 +191,150 @@ class OpenFile:
     node: ResolvedNode
     readable: bool
     writable: bool
-    _buffer: bytearray = field(default_factory=bytearray)
-    _loaded: bool = False
+    #: index -> content held (block 0 without its count prefix).  Every
+    #: index below ``_count`` that is missing here is unchanged at the SSP.
+    _blocks: dict[int, bytes] = field(default_factory=dict)
+    #: written index -> what was loaded there (None: a new block), so
+    #: close can skip a block rewritten with the bytes it already had.
+    _written: dict[int, "bytes | None"] = field(default_factory=dict)
+    #: the count block 0 carried when loaded (None: not loaded yet).
+    _stored_count: int | None = None
+    #: the block count now.
+    _count: int = 0
     _dirty: bool = False
-    _original_blocks: list[bytes] = field(default_factory=list)
     _closed: bool = False
 
-    def _ensure_loaded(self) -> None:
-        if self._loaded:
-            return
-        content, blocks = self.fs._read_blocks(self.node)
-        self._buffer = bytearray(content)
-        self._original_blocks = blocks
-        self._loaded = True
+    def _require(self, verb: str, allowed: bool) -> None:
+        if self._closed:
+            raise FilesystemError(f"{verb} on closed handle")
+        if not allowed:
+            raise PermissionDenied(
+                f"{self.path}: not opened for "
+                f"{'reading' if verb == 'read' else 'writing'}")
+
+    def _start_empty(self) -> None:
+        """Discard the stored content unread ("w": close replaces it)."""
+        self._stored_count = 0
+        self._dirty = True
+
+    # -- the block map --------------------------------------------------------
+
+    def _fetch(self, wanted) -> None:
+        count, blocks = self.fs._load_blocks(self.node, wanted,
+                                             self._stored_count)
+        if self._stored_count is None:
+            self._stored_count = self._count = count
+        self._blocks.update(blocks)
+
+    def _hold(self, first: int, last: int | None = None) -> None:
+        """Have blocks ``first``..``last`` (None: through the end) in
+        the map, as far as the file reaches."""
+        if self._stored_count is None:
+            # Block 0 for the count; a range whose end is known rides
+            # the same flight.
+            self._fetch(range(first, last + 1) if last is not None else ())
+        end = self._count if last is None else min(last + 1, self._count)
+        missing = [index for index in range(first, end)
+                   if index not in self._blocks]
+        if missing:
+            self._fetch(missing)
+
+    def _set(self, index: int, content: bytes) -> None:
+        self._written.setdefault(index, self._blocks.get(index))
+        self._blocks[index] = content
+
+    def _size(self) -> int:
+        """The length in bytes, which only the last block records."""
+        self._hold(0, 0)  # the count
+        if not self._count:
+            return 0
+        last = self._count - 1
+        self._hold(last, last)
+        return (last * self.fs.volume.block_size
+                + len(self._blocks[last]))
+
+    def _cut(self, size: int) -> None:
+        """Shorten to ``size`` bytes (not beyond the current length);
+        the block the cut lands in is held."""
+        block_size = self.fs.volume.block_size
+        self._count = -(-size // block_size)
+        for index in [i for i in self._blocks if i >= self._count]:
+            del self._blocks[index]
+        if size % block_size:
+            last = self._count - 1
+            self._set(last, self._blocks[last][:size % block_size])
+
+    def _grow(self, size: int) -> None:
+        """Zero-extend to ``size`` bytes; the last block is held."""
+        block_size = self.fs.volume.block_size
+        count = -(-size // block_size)
+        for index in range(max(self._count - 1, 0), count):
+            length = min(block_size, size - index * block_size)
+            self._set(index,
+                      self._blocks.get(index, b"").ljust(length, b"\x00"))
+        self._count = count
+
+    def _put(self, data: bytes, offset: int) -> None:
+        block_size = self.fs.volume.block_size
+        end = offset + len(data)
+        first, last = offset // block_size, (end - 1) // block_size
+        self._hold(first, last)
+        if last >= self._count - 1 and end > self._size():
+            self._grow(end)
+        for index in range(first, last + 1):
+            base = index * block_size
+            lo = max(offset, base)
+            hi = min(end, base + block_size)
+            block = self._blocks[index]
+            self._set(index, block[:lo - base] + data[lo - offset:hi - offset]
+                      + block[hi - base:])
+        self._dirty = True
+
+    # -- the handle ------------------------------------------------------------
 
     def read(self, size: int | None = None, offset: int = 0) -> bytes:
         with self.fs.tracer.span("read", path=self.path):
-            if self._closed:
-                raise FilesystemError("read on closed handle")
-            if not self.readable:
-                raise PermissionDenied(
-                    f"{self.path}: not opened for reading")
-            self._ensure_loaded()
-            end = len(self._buffer) if size is None else offset + size
-            return bytes(self._buffer[offset:end])
+            self._require("read", self.readable)
+            if size is not None and size <= 0:
+                return b""
+            block_size = self.fs.volume.block_size
+            first = offset // block_size
+            self._hold(first, None if size is None
+                       else (offset + size - 1) // block_size)
+            end = self._count if size is None else min(
+                self._count, -(-(offset + size) // block_size))
+            data = b"".join(self._blocks[index]
+                            for index in range(first, end))
+            return data[offset - first * block_size:][:size]
 
     def write(self, data: bytes) -> int:
         """Append ``data`` at the end of the file."""
-        self._ensure_loaded()
-        return self.pwrite(data, len(self._buffer))
+        self._require("write", self.writable)
+        return self.pwrite(data, self._size())
 
     def pwrite(self, data: bytes, offset: int) -> int:
+        """Write at ``offset``; a gap past the end reads back as zeros."""
         with self.fs.tracer.span("write", path=self.path):
-            if self._closed:
-                raise FilesystemError("write on closed handle")
-            if not self.writable:
-                raise PermissionDenied(
-                    f"{self.path}: not opened for writing")
-            self._ensure_loaded()
-            if offset > len(self._buffer):
-                self._buffer.extend(
-                    b"\x00" * (offset - len(self._buffer)))
-            self._buffer[offset:offset + len(data)] = data
-            self._dirty = True
+            self._require("write", self.writable)
+            if data:
+                self._put(data, offset)
             return len(data)
 
     def truncate(self, size: int = 0) -> None:
-        if self._closed:
-            raise FilesystemError("truncate on closed handle")
-        if not self.writable:
-            raise PermissionDenied(f"{self.path}: not opened for writing")
-        self._ensure_loaded()
-        del self._buffer[size:]
-        self._dirty = True
+        """Cut or zero-extend to ``size`` bytes, like ftruncate(2)."""
+        with self.fs.tracer.span("truncate", path=self.path):
+            self._require("truncate", self.writable)
+            block_size = self.fs.volume.block_size
+            # Block 0 for the count, in one flight with the block a cut
+            # would land in.
+            partial = size // block_size if size % block_size else 0
+            self._hold(partial, partial)
+            if (-(-size // block_size) < self._count
+                    or size <= self._size()):
+                self._cut(size)
+            else:
+                self._grow(size)
+            self._dirty = True
 
     def close(self) -> None:
         """Encrypt dirty blocks and upload (the paper's ``close`` cost)."""
@@ -239,8 +344,7 @@ class OpenFile:
         with self.fs.tracer.span("close", path=self.path,
                                  dirty=self._dirty):
             if self._dirty:
-                self.fs._flush_file(self.node, bytes(self._buffer),
-                                    self._original_blocks)
+                self.fs._flush_file(self)
 
     def __enter__(self) -> "OpenFile":
         return self
@@ -1139,7 +1243,7 @@ class SharoesFilesystem:
             return node
 
     def _read_symlink_target(self, node: ResolvedNode) -> str:
-        content, _ = self._read_blocks(node)
+        content = b"".join(self._read_blocks(node))
         try:
             return content.decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -1179,7 +1283,11 @@ class SharoesFilesystem:
         fspath.split_path(target)  # validates absolute form
         stat = self._create(path, mode, SYMLINK, None, ())
         node = self._resolve(path, follow_last=False)
-        self._flush_file(node, target.encode("utf-8"), [])
+        handle = OpenFile(fs=self, path=path, node=node, readable=False,
+                          writable=True)
+        handle._start_empty()
+        handle._put(target.encode("utf-8"), 0)
+        self._flush_file(handle)
         return stat
 
     @traced("readlink")
@@ -1262,51 +1370,76 @@ class SharoesFilesystem:
         masks = {"r": 0o4, "w": 0o2, "x": 0o1}
         return all(bits & masks[ch] for ch in want)
 
-    def _read_blocks(self, node: ResolvedNode) -> tuple[bytes, list[bytes]]:
-        """Fetch, verify and decrypt all data blocks of a file/symlink."""
+    def _load_blocks(self, node: ResolvedNode, wanted,
+                     count: int | None = None
+                     ) -> tuple[int, dict[int, bytes]]:
+        """The one block loader: fetch, verify and decrypt the
+        ``wanted`` blocks of a file/symlink -> (count, index -> content).
+
+        ``count`` is the block count when the caller already holds block
+        0; without it block 0 is loaded too, for the count it carries (no
+        block 0 is the empty file).  A wanted index at or past the count
+        is not there to load; one below it that the SSP cannot produce
+        is an attack.  With a scheduler the blocks not in the data cache
+        travel as one flight -- block 0 included, so a caller that knows
+        its range up front pays one wave, and one that must see the
+        count first (the whole file) asks twice.
+        """
         if node.attrs.ftype == DIRECTORY:
             raise IsADirectory(f"inode {node.inode} is a directory")
         dek = node.view.require_dek()
         dvk = node.view.require_dvk()
-        blocks: list[bytes] = []
-        index = 0
-        total = 1  # until block 0 tells us the real count
-        while index < total:
+        inode = node.inode
+
+        def flight(indices) -> None:
+            # Cold is decided here, once per index, without counting a
+            # cache lookup; fewer than two leave nothing to overlap.
+            cold = [layout.block_blob_id(inode, index) for index in indices
+                    if not self.mdcache.has_block(inode, index)]
+            if len(cold) > 1:
+                self.blobs.fetch_tail(cold)
+
+        def load(index: int) -> bytes:
             plain: bytes | None = None
             if self.mdcache.data:
                 with self.tracer.span("cache", kind="data") as cspan:
-                    plain = self.mdcache.get_block(node.inode, index)
+                    plain = self.mdcache.get_block(inode, index)
                     cspan.attrs["hit"] = plain is not None
             if plain is None:
-                blob_id = layout.block_blob_id(node.inode, index)
-                try:
-                    blob = self.blobs.get(blob_id)
-                except BlobNotFound:
-                    if index == 0:
-                        return b"", []  # empty file: no blocks at all
-                    raise IntegrityError(
-                        f"inode {node.inode}: block {index} missing "
-                        f"(truncation attack?)") from None
+                blob_id = layout.block_blob_id(inode, index)
+                blob = self.blobs.get(blob_id)
                 with self.tracer.span("crypto", op="decrypt_block"):
                     plain = layout.open_block(self.provider, dek, dvk,
-                                              node.inode, index, blob)
+                                              inode, index, blob)
                 if self.mdcache.data and not self._was_degraded(blob_id):
-                    self.mdcache.put_block(node.inode, index, plain)
-            if index == 0:
-                total, plain = layout.split_count(plain)
-                if total > 2:
-                    # Block 0 just told us the real block count; the
-                    # loop would now pay one full RTT per remaining
-                    # block.  With a scheduler, the not-yet-cached tail
-                    # is fetched as one flight into the raw slots the
-                    # loop's gets drain.
-                    self.blobs.fetch_tail(
-                        layout.block_blob_id(node.inode, i)
-                        for i in range(1, total)
-                        if self.mdcache.get_block(node.inode, i) is None)
-            blocks.append(plain)
-            index += 1
-        return b"".join(blocks), blocks
+                    self.mdcache.put_block(inode, index, plain)
+            return plain
+
+        blocks: dict[int, bytes] = {}
+        if count is None:
+            flight(sorted({0, *wanted}))
+            try:
+                count, blocks[0] = layout.split_count(load(0))
+            except BlobNotFound:
+                return 0, {}  # empty file: no blocks at all
+        else:
+            flight(wanted)
+        for index in wanted:
+            if 0 < index < count:
+                try:
+                    blocks[index] = load(index)
+                except BlobNotFound:
+                    raise IntegrityError(
+                        f"inode {inode}: block {index} missing "
+                        f"(truncation attack?)") from None
+        return count, blocks
+
+    def _read_blocks(self, node: ResolvedNode) -> list[bytes]:
+        """Every block of a file/symlink, in order: block 0, then the
+        tail the count it carries names (as one flight)."""
+        count, blocks = self._load_blocks(node, ())
+        blocks.update(self._load_blocks(node, range(1, count), count)[1])
+        return [blocks[index] for index in range(count)]
 
     @traced("read_file")
     def read_file(self, path: str) -> bytes:
@@ -1318,8 +1451,7 @@ class SharoesFilesystem:
         if node.cap_id not in ("fr", "frw"):
             raise PermissionDenied(
                 f"{path}: read requires read permission (CAP {node.cap_id})")
-        content, _ = self._read_blocks(node)
-        return content
+        return b"".join(self._read_blocks(node))
 
     # ------------------------------------------------------------------ writes
 
@@ -1344,9 +1476,7 @@ class SharoesFilesystem:
         handle = OpenFile(fs=self, path=path, node=node,
                           readable=readable, writable=writable)
         if mode == "w":
-            handle._loaded = True
-            handle._dirty = True
-            handle._original_blocks = []
+            handle._start_empty()
         return handle
 
     @traced("write_file")
@@ -1361,18 +1491,21 @@ class SharoesFilesystem:
             handle.write(data)
 
     @_mutating("writeback")
-    def _flush_file(self, node: ResolvedNode, content: bytes,
-                    original_blocks: list[bytes]) -> None:
-        """Encrypt and upload dirty blocks; update metadata if owner.
+    def _flush_file(self, handle: OpenFile) -> None:
+        """Encrypt and upload a handle's written blocks; update metadata
+        if owner.
 
-        Only blocks whose plaintext changed are re-encrypted and re-sent --
-        the point of the paper's per-block encryption.  Block 0 carries
+        Only blocks the handle wrote are re-encrypted and re-sent -- the
+        point of the paper's per-block encryption -- and of those, not
+        one that ends with the bytes it was loaded with.  Block 0 carries
         the total block count, so appends rewrite block 0 plus the new
         blocks, while an in-place change touches exactly one block.
 
         If a lazy revocation is pending (owner view, needs_rekey), this
-        write is the moment it takes effect: fresh keys, full rewrite.
+        write is the moment it takes effect: fresh keys, full rewrite --
+        the blocks the handle never needed are loaded for it now.
         """
+        node = handle.node
         self._touch(node.inode)
         dek = node.view.require_dek()
         dsk = node.view.require_dsk()
@@ -1381,20 +1514,25 @@ class SharoesFilesystem:
         if node.view.is_owner_view:
             record = ObjectRecord.from_owner_view(node.view, node.mvk)
             if record.needs_rekey:
+                handle._hold(0)
                 record.rekey_data()
                 dek, dsk = record.dek, record.dsk
                 rekeyed = True
-        new_blocks = layout.split_blocks(content, self.volume.block_size)
-        old_count = len(original_blocks)
-        new_count = len(new_blocks)
+        old_count = handle._stored_count
+        new_count = handle._count
+        indices = set(range(new_count)) if rekeyed else {
+            index for index in handle._written if index < new_count}
+        if new_count and new_count != old_count:
+            indices.add(0)
         outgoing = []
         with self.tracer.span("crypto", op="encrypt_blocks"):
-            for index, block in enumerate(new_blocks):
+            for index in sorted(indices):
+                content = handle._blocks[index]
                 unchanged = (not rekeyed
-                             and index < old_count
-                             and original_blocks[index] == block
+                             and handle._written.get(index) == content
                              and (index > 0 or old_count == new_count))
-                payload = layout.block_payload(new_blocks, index)
+                payload = (layout.count_prefixed(new_count, content)
+                           if index == 0 else content)
                 # Write-through: the plaintext is leaving this client.
                 self.mdcache.put_block(node.inode, index, payload)
                 if unchanged:
@@ -1413,7 +1551,7 @@ class SharoesFilesystem:
         # authoritative block count.  The exception: a pending lazy
         # revocation (the fresh DEK must reach the replicas).
         if record is not None and rekeyed:
-            record.attrs.size = len(content)
+            record.attrs.size = handle._size()
             record.attrs.block_count = new_count
             record.attrs.version += 1
             self._write_metadata_replicas(record)
@@ -1746,8 +1884,7 @@ class SharoesFilesystem:
         attrs = record.attrs
         self._touch(attrs.inode)
         if attrs.ftype != DIRECTORY:
-            content, _ = self._read_blocks(node)
-            blocks = layout.split_blocks(content, self.volume.block_size)
+            blocks = self._read_blocks(node)
             for index in range(len(blocks)):
                 self.blobs.send([layout.seal_block(
                     self.provider, record.dek, record.dsk, attrs.inode,

@@ -57,10 +57,16 @@ def split_blocks(content: bytes, block_size: int) -> list[bytes]:
             for i in range(0, len(content), block_size)]
 
 
+def count_prefixed(count: int, content: bytes) -> bytes:
+    """Plaintext stored for block 0: the total block count, then its
+    content (the inverse of :func:`split_count`)."""
+    return count.to_bytes(_COUNT_BYTES, "big") + content
+
+
 def block_payload(blocks: list[bytes], index: int) -> bytes:
     """Plaintext stored for block ``index``: block 0 carries the count."""
     if index == 0:
-        return len(blocks).to_bytes(_COUNT_BYTES, "big") + blocks[0]
+        return count_prefixed(len(blocks), blocks[0])
     return blocks[index]
 
 

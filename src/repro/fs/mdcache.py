@@ -222,6 +222,11 @@ class VerifiedMetadataCache:
 
     # ---------------------------------------------------- data blocks
 
+    def has_block(self, inode: int, index: int) -> bool:
+        """Is the block cached?  The loader's cold-set probe: it counts
+        no lookup, so each block a load serves is one hit or one miss."""
+        return self.data and ("data", inode, index) in self.store
+
     def get_block(self, inode: int, index: int) -> bytes | None:
         if not self.data:
             return None

@@ -168,6 +168,22 @@ class TestWrite:
             handle.truncate(4)
         assert alice_fs.read_file("/f") == b"0123"
 
+    def test_truncate_past_end_zero_extends(self, alice_fs):
+        """Like ftruncate(2) and like pwrite past EOF; it used to be a
+        no-op that still paid a flush."""
+        alice_fs.create_file("/f", b"ab")
+        with alice_fs.open("/f", "rw") as handle:
+            handle.truncate(5)
+            assert handle.read() == b"ab\x00\x00\x00"
+        assert alice_fs.read_file("/f") == b"ab\x00\x00\x00"
+
+    def test_truncate_is_traced(self, alice_fs):
+        alice_fs.create_file("/f", b"0123456789")
+        with alice_fs.open("/f", "rw") as handle:
+            handle.truncate(4)
+        assert "truncate" in [span.name
+                              for span in alice_fs.tracer.finished]
+
     def test_writes_flush_only_on_close(self, alice_fs, volume):
         alice_fs.create_file("/f", b"old")
         handle = alice_fs.open("/f", "w")

@@ -5,7 +5,7 @@ each block is encrypted separately... accommodates updates efficiently').
 
 import pytest
 
-from repro.fs.client import SharoesFilesystem
+from repro.fs.client import ClientConfig, SharoesFilesystem
 from repro.fs.volume import SharoesVolume, block_blob_id
 from repro.principals.groups import GroupKeyService
 from repro.crypto.provider import CryptoProvider
@@ -146,3 +146,28 @@ class TestBlockCaching:
         # 3 data blocks + the root directory table (tables are directory
         # *data* blocks, hence the same blob kind).
         assert server.stats.gets_by_kind["data"] == 4
+
+    @pytest.mark.parametrize("warm", [True, False])
+    def test_one_cache_lookup_per_block_per_load(self, small_block_volume,
+                                                 registry, warm):
+        """With a scheduler mounted the loader asks which tail blocks are
+        cold before the flight; that probe used to be a second counted
+        ``get_block`` per block, so ``cache.hit_rate`` read high."""
+        fs = SharoesFilesystem(small_block_volume, registry.user("alice"),
+                               config=ClientConfig(concurrency=8))
+        fs.mount()
+        fs.create_file("/f", b"y" * (BLOCK * 5))  # written through
+        if not warm:
+            fs.flush_staged()
+            fs.cache.clear()
+        looked_up = []
+        real = fs.mdcache.get_block
+        fs.mdcache.get_block = lambda inode, index: (
+            looked_up.append(index) or real(inode, index))
+        assert fs.read_file("/f") == b"y" * (BLOCK * 5)
+        assert looked_up == [0, 1, 2, 3, 4]
+        # ...and a partial load looks up what it touches, nothing more.
+        del looked_up[:]
+        with fs.open("/f", "r") as handle:
+            assert handle.read(2, offset=BLOCK * 3 - 1) == b"yy"
+        assert looked_up == [0, 2, 3]

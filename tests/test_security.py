@@ -128,6 +128,71 @@ class TestTamperingSsp:
         with pytest.raises(IntegrityError):
             fs.read_file("/big")
 
+    # -- partial loads: a handle fetches block 0 plus the blocks an access
+    # touches, and must verify every one of them under its own index.
+
+    BLOCK = 65536
+
+    def _four_block_file(self, volume, registry):
+        fs = _fresh(volume, registry, "alice")
+        content = b"".join(bytes([i]) * self.BLOCK for i in range(1, 5))
+        fs.create_file("/big", content, mode=0o600)
+        fs.create_file("/other", b"o" * (self.BLOCK * 3), mode=0o600)
+        fs.cache.clear()
+        return fs, content, fs.getattr("/big").inode
+
+    def _read_block_two(self, fs):
+        with fs.open("/big", "r") as handle:
+            return handle.read(16, offset=2 * self.BLOCK)
+
+    def test_partial_load_detects_index_swap(self, volume, registry,
+                                             server):
+        fs, _, inode = self._four_block_file(volume, registry)
+        b1 = server.get(block_blob_id(inode, 1))
+        b2 = server.get(block_blob_id(inode, 2))
+        server.put(block_blob_id(inode, 1), b2)
+        server.put(block_blob_id(inode, 2), b1)
+        with pytest.raises(IntegrityError):
+            self._read_block_two(fs)
+
+    def test_partial_load_detects_foreign_block(self, volume, registry,
+                                                server):
+        fs, _, inode = self._four_block_file(volume, registry)
+        other = fs.getattr("/other").inode
+        server.put(block_blob_id(inode, 2),
+                   server.get(block_blob_id(other, 2)))
+        with pytest.raises(IntegrityError):
+            self._read_block_two(fs)
+
+    def test_partial_load_detects_deleted_touched_block(self, volume,
+                                                        registry, server):
+        fs, _, inode = self._four_block_file(volume, registry)
+        server.delete(block_blob_id(inode, 2))
+        with pytest.raises(IntegrityError):
+            self._read_block_two(fs)
+        with pytest.raises(IntegrityError):
+            with fs.open("/big", "rw") as handle:
+                handle.pwrite(b"patch", 2 * self.BLOCK + 9)
+
+    def test_append_detects_deleted_last_block(self, volume, registry,
+                                               server):
+        fs, _, inode = self._four_block_file(volume, registry)
+        server.delete(block_blob_id(inode, 3))
+        with pytest.raises(IntegrityError):
+            fs.append_file("/big", b"tail")
+
+    def test_partial_load_does_not_attest_untouched_blocks(
+            self, volume, registry, server):
+        """The scope, pinned: a partial load verifies every byte it
+        returns and the count it trusts -- not blocks it never fetched
+        (docs/THREAT_MODEL.md).  The whole-file read still notices."""
+        fs, content, inode = self._four_block_file(volume, registry)
+        server.delete(block_blob_id(inode, 1))
+        assert self._read_block_two(fs) == content[
+            2 * self.BLOCK:2 * self.BLOCK + 16]
+        with pytest.raises(IntegrityError):
+            fs.read_file("/big")
+
 
 class TestMaliciousWriters:
     def test_reader_forgery_detected(self, volume, registry, server):
