@@ -204,3 +204,8 @@ class CryptoProvider:
     def derive_row_key(self, table_dek: bytes, name: str) -> bytes:
         self._emit("keyed_hash", len(name))
         return hashes.derive_row_key(table_dek, name)
+
+    def digest(self, data: bytes) -> bytes:
+        """Content hash (a table head names its sealed base by it)."""
+        self._emit("keyed_hash", len(data))
+        return hashes.digest(data)

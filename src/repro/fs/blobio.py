@@ -208,13 +208,15 @@ class BlobIO:
     def send(self, blobs: Sequence[tuple[BlobId, "bytes | None"]], *,
              grouped: bool,
              fences: "dict[int, int] | None" = None) -> None:
-        """Upload (payload) or delete (``None``) blobs, all one kind.
+        """Upload (payload) or delete (``None``) blobs.
 
         ``grouped`` sends are one request: the paper's Figure 8 prices a
         create as one "metadata send" and one "parent-dir send" however
         many CAP replicas ride along (the per-CAP multiplier applies to
-        the crypto column, not the network column).  Ungrouped blobs are
-        one wire call each.  ``fences`` maps inode -> lease epoch; a
+        the crypto column, not the network column).  Its sub-ops apply
+        in order, and a group of puts may end in deletes (a table fold's
+        old bases); it is a ``put_many`` all the same.  Ungrouped blobs
+        are one wire call each.  ``fences`` maps inode -> lease epoch; a
         covered blob's write is fenced on its lease blob.
         """
         if not blobs:

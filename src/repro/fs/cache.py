@@ -49,6 +49,10 @@ class LruCache:
         self.stats = CacheStats()
         self._entries: OrderedDict[Hashable, tuple[Any, int]] = OrderedDict()
         self._used_bytes = 0
+        #: the live tuple keys by their first two fields (a shorter key
+        #: files under None), so ``invalidate_prefix`` visits one family
+        #: or one inode's group instead of the whole store.
+        self._index: dict[Hashable, dict[Hashable, set]] = {}
 
     @property
     def used_bytes(self) -> int:
@@ -60,6 +64,24 @@ class LruCache:
     def __contains__(self, key: Hashable) -> bool:
         """Membership only: no hit/miss counted, recency untouched."""
         return key in self._entries
+
+    @staticmethod
+    def _slot(key: Hashable) -> tuple | None:
+        if isinstance(key, tuple) and key:
+            return key[0], key[1] if len(key) > 1 else None
+        return None
+
+    def _forget(self, key: Hashable, size_bytes: int) -> None:
+        """Bookkeeping for an entry that just left ``_entries``."""
+        self._used_bytes -= size_bytes
+        slot = self._slot(key)
+        if slot is not None:
+            family = self._index[slot[0]]
+            family[slot[1]].discard(key)
+            if not family[slot[1]]:
+                del family[slot[1]]
+                if not family:
+                    del self._index[slot[0]]
 
     def get(self, key: Hashable) -> Any | None:
         """Return the cached value or None; refreshes recency on hit."""
@@ -81,7 +103,7 @@ class LruCache:
             return
         replacing = key in self._entries
         if replacing:
-            self._used_bytes -= self._entries.pop(key)[1]
+            self._forget(key, self._entries.pop(key)[1])
         if (self.capacity_bytes is not None
                 and size_bytes > self.capacity_bytes):
             # Too big to ever fit; any stale entry stays evicted.
@@ -89,28 +111,39 @@ class LruCache:
             return
         self._entries[key] = (value, size_bytes)
         self._used_bytes += size_bytes
+        slot = self._slot(key)
+        if slot is not None:
+            self._index.setdefault(slot[0], {}).setdefault(
+                slot[1], set()).add(key)
         if replacing:
             self.stats.replacements += 1
         else:
             self.stats.insertions += 1
         while (self.capacity_bytes is not None
                and self._used_bytes > self.capacity_bytes):
-            _, (_, evicted_size) = self._entries.popitem(last=False)
-            self._used_bytes -= evicted_size
+            evicted, (_, evicted_size) = self._entries.popitem(last=False)
+            self._forget(evicted, evicted_size)
             self.stats.evictions += 1
 
     def invalidate(self, key: Hashable) -> None:
         entry = self._entries.pop(key, None)
         if entry is not None:
-            self._used_bytes -= entry[1]
+            self._forget(key, entry[1])
 
     def invalidate_prefix(self, prefix: tuple) -> None:
         """Drop every entry whose (tuple) key starts with ``prefix``."""
-        victims = [k for k in self._entries
+        if not prefix:
+            groups = [self._entries]
+        elif len(prefix) == 1:
+            groups = self._index.get(prefix[0], {}).values()
+        else:
+            groups = [self._index.get(prefix[0], {}).get(prefix[1], ())]
+        victims = [k for group in groups for k in group
                    if isinstance(k, tuple) and k[:len(prefix)] == prefix]
         for key in victims:
             self.invalidate(key)
 
     def clear(self) -> None:
         self._entries.clear()
+        self._index.clear()
         self._used_bytes = 0

@@ -34,7 +34,8 @@ from ..errors import (BlobNotFound, CryptoError, DirectoryNotEmpty,
                       FileExists, FileNotFound, FilesystemError,
                       IntegrityError, IsADirectory, LeaseHeldError,
                       LeaseLostError, NotADirectory, PermissionDenied,
-                      SharoesError, StaleEpochError, StorageError)
+                      SharoesError, StaleEpochError, StorageError,
+                      TransientStorageError)
 from ..fs import path as fspath
 from ..obs.metrics import (MetricsRegistry, bind_cache_stats,
                            bind_cost_model, bind_crypto_counters,
@@ -220,8 +221,8 @@ class OpenFile:
     # -- the block map --------------------------------------------------------
 
     def _fetch(self, wanted) -> None:
-        count, blocks = self.fs._load_blocks(self.node, wanted,
-                                             self._stored_count)
+        count, blocks = self.fs._load_blocks(
+            self.node, wanted, self._stored_count, self.writable)
         if self._stored_count is None:
             self._stored_count = self._count = count
         self._blocks.update(blocks)
@@ -1029,18 +1030,26 @@ class SharoesFilesystem:
 
     # ------------------------------------------------------------------ fetch
 
-    def _was_degraded(self, blob_id: BlobId) -> bool:
+    def _was_degraded(self, blob_id: BlobId,
+                      for_write: bool = False) -> bool:
         """Did the transport serve this blob from its stale fallback?
 
         A degraded last-known-good read still verifies (it is validly
         signed old bytes), but caching its decrypted view would let the
         outage outlive itself: the entry would keep serving the stale
         state long after the SSP healed.  Degraded payloads are used
-        once and never cached -- see docs/CACHING.md.
+        once and never cached -- see docs/CACHING.md.  One loaded
+        ``for_write`` would be edited and uploaded over whatever the SSP
+        holds by now, so there the error the fallback swallowed is
+        raised after all.
         """
         stale_ids = getattr(self.server, "stale_blob_ids", None)
         if stale_ids is None or blob_id not in stale_ids:
             return False
+        if for_write:
+            raise TransientStorageError(
+                f"{blob_id}: SSP unreachable; a write cannot build on "
+                f"the last-known-good copy")
         self.metrics.counter(
             "client.cache.degraded_skips",
             help="verified payloads not cached: served degraded").inc()
@@ -1088,16 +1097,44 @@ class SharoesFilesystem:
         if cached is not None:
             with self.tracer.span("cache", hit=True, kind="table"):
                 return cached
-        dek = node.view.require_dek()
-        dvk = node.view.require_dvk()
-        blob_id = layout.table_blob_id(node.inode, node.selector)
+        return self._load_table(node.inode, node.selector,
+                                node.view.require_dek(),
+                                node.view.require_dvk())
+
+    def _load_table(self, inode: int, selector: str, dek: bytes, dvk,
+                    for_write: bool = False) -> TableView:
+        """The one table loader: the blob at the view's id and, when
+        that is a head, the base it names -- which must exist, have the
+        digest the head carries and verify under its own context
+        (fs/layout.py) -- merged into one view.
+
+        A read caches the view (at head + base size) unless any of it
+        was served degraded.  A load ``for_write`` refuses degraded
+        bytes and caches nothing: its caller edits the view and caches
+        what it stores.
+        """
+        blob_id = layout.table_blob_id(inode, selector)
         blob = self.blobs.get(blob_id)
         with self.tracer.span("crypto", op="open_table"):
-            view = layout.open_table(self.provider, dek, dvk, node.inode,
-                                     node.selector, blob)
-        if not self._was_degraded(blob_id):
-            self.mdcache.put_table(node.inode, node.selector, view,
-                                   len(blob))
+            view = layout.open_table(self.provider, dek, dvk, inode,
+                                     selector, blob)
+        degraded = self._was_degraded(blob_id, for_write)
+        if view.base_gen:
+            base_id = layout.table_base_id(inode, selector, view.base_gen)
+            try:
+                base = self.blobs.get(base_id)
+            except BlobNotFound:
+                raise IntegrityError(
+                    f"inode {inode}: table base {base_id} is missing "
+                    f"under its head (rollback or stale writer?)"
+                ) from None
+            with self.tracer.span("crypto", op="open_table"):
+                layout.open_table_base(self.provider, dek, dvk, inode,
+                                       selector, view, base)
+            degraded = self._was_degraded(base_id, for_write) or degraded
+        if not (for_write or degraded):
+            self.mdcache.put_table(inode, selector, view,
+                                   len(blob) + view.base_size)
         return view
 
     def _invalidate(self, inode: int) -> None:
@@ -1371,7 +1408,7 @@ class SharoesFilesystem:
         return all(bits & masks[ch] for ch in want)
 
     def _load_blocks(self, node: ResolvedNode, wanted,
-                     count: int | None = None
+                     count: int | None = None, for_write: bool = False
                      ) -> tuple[int, dict[int, bytes]]:
         """The one block loader: fetch, verify and decrypt the
         ``wanted`` blocks of a file/symlink -> (count, index -> content).
@@ -1383,7 +1420,9 @@ class SharoesFilesystem:
         is an attack.  With a scheduler the blocks not in the data cache
         travel as one flight -- block 0 included, so a caller that knows
         its range up front pays one wave, and one that must see the
-        count first (the whole file) asks twice.
+        count first (the whole file) asks twice.  ``for_write`` (a
+        writable handle's loads) refuses blocks served degraded: see
+        ``_was_degraded``.
         """
         if node.attrs.ftype == DIRECTORY:
             raise IsADirectory(f"inode {node.inode} is a directory")
@@ -1411,8 +1450,9 @@ class SharoesFilesystem:
                 with self.tracer.span("crypto", op="decrypt_block"):
                     plain = layout.open_block(self.provider, dek, dvk,
                                               inode, index, blob)
-                if self.mdcache.data and not self._was_degraded(blob_id):
-                    self.mdcache.put_block(inode, index, plain)
+                if for_write or self.mdcache.data:
+                    if not self._was_degraded(blob_id, for_write):
+                        self.mdcache.put_block(inode, index, plain)
             return plain
 
         blocks: dict[int, bytes] = {}
@@ -1434,11 +1474,13 @@ class SharoesFilesystem:
                         f"(truncation attack?)") from None
         return count, blocks
 
-    def _read_blocks(self, node: ResolvedNode) -> list[bytes]:
+    def _read_blocks(self, node: ResolvedNode,
+                     for_write: bool = False) -> list[bytes]:
         """Every block of a file/symlink, in order: block 0, then the
         tail the count it carries names (as one flight)."""
-        count, blocks = self._load_blocks(node, ())
-        blocks.update(self._load_blocks(node, range(1, count), count)[1])
+        count, blocks = self._load_blocks(node, (), for_write=for_write)
+        blocks.update(self._load_blocks(node, range(1, count), count,
+                                        for_write)[1])
         return [blocks[index] for index in range(count)]
 
     @traced("read_file")
@@ -1590,22 +1632,32 @@ class SharoesFilesystem:
             self.volume.scheme, self.provider, record)), grouped=True)
         self.mdcache.drop_views(record.attrs.inode)
 
+    def _store_tables(self, inode: int, dsk,
+                      views: dict[str, tuple[bytes, TableView]],
+                      cache=(), prior_gen: int = 0) -> None:
+        """The one table store: every view of a directory (selector ->
+        (DEK, view)) goes out in the form ``layout.store_tables`` picks
+        -- inline, heads only, or a fold -- as one grouped send.  The
+        views of the ``cache`` selectors are written through first, at
+        the size they were stored at; that also drops the listing.
+        """
+        blobs, sizes = layout.store_tables(self.provider, dsk, inode,
+                                           views, prior_gen)
+        for selector in cache:
+            self.mdcache.put_table(inode, selector, views[selector][1],
+                                   sizes[selector])
+        self.blobs.send(blobs, grouped=True)
+
     def _write_empty_tables(self, record: ObjectRecord) -> None:
         attrs = record.attrs
         scheme = self.volume.scheme
-        blobs = []
+        views = {}
         for selector, style in layout.table_views(scheme, attrs).items():
             dek = record.table_deks[selector]
-            view = TableView.build(style, [], provider=self.provider,
-                                   table_dek=dek)
-            blob_id, blob = layout.seal_table(
-                self.provider, dek, record.dsk, attrs.inode, selector,
-                view)
-            blobs.append((blob_id, blob))
-            if selector == scheme.owner_selector(attrs):
-                self.mdcache.put_table(attrs.inode, selector, view,
-                                       len(blob))
-        self.blobs.send(blobs, grouped=True)
+            views[selector] = (dek, TableView.build(
+                style, [], provider=self.provider, table_dek=dek))
+        self._store_tables(attrs.inode, record.dsk, views,
+                           cache=[scheme.owner_selector(attrs)])
 
     def _entry_for_selector(self, parent_attrs: MetadataAttrs,
                             child_record: ObjectRecord,
@@ -1622,7 +1674,8 @@ class SharoesFilesystem:
         return DirEntry(name=name, inode=child_record.attrs.inode, kind=kind)
 
     def _update_parent_tables(self, parent: ResolvedNode, mutate) -> None:
-        """Rewrite every view of the parent's table through ``mutate``.
+        """Put every view of the parent's table through ``mutate`` and
+        store them again (a view over a base re-ships its head only).
 
         ``mutate(view, selector, dek)`` edits one view in place.  Requires
         the parent write CAP (table DEK map + DSK), which is how the
@@ -1635,7 +1688,7 @@ class SharoesFilesystem:
         if not table_deks:
             raise PermissionDenied(
                 f"inode {parent.inode}: write CAP carries no table keys")
-        outgoing: list = []
+        views = {}
         for selector in layout.table_views(self.volume.scheme, attrs):
             dek = table_deks.get(selector)
             if dek is None:
@@ -1644,21 +1697,14 @@ class SharoesFilesystem:
                     f"{selector!r}")
             view = self.mdcache.get_table(attrs.inode, selector)
             if view is None:
-                blob = self.blobs.get(
-                    layout.table_blob_id(attrs.inode, selector))
-                view = layout.open_table(
-                    self.provider, dek, parent.view.require_dvk(),
-                    attrs.inode, selector, blob)
+                view = self._load_table(
+                    attrs.inode, selector, dek,
+                    parent.view.require_dvk(), for_write=True)
             mutate(view, selector, dek)
-            blob_id, new_blob = layout.seal_table(
-                self.provider, dek, dsk, attrs.inode, selector, view)
-            outgoing.append((blob_id, new_blob))
-            # Write-through: the client just produced this view, no
-            # need to re-fetch and re-verify its own write.  This also
-            # drops the directory's listing.
-            self.mdcache.put_table(attrs.inode, selector, view,
-                                   len(new_blob))
-        self.blobs.send(outgoing, grouped=True)
+            views[selector] = (dek, view)
+        # Write-through: the client just produced these views, no need
+        # to re-fetch and re-verify its own write.
+        self._store_tables(attrs.inode, dsk, views, cache=views)
 
     def _add_row(self, parent: ResolvedNode, name: str,
                  record: ObjectRecord, replace: bool = False) -> bool:
@@ -1873,30 +1919,34 @@ class SharoesFilesystem:
         return False
 
     def _reencrypt_data(self, record: ObjectRecord, node: ResolvedNode,
-                        old_attrs: MetadataAttrs) -> None:
+                        old_attrs: MetadataAttrs) -> int:
         """Re-encrypt a file's blocks (or a dir's tables) under new keys.
 
         ``node`` still carries the *old* view (old DEK), so the content is
         readable; ``record`` carries the new keys.  ``old_attrs`` matters
         for chown under Scheme-1, where the owner's management selector
-        itself changes with the owner.
+        itself changes with the owner.  Returns the base generation the
+        directory's old views were stored at (0: inline, or a file).
         """
         attrs = record.attrs
         self._touch(attrs.inode)
+        base_gen = 0
         if attrs.ftype != DIRECTORY:
-            blocks = self._read_blocks(node)
+            blocks = self._read_blocks(node, for_write=True)
             for index in range(len(blocks)):
                 self.blobs.send([layout.seal_block(
                     self.provider, record.dek, record.dsk, attrs.inode,
                     index, layout.block_payload(blocks, index))],
                     grouped=False)
         else:
-            self._rebuild_tables(record, node, old_attrs)
+            base_gen = self._rebuild_tables(record, node, old_attrs)
         self._invalidate(attrs.inode)
+        return base_gen
 
     def _rebuild_tables(self, record: ObjectRecord, node: ResolvedNode,
-                        old_attrs: MetadataAttrs) -> None:
-        """Rewrite every table view of a directory under new keys/styles.
+                        old_attrs: MetadataAttrs) -> int:
+        """Rewrite every table view of a directory under new keys/styles
+        (returns the base generation the old views were stored at).
 
         Each view's rows come, in order of preference, from:
 
@@ -1920,10 +1970,8 @@ class SharoesFilesystem:
         old_owner_sel = scheme.owner_selector(old_attrs)
 
         def fetch_old_view(selector: str, dek: bytes) -> TableView:
-            blob = self.blobs.get(
-                layout.table_blob_id(attrs.inode, selector))
-            return layout.open_table(self.provider, dek, old_record.dvk,
-                                     attrs.inode, selector, blob)
+            return self._load_table(attrs.inode, selector, dek,
+                                    old_record.dvk, for_write=True)
 
         canonical = fetch_old_view(old_owner_sel,
                                    old_record.table_deks[old_owner_sel])
@@ -1951,7 +1999,7 @@ class SharoesFilesystem:
             return result
 
         old_views = layout.table_views(scheme, old_attrs)
-        outgoing = []
+        views = {}
         for selector, style in layout.table_views(scheme, attrs).items():
             old_view = None
             old_dek = old_record.table_deks.get(selector)
@@ -1972,10 +2020,12 @@ class SharoesFilesystem:
                                              child_record_for, selector,
                                              attrs)
                 view.add(entry, provider=self.provider, table_dek=dek)
-            outgoing.append(layout.seal_table(
-                self.provider, dek, record.dsk, attrs.inode, selector,
-                view))
-        self.blobs.send(outgoing, grouped=True)
+            views[selector] = (dek, view)
+        # The fresh views number their bases after the generation they
+        # replace (whose bases the same send deletes).
+        self._store_tables(attrs.inode, record.dsk, views,
+                           prior_gen=canonical.base_gen)
+        return canonical.base_gen
 
     def _recover_row(self, name: str, canonical: TableView,
                      old_view: TableView | None, old_record: ObjectRecord,
@@ -2036,24 +2086,29 @@ class SharoesFilesystem:
         kept_users = {entry.user_id for entry in new_attrs.acl}
         gone_users = [entry.user_id for entry in old_attrs.acl
                       if entry.user_id not in kept_users]
+        #: what generation a revoked view's base (if any) is stored at.
+        base_gen = 0
         if rotate:
             record.rekey_data()
             record.rekey_metadata()
-            self._reencrypt_data(record, node, old_attrs)
+            base_gen = self._reencrypt_data(record, node, old_attrs)
         elif gone_users or self._is_revocation(old_attrs, new_attrs):
             if self.config.immediate_revocation:
                 record.rekey_data()
-                self._reencrypt_data(record, node, old_attrs)
+                base_gen = self._reencrypt_data(record, node, old_attrs)
             else:
                 record.needs_rekey = True
+                if new_attrs.ftype == DIRECTORY:
+                    base_gen = self._fetch_table(node).base_gen
         elif layout.table_views(scheme, old_attrs) != layout.table_views(
                 scheme, new_attrs):
             # View styles or the view set changed (e.g. o--x -> o-rx):
             # every table view is rebuilt from the management copy.
-            self._reencrypt_data(record, node, old_attrs)
+            base_gen = self._reencrypt_data(record, node, old_attrs)
         self._write_metadata_replicas(record)
-        kept = set(layout.replica_ids(scheme, new_attrs))
-        doomed = [blob_id for blob_id in layout.replica_ids(scheme, old_attrs)
+        kept = set(layout.replica_ids(scheme, new_attrs, base_gen))
+        doomed = [blob_id for blob_id in layout.replica_ids(
+                      scheme, old_attrs, base_gen)
                   if blob_id not in kept]
         doomed += [lockbox_blob(new_attrs.inode, user_id)
                    for user_id in gone_users]

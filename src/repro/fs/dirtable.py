@@ -16,6 +16,13 @@ Three serialized view styles realize the directory CAPs:
 * ``hidden`` -- the name column removed and each row's (inode, selector,
   MEK, MVK) encrypted under a key derived from the child's *name*
   (exec-only CAP: you can ``cd`` to a child you can name, but not list).
+
+A view too large for one stored page is kept as an immutable **base**
+plus a small **head** (fs/layout.py decides when and stores both).  In
+memory that is still one :class:`TableView` holding the merged rows; it
+also remembers which base it overlays and, as rows change, the overlay
+its head must carry: the base keys now dead and the keys added or
+replaced (a key is a name, or a hidden row's locator).
 """
 
 from __future__ import annotations
@@ -24,9 +31,13 @@ from dataclasses import dataclass
 
 from ..crypto import hashes
 from ..crypto.provider import CryptoProvider
-from ..errors import CryptoError, FileNotFound, PermissionDenied
-from ..serialize import Reader, Writer
+from ..errors import (CryptoError, FileNotFound, IntegrityError,
+                      PermissionDenied)
+from ..serialize import Reader, SerializationError, Writer
 from ..caps.model import VIEW_FULL, VIEW_HIDDEN, VIEW_NAMES
+
+#: leads a serialized head, where an inline view or a base has its style.
+_HEAD = "head"
 
 # Row kinds.
 DIRECT = "d"
@@ -113,6 +124,10 @@ class TableView:
     * full:   ``entries`` dict (name -> DirEntry)
     * names:  ``names`` list
     * hidden: ``cells`` dict (locator -> encrypted row)
+
+    ``base_gen`` is the generation of the stored base these rows overlay
+    (0: the view is stored inline, whole); :meth:`to_bytes` of a view
+    with a base is its head.
     """
 
     def __init__(self, style: str):
@@ -122,6 +137,14 @@ class TableView:
         self.entries: dict[str, DirEntry] = {}
         self.names: list[str] = []
         self.cells: dict[bytes, bytes] = {}
+        self.base_gen = 0
+        #: digest and length of the sealed base blob.
+        self.base_digest = b""
+        self.base_size = 0
+        self._base_keys: frozenset = frozenset()
+        #: base keys removed since, and keys added or replaced since.
+        self._dead: set = set()
+        self._added: set = set()
 
     # -- construction ------------------------------------------------------------
 
@@ -147,10 +170,59 @@ class TableView:
         return view
 
     def _insert_hidden(self, entry: DirEntry, provider: CryptoProvider,
-                       table_dek: bytes) -> None:
+                       table_dek: bytes) -> bytes:
         row_key = provider.derive_row_key(table_dek, entry.name)
-        cell = provider.sym_encrypt(row_key, entry.hidden_payload())
-        self.cells[_locator(row_key)] = cell
+        locator = _locator(row_key)
+        self.cells[locator] = provider.sym_encrypt(row_key,
+                                                   entry.hidden_payload())
+        return locator
+
+    def _keys(self):
+        """The row keys held, in the style's own container."""
+        if self.style == VIEW_FULL:
+            return self.entries
+        return self.names if self.style == VIEW_NAMES else self.cells
+
+    # -- the overlay on a stored base ---------------------------------------------
+
+    def _note_add(self, key) -> None:
+        if self.base_gen:
+            self._dead.discard(key)
+            self._added.add(key)
+
+    def _note_remove(self, key) -> None:
+        # An add that is later removed cancels: the head is an overlay,
+        # not a log.
+        if self.base_gen:
+            self._added.discard(key)
+            if key in self._base_keys:
+                self._dead.add(key)
+
+    def overlay(self, base: "TableView", base_size: int) -> None:
+        """Complete a freshly parsed head with the rows of the verified
+        base it names (``base_size``: the sealed base's length)."""
+        if base.base_gen or base.style != self.style:
+            raise IntegrityError("table base does not fit its head")
+        self._base_keys = frozenset(base._keys())
+        if self.style == VIEW_NAMES:
+            self.names = sorted(
+                (self._base_keys - self._dead).union(self.names))
+        else:
+            rows = {key: row for key, row in base._keys().items()
+                    if key not in self._dead}
+            rows.update(self._keys())
+            if self.style == VIEW_FULL:
+                self.entries = rows
+            else:
+                self.cells = rows
+        self.base_size = base_size
+
+    def rebase(self, gen: int, digest: bytes = b"", size: int = 0) -> None:
+        """The rows as they stand are what generation ``gen`` stores
+        (0: no base, the view is inline): the overlay starts empty."""
+        self.base_gen, self.base_digest, self.base_size = gen, digest, size
+        self._base_keys = frozenset(self._keys()) if gen else frozenset()
+        self._dead, self._added = set(), set()
 
     # -- queries ------------------------------------------------------------------
 
@@ -210,52 +282,77 @@ class TableView:
             table_dek: bytes | None = None) -> None:
         if self.style == VIEW_FULL:
             self.entries[entry.name] = entry
+            self._note_add(entry.name)
         elif self.style == VIEW_NAMES:
             if entry.name not in self.names:
                 self.names.append(entry.name)
                 self.names.sort()
+                self._note_add(entry.name)
         else:
             if provider is None or table_dek is None:
                 raise CryptoError("hidden add needs provider and DEK")
-            self._insert_hidden(entry, provider, table_dek)
+            self._note_add(self._insert_hidden(entry, provider, table_dek))
 
     def remove(self, name: str, provider: CryptoProvider | None = None,
                table_dek: bytes | None = None) -> None:
         if self.style == VIEW_FULL:
             self.entries.pop(name, None)
+            self._note_remove(name)
         elif self.style == VIEW_NAMES:
             if name in self.names:
                 self.names.remove(name)
+                self._note_remove(name)
         else:
             if provider is None or table_dek is None:
                 raise CryptoError("hidden remove needs provider and DEK")
-            row_key = provider.derive_row_key(table_dek, name)
-            self.cells.pop(_locator(row_key), None)
+            locator = _locator(provider.derive_row_key(table_dek, name))
+            self.cells.pop(locator, None)
+            self._note_remove(locator)
 
     # -- serialization -------------------------------------------------------------------
 
     def to_bytes(self) -> bytes:
+        """Every row (an inline view, a base), or -- over a base -- the
+        head: its generation and digest, the added rows, the dead keys."""
         writer = Writer()
+        keys = self._keys()
+        if self.base_gen:
+            writer.put_str(_HEAD)
+            writer.put_int(self.base_gen)
+            writer.put_bytes(self.base_digest)
+            keys = self._added
         writer.put_str(self.style)
+        writer.put_int(len(keys))
         if self.style == VIEW_FULL:
-            writer.put_int(len(self.entries))
-            for name in sorted(self.entries):
+            for name in sorted(keys):
                 self.entries[name].to_writer(writer)
         elif self.style == VIEW_NAMES:
-            writer.put_int(len(self.names))
-            for name in sorted(self.names):
+            for name in sorted(keys):
                 writer.put_str(name)
         else:
-            writer.put_int(len(self.cells))
-            for locator in sorted(self.cells):
+            for locator in sorted(keys):
                 writer.put_bytes(locator)
                 writer.put_bytes(self.cells[locator])
+        if self.base_gen:
+            put = (writer.put_bytes if self.style == VIEW_HIDDEN
+                   else writer.put_str)
+            writer.put_int(len(self._dead))
+            for key in sorted(self._dead):
+                put(key)
         return writer.getvalue()
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "TableView":
+        """Inverse of :meth:`to_bytes`; a head comes back holding only
+        its own rows until :meth:`overlay` gives it its base."""
         reader = Reader(raw)
         style = reader.get_str()
+        gen, digest = 0, b""
+        if style == _HEAD:
+            gen, digest = reader.get_int(), reader.get_bytes()
+            if gen < 1:
+                raise SerializationError("table head names no base")
+            style = reader.get_str()
         view = cls(style)
         count = reader.get_int()
         if style == VIEW_FULL:
@@ -268,5 +365,11 @@ class TableView:
             for _ in range(count):
                 locator = reader.get_bytes()
                 view.cells[locator] = reader.get_bytes()
+        if gen:
+            get = (reader.get_bytes if style == VIEW_HIDDEN
+                   else reader.get_str)
+            view.base_gen, view.base_digest = gen, digest
+            view._dead = {get() for _ in range(reader.get_int())}
+            view._added = set(view._keys())
         reader.expect_end()
         return view

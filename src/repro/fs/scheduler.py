@@ -183,9 +183,10 @@ class RequestScheduler:
     def stage_put(self, blob_id: BlobId, payload: bytes) -> None:
         self.stage_put_many([(blob_id, payload)])
 
-    def stage_put_many(self,
-                       blobs: Sequence[tuple[BlobId, bytes]]) -> None:
-        """Queue uploads; auto-flush once the window fills.
+    def stage_put_many(
+            self, blobs: Sequence[tuple[BlobId, "bytes | None"]]) -> None:
+        """Queue uploads (a ``None`` payload in the group: that blob's
+        delete); auto-flush once the window fills.
 
         The whole group is staged before the flush check so its sub-ops
         stay contiguous in queue order (a flush may still split a group
@@ -195,7 +196,8 @@ class RequestScheduler:
         if not self.write_behind:
             raise StorageError("scheduler write-behind is disabled")
         for blob_id, payload in blobs:
-            self._staged.append(BatchOp.put(blob_id, payload))
+            self._staged.append(BatchOp.delete(blob_id) if payload is None
+                                else BatchOp.put(blob_id, payload))
             self._overlay[blob_id] = payload
             self.staged_ops += 1
         self.max_queue = max(self.max_queue, len(self._staged))
@@ -205,14 +207,7 @@ class RequestScheduler:
         self.stage_delete_many([blob_id])
 
     def stage_delete_many(self, blob_ids: Sequence[BlobId]) -> None:
-        if not self.write_behind:
-            raise StorageError("scheduler write-behind is disabled")
-        for blob_id in blob_ids:
-            self._staged.append(BatchOp.delete(blob_id))
-            self._overlay[blob_id] = None
-            self.staged_ops += 1
-        self.max_queue = max(self.max_queue, len(self._staged))
-        self._maybe_autoflush()
+        self.stage_put_many([(blob_id, None) for blob_id in blob_ids])
 
     def _maybe_autoflush(self) -> None:
         if len(self._staged) >= self.window:

@@ -103,14 +103,17 @@ class SharoesVolume:
                      entries_by_selector: dict[str, list]) -> None:
         """Seal + sign + store every table view of a directory."""
         attrs = record.attrs
+        views = {}
         for selector, style in layout.table_views(self.scheme,
                                                   attrs).items():
             dek = record.table_deks[selector]
-            view = TableView.build(
+            views[selector] = (dek, TableView.build(
                 style, entries_by_selector.get(selector, []),
-                provider=provider, table_dek=dek)
-            self.server.put(*layout.seal_table(
-                provider, dek, record.dsk, attrs.inode, selector, view))
+                provider=provider, table_dek=dek))
+        blobs, _ = layout.store_tables(provider, record.dsk, attrs.inode,
+                                       views)
+        for blob_id, blob in blobs:
+            self.server.put(blob_id, blob)
 
     def write_superblocks(self, provider: CryptoProvider,
                           root_record: ObjectRecord) -> int:

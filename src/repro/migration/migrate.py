@@ -210,6 +210,7 @@ class MigrationTool:
                       children: dict[str, ObjectRecord]) -> None:
         scheme = self.volume.scheme
         attrs = record.attrs
+        views = {}
         for selector, style in layout.table_views(scheme, attrs).items():
             dek = record.table_deks[selector]
             view = TableView.build(style, [], provider=self.provider,
@@ -235,9 +236,11 @@ class MigrationTool:
                             mek=child.selector_meks[child_selector],
                             mvk=child.mvk.to_bytes()))
                 view.add(entry, provider=self.provider, table_dek=dek)
-            self._upload(*layout.seal_table(
-                self.provider, dek, record.dsk, attrs.inode, selector,
-                view), compressible=False)
+            views[selector] = (dek, view)
+        blobs, _ = layout.store_tables(self.provider, record.dsk,
+                                       attrs.inode, views)
+        for blob_id, blob in blobs:
+            self._upload(blob_id, blob, compressible=False)
 
     def _maybe_write_lockboxes(self, record: ObjectRecord) -> None:
         """ACL entries always need lockboxes, split or not."""

@@ -136,6 +136,9 @@ class VolumeAuditor:
         recorder = _RecordingServer(self.volume.server)
         #: inode -> attributes, as the first user to reach it saw them
         visited_inodes: dict[int, MetadataAttrs] = {}
+        #: directory inode -> selector -> the base generation that view's
+        #: head names (see ``_head_generations``)
+        base_gens: dict[int, dict[str, int]] = {}
 
         for user in self.volume.registry.users():
             # The client's ``server=`` seam puts the read-only recorder
@@ -148,13 +151,13 @@ class VolumeAuditor:
                 report.unreachable_users.append(user.user_id)
                 continue
             report.users_mounted += 1
-            self._walk(fs, "/", report, visited_inodes)
+            self._walk(fs, "/", report, visited_inodes, base_gens)
 
         report.objects_visited = len(visited_inodes)
         self._check_journals(report)
         self._check_leases(report)
         if check_orphans:
-            self._find_orphans(recorder, report, visited_inodes)
+            self._find_orphans(recorder, report, visited_inodes, base_gens)
         return report
 
     # -- journals ----------------------------------------------------------------
@@ -315,20 +318,25 @@ class VolumeAuditor:
 
     def _walk(self, fs: SharoesFilesystem, path: str,
               report: AuditReport,
-              visited: dict[int, MetadataAttrs]) -> None:
+              visited: dict[int, MetadataAttrs],
+              base_gens: dict[int, dict[str, int]]) -> None:
         try:
             # lstat, but keeping the ACL: the census needs it.
-            attrs = fs._resolve(path, follow_last=False).attrs
+            node = fs._resolve(path, follow_last=False)
         except (PermissionDenied, FilesystemError):
             return
         except IntegrityError as exc:
             report.integrity_errors.append(f"{path}: {exc}")
             return
+        attrs = node.attrs
         first_visit = attrs.inode not in visited
         visited.setdefault(attrs.inode, attrs)
 
         if attrs.ftype == "dir":
             try:
+                if node.view.table_deks and attrs.inode not in base_gens:
+                    base_gens[attrs.inode] = self._head_generations(fs,
+                                                                    node)
                 names = fs.readdir(path)
             except PermissionDenied:
                 return  # legitimately unlistable for this user
@@ -340,7 +348,7 @@ class VolumeAuditor:
             for name in names:
                 child = path.rstrip("/") + "/" + name
                 try:
-                    self._walk(fs, child, report, visited)
+                    self._walk(fs, child, report, visited, base_gens)
                 except IntegrityError as exc:
                     report.integrity_errors.append(f"{child}: {exc}")
                 except SharoesError as exc:
@@ -362,11 +370,26 @@ class VolumeAuditor:
             except IntegrityError as exc:
                 report.integrity_errors.append(f"{path}: {exc}")
 
+    def _head_generations(self, fs: SharoesFilesystem,
+                          node) -> dict[str, int]:
+        """Load every table view of a directory -- this user's replica
+        carries all the table keys (the owner's does, and a writer's) --
+        and return the base generation each one's head names.  All the
+        same but for a fold that died between its heads; only with every
+        head seen can a stored base be told from an orphan."""
+        view = node.view
+        return {selector: fs._load_table(
+                    node.inode, selector, view.table_deks[selector],
+                    view.require_dvk()).base_gen
+                for selector in layout.table_views(self.volume.scheme,
+                                                   node.attrs)}
+
     # -- orphan census -------------------------------------------------------------
 
     def _find_orphans(self, recorder: _RecordingServer,
                       report: AuditReport,
-                      visited_inodes: dict[int, MetadataAttrs]) -> None:
+                      visited_inodes: dict[int, MetadataAttrs],
+                      base_gens: dict[int, dict[str, int]]) -> None:
         """Blobs belonging to no reachable inode, plus replicas of a
         reachable inode that its attributes do not call for.
 
@@ -376,15 +399,21 @@ class VolumeAuditor:
         that, every replica carries the object's full attributes, so the
         metadata replicas and table views an inode *should* have are
         computable (``layout.replica_ids``); one stored beyond them is
-        the leftover of a revoked CAP.
+        the leftover of a revoked CAP or an interrupted table fold.  A
+        directory nobody holding its table keys could reach is not
+        judged: which bases its heads name is unknown.
         """
         try:
             all_ids = set(self.volume.server.raw_blobs())
         except StorageError:
             return  # remote SSPs expose no census
         expected = {
-            inode: set(layout.replica_ids(self.volume.scheme, attrs))
-            for inode, attrs in visited_inodes.items()}
+            inode: set(layout.replica_ids(self.volume.scheme, attrs)) | {
+                layout.table_base_id(inode, selector, gen)
+                for selector, gen in base_gens.get(inode, {}).items()
+                if gen}
+            for inode, attrs in visited_inodes.items()
+            if attrs.ftype != "dir" or inode in base_gens}
         for blob_id in sorted(all_ids):
             # Lockboxes, superblocks and group keys are only read by
             # their single addressee on specific paths; journals are
@@ -396,8 +425,10 @@ class VolumeAuditor:
             if blob_id.kind in ("super", "groupkey", "lockbox",
                                 "journal", "lease", "vsl"):
                 continue
-            if blob_id.inode not in expected:
+            if blob_id.inode not in visited_inodes:
                 orphaned = blob_id not in recorder.touched
+            elif blob_id.inode not in expected:
+                continue  # a directory whose heads nobody could open
             else:
                 orphaned = (layout.in_census(blob_id)
                             and blob_id not in expected[blob_id.inode])

@@ -219,6 +219,49 @@ def test_same_client_sees_what_a_fresh_mount_sees(seeded, config_name,
                 f"{cell}; {report.summary()}")
 
 
+@pytest.mark.parametrize("op_name", OPS)
+def test_no_mutation_builds_on_a_degraded_read(seeded, op_name):
+    """The read side of the same rule.  A retrying transport serves a
+    failed ``get`` from its last-known-good copy; a mutation that edited
+    and re-uploaded such a copy would erase whatever another client wrote
+    since (a row of the table, a record of the file).  Each op either is
+    refused or never needed the stale bytes -- bob's work survives it,
+    and the client still sees what a fresh mount sees."""
+    from repro.storage.resilient import RetryPolicy
+    from tests.test_resilient import DarkGets
+    volume = copy.deepcopy(seeded)
+    # Dark: every get of a table view or a data block fails.
+    gate = DarkGets(volume.server, lambda blob_id: blob_id.kind == "data")
+    fs = SharoesFilesystem(
+        volume, volume.registry.user("alice"), server=gate,
+        config=ClientConfig(cache_bytes=0, retry_policy=RetryPolicy(
+            max_attempts=2, base_delay_s=0.0, breaker_threshold=10**9)))
+    fs.mount()
+    # The transport's fallback holds every blob this client has read
+    # -- or written: a create re-ships every view of /d.
+    visible_tree(fs)
+    fs.mknod("/d/mine", mode=0o664)
+    bob = SharoesFilesystem(volume, volume.registry.user("bob"))
+    bob.mount()
+    bob.create_file("/d/theirs", b"theirs", mode=0o664)
+    bob.append_file("/d/f", b"+bob")
+    gate.dark = True
+    try:
+        OPS[op_name](fs)
+    except SharoesError:
+        pass
+    gate.dark = False
+    fresh = SharoesFilesystem(volume, volume.registry.user("alice"))
+    fresh.mount()
+    listing = fresh.readdir("/d")
+    assert "theirs" in listing, f"{op_name} erased bob's row"
+    survivor = next((n for n in ("f", "g") if n in listing), None)
+    if survivor and op_name != "write_file":
+        assert fresh.read_file(f"/d/{survivor}") == OLD + b"+bob", (
+            f"{op_name} erased bob's record")
+    assert seen(fs) == seen(fresh)
+
+
 def test_refused_write_is_not_readable(seeded):
     """A ``write_file`` the SSP refused must not be served from the
     block cache it was written through to."""

@@ -171,3 +171,51 @@ def test_zero_capacity_rejects_everything():
     assert len(cache) == 0
     assert cache.stats.rejected == 5
     assert cache.stats.insertions == 0
+
+
+# -- the prefix index (``invalidate_prefix`` without a full scan) ----------------
+
+_FAMILY = st.sampled_from(["meta", "table", "raw"])
+_INODE = st.integers(min_value=0, max_value=3)
+TUPLE_KEYS = st.one_of(
+    KEYS, st.just(()), st.tuples(_FAMILY), st.tuples(_FAMILY, _INODE),
+    st.tuples(_FAMILY, _INODE, st.sampled_from(["o", "g"])))
+PREFIXES = st.one_of(st.just(()), st.tuples(_FAMILY),
+                     st.tuples(_FAMILY, _INODE),
+                     st.tuples(_FAMILY, _INODE, st.sampled_from(["o", "g"])))
+INDEX_OPS = st.lists(st.one_of(
+    st.tuples(st.just("put"), TUPLE_KEYS, SIZES),
+    st.tuples(st.just("invalidate"), TUPLE_KEYS),
+    st.tuples(st.just("prefix"), PREFIXES),
+    st.tuples(st.just("clear"))), min_size=1, max_size=80)
+
+
+@given(capacity=CAPACITIES, script=INDEX_OPS)
+@settings(max_examples=150, deadline=None)
+def test_prefix_index_mirrors_entries(capacity, script):
+    """index == entries after any put / evict / invalidate /
+    prefix-invalidate / clear script, no empty group is left behind, and
+    a prefix invalidation drops exactly the keys the full scan would."""
+    cache = LruCache(capacity_bytes=capacity)
+    for step, (kind, *args) in enumerate(script):
+        if kind == "put":
+            cache.put(args[0], step, args[1])
+        elif kind == "invalidate":
+            cache.invalidate(args[0])
+        elif kind == "clear":
+            cache.clear()
+        else:
+            prefix = args[0]
+            doomed = {k for k in cache._entries if isinstance(k, tuple)
+                      and k[:len(prefix)] == prefix}
+            before = set(cache._entries)
+            cache.invalidate_prefix(prefix)
+            assert set(cache._entries) == before - doomed
+        groups = [group for family in cache._index.values()
+                  for group in family.values()]
+        assert all(cache._index.values()) and all(groups)
+        assert sorted(map(repr, (k for group in groups for k in group))) \
+            == sorted(repr(k) for k in cache._entries
+                      if isinstance(k, tuple) and k)
+        assert cache.used_bytes == sum(
+            size for _, size in cache._entries.values())

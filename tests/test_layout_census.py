@@ -26,6 +26,7 @@ from repro.principals.groups import GroupKeyService
 from repro.principals.registry import PrincipalRegistry
 from repro.principals.users import User
 from repro.storage.blobs import meta_blob
+from repro.storage.resilient import ServerWrapper
 from repro.storage.server import StorageServer
 from repro.tools.fsck import VolumeAuditor
 from tests.conftest import USER_NAMES
@@ -138,6 +139,50 @@ def test_directory_chmod_keeps_exactly_the_called_for_views(
                 with pytest.raises(PermissionDenied):
                     fs.read_file("/d/f")
         assert orphans(volume) == []
+
+
+def test_chmod_on_a_split_directory_deletes_the_revoked_base_unread(
+        alice_fs, volume, monkeypatch):
+    """``chmod o-rx`` drops the world view: its head *and* the base the
+    head named go, found from the attributes plus the generation any one
+    head carries -- neither blob is fetched to learn what to delete."""
+    monkeypatch.setattr(layout, "TABLE_PAGE_BYTES", 256)
+    alice_fs.mkdir("/d", mode=0o755)
+    for i in range(6):
+        alice_fs.mknod(f"/d/f{i}", mode=0o644)
+    inode = alice_fs.getattr("/d").inode
+
+    def generation() -> int:
+        fs = fresh(volume, "alice")
+        return fs._fetch_table(fs._resolve("/d")).base_gen
+
+    old_gen = generation()
+    world = {layout.table_blob_id(inode, "w"),
+             layout.table_base_id(inode, "w", old_gen)}
+    assert old_gen and world < stored(volume, inode)
+
+    class Reads(ServerWrapper):
+        fetched: set = set()
+
+        def _forward(self, op):
+            if op.kind == "get":
+                self.fetched.add(op.blob_id)
+            return op.call(self.inner)
+
+    owner = SharoesFilesystem(volume, volume.registry.user("alice"),
+                              server=Reads(volume.server))
+    owner.mount()
+    owner.chmod("/d", 0o750)
+    assert not world & Reads.fetched
+    assert layout.table_blob_id(inode, "o") in Reads.fetched
+    attrs = fresh(volume, "alice")._resolve("/d").attrs
+    assert stored(volume, inode) == set(layout.replica_ids(
+        volume.scheme, attrs, generation()))
+    assert not world & stored(volume, inode)
+    assert orphans(volume) == []
+    assert fresh(volume, "bob").readdir("/d") == [f"f{i}" for i in range(6)]
+    with pytest.raises(PermissionDenied):
+        fresh(volume, "carol").readdir("/d")
 
 
 # -- fsck sees a stale replica of a live inode ---------------------------------------

@@ -186,3 +186,67 @@ def test_migrated_tree_has_the_same_layout(migrated_volume):
     assert all(sorted(view.entries) == ["note.txt"]
                for view in root.values())
     assert _decode(migrated_volume, "/note.txt") == NOTE
+
+
+# -- the split form: a view too large for one 4 KiB page -----------------------
+
+SPLIT_FILES = 36
+
+#: format; mkdir /big 0751 (inode 3); mknod /big/f00 .. f35.  The exec-only
+#: world view (name-keyed cells, the largest rows) outgrows the page first
+#: and every view of the directory folds with it: a base ``t:<sel>@1``
+#: under a head at the view's old id.
+SPLIT_BLOBS = sorted(_COMMON + [
+    "meta/3/g", "meta/3/o", "meta/3/w",
+    "data/3/t:g", "data/3/t:o", "data/3/t:w",
+    "data/3/t:g@1", "data/3/t:o@1", "data/3/t:w@1",
+    *(f"meta/{inode}/{sel}" for inode in range(4, 4 + SPLIT_FILES)
+      for sel in "gow"),
+])
+
+
+def test_split_directory_layout(registry):
+    import hashlib
+
+    from repro.serialize import Reader
+
+    volume = SharoesVolume(StorageServer(), registry, block_size=BLOCK)
+    volume.format(root_owner="alice", root_group="eng")
+    GroupKeyService(registry, volume.server, CryptoProvider()).publish_all()
+    fs = SharoesFilesystem(volume, registry.user("alice"))
+    fs.mount()
+    fs.mkdir("/big", mode=0o751)
+    names = [f"f{i:02d}" for i in range(SPLIT_FILES)]
+    for name in names:
+        fs.mknod("/big/" + name, mode=0o644)
+    blobs = volume.server.raw_blobs()
+    assert sorted(map(str, blobs)) == SPLIT_BLOBS
+
+    owner = fs._resolve("/big").view
+    provider = CryptoProvider(volume.engine)
+    for selector, style in (("o", "full"), ("g", "full"), ("w", "hidden")):
+        dek = owner.table_deks[selector]
+        base_blob = blobs[BlobId("data", 3, f"t:{selector}@1")]
+        plain = open_verified(provider, dek, owner.dvk,
+                              f"sharoes/table/3/{selector}".encode(),
+                              blobs[BlobId("data", 3, "t:" + selector)])
+        # The head, field by field: marker, generation, the sealed
+        # base's SHA-256, then the rows added since in the ordinary view
+        # encoding, then the base keys removed since.
+        reader = Reader(plain)
+        assert reader.get_str() == "head"
+        assert reader.get_int() == 1
+        assert reader.get_bytes() == hashlib.sha256(base_blob).digest()
+        assert reader.get_str() == style
+        added = reader.get_int()
+        head = TableView.from_bytes(plain)
+        assert (head.style, head.entry_count()) == (style, added)
+        base = TableView.from_bytes(open_verified(
+            provider, dek, owner.dvk,
+            f"sharoes/table/3/{selector}@1".encode(), base_blob))
+        assert (base.style, base.base_gen) == (style, 0)
+        assert 0 < added < base.entry_count()
+        head.overlay(base, len(base_blob))
+        assert head.entry_count() == SPLIT_FILES
+        if style == "full":
+            assert sorted(head.entries) == names

@@ -17,7 +17,7 @@ import pytest
 from repro.crypto.provider import CryptoProvider
 from repro.errors import (CasConflictError, ClientCrashed, IntegrityError,
                           LeaseHeldError, LeaseLostError, StaleEpochError)
-from repro.fs import journal
+from repro.fs import journal, layout
 from repro.fs.client import (LEASE_WAIT_BASE_S, LEASE_WAIT_MAX_S,
                              ClientConfig, SharoesFilesystem)
 from repro.fs.consistency import ForkDetected
@@ -720,6 +720,43 @@ class TestBatchedRenewal:
         requests = fs.request_count
         assert fs.renew_leases() == []
         assert fs.request_count == requests
+
+
+# -- a split directory table under two writers --------------------------------
+
+
+def test_alternating_creates_across_folds_keep_every_row(shared, registry,
+                                                         monkeypatch):
+    """A writer that missed a fold must not re-ship a head over a base
+    that is gone: the lease a create takes on the parent drops what the
+    client cached of it, so each writer edits the heads (and bases) the
+    other one left -- warm caches, folds in between and all."""
+    monkeypatch.setattr(layout, "TABLE_PAGE_BYTES", 256)
+    server, volume = shared
+    config = ClientConfig(journal=True, lease=True,
+                          lease_duration_s=_LEASE_S)
+    writers = []
+    for user_id in ("alice", "bob"):
+        fs = SharoesFilesystem(volume, registry.user(user_id),
+                               config=config)
+        fs.mount()
+        writers.append(fs)
+    writers[0].mkdir("/shared", mode=0o770)
+    inode = writers[0].getattr("/shared").inode
+    names = [f"n{i:02d}" for i in range(12)]
+    generations = set()
+    for i, name in enumerate(names):
+        writers[i % 2].mknod(f"/shared/{name}", mode=0o664)
+        generations |= {blob_id.selector for blob_id in server.raw_blobs()
+                        if blob_id.inode == inode
+                        and blob_id.selector.startswith("t:o@")}
+    assert len(generations) >= 3
+    for user_id in ("alice", "bob"):
+        reader = SharoesFilesystem(volume, registry.user(user_id))
+        reader.mount()
+        assert reader.readdir("/shared") == names
+    report = VolumeAuditor(volume).audit()
+    assert report.clean and not report.orphaned_blobs, report.summary()
 
 
 # -- the recorded lost update (ROADMAP item 4) --------------------------------

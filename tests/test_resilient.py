@@ -526,6 +526,79 @@ class TestDegradedCacheInteraction:
         assert fs.read_file("/v/f") == b"signed"
 
 
+class DarkGets(ServerWrapper):
+    """While ``dark``, fails every ``get`` whose blob id ``match`` picks."""
+
+    def __init__(self, inner, match):
+        super().__init__(inner)
+        self.match = match
+        self.dark = False
+
+    def _forward(self, op):
+        if self.dark and op.kind == "get" and self.match(op.blob_id):
+            raise TransientStorageError(f"dark: {op.blob_id}")
+        return op.call(self.inner)
+
+
+class TestDegradedReadsNeverFeedWrites:
+    """A mutation must not launder a degraded read.
+
+    Serving a read from the last-known-good copy trades freshness for
+    availability, once, for that read.  A mutation that edits such a
+    copy and uploads the result makes the stale state the *current*
+    state: whatever another client wrote in between is gone, and no
+    error was ever raised.  Loading for a write raises the
+    ``TransientStorageError`` the fallback swallowed.
+    """
+
+    def _stack(self, volume, registry, match):
+        from repro.fs.client import ClientConfig, SharoesFilesystem
+
+        def mount(user_id, config=None, server=None):
+            fs = SharoesFilesystem(volume, registry.user(user_id),
+                                   config=config, server=server)
+            fs.mount()
+            return fs
+
+        gate = DarkGets(volume.server, match)
+        mount("alice").mkdir("/s", mode=0o770)
+        bob = mount("bob", ClientConfig(
+            cache_bytes=0, retry_policy=RetryPolicy(
+                jitter=False, breaker_threshold=1000)), gate)
+        return mount, bob, gate
+
+    def test_create_does_not_edit_a_stale_table(self, volume, registry):
+        mount, bob, gate = self._stack(
+            volume, registry, lambda blob_id: blob_id.kind == "data"
+            and blob_id.selector.startswith("t:"))
+        bob.create_file("/s/b0", b"x")  # every view of /s: in the fallback
+        mount("alice").create_file("/s/a", b"y")
+        gate.dark = True
+        with pytest.raises(TransientStorageError):
+            bob.create_file("/s/b", b"z")
+        gate.dark = False
+        assert mount("alice").readdir("/s") == ["a", "b0"]
+        bob.create_file("/s/b", b"z")
+        assert mount("alice").readdir("/s") == ["a", "b", "b0"]
+
+    def test_append_does_not_extend_a_stale_block(self, volume, registry):
+        mount, bob, gate = self._stack(
+            volume, registry, lambda blob_id: blob_id.kind == "data"
+            and blob_id.selector.startswith("b"))
+        mount("alice").create_file("/s/f", b"A" * 10, mode=0o660)
+        assert bob.read_file("/s/f") == b"A" * 10
+        mount("alice").write_file("/s/f", b"B" * 20)
+        gate.dark = True
+        assert bob.read_file("/s/f") == b"A" * 10  # degraded, and flagged
+        assert bob.server.consume_stale_flags() > 0
+        with pytest.raises(TransientStorageError):
+            bob.append_file("/s/f", b"x")
+        gate.dark = False
+        assert mount("alice").read_file("/s/f") == b"B" * 20
+        bob.append_file("/s/f", b"x")
+        assert mount("alice").read_file("/s/f") == b"B" * 20 + b"x"
+
+
 # -- observability wiring -----------------------------------------------------
 
 

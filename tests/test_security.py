@@ -11,6 +11,7 @@ import pytest
 from repro.crypto.provider import CryptoProvider
 from repro.errors import (CryptoError, IntegrityError, KeyAccessError,
                           PermissionDenied)
+from repro.fs import layout
 from repro.fs.client import SharoesFilesystem
 from repro.fs.sealed import open_unverified, replace_ciphertext
 from repro.fs.volume import SharoesVolume, block_blob_id, table_blob_id
@@ -192,6 +193,68 @@ class TestTamperingSsp:
             2 * self.BLOCK:2 * self.BLOCK + 16]
         with pytest.raises(IntegrityError):
             fs.read_file("/big")
+
+    # -- a split table: an immutable base under a re-shipped head ----------
+
+    def _two_generations(self, volume, registry, server, monkeypatch):
+        """/d grown through two folds -> (its inode, the owner-view head
+        and base as stored at generation 1 with the names they held, the
+        names now)."""
+        monkeypatch.setattr(layout, "TABLE_PAGE_BYTES", 256)
+        fs = _fresh(volume, registry, "alice")
+        fs.mkdir("/d", mode=0o755)
+        inode = fs.getattr("/d").inode
+        names, old = [], None
+        while layout.table_base_id(inode, "o", 2) not in server.raw_blobs():
+            base_id = layout.table_base_id(inode, "o", 1)
+            if base_id in server.raw_blobs():
+                old = (server.get(table_blob_id(inode, "o")),
+                       server.get(base_id), list(names))
+            names.append(f"f{len(names)}")
+            fs.mknod("/d/" + names[-1])
+        assert old is not None and len(old[2]) < len(names)
+        return inode, old, names
+
+    def test_older_base_under_a_newer_head_detected(
+            self, volume, registry, server, monkeypatch):
+        inode, (_, old_base, _), _ = self._two_generations(
+            volume, registry, server, monkeypatch)
+        server.put(layout.table_base_id(inode, "o", 2), old_base)
+        with pytest.raises(IntegrityError):
+            _fresh(volume, registry, "alice").readdir("/d")
+
+    def test_another_selector_s_base_detected(
+            self, volume, registry, server, monkeypatch):
+        inode, _, _ = self._two_generations(volume, registry, server,
+                                            monkeypatch)
+        server.put(layout.table_base_id(inode, "o", 2),
+                   server.get(layout.table_base_id(inode, "g", 2)))
+        with pytest.raises(IntegrityError):
+            _fresh(volume, registry, "alice").readdir("/d")
+        # bob reads the group view, which nobody touched.
+        assert _fresh(volume, registry, "bob").readdir("/d")
+
+    def test_deleted_base_is_an_integrity_error(
+            self, volume, registry, server, monkeypatch):
+        inode, _, _ = self._two_generations(volume, registry, server,
+                                            monkeypatch)
+        server.delete(layout.table_base_id(inode, "o", 2))
+        with pytest.raises(IntegrityError):
+            _fresh(volume, registry, "alice").readdir("/d")
+
+    def test_older_head_with_its_own_base_is_the_whole_view_rollback(
+            self, volume, registry, server, monkeypatch):
+        """The scope, pinned: the head's digest ties a base to its head;
+        nothing ties the head to *now*.  Serving an older head together
+        with the base it named is the same-epoch rollback of a whole
+        view the unsplit table always allowed (TestRollback below,
+        docs/THREAT_MODEL.md)."""
+        inode, (old_head, old_base, old_names), names = \
+            self._two_generations(volume, registry, server, monkeypatch)
+        server.put(table_blob_id(inode, "o"), old_head)
+        server.put(layout.table_base_id(inode, "o", 1), old_base)
+        assert _fresh(volume, registry, "alice").readdir("/d") \
+            == sorted(old_names) != sorted(names)
 
 
 class TestMaliciousWriters:
