@@ -10,11 +10,10 @@ Subcommands:
   ``--workload`` and write a machine-readable ``BENCH_<name>.json``,
   diff two BENCH documents as a perf-regression gate (``--diff``), or
   print the committed benchmark trajectory (``--list``);
-* ``stats``     -- run a workload and dump the unified metrics registry
-  (human table or Prometheus text) plus the per-operation cost table;
+* ``stats``     -- run a workload and print the per-operation cost
+  table plus the unified metrics registry;
 * ``trace``     -- run a workload and emit its operation spans as
-  JSON-lines (one root span per line, child phases nested), optionally
-  with a sampled structured-event log (``--events``);
+  JSON-lines (one root span per line, child phases nested);
 * ``profile``   -- run a workload wire-traced (client + server spans
   stitched into one tree) and render it as folded stacks, speedscope
   JSON, a top-N self-time table, or the per-depth resolve-attribution
@@ -310,7 +309,7 @@ _CACHE_METRIC_PREFIXES = ("client.cache.", "client.mdcache.",
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    from .obs.export import metrics_table, op_table, prometheus_text
+    from .obs.export import metrics_table, op_table
     from .obs.metrics import MetricsRegistry
     from .workloads import run_observed
 
@@ -326,16 +325,13 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         args.workload, impl=args.impl, params=params,
         flaky_p=args.flaky_p, flaky_seed=args.flaky_seed)
     # The run's registry snapshot travels in the payload; rehydrate it
-    # as plain gauges so every exporter renders the same numbers.
+    # as plain gauges so both tables render the same numbers.
     registry = MetricsRegistry()
     cache_registry = MetricsRegistry()
     for name, value in payload["metrics"].items():
         registry.gauge(name).set(value)
         if name.startswith(_CACHE_METRIC_PREFIXES):
             cache_registry.gauge(name).set(value)
-    if args.format == "prom":
-        print(prometheus_text(registry), end="")
-        return 0
     print(op_table(payload, title=f"{args.workload} per-operation costs "
                                   f"({args.impl})"))
     if len(cache_registry.snapshot()):
@@ -351,16 +347,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from .obs.export import spans_to_jsonl
     from .workloads import run_observed
 
-    event_log = None
-    sinks: tuple = ()
-    if args.events is not None:
-        from .obs.eventlog import EventLog
-        event_log = EventLog(sample=args.sample)
-        sinks = (event_log.span_sink,)
     _payload, spans = run_observed(
         args.workload, impl=args.impl,
-        params=_workload_params(args.workload, args.scale),
-        tracer_sinks=sinks)
+        params=_workload_params(args.workload, args.scale))
     text = spans_to_jsonl(spans)
     if args.out is not None:
         import pathlib
@@ -368,13 +357,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         print(f"wrote {len(spans)} spans to {args.out}")
     else:
         print(text)
-    if event_log is not None:
-        event_log.write(args.events)
-        stats = event_log.stats()
-        print(f"wrote {stats['retained']} events to {args.events} "
-              f"(accepted {stats['accepted']}, sampled out "
-              f"{stats['sampled_out']}, dropped {stats['dropped']})",
-              file=sys.stderr)
     return 0
 
 
@@ -827,8 +809,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "probability (sharoes only)")
     p.add_argument("--flaky-seed", type=int, default=0,
                    help="seed for fault injection + retry jitter")
-    p.add_argument("--format", choices=["table", "prom"], default="table",
-                   help="human table (default) or Prometheus text")
     p.add_argument("--mdcache", action="store_true",
                    help="mount the verified metadata cache for the run "
                         "(andrew only) so the client.mdcache.* section "
@@ -842,12 +822,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--impl", choices=impls, default="sharoes")
     p.add_argument("--scale", type=float, default=0.1)
     p.add_argument("--out", help="write spans here instead of stdout")
-    p.add_argument("--events",
-                   help="also write a sampled structured-event JSONL "
-                        "log here (one event per operation)")
-    p.add_argument("--sample", type=float, default=1.0,
-                   help="deterministic event sampling fraction for "
-                        "--events (default 1.0 = keep everything)")
     p.set_defaults(func=_cmd_trace)
 
     p = sub.add_parser("profile",

@@ -298,17 +298,7 @@ class BlobIO:
         with self.frame("delete" if payload is None else "put",
                         kind=blob_id.kind):
             self.charge(up=0 if payload is None else len(payload))
-            if epoch is None:
-                if payload is None:
-                    self.server.delete(blob_id)
-                else:
-                    self.server.put(blob_id, payload)
-            elif payload is None:
-                self.server.delete_fenced(
-                    blob_id, lease_blob(blob_id.inode), epoch)
-            else:
-                self.server.put_fenced(
-                    blob_id, payload, lease_blob(blob_id.inode), epoch)
+            self._op(blob_id, payload, epoch).call(self.server)
 
     def _raise_put_failure(self, blobs, index: int, reply) -> None:
         blob_id = blobs[index][0]

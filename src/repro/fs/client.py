@@ -1528,8 +1528,13 @@ class SharoesFilesystem:
             handle.pwrite(data, 0)
 
     @traced("append_file")
+    @_mutating("append_file")
     def append_file(self, path: str, data: bytes) -> None:
         with self.open(path, "a") as handle:
+            # Lease first: a fresh acquisition drops the cached blocks
+            # another writer may have outdated, so the base the append
+            # extends is read under the lease.
+            self._touch(handle.node.inode)
             handle.write(data)
 
     @_mutating("writeback")

@@ -262,10 +262,6 @@ class RecoveryOutcome:
     replayed: list[IntentRecord] = field(default_factory=list)
     aborted: list[IntentRecord] = field(default_factory=list)
 
-    @property
-    def pending_found(self) -> int:
-        return len(self.replayed) + len(self.aborted)
-
 
 def fences_stale(server, record: IntentRecord) -> bool:
     """Has any lease this intent relied on moved past its epoch?

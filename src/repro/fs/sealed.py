@@ -68,13 +68,6 @@ def open_unverified(provider: CryptoProvider, sym_key: bytes,
     return provider.sym_decrypt(sym_key, ciphertext)
 
 
-def signature_of(blob: bytes) -> bytes:
-    """Extract the signature field (for tamper-crafting in tests)."""
-    reader = Reader(blob)
-    reader.get_bytes()
-    return reader.get_bytes()
-
-
 def replace_ciphertext(blob: bytes, new_ciphertext: bytes) -> bytes:
     """Re-wrap a blob with different ciphertext, keeping the signature.
 
@@ -88,7 +81,3 @@ def replace_ciphertext(blob: bytes, new_ciphertext: bytes) -> bytes:
     writer.put_bytes(new_ciphertext)
     writer.put_bytes(signature)
     return writer.getvalue()
-
-
-class VerificationFailed(IntegrityError):
-    """Alias kept for symmetry with older call sites."""

@@ -3,15 +3,14 @@
 The simulated analogue of the paper's evaluation instrumentation: every
 filesystem operation decomposes into resolve / crypto / network / cache
 phases (Figure 13), every component's counters hang off one registry
-tree, and exporters turn both into JSON-lines span logs, Prometheus text
-or human tables (``repro stats`` / ``repro trace``).
+tree, and renderers turn both into JSON-lines span logs or human tables
+(``repro stats`` / ``repro trace``).
 
 Wire tracing (``wiretrace``) extends the span tree across the wire:
 trace context rides each frame, a :class:`TracedServer` produces
 server-side decode/dispatch/disk/verify spans, and ``stitch`` grafts
 them back under the client spans that issued them.  ``profile`` renders
-stitched trees as folded stacks / speedscope JSON; ``eventlog`` is a
-sampled ring-buffered structured-event sink; ``bench`` adds the
+stitched trees as folded stacks / speedscope JSON; ``bench`` adds the
 ``--diff`` perf-regression gate.
 
 Import layering: this package sits *below* fs/ and workloads/ -- the
@@ -19,7 +18,6 @@ client imports the tracer, so nothing here may import the client at
 module scope (export/bench use lazy imports where needed).
 """
 
-from .eventlog import LEVELS, EventLog
 from .metrics import (DEFAULT_LATENCY_BUCKETS, Counter, Gauge, Histogram,
                       MetricsRegistry, bind_cache_stats, bind_cost_model,
                       bind_crypto_counters, bind_server_stats)
@@ -49,6 +47,4 @@ __all__ = [
     "ServerCostProfile",
     "DEFAULT_SERVER_PROFILE",
     "stitch",
-    "EventLog",
-    "LEVELS",
 ]

@@ -1,119 +1,25 @@
-"""Pluggable exporters: JSON-lines spans, Prometheus text, tables.
+"""Renderers: a JSON-lines span log and two tables.
 
-Three consumers of the same observability tree:
+Two consumers of the same observability tree:
 
 * machines replaying a run read the **JSON-lines span log** (one root
-  span per line, children nested);
-* scrape-style tooling reads the **Prometheus text dump** of a
-  :class:`~repro.obs.metrics.MetricsRegistry`;
+  span per line, children nested; ``repro trace``);
 * humans read the **tables** (``repro stats``).
 """
 
 from __future__ import annotations
 
 import json
-import pathlib
-import re
-from typing import IO, Iterable
+from typing import Iterable
 
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .metrics import MetricsRegistry
 from .tracing import PHASES, Span
-
-
-class JsonLinesSpanExporter:
-    """Collects finished root spans as JSON-lines.
-
-    Attach with ``tracer.add_sink(exporter)``; read back ``.lines`` (in
-    memory) or stream to a file object passed as ``stream``.
-    """
-
-    def __init__(self, stream: IO[str] | None = None):
-        self.lines: list[str] = []
-        self._stream = stream
-
-    def __call__(self, span: Span) -> None:
-        line = json.dumps(span.to_dict(), separators=(",", ":"),
-                          sort_keys=True)
-        self.lines.append(line)
-        if self._stream is not None:
-            self._stream.write(line + "\n")
-
-    def records(self) -> list[dict]:
-        return [json.loads(line) for line in self.lines]
-
-    def write(self, path: str | pathlib.Path) -> pathlib.Path:
-        path = pathlib.Path(path)
-        path.write_text("\n".join(self.lines) + ("\n" if self.lines
-                                                 else ""))
-        return path
 
 
 def spans_to_jsonl(spans: Iterable[Span]) -> str:
     """Render already-finished root spans as a JSON-lines document."""
     return "\n".join(json.dumps(span.to_dict(), separators=(",", ":"),
                                 sort_keys=True) for span in spans)
-
-
-_PROM_BAD = re.compile(r"[^a-zA-Z0-9_:]")
-
-
-def _prom_name(name: str) -> str:
-    return _PROM_BAD.sub("_", name.replace(".", "_"))
-
-
-def _prom_escape_help(text: str) -> str:
-    """Escape a ``# HELP`` docstring per the exposition format."""
-    return text.replace("\\", "\\\\").replace("\n", "\\n")
-
-
-def _prom_escape_label(text: str) -> str:
-    """Escape a label *value* per the exposition format."""
-    return (text.replace("\\", "\\\\").replace("\n", "\\n")
-            .replace('"', '\\"'))
-
-
-def prometheus_text(registry: MetricsRegistry,
-                    namespace: str = "sharoes") -> str:
-    """Prometheus exposition-format dump of the registry.
-
-    Pull sources are exported as gauges (their legacy structs do not
-    distinguish counters from gauges) and carry ``# TYPE``/``# HELP``
-    metadata like first-class metrics; histograms use the standard
-    ``_bucket``/``_sum``/``_count`` triplet with ``le`` labels.  Help
-    strings and label values are escaped per the exposition format.
-    """
-    lines: list[str] = []
-
-    def emit(name: str, kind: str, value_lines: list[str],
-             help: str = "") -> None:
-        if help:
-            lines.append(f"# HELP {name} {_prom_escape_help(help)}")
-        lines.append(f"# TYPE {name} {kind}")
-        lines.extend(value_lines)
-
-    for metric in registry.metrics():
-        name = f"{namespace}_{_prom_name(metric.name)}"
-        if isinstance(metric, Counter):
-            emit(name, "counter", [f"{name} {metric.value}"], metric.help)
-        elif isinstance(metric, Gauge):
-            emit(name, "gauge", [f"{name} {metric.value}"], metric.help)
-        elif isinstance(metric, Histogram):
-            rows = []
-            cumulative = 0
-            for bound, count in zip(metric.bounds, metric.counts):
-                cumulative += count
-                label = _prom_escape_label(str(bound))
-                rows.append(f'{name}_bucket{{le="{label}"}} {cumulative}')
-            rows.append(f'{name}_bucket{{le="+Inf"}} {metric.count}')
-            rows.append(f"{name}_sum {metric.total}")
-            rows.append(f"{name}_count {metric.count}")
-            emit(name, "histogram", rows, metric.help)
-    for prefix, collect in registry._sources.items():
-        help = registry.source_help(prefix)
-        for suffix, value in sorted(collect().items()):
-            name = f"{namespace}_{_prom_name(prefix)}_{_prom_name(suffix)}"
-            emit(name, "gauge", [f"{name} {value}"], help)
-    return "\n".join(lines) + "\n"
 
 
 def metrics_table(registry: MetricsRegistry,

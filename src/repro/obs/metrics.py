@@ -17,14 +17,13 @@ Metric kinds:
   p50/p95/p99 (shares :class:`~repro.sim.stats.Percentiles` semantics
   with the benchmark ``Summary``).
 
-Names are dot-separated paths ("client.cache.hits"); exporters may remap
-them (Prometheus flattens dots to underscores).
+Names are dot-separated paths ("client.cache.hits").
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 from ..sim.stats import Percentiles
 
@@ -162,7 +161,6 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._metrics: dict[str, Metric] = {}
         self._sources: dict[str, Callable[[], dict[str, float]]] = {}
-        self._source_help: dict[str, str] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -194,19 +192,11 @@ class MetricsRegistry:
     def register_source(self, prefix: str,
                         collect: Callable[[], dict[str, float]],
                         help: str = "") -> None:
-        """Adapt a legacy stats struct under ``prefix``; ``help`` feeds
-        the Prometheus exporter's ``# HELP`` lines."""
+        """Adapt a legacy stats struct under ``prefix``; ``help`` says
+        what the source is where it is bound (no renderer prints it)."""
         self._sources[prefix] = collect
-        if help:
-            self._source_help[prefix] = help
-
-    def source_help(self, prefix: str) -> str:
-        return self._source_help.get(prefix, "")
 
     # -- reading -----------------------------------------------------------
-
-    def metrics(self) -> Iterator[Metric]:
-        return iter(self._metrics.values())
 
     def get(self, name: str) -> Metric | None:
         return self._metrics.get(name)

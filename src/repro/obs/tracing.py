@@ -22,7 +22,7 @@ Phase attribution rules (see :func:`phase_breakdown`):
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 from ..errors import IntegrityError
 from ..sim.clock import SimClock
@@ -183,11 +183,11 @@ class _SpanScope:
 class Tracer:
     """Produces spans on a shared simulated clock.
 
-    Finished *root* spans are retained in a bounded deque (``finished``)
-    and forwarded to any registered sinks (exporters).  When a registry
-    is attached, each finished root span feeds a per-operation latency
-    histogram plus op/error counters -- that is the entire push-side
-    coupling, one histogram observe per filesystem operation.
+    Finished *root* spans are retained in a bounded deque (``finished``).
+    When a registry is attached, each finished root span feeds a
+    per-operation latency histogram plus op/error counters -- that is
+    the entire push-side coupling, one histogram observe per filesystem
+    operation.
     """
 
     def __init__(self, clock: SimClock | None = None,
@@ -200,13 +200,8 @@ class Tracer:
         self.trace_id: int | None = None
         self.finished: deque[Span] = deque(maxlen=max_finished)
         self._stack: list[Span] = []
-        self._sinks: list[Callable[[Span], None]] = []
         self._next_id = 1
         self._op_histograms: dict[str, Any] = {}
-
-    def add_sink(self, sink: Callable[[Span], None]) -> None:
-        """Register an exporter callback for finished root spans."""
-        self._sinks.append(sink)
 
     @property
     def current(self) -> Span | None:
@@ -242,8 +237,6 @@ class Tracer:
                 self.registry.counter(
                     "client.integrity_failures",
                     help="SSP tampering/rollback detections").inc()
-        for sink in self._sinks:
-            sink(span)
 
     def reset(self) -> None:
         """Drop finished spans (open spans are left untouched)."""

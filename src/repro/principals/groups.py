@@ -60,7 +60,6 @@ class GroupKeyService:
         self._server.delete(group_key_blob(group_id, user_id))
         self._registry.remove_member(group_id, user_id)
         group.keypair = rsa.generate_keypair(group.keypair.public.n.bit_length())
-        self._registry.directory.register_group(group)
         self.publish(group)
         return group
 

@@ -18,35 +18,19 @@ class UnknownPrincipal(SharoesError):
 
 
 class PublicKeyDirectory:
-    """Maps principal ids to their public keys."""
+    """Maps user ids to their public keys."""
 
     def __init__(self) -> None:
         self._user_keys: dict[str, rsa.PublicKey] = {}
-        self._group_keys: dict[str, rsa.PublicKey] = {}
 
     def register_user(self, user: User) -> None:
         self._user_keys[user.user_id] = user.public_key
-
-    def register_group(self, group: Group) -> None:
-        self._group_keys[group.group_id] = group.public_key
 
     def user_key(self, user_id: str) -> rsa.PublicKey:
         try:
             return self._user_keys[user_id]
         except KeyError:
             raise UnknownPrincipal(f"user {user_id!r}") from None
-
-    def group_key(self, group_id: str) -> rsa.PublicKey:
-        try:
-            return self._group_keys[group_id]
-        except KeyError:
-            raise UnknownPrincipal(f"group {group_id!r}") from None
-
-    def known_users(self) -> list[str]:
-        return sorted(self._user_keys)
-
-    def known_groups(self) -> list[str]:
-        return sorted(self._group_keys)
 
 
 class PrincipalRegistry:
@@ -81,7 +65,6 @@ class PrincipalRegistry:
         self._groups[group.group_id] = group
         for member in group.members:
             self._users[member].groups.add(group.group_id)
-        self.directory.register_group(group)
         return group
 
     def create_user(self, user_id: str, **kwargs) -> User:

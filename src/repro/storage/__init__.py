@@ -6,7 +6,6 @@ from .blobs import (DATA, GROUP_KEY, LOCKBOX, META, SHARED, SUPERBLOCK,
                     BlobId, data_blob, group_key_blob, lockbox_blob,
                     meta_blob, principal_hash, superblock_blob)
 from .faults import RollbackServer, TamperingServer
-from .disk import DiskStorageServer
 from .resilient import (FlakyServer, OutageServer, ResilientTransport,
                         RetryPolicy, ServerWrapper, SlowServer)
 from .server import StorageServer
@@ -15,7 +14,6 @@ from .wire import RemoteStorageClient, SspServer
 __all__ = [
     "BlobId",
     "StorageServer",
-    "DiskStorageServer",
     "SspServer",
     "RemoteStorageClient",
     "TamperingServer",

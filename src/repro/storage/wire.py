@@ -425,10 +425,8 @@ def _dispatch(backend: StorageServer, opcode: int, body: bytes) -> bytes:
 def dispatch_message(backend: StorageServer, message: bytes) -> bytes:
     """One request frame body -> one response frame body.
 
-    Transport-neutral: the threaded :class:`SspServer` and the asyncio
-    front-end (:mod:`repro.storage.aiowire`) both funnel every frame
-    through here, so the two servers cannot drift -- same opcodes, same
-    trace-context handling, same exception-to-status mapping.
+    Opcodes, trace-context handling and the exception-to-status
+    mapping live here, apart from :class:`SspServer`'s socket loop.
     """
     if not message:
         # A length-0 frame has no opcode byte; reply ERROR rather than

@@ -60,9 +60,6 @@ class BenchEnv:
     #: wire-trace propagation on for every client of this environment
     #: (including the fresh ones workloads mount for cache sweeps).
     wire_trace: bool = False
-    #: extra tracer sinks attached to every client's tracer (e.g. an
-    #: EventLog's span_sink for ``repro trace --events``).
-    tracer_sinks: tuple = ()
     #: ClientConfig fields stamped onto *every* client of this
     #: environment, including the fresh ones workloads mint for cache
     #: sweeps (which otherwise build their own configs and would drop
@@ -88,8 +85,6 @@ class BenchEnv:
             fs = BASELINES[self.impl](self._volume, self.user,
                                       cost_model=self.cost, config=config)
         fs.mount()
-        for sink in self.tracer_sinks:
-            fs.tracer.add_sink(sink)
         self.fs = fs
         return fs
 
@@ -120,7 +115,6 @@ def make_env(impl: str, profile: CostProfile = PAPER_2008,
              extra_users: tuple[str, ...] = (),
              flaky_p: float = 0.0, flaky_seed: int = 0,
              wire_trace: bool = False,
-             tracer_sinks: tuple = (),
              shards: int = 0, replicas: int = 2) -> BenchEnv:
     """Build a formatted volume + mounted client for one implementation.
 
@@ -133,8 +127,7 @@ def make_env(impl: str, profile: CostProfile = PAPER_2008,
 
     ``wire_trace`` stamps ``ClientConfig.wire_trace`` onto every client
     of the environment (sharoes only -- baselines have no wire layer to
-    trace, so the flag is a no-op there); ``tracer_sinks`` are attached
-    to every client's tracer.
+    trace, so the flag is a no-op there).
 
     ``shards`` > 0 replaces the single StorageServer with a
     :class:`~repro.storage.shards.ShardedServer` of that many backend
@@ -195,8 +188,6 @@ def make_env(impl: str, profile: CostProfile = PAPER_2008,
                       admin_key=user.keypair)
         fs = cls(volume, user, cost_model=cost, config=config)
     fs.mount()
-    for sink in tracer_sinks:
-        fs.tracer.add_sink(sink)
     # Formatting happened outside the cost model's view on purpose: the
     # benchmarks measure steady-state operations, not provisioning.
     cost.reset()
@@ -208,7 +199,6 @@ def make_env(impl: str, profile: CostProfile = PAPER_2008,
                     cost=cost, fs=fs, _volume=volume,
                     _client_server=client_server,
                     wire_trace=wire_trace and impl == "sharoes",
-                    tracer_sinks=tuple(tracer_sinks),
                     client_overrides=overrides)
 
 
@@ -233,7 +223,6 @@ def run_observed(workload: str, impl: str = "sharoes",
                  flaky_p: float = 0.0, flaky_seed: int = 0,
                  config: "ClientConfig | None" = None,
                  wire_trace: bool = False,
-                 tracer_sinks: tuple = (),
                  setup=None,
                  _env_out: list | None = None,
                  shards: int = 0, replicas: int = 2):
@@ -261,8 +250,7 @@ def run_observed(workload: str, impl: str = "sharoes",
     params = dict(params or {})
     env = make_env(impl, profile=profile, flaky_p=flaky_p,
                    flaky_seed=flaky_seed, config=config,
-                   wire_trace=wire_trace, tracer_sinks=tracer_sinks,
-                   shards=shards, replicas=replicas)
+                   wire_trace=wire_trace, shards=shards, replicas=replicas)
     if _env_out is not None:
         _env_out.append(env)
     if setup is not None:

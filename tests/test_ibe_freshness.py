@@ -10,9 +10,6 @@ from repro.crypto.ibe import KeyAuthority, jacobi
 from repro.errors import CryptoError, IntegrityError
 from repro.fs.client import SharoesFilesystem
 from repro.fs.freshness import FreshnessMonitor, StaleObjectError
-from repro.principals.ibe import (IdentityEnvelope,
-                                  unwrap_with_identity_key,
-                                  wrap_for_identity)
 from repro.storage.blobs import meta_blob
 
 
@@ -98,38 +95,6 @@ class TestCocksIbe:
         key = authority.extract("prop@test")
         blob = ibe.encrypt(authority.params, "prop@test", payload)
         assert ibe.decrypt(authority.params, key, blob) == payload
-
-
-class TestIdentityEnvelope:
-    def test_wrap_unwrap(self, authority):
-        envelope = wrap_for_identity(authority.params,
-                                     "newhire@corp.example",
-                                     b"the bootstrap secret material")
-        key = authority.extract("newhire@corp.example")
-        assert unwrap_with_identity_key(
-            authority.params, key,
-            envelope) == b"the bootstrap secret material"
-
-    def test_envelope_serialization(self, authority):
-        envelope = wrap_for_identity(authority.params, "a@b", b"payload")
-        restored = IdentityEnvelope.from_bytes(envelope.to_bytes())
-        key = authority.extract("a@b")
-        assert unwrap_with_identity_key(authority.params, key,
-                                        restored) == b"payload"
-
-    def test_wrong_identity_key_rejected(self, authority):
-        envelope = wrap_for_identity(authority.params, "a@b", b"payload")
-        other = authority.extract("c@d")
-        with pytest.raises(CryptoError):
-            unwrap_with_identity_key(authority.params, other, envelope)
-
-    def test_large_payload_fine(self, authority):
-        """The envelope hybrid lifts Cocks' 64-byte cap."""
-        big = b"q" * 4096
-        envelope = wrap_for_identity(authority.params, "a@b", big)
-        key = authority.extract("a@b")
-        assert unwrap_with_identity_key(authority.params, key,
-                                        envelope) == big
 
 
 class TestFreshnessMonitor:

@@ -759,17 +759,10 @@ def test_alternating_creates_across_folds_keep_every_row(shared, registry,
     assert report.clean and not report.orphaned_blobs, report.summary()
 
 
-# -- the recorded lost update (ROADMAP item 4) --------------------------------
+# -- lost updates on shared files (ROADMAP item 1(b)) -------------------------
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 4")
-def test_alternating_shared_appends_keep_every_record(shared, registry):
-    """``append_file`` reads its base through the block cache *before*
-    ``_flush_file`` takes the lease, so with the data cache on each
-    writer appends to the file as it last saw it and overwrites the
-    other's records.  The fix is measured and deferred (it moves a
-    committed BENCH number); this pins the defect until it lands."""
-    server, volume = shared
+def _cached_leased_pair(volume, registry) -> dict:
     config = ClientConfig(journal=True, lease=True, data_cache=True,
                           lease_duration_s=_LEASE_S)
     writers = {}
@@ -778,6 +771,16 @@ def test_alternating_shared_appends_keep_every_record(shared, registry):
                                config=config)
         fs.mount()
         writers[user_id[0]] = fs
+    return writers
+
+
+def test_alternating_shared_appends_keep_every_record(shared, registry):
+    """``append_file`` takes the lease *before* it reads its base: a
+    fresh acquisition invalidates the inode, so with the data cache on
+    each writer extends the file as it is, not as it last saw it (it
+    used to leave ``<0:a><1:b><3:b><5:b>``)."""
+    server, volume = shared
+    writers = _cached_leased_pair(volume, registry)
     writers["a"].create_file("/log", b"", mode=0o664)
     records = [f"<{i}:{'ab'[i % 2]}>".encode() for i in range(6)]
     for i, record in enumerate(records):
@@ -785,3 +788,21 @@ def test_alternating_shared_appends_keep_every_record(shared, registry):
     reader = SharoesFilesystem(volume, registry.user("bob"))
     reader.mount()
     assert reader.read_file("/log") == b"".join(records)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1(b): handles")
+def test_alternating_handle_patches_keep_every_byte(shared, registry):
+    """The sibling the audit found: a writable handle loads its blocks
+    through the data cache and only ``close`` takes the lease, so each
+    writer patches the file as it last saw it (``ab.b.b.b........``;
+    passes with ``data_cache=False``).  The fix is a handle-lifetime
+    decision, not three lines; this pins the defect until it lands."""
+    server, volume = shared
+    writers = _cached_leased_pair(volume, registry)
+    writers["a"].create_file("/f", b"." * 16, mode=0o664)
+    for i in range(8):
+        with writers["ab"[i % 2]].open("/f", "rw") as handle:
+            handle.pwrite(b"ab"[i % 2:i % 2 + 1], i)
+    reader = SharoesFilesystem(volume, registry.user("bob"))
+    reader.mount()
+    assert reader.read_file("/f") == b"abababab" + b"." * 8

@@ -128,48 +128,6 @@ class TestRegistry:
         assert list(snap) == sorted(snap)
 
 
-class TestPrometheusExport:
-    def test_registered_sources_carry_type_and_help(self):
-        from repro.obs.export import prometheus_text
-        reg = MetricsRegistry()
-        reg.register_source("legacy", lambda: {"hits": 7},
-                            help="legacy cache hits")
-        text = prometheus_text(reg)
-        assert "# HELP sharoes_legacy_hits legacy cache hits" in text
-        assert "# TYPE sharoes_legacy_hits gauge" in text
-        assert "sharoes_legacy_hits 7" in text
-
-    def test_helpless_source_still_typed(self):
-        from repro.obs.export import prometheus_text
-        reg = MetricsRegistry()
-        reg.register_source("legacy", lambda: {"hits": 7})
-        text = prometheus_text(reg)
-        assert "# TYPE sharoes_legacy_hits gauge" in text
-        assert "# HELP sharoes_legacy_hits" not in text
-
-    def test_help_newlines_and_backslashes_escaped(self):
-        from repro.obs.export import prometheus_text
-        reg = MetricsRegistry()
-        reg.counter("ops", help="multi\nline \\ slash")
-        text = prometheus_text(reg)
-        assert ("# HELP sharoes_ops multi\\nline \\\\ slash"
-                in text.splitlines())
-
-    def test_label_values_escaped(self):
-        from repro.obs.export import _prom_escape_label
-        assert _prom_escape_label('a"b\nc\\d') == 'a\\"b\\nc\\\\d'
-
-    def test_every_line_is_wellformed(self):
-        from repro.obs.export import prometheus_text
-        reg = MetricsRegistry()
-        reg.counter("ops", help="bad\nhelp")
-        reg.histogram("lat").observe(0.5)
-        reg.register_source("src", lambda: {"v": 1}, help="also\nbad")
-        for line in prometheus_text(reg).strip().splitlines():
-            assert line.startswith("#") or " " in line
-            assert "\n" not in line
-
-
 class TestCacheAdapter:
     def test_counters_flow_through(self):
         cache = LruCache(capacity_bytes=100)

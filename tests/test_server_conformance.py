@@ -22,7 +22,6 @@ import pytest
 from repro.errors import SharoesError, StorageError, TransientStorageError
 from repro.obs.wiretrace import TracedServer
 from repro.sim.clock import SimClock
-from repro.storage.aiowire import AsyncSspServer
 from repro.storage.blobs import data_blob, lease_blob
 from repro.storage.faults import RollbackServer, TamperingServer
 from repro.storage.rebalance import MidRunRebalance
@@ -120,7 +119,6 @@ LAYERS = {
     "RollbackServer": lambda: _in_process(
         lambda b: RollbackServer(inner=b, should_rollback=_never)),
     "RemoteStorageClient/threaded": lambda: _remote(SspServer),
-    "RemoteStorageClient/asyncio": lambda: _remote(AsyncSspServer),
 }
 
 #: Layers that forward reads untouched and refuse every mutation.

@@ -1,4 +1,4 @@
-"""Disk-backed SSP storage and the TCP wire protocol."""
+"""The TCP wire protocol."""
 
 import dataclasses
 
@@ -11,77 +11,8 @@ from repro.fs.client import SharoesFilesystem
 from repro.fs.volume import SharoesVolume
 from repro.principals.groups import GroupKeyService
 from repro.storage.blobs import data_blob, lease_blob, meta_blob
-from repro.storage.disk import DiskStorageServer
 from repro.storage.server import BatchOp, StorageServer
 from repro.storage.wire import RemoteStorageClient, SspServer
-
-
-class TestDiskStorage:
-    def test_roundtrip(self, tmp_path):
-        server = DiskStorageServer(tmp_path / "ssp")
-        server.put(meta_blob(1, "o"), b"payload")
-        assert server.get(meta_blob(1, "o")) == b"payload"
-        assert server.exists(meta_blob(1, "o"))
-
-    def test_missing(self, tmp_path):
-        server = DiskStorageServer(tmp_path / "ssp")
-        with pytest.raises(BlobNotFound):
-            server.get(meta_blob(1, "o"))
-
-    def test_delete_idempotent(self, tmp_path):
-        server = DiskStorageServer(tmp_path / "ssp")
-        server.put(meta_blob(1, "o"), b"x")
-        server.delete(meta_blob(1, "o"))
-        server.delete(meta_blob(1, "o"))
-        assert not server.exists(meta_blob(1, "o"))
-
-    def test_survives_reopen(self, tmp_path):
-        DiskStorageServer(tmp_path / "ssp").put(data_blob(9, "b0"),
-                                                b"persistent")
-        reopened = DiskStorageServer(tmp_path / "ssp")
-        assert reopened.get(data_blob(9, "b0")) == b"persistent"
-        assert reopened.blob_count() == 1
-        assert reopened.stored_bytes() == 10
-
-    def test_selector_with_slash(self, tmp_path):
-        from repro.storage.blobs import group_key_blob
-        server = DiskStorageServer(tmp_path / "ssp")
-        blob_id = group_key_blob("eng", "alice")
-        assert "/" in blob_id.selector
-        server.put(blob_id, b"wrapped")
-        assert server.get(blob_id) == b"wrapped"
-        assert list(server.list_kind("groupkey")) == [blob_id]
-
-    def test_full_volume_on_disk_survives_restart(self, tmp_path,
-                                                  registry):
-        server = DiskStorageServer(tmp_path / "ssp")
-        volume = SharoesVolume(server, registry)
-        volume.format(root_owner="alice", root_group="eng")
-        GroupKeyService(registry, server, CryptoProvider()).publish_all()
-        fs = SharoesFilesystem(volume, registry.user("alice"))
-        fs.mount()
-        fs.create_file("/persisted.txt", b"still here", mode=0o640)
-
-        # "Restart": a brand-new server object over the same directory.
-        server2 = DiskStorageServer(tmp_path / "ssp")
-        volume2 = SharoesVolume(server2, registry)
-        volume2.root_inode = volume.root_inode
-        volume2.allocator = volume.allocator
-        fs2 = SharoesFilesystem(volume2, registry.user("bob"))
-        fs2.mount()
-        assert fs2.read_file("/persisted.txt") == b"still here"
-
-    def test_only_ciphertext_on_disk(self, tmp_path, registry):
-        server = DiskStorageServer(tmp_path / "ssp")
-        volume = SharoesVolume(server, registry)
-        volume.format(root_owner="alice", root_group="eng")
-        fs = SharoesFilesystem(volume, registry.user("alice"))
-        fs.mount()
-        fs.create_file("/x", b"THE-PLAINTEXT-SENTINEL", mode=0o600)
-        on_disk = b"".join(p.read_bytes()
-                           for p in (tmp_path / "ssp").rglob("*")
-                           if p.is_file())
-        assert b"THE-PLAINTEXT-SENTINEL" not in on_disk
 
 
 @pytest.fixture
