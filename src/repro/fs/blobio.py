@@ -12,15 +12,20 @@ which is left with paths, CAPs and keys:
   shipped now (fenced with its lease epoch, as one ``OP_BATCH`` frame or
   as single ops);
 * **frame accounting** -- ``request_count``, the ``network`` span and the
-  header-byte charge of every wire exchange are taken in one helper.
+  header-byte charge of every wire exchange are taken in one helper;
+* **protocol frames** -- :meth:`BlobIO.exchange` ships an ordered list of
+  sub-ops as one counted, charged frame.  The leased, journaled mutation
+  is built from it: lease CAS, intent + fence preflight, commit +
+  release, batched renewal -- and the grouped sends above.
 
 Stack, assembled once by ``SharoesFilesystem.__init__``::
 
     filesystem -> BlobIO -> RequestScheduler -> ResilientTransport
                -> TracedServer -> wire / SSP
 
-Lease CAS, consistency-log and ``fences_stale`` traffic keep their own
-modules; ``exists`` probes and lease frames are (still) uncounted.
+Consistency-log traffic and the roll-forward of a *dead* client's
+journal (takeover, fsck) keep their own modules; ``exists`` probes are
+(still) uncounted.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from typing import Iterable, Sequence
 from ..errors import (BlobNotFound, PartialWriteError, StaleEpochError,
                       StorageError, TransientPartialWriteError)
 from ..storage.blobs import BlobId, lease_blob
-from ..storage.server import BatchOp
+from ..storage.server import BatchOp, BatchReply, execute
 from . import journal
 
 #: simulated framing overhead of one wire exchange, charged on top of
@@ -50,8 +55,8 @@ _BATCH_SIZE_BUCKETS = (1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0,
 #: unsendable frame.
 _MAX_PREFETCH = 1024
 
-#: (deleting, grouped) -> journal ``StagedCall`` kind, so a replay
-#: reproduces the original request grouping.
+#: (deleting, grouped) -> journal ``StagedCall`` kind: the intent
+#: records how the op grouped its blobs.
 _STAGED_KIND = {(False, False): journal.PUT,
                 (False, True): journal.PUT_MANY,
                 (True, False): journal.DELETE,
@@ -135,6 +140,46 @@ class BlobIO:
             if "count" in attrs:
                 self._observe_batch(attrs["count"])
             yield
+
+    def exchange(self, label: str,
+                 ops: Sequence[BatchOp]) -> list[BatchReply]:
+        """One protocol frame: ordered sub-ops out, a reply per sub-op.
+
+        Sub-ops apply in order and the frame stops at the first
+        ``fenced`` or ``error`` one (the tail reads ``unattempted``);
+        ``missing`` and ``conflict`` are answers the caller reads.  The
+        frame is counted once, inside one ``network`` span, and charged
+        what the replies show crossed: the attempted sub-ops' bytes up,
+        the returned payloads down.  With ``batching=False`` every
+        sub-op is its own counted round trip under the same stop rule.
+        """
+        self.flush()  # a direct frame orders after everything staged
+        if self.batching:
+            with self.frame(label, count=len(ops)):
+                replies = self.server.batch(ops)
+                self._charge_replies(ops, replies)
+            return replies
+        replies: list[BatchReply] = []
+        for op in ops:
+            if replies and replies[-1].status in ("fenced", "error",
+                                                  "unattempted"):
+                replies.append(BatchReply("unattempted"))
+                continue
+            with self.frame(op.kind, kind=op.blob_id.kind):
+                replies.append(execute(self.server, op))
+                self._charge_replies((op,), replies[-1:])
+        return replies
+
+    def _charge_replies(self, ops, replies) -> None:
+        # One request header for the frame (blob ids ride in its
+        # payload), and only what crossed the wire: on a partial failure
+        # the unattempted tail never left the client.
+        self.charge(
+            up=sum(op.sent_bytes() + len(op.expected or b"")
+                   for op, reply in zip(ops, replies)
+                   if reply.status != "unattempted"),
+            down=sum(len(reply.payload) for reply in replies
+                     if reply.payload))
 
     # -- read-your-writes overlay ---------------------------------------------
 
@@ -253,34 +298,27 @@ class BlobIO:
             else:
                 scheduler.stage_put_many(blobs)
             return
-        # A direct (fenced or oversized) write must order after
-        # everything staged.
-        self.flush()
         if not (grouped and self.batching):
+            # A direct (fenced or oversized) write must order after
+            # everything staged.
+            self.flush()
             for blob_id, payload in blobs:
                 self._send_one(blob_id, payload, epoch_of(blob_id.inode))
             return
-        ops = [self._op(bid, payload, epoch_of(bid.inode))
-               for bid, payload in blobs]
-        with self.frame("delete_many" if deleting else "put_many",
-                        count=len(ops)):
-            replies = self.server.batch(ops)
-            # One request header for the batch (blob ids ride in its
-            # payload), and only what crossed the wire: on a partial
-            # failure the unattempted tail never left the client.
-            self.charge(up=sum(
-                op.sent_bytes() for op, reply in zip(ops, replies)
-                if reply.status != "unattempted"))
-            for index, reply in enumerate(replies):
-                if reply.status == "ok":
-                    continue
-                if deleting:
-                    # Deletes never wrapped errors in PartialWriteError;
-                    # re-raise each sub-op failure as the single-op
-                    # exception (fenced -> StaleEpochError, and so on).
-                    reply.raise_for_status()
-                    continue
-                self._raise_put_failure(blobs, index, reply)
+        replies = self.exchange(
+            "delete_many" if deleting else "put_many",
+            [self._op(bid, payload, epoch_of(bid.inode))
+             for bid, payload in blobs])
+        for index, reply in enumerate(replies):
+            if reply.status == "ok":
+                continue
+            if blobs[index][1] is None:
+                # Deletes never wrapped errors in PartialWriteError;
+                # re-raise each sub-op failure as the single-op
+                # exception (fenced -> StaleEpochError, and so on).
+                reply.raise_for_status()
+                continue
+            self._raise_put_failure(blobs, index, reply)
 
     @staticmethod
     def _op(blob_id: BlobId, payload: "bytes | None",

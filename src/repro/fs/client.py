@@ -45,7 +45,10 @@ from ..principals.groups import UserAgent
 from ..principals.users import User
 from ..sim.costmodel import CostModel
 from ..storage.blobs import (BlobId, group_key_blob, journal_blob,
-                             lockbox_blob, meta_blob, superblock_blob)
+                             lease_blob, lockbox_blob, meta_blob,
+                             superblock_blob)
+from ..storage.server import BatchOp
+from ..storage.wire import MAX_BATCH_OPS
 from . import journal, layout
 from .blobio import BlobIO
 from .cache import LruCache
@@ -498,6 +501,9 @@ class SharoesFilesystem:
         #: and the apply phase fences each write with it.
         self.lease = None
         self._fences: dict[int, int] = {}
+        #: inodes the current mutation deleted: their lease links are
+        #: forgotten once the commit frame has released them.
+        self._unlinked: set[int] = set()
         #: inodes the current outermost mutation has written (None
         #: outside one) -- see ``_mutation``.
         self._touched: set[int] | None = None
@@ -519,7 +525,8 @@ class SharoesFilesystem:
                 clock if clock is not None else SimClock(),
                 duration_s=self.config.lease_duration_s,
                 provider=self.provider, escrow=volume.registry.user,
-                tracer=self.tracer, metrics=self.metrics)
+                tracer=self.tracer, metrics=self.metrics,
+                exchange=self.blobs.exchange)
 
     def enable_consistency_log(self):
         """Attach a SUNDR-style fork-consistency log (paper section VI).
@@ -663,7 +670,9 @@ class SharoesFilesystem:
         Every put/delete the body issues is deferred into a
         :class:`~repro.fs.journal.MutationBatch`; on clean exit the
         batch is sealed into a signed intent, journaled at the SSP,
-        applied, and committed.  If the body raises before staging
+        applied, and committed -- three frames behind the ``k`` lease
+        CAS frames of the body: intent (+ fence preflight), apply,
+        commit (+ lease release).  If the body raises before staging
         completes, nothing was sent: the op rolls back by construction.
         If applying fails part-way, the intent stays pending and is
         replayed (idempotently) before the next mutation or at mount.
@@ -672,6 +681,7 @@ class SharoesFilesystem:
         batch = journal.MutationBatch(op)
         self.blobs.batch = batch
         self._fences = {}
+        self._unlinked = set()
         try:
             yield
         except BaseException:
@@ -686,7 +696,11 @@ class SharoesFilesystem:
                               fences=tuple(sorted(self._fences.items())))
         self._pending.append(record)
         try:
-            self._journal_write("append")
+            # The fence preflight rides the intent: sub-ops apply in
+            # order, so the intent is durable before the lease blobs
+            # are read.
+            current = self._journal_write(
+                "append", probe=[inode for inode, _ in record.fences])
         except BaseException:
             # The intent never became durable, and no blob of the op was
             # sent: the mutation rolled back whole.
@@ -696,16 +710,15 @@ class SharoesFilesystem:
         self.metrics.counter(
             "journal.appends", help="intents journaled").inc()
         try:
-            # Preflight the fences before the first apply write: if a
-            # successor already took a lease over while we were paused,
-            # every write of this mutation is doomed -- better to learn
-            # that from one lease read than to strand a partial apply
-            # (the SSP would accept the uncontended inodes' blobs and
-            # only reject the contended one).  The preflight-to-write
-            # race that remains is exactly the post-append case a
-            # successor resolves by rolling our intent forward.
-            if record.fences and journal.fences_stale(self.server,
-                                                      record):
+            # Preflight before the first apply write: if a successor
+            # already took a lease over while we were paused, every
+            # write of this mutation is doomed -- better to learn that
+            # from the lease blobs than to strand a partial apply (the
+            # SSP would accept the uncontended inodes' blobs and only
+            # reject the contended one).  The preflight-to-write race
+            # that remains is exactly the post-append case a successor
+            # resolves by rolling our intent forward.
+            if journal.fences_behind(record, current):
                 raise StaleEpochError(
                     "lease chain advanced past this mutation's fences")
             self._apply_record(record)
@@ -737,7 +750,8 @@ class SharoesFilesystem:
                 f"({exc})") from exc
         self._pending.remove(record)
         try:
-            self._journal_write("commit")
+            # The release rides the commit.
+            self._journal_write("commit", release=True)
         except BaseException:
             self._pending.append(record)
             raise
@@ -745,31 +759,37 @@ class SharoesFilesystem:
             "journal.commits", help="intents committed").inc()
         if self.consistency is not None:
             self.consistency.observe_journal(record.seq)
-        self._release_fences()
+        if self.lease is not None:
+            for inode in self._unlinked:
+                self.lease.forget(inode)
 
-    def _touch(self, inode: int) -> None:
+    def _touch(self, inode: int, new: bool = False) -> None:
         """The current mutation is about to write ``inode``.
 
         Called by every writer before its first write -- to the SSP or
-        through to the cache -- so a mutation that raises knows what to
-        invalidate (``_mutation``).  With leasing on it also acquires
-        (or renews) the inode's write lease, *before* the stale read
-        can happen.  A fresh acquisition invalidates the local cache
-        for the inode: another client may have written it since we last
-        looked.  A renewal implies no intervening writer (the epoch
-        chain only moved through us), so the cache stays warm.
+        through to the cache -- and before the first read its decision
+        rests on, so a mutation that raises knows what to invalidate
+        (``_mutation``).  With leasing on it also acquires (or renews)
+        the inode's write lease, *before* the stale read can happen
+        (``new``: the inode was allocated by this op, no lease blob
+        exists yet).  One coherence rule for acquire and renew: the
+        cache for the inode stays warm exactly when the lease manager
+        proved the epoch chain only moved through this client since its
+        last link (:attr:`LeaseManager.unbroken`); any other outcome --
+        the blob had to be read, a CAS was lost, another holder's or
+        fsck's link was found -- invalidates it: another client may
+        have written the inode since we last looked.
         """
         self._touched.add(inode)
         if self.lease is None or self.blobs.batch is None:
             return
         if inode in self._fences:
             return
-        fresh = self.lease.held_epoch(inode) is None
         attempts = max(0, self.config.lease_wait_attempts)
         delay = LEASE_WAIT_BASE_S
         for attempt in range(attempts + 1):
             try:
-                record = self.lease.acquire(inode)
+                record = self.lease.acquire(inode, new=new)
                 break
             except LeaseHeldError:
                 if attempt >= attempts:
@@ -784,7 +804,7 @@ class SharoesFilesystem:
                 self._wait_for_lease(delay)
                 delay = min(delay * 2, LEASE_WAIT_MAX_S)
         self._fences[inode] = record.epoch
-        if fresh:
+        if not self.lease.unbroken:
             self._invalidate(inode)
 
     def _wait_for_lease(self, seconds: float) -> None:
@@ -802,18 +822,23 @@ class SharoesFilesystem:
         else:
             self.lease.clock.advance(seconds)
 
-    def _release_fences(self) -> None:
-        """Release the mutation's leases (best effort, clean path)."""
+    def _release_fences(self, lead=()) -> list:
+        """Release the mutation's leases in one frame (best effort).
+
+        ``lead`` sub-ops -- the journal commit -- ride in front of the
+        released records and their replies are returned; without a lead
+        a failed release is swallowed: an unreleased lease only costs
+        peers a takeover after expiry, never fail a mutation over it.
+        """
         fences, self._fences = self._fences, {}
-        if self.lease is None:
-            return
-        for inode in fences:
-            try:
-                self.lease.release(inode)
-            except StorageError:
-                # An unreleased lease only costs peers a takeover after
-                # expiry; never fail a committed mutation over it.
-                pass
+        try:
+            if self.lease is not None and fences:
+                return self.lease.release(*fences, lead=lead)
+            return self.blobs.exchange("commit", lead) if lead else []
+        except StorageError:
+            if lead:
+                raise
+            return []
 
     def _forget_fences(self) -> None:
         """Drop lease state without touching the SSP (lease was lost)."""
@@ -827,31 +852,46 @@ class SharoesFilesystem:
         self._journal_seq += 1
         return self._journal_seq
 
-    def _journal_write(self, phase: str) -> None:
-        """Seal + upload the current pending-intent list."""
-        blob = journal.seal_journal(self.provider, self.agent.user,
-                                    self._pending)
+    def _journal_write(self, phase: str, probe=(),
+                       release: bool = False) -> list:
+        """Seal + upload the current pending-intent list: one frame.
+
+        ``probe`` inodes' lease blobs are read behind the put (the
+        apply's fence preflight) and returned, ``None`` for an absent
+        one; ``release`` surrenders the mutation's leases behind it.
+        """
+        ops = [BatchOp.put(
+            journal_blob(self.agent.user_id),
+            journal.seal_journal(self.provider, self.agent.user,
+                                 self._pending))]
+        ops += [BatchOp.get(lease_blob(inode)) for inode in probe]
         with self.tracer.span("journal", phase=phase,
                               pending=len(self._pending)):
-            self.blobs.send([(journal_blob(self.agent.user_id), blob)],
-                            grouped=False)
+            replies = (self._release_fences(lead=ops) if release
+                       else self.blobs.exchange(phase, ops))
+        for reply in replies:
+            if reply.status != "missing":  # an absent lease blob
+                reply.raise_for_status()
+        return [reply.payload for reply in replies[1:]]
 
     def _apply_record(self, record: journal.IntentRecord) -> None:
-        """Replay an intent's staged calls for real.
+        """Replay an intent's staged calls for real: one frame.
 
-        Preserves the original request grouping (a ``put_many`` stays one
-        round trip) so the simulated cost matches the unjournaled op.
-        Idempotent: every staged action is an overwrite-put or an
-        idempotent delete, so replaying a partially-applied intent
-        converges on fully-applied.  The record's fences (if any) ride
-        along: a replay by a zombie whose lease was taken over is
-        rejected by the SSP with :class:`StaleEpochError`.
+        Every staged call goes out in order as sub-ops of one
+        ``OP_BATCH`` (split only at the wire's sub-op cap).  A frame
+        stops at the first fenced or failed sub-op, and every staged
+        action is an overwrite-put or an idempotent delete, so a crash
+        or refusal part-way leaves a prefix applied and replaying the
+        intent converges on fully-applied -- the same states one frame
+        per staged call left.  The record's fences (if any) ride along:
+        a replay by a zombie whose lease was taken over is rejected by
+        the SSP with :class:`StaleEpochError`.
         """
         fences = dict(record.fences) or None
-        for call in record.calls:
-            self.blobs.send(
-                call.blobs, fences=fences,
-                grouped=call.kind in (journal.PUT_MANY, journal.DELETE_MANY))
+        blobs = [blob for call in record.calls for blob in call.blobs]
+        for start in range(0, len(blobs), MAX_BATCH_OPS):
+            self.blobs.send(blobs[start:start + MAX_BATCH_OPS],
+                            grouped=True, fences=fences)
 
     def _replay(self, record: journal.IntentRecord, phase: str) -> bool:
         """Apply a journaled intent again (in-session or at mount).
@@ -995,6 +1035,7 @@ class SharoesFilesystem:
                 self.lease.release_all()
             except StorageError:
                 pass  # leases expire; peers take over after the window
+            self.lease.forget_all()
         self._superblock = None
         self.cache.clear()
         self.agent.group_keys.clear()
@@ -1012,12 +1053,7 @@ class SharoesFilesystem:
         """
         if self.lease is None:
             return []
-        count = len(self.lease.held_inodes())
-        if count == 0:
-            return []
-        with self.blobs.frame("renew_leases", count=count):
-            renewed, lost, up, down = self.lease.renew_all()
-            self.blobs.charge(up, down)
+        renewed, lost = self.lease.renew_all()
         for inode in lost:
             self._fences.pop(inode, None)
             self._invalidate(inode)
@@ -1350,6 +1386,7 @@ class SharoesFilesystem:
         record = ObjectRecord.from_owner_view(node.view, node.mvk)
         new_parent, name = self._resolve_parent(new_path)
         self._require_dir_write(new_parent, new_path)
+        self._touch(new_parent.inode)  # lease, then the table we judge by
         if name in self._fetch_table(new_parent):
             raise FileExists(new_path)
         record.attrs.nlink += 1
@@ -1757,10 +1794,15 @@ class SharoesFilesystem:
         parent, name = self._resolve_parent(path)
         self._require_dir_write(parent, path)
         self._validate_mode(mode, ftype, acl)
+        # Lease first: "is the name free" must be read from a table no
+        # other writer can change under us (a kept cache is as good --
+        # see ``_touch``).
+        self._touch(parent.inode)
         table = self._fetch_table(parent)
         if name in table:
             raise FileExists(path)
         inode = self.volume.allocator.allocate()
+        self._touch(inode, new=True)
         attrs = MetadataAttrs(
             inode=inode, ftype=ftype, owner=self.agent.user_id,
             group=group or parent.attrs.group, mode=mode, acl=acl)
@@ -1826,6 +1868,8 @@ class SharoesFilesystem:
                         grouped=True)
         self._invalidate(attrs.inode)
         self.freshness.forget(attrs.inode)
+        if self.lease is not None:
+            self._unlinked.add(attrs.inode)
 
     @traced("unlink")
     @_mutating("unlink")
@@ -1840,6 +1884,7 @@ class SharoesFilesystem:
         self._charge_other()
         parent, name = self._resolve_parent(path)
         self._require_dir_write(parent, path)
+        self._touch(parent.inode)
         child = self._lookup_child(parent, name)
         if child.attrs.ftype == DIRECTORY:
             raise IsADirectory(path)
@@ -1860,9 +1905,11 @@ class SharoesFilesystem:
         self._charge_other()
         parent, name = self._resolve_parent(path)
         self._require_dir_write(parent, path)
+        self._touch(parent.inode)
         child = self._lookup_child(parent, name)
         if child.attrs.ftype != DIRECTORY:
             raise NotADirectory(path)
+        self._touch(child.inode)  # "is it empty" is read under its lease
         try:
             table = self._fetch_table(child)
         except CryptoError:
@@ -1883,6 +1930,8 @@ class SharoesFilesystem:
         new_parent, new_name = self._resolve_parent(new_path)
         self._require_dir_write(old_parent, old_path)
         self._require_dir_write(new_parent, new_path)
+        self._touch(old_parent.inode)
+        self._touch(new_parent.inode)
         child = self._lookup_child(old_parent, old_name)
         new_table = self._fetch_table(new_parent)
         if new_name in new_table:

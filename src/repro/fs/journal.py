@@ -44,9 +44,10 @@ from ..serialize import Reader, SerializationError, Writer
 from ..storage.blobs import BlobId, principal_hash
 from .sealed import bind_context, open_verified, seal_and_sign
 
-#: staged wire-call kinds, mirroring the client's batching helpers so a
-#: replay reproduces the exact request grouping (and therefore the
-#: exact simulated network cost) of the original mutation.
+#: staged wire-call kinds, mirroring the client's batching helpers: the
+#: intent records how the op grouped its blobs.  (The apply ships every
+#: call of an intent as one frame; the grouping is kept for reporting
+#: and for the stored format.)
 PUT = "put"
 PUT_MANY = "put_many"
 DELETE = "delete"
@@ -209,8 +210,7 @@ class MutationBatch:
     """Staged wire calls plus a read-your-writes overlay for one op.
 
     While a batch is active the client defers every put/delete here
-    instead of sending it, preserving the original request *grouping*
-    (a ``put_many`` stays one round trip on replay).  Reads during the
+    instead of sending it, in order.  Reads during the
     op consult the overlay first, so an op that re-reads a blob it just
     wrote (e.g. ``symlink`` resolving its fresh entry with caching
     disabled) observes its own staged state.
@@ -263,6 +263,19 @@ class RecoveryOutcome:
     aborted: list[IntentRecord] = field(default_factory=list)
 
 
+def fences_behind(record: IntentRecord, current) -> bool:
+    """Is any of ``record``'s fences below the lease blob read for it?
+
+    ``current`` holds the lease blobs' bytes in ``record.fences`` order;
+    an absent blob (``None``) reads as epoch 0 (fail open), matching the
+    SSP's fence check.
+    """
+    from ..storage.server import fence_epoch
+
+    return any(epoch < fence_epoch(raw)
+               for (_, epoch), raw in zip(record.fences, current))
+
+
 def fences_stale(server, record: IntentRecord) -> bool:
     """Has any lease this intent relied on moved past its epoch?
 
@@ -270,20 +283,20 @@ def fences_stale(server, record: IntentRecord) -> bool:
     lease over (rolling the journal forward first), so anything still
     journaled at an older epoch predates the successor's writes and
     must be dropped, not replayed -- replaying it would resurrect the
-    lost-update the fencing exists to prevent.  An absent lease blob
-    reads as epoch 0 (fail open), matching the SSP's fence check.
+    lost-update the fencing exists to prevent.  (A client's own
+    mutation reads the same blobs in the frame that journals the
+    intent and asks :func:`fences_behind` itself.)
     """
     from ..storage.blobs import lease_blob
-    from ..storage.server import fence_epoch
 
-    for inode, epoch in record.fences:
-        try:
-            current = server.get(lease_blob(inode))
-        except BlobNotFound:
-            current = None
-        if epoch < fence_epoch(current):
-            return True
-    return False
+    def current():  # lazily: the first stale fence settles it
+        for inode, _ in record.fences:
+            try:
+                yield server.get(lease_blob(inode))
+            except BlobNotFound:
+                yield None
+
+    return fences_behind(record, current())
 
 
 def roll_forward(server, provider: CryptoProvider,

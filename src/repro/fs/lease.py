@@ -38,6 +38,17 @@ What the untrusted SSP can and cannot do to a lease:
 * it **can** drop or hide lease blobs -- that denies service (as can
   dropping any blob) but never grants two writers the same epoch, and
   fenced writes keep mutations atomic regardless.
+
+**Optimistic acquire.**  A manager remembers the exact bytes of the last
+chain link it wrote per inode -- its own *released* record included --
+and CASes the next link straight against them, without reading the
+blob first.  The CAS succeeding proves the chain moved only through
+this client since that link (every link is signed over a fresh
+timestamp and a larger epoch, so no other writer can reproduce the
+bytes); :attr:`LeaseManager.unbroken` reports it, and the filesystem
+keeps its cache for the inode on the strength of it.  A lost CAS hands
+back the current bytes and falls into the inspect-and-advance loop
+below, exactly as a read would have.
 """
 
 from __future__ import annotations
@@ -45,8 +56,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..crypto import rsa
-from ..errors import (BlobNotFound, CasConflictError, IntegrityError,
-                      LeaseHeldError, LeaseLostError)
+from ..errors import (CasConflictError, IntegrityError, LeaseHeldError,
+                      LeaseLostError)
 from ..serialize import Reader, SerializationError, Writer
 from ..storage.blobs import BlobId, lease_blob
 from ..storage.server import EPOCH_PREFIX_BYTES, BatchOp
@@ -171,14 +182,18 @@ class LeaseManager:
     that user's journal (the registry's :meth:`user` -- enterprise
     trust, exactly what fsck already holds); without it, takeover of a
     *dead* client's lease is refused rather than performed lossily.
+    ``exchange(label, ops) -> replies`` ships one frame of sub-ops; the
+    filesystem passes :meth:`BlobIO.exchange` so every lease frame is
+    counted and charged, standalone it is ``server.batch``.
     """
 
     def __init__(self, user, directory, server, clock,
                  duration_s: float = 30.0, provider=None, escrow=None,
-                 tracer=None, metrics=None):
+                 tracer=None, metrics=None, exchange=None):
         self.user = user
         self.directory = directory
         self.server = server
+        self._exchange = exchange or (lambda label, ops: server.batch(ops))
         self.clock = clock
         self.duration_s = float(duration_s)
         self.provider = provider
@@ -187,6 +202,12 @@ class LeaseManager:
         self._metrics = metrics
         #: inode -> (record we hold, its exact wire bytes for CAS)
         self._held: dict[int, tuple[LeaseRecord, bytes]] = {}
+        #: inode -> the last chain link this client wrote (held or
+        #: released): what the next acquire CASes against unread.
+        self._last: dict[int, tuple[LeaseRecord, bytes]] = {}
+        #: did the last :meth:`acquire` prove the chain moved only
+        #: through this client since its previous link?
+        self.unbroken = False
         #: rollback/equivocation watch over the epoch chain.
         self.freshness = FreshnessMonitor()
 
@@ -237,7 +258,7 @@ class LeaseManager:
 
     # -- the state machine ---------------------------------------------------
 
-    def acquire(self, inode: int) -> LeaseRecord:
+    def acquire(self, inode: int, new: bool = False) -> LeaseRecord:
         """Hold (or keep holding) the lease on ``inode``.
 
         Outcomes: a fresh acquisition (absent/released/expired lease,
@@ -246,20 +267,45 @@ class LeaseManager:
         then bump past their epoch), :class:`LeaseHeldError` (someone
         else holds it, unexpired), or :class:`LeaseLostError` (we
         thought we held it but a successor's epoch proves otherwise).
+
+        The first CAS goes out unread against the last link this client
+        wrote (``new``: against an absent blob -- the caller allocated
+        the inode in this very op); only a client with neither reads the
+        blob first.  :attr:`unbroken` is set when that first CAS won
+        over our own link.
         """
         held = self._held.get(inode)
         if held is not None and not held[0].expired(self._now_us()):
+            self.unbroken = True
             return held[0]
 
         blob_id = lease_blob(inode)
+        last = self._last.get(inode)
+        if (last is not None and last[0].epoch
+                != self.freshness.high_watermark(inode)):
+            last = None  # the chain was seen past it: not the tip
         raw: bytes | None = None
-        fetched = False
+        fetched = new  # a new inode's blob is absent: nothing to read
+        if last is not None:
+            verb, help = (
+                ("lease.acquires", "fresh lease acquisitions")
+                if last[0].released
+                else ("lease.renewals", "renewals of held leases"))
+            try:
+                record = self._swap(
+                    inode, blob_id, self._make(inode, last[0].epoch + 1),
+                    expected=last[1], verb=verb, help=help)
+                self.unbroken = True
+                return record
+            except CasConflictError as exc:
+                self._count("lease.conflicts",
+                            "CAS races lost while acquiring leases")
+                raw = exc.current
+                fetched = True
+        self.unbroken = False
         for _ in range(_ACQUIRE_ROUNDS):
             if not fetched:
-                try:
-                    raw = self.server.get(blob_id)
-                except BlobNotFound:
-                    raw = None
+                raw = self._read(blob_id)
             fetched = False
             try:
                 return self._advance(inode, blob_id, raw)
@@ -276,6 +322,13 @@ class LeaseManager:
             f"{_ACQUIRE_ROUNDS} CAS rounds",
             holder=record.holder if record else "",
             expires_at_s=(record.expires_us / 1e6) if record else 0.0)
+
+    def _read(self, blob_id: BlobId) -> bytes | None:
+        reply, = self._exchange("lease.read", [BatchOp.get(blob_id)])
+        if reply.status == "missing":
+            return None
+        reply.raise_for_status()
+        return reply.payload
 
     def _advance(self, inode: int, blob_id: BlobId,
                  raw: bytes | None) -> LeaseRecord:
@@ -299,6 +352,7 @@ class LeaseManager:
                               expected=raw, verb="lease.renewals",
                               help="renewals of held leases")
 
+        self._last.pop(inode, None)  # the tip is somebody else's link
         if held is not None:
             # We believed we held this lease; the chain moved past us.
             self._drop(inode)
@@ -350,13 +404,15 @@ class LeaseManager:
               expected: bytes | None, verb: str,
               help: str) -> LeaseRecord:
         raw = record.to_bytes()
-        self.server.put_if(blob_id, raw, expected)
+        reply, = self._exchange(
+            "lease.acquire", [BatchOp.put_if(blob_id, raw, expected)])
+        reply.raise_for_status()
         self.freshness.observe_metadata(inode, record.epoch, raw)
-        self._held[inode] = (record, raw)
+        self._held[inode] = self._last[inode] = (record, raw)
         self._count(verb, help)
         return record
 
-    def renew_all(self) -> tuple[list[int], list[int], int, int]:
+    def renew_all(self) -> tuple[list[int], list[int]]:
         """Renew every held lease with one batched CAS round trip.
 
         Each renewal is the usual epoch+1 ``put_if`` against the exact
@@ -365,86 +421,97 @@ class LeaseManager:
         chain another client advanced past means *that* lease is lost
         (dropped locally, counted) while the rest renew normally.
 
-        Returns ``(renewed_inodes, lost_inodes, up_bytes, down_bytes)``
-        -- the byte totals are what crossed the wire (records up,
-        conflicting successors' records down) so the caller can charge
-        its cost model for the single round trip.
+        Returns ``(renewed_inodes, lost_inodes)``.
         """
         inodes = self.held_inodes()
         if not inodes:
-            return [], [], 0, 0
-        ops = []
-        successors = []
-        for inode in inodes:
-            record, raw = self._held[inode]
-            successor = self._make(inode, record.epoch + 1)
-            ops.append(BatchOp.put_if(lease_blob(inode),
-                                      successor.to_bytes(), expected=raw))
-            successors.append(successor)
+            return [], []
+        successors = [self._make(inode, self._held[inode][0].epoch + 1)
+                      for inode in inodes]
+        ops = [BatchOp.put_if(lease_blob(inode), successor.to_bytes(),
+                              expected=self._held[inode][1])
+               for inode, successor in zip(inodes, successors)]
         with self._span("lease.renew_all", count=len(ops)):
-            replies = self.server.batch(ops)
+            replies = self._exchange("lease.renew", ops)
         renewed: list[int] = []
         lost: list[int] = []
-        up = sum(op.sent_bytes() for op in ops)
-        down = 0
         for inode, successor, op, reply in zip(inodes, successors, ops,
                                                replies):
             if reply.status == "ok":
                 raw = op.payload or b""
                 self.freshness.observe_metadata(inode, successor.epoch,
                                                 raw)
-                self._held[inode] = (successor, raw)
+                self._held[inode] = self._last[inode] = (successor, raw)
                 self._count("lease.renewals", "renewals of held leases")
                 renewed.append(inode)
             elif reply.status == "conflict":
-                down += len(reply.payload or b"")
-                self._drop(inode)
+                self.forget(inode)
                 self._count("lease.lost",
                             "leases discovered lost at renewal time")
                 lost.append(inode)
             else:
                 reply.raise_for_status()
-        return renewed, lost, up, down
+        return renewed, lost
 
     # -- release -------------------------------------------------------------
 
     def _drop(self, inode: int) -> None:
         self._held.pop(inode, None)
 
-    def release(self, inode: int) -> None:
-        """Surrender a held lease by writing a *released* record.
+    def release(self, *inodes: int, lead=()) -> list:
+        """Surrender held leases with one frame of *released* records.
 
         The chain stays monotone (release bumps the epoch, never
         deletes the blob), so freshness monitoring keeps working across
-        release/re-acquire cycles.  Losing the release CAS is benign: a
-        successor already took the lease over.
+        release/re-acquire cycles, and the released record is the link
+        the next :meth:`acquire` CASes against.  Losing a release CAS is
+        benign: a successor already took the lease over.  A release the
+        frame never reached (it stopped at a failed sub-op) only costs
+        peers a takeover after expiry.
+
+        ``lead`` sub-ops ride in front -- a mutation's journal commit,
+        so the release costs it no frame of its own; their replies are
+        returned for the caller to judge.
         """
-        held = self._held.pop(inode, None)
-        if held is None:
-            return
-        record, raw = held
-        released = self._make(inode, record.epoch + 1, released=True)
-        try:
-            out = released.to_bytes()
-            self.server.put_if(lease_blob(inode), out, expected=raw)
-        except CasConflictError:
-            return  # a successor advanced the chain first; fine
-        self.freshness.observe_metadata(inode, released.epoch, out)
-        self._count("lease.releases", "voluntary lease releases")
+        lead = list(lead)
+        released = []
+        for inode in inodes:
+            held = self._held.pop(inode, None)
+            if held is not None:
+                record = self._make(inode, held[0].epoch + 1, released=True)
+                released.append((record, BatchOp.put_if(
+                    lease_blob(inode), record.to_bytes(),
+                    expected=held[1])))
+        if not (lead or released):
+            return []
+        replies = self._exchange("lease.release",
+                                 lead + [op for _, op in released])
+        for (record, op), reply in zip(released, replies[len(lead):]):
+            if reply.status == "ok":
+                self.freshness.observe_metadata(record.inode, record.epoch,
+                                                op.payload)
+                self._last[record.inode] = (record, op.payload)
+                self._count("lease.releases", "voluntary lease releases")
+            elif reply.status == "conflict":
+                self._last.pop(record.inode, None)
+        return replies[:len(lead)]
 
     def release_all(self) -> None:
-        for inode in list(self._held):
-            self.release(inode)
+        self.release(*self.held_inodes())
 
     def forget(self, inode: int) -> None:
         """Drop one lease's local state without touching the SSP.
 
         Used when the lease was *lost* (taken over): writing a release
         record would be both futile (our epoch is stale, the CAS loses)
-        and wrong (the lease is not ours to release).
+        and wrong (the lease is not ours to release) -- and when the
+        inode itself is gone (unlinked).
         """
         self._drop(inode)
+        self._last.pop(inode, None)
 
     def forget_all(self) -> None:
-        """Drop local lease state without touching the SSP (crash sim)."""
+        """Drop local lease state without touching the SSP (crash sim,
+        unmount)."""
         self._held.clear()
+        self._last.clear()

@@ -41,7 +41,8 @@ from typing import Callable
 
 from ..crypto import rsa
 from ..crypto.provider import CryptoProvider
-from ..errors import ClientCrashed, LeaseHeldError, LeaseLostError
+from ..errors import (ClientCrashed, FileExists, LeaseHeldError,
+                      LeaseLostError)
 from ..fs.client import ClientConfig, SharoesFilesystem
 from ..fs.consistency import ForkDetected
 from ..fs.volume import SharoesVolume
@@ -116,6 +117,10 @@ class InterleaveCase:
     all_applied: Callable[[SharoesFilesystem], bool]
     #: the first op is fully absent, every rider applied.
     first_rolled_back: Callable[[SharoesFilesystem], bool]
+    #: run by every client of the schedule right after it mounts; a case
+    #: that sets it mounts its clients *with* a cache (the others run
+    #: cache-less), so what a client read before the race is in play.
+    warm: Callable[[SharoesFilesystem], None] | None = None
 
 
 @dataclass
@@ -149,6 +154,15 @@ def build_cases(payloads: dict[str, bytes]) -> list[InterleaveCase]:
     """
     pa, pb, pc, px = (payloads["a"], payloads["b"], payloads["c"],
                       payloads["x"])
+
+    def claim(payload: bytes) -> Callable[[SharoesFilesystem], None]:
+        def op(fs: SharoesFilesystem) -> None:
+            try:
+                fs.create_file("/d/same", payload)
+            except FileExists:
+                pass  # the other writer's create got there first
+        return op
+
     return [
         InterleaveCase(
             "create-create",
@@ -201,6 +215,19 @@ def build_cases(payloads: dict[str, bytes]) -> list[InterleaveCase]:
                                     and fs.read_file("/d/b2") == pb),
             first_rolled_back=lambda fs: (not path_exists(fs, "/d/s")
                                           and fs.read_file("/d/b2") == pb)),
+        # Both writers listed /d (empty) before the race and both create
+        # the same name: exactly one create may land, the other must be
+        # refused from a table read under the parent's lease -- a create
+        # judged from the cached listing leaves the loser's blobs
+        # orphaned behind the winner's row.
+        InterleaveCase(
+            "create-same-name",
+            prepare=lambda fs: None,
+            first=claim(pa),
+            others=(("bob", claim(pb)),),
+            all_applied=lambda fs: fs.read_file("/d/same") in (pa, pb),
+            first_rolled_back=lambda fs: fs.read_file("/d/same") == pb,
+            warm=lambda fs: fs.readdir("/d")),
     ]
 
 
@@ -243,16 +270,19 @@ class InterleaveMatrix:
     # -- plumbing ------------------------------------------------------------
 
     def client(self, user_id: str, server=None,
-               consistency: bool = False) -> SharoesFilesystem:
+               consistency: bool = False,
+               warm: "Callable | None" = None) -> SharoesFilesystem:
         fs = SharoesFilesystem(
             self.volume, self.registry.user(user_id),
             config=ClientConfig(journal=True, lease=True,
                                 lease_duration_s=_LEASE_S,
-                                cache_bytes=0),
+                                cache_bytes=0 if warm is None else None),
             server=server)
         if consistency:
             fs.enable_consistency_log()
         fs.mount()
+        if warm is not None:
+            warm(fs)
         return fs
 
     def _probe(self) -> SharoesFilesystem:
@@ -318,7 +348,7 @@ class InterleaveMatrix:
         case.prepare(prep)
         prep.unmount()
 
-        riders = {uid: self.client(uid, consistency=True)
+        riders = {uid: self.client(uid, consistency=True, warm=case.warm)
                   for uid, _ in case.others}
         pending: list = []
         deferred = 0
@@ -345,7 +375,7 @@ class InterleaveMatrix:
         else:
             first_server = None
         first = self.client("alice", server=first_server,
-                            consistency=True)
+                            consistency=True, warm=case.warm)
 
         try:
             case.first(first)
@@ -403,7 +433,7 @@ class InterleaveMatrix:
         case.prepare(prep)
         prep.unmount()
         counter = CrashingServer(self.server)
-        first = self.client("alice", server=counter)
+        first = self.client("alice", server=counter, warm=case.warm)
         case.first(first)
         return counter.mutations
 

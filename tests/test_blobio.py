@@ -240,3 +240,43 @@ def test_fetch_tail_is_a_noop_without_a_scheduler():
     io, server, cost = _io()
     io.fetch_tail(data_blob(95 + i, "b0") for i in range(3))
     assert server.calls == [] and io.cache.stats.misses == 0
+
+
+# -- protocol frames ------------------------------------------------------------
+
+
+def _protocol_ops():
+    from repro.storage.server import BatchOp
+    lease = lease_blob(9)
+    return [BatchOp.put(data_blob(9, "j"), PAYLOAD), BatchOp.get(lease),
+            BatchOp.put_if(lease, b"n" * 30, expected=b"o" * 20)]
+
+
+def test_exchange_is_one_counted_frame_charged_by_its_replies():
+    io, server, cost = _io(RecordingServer({lease_blob(9): b"L" * 40}))
+    replies = io.exchange("intent", _protocol_ops())
+    assert [r.status for r in replies] == ["ok", "ok", "ok"]
+    assert server.calls == [("batch", ("put", "get", "put_if"))]
+    assert io.request_count == 1 and _frame_ops(io) == ["intent"]
+    # payloads and the CAS's expected bytes up, the fetched blob down
+    assert cost.requests == [(UP + 100 + 30 + 20, DOWN + 40)]
+
+
+def test_exchange_unbatched_is_one_round_trip_per_sub_op():
+    """The reference execution: same sub-ops, same order, same stop
+    rule (``missing`` is an answer, an error ends the frame)."""
+    class Refusing(RecordingServer):
+        def put_if(self, blob_id, payload, expected):
+            from repro.errors import TransientStorageError
+            raise TransientStorageError("refused")
+
+    io, server, cost = _io(Refusing(), batching=False)
+    ops = _protocol_ops()
+    replies = io.exchange("intent", ops + ops[:1])
+    assert [r.status for r in replies] == ["ok", "missing", "error",
+                                           "unattempted"]
+    assert [call[0] for call in server.calls] == ["put", "get"]
+    assert io.request_count == 3
+    assert _frame_ops(io) == ["put", "get", "put_if"]
+    assert cost.requests == [(UP + 100, DOWN), (UP, DOWN),
+                             (UP + 30 + 20, DOWN)]

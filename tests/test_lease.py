@@ -15,8 +15,9 @@ from __future__ import annotations
 import pytest
 
 from repro.crypto.provider import CryptoProvider
-from repro.errors import (CasConflictError, ClientCrashed, IntegrityError,
-                          LeaseHeldError, LeaseLostError, StaleEpochError)
+from repro.errors import (CasConflictError, ClientCrashed, FileExists,
+                          IntegrityError, LeaseHeldError, LeaseLostError,
+                          StaleEpochError)
 from repro.fs import journal, layout
 from repro.fs.client import (LEASE_WAIT_BASE_S, LEASE_WAIT_MAX_S,
                              ClientConfig, SharoesFilesystem)
@@ -660,9 +661,12 @@ class TestBatchedRenewal:
         before = {}
         for inode in (3, 4, 5):
             before[inode] = mgr.acquire(inode).epoch
-        renewed, lost, up, down = mgr.renew_all()
+        batches = []
+        mgr._exchange = lambda label, ops: (batches.append(ops)
+                                            or server.batch(ops))
+        renewed, lost = mgr.renew_all()
         assert renewed == [3, 4, 5] and lost == []
-        assert up > 0 and down == 0
+        assert [len(ops) for ops in batches] == [3]  # one frame
         for inode in (3, 4, 5):
             assert mgr.held_epoch(inode) == before[inode] + 1
             # the mechanical fence prefix on the SSP moved with it
@@ -672,7 +676,7 @@ class TestBatchedRenewal:
     def test_renew_all_with_nothing_held_is_free(self, registry, clock):
         server = StorageServer()
         mgr = make_manager(registry, server, clock)
-        assert mgr.renew_all() == ([], [], 0, 0)
+        assert mgr.renew_all() == ([], [])
         assert not server.raw_blobs()  # nothing crossed the wire
 
     def test_renew_all_reports_stolen_lease_lost(self, registry, clock):
@@ -686,9 +690,8 @@ class TestBatchedRenewal:
         bob = make_manager(registry, server, clock, "bob",
                            escrow=registry.user)
         bob.acquire(8)
-        renewed, lost, up, down = mgr.renew_all()
+        renewed, lost = mgr.renew_all()
         assert renewed == [7] and lost == [8]
-        assert down > 0  # the winner's record rode back in the conflict
         assert mgr.held_epoch(8) is None
         assert mgr.held_epoch(7) is not None
 
@@ -772,6 +775,28 @@ def _cached_leased_pair(volume, registry) -> dict:
         fs.mount()
         writers[user_id[0]] = fs
     return writers
+
+
+def test_create_judges_the_name_from_a_table_read_under_the_lease(shared,
+                                                                 registry):
+    """Both writers listed ``/shared`` while it was empty.  ``_create``
+    used to decide "is the name free" from that cached table and only
+    then take the parent's lease: bob's create of the name alice had
+    just created succeeded, a fresh mount read bob's bytes and alice's
+    object was left orphaned (4 blobs)."""
+    server, volume = shared
+    writers = _cached_leased_pair(volume, registry)
+    writers["a"].mkdir("/shared", mode=0o775)
+    for fs in writers.values():
+        assert fs.readdir("/shared") == []
+    writers["a"].create_file("/shared/x", b"from alice", mode=0o664)
+    with pytest.raises(FileExists):
+        writers["b"].create_file("/shared/x", b"from bob", mode=0o664)
+    reader = SharoesFilesystem(volume, registry.user("bob"))
+    reader.mount()
+    assert reader.read_file("/shared/x") == b"from alice"
+    report = VolumeAuditor(volume).audit()
+    assert report.clean and not report.orphaned_blobs, report.summary()
 
 
 def test_alternating_shared_appends_keep_every_record(shared, registry):

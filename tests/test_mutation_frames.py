@@ -1,0 +1,432 @@
+"""The leased, journaled mutation protocol, frame by frame.
+
+One mutation of a ``journal=True, lease=True`` client is ``k`` lease CAS
+frames (``k`` = inodes it leases), then three: the intent with the fence
+preflight behind it, the apply, the commit with the releases behind it
+(docs/CONCURRENCY.md).  This file pins
+
+* the exact frame script -- kind and blob ids of every frame -- of the
+  ops the repo benchmark's ``duo_wire`` is made of;
+* the one cache-coherence rule of ``_touch``: the cache for an inode
+  stays warm exactly when the first lease CAS won over this client's
+  own last chain link, and a second client's write between two of our
+  mutations is always seen;
+* that the ``batching=False`` reference execution leaves the SSP byte
+  for byte where the batched one does;
+* that an apply frame fenced out part-way still surfaces
+  ``LeaseLostError`` and invalidates what the op touched.
+"""
+
+from __future__ import annotations
+
+import functools
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.crypto.provider import CryptoProvider
+from repro.errors import (FileExists, FileNotFound, LeaseLostError)
+from repro.fs import client as fs_client
+from repro.fs.blobio import BlobIO
+from repro.fs.client import ClientConfig, SharoesFilesystem
+from repro.fs.lease import LeaseManager, LeaseRecord, break_record
+from repro.fs.volume import SharoesVolume
+from repro.principals.groups import GroupKeyService
+from repro.sim.clock import SimClock
+from repro.storage.blobs import lease_blob
+from repro.storage.resilient import ServerWrapper
+from repro.storage.server import StorageServer, apply_batch
+from repro.tools.fsck import VolumeAuditor
+from repro.tools.interleave import PauseServer
+from repro.tools.twin import pinned_entropy
+
+_LEASE_S = 5.0
+
+#: the shape of ``duo_wire``'s clients: warm metadata cache, no block
+#: cache, a scheduler (whose write-behind the journal turns off).
+CONFIG = ClientConfig(journal=True, lease=True, lease_duration_s=_LEASE_S,
+                      data_cache=False, concurrency=8)
+
+
+class FrameTap(ServerWrapper):
+    """Records every wire frame as a tuple of ``"<kind> <blob id>"``.
+
+    A single op is a one-element frame; ``names`` maps inode numbers to
+    the letters the expected scripts use, and the journal slot reads
+    ``journal``.
+    """
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.frames: list[tuple[str, ...]] = []
+        self.names: dict[int, str] = {}
+        self._in_batch = False
+
+    def _render(self, op) -> str:
+        blob_id = op.blob_id
+        if blob_id.kind == "journal":
+            return f"{op.kind} journal"
+        inode = self.names.get(blob_id.inode, blob_id.inode)
+        return f"{op.kind} {blob_id.kind}/{inode}/{blob_id.selector}"
+
+    def _forward(self, op):
+        if not self._in_batch:
+            self.frames.append((self._render(op),))
+        return op.call(self.inner)
+
+    def batch(self, ops):
+        self.frames.append(tuple(self._render(op) for op in ops))
+        self._in_batch = True
+        try:
+            return apply_batch(self, ops)
+        finally:
+            self._in_batch = False
+
+    def take(self) -> list[tuple[str, ...]]:
+        frames, self.frames = self.frames, []
+        return frames
+
+
+@pytest.fixture
+def stack(registry):
+    """(server, volume, clock) with a group-writable ``/d``."""
+    server = StorageServer()
+    clock = SimClock()
+    volume = SharoesVolume(server, registry, clock=clock)
+    volume.format(root_owner="alice", root_group="eng")
+    GroupKeyService(registry, server, CryptoProvider()).publish_all()
+    admin = SharoesFilesystem(volume, registry.user("alice"))
+    admin.mount()
+    admin.mkdir("/d", mode=0o775)
+    return server, volume, clock
+
+
+def mount(stack, registry, user_id: str, config: ClientConfig = CONFIG):
+    server, volume, _ = stack
+    tap = FrameTap(server)
+    fs = SharoesFilesystem(volume, registry.user(user_id), config=config,
+                           server=tap)
+    fs.mount()
+    return fs, tap
+
+
+def steady(stack, registry, user_id: str = "alice"):
+    """A client past its first mutation in ``/d`` (it has listed the
+    directory and remembers its own released link on it), holding one
+    file ``/d/f`` (inode F) of its own."""
+    fs, tap = mount(stack, registry, user_id)
+    inode = fs.create_file(f"/d/f-{user_id}", b"x" * 300, mode=0o664).inode
+    tap.names = {fs.getattr("/d").inode: "D", inode: "F"}
+    tap.take()
+    return fs, tap
+
+
+def _views(prefix: str, kind: str = "put_fenced") -> tuple[str, ...]:
+    return tuple(f"{kind} {prefix}{who}" for who in "ogw")
+
+
+INTENT = "put journal"
+
+
+# -- the frame scripts ----------------------------------------------------------
+
+
+def test_create_file_is_k_plus_three_frames(stack, registry):
+    fs, tap = steady(stack, registry)
+    tap.names[fs.volume.allocator._next] = "N"
+    fs.create_file("/d/new", b"y" * 300, mode=0o664)
+    assert tap.take() == [
+        ("put_if lease/D/-",),          # over our own released link
+        ("put_if lease/N/-",),          # a new inode: expected absent
+        ("exists data/N/b1",),          # the tail probe (still its own)
+        (INTENT, "get lease/D/-", "get lease/N/-"),
+        _views("meta/N/") + _views("data/D/t:") + ("put_fenced data/N/b0",),
+        (INTENT, "put_if lease/D/-", "put_if lease/N/-"),
+    ]
+
+
+def test_unlink_is_k_plus_three_frames(stack, registry):
+    fs, tap = steady(stack, registry)
+    fs.unlink("/d/f-alice")
+    frames = tap.take()
+    deletes = frames[4][3:]
+    assert frames[:4] == [
+        ("put_if lease/D/-",),
+        ("put_if lease/F/-",),
+        ("exists data/F/b1",),
+        (INTENT, "get lease/D/-", "get lease/F/-"),
+    ]
+    assert frames[4][:3] == _views("data/D/t:")
+    assert deletes[:4] == _views("meta/F/", "delete_fenced") + (
+        "delete_fenced data/F/b0",)
+    assert all(op.startswith("delete_fenced lockbox/F/")
+               for op in deletes[4:])
+    assert frames[5:] == [(INTENT, "put_if lease/D/-", "put_if lease/F/-")]
+
+
+def test_own_append_is_k_plus_three_frames(stack, registry):
+    fs, tap = steady(stack, registry)
+    fs.append_file("/d/f-alice", b"+" * 40)
+    assert tap.take() == [
+        ("put_if lease/F/-",),
+        ("get data/F/b0",),             # no block cache: the base
+        ("exists data/F/b1",),
+        (INTENT, "get lease/F/-"),
+        ("put_fenced data/F/b0",),
+        (INTENT, "put_if lease/F/-"),
+    ]
+
+
+def test_contended_shared_append_pays_one_lost_cas(stack, registry):
+    """Bob appended in between: alice's blind CAS loses, hands back
+    bob's released link, and the second CAS takes it over -- no read of
+    the lease blob on either side once each has written a link."""
+    alice, tap = steady(stack, registry)
+    bob, bob_tap = mount(stack, registry, "bob")
+    bob_tap.names = tap.names
+    alice.append_file("/d/f-alice", b"a" * 40)
+    bob.append_file("/d/f-alice", b"b" * 40)
+    tap.take()
+    alice.append_file("/d/f-alice", b"a" * 40)
+    protocol = [frame for frame in tap.take()
+                if not frame[0].startswith(("get meta/", "exists "))]
+    assert protocol == [
+        ("put_if lease/F/-",),          # lost: bob's link rode back
+        ("put_if lease/F/-",),          # takeover of bob's released link
+        ("get data/F/b0",),
+        (INTENT, "get lease/F/-"),
+        ("put_fenced data/F/b0",),
+        (INTENT, "put_if lease/F/-"),
+    ]
+    reader = SharoesFilesystem(stack[1], registry.user("bob"))
+    reader.mount()
+    assert reader.read_file("/d/f-alice") == (b"x" * 300 + b"a" * 40
+                                              + b"b" * 40 + b"a" * 40)
+
+
+def test_rename_within_a_directory_is_four_frames(stack, registry):
+    fs, tap = steady(stack, registry)
+    fs.rename("/d/f-alice", "/d/g")
+    assert tap.take() == [
+        ("put_if lease/D/-",),
+        (INTENT, "get lease/D/-"),
+        _views("data/D/t:") + _views("data/D/t:"),  # add row, drop row
+        (INTENT, "put_if lease/D/-"),
+    ]
+
+
+def test_every_protocol_frame_is_counted_and_charged(stack, registry):
+    """Lease, intent and commit frames enter ``request_count`` (only the
+    ``exists`` probe stays outside, ROADMAP item 1(a))."""
+    fs, tap = steady(stack, registry)
+    before = fs.request_count
+    fs.create_file("/d/new", b"y" * 300, mode=0o664)
+    frames = tap.take()
+    probes = [frame for frame in frames if frame[0].startswith("exists ")]
+    assert fs.request_count - before == len(frames) - len(probes) == 5
+
+
+# -- rule 2: one coherence rule for acquire and renew ----------------------------
+
+
+def _reads_table(frames) -> bool:
+    return any(op.startswith("get data/D/t:")
+               for frame in frames for op in frame)
+
+
+def test_own_released_link_keeps_the_cache(stack, registry):
+    fs, tap = steady(stack, registry)
+    fs.mknod("/d/second", mode=0o664)
+    fs.rename("/d/second", "/d/third")
+    assert fs.lease.unbroken
+    assert not _reads_table(tap.take())
+
+
+def test_first_touch_invalidates(stack, registry):
+    """No link of ours yet: the blob is read, the cache is dropped."""
+    fs, tap = mount(stack, registry, "alice")
+    assert fs.readdir("/d") == []  # warm
+    tap.names = {fs.getattr("/d").inode: "D"}
+    tap.take()
+    fs.mknod("/d/first", mode=0o664)
+    frames = tap.take()
+    assert ("get lease/D/-",) in frames and _reads_table(frames)
+
+
+def test_another_holders_link_invalidates(stack, registry):
+    alice, tap = steady(stack, registry)
+    bob, _ = mount(stack, registry, "bob")
+    bob.mknod("/d/from-bob", mode=0o664)
+    alice.mknod("/d/from-alice", mode=0o664)
+    assert _reads_table(tap.take())
+    assert alice.readdir("/d") == ["f-alice", "from-alice", "from-bob"]
+
+
+def test_a_break_record_successor_invalidates(stack, registry):
+    """fsck's released successor carries our own name: the CAS over the
+    link we remember still loses, so the cache still goes."""
+    server, _, _ = stack
+    alice, tap = steady(stack, registry)
+    blob_id = lease_blob(alice.getattr("/d").inode)
+    prior = LeaseRecord.from_bytes(server.get(blob_id))
+    server.put(blob_id,
+               break_record(prior, registry.user("alice")).to_bytes())
+    alice.mknod("/d/after-fsck", mode=0o664)
+    assert not alice.lease.unbroken
+    assert _reads_table(tap.take())
+
+
+def test_a_link_below_the_watermark_is_not_cased_blind(registry):
+    """Defence in depth: a remembered link is the tip only while its
+    epoch is the freshness monitor's high watermark."""
+    server, clock = StorageServer(), SimClock()
+
+    def manager(user_id):
+        return LeaseManager(registry.user(user_id), registry.directory,
+                            server, clock, duration_s=_LEASE_S,
+                            provider=CryptoProvider())
+
+    alice, bob = manager("alice"), manager("bob")
+    alice.acquire(5)
+    alice.release(5)
+    bob.acquire(5)
+    bob.release(5)
+    tip = server.get(lease_blob(5))
+    alice.freshness.observe_metadata(5, 4, tip)  # seen some other way
+    kinds = []
+    alice._exchange = lambda label, ops: (
+        kinds.append([op.kind for op in ops]) or server.batch(ops))
+    assert alice.acquire(5).epoch == 5
+    assert kinds == [["get"], ["put_if"]] and not alice.unbroken
+
+
+_OPS = st.lists(
+    st.tuples(st.sampled_from("ab"),
+              st.sampled_from(("create", "unlink", "append")),
+              st.sampled_from(("p", "q", "r"))),
+    min_size=4, max_size=14)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(script=_OPS)
+def test_a_peers_write_between_our_mutations_is_always_seen(registry,
+                                                            script):
+    """Two warm-cached leased writers take turns at random over three
+    names: every decision (``FileExists``, ``FileNotFound``, the base an
+    append extends) must agree with the one true history."""
+    server = StorageServer()
+    volume = SharoesVolume(server, registry, clock=SimClock())
+    volume.format(root_owner="alice", root_group="eng")
+    GroupKeyService(registry, server, CryptoProvider()).publish_all()
+    config = ClientConfig(journal=True, lease=True, data_cache=True,
+                          lease_duration_s=_LEASE_S)
+    writers = {}
+    for user_id in ("alice", "bob"):
+        fs = SharoesFilesystem(volume, registry.user(user_id),
+                               config=config)
+        fs.mount()
+        writers[user_id[0]] = fs
+    writers["a"].mkdir("/d", mode=0o775)
+    model: dict[str, bytes] = {}
+    for step, (who, verb, name) in enumerate(script):
+        fs, path = writers[who], f"/d/{name}"
+        payload = f"<{step}{who}>".encode()
+        if verb == "create":
+            if name in model:
+                with pytest.raises(FileExists):
+                    fs.create_file(path, payload, mode=0o664)
+            else:
+                fs.create_file(path, payload, mode=0o664)
+                model[name] = payload
+        elif name not in model:
+            with pytest.raises(FileNotFound):
+                (fs.unlink if verb == "unlink"
+                 else functools.partial(fs.append_file, data=payload))(path)
+        elif verb == "unlink":
+            fs.unlink(path)
+            del model[name]
+        else:
+            fs.append_file(path, payload)
+            model[name] += payload
+    reader = SharoesFilesystem(volume, registry.user("bob"))
+    reader.mount()
+    assert reader.readdir("/d") == sorted(model)
+    for name, content in model.items():
+        assert reader.read_file(f"/d/{name}") == content
+    report = VolumeAuditor(volume).audit()
+    assert report.clean and not report.orphaned_blobs, report.summary()
+
+
+# -- the reference execution ------------------------------------------------------
+
+
+def _leased_sequence(registry, batching: bool, monkeypatch) -> dict:
+    with monkeypatch.context() as patch, pinned_entropy(24):
+        if not batching:
+            patch.setattr(fs_client, "BlobIO",
+                          functools.partial(BlobIO, batching=False))
+        server = StorageServer()
+        volume = SharoesVolume(server, registry, clock=SimClock())
+        volume.format(root_owner="alice", root_group="eng")
+        writers = []
+        for user_id in ("alice", "bob"):
+            fs = SharoesFilesystem(volume, registry.user(user_id),
+                                   config=CONFIG)
+            fs.mount()
+            writers.append(fs)
+        alice, bob = writers
+        alice.mkdir("/d", mode=0o775)
+        alice.create_file("/d/a", b"a" * 700, mode=0o664)
+        bob.create_file("/d/b", b"b" * 300, mode=0o664)
+        bob.append_file("/d/a", b"+bob")
+        alice.append_file("/d/a", b"+alice")
+        alice.rename("/d/a", "/d/c")
+        bob.unlink("/d/b")
+        alice.lease.acquire(alice.getattr("/d/c").inode)
+        assert len(alice.renew_leases()) == 1
+        for fs in writers:
+            fs.unmount()
+        frames = alice.metrics.histogram("client.batch.size").count
+        return {"blobs": server.raw_blobs(), "frames": frames}
+
+
+def test_unbatched_reference_leaves_identical_ssp_state(registry,
+                                                        monkeypatch):
+    batched = _leased_sequence(registry, True, monkeypatch)
+    reference = _leased_sequence(registry, False, monkeypatch)
+    assert reference["frames"] == 0 < batched["frames"]
+    assert set(batched["blobs"]) == set(reference["blobs"])
+    assert batched["blobs"] == reference["blobs"]
+
+
+# -- a fenced-out apply frame ----------------------------------------------------
+
+
+def test_fenced_out_apply_frame_surfaces_lease_lost(stack, registry):
+    """Alice is paused inside her apply frame, after its first sub-op;
+    her lease on ``/d`` expires and bob takes it over (rolling her
+    intent forward).  The rest of her frame is fenced out: the op
+    raises ``LeaseLostError`` and what she cached of ``/d`` is gone, so
+    she lists what the SSP holds -- her own create, applied by bob, and
+    bob's."""
+    server, volume, clock = stack
+    bob, _ = mount(stack, registry, "bob")
+
+    def hook() -> None:
+        clock.advance(_LEASE_S + 1.0)
+        bob.create_file("/d/from-bob", b"bob")
+
+    # mutations: CAS /d, CAS new, intent, then the apply's sub-ops.
+    pauser = PauseServer(server, pause_at=5, hook=hook)
+    alice = SharoesFilesystem(volume, registry.user("alice"),
+                              config=CONFIG, server=pauser)
+    alice.mount()
+    assert alice.readdir("/d") == []
+    with pytest.raises(LeaseLostError):
+        alice.create_file("/d/from-alice", b"alice")
+    assert alice.readdir("/d") == ["from-alice", "from-bob"]
+    assert alice.read_file("/d/from-alice") == b"alice"
+    report = VolumeAuditor(volume).audit()
+    assert report.clean and not report.orphaned_blobs, report.summary()
