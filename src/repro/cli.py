@@ -440,7 +440,7 @@ def _cmd_fsck(args: argparse.Namespace) -> int:
         server.put(block_blob_id(inode, 0), bytes(blob))
         print("injected a bit flip into /docs/a.txt's data block")
     if args.stranded:
-        # A journaled client dies mid-rename: its signed intent stays
+        # A journaled client dies mid-rename: its sealed intent stays
         # pending at the SSP for --repair to roll forward.
         from .errors import ClientCrashed
         from .fs.client import ClientConfig, SharoesFilesystem

@@ -87,7 +87,7 @@ class ClientConfig:
     #: also None the client talks to the server directly.
     retry_policy: "RetryPolicy | None" = None
     #: crash-consistent mutations: seal every multi-blob mutation into a
-    #: signed write-ahead intent at the SSP before any of its blobs are
+    #: sealed write-ahead intent at the SSP before any of its blobs are
     #: sent, commit (truncate) afterwards, and replay pending intents on
     #: mount -- see fs/journal.py and docs/ROBUSTNESS.md.  Default False
     #: preserves the paper's Figure 8 request/cost profile (journaling
@@ -669,13 +669,13 @@ class SharoesFilesystem:
 
         Every put/delete the body issues is deferred into a
         :class:`~repro.fs.journal.MutationBatch`; on clean exit the
-        batch is sealed into a signed intent, journaled at the SSP,
-        applied, and committed -- three frames behind the ``k`` lease
-        CAS frames of the body: intent (+ fence preflight), apply,
-        commit (+ lease release).  If the body raises before staging
-        completes, nothing was sent: the op rolls back by construction.
-        If applying fails part-way, the intent stays pending and is
-        replayed (idempotently) before the next mutation or at mount.
+        batch is sealed into an intent, journaled at the SSP, applied,
+        and committed -- three frames behind the ``k`` lease CAS frames
+        of the body: intent (+ fence preflight), apply, commit (+ lease
+        release).  If the body raises before staging completes, nothing
+        was sent: the op rolls back by construction.  If applying fails
+        part-way, the intent stays pending and is replayed
+        (idempotently) before the next mutation or at mount.
         """
         self._replay_pending()
         batch = journal.MutationBatch(op)
@@ -943,8 +943,9 @@ class SharoesFilesystem:
     def _recover_journal(self) -> journal.RecoveryOutcome:
         """Mount-time recovery: replay whatever a dead client left.
 
-        The journal blob is verified (user-signed, MEK-encrypted) before
-        anything is replayed -- a tampered or SSP-forged record raises
+        The journal blob is authenticated (sealed under the user's
+        journal key, its slot context inside the MAC) before anything is
+        replayed -- a tampered, SSP-forged or misplaced record raises
         :class:`IntegrityError` here and is never applied.
         """
         outcome = journal.RecoveryOutcome()

@@ -19,14 +19,14 @@ mutations atomic:
   is idempotent (every staged action is an overwrite-put or an
   idempotent delete), so recovery always converges on *fully applied*.
 
-The SSP is untrusted, so the journal itself follows the paper's in-band
-key discipline: payloads are encrypted under a **journal encryption
-key** derived from the user's private identity key (the user-scope MEK
-analogue -- it never exists outside the enterprise), and the sealed
-blob is signed with the user's identity key (the user-scope MSK
-analogue).  Recovery verifies before replaying, so a tampered or
-SSP-forged intent is rejected with :class:`~repro.errors.
-IntegrityError`, never replayed.
+The SSP is untrusted, so the journal is **sealed** (encrypt-then-MAC)
+under a **journal key** derived from the user's private identity key
+(the user-scope MEK analogue -- it never exists outside the enterprise),
+its slot's context inside the MAC.  It is not signed: whoever can open
+it (the user's mounts, the escrow behind fsck and takeover) can derive
+the key, so the MAC already rejects all the SSP could forge
+(docs/THREAT_MODEL.md).  A tampered, forged or misplaced intent raises
+:class:`~repro.errors.IntegrityError` and is never replayed.
 
 Known gap, shared with the rest of the design: an SSP serving a stale
 *committed* journal uniformly on first contact is a rollback the client
@@ -39,10 +39,10 @@ from dataclasses import dataclass, field
 
 from ..crypto import hashes
 from ..crypto.provider import CryptoProvider
-from ..errors import BlobNotFound, IntegrityError
+from ..errors import BlobNotFound, CryptoError, IntegrityError
 from ..serialize import Reader, SerializationError, Writer
 from ..storage.blobs import BlobId, principal_hash
-from .sealed import bind_context, open_verified, seal_and_sign
+from .sealed import bind_context
 
 #: staged wire-call kinds, mirroring the client's batching helpers: the
 #: intent records how the op grouped its blobs.  (The apply ships every
@@ -69,7 +69,7 @@ def journal_key(user) -> bytes:
 
 
 def journal_context(user_id: str) -> bytes:
-    """Context binding a journal blob to its owner's slot."""
+    """Context binding a journal blob to its owner's slot (fixed length)."""
     return bind_context("journal", 0, principal_hash(user_id))
 
 
@@ -182,28 +182,29 @@ def decode_records(raw: bytes) -> list[IntentRecord]:
 
 def seal_journal(provider: CryptoProvider, user,
                  records: list[IntentRecord]) -> bytes:
-    """Encrypt-then-sign the pending-intent list for one user."""
-    return seal_and_sign(provider, journal_key(user), user.private_key,
-                         journal_context(user.user_id),
-                         encode_records(records))
+    """Seal (encrypt-then-MAC) slot context + pending intents."""
+    return provider.sym_encrypt(journal_key(user),
+                                journal_context(user.user_id)
+                                + encode_records(records))
 
 
 def open_journal(provider: CryptoProvider, user,
                  blob: bytes) -> list[IntentRecord]:
-    """Verify, decrypt and decode a journal blob.
+    """Authenticate, decrypt and decode a journal blob.
 
-    Raises :class:`IntegrityError` on a bad signature (tampering, or an
-    SSP-forged record -- the SSP holds no user private key) and on any
-    structural corruption of the verified plaintext.
+    Every failure is one :class:`IntegrityError`: too short to open, a
+    failed MAC (tampering, or an SSP forgery -- the SSP cannot derive
+    :func:`journal_key`), another slot's context, corrupt records.
     """
-    payload = open_verified(provider, journal_key(user), user.public_key,
-                            journal_context(user.user_id), blob)
+    context = journal_context(user.user_id)
     try:
-        return decode_records(payload)
-    except SerializationError as exc:
+        payload = provider.sym_decrypt(journal_key(user), blob)
+        if not payload.startswith(context):
+            raise IntegrityError("sealed for another journal slot")
+        return decode_records(payload[len(context):])
+    except (CryptoError, SerializationError) as exc:
         raise IntegrityError(
-            f"journal for {user.user_id}: verified payload is "
-            f"structurally corrupt: {exc}") from exc
+            f"journal for {user.user_id} does not open: {exc}") from exc
 
 
 class MutationBatch:

@@ -53,7 +53,7 @@ below, exactly as a read would have.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..crypto import rsa
 from ..errors import (CasConflictError, IntegrityError, LeaseHeldError,
@@ -140,6 +140,11 @@ class LeaseRecord:
                 f"{record.epoch}")
         return record
 
+    def signed(self, private_key) -> "LeaseRecord":
+        """This record, signed by its holder's ``private_key``."""
+        return replace(self, signature=rsa.sign(private_key,
+                                                self.signed_payload()))
+
     def verify(self, directory) -> None:
         """Check the holder's signature against the PKI directory."""
         rsa.verify(directory.user_key(self.holder),
@@ -158,16 +163,8 @@ def break_record(prior: LeaseRecord, holder_user) -> LeaseRecord:
     take over immediately instead of waiting out the expiry -- while
     the epoch chain stays monotone and verifiable.
     """
-    record = LeaseRecord(
-        inode=prior.inode, epoch=prior.epoch + 1, holder=prior.holder,
-        acquired_us=prior.acquired_us, expires_us=prior.expires_us,
-        released=True)
-    return LeaseRecord(
-        inode=record.inode, epoch=record.epoch, holder=record.holder,
-        acquired_us=record.acquired_us, expires_us=record.expires_us,
-        released=True,
-        signature=rsa.sign(holder_user.private_key,
-                           record.signed_payload()))
+    return replace(prior, epoch=prior.epoch + 1,
+                   released=True).signed(holder_user.private_key)
 
 
 class LeaseManager:
@@ -234,17 +231,11 @@ class LeaseManager:
     def _make(self, inode: int, epoch: int,
               released: bool = False) -> LeaseRecord:
         now = self._now_us()
-        unsigned = LeaseRecord(
+        return LeaseRecord(
             inode=inode, epoch=epoch, holder=self.user.user_id,
             acquired_us=now,
             expires_us=now + int(self.duration_s * 1_000_000),
-            released=released)
-        return LeaseRecord(
-            inode=unsigned.inode, epoch=unsigned.epoch,
-            holder=unsigned.holder, acquired_us=unsigned.acquired_us,
-            expires_us=unsigned.expires_us, released=unsigned.released,
-            signature=rsa.sign(self.user.private_key,
-                               unsigned.signed_payload()))
+            released=released).signed(self.user.private_key)
 
     # -- queries -------------------------------------------------------------
 

@@ -14,7 +14,9 @@ swapping validly-signed blobs between locations -- e.g. serving file A's
 Signing covers the ciphertext, so readers verify *before* decrypting and
 writers never reveal plaintext to the signature path.  This realizes the
 paper's reader/writer distinction: DEK holders can decrypt, but only DSK
-holders can produce blobs that verify under the DVK.
+holders can produce blobs that verify under the DVK.  (The intent
+journal has no readers who are not also writers, so it is MAC-sealed
+only: fs/journal.py.)
 """
 
 from __future__ import annotations

@@ -84,7 +84,7 @@ class RepairReport:
 
     #: verified intents rolled forward ("user op#seq"), in apply order.
     completed_intents: list[str] = field(default_factory=list)
-    #: journal blobs that failed signature/MAC verification and were
+    #: journal blobs that failed MAC or slot-context verification and were
     #: quarantined (deleted) without replaying anything.
     rejected_journals: list[str] = field(default_factory=list)
     #: orphaned blobs reclaimed from the SSP.

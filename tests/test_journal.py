@@ -16,6 +16,9 @@ from repro.errors import (ClientCrashed, FileExists, IntegrityError,
                           TransientStorageError)
 from repro.fs import journal
 from repro.fs.client import ClientConfig, SharoesFilesystem
+from repro.fs.lease import LeaseManager
+from repro.fs.volume import SharoesVolume
+from repro.sim.clock import SimClock
 from repro.storage.blobs import BlobId, journal_blob
 from repro.storage.resilient import CrashingServer, ServerWrapper
 from repro.storage.server import StorageServer
@@ -161,6 +164,118 @@ class TestRecoveryRejection:
         report = auditor.repair()
         assert report.rejected_journals == ["alice"]
         assert report.audit.clean
+
+
+# -- every journal that does not open is one IntegrityError -------------------
+
+
+def _stranded(volume, registry, user_id: str, path: str) -> bytes:
+    """The journal ``user_id`` leaves at the SSP dying mid-create."""
+    crasher = CrashingServer(volume.server, crash_after=3)
+    dying = make_journaled(volume, registry, user_id, server=crasher)
+    with pytest.raises(ClientCrashed):
+        dying.create_file(path, b"x" * 100)
+    return volume.server.get(journal_blob(user_id))
+
+
+_UNOPENABLE = ("truncated", "empty", "bobs_journal_in_alices_slot",
+               "alices_key_bobs_context")
+
+
+@pytest.fixture(params=_UNOPENABLE)
+def unopenable(request, volume, registry) -> bytes:
+    """A volume where bob and alice each left a pending intent, and
+    alice's journal slot now holds a journal she must not open."""
+    make_journaled(volume, registry).mkdir("/d", mode=0o775)
+    bobs = _stranded(volume, registry, "bob", "/d/from-bob")
+    alices = _stranded(volume, registry, "alice", "/from-alice")
+    alice = registry.user("alice")
+    provider = CryptoProvider()
+    blob = {
+        "truncated": alices[:40],
+        "empty": b"",
+        "bobs_journal_in_alices_slot": bobs,
+        "alices_key_bobs_context": provider.sym_encrypt(
+            journal.journal_key(alice),
+            journal.journal_context("bob") + journal.encode_records(
+                journal.open_journal(provider, alice, alices))),
+    }[request.param]
+    volume.server.put(journal_blob("alice"), blob)
+    return blob
+
+
+class TestOneExceptionOnOpen:
+    def test_open_raises_integrity_error(self, unopenable, registry):
+        with pytest.raises(IntegrityError):
+            journal.open_journal(CryptoProvider(), registry.user("alice"),
+                                 unopenable)
+
+    def test_mount_replays_nothing(self, unopenable, volume, registry):
+        before = volume.server.raw_blobs()
+        with pytest.raises(IntegrityError):
+            make_journaled(volume, registry)
+        assert volume.server.raw_blobs() == before
+
+    def test_takeover_replays_nothing(self, unopenable, volume, registry):
+        clock = SimClock()
+
+        def manager(user_id, escrow=None):
+            return LeaseManager(registry.user(user_id), registry.directory,
+                                volume.server, clock, duration_s=1.0,
+                                provider=CryptoProvider(), escrow=escrow)
+
+        manager("alice").acquire(999)
+        clock.advance(2.0)
+        before = volume.server.raw_blobs()
+        with pytest.raises(IntegrityError):
+            manager("bob", escrow=registry.user).acquire(999)
+        assert volume.server.raw_blobs() == before
+
+    def test_fsck_quarantines(self, unopenable, volume, registry):
+        auditor = VolumeAuditor(volume)
+        assert any(error.startswith("journal[alice]")
+                   for error in auditor.audit().integrity_errors)
+        report = auditor.repair()
+        assert report.rejected_journals == ["alice"]
+        assert not any(intent.startswith("alice ")
+                       for intent in report.completed_intents)
+        assert not volume.server.exists(journal_blob("alice"))
+
+
+# -- a journaled mutation pays no public-key operation ------------------------
+
+
+def _op_crypto(registry, config: ClientConfig) -> dict[str, dict]:
+    """Provider event counts of one steady-state create and append."""
+    server = StorageServer()
+    volume = SharoesVolume(server, registry, clock=SimClock())
+    volume.format(root_owner="alice", root_group="eng")
+    fs = SharoesFilesystem(volume, registry.user("alice"), config=config)
+    fs.mount()
+    fs.mkdir("/d")
+    fs.create_file("/d/f", b"x" * 300)
+    counts = {}
+    for name, op in (("create", lambda: fs.create_file("/d/g", b"y" * 300)),
+                     ("append", lambda: fs.append_file("/d/f", b"+" * 40))):
+        before = dict(fs.provider.counters.ops)
+        op()
+        counts[name] = {kind: fs.provider.counters.total(kind)
+                        - before.get(kind, 0)
+                        for kind in ("sign_rsa", "verify_rsa",
+                                     "sym_encrypt")}
+    return counts
+
+
+def test_a_journaled_leased_mutation_seals_twice_and_signs_nothing(
+        registry):
+    """Intent and commit are two symmetric seals each; no RSA sign or
+    verify reaches the provider on the journal path."""
+    leased = _op_crypto(registry, ClientConfig(journal=True, lease=True,
+                                               data_cache=False))
+    plain = _op_crypto(registry, ClientConfig(data_cache=False))
+    for op in ("create", "append"):
+        assert leased[op]["sign_rsa"] == leased[op]["verify_rsa"] == 0
+        assert leased[op]["sym_encrypt"] == plain[op]["sym_encrypt"] + 2
 
 
 # -- batch semantics ----------------------------------------------------------
