@@ -154,8 +154,8 @@ def _rebalance_setup(marks: dict):
     so the overhead column measures exactly the active-plan window.
     """
     from repro.crypto import rsa
-    from repro.storage.rebalance import (VERIFIED, MidRunRebalance,
-                                         Rebalancer)
+    from repro.storage.rebalance import VERIFIED, Rebalancer
+    from repro.storage.resilient import MutationTrigger
 
     def setup(env):
         key = rsa.generate_keypair(512)
@@ -178,9 +178,8 @@ def _rebalance_setup(marks: dict):
             marks["physical_end"] = _physical_traffic(server)
             marks["snapshot"] = server.shard_snapshot()
 
-        env._client_server = MidRunRebalance(
-            server, list(zip(REBALANCE_STAGES,
-                             (stage_plan, finish_plan))))
+        env._client_server = MutationTrigger(
+            server, dict(zip(REBALANCE_STAGES, (stage_plan, finish_plan))))
     return setup
 
 

@@ -19,7 +19,10 @@ Subcommands:
   JSON, a top-N self-time table, or the per-depth resolve-attribution
   report;
 * ``inspect``   -- build a demo volume and dump what the untrusted SSP
-  actually sees.
+  actually sees;
+* ``matrix``    -- sweep one seeded correctness matrix (``crash``,
+  ``interleave``, ``campaign``, ``rebalance``) and print its outcomes
+  table.
 """
 
 from __future__ import annotations
@@ -444,8 +447,8 @@ def _cmd_fsck(args: argparse.Namespace) -> int:
         # pending at the SSP for --repair to roll forward.
         from .errors import ClientCrashed
         from .fs.client import ClientConfig, SharoesFilesystem
-        from .storage.resilient import CrashingServer
-        crasher = CrashingServer(server, crash_after=3)
+        from .storage.resilient import MutationTrigger, crash
+        crasher = MutationTrigger(server, {3: crash})
         dying = SharoesFilesystem(volume, registry.user("alice"),
                                   config=ClientConfig(journal=True,
                                                       lease=True),
@@ -487,62 +490,81 @@ def _choose(flag: str, wanted: str | None,
             known) -> tuple[str, ...] | None:
     """Parse a ``--<flag> a,b,c`` list against the known names.
 
-    Returns the names as given (all of ``known`` when the flag is
-    absent), or None after saying what was unknown: the caller exits 2.
+    Returns the chosen names in their known order (all of ``known``
+    when the flag is absent), or None after saying what was unknown:
+    the caller exits 2.
     """
     if not wanted:
         return tuple(known)
-    names = tuple(wanted.split(","))
-    unknown = sorted(set(names) - set(known))
+    names = set(wanted.split(","))
+    unknown = sorted(names - set(known))
     if unknown:
         print(f"unknown {flag}: {unknown}; choose from {list(known)}")
         return None
-    return names
+    return tuple(name for name in known if name in names)
 
 
-def _emit_table(args: argparse.Namespace, table: str, ok: bool) -> int:
-    """Write ``--out`` if asked, print the table, exit 0 iff ``ok``."""
+#: ``repro matrix <kind>``: what each kind sweeps (its help line).
+_MATRIX_KINDS = {
+    "crash": "kill a journaled client at every mutation of every op and "
+             "assert recovery (modes: mount, fsck)",
+    "interleave": "sweep multi-client op interleavings under leases and "
+                  "assert no lost updates (modes: sequential, preempt, "
+                  "crash, zombie)",
+    "campaign": "the interleave matrix over a sharded backend with "
+                "outage/flaky/rollback/tamper/rebalance shards armed per "
+                "cell",
+    "rebalance": "kill the rebalancer at every pipeline action and assert "
+                 "byte-identical recovery vs an unsharded twin (modes: "
+                 "resume, repair, writes, shard-down)",
+}
+
+
+def _matrix(args: argparse.Namespace):
+    """The sweep ``repro matrix <kind>`` runs (None: exit 2)."""
+    if args.kind == "crash":
+        from .tools.crashmatrix import CrashMatrix
+        return CrashMatrix(seed=args.seed)
+    if args.kind == "interleave":
+        from .tools.interleave import InterleaveMatrix
+        return InterleaveMatrix(seed=args.seed)
+    if args.kind == "rebalance":
+        from .tools.rebalancematrix import RebalanceMatrix
+        return RebalanceMatrix(seed=args.seed)
+    from .tools.campaign import DEFAULT_SCENARIOS, Campaign
+    wanted = _choose("scenarios", args.scenarios,
+                     [s.name for s in DEFAULT_SCENARIOS])
+    if wanted is None:
+        return None
+    return Campaign(seed=args.seed, shards=args.shards,
+                    replicas=args.replicas, read_quorum=args.read_quorum,
+                    flaky_p=args.flaky_p,
+                    scenarios=tuple(s for s in DEFAULT_SCENARIOS
+                                    if s.name in wanted))
+
+
+def _cmd_matrix(args: argparse.Namespace) -> int:
+    """Sweep one matrix and print its table (``--out``: write it too).
+
+    Exit 0 when every cell is consistent, 1 when any is not, 2 for an
+    unknown case, mode or scenario.
+    """
+    matrix = _matrix(args)
+    if matrix is None:
+        return 2
+    modes = _choose("modes", args.modes, matrix.MODES)
+    names = _choose("cases", args.cases, [c.name for c in matrix.cases])
+    if modes is None or names is None:
+        return 2
+    outcomes = matrix.run(modes, [c for c in matrix.cases
+                                  if c.name in names])
+    table = matrix.table(outcomes)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(table + "\n")
         print(f"wrote {args.out}")
     print(table)
-    return 0 if ok else 1
-
-
-def _cmd_crash_matrix(args: argparse.Namespace) -> int:
-    from .tools.crashmatrix import (FSCK, MOUNT, CrashMatrix, build_cases,
-                                    outcomes_table)
-
-    matrix = CrashMatrix(seed=args.seed)
-    recoveries = {"mount": (MOUNT,), "fsck": (FSCK,),
-                  "both": (MOUNT, FSCK)}[args.recovery]
-    cases = build_cases(matrix.data, matrix.new)
-    wanted = _choose("ops", args.ops, sorted(c.name for c in cases))
-    if wanted is None:
-        return 2
-    outcomes = matrix.run(recoveries,
-                          [c for c in cases if c.name in wanted])
-    return _emit_table(args, outcomes_table(outcomes),
-                       all(o.consistent for o in outcomes))
-
-
-def _cmd_interleave(args: argparse.Namespace) -> int:
-    from .tools.interleave import (MODES, InterleaveMatrix, build_cases,
-                                   outcomes_table)
-
-    matrix = InterleaveMatrix(seed=args.seed)
-    modes = _choose("modes", args.modes, MODES)
-    if modes is None:
-        return 2
-    cases = build_cases(matrix.payloads)
-    wanted = _choose("cases", args.cases, sorted(c.name for c in cases))
-    if wanted is None:
-        return 2
-    cases = [c for c in cases if c.name in wanted]
-    outcomes = matrix.run(modes, cases)
-    return _emit_table(args, outcomes_table(outcomes),
-                       all(o.consistent for o in outcomes))
+    return 0 if matrix.ok(outcomes) else 1
 
 
 def _cmd_shard_repair(args: argparse.Namespace) -> int:
@@ -591,32 +613,6 @@ def _cmd_shard_repair(args: argparse.Namespace) -> int:
           f"{snap['writes.partial']:.0f} partial")
     return 0 if (report.fully_replicated and audit.clean
                  and not server.under_replicated()) else 1
-
-
-def _cmd_campaign(args: argparse.Namespace) -> int:
-    from .tools.campaign import (DEFAULT_SCENARIOS, Campaign,
-                                 campaign_table)
-    from .tools.interleave import MODES, build_cases
-
-    campaign = Campaign(seed=args.seed, shards=args.shards,
-                        replicas=args.replicas,
-                        read_quorum=args.read_quorum,
-                        flaky_p=args.flaky_p)
-    modes = _choose("modes", args.modes, MODES)
-    if modes is None:
-        return 2
-    cases = build_cases(campaign.payloads)
-    wanted = _choose("cases", args.cases, sorted(c.name for c in cases))
-    if wanted is None:
-        return 2
-    cases = [c for c in cases if c.name in wanted]
-    wanted = _choose("scenarios", args.scenarios,
-                     sorted(s.name for s in DEFAULT_SCENARIOS))
-    if wanted is None:
-        return 2
-    scenarios = tuple(s for s in DEFAULT_SCENARIOS if s.name in wanted)
-    report = campaign.run(modes, cases, scenarios)
-    return _emit_table(args, campaign_table(report), report.ok)
 
 
 def _cmd_shard_rebalance(args: argparse.Namespace) -> int:
@@ -704,19 +700,6 @@ def _cmd_shard_rebalance(args: argparse.Namespace) -> int:
     return 0 if (ring_ok and bytes_ok and audit.clean
                  and repair.fully_replicated
                  and not server.under_replicated()) else 1
-
-
-def _cmd_rebalance_matrix(args: argparse.Namespace) -> int:
-    from .tools.rebalancematrix import (VARIANTS, RebalanceMatrix,
-                                        outcomes_table)
-
-    variants = _choose("variants", args.variants, VARIANTS)
-    if variants is None:
-        return 2
-    matrix = RebalanceMatrix(seed=args.seed)
-    outcomes = matrix.run(variants)
-    return _emit_table(args, outcomes_table(outcomes),
-                       all(o.consistent for o in outcomes))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -863,32 +846,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "orphans (see docs/ROBUSTNESS.md)")
     p.set_defaults(func=_cmd_fsck)
 
-    p = sub.add_parser("crash-matrix",
-                       help="kill a journaled client at every mutation "
-                            "of every op and assert recovery")
-    p.add_argument("--seed", type=int, default=0,
-                   help="fixes file payloads (outcomes are "
-                        "deterministic per seed)")
-    p.add_argument("--recovery", choices=("mount", "fsck", "both"),
-                   default="both")
-    p.add_argument("--ops", help="comma-separated op subset")
-    p.add_argument("--out", help="also write the outcomes table here")
-    p.set_defaults(func=_cmd_crash_matrix)
-
-    p = sub.add_parser("interleave",
-                       help="sweep multi-client op interleavings "
-                            "(pause/crash/zombie points) under leases "
-                            "and assert no lost updates")
-    p.add_argument("--seed", type=int, default=0,
-                   help="fixes file payloads (outcomes are "
-                        "deterministic per seed)")
-    p.add_argument("--modes",
-                   help="comma-separated subset of "
-                        "sequential,preempt,crash,zombie (default all)")
-    p.add_argument("--cases", help="comma-separated case subset")
-    p.add_argument("--out", help="also write the outcomes table here")
-    p.set_defaults(func=_cmd_interleave)
-
     p = sub.add_parser("shard-repair",
                        help="demo: lose one shard of a replicated "
                             "multi-SSP volume mid-workload, bring it "
@@ -901,29 +858,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--files", type=int, default=12,
                    help="files created across the outage (default 12)")
     p.set_defaults(func=_cmd_shard_repair)
-
-    p = sub.add_parser("campaign",
-                       help="composed adversarial campaign: the "
-                            "interleaving matrix over a sharded "
-                            "backend with outage/flaky/rollback/"
-                            "tamper shards armed per cell")
-    p.add_argument("--seed", type=int, default=0,
-                   help="fixes payloads and fault draws (outcomes "
-                        "deterministic per seed)")
-    p.add_argument("--shards", type=int, default=4)
-    p.add_argument("--replicas", type=int, default=3)
-    p.add_argument("--read-quorum", type=int, default=2)
-    p.add_argument("--flaky-p", type=float, default=0.1,
-                   help="per-request failure rate of the flaky shard")
-    p.add_argument("--modes",
-                   help="comma-separated subset of "
-                        "sequential,preempt,crash,zombie (default all)")
-    p.add_argument("--cases", help="comma-separated case subset")
-    p.add_argument("--scenarios",
-                   help="comma-separated subset of outage+flaky,"
-                        "rollback,tamper,rebalance (default all)")
-    p.add_argument("--out", help="also write the campaign table here")
-    p.set_defaults(func=_cmd_campaign)
 
     p = sub.add_parser("shard-rebalance",
                        help="demo: change the shard count or "
@@ -945,20 +879,32 @@ def build_parser() -> argparse.ArgumentParser:
                         "action, then recover from the stored plan")
     p.set_defaults(func=_cmd_shard_rebalance)
 
-    p = sub.add_parser("rebalance-matrix",
-                       help="kill the rebalancer at every pipeline "
-                            "action x {resume, repair, writes, "
-                            "shard-down} recovery and assert "
-                            "byte-identical recovery vs an unsharded "
-                            "twin")
-    p.add_argument("--seed", type=int, default=0,
-                   help="fixes payloads (outcomes deterministic per "
-                        "seed)")
-    p.add_argument("--variants",
-                   help="comma-separated subset of resume,repair,"
-                        "writes,shard-down (default all)")
-    p.add_argument("--out", help="also write the outcomes table here")
-    p.set_defaults(func=_cmd_rebalance_matrix)
+    p = sub.add_parser("matrix",
+                       help="sweep a seeded correctness matrix and print "
+                            "its outcomes table (exit 1 on any "
+                            "inconsistent cell)")
+    kinds = p.add_subparsers(dest="kind", required=True)
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--seed", type=int, default=0,
+                        help="fixes payloads and fault draws (outcomes "
+                             "are deterministic per seed)")
+    shared.add_argument("--cases", help="comma-separated case subset "
+                                        "(default all)")
+    shared.add_argument("--modes", help="comma-separated mode subset "
+                                        "(default all)")
+    shared.add_argument("--out", help="also write the outcomes table here")
+    for kind, text in _MATRIX_KINDS.items():
+        kinds.add_parser(kind, parents=[shared], help=text,
+                         description=text).set_defaults(func=_cmd_matrix)
+    p = kinds.choices["campaign"]
+    p.add_argument("--shards", type=int, default=4)
+    p.add_argument("--replicas", type=int, default=3)
+    p.add_argument("--read-quorum", type=int, default=2)
+    p.add_argument("--flaky-p", type=float, default=0.1,
+                   help="per-request failure rate of the flaky shard")
+    p.add_argument("--scenarios",
+                   help="comma-separated subset of outage+flaky,"
+                        "rollback,tamper,rebalance (default all)")
     return parser
 
 

@@ -9,7 +9,7 @@ library calls through.
 
 from . import aes, esign, hashes, ibe, keys, primes, rsa, stream
 from .keys import ObjectKeySet, new_signature_pair, new_symmetric_key
-from .provider import AesEngine, CryptoEvent, CryptoProvider, StreamEngine
+from .provider import CryptoEvent, CryptoProvider
 
 __all__ = [
     "aes",
@@ -23,8 +23,6 @@ __all__ = [
     "ObjectKeySet",
     "new_signature_pair",
     "new_symmetric_key",
-    "AesEngine",
     "CryptoEvent",
     "CryptoProvider",
-    "StreamEngine",
 ]

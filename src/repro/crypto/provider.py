@@ -6,22 +6,21 @@ All cryptographic work in the library flows through a
 * every operation is *counted* (ops and bytes, per category) -- this drives
   the simulated 2008-testbed cost model that reproduces the paper's
   benchmark numbers independent of host CPU speed;
-* the symmetric engine is *pluggable*: real pure-Python AES for
-  correctness-critical paths and tests, or the fast hashlib-backed stream
-  cipher for bulk data (identical interface, identical simulated cost);
+* symmetric sealing is the stream cipher of :mod:`repro.crypto.stream`
+  (the reproduction's stand-in for the paper's AES-128, priced as AES by
+  the cost model; :mod:`repro.crypto.aes` is the FIPS-197 reference the
+  self-test checks);
 * signature schemes dispatch on key type: ESIGN keys (the paper's fast
   choice) or RSA keys (used by the PUBLIC/PUB-OPT comparators).
 """
 
 from __future__ import annotations
 
-import hashlib
-import hmac as _hmac
 from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from typing import Callable
 
-from ..errors import CryptoError, IntegrityError
-from . import aes, esign, hashes, rsa, stream
+from ..errors import CryptoError
+from . import esign, hashes, rsa, stream
 
 
 @dataclass(frozen=True)
@@ -40,56 +39,6 @@ class CryptoEvent:
 
 
 Listener = Callable[[CryptoEvent], None]
-
-
-class _SymmetricEngine(Protocol):
-    def seal(self, key: bytes, plaintext: bytes) -> bytes: ...
-
-    def open(self, key: bytes, sealed: bytes) -> bytes: ...
-
-
-class StreamEngine:
-    """SHAKE-256 keystream + HMAC engine (fast path; see crypto.stream)."""
-
-    name = "stream"
-
-    def seal(self, key: bytes, plaintext: bytes) -> bytes:
-        return stream.seal(key, plaintext)
-
-    def open(self, key: bytes, sealed: bytes) -> bytes:
-        return stream.open_sealed(key, sealed)
-
-
-class AesEngine:
-    """Real AES-CTR + HMAC-SHA256 encrypt-then-MAC engine.
-
-    The MAC key derivation is domain-separated from the stream engine's
-    ("sharoes-mac-aes" vs "sharoes-mac"): without that, a blob sealed by
-    one engine would MAC-verify under the other and decrypt to garbage
-    that looks authentic.
-    """
-
-    name = "aes"
-    _TAG = 32
-
-    def seal(self, key: bytes, plaintext: bytes) -> bytes:
-        ciphertext = aes.encrypt_ctr(key, plaintext)
-        tag_key = hashlib.sha256(b"sharoes-mac-aes" + key).digest()
-        tag = _hmac.new(tag_key, ciphertext, hashlib.sha256).digest()
-        return ciphertext + tag
-
-    def open(self, key: bytes, sealed: bytes) -> bytes:
-        if len(sealed) < 8 + self._TAG:
-            raise CryptoError("sealed payload too short")
-        ciphertext, tag = sealed[:-self._TAG], sealed[-self._TAG:]
-        tag_key = hashlib.sha256(b"sharoes-mac-aes" + key).digest()
-        expected = _hmac.new(tag_key, ciphertext, hashlib.sha256).digest()
-        if not _hmac.compare_digest(expected, tag):
-            raise IntegrityError("sealed payload failed MAC verification")
-        return aes.decrypt_ctr(key, ciphertext)
-
-
-_ENGINES = {"stream": StreamEngine, "aes": AesEngine}
 
 
 @dataclass
@@ -122,20 +71,12 @@ class CryptoProvider:
 
     Parameters
     ----------
-    engine:
-        Symmetric engine name: ``"stream"`` (default, fast) or ``"aes"``
-        (the real FIPS-197 implementation).
     listener:
         Optional callable receiving a :class:`CryptoEvent` for every
         operation; the simulated cost model registers itself here.
     """
 
-    def __init__(self, engine: str = "stream",
-                 listener: Listener | None = None):
-        if engine not in _ENGINES:
-            raise CryptoError(f"unknown symmetric engine {engine!r}")
-        self._engine: _SymmetricEngine = _ENGINES[engine]()
-        self.engine_name = engine
+    def __init__(self, listener: Listener | None = None):
         self.counters = OpCounters()
         self._listeners: list[Listener] = []
         if listener is not None:
@@ -154,11 +95,11 @@ class CryptoProvider:
 
     def sym_encrypt(self, key: bytes, plaintext: bytes) -> bytes:
         self._emit("sym_encrypt", len(plaintext))
-        return self._engine.seal(key, plaintext)
+        return stream.seal(key, plaintext)
 
     def sym_decrypt(self, key: bytes, sealed: bytes) -> bytes:
         self._emit("sym_decrypt", len(sealed))
-        return self._engine.open(key, sealed)
+        return stream.open_sealed(key, sealed)
 
     # -- public key ----------------------------------------------------------
 

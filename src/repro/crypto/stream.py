@@ -15,10 +15,10 @@ calls whatever the payload's size.  A counter-mode keystream needs one
 Python-level hash construction per 32 bytes -- 32,768 per MiB, measured
 at a third of a bulk read's host time with the XOR already in C.
 
-The library selects the engine per payload: metadata objects (hundreds of
-bytes, encrypted constantly) may use real AES, bulk data uses this stream
-cipher.  The simulated cost model charges both identically as "AES-128 on
-the paper's 2008 client", so figure reproduction is engine-independent.
+Every sealed payload -- metadata, directory tables, data blocks, the
+journal -- goes through this cipher (``CryptoProvider.sym_encrypt``).
+The simulated cost model charges it as "AES-128 on the paper's 2008
+client", so the figures reproduce the paper's cipher, not this one.
 """
 
 from __future__ import annotations

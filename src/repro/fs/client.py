@@ -83,8 +83,7 @@ class ClientConfig:
     #: wrap SSP traffic in a :class:`ResilientTransport` with this
     #: :class:`~repro.storage.resilient.RetryPolicy` (retries, backoff,
     #: circuit breaker, stale-read fallback -- see docs/ROBUSTNESS.md).
-    #: None (default) inherits the volume's ``retry_policy``; if that is
-    #: also None the client talks to the server directly.
+    #: None (default): the client talks to the server directly.
     retry_policy: "RetryPolicy | None" = None
     #: crash-consistent mutations: seal every multi-blob mutation into a
     #: sealed write-ahead intent at the SSP before any of its blobs are
@@ -382,9 +381,7 @@ class SharoesFilesystem:
                  server=None):
         self.volume = volume
         self.config = config or ClientConfig()
-        # The symmetric engine is a volume property: sealed blobs from
-        # different engines do not interoperate.
-        self.provider = CryptoProvider(volume.engine)
+        self.provider = CryptoProvider()
         self.cost = cost_model
         if cost_model is not None:
             self.provider.add_listener(cost_model.on_crypto_event)
@@ -437,10 +434,10 @@ class SharoesFilesystem:
                 fn=lambda: len(self._pending))
         #: the server this client actually talks to.  ``server`` (if
         #: given) overrides ``volume.server`` -- benchmarks use it to
-        #: inject per-client fault wrappers.  A retry policy (from the
-        #: config, else the volume) wraps it in a ResilientTransport
-        #: that retries transient faults with backoff on the simulated
-        #: clock -- see docs/ROBUSTNESS.md.
+        #: inject per-client fault wrappers.  A retry policy in the
+        #: config wraps it in a ResilientTransport that retries
+        #: transient faults with backoff on the simulated clock -- see
+        #: docs/ROBUSTNESS.md.
         raw = server if server is not None else volume.server
         #: end-to-end wire tracing: give this client's span stream a
         #: trace id and interpose a TracedServer *below* the retrying
@@ -463,8 +460,6 @@ class SharoesFilesystem:
             "client.resolve", self._collect_walk_depth,
             help="per-depth path-walk cache attribution")
         policy = self.config.retry_policy
-        if policy is None:
-            policy = getattr(volume, "retry_policy", None)
         if policy is not None:
             from ..storage.resilient import ResilientTransport
             # The breaker cooldown must elapse on the same simulated

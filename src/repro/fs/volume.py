@@ -41,7 +41,7 @@ class SharoesVolume:
                  scheme: str | ReplicationScheme = "scheme2",
                  block_size: int = DEFAULT_BLOCK_SIZE,
                  signature_prime_bits: int = OBJECT_SIGNATURE_PRIME_BITS,
-                 engine: str = "stream", retry_policy=None, clock=None):
+                 clock=None):
         self.server = server
         self.registry = registry
         #: shared :class:`~repro.sim.clock.SimClock` for multi-client
@@ -52,15 +52,6 @@ class SharoesVolume:
                        else make_scheme(scheme, registry))
         self.block_size = block_size
         self.signature_prime_bits = signature_prime_bits
-        #: symmetric engine every client of this volume must use --
-        #: sealed blobs from different engines do not interoperate, so
-        #: the choice ("stream" or "aes") is a volume-format property.
-        self.engine = engine
-        #: default :class:`~repro.storage.resilient.RetryPolicy` clients
-        #: of this volume mount with (None = direct, no retry layer).
-        #: Volume-internal writes (format/write_object) go straight to
-        #: ``self.server``; the transport wraps only *client* traffic.
-        self.retry_policy = retry_policy
         self.allocator = InodeAllocator()
         self.root_inode: int | None = None
         self._root_record: ObjectRecord | None = None
@@ -75,7 +66,7 @@ class SharoesVolume:
         """Create the namespace root and all user superblocks."""
         if self.formatted:
             raise SharoesError("volume is already formatted")
-        provider = provider or CryptoProvider(self.engine)
+        provider = provider or CryptoProvider()
         inode = self.allocator.allocate()
         attrs = MetadataAttrs(inode=inode, ftype=DIRECTORY,
                               owner=root_owner, group=root_group,

@@ -98,7 +98,7 @@ class MigrationTool:
         if not 0.0 < compression_ratio <= 1.0:
             raise MigrationError("compression_ratio must be in (0, 1]")
         self.volume = volume
-        self.provider = provider or CryptoProvider(volume.engine)
+        self.provider = provider or CryptoProvider()
         self.cost = cost_model
         if cost_model is not None:
             self.provider.add_listener(cost_model.on_crypto_event)

@@ -104,8 +104,9 @@ class CrashingRebalancer:
     """Hook for :class:`~repro.storage.rebalance.Rebalancer`: kills the
     rebalance process at its k-th pipeline action.
 
-    The rebalance analogue of
-    :class:`~repro.storage.resilient.CrashingServer`: each hook firing
+    The rebalance analogue of a
+    :class:`~repro.storage.resilient.MutationTrigger` armed with
+    :func:`~repro.storage.resilient.crash`: each hook firing
     is one pipeline action (a per-blob copy/verify/drop/rollback step
     or a flip/finish/abort transition), and with ``crash_after=k`` the
     k-th action raises :class:`~repro.errors.ClientCrashed` *before*

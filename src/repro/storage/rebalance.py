@@ -53,9 +53,7 @@ from ..crypto import rsa
 from ..errors import (IntegrityError, StaleEpochError,
                       TransientStorageError)
 from .blobs import LEASE, PLAN, BlobId, parse_blob_id, plan_blob
-from .resilient import ServerWrapper
-from .server import (EPOCH_PREFIX_BYTES, MUTATION_KINDS, BatchOp,
-                     StorageServer, fence_epoch)
+from .server import EPOCH_PREFIX_BYTES, fence_epoch
 from .shards import RingSpec, ShardedServer
 
 # -- plan states --------------------------------------------------------------
@@ -669,34 +667,3 @@ def resolve_plan(server: ShardedServer) -> str:
         return "resumed"
     reb.rollback()
     return "rolled_back"
-
-
-class MidRunRebalance(ServerWrapper):
-    """Fires rebalance stages at exact points in a client's op stream.
-
-    The acceptance trio mounts a workload over this wrapper with e.g.
-    ``[(40, stage1), (80, stage2)]``: just before the client's 40th
-    mutation the first stage callable runs (propose + copy + verify),
-    before the 80th the second (flip + drop + finish) -- a rebalance
-    genuinely interleaved with live traffic, deterministically.
-    Counts ``MUTATION_KINDS``, like ``CrashingServer``/``PauseServer``.
-    """
-
-    def __init__(self, inner: StorageServer,
-                 stages: Sequence[tuple[int, Callable[[], None]]]):
-        super().__init__(inner, name=f"midrun({inner.name})")
-        self.stages = sorted(stages, key=lambda s: s[0])
-        self.mutations = 0
-        self.fired = 0
-
-    def _mutation(self) -> None:
-        self.mutations += 1
-        while self.stages and self.mutations >= self.stages[0][0]:
-            _, stage = self.stages.pop(0)
-            self.fired += 1
-            stage()
-
-    def _forward(self, op: BatchOp):
-        if op.kind in MUTATION_KINDS:
-            self._mutation()
-        return op.call(self.inner)

@@ -21,6 +21,9 @@ This module supplies both halves of that story:
   that exhausts its retries falls back to the last blob this client
   verified-and-cached, flagged stale.
 
+:class:`MutationTrigger` is the crash/preempt sweeps' injection point:
+it runs a registered action just before a client's k-th SSP mutation.
+
 Only :class:`~repro.errors.TransientStorageError` is retried.  A plain
 :class:`~repro.errors.StorageError` (protocol corruption) or
 :class:`~repro.errors.BlobNotFound` (a definitive answer) propagates
@@ -32,6 +35,7 @@ from __future__ import annotations
 import contextlib
 import random
 from dataclasses import dataclass
+from typing import Callable
 
 from ..errors import (CasConflictError, CircuitOpenError, ClientCrashed,
                       TransientStorageError)
@@ -72,7 +76,7 @@ class ServerWrapper(OpMethods):
         """Apply sub-ops through *this wrapper's own* single-op methods.
 
         This keeps every decorator honest inside a batch: a flaky wrapper
-        can fail at sub-op k, a crashing wrapper counts each mutation,
+        can fail at sub-op k, a mutation trigger counts each mutation,
         and per-blob stats are identical to the unbatched sequence.
         Wrappers that model per-*request* cost (slow, outage) override
         this to pay once per frame instead.
@@ -80,40 +84,50 @@ class ServerWrapper(OpMethods):
         return apply_batch(self, ops)
 
 
-class CrashingServer(ServerWrapper):
-    """Kills the client at the k-th mutation (crash-point injection).
+class MutationTrigger(ServerWrapper):
+    """Runs the action registered for the k-th SSP mutation.
 
-    Counts *mutations* (``MUTATION_KINDS``) only -- reads never change
-    SSP state, so crash points between them are indistinguishable from
-    crashing at the next mutation.  With ``crash_after=k`` the k-th
-    mutation raises :class:`~repro.errors.ClientCrashed` *before*
-    touching the backend (the paper's SSP applies a request atomically
-    or not at all; the interesting partial states come from dying
-    *between* blobs of a multi-blob op, which per-mutation counting
-    covers exhaustively).
-    ``crash_after=None`` never crashes: the harness uses a counting run
-    to discover how many crash points an op has.
+    Counts *mutations* (``MUTATION_KINDS``: puts, deletes, their CAS and
+    fenced forms, each sub-op of a batch on its own) -- reads never
+    change SSP state, so a point between two reads is the same point as
+    the next mutation.  ``actions`` maps k to a callable that runs once,
+    just before the k-th mutation reaches the backend.  The sweeps
+    register :func:`crash` there, a pause that lets other clients run
+    (a deterministic context switch), or a rebalance stage.  With no
+    actions the trigger only counts: that is how a sweep learns T.
+
+    An action that raises kills the client: that mutation and every
+    later one raise the same error without touching the backend.  The
+    paper's SSP applies a request atomically or not at all, so the
+    interesting partial states come from dying *between* the blobs of a
+    multi-blob op, which per-mutation counting covers exhaustively.
     """
 
     def __init__(self, inner: StorageServer,
-                 crash_after: int | None = None):
-        super().__init__(inner, name=f"crashing({inner.name})")
-        self.crash_after = crash_after
+                 actions: dict[int, Callable[[], None]] | None = None):
+        super().__init__(inner, name=f"trigger({inner.name})")
+        self.actions = dict(actions or {})
         self.mutations = 0
-        self.crashed = False
-
-    def _mutation(self) -> None:
-        self.mutations += 1
-        if self.crash_after is not None and \
-                self.mutations >= self.crash_after:
-            self.crashed = True
-            raise ClientCrashed(
-                f"injected crash at mutation {self.mutations}")
+        self._death: Exception | None = None
 
     def _forward(self, op: BatchOp):
         if op.kind in MUTATION_KINDS:
-            self._mutation()
+            self.mutations += 1
+            if self._death is not None:
+                raise self._death
+            action = self.actions.pop(self.mutations, None)
+            if action is not None:
+                try:
+                    action()
+                except Exception as exc:
+                    self._death = exc
+                    raise
         return op.call(self.inner)
+
+
+def crash() -> None:
+    """The crash action: the client process dies at this mutation."""
+    raise ClientCrashed("injected crash")
 
 
 # -- transient-fault injectors ------------------------------------------------

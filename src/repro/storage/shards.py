@@ -52,7 +52,7 @@ Anti-entropy (:meth:`ShardedServer.repair`) walks the same census
 fsck's orphan scan sees -- the union of every shard's ``raw_blobs`` --
 and restores full replication: re-replicates winners over missing or
 suspect copies, applies pending deletes, and drops misplaced copies.
-``repro shard-repair`` runs the pass from the CLI; ``repro campaign``
+``repro shard-repair`` runs the pass from the CLI; ``repro matrix campaign``
 composes shard outages with the fault/crash/zombie adversaries into
 one seeded run (see :mod:`repro.tools.campaign`).
 

@@ -1,6 +1,6 @@
 """Composed adversarial campaign: every robustness defence at once.
 
-``repro campaign`` runs the multi-client interleaving matrix
+``repro matrix campaign`` runs the multi-client interleaving matrix
 (:mod:`repro.tools.interleave` -- sequential / preempt / crash /
 zombie schedules over journaled, leased clients) on top of a
 :class:`~repro.storage.shards.ShardedServer` whose shards are
@@ -47,13 +47,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..sim.clock import SimClock
 from ..storage.blobs import LEASE
 from ..storage.faults import RollbackServer, TamperingServer
 from ..storage.resilient import FlakyServer
 from ..storage.shards import ShardedServer, ShardRepairReport
-from .fsck import VolumeAuditor
-from .interleave import (MODES, InterleaveCase, InterleaveMatrix,
-                         InterleaveOutcome, build_cases)
+from .interleave import InterleaveCase, InterleaveMatrix, InterleaveOutcome
+from .twin import render
 
 
 @dataclass(frozen=True)
@@ -122,8 +122,12 @@ class CampaignReport:
 class Campaign(InterleaveMatrix):
     """The interleaving matrix over a sharded, adversarial backend."""
 
-    def __init__(self, seed: int = 0, key_bits: int = 512,
-                 shards: int = 4, replicas: int = 3,
+    COLUMNS = (("scenario", "<14", lambda c: c.scenario),) + tuple(
+        (heading, spec, lambda c, value=value: value(c.outcome))
+        for heading, spec, value in InterleaveMatrix.COLUMNS
+        if heading not in ("defer", "orph"))
+
+    def __init__(self, seed: int = 0, shards: int = 4, replicas: int = 3,
                  read_quorum: int = 2, flaky_p: float = 0.1,
                  scenarios: tuple = DEFAULT_SCENARIOS):
         self.seed = seed
@@ -131,11 +135,11 @@ class Campaign(InterleaveMatrix):
         self.scenarios = tuple(scenarios)
         self._scenario: Scenario | None = None
         self._arm_seq = 0
-        super().__init__(
-            seed=seed, key_bits=key_bits,
-            server_factory=lambda clock: ShardedServer(
-                shards=shards, replicas=replicas,
-                read_quorum=read_quorum, clock=clock))
+        clock = SimClock()
+        super().__init__(seed, ShardedServer(
+            shards=shards, replicas=replicas, read_quorum=read_quorum,
+            clock=clock), clock)
+        self.server = self.rig.server
 
     # -- per-cell adversity --------------------------------------------------
 
@@ -148,7 +152,8 @@ class Campaign(InterleaveMatrix):
             return
         self._arm_seq += 1
         if scenario.outage is not None:
-            self.server.outage(scenario.outage, start_s=self.clock.now)
+            self.server.outage(scenario.outage,
+                               start_s=self.rig.clock.now)
         if scenario.flaky is not None:
             seq = self._arm_seq
             self.server.wrap_shard(
@@ -172,25 +177,22 @@ class Campaign(InterleaveMatrix):
             members, replicas = scenario.rebalance
             reb = Rebalancer(
                 self.server,
-                keypair=self.registry.user("alice").keypair)
+                keypair=self.rig.registry.user("alice").keypair)
             reb.propose(members, replicas)
             reb.execute(until=VERIFIED)
 
     # -- the sweep -----------------------------------------------------------
 
-    def run(self, modes: tuple = MODES,
-            cases: "list[InterleaveCase] | None" = None,
-            scenarios: "tuple | None" = None) -> CampaignReport:
+    def run(self, modes: tuple = (),
+            cases: "list[InterleaveCase] | None" = None) -> CampaignReport:
         report = CampaignReport(
             seed=self.seed, shards=len(self.server.shards),
             replicas=self.server.replicas,
             read_quorum=self.server.read_quorum)
-        for scenario in scenarios or self.scenarios:
+        for scenario in self.scenarios:
             self._scenario = scenario
-            for case in cases or build_cases(self.payloads):
-                for outcome in self.run_case(case, modes):
-                    report.cells.append(
-                        CampaignCell(scenario.name, outcome))
+            report.cells += [CampaignCell(scenario.name, outcome)
+                             for outcome in super().run(modes, cases)]
         # Heal: drop every adversary, then one anti-entropy pass (plus
         # one more if the first unlocked work) must restore placement.
         self._scenario = None
@@ -199,44 +201,33 @@ class Campaign(InterleaveMatrix):
         if not repair.fully_replicated:
             repair = self.server.repair()
         report.repair = repair
-        audit = VolumeAuditor(self.volume).audit()
-        report.post_fsck_clean = audit.clean
-        report.post_orphans = len(audit.orphaned_blobs)
+        report.post_fsck_clean, report.post_orphans = self.rig.audit()
         report.shard_metrics = self.server.shard_snapshot()
         return report
 
+    @classmethod
+    def table(cls, report: CampaignReport) -> str:
+        """The campaign outcome table (the CI artifact)."""
+        tail = []
+        m = report.shard_metrics
+        if m:
+            tail.append(
+                f"shard health: quorum_reads={m['reads.quorum']:.0f} "
+                f"failovers={m['reads.failover']:.0f} "
+                f"divergent={m['divergent']:.0f} "
+                f"outvoted={m['outvoted']:.0f} ties={m['ties']:.0f} "
+                f"suspect_served={m['reads.suspect_served']:.0f}")
+        if report.repair is not None:
+            tail.append(f"final repair: {report.repair.summary()}")
+        tail.append(
+            f"post-repair fsck: "
+            f"{'clean' if report.post_fsck_clean else 'DIRTY'}, "
+            f"{report.post_orphans} orphans")
+        head = (f"composed campaign: seed={report.seed} "
+                f"shards={report.shards} replicas={report.replicas} "
+                f"read_quorum={report.read_quorum}",)
+        return render(cls.COLUMNS, report.cells, cls.RULE, head=head,
+                      tail=tuple(tail))
 
-def campaign_table(report: CampaignReport) -> str:
-    """Render the campaign outcome table (the CI artifact)."""
-    lines = [
-        f"composed campaign: seed={report.seed} shards={report.shards} "
-        f"replicas={report.replicas} read_quorum={report.read_quorum}",
-        f"{'scenario':<14} {'case':<22} {'mode':<10} {'k':>3} {'T':>3} "
-        f"{'outcome':<18} {'first-error':<15} {'fsck':<5} {'vsl':<4}",
-        "-" * 100]
-    for cell in report.cells:
-        o = cell.outcome
-        lines.append(
-            f"{cell.scenario:<14} {o.case:<22} {o.mode:<10} {o.point:>3} "
-            f"{o.total_points:>3} {o.outcome:<18} "
-            f"{(o.first_error or '-'):<15} "
-            f"{'ok' if o.fsck_clean else 'DIRTY':<5} "
-            f"{'ok' if o.vsl_ok else 'FORK':<4}")
-    lines.append("-" * 100)
-    m = report.shard_metrics
-    if m:
-        lines.append(
-            f"shard health: quorum_reads={m['reads.quorum']:.0f} "
-            f"failovers={m['reads.failover']:.0f} "
-            f"divergent={m['divergent']:.0f} "
-            f"outvoted={m['outvoted']:.0f} ties={m['ties']:.0f} "
-            f"suspect_served={m['reads.suspect_served']:.0f}")
-    if report.repair is not None:
-        lines.append(f"final repair: {report.repair.summary()}")
-    lines.append(
-        f"post-repair fsck: "
-        f"{'clean' if report.post_fsck_clean else 'DIRTY'}, "
-        f"{report.post_orphans} orphans")
-    lines.append(f"{len(report.cells)} cells, "
-                 f"{report.inconsistent} inconsistent")
-    return "\n".join(lines)
+    def ok(self, report: CampaignReport) -> bool:
+        return report.ok

@@ -4,8 +4,9 @@ For each filesystem mutation (create_file, mkdir, unlink, rmdir, rename,
 link, symlink, pwrite/truncate writeback) the harness first counts how
 many SSP mutations (puts + deletes) the journaled op issues, then sweeps
 crash point k = 1..T: restore the volume to the pre-op checkpoint, run
-the op against a :class:`~repro.storage.resilient.CrashingServer` that
-dies at the k-th mutation, recover (a fresh client's ``mount()`` or
+the op over a :class:`~repro.storage.resilient.MutationTrigger` whose
+:func:`~repro.storage.resilient.crash` action kills the client at the
+k-th mutation, recover (a fresh client's ``mount()`` or
 ``fsck --repair``), and assert the crash-consistency contract:
 
 * the op is **fully applied** or **fully rolled back** -- never half;
@@ -29,24 +30,15 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-from ..crypto import rsa
-from ..crypto.provider import CryptoProvider
 from ..errors import ClientCrashed
-from ..fs.client import ClientConfig, SharoesFilesystem
-from ..fs.volume import SharoesVolume
-from ..principals.groups import GroupKeyService
-from ..principals.registry import PrincipalRegistry
-from ..principals.users import User
-from ..storage.resilient import CrashingServer
-from ..storage.server import StorageServer
+from ..fs.client import SharoesFilesystem
+from ..storage.resilient import MutationTrigger, crash
 from .fsck import VolumeAuditor
-from .twin import holds, path_exists
+from .twin import BLOCK, Rig, Sweep, holds, path_exists, principals
 
 #: recovery modes the matrix can exercise.
 MOUNT = "mount"
 FSCK = "fsck"
-
-_BLOCK = 256  # small blocks so writeback ops span several puts
 
 
 @dataclass(frozen=True)
@@ -78,34 +70,30 @@ class CrashOutcome:
                 and self.fsck_clean and self.orphans == 0)
 
 
-def build_cases(data: bytes | None = None,
-                new: bytes | None = None) -> list[CrashCase]:
+def build_cases(data: bytes, new: bytes) -> list[CrashCase]:
     """The op suite: every mutation family the client exposes.
 
-    ``data`` (initial 3-block file content) and ``new`` (the pwrite
-    payload) default to fixed patterns; :class:`CrashMatrix` derives
-    them from its seed.
+    ``data`` is the initial 3-block file content and ``new`` the pwrite
+    payload; :class:`CrashMatrix` derives both from its seed.
     """
-    _DATA = data if data is not None else bytes(range(256)) * 3
-    _NEW = new if new is not None else b"\xAA" * 700
 
     def pwrite_run(fs: SharoesFilesystem) -> None:
         with fs.open("/d/f", "rw") as handle:
-            handle.pwrite(_NEW, 100)
+            handle.pwrite(new, 100)
 
     def truncate_run(fs: SharoesFilesystem) -> None:
         with fs.open("/d/f", "rw") as handle:
             handle.truncate(60)
 
-    pwritten = (_DATA[:100] + _NEW
-                + _DATA[100 + len(_NEW):]).ljust(len(_DATA), b"\x00")
+    pwritten = (data[:100] + new
+                + data[100 + len(new):]).ljust(len(data), b"\x00")
     return [
         CrashCase(
             "create_file",
             prepare=lambda fs: None,
-            run=lambda fs: fs.create_file("/d/new", _DATA),
+            run=lambda fs: fs.create_file("/d/new", data),
             applied=lambda fs: (path_exists(fs, "/d/new")
-                                and fs.read_file("/d/new") == _DATA),
+                                and fs.read_file("/d/new") == data),
             rolled_back=lambda fs: not path_exists(fs, "/d/new")),
         CrashCase(
             "mkdir",
@@ -116,12 +104,12 @@ def build_cases(data: bytes | None = None,
             rolled_back=lambda fs: not path_exists(fs, "/d/sub")),
         CrashCase(
             "unlink",
-            prepare=lambda fs: fs.create_file("/d/victim", _DATA),
+            prepare=lambda fs: fs.create_file("/d/victim", data),
             run=lambda fs: fs.unlink("/d/victim"),
             applied=lambda fs: not path_exists(fs, "/d/victim"),
             rolled_back=lambda fs: (
                 path_exists(fs, "/d/victim")
-                and fs.read_file("/d/victim") == _DATA)),
+                and fs.read_file("/d/victim") == data)),
         CrashCase(
             "rmdir",
             prepare=lambda fs: fs.mkdir("/d/doomed"),
@@ -130,146 +118,102 @@ def build_cases(data: bytes | None = None,
             rolled_back=lambda fs: path_exists(fs, "/d/doomed")),
         CrashCase(
             "rename",
-            prepare=lambda fs: fs.create_file("/d/old", _DATA),
+            prepare=lambda fs: fs.create_file("/d/old", data),
             run=lambda fs: fs.rename("/d/old", "/d/moved"),
             applied=lambda fs: (not path_exists(fs, "/d/old")
-                                and fs.read_file("/d/moved") == _DATA),
+                                and fs.read_file("/d/moved") == data),
             rolled_back=lambda fs: (not path_exists(fs, "/d/moved")
-                                    and fs.read_file("/d/old") == _DATA)),
+                                    and fs.read_file("/d/old") == data)),
         CrashCase(
             "link",
-            prepare=lambda fs: fs.create_file("/d/orig", _DATA),
+            prepare=lambda fs: fs.create_file("/d/orig", data),
             run=lambda fs: fs.link("/d/orig", "/d/alias"),
-            applied=lambda fs: (fs.read_file("/d/alias") == _DATA
+            applied=lambda fs: (fs.read_file("/d/alias") == data
                                 and fs.lstat("/d/orig").nlink == 2),
             rolled_back=lambda fs: (not path_exists(fs, "/d/alias")
                                     and fs.lstat("/d/orig").nlink == 1)),
         CrashCase(
             "symlink",
-            prepare=lambda fs: fs.create_file("/d/target", _DATA),
+            prepare=lambda fs: fs.create_file("/d/target", data),
             run=lambda fs: fs.symlink("/d/target", "/d/ln"),
             applied=lambda fs: (fs.readlink("/d/ln") == "/d/target"
-                                and fs.read_file("/d/ln") == _DATA),
+                                and fs.read_file("/d/ln") == data),
             rolled_back=lambda fs: not path_exists(fs, "/d/ln")),
         CrashCase(
             "writeback-pwrite",
-            prepare=lambda fs: fs.create_file("/d/f", _DATA),
+            prepare=lambda fs: fs.create_file("/d/f", data),
             run=pwrite_run,
             applied=lambda fs: fs.read_file("/d/f") == pwritten,
-            rolled_back=lambda fs: fs.read_file("/d/f") == _DATA),
+            rolled_back=lambda fs: fs.read_file("/d/f") == data),
         CrashCase(
             "writeback-truncate",
-            prepare=lambda fs: fs.create_file("/d/f", _DATA),
+            prepare=lambda fs: fs.create_file("/d/f", data),
             run=truncate_run,
-            applied=lambda fs: fs.read_file("/d/f") == _DATA[:60],
-            rolled_back=lambda fs: fs.read_file("/d/f") == _DATA),
+            applied=lambda fs: fs.read_file("/d/f") == data[:60],
+            rolled_back=lambda fs: fs.read_file("/d/f") == data),
     ]
 
 
-class CrashMatrix:
-    """A tiny enterprise wired for snapshot/restore crash sweeps."""
+class CrashMatrix(Sweep):
+    """Every op of :func:`build_cases`, crashed at every mutation,
+    recovered by a fresh mount or by ``fsck --repair``."""
 
-    def __init__(self, seed: int = 0, key_bits: int = 512):
+    MODES = (MOUNT, FSCK)
+    COLUMNS = (
+        ("op", "<20", lambda o: o.op),
+        ("recovery", "<8", lambda o: o.recovery),
+        ("k", ">3", lambda o: o.crash_point),
+        ("T", ">3", lambda o: o.total_points),
+        ("outcome", "<12", lambda o: o.outcome),
+        ("fsck", "<5", lambda o: "ok" if o.fsck_clean else "DIRTY"),
+        ("orphans", ">7", lambda o: o.orphans),
+    )
+    RULE = 63
+    NOUN = "crash points"
+
+    def __init__(self, seed: int = 0):
         rng = random.Random(seed)
-        self.data = bytes(rng.randrange(256) for _ in range(3 * _BLOCK))
-        self.new = bytes(rng.randrange(256) for _ in range(700))
-        self.registry = PrincipalRegistry()
-        for name in ("alice", "bob"):
-            self.registry.add_user(User(
-                user_id=name,
-                keypair=rsa.generate_keypair(key_bits)))
-        self.registry.create_group("eng", {"alice", "bob"},
-                                   key_bits=key_bits)
-        self.server = StorageServer()
-        self.volume = SharoesVolume(self.server, self.registry,
-                                    block_size=_BLOCK)
-        self.volume.format(root_owner="alice", root_group="eng")
-        GroupKeyService(self.registry, self.server,
-                        CryptoProvider()).publish_all()
-        base = self.client()
-        base.mkdir("/d")
-        self._base_blobs = self.server.snapshot_blobs()
-        self._base_next = self.volume.allocator._next
+        data = bytes(rng.randrange(256) for _ in range(3 * BLOCK))
+        new = bytes(rng.randrange(256) for _ in range(700))
+        self.cases = build_cases(data, new)
+        self.rig = Rig(principals(("alice", "bob")), journal=True,
+                       cache_bytes=0)
 
-    def client(self, server=None) -> SharoesFilesystem:
-        fs = SharoesFilesystem(
-            self.volume, self.registry.user("alice"),
-            config=ClientConfig(journal=True, cache_bytes=0),
-            server=server)
-        fs.mount()
-        return fs
-
-    def _restore(self, blobs, next_inode: int) -> None:
-        self.server.restore_blobs(blobs)
-        self.volume.allocator._next = next_inode
-
-    def _audit(self) -> tuple[bool, int]:
-        report = VolumeAuditor(self.volume).audit()
-        return report.clean, len(report.orphaned_blobs)
-
-    def run_case(self, case: CrashCase,
-                 recovery: str = MOUNT) -> list[CrashOutcome]:
-        """Sweep every crash point of one op under one recovery mode."""
-        self._restore(self._base_blobs, self._base_next)
-        case.prepare(self.client())
-        checkpoint = self.server.snapshot_blobs()
-        next_inode = self.volume.allocator._next
-
-        # Counting run: discover T, and prove the op lands when nothing
-        # crashes (the oracle itself is exercised here).
-        counter = CrashingServer(self.server)
-        case.run(self.client(server=counter))
-        total = counter.mutations
-        if not holds(case.applied, self.client()):
+    def count(self, case: CrashCase) -> int:
+        """Prepare the op's state, then run it once uncrashed: that
+        discovers T and proves the oracle accepts the op landing."""
+        rig = self.rig
+        rig.restore()
+        case.prepare(rig.client("alice"))
+        self._checkpoint = rig.snapshot()
+        counter = MutationTrigger(rig.server)
+        case.run(rig.client("alice", counter))
+        if not holds(case.applied, rig.client("alice")):
             raise AssertionError(f"{case.name}: oracle rejects the "
                                  f"crash-free run")
+        return counter.mutations
 
-        outcomes = []
-        for k in range(1, total + 1):
-            self._restore(checkpoint, next_inode)
-            crasher = CrashingServer(self.server, crash_after=k)
-            try:
-                case.run(self.client(server=crasher))
-                raise AssertionError(
-                    f"{case.name}: no crash at k={k} (T={total})")
-            except ClientCrashed:
-                pass
-            if recovery == FSCK:
-                VolumeAuditor(self.volume).repair()
-            probe = self.client()  # mount() replays pending intents
-            applied = holds(case.applied, probe)
-            rolled_back = (not applied) and holds(case.rolled_back, probe)
-            clean, orphans = self._audit()
-            outcome = ("applied" if applied
-                       else "rolled_back" if rolled_back
-                       else "INCONSISTENT")
-            outcomes.append(CrashOutcome(
-                op=case.name, crash_point=k, total_points=total,
-                recovery=recovery, outcome=outcome,
-                fsck_clean=clean, orphans=orphans))
-        return outcomes
-
-    def run(self, recoveries: tuple[str, ...] = (MOUNT, FSCK),
-            cases: list[CrashCase] | None = None) -> list[CrashOutcome]:
-        results = []
-        for case in cases or build_cases(self.data, self.new):
-            for recovery in recoveries:
-                results.extend(self.run_case(case, recovery))
-        return results
-
-
-def outcomes_table(outcomes: list[CrashOutcome]) -> str:
-    """Render the recovery-outcomes table (the CI artifact)."""
-    lines = [f"{'op':<20} {'recovery':<8} {'k':>3} {'T':>3} "
-             f"{'outcome':<12} {'fsck':<5} {'orphans':>7}",
-             "-" * 63]
-    for o in outcomes:
-        lines.append(
-            f"{o.op:<20} {o.recovery:<8} {o.crash_point:>3} "
-            f"{o.total_points:>3} {o.outcome:<12} "
-            f"{'ok' if o.fsck_clean else 'DIRTY':<5} {o.orphans:>7}")
-    bad = sum(1 for o in outcomes if not o.consistent)
-    lines.append("-" * 63)
-    lines.append(f"{len(outcomes)} crash points, "
-                 f"{bad} inconsistent")
-    return "\n".join(lines)
+    def cell(self, case: CrashCase, recovery: str, k: int,
+             total: int) -> CrashOutcome:
+        rig = self.rig
+        rig.restore(self._checkpoint)
+        try:
+            case.run(rig.client("alice",
+                                MutationTrigger(rig.server, {k: crash})))
+            raise AssertionError(
+                f"{case.name}: no crash at k={k} (T={total})")
+        except ClientCrashed:
+            pass
+        if recovery == FSCK:
+            VolumeAuditor(rig.volume).repair()
+        probe = rig.client("alice")  # mount() replays pending intents
+        applied = holds(case.applied, probe)
+        rolled_back = (not applied) and holds(case.rolled_back, probe)
+        clean, orphans = rig.audit()
+        outcome = ("applied" if applied
+                   else "rolled_back" if rolled_back
+                   else "INCONSISTENT")
+        return CrashOutcome(
+            op=case.name, crash_point=k, total_points=total,
+            recovery=recovery, outcome=outcome,
+            fsck_clean=clean, orphans=orphans)

@@ -176,10 +176,8 @@ class VolumeAuditor:
             except (BlobNotFound, StorageError):
                 continue
             try:
-                records = journal.open_journal(
-                    CryptoProvider(getattr(self.volume, "engine",
-                                           "stream")),
-                    user, blob)
+                records = journal.open_journal(CryptoProvider(), user,
+                                               blob)
             except IntegrityError as exc:
                 report.integrity_errors.append(
                     f"journal[{user.user_id}]: {exc}")
@@ -283,8 +281,7 @@ class VolumeAuditor:
         """
         report = RepairReport()
         server = self.volume.server
-        provider = CryptoProvider(getattr(self.volume, "engine",
-                                          "stream"))
+        provider = CryptoProvider()
         for user in self.volume.registry.users():
             jid = journal_blob(user.user_id)
             try:

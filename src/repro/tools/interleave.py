@@ -5,7 +5,7 @@ harness sweeps deterministic interleavings of the *first* client's SSP
 mutation sequence:
 
 * **sequential** -- the first op runs to completion, then the others
-  (the baseline; also the counting run that discovers T);
+  (the baseline, one cell at k = 0);
 * **preempt k = 1..T** -- the first client pauses just before its k-th
   SSP mutation, the other clients run their ops to completion (an op
   blocked by the paused client's lease is *deferred* and retried after
@@ -39,21 +39,13 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-from ..crypto import rsa
-from ..crypto.provider import CryptoProvider
 from ..errors import (ClientCrashed, FileExists, LeaseHeldError,
                       LeaseLostError)
-from ..fs.client import ClientConfig, SharoesFilesystem
+from ..fs.client import SharoesFilesystem
 from ..fs.consistency import ForkDetected
-from ..fs.volume import SharoesVolume
-from ..principals.groups import GroupKeyService
-from ..principals.registry import PrincipalRegistry
-from ..principals.users import User
 from ..sim.clock import SimClock
-from ..storage.resilient import CrashingServer, ServerWrapper
-from ..storage.server import MUTATION_KINDS, BatchOp, StorageServer
-from .fsck import VolumeAuditor
-from .twin import holds, path_exists
+from ..storage.resilient import MutationTrigger, crash
+from .twin import BLOCK, Rig, Sweep, holds, path_exists, principals
 
 #: interleaving modes the matrix sweeps.
 SEQUENTIAL = "sequential"
@@ -63,43 +55,9 @@ ZOMBIE = "zombie"
 
 MODES = (SEQUENTIAL, PREEMPT, CRASH, ZOMBIE)
 
-_BLOCK = 256
 _LEASE_S = 5.0
 #: rounds of deferred-op retries before declaring a schedule stuck.
 _DRAIN_ROUNDS = 5
-
-
-class PauseServer(ServerWrapper):
-    """Runs ``hook()`` once, just before the k-th SSP mutation.
-
-    The synchronous stand-in for a context switch: the wrapped client
-    is "descheduled" at an exact point in its wire sequence while other
-    clients run.  Counts ``MUTATION_KINDS`` like
-    :class:`~repro.storage.resilient.CrashingServer` (puts, deletes,
-    CAS and fenced variants), so crash and preempt sweeps share k.
-    """
-
-    def __init__(self, inner: StorageServer,
-                 pause_at: int | None = None,
-                 hook: Callable[[], None] | None = None):
-        super().__init__(inner, name=f"pausing({inner.name})")
-        self.pause_at = pause_at
-        self.hook = hook
-        self.mutations = 0
-        self._fired = False
-
-    def _mutation(self) -> None:
-        self.mutations += 1
-        if (self.hook is not None and not self._fired
-                and self.pause_at is not None
-                and self.mutations >= self.pause_at):
-            self._fired = True
-            self.hook()
-
-    def _forward(self, op: BatchOp):
-        if op.kind in MUTATION_KINDS:
-            self._mutation()
-        return op.call(self.inner)
 
 
 @dataclass(frozen=True)
@@ -231,75 +189,60 @@ def build_cases(payloads: dict[str, bytes]) -> list[InterleaveCase]:
     ]
 
 
-class InterleaveMatrix:
-    """A tiny multi-client enterprise wired for interleaving sweeps."""
+class InterleaveMatrix(Sweep):
+    """Every case of :func:`build_cases` under every interleaving mode."""
 
     USERS = ("alice", "bob", "carol")
+    MODES = MODES
+    ONCE = (SEQUENTIAL,)
+    COLUMNS = (
+        ("case", "<22", lambda o: o.case),
+        ("mode", "<10", lambda o: o.mode),
+        ("k", ">3", lambda o: o.point),
+        ("T", ">3", lambda o: o.total_points),
+        ("outcome", "<18", lambda o: o.outcome),
+        ("first-error", "<15", lambda o: o.first_error or "-"),
+        ("defer", ">5", lambda o: o.deferred),
+        ("fsck", "<5", lambda o: "ok" if o.fsck_clean else "DIRTY"),
+        ("orph", ">4", lambda o: o.orphans),
+        ("vsl", "<4", lambda o: "ok" if o.vsl_ok else "FORK"),
+    )
 
-    def __init__(self, seed: int = 0, key_bits: int = 512,
-                 server_factory: "Callable | None" = None):
+    def __init__(self, seed: int = 0, server=None,
+                 clock: SimClock | None = None):
         rng = random.Random(seed)
-        self.payloads = {
+        self.cases = build_cases({
             name: bytes(rng.randrange(256) for _ in range(size))
-            for name, size in (("a", 2 * _BLOCK), ("b", _BLOCK + 17),
-                               ("c", 3 * _BLOCK), ("x", _BLOCK))}
-        self.clock = SimClock()
-        self.registry = PrincipalRegistry()
-        for name in self.USERS:
-            self.registry.add_user(User(
-                user_id=name, keypair=rsa.generate_keypair(key_bits)))
-        self.registry.create_group("eng", set(self.USERS),
-                                   key_bits=key_bits)
-        #: ``server_factory(clock)`` swaps the backing store -- the
+            for name, size in (("a", 2 * BLOCK), ("b", BLOCK + 17),
+                               ("c", 3 * BLOCK), ("x", BLOCK))})
+        #: ``server`` (over ``clock``) swaps the backing store -- the
         #: composed campaign (tools/campaign.py) runs the same sweeps
         #: over a ShardedServer with adversarial shards.
-        self.server = (server_factory(self.clock)
-                       if server_factory is not None else StorageServer())
-        self.volume = SharoesVolume(self.server, self.registry,
-                                    block_size=_BLOCK, clock=self.clock)
-        self.volume.format(root_owner="alice", root_group="eng")
-        GroupKeyService(self.registry, self.server,
-                        CryptoProvider()).publish_all()
-        base = self.client("alice")
-        base.mkdir("/d", mode=0o775)
-        base.unmount()
-        self._base_blobs = self.server.snapshot_blobs()
-        self._base_next = self.volume.allocator._next
-        self._base_now = self.clock.now
+        self.rig = Rig(principals(self.USERS), server, clock,
+                       journal=True, lease=True, lease_duration_s=_LEASE_S,
+                       cache_bytes=0)
 
     # -- plumbing ------------------------------------------------------------
 
-    def client(self, user_id: str, server=None,
-               consistency: bool = False,
-               warm: "Callable | None" = None) -> SharoesFilesystem:
-        fs = SharoesFilesystem(
-            self.volume, self.registry.user(user_id),
-            config=ClientConfig(journal=True, lease=True,
-                                lease_duration_s=_LEASE_S,
-                                cache_bytes=0 if warm is None else None),
-            server=server)
-        if consistency:
-            fs.enable_consistency_log()
-        fs.mount()
+    def _client(self, user_id: str, server=None, consistency: bool = False,
+                warm: "Callable | None" = None) -> SharoesFilesystem:
+        """A leasing client; a ``warm`` case mounts it with a cache and
+        runs ``warm`` on it right away."""
+        fs = self.rig.client(user_id, server, consistency,
+                             cache_bytes=0 if warm is None else None)
         if warm is not None:
             warm(fs)
         return fs
 
-    def _probe(self) -> SharoesFilesystem:
-        """A fresh plain client for oracle checks (no lease, no journal)."""
-        fs = SharoesFilesystem(self.volume, self.registry.user("alice"),
-                               config=ClientConfig(cache_bytes=0))
-        fs.mount()
-        return fs
-
     def _restore(self) -> None:
-        self.server.restore_blobs(self._base_blobs)
-        self.volume.allocator._next = self._base_next
-        self.clock.reset(self._base_now)
+        self.rig.restore()
 
-    def _audit(self) -> tuple[bool, int]:
-        report = VolumeAuditor(self.volume).audit()
-        return report.clean, len(report.orphaned_blobs)
+    def _prepare(self, case: InterleaveCase) -> None:
+        """Pristine volume plus the case's own starting state."""
+        self._restore()
+        prep = self._client("alice")
+        case.prepare(prep)
+        prep.unmount()
 
     # -- one schedule --------------------------------------------------------
 
@@ -319,7 +262,7 @@ class InterleaveMatrix:
             if len(requeue) == len(pending):
                 # Every rider is still blocked: the only legal holder is
                 # a dead/paused client -- wait out the lease.
-                self.clock.advance(_LEASE_S + 1.0)
+                self.rig.clock.advance(_LEASE_S + 1.0)
             pending = requeue
         return deferred, not pending
 
@@ -339,16 +282,12 @@ class InterleaveMatrix:
             return False
         return True
 
-    def run_cell(self, case: InterleaveCase, mode: str,
-                 point: int = 0,
-                 total: int | None = None) -> InterleaveOutcome:
+    def cell(self, case: InterleaveCase, mode: str, point: int,
+             total: int) -> InterleaveOutcome:
         """Run one schedule from a pristine volume and judge it."""
-        self._restore()
-        prep = self.client("alice")
-        case.prepare(prep)
-        prep.unmount()
-
-        riders = {uid: self.client(uid, consistency=True, warm=case.warm)
+        self._prepare(case)
+        clock = self.rig.clock
+        riders = {uid: self._client(uid, consistency=True, warm=case.warm)
                   for uid, _ in case.others}
         pending: list = []
         deferred = 0
@@ -362,20 +301,17 @@ class InterleaveMatrix:
                     deferred += 1
                     pending.append((user_id, op))
 
+        def pause() -> None:
+            if mode == ZOMBIE:
+                clock.advance(_LEASE_S + 1.0)
+            run_riders()
+
         first_error = ""
-        if mode == CRASH:
-            first_server = CrashingServer(self.server, crash_after=point)
-        elif mode in (PREEMPT, ZOMBIE):
-            def hook() -> None:
-                if mode == ZOMBIE:
-                    self.clock.advance(_LEASE_S + 1.0)
-                run_riders()
-            first_server = PauseServer(self.server, pause_at=point,
-                                       hook=hook)
-        else:
-            first_server = None
-        first = self.client("alice", server=first_server,
-                            consistency=True, warm=case.warm)
+        action = {CRASH: crash, PREEMPT: pause, ZOMBIE: pause}.get(mode)
+        first_server = (MutationTrigger(self.rig.server, {point: action})
+                        if action is not None else None)
+        first = self._client("alice", first_server, consistency=True,
+                             warm=case.warm)
 
         try:
             case.first(first)
@@ -389,7 +325,7 @@ class InterleaveMatrix:
             first_error = "LeaseHeldError"
 
         if mode == CRASH:
-            self.clock.advance(_LEASE_S + 1.0)
+            clock.advance(_LEASE_S + 1.0)
         if mode in (SEQUENTIAL, CRASH):
             run_riders()
         drained_deferred, drained = self._drain(pending, riders)
@@ -408,7 +344,7 @@ class InterleaveMatrix:
             survivors["alice"] = first
         vsl_ok = drained and self._vsl_round(survivors)
 
-        probe = self._probe()
+        probe = self.rig.probe()
         if holds(case.all_applied, probe):
             outcome = "all_applied"
         elif (first_error and holds(case.first_rolled_back, probe)):
@@ -416,63 +352,16 @@ class InterleaveMatrix:
         else:
             outcome = (f"INCONSISTENT (first_error="
                        f"{first_error or 'none'})")
-        clean, orphans = self._audit()
+        clean, orphans = self.rig.audit()
         return InterleaveOutcome(
-            case=case.name, mode=mode, point=point,
-            total_points=total if total is not None else point,
+            case=case.name, mode=mode, point=point, total_points=total,
             outcome=outcome, first_error=first_error,
             deferred=deferred, fsck_clean=clean, orphans=orphans,
             vsl_ok=vsl_ok)
 
-    # -- sweeps --------------------------------------------------------------
-
-    def count_points(self, case: InterleaveCase) -> int:
+    def count(self, case: InterleaveCase) -> int:
         """Counting run: how many SSP mutations the first op issues."""
-        self._restore()
-        prep = self.client("alice")
-        case.prepare(prep)
-        prep.unmount()
-        counter = CrashingServer(self.server)
-        first = self.client("alice", server=counter, warm=case.warm)
-        case.first(first)
+        self._prepare(case)
+        counter = MutationTrigger(self.rig.server)
+        case.first(self._client("alice", counter, warm=case.warm))
         return counter.mutations
-
-    def run_case(self, case: InterleaveCase,
-                 modes: tuple = MODES) -> list[InterleaveOutcome]:
-        total = self.count_points(case)
-        outcomes = []
-        if SEQUENTIAL in modes:
-            outcomes.append(self.run_cell(case, SEQUENTIAL, 0, total))
-        for mode in (PREEMPT, CRASH, ZOMBIE):
-            if mode not in modes:
-                continue
-            for k in range(1, total + 1):
-                outcomes.append(self.run_cell(case, mode, k, total))
-        return outcomes
-
-    def run(self, modes: tuple = MODES,
-            cases: list[InterleaveCase] | None = None
-            ) -> list[InterleaveOutcome]:
-        results = []
-        for case in cases or build_cases(self.payloads):
-            results.extend(self.run_case(case, modes))
-        return results
-
-
-def outcomes_table(outcomes: list[InterleaveOutcome]) -> str:
-    """Render the schedule-outcomes table (the CI artifact)."""
-    lines = [f"{'case':<22} {'mode':<10} {'k':>3} {'T':>3} "
-             f"{'outcome':<18} {'first-error':<15} {'defer':>5} "
-             f"{'fsck':<5} {'orph':>4} {'vsl':<4}",
-             "-" * 100]
-    for o in outcomes:
-        lines.append(
-            f"{o.case:<22} {o.mode:<10} {o.point:>3} "
-            f"{o.total_points:>3} {o.outcome:<18} "
-            f"{(o.first_error or '-'):<15} {o.deferred:>5} "
-            f"{'ok' if o.fsck_clean else 'DIRTY':<5} {o.orphans:>4} "
-            f"{'ok' if o.vsl_ok else 'FORK':<4}")
-    bad = sum(1 for o in outcomes if not o.consistent)
-    lines.append("-" * 100)
-    lines.append(f"{len(outcomes)} cells, {bad} inconsistent")
-    return "\n".join(lines)

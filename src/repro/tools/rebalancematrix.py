@@ -33,28 +33,23 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Sequence
 
-from ..crypto import rsa
 from ..errors import ClientCrashed
-from ..fs.client import ClientConfig, SharoesFilesystem
-from ..fs.volume import SharoesVolume
-from ..principals.groups import GroupKeyService
-from ..principals.registry import PrincipalRegistry
-from ..principals.users import User
+from ..fs.client import SharoesFilesystem
 from ..sim.clock import SimClock
 from ..storage.faults import CrashingRebalancer
 from ..storage.rebalance import Rebalancer
 from ..storage.server import StorageServer
 from ..storage.shards import RingSpec, ShardedServer
-from ..crypto.provider import CryptoProvider
-from .fsck import VolumeAuditor
-from .twin import pinned_entropy, visible_tree
+from .twin import (BLOCK, Rig, Sweep, pinned_entropy, principals,
+                   visible_tree)
 
 #: recovery variants crossed with every crash point.
 VARIANTS = ("resume", "repair", "writes", "shard-down")
 
-_BLOCK = 256
+#: the base ring (shards x replicas), its attached spares, and the
+#: files the volume holds when a rebalance starts.
+_SHARDS, _REPLICAS, _SPARES, _FILES = 4, 2, 2, 5
 
 
 @dataclass
@@ -84,130 +79,121 @@ class RebalanceOutcome:
                 and self.plan_cleared)
 
 
-class RebalanceMatrix:
-    """Twin-stack crash sweep over one topology transition."""
+@dataclass(frozen=True)
+class RebalanceCase:
+    """One topology transition: the ring the plan moves the store to."""
 
-    def __init__(self, seed: int = 0, key_bits: int = 512,
-                 shards: int = 4, replicas: int = 2, spares: int = 2,
-                 target_replicas: int = 3, files: int = 5):
+    name: str
+    members: tuple[int, ...]
+    replicas: int
+
+
+#: the transitions swept, from the base ring of 4 shards at k = 2 with
+#: 2 spares attached.
+CASES = (RebalanceCase("grow-4x2-6x3", tuple(range(6)), 3),)
+
+
+class RebalanceMatrix(Sweep):
+    """Twin-stack crash sweep over each topology transition."""
+
+    MODES = VARIANTS
+    COLUMNS = (
+        ("variant", "<12", lambda o: o.variant),
+        ("k", ">4", lambda o: o.point),
+        ("T", ">4", lambda o: o.total_points),
+        ("step", "<9", lambda o: o.step),
+        ("plan", "<12", lambda o: o.plan_action),
+        ("ring", "<7", lambda o: o.ring),
+        ("blobs", "<6", lambda o: "ok" if o.blobs_ok else "DIFF"),
+        ("tree", "<5", lambda o: "ok" if o.tree_ok else "DIFF"),
+        ("fsck", "<5",
+         lambda o: "ok" if o.fsck_clean and not o.orphans else "DIRTY"),
+        ("repl", "<5", lambda o: "ok" if o.replicated else "UNDER"),
+        ("verdict", "<12",
+         lambda o: "consistent" if o.consistent else "INCONSISTENT"),
+    )
+    RULE = 92
+    cases = CASES
+
+    def __init__(self, seed: int = 0):
         self.seed = seed
         rng = random.Random(seed)
-        sizes = [_BLOCK * (1 + rng.randrange(3)) + rng.randrange(64)
-                 for _ in range(files)]
-        self.payloads = [bytes(rng.randrange(256) for _ in range(size))
-                         for size in sizes]
+        sizes = [BLOCK * (1 + rng.randrange(3)) + rng.randrange(64)
+                 for _ in range(_FILES)]
+        payloads = [bytes(rng.randrange(256) for _ in range(size))
+                    for size in sizes]
         with pinned_entropy(seed * 7 + 1):
-            self.registry = PrincipalRegistry()
-            self.registry.add_user(User(
-                user_id="alice",
-                keypair=rsa.generate_keypair(key_bits)))
-            self.registry.create_group("eng", {"alice"},
-                                       key_bits=key_bits)
-        self.keypair = self.registry.user("alice").keypair
+            registry = principals(("alice",))
+        self.keypair = registry.user("alice").keypair
 
-        self.clock_s = SimClock()
-        self.clock_p = SimClock()
-        self.sharded = ShardedServer(shards=shards, replicas=replicas,
-                                     clock=self.clock_s)
-        for _ in range(spares):
-            self.sharded.add_shard()
-        self.plain = StorageServer(name="twin-ssp")
-        self.volume_s = self._build(self.sharded, self.clock_s)
-        self.volume_p = self._build(self.plain, self.clock_p)
-        self.base_ring = self.sharded.ring
-        self.target_ring = RingSpec(tuple(range(shards + spares)),
-                                    target_replicas)
+        def populate(fs: SharoesFilesystem) -> None:
+            for i, payload in enumerate(payloads):
+                fs.create_file(f"/d/f{i}", mode=0o664)
+                fs.write_file(f"/d/f{i}", payload)
 
-        self._base_sharded = self.sharded.snapshot_blobs()
-        self._base_plain = self.plain.snapshot_blobs()
-        if self._base_sharded != self._base_plain:
+        def stack(server, clock: SimClock) -> Rig:
+            # Identical entropy streams: both stacks mint the same keys.
+            with pinned_entropy(seed * 7 + 2):
+                return Rig(registry, server, clock, populate, journal=True,
+                           lease=True, cache_bytes=0)
+
+        clock = SimClock()
+        sharded = ShardedServer(shards=_SHARDS, replicas=_REPLICAS,
+                                clock=clock)
+        for _ in range(_SPARES):
+            sharded.add_shard()
+        self.sharded = stack(sharded, clock)
+        self.plain = stack(StorageServer(name="twin-ssp"), SimClock())
+        self.base_ring = sharded.ring
+        if self.sharded.pristine[0] != self.plain.pristine[0]:
             raise AssertionError(
                 "twin stacks diverged during setup -- the entropy "
                 "pinning no longer covers every crypto draw")
-        self._base_next_s = self.volume_s.allocator._next
-        self._base_next_p = self.volume_p.allocator._next
-        self._base_tree = visible_tree(self._probe(self.volume_p))
-
-    # -- setup ---------------------------------------------------------------
-
-    def _build(self, server, clock) -> SharoesVolume:
-        """Format + populate one stack (identical entropy stream each)."""
-        with pinned_entropy(self.seed * 7 + 2):
-            volume = SharoesVolume(server, self.registry,
-                                   block_size=_BLOCK, clock=clock)
-            volume.format(root_owner="alice", root_group="eng")
-            GroupKeyService(self.registry, server,
-                            CryptoProvider()).publish_all()
-            fs = self._client(volume)
-            fs.mkdir("/d", mode=0o775)
-            for i, payload in enumerate(self.payloads):
-                fs.create_file(f"/d/f{i}", mode=0o664)
-                fs.write_file(f"/d/f{i}", payload)
-            fs.unmount()
-        return volume
-
-    def _client(self, volume: SharoesVolume) -> SharoesFilesystem:
-        fs = SharoesFilesystem(
-            volume, self.registry.user("alice"),
-            config=ClientConfig(journal=True, lease=True,
-                                cache_bytes=0))
-        fs.mount()
-        return fs
-
-    def _probe(self, volume: SharoesVolume) -> SharoesFilesystem:
-        fs = SharoesFilesystem(volume, self.registry.user("alice"),
-                               config=ClientConfig(cache_bytes=0))
-        fs.mount()
-        return fs
+        self._base_tree = visible_tree(self.plain.probe())
 
     def _restore(self) -> None:
         """Both stacks back to the pristine base, old ring active."""
-        self.sharded.clear_wrappers()
-        self.sharded.set_ring(self.base_ring.members,
-                              self.base_ring.replicas)
-        self.sharded.restore_blobs(self._base_sharded)
-        self.plain.restore_blobs(self._base_plain)
-        self.volume_s.allocator._next = self._base_next_s
-        self.volume_p.allocator._next = self._base_next_p
-        self.clock_s.reset(0.0)
-        self.clock_p.reset(0.0)
+        server = self.sharded.server
+        server.clear_wrappers()
+        server.set_ring(self.base_ring.members, self.base_ring.replicas)
+        self.sharded.restore()
+        self.plain.restore()
 
     # -- the sweep -----------------------------------------------------------
 
-    def count_points(self) -> int:
+    def count(self, case: RebalanceCase) -> int:
         """Calibration run: T pipeline actions in a clean rebalance."""
         self._restore()
         counter = CrashingRebalancer(crash_after=None)
-        reb = Rebalancer(self.sharded, keypair=self.keypair,
+        reb = Rebalancer(self.sharded.server, keypair=self.keypair,
                          hook=counter)
-        reb.propose(self.target_ring.members, self.target_ring.replicas)
+        reb.propose(case.members, case.replicas)
         reb.execute()
-        self._steps = [step for step, _ in counter.log]
         return counter.actions
 
     def _extra_writes(self, cell_seed: int) -> None:
         """The same mid-recovery ops on both stacks (pinned per cell)."""
-        for volume in (self.volume_p, self.volume_s):
+        for rig in (self.plain, self.sharded):
             with pinned_entropy(cell_seed):
-                fs = self._client(volume)
+                fs = rig.client("alice")
                 fs.write_file("/d/f0", b"rewritten-" + bytes(
                     random.Random(cell_seed).randrange(256)
-                    for _ in range(_BLOCK)))
+                    for _ in range(BLOCK)))
                 fs.create_file("/d/mid", mode=0o664)
                 fs.write_file("/d/mid", b"written mid-rebalance")
                 fs.unmount()
 
-    def run_cell(self, point: int, variant: str,
-                 total: int) -> RebalanceOutcome:
+    def cell(self, case: RebalanceCase, variant: str, point: int,
+             total: int) -> RebalanceOutcome:
         self._restore()
-        server = self.sharded
+        server = self.sharded.server
+        target = RingSpec(case.members, case.replicas)
         hook = CrashingRebalancer(crash_after=point)
         reb = Rebalancer(server, keypair=self.keypair, hook=hook)
         crashed = False
         step = ""
         try:
-            reb.propose(self.target_ring.members,
-                        self.target_ring.replicas)
+            reb.propose(target.members, target.replicas)
             reb.execute()
         except ClientCrashed:
             crashed = True
@@ -221,7 +207,7 @@ class RebalanceMatrix:
                 # rotate the victim with the crash point.
                 down = self.base_ring.members[
                     point % len(self.base_ring.members)]
-                server.outage(down, start_s=self.clock_s.now)
+                server.outage(down, start_s=self.sharded.clock.now)
             if variant == "writes":
                 self._extra_writes(self.seed * 1_000_003 + point)
             if variant == "repair":
@@ -240,7 +226,7 @@ class RebalanceMatrix:
         if not repair.fully_replicated:
             repair = server.repair()
 
-        if server.ring == self.target_ring:
+        if server.ring == target:
             ring = "target"
         elif server.ring == self.base_ring:
             ring = "base"
@@ -248,53 +234,17 @@ class RebalanceMatrix:
             ring = "other"
         ring_ok = (ring == "base" if plan_action == "rolled_back"
                    else ring == "target")
-        blobs_ok = server.raw_blobs() == self.plain.raw_blobs()
+        blobs_ok = server.raw_blobs() == self.plain.server.raw_blobs()
         if variant == "writes" and crashed:
-            tree_ok = (visible_tree(self._probe(self.volume_s))
-                       == visible_tree(self._probe(self.volume_p)))
+            tree_ok = (visible_tree(self.sharded.probe())
+                       == visible_tree(self.plain.probe()))
         else:
-            tree_ok = (visible_tree(self._probe(self.volume_s))
-                       == self._base_tree)
-        audit = VolumeAuditor(self.volume_s).audit()
+            tree_ok = visible_tree(self.sharded.probe()) == self._base_tree
+        clean, orphans = self.sharded.audit()
         return RebalanceOutcome(
             variant=variant, point=point, total_points=total,
             step=step, crashed=crashed, plan_action=plan_action,
             ring=ring, ring_ok=ring_ok, blobs_ok=blobs_ok,
-            tree_ok=tree_ok, fsck_clean=audit.clean,
-            orphans=len(audit.orphaned_blobs),
+            tree_ok=tree_ok, fsck_clean=clean, orphans=orphans,
             replicated=repair.fully_replicated,
             plan_cleared=server.plan is None)
-
-    def run(self, variants: Sequence[str] = VARIANTS,
-            points: Sequence[int] | None = None
-            ) -> list[RebalanceOutcome]:
-        total = self.count_points()
-        ks = list(points) if points is not None else \
-            list(range(1, total + 1))
-        outcomes = []
-        for variant in variants:
-            for k in ks:
-                outcomes.append(self.run_cell(k, variant, total))
-        return outcomes
-
-
-def outcomes_table(outcomes: list[RebalanceOutcome]) -> str:
-    """Render the matrix outcome table (the CI artifact)."""
-    lines = [
-        f"{'variant':<12} {'k':>4} {'T':>4} {'step':<9} "
-        f"{'plan':<12} {'ring':<7} {'blobs':<6} {'tree':<5} "
-        f"{'fsck':<5} {'repl':<5} {'verdict':<12}",
-        "-" * 92]
-    for o in outcomes:
-        lines.append(
-            f"{o.variant:<12} {o.point:>4} {o.total_points:>4} "
-            f"{o.step:<9} {o.plan_action:<12} {o.ring:<7} "
-            f"{'ok' if o.blobs_ok else 'DIFF':<6} "
-            f"{'ok' if o.tree_ok else 'DIFF':<5} "
-            f"{'ok' if o.fsck_clean and not o.orphans else 'DIRTY':<5} "
-            f"{'ok' if o.replicated else 'UNDER':<5} "
-            f"{'consistent' if o.consistent else 'INCONSISTENT':<12}")
-    lines.append("-" * 92)
-    bad = sum(1 for o in outcomes if not o.consistent)
-    lines.append(f"{len(outcomes)} cells, {bad} inconsistent")
-    return "\n".join(lines)

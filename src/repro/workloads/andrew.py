@@ -167,7 +167,10 @@ def run_andrew(env: BenchEnv, seed: int = 5,
     for path in source_paths:
         fs.getattr(path)  # make's final freshness check
     flush_client(fs)
-    cost.charge_compute(COMPILE_CPU_SECONDS)
+    # Its own root span, so the run's spans count the compile CPU the
+    # cost model charges.
+    with fs.tracer.span("compile"):
+        cost.charge_compute(COMPILE_CPU_SECONDS)
     phase_seconds["compile"] = cost.clock.now - start
 
     return AndrewResult(impl=env.impl, phase_seconds=phase_seconds)

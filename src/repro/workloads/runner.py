@@ -52,18 +52,16 @@ class BenchEnv:
     registry: PrincipalRegistry
     server: StorageServer
     cost: CostModel
-    fs: SharoesFilesystem | BaselineFilesystem
+    fs: SharoesFilesystem | BaselineFilesystem | None = None
     _volume: object = None
     #: fault-injecting wrapper clients mount through (chaos benchmarks);
     #: None = clients talk to ``server`` directly.
     _client_server: object = None
-    #: wire-trace propagation on for every client of this environment
-    #: (including the fresh ones workloads mount for cache sweeps).
-    wire_trace: bool = False
     #: ClientConfig fields stamped onto *every* client of this
     #: environment, including the fresh ones workloads mint for cache
     #: sweeps (which otherwise build their own configs and would drop
-    #: environment-level knobs like ``concurrency``).
+    #: environment-level settings like ``concurrency``, ``wire_trace``
+    #: or the chaos runs' ``retry_policy``).
     client_overrides: dict = dataclasses.field(default_factory=dict)
 
     def fresh_client(self, config: ClientConfig | None = None,
@@ -75,8 +73,6 @@ class BenchEnv:
         if self.client_overrides:
             config = dataclasses.replace(config or ClientConfig(),
                                          **self.client_overrides)
-        if self.wire_trace:
-            config = _traced_config(config)
         if self.impl == "sharoes":
             fs = SharoesFilesystem(self._volume, self.user,
                                    cost_model=self.cost, config=config,
@@ -101,15 +97,6 @@ def flush_client(fs) -> None:
         flush()
 
 
-def _traced_config(config: ClientConfig | None) -> ClientConfig:
-    """Return ``config`` with ``wire_trace=True`` stamped on."""
-    if config is None:
-        return ClientConfig(wire_trace=True)
-    if getattr(config, "wire_trace", False):
-        return config
-    return dataclasses.replace(config, wire_trace=True)
-
-
 def make_env(impl: str, profile: CostProfile = PAPER_2008,
              config: ClientConfig | None = None,
              extra_users: tuple[str, ...] = (),
@@ -120,7 +107,7 @@ def make_env(impl: str, profile: CostProfile = PAPER_2008,
 
     ``flaky_p`` > 0 interposes a transient-fault injector between the
     client and the SSP, failing that fraction of requests (seeded, so
-    runs replay); the client then mounts with a default
+    runs replay); every client then mounts with a default
     :class:`~repro.storage.resilient.RetryPolicy` unless the config
     already carries one.  Formatting bypasses the injector so every
     environment starts from an intact volume.
@@ -161,45 +148,34 @@ def make_env(impl: str, profile: CostProfile = PAPER_2008,
                                clock=clock)
     else:
         server = StorageServer()
-    cost = CostModel(profile, clock)
-    client_server = None
-    if wire_trace and impl == "sharoes":
-        config = _traced_config(config)
-
+    env = BenchEnv(impl=impl, user=user, registry=registry, server=server,
+                   cost=CostModel(profile, clock))
     if impl == "sharoes":
-        volume = SharoesVolume(server, registry)
-        volume.format(root_owner="alice", root_group="eng")
+        env._volume = SharoesVolume(server, registry)
+        env._volume.format(root_owner="alice", root_group="eng")
+        if getattr(config, "concurrency", 0):
+            env.client_overrides["concurrency"] = config.concurrency
+        if wire_trace:
+            env.client_overrides["wire_trace"] = True
         if flaky_p:
             from ..storage.resilient import FlakyServer, RetryPolicy
-            client_server = FlakyServer(server, failure_rate=flaky_p,
-                                        seed=flaky_seed)
-            # Volume-level default so every client -- including the
-            # fresh ones workloads mount for cache sweeps -- retries.
-            if volume.retry_policy is None:
-                volume.retry_policy = RetryPolicy(seed=flaky_seed)
-        fs = SharoesFilesystem(volume, user, cost_model=cost, config=config,
-                               server=client_server)
+            env._client_server = FlakyServer(server, failure_rate=flaky_p,
+                                             seed=flaky_seed)
+            if getattr(config, "retry_policy", None) is None:
+                env.client_overrides["retry_policy"] = RetryPolicy(
+                    seed=flaky_seed)
     else:
         cls = BASELINES[impl]
-        volume = BaselineVolume(server=server)
-        volume.format(owner="alice", group="eng",
-                      metadata_codec=cls.metadata_codec_cls(),
-                      data_codec=cls.data_codec_cls(),
-                      admin_key=user.keypair)
-        fs = cls(volume, user, cost_model=cost, config=config)
-    fs.mount()
+        env._volume = BaselineVolume(server=server)
+        env._volume.format(owner="alice", group="eng",
+                           metadata_codec=cls.metadata_codec_cls(),
+                           data_codec=cls.data_codec_cls(),
+                           admin_key=user.keypair)
+    env.fresh_client(config)
     # Formatting happened outside the cost model's view on purpose: the
     # benchmarks measure steady-state operations, not provisioning.
-    cost.reset()
-    overrides: dict = {}
-    concurrency = getattr(config, "concurrency", 0) if config else 0
-    if concurrency and impl == "sharoes":
-        overrides["concurrency"] = concurrency
-    return BenchEnv(impl=impl, user=user, registry=registry, server=server,
-                    cost=cost, fs=fs, _volume=volume,
-                    _client_server=client_server,
-                    wire_trace=wire_trace and impl == "sharoes",
-                    client_overrides=overrides)
+    env.cost.reset()
+    return env
 
 
 def _trace_section(env: BenchEnv) -> dict | None:
@@ -283,12 +259,13 @@ def run_observed(workload: str, impl: str = "sharoes",
     run_params = dict(params, impl=impl)
     if flaky_p:
         run_params.update(flaky_p=flaky_p, flaky_seed=flaky_seed)
-    if env.wire_trace:
+    traced = env.client_overrides.get("wire_trace", False)
+    if traced:
         run_params["wire_trace"] = True
     payload = bench_payload(
         workload, op_report(spans), registry=env.fs.metrics,
         cost=env.cost, params=run_params,
-        trace=_trace_section(env) if env.wire_trace else None)
+        trace=_trace_section(env) if traced else None)
     return payload, spans
 
 

@@ -36,9 +36,9 @@ from repro.principals.groups import GroupKeyService
 from repro.sim.costmodel import CostModel
 from repro.sim.profiles import FREE
 from repro.storage.blobs import data_blob, lease_blob
-from repro.storage.resilient import (CrashingServer, FlakyServer,
+from repro.storage.resilient import (FlakyServer, MutationTrigger,
                                      ResilientTransport, RetryPolicy,
-                                     ServerWrapper)
+                                     ServerWrapper, crash)
 from repro.storage.server import BatchOp, StorageServer
 from repro.tools.fsck import VolumeAuditor
 
@@ -213,7 +213,7 @@ def test_chaos_high_rate_mostly_transient_not_crash(registry):
 
 # -- writeback crash points ---------------------------------------------------
 #
-# The flaky faults above model an SSP that misbehaves; CrashingServer
+# The flaky faults above model an SSP that misbehaves; a crash action
 # models a *client* that dies.  For the write-back path (pwrite /
 # truncate on close) every put boundary is a distinct crash point, and
 # the journal must make each one recover to exactly-old or exactly-new
@@ -260,7 +260,7 @@ def run_writeback_crashes(registry, seed: int, op: str):
                 handle.truncate(cut)
 
     snapshot = server.snapshot_blobs()
-    counting = CrashingServer(server)
+    counting = MutationTrigger(server)
     run(client(counting))
     total = counting.mutations
     assert client().read_file("/f") == expected
@@ -268,7 +268,7 @@ def run_writeback_crashes(registry, seed: int, op: str):
     log = []
     for k in range(1, total + 1):
         server.restore_blobs(snapshot)
-        crasher = CrashingServer(server, crash_after=k)
+        crasher = MutationTrigger(server, {k: crash})
         with pytest.raises(ClientCrashed):
             run(client(crasher))
         fs = client()
@@ -437,7 +437,7 @@ def test_batch_crash_midframe_applies_exact_prefix():
     blobs = [data_blob(140 + i) for i in range(4)]
     for k in range(1, len(blobs) + 1):
         server = StorageServer()
-        crasher = CrashingServer(server, crash_after=k)
+        crasher = MutationTrigger(server, {k: crash})
         transport, _ = _transport(crasher)
         with pytest.raises(ClientCrashed):
             transport.batch([BatchOp.put(b, b"z") for b in blobs])

@@ -95,6 +95,39 @@ class TestCommands:
         assert "integrity:" in out
 
 
+class TestMatrix:
+    """``repro matrix <kind>``: one command for the four sweeps."""
+
+    @pytest.mark.parametrize("kind", ["crash", "interleave", "campaign",
+                                      "rebalance"])
+    def test_unknown_case_exits_2_naming_the_known_ones(self, kind,
+                                                       capsys):
+        assert main(["matrix", kind, "--cases", "bogus"]) == 2
+        out = capsys.readouterr().out
+        assert "unknown cases: ['bogus']; choose from [" in out
+        known = {"crash": "writeback-truncate",
+                 "interleave": "create-same-name",
+                 "campaign": "create-same-name",
+                 "rebalance": "grow-4x2-6x3"}[kind]
+        assert f"'{known}'" in out
+
+    def test_out_writes_the_printed_table(self, capsys, tmp_path):
+        out = tmp_path / "table.txt"
+        assert main(["matrix", "crash", "--cases", "mkdir",
+                     "--modes", "mount", "--out", str(out)]) == 0
+        table = out.read_text()
+        assert table.endswith(" crash points, 0 inconsistent\n")
+        assert table in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["crash-matrix"], ["interleave"], ["campaign"],
+        ["rebalance-matrix"], ["matrix", "crash", "--recovery", "both"],
+        ["matrix", "interleave", "--shards", "4"]])
+    def test_old_commands_and_foreign_flags_rejected(self, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+
+
 class TestBenchDiffResolveGate:
     """``repro bench --diff --resolve-gate WORKLOAD=RATIO`` (PR 7)."""
 

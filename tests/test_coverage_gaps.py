@@ -1,29 +1,11 @@
-"""Coverage for remaining corners: engine incompatibility, Andrew
-internals, group-key edge cases, exec-only interplay with groups."""
+"""Coverage for remaining corners: Andrew internals, group-key edge cases, exec-only interplay with groups."""
 
 import pytest
 
-from repro.crypto.provider import AesEngine, CryptoProvider, StreamEngine
-from repro.errors import (CryptoError, IntegrityError, PermissionDenied)
+from repro.errors import PermissionDenied
 from repro.fs.client import SharoesFilesystem
 from repro.workloads.andrew import _source_tree
 from repro.workloads.runner import LABELS
-
-
-class TestEngineIncompatibility:
-    def test_cross_engine_seals_rejected(self):
-        """AES and stream seals must not silently interoperate."""
-        key = b"k" * 16
-        aes_blob = AesEngine().seal(key, b"payload")
-        with pytest.raises((IntegrityError, CryptoError)):
-            StreamEngine().open(key, aes_blob)
-        stream_blob = StreamEngine().seal(key, b"payload")
-        with pytest.raises((IntegrityError, CryptoError)):
-            AesEngine().open(key, stream_blob)
-
-    def test_provider_reports_engine(self):
-        assert CryptoProvider("aes").engine_name == "aes"
-        assert CryptoProvider().engine_name == "stream"
 
 
 class TestAndrewInternals:

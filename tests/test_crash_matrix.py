@@ -10,38 +10,37 @@ from __future__ import annotations
 
 import pytest
 
-from repro.tools.crashmatrix import (FSCK, MOUNT, CrashMatrix,
-                                     build_cases, outcomes_table)
+from repro.tools.crashmatrix import FSCK, MOUNT, CrashMatrix, build_cases
 
-OP_NAMES = [case.name for case in build_cases()]
+OP_NAMES = [case.name for case in build_cases(b"", b"")]
 
 
 @pytest.fixture(scope="module")
 def matrix() -> CrashMatrix:
-    """One enterprise reused across the module: each run_case restores
-    the volume to its base snapshot, so cases stay independent."""
+    """One enterprise reused across the module: each count restores the
+    volume to its pristine snapshot, so cases stay independent."""
     return CrashMatrix(seed=1234)
 
 
-def _case(matrix: CrashMatrix, name: str):
-    [case] = [c for c in build_cases(matrix.data, matrix.new)
-              if c.name == name]
-    return case
+def _run(matrix: CrashMatrix, name: str, recovery: str) -> list:
+    """Every crash point of one op under one recovery mode."""
+    return matrix.run((recovery,),
+                      [c for c in matrix.cases if c.name == name])
 
 
 @pytest.mark.parametrize("op", OP_NAMES)
 def test_mount_recovery_converges(matrix, op):
-    outcomes = matrix.run_case(_case(matrix, op), MOUNT)
+    outcomes = _run(matrix, op, MOUNT)
     assert outcomes, f"{op}: no crash points discovered"
     bad = [o for o in outcomes if not o.consistent]
-    assert not bad, outcomes_table(bad)
+    assert not bad, matrix.table(bad)
 
 
 @pytest.mark.parametrize("op", OP_NAMES)
 def test_fsck_repair_converges(matrix, op):
-    outcomes = matrix.run_case(_case(matrix, op), FSCK)
+    outcomes = _run(matrix, op, FSCK)
     bad = [o for o in outcomes if not o.consistent]
-    assert not bad, outcomes_table(bad)
+    assert not bad, matrix.table(bad)
 
 
 @pytest.mark.parametrize("op", OP_NAMES)
@@ -49,7 +48,7 @@ def test_journal_append_crash_rolls_back(matrix, op):
     """k=1 is the intent append: nothing of the op reached the SSP, so
     recovery must observe a full rollback, and every later crash point
     must roll forward to fully applied."""
-    outcomes = matrix.run_case(_case(matrix, op), MOUNT)
+    outcomes = _run(matrix, op, MOUNT)
     assert outcomes[0].outcome == "rolled_back"
     assert all(o.outcome == "applied" for o in outcomes[1:])
 
@@ -58,14 +57,12 @@ def test_matrix_is_deterministic_per_seed():
     a = CrashMatrix(seed=7)
     b = CrashMatrix(seed=7)
     case = "rename"
-    assert (a.run_case(_case(a, case), MOUNT)
-            == b.run_case(_case(b, case), MOUNT))
+    assert _run(a, case, MOUNT) == _run(b, case, MOUNT)
 
 
 def test_every_op_has_multiple_crash_points(matrix):
     """Each op is genuinely multi-blob: a single-put op would make the
     atomicity machinery vacuous."""
-    for op in OP_NAMES:
-        outcomes = matrix.run_case(_case(matrix, op), MOUNT)
-        assert outcomes[0].total_points >= 3, (
-            f"{op}: only {outcomes[0].total_points} mutations")
+    for case in matrix.cases:
+        total = matrix.count(case)
+        assert total >= 3, f"{case.name}: only {total} mutations"

@@ -20,7 +20,7 @@ from repro.fs.lease import LeaseManager
 from repro.fs.volume import SharoesVolume
 from repro.sim.clock import SimClock
 from repro.storage.blobs import BlobId, journal_blob
-from repro.storage.resilient import CrashingServer, ServerWrapper
+from repro.storage.resilient import MutationTrigger, ServerWrapper, crash
 from repro.storage.server import StorageServer
 from repro.tools.fsck import VolumeAuditor
 
@@ -102,7 +102,7 @@ class TestEnvelope:
     def test_journal_blob_is_ciphertext(self, volume, registry):
         """The SSP sees no blob ids or op names in a stored journal."""
         fs = make_journaled(volume, registry)
-        crasher = CrashingServer(volume.server, crash_after=3)
+        crasher = MutationTrigger(volume.server, {3: crash})
         dying = make_journaled(volume, registry, server=crasher)
         with pytest.raises(ClientCrashed):
             dying.create_file("/secret-name", b"secret-payload")
@@ -118,7 +118,7 @@ class TestEnvelope:
 
 class TestRecoveryRejection:
     def _strand_intent(self, volume, registry) -> None:
-        crasher = CrashingServer(volume.server, crash_after=3)
+        crasher = MutationTrigger(volume.server, {3: crash})
         dying = make_journaled(volume, registry, server=crasher)
         with pytest.raises(ClientCrashed):
             dying.create_file("/f", b"x" * 100)
@@ -171,7 +171,7 @@ class TestRecoveryRejection:
 
 def _stranded(volume, registry, user_id: str, path: str) -> bytes:
     """The journal ``user_id`` leaves at the SSP dying mid-create."""
-    crasher = CrashingServer(volume.server, crash_after=3)
+    crasher = MutationTrigger(volume.server, {3: crash})
     dying = make_journaled(volume, registry, user_id, server=crasher)
     with pytest.raises(ClientCrashed):
         dying.create_file(path, b"x" * 100)
@@ -356,12 +356,12 @@ class TestRecoveryIdempotence:
     def test_crash_during_recovery_recovers(self, volume, registry):
         """Recovery itself is a replay of overwrite-puts: a second
         crash mid-recovery changes nothing about the final state."""
-        crasher = CrashingServer(volume.server, crash_after=4)
+        crasher = MutationTrigger(volume.server, {4: crash})
         dying = make_journaled(volume, registry, server=crasher)
         with pytest.raises(ClientCrashed):
             dying.create_file("/f", b"y" * 200)
 
-        crasher2 = CrashingServer(volume.server, crash_after=2)
+        crasher2 = MutationTrigger(volume.server, {2: crash})
         with pytest.raises(ClientCrashed):
             make_journaled(volume, registry, server=crasher2)
 
@@ -372,7 +372,7 @@ class TestRecoveryIdempotence:
         assert report.pending_intents == []
 
     def test_double_mount_recovery_is_noop(self, volume, registry):
-        crasher = CrashingServer(volume.server, crash_after=4)
+        crasher = MutationTrigger(volume.server, {4: crash})
         dying = make_journaled(volume, registry, server=crasher)
         with pytest.raises(ClientCrashed):
             dying.create_file("/f", b"z" * 200)

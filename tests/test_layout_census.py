@@ -76,7 +76,7 @@ def test_acl_revoke_leaves_nothing_behind(alice_fs, volume, make):
 def _forge_block0(volume, node, content: bytes) -> None:
     """Overwrite block 0 the way a holder of ``node``'s keys would."""
     blob_id, blob = layout.seal_block(
-        CryptoProvider(volume.engine), node.view.require_dek(),
+        CryptoProvider(), node.view.require_dek(),
         node.view.require_dsk(), node.inode, 0,
         layout.block_payload([content], 0))
     volume.server.put(blob_id, blob)

@@ -107,7 +107,7 @@ def _decode(volume, path: str) -> bytes | dict[str, TableView]:
     fs.mount()
     node = fs._resolve(path, follow_last=False)
     owner, inode, blobs = node.view, node.inode, volume.server.raw_blobs()
-    provider = CryptoProvider(volume.engine)
+    provider = CryptoProvider()
 
     for selector, mek in owner.selector_meks.items():
         replica = MetadataView.from_bytes(open_verified(
@@ -223,7 +223,7 @@ def test_split_directory_layout(registry):
     assert sorted(map(str, blobs)) == SPLIT_BLOBS
 
     owner = fs._resolve("/big").view
-    provider = CryptoProvider(volume.engine)
+    provider = CryptoProvider()
     for selector, style in (("o", "full"), ("g", "full"), ("w", "hidden")):
         dek = owner.table_deks[selector]
         base_blob = blobs[BlobId("data", 3, f"t:{selector}@1")]

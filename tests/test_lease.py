@@ -28,11 +28,10 @@ from repro.fs.volume import SharoesVolume
 from repro.principals.groups import GroupKeyService
 from repro.sim.clock import SimClock
 from repro.storage.blobs import BlobId, journal_blob, lease_blob
-from repro.storage.resilient import CrashingServer, ServerWrapper
+from repro.storage.resilient import MutationTrigger, ServerWrapper, crash
 from repro.storage.server import StorageServer, fence_epoch
 from repro.storage.wire import RemoteStorageClient, SspServer
 from repro.tools.fsck import VolumeAuditor
-from repro.tools.interleave import PauseServer
 
 _LEASE_S = 5.0
 
@@ -376,7 +375,7 @@ class TestZombie:
             clock.advance(_LEASE_S + 1.0)
             bob.create_file("/d/zb", b"bob-wins")
 
-        pauser = PauseServer(server, pause_at=3, hook=hook)
+        pauser = MutationTrigger(server, {3: hook})
         alice = make_leased(volume, registry, "alice", server=pauser)
         with pytest.raises(LeaseLostError):
             alice.create_file("/d/za", b"alice-zombie")
@@ -404,7 +403,7 @@ class TestZombie:
         prep = make_leased(volume, registry, "alice")
         prep.mkdir("/d", mode=0o775)
         prep.unmount()
-        crasher = CrashingServer(server, crash_after=4)
+        crasher = MutationTrigger(server, {4: crash})
         dying = make_leased(volume, registry, "alice", server=crasher)
         with pytest.raises(ClientCrashed):
             dying.create_file("/d/dead", b"committed-before-crash")
@@ -473,7 +472,7 @@ class TestVslJournalBinding:
         fs.create_file("/keep", b"x")
         fs.publish_statement()
         fs.unmount()
-        crasher = CrashingServer(server, crash_after=8)
+        crasher = MutationTrigger(server, {8: crash})
         dying = make_leased(volume, registry, "alice", server=crasher,
                             consistency=True)
         with pytest.raises(ClientCrashed):

@@ -50,10 +50,9 @@ from repro.fs.volume import SharoesVolume, meta_blob
 from repro.principals.groups import GroupKeyService
 from repro.crypto.provider import CryptoProvider
 from repro.sim.clock import SimClock
-from repro.storage.resilient import CrashingServer
+from repro.storage.resilient import MutationTrigger, crash
 from repro.storage.server import StorageServer
 from repro.tools.fsck import VolumeAuditor
-from repro.tools.interleave import PauseServer
 from repro.tools.twin import pinned_entropy
 from repro.tools.twin import visible_tree as _visible_tree
 from repro.workloads.runner import BenchEnv, make_env
@@ -414,7 +413,7 @@ class TestLeaseTakeover:
             clock.advance(_LEASE_S + 1.0)
             bob.create_file("/lt/bob", b"bob-wins")
 
-        pauser = PauseServer(server, pause_at=3, hook=hook)
+        pauser = MutationTrigger(server, {3: hook})
         alice = _mounted(volume, registry, config=LMDCONF, server=pauser)
         assert alice.readdir("/lt") == []                # warm /lt
         with pytest.raises(LeaseLostError):
@@ -460,7 +459,7 @@ class TestJournalRollForward:
     def _crash(self, volume, registry):
         prep = _mounted(volume, registry, config=JMDCONF)
         prep.mkdir("/jr", mode=0o755)
-        crasher = CrashingServer(volume.server, crash_after=6)
+        crasher = MutationTrigger(volume.server, {6: crash})
         dying = _mounted(volume, registry, config=JMDCONF, server=crasher)
         with pytest.raises(ClientCrashed):
             dying.create_file("/jr/f", b"rolled-forward")

@@ -35,10 +35,9 @@ from repro.fs.volume import SharoesVolume
 from repro.principals.groups import GroupKeyService
 from repro.sim.clock import SimClock
 from repro.storage.blobs import lease_blob
-from repro.storage.resilient import ServerWrapper
+from repro.storage.resilient import MutationTrigger, ServerWrapper
 from repro.storage.server import StorageServer, apply_batch
 from repro.tools.fsck import VolumeAuditor
-from repro.tools.interleave import PauseServer
 from repro.tools.twin import pinned_entropy
 
 _LEASE_S = 5.0
@@ -419,7 +418,7 @@ def test_fenced_out_apply_frame_surfaces_lease_lost(stack, registry):
         bob.create_file("/d/from-bob", b"bob")
 
     # mutations: CAS /d, CAS new, intent, then the apply's sub-ops.
-    pauser = PauseServer(server, pause_at=5, hook=hook)
+    pauser = MutationTrigger(server, {5: hook})
     alice = SharoesFilesystem(volume, registry.user("alice"),
                               config=CONFIG, server=pauser)
     alice.mount()

@@ -206,3 +206,33 @@ class TestFilesystemIntegration:
         text = spans_to_jsonl(fs.tracer.finished)
         names = [json.loads(line)["name"] for line in text.splitlines()]
         assert names == [s.name for s in fs.tracer.finished]
+
+
+class TestBenchLedgersAgree:
+    """A BENCH payload's span totals and its cost model count the same
+    run: every simulated second is charged inside a root span (the
+    mount and andrew's compile CPU included) and every root span is one
+    counted op."""
+
+    @pytest.mark.parametrize("workload,params,concurrency", [
+        ("postmark", {"files": 20, "transactions": 20}, 0),
+        ("postmark", {"files": 20, "transactions": 20}, 8),
+        ("andrew", {}, 0),
+        ("createlist", {"files": 20, "dirs": 2}, 0),
+        ("office", {}, 0),
+    ], ids=["postmark", "postmark-concurrent", "andrew", "createlist",
+            "office"])
+    def test_span_totals_equal_cost_totals(self, workload, params,
+                                           concurrency):
+        from repro.fs.client import ClientConfig
+        from repro.workloads import run_observed
+        config = ClientConfig(concurrency=concurrency) if concurrency \
+            else None
+        payload, _spans = run_observed(workload, params=params,
+                                       config=config)
+        totals = payload["totals"]
+        assert totals["seconds"] == pytest.approx(
+            payload["cost_model"]["total"], rel=1e-9, abs=1e-9)
+        assert totals["spans"] == payload["metrics"]["ops.count"]
+        assert sum(totals["phases"].values()) == pytest.approx(
+            totals["seconds"], rel=1e-9)

@@ -4,8 +4,8 @@ import math
 
 import pytest
 
-from repro.crypto import esign, rsa
-from repro.crypto.provider import AesEngine, CryptoProvider, StreamEngine
+from repro.crypto import esign, rsa, stream
+from repro.crypto.provider import CryptoProvider
 from repro.errors import CryptoError, IntegrityError
 from repro.sim.clock import SimClock
 from repro.sim.costmodel import (COMPUTE, CRYPTO, NETWORK, OTHER,
@@ -26,22 +26,23 @@ def esign_pair():
 
 class TestProvider:
     def test_engines_interoperate_with_themselves(self):
-        for engine in ("stream", "aes"):
-            p = CryptoProvider(engine)
-            key = b"k" * 16
-            sealed = p.sym_encrypt(key, b"payload")
-            assert p.sym_decrypt(key, sealed) == b"payload"
+        """The provider's one cipher is the stream module's seal: a seal
+        from one provider opens under another and under the module, and
+        the module's seal opens under the provider."""
+        key = b"k" * 16
+        sealed = CryptoProvider().sym_encrypt(key, b"payload")
+        assert CryptoProvider().sym_decrypt(key, sealed) == b"payload"
+        assert stream.open_sealed(key, sealed) == b"payload"
+        assert CryptoProvider().sym_decrypt(
+            key, stream.seal(key, b"payload")) == b"payload"
 
-    def test_aes_engine_detects_tamper(self):
-        p = CryptoProvider("aes")
-        sealed = bytearray(p.sym_encrypt(b"k" * 16, b"payload"))
+    def test_seal_detects_tamper(self):
+        p = CryptoProvider()
+        key = b"k" * 16
+        sealed = bytearray(p.sym_encrypt(key, b"payload"))
         sealed[10] ^= 1
         with pytest.raises(IntegrityError):
-            p.sym_decrypt(b"k" * 16, bytes(sealed))
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(CryptoError):
-            CryptoProvider("rot13")
+            p.sym_decrypt(key, bytes(sealed))
 
     def test_counters(self, rsa_pair, esign_pair):
         p = CryptoProvider()

@@ -7,7 +7,7 @@ resume recovery, the ``migrated`` repair classification, seeded read
 rotation); the sampled crash matrix runs the twin-stack differential
 harness (:mod:`repro.tools.rebalancematrix`) at representative crash
 points x all four recovery variants -- CI runs the full k = 1..T sweep
-through ``repro rebalance-matrix``.
+through ``repro matrix rebalance``.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ from repro.storage.blobs import (BlobId, LEASE, data_blob, lease_blob,
                                  meta_blob, plan_blob)
 from repro.storage.faults import CrashingRebalancer
 from repro.storage.rebalance import (ABORTED, COPYING, DONE, FLIPPED,
-                                     VERIFIED, MidRunRebalance,
-                                     RebalancePlan, Rebalancer,
+                                     VERIFIED, RebalancePlan, Rebalancer,
                                      resolve_plan)
 from repro.storage.shards import RingSpec, ShardedServer
 
@@ -490,23 +489,6 @@ class TestReadRotation:
 
 
 # ---------------------------------------------------------------------------
-# the mid-run trigger
-
-
-class TestMidRunRebalance:
-    def test_fires_stages_in_order_once(self):
-        server = ShardedServer(shards=2, replicas=1)
-        fired = []
-        wrapper = MidRunRebalance(server, [(5, lambda: fired.append(1)),
-                                           (3, lambda: fired.append(0))])
-        for i in range(8):
-            wrapper.put(data_blob(i), b"x")
-        assert fired == [0, 1]
-        assert wrapper.fired == 2
-        assert wrapper.mutations == 8
-
-
-# ---------------------------------------------------------------------------
 # sampled crash matrix (CI runs the full sweep via the CLI)
 
 
@@ -514,7 +496,8 @@ class TestMidRunRebalance:
 def matrix():
     from repro.tools.rebalancematrix import RebalanceMatrix
     m = RebalanceMatrix(seed=7)
-    m.total = m.count_points()
+    [m.case] = m.cases
+    m.total = m.count(m.case)
     return m
 
 
@@ -524,5 +507,5 @@ def test_sampled_crash_matrix(matrix, variant):
     total = matrix.total
     ks = sorted({1, 2, total // 3, total // 2, total - 1, total})
     for k in ks:
-        outcome = matrix.run_cell(k, variant, total)
+        outcome = matrix.cell(matrix.case, variant, k, total)
         assert outcome.consistent, (variant, k, outcome)

@@ -1,5 +1,5 @@
-"""Robustness: AES-engine volumes, malformed-input fuzzing, flaky SSPs,
-multi-group membership, engine consistency."""
+"""Robustness: malformed-input fuzzing, flaky SSPs, multi-group
+membership, odd names."""
 
 import pytest
 from hypothesis import given, settings
@@ -18,33 +18,6 @@ from repro.principals.registry import PrincipalRegistry
 from repro.serialize import SerializationError
 from repro.storage.resilient import FlakyServer
 from repro.storage.server import StorageServer
-
-
-class TestAesEngineVolume:
-    """End-to-end over the real FIPS-197 AES implementation."""
-
-    @pytest.fixture
-    def aes_volume(self, server, registry):
-        volume = SharoesVolume(server, registry, engine="aes")
-        volume.format(root_owner="alice", root_group="eng")
-        GroupKeyService(registry, server, CryptoProvider()).publish_all()
-        return volume
-
-    def test_full_flow_under_aes(self, aes_volume, registry):
-        fs = SharoesFilesystem(aes_volume, registry.user("alice"))
-        fs.mount()
-        assert fs.provider.engine_name == "aes"
-        fs.mkdir("/d", mode=0o750)
-        fs.create_file("/d/f", b"real AES all the way down", mode=0o640)
-        fs.cache.clear()
-        assert fs.read_file("/d/f") == b"real AES all the way down"
-        bob = SharoesFilesystem(aes_volume, registry.user("bob"))
-        bob.mount()
-        assert bob.read_file("/d/f") == b"real AES all the way down"
-
-    def test_clients_inherit_volume_engine(self, aes_volume, registry):
-        fs = SharoesFilesystem(aes_volume, registry.user("alice"))
-        assert fs.provider.engine_name == "aes"
 
 
 class TestMalformedInputs:

@@ -5,8 +5,11 @@ One fixed script of all seven kinds (hit, miss, CAS conflict, stale
 fence) is run singly and then as one mixed batch through each decorator
 in ``src/`` and through :class:`RemoteStorageClient` over both wire
 front-ends; return values, exception types and the final blobs must
-equal the reference run.  Alongside: the three mutation-counting
-injectors count exactly ``MUTATION_KINDS``, and ``FlakyServer``'s RNG
+equal the reference run; the mutation trigger has a row bare and one
+armed for each of its crash, pause and rebalance-stage roles.
+Alongside: the trigger counts exactly ``MUTATION_KINDS`` however it is
+armed and fires each registered action once, just before its k-th
+mutation, and ``FlakyServer``'s RNG
 draw order over the script is pinned to the sequence recorded before
 the layers were rewritten over ``_forward``.  fsck's read-only recorder
 has its own table: transparent for reads, every mutation kind refused.
@@ -19,21 +22,20 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.errors import SharoesError, StorageError, TransientStorageError
+from repro.errors import (ClientCrashed, SharoesError, StorageError,
+                          TransientStorageError)
 from repro.obs.wiretrace import TracedServer
 from repro.sim.clock import SimClock
 from repro.storage.blobs import data_blob, lease_blob
 from repro.storage.faults import RollbackServer, TamperingServer
-from repro.storage.rebalance import MidRunRebalance
-from repro.storage.resilient import (CrashingServer, FlakyServer,
+from repro.storage.resilient import (FlakyServer, MutationTrigger,
                                      OutageServer, ResilientTransport,
-                                     ServerWrapper, SlowServer)
+                                     ServerWrapper, SlowServer, crash)
 from repro.storage.server import (BATCH_KINDS, MUTATION_KINDS, BatchOp,
                                   StorageServer)
 from repro.storage.shards import ShardOutageServer
 from repro.storage.wire import RemoteStorageClient, SspServer
 from repro.tools.fsck import _RecordingServer
-from repro.tools.interleave import PauseServer
 
 A, B, C = data_blob(1, "b0"), data_blob(2, "b0"), data_blob(3, "b0")
 MISSING = data_blob(9, "b0")
@@ -76,6 +78,9 @@ BATCH = [
 ]
 
 
+_SCRIPT_MUTATIONS = sum(op.kind in MUTATION_KINDS for op in SCRIPT)
+
+
 def _never(blob_id) -> bool:
     return False
 
@@ -98,10 +103,28 @@ def _remote(front_end):
         server.stop()
 
 
+def _no_op() -> None:
+    pass
+
+
+#: The trigger armed for each role it plays in the sweeps, under the
+#: names of the three wrappers it replaced: the crash armed past the
+#: script's last mutation (the crash-free run), a pause with no riders at
+#: the first mutation, and two rebalance stages -- one before a single
+#: op, one before a sub-op inside the frame -- that move nothing.
+ARMED = {
+    "CrashingServer": lambda b: MutationTrigger(b, {10**6: crash}),
+    "PauseServer": lambda b: MutationTrigger(b, {1: _no_op}),
+    "MidRunRebalance": lambda b: MutationTrigger(
+        b, {2: _no_op, _SCRIPT_MUTATIONS + 2: _no_op}),
+}
+
 #: name -> context manager yielding (layer under test, its backend).
 LAYERS = {
     "ServerWrapper": lambda: _in_process(ServerWrapper),
-    "CrashingServer": lambda: _in_process(CrashingServer),
+    "MutationTrigger": lambda: _in_process(MutationTrigger),
+    **{name: (lambda make=make: _in_process(make))
+       for name, make in ARMED.items()},
     "FlakyServer": lambda: _in_process(lambda b: FlakyServer(b, 0.0)),
     "SlowServer": lambda: _in_process(lambda b: SlowServer(b, 0)),
     "OutageServer": lambda: _in_process(
@@ -111,9 +134,6 @@ LAYERS = {
     "ResilientTransport": lambda: _in_process(ResilientTransport),
     "TracedServer": lambda: _in_process(
         lambda b: TracedServer(b, SimClock())),
-    "PauseServer": lambda: _in_process(PauseServer),
-    "MidRunRebalance": lambda: _in_process(
-        lambda b: MidRunRebalance(b, [])),
     "TamperingServer": lambda: _in_process(
         lambda b: TamperingServer(inner=b, should_tamper=_never)),
     "RollbackServer": lambda: _in_process(
@@ -164,6 +184,8 @@ def reference():
 def test_layer_is_transparent(name, reference):
     with LAYERS[name]() as (layer, backend):
         assert _observe(layer, backend) == reference
+        if isinstance(layer, MutationTrigger):  # every reachable one fired
+            assert all(k > layer.mutations for k in layer.actions), name
 
 
 def test_table_covers_every_decorator_in_src():
@@ -207,23 +229,61 @@ def test_read_only_layer_forwards_reads_and_refuses_mutations(name):
         assert backend.raw_blobs() == before
 
 
-@pytest.mark.parametrize("counter", [CrashingServer, PauseServer,
-                                     lambda b: MidRunRebalance(b, [])],
-                         ids=["CrashingServer", "PauseServer",
-                              "MidRunRebalance"])
-def test_mutation_counters_count_exactly_mutation_kinds(counter):
+@pytest.mark.parametrize("name", ARMED)
+def test_mutation_counters_count_exactly_mutation_kinds(name):
+    """However it is armed, the trigger counts the same mutations."""
     assert MUTATION_KINDS == {op.kind for op in SCRIPT} - {"get", "exists"}
     for op in SCRIPT:
-        layer = counter(StorageServer())
+        layer = ARMED[name](StorageServer())
         _outcome(layer, op)  # counted before forwarding, even if refused
         assert layer.mutations == (op.kind in MUTATION_KINDS), op
     # Inside a batch: every *attempted* sub-op counts the same way.
-    layer = counter(StorageServer())
+    layer = ARMED[name](StorageServer())
     replies = layer.batch(SCRIPT)
     attempted = [op for op, reply in zip(SCRIPT, replies)
                  if reply.status != "unattempted"]
     assert layer.mutations == sum(op.kind in MUTATION_KINDS
                                   for op in attempted)
+
+
+def test_trigger_fires_each_action_once_at_its_mutation():
+    """Each action runs once, just before its k-th mutation reaches the
+    backend: k = 2 is a single put, k = 4 is a sub-op inside a frame;
+    reads between them move nothing."""
+    backend = StorageServer()
+    seen = []
+
+    def action(k):
+        return lambda: seen.append((k, trigger.mutations,
+                                    sorted(backend.raw_blobs())))
+
+    trigger = MutationTrigger(backend, {4: action(4), 2: action(2)})
+    trigger.put(A, b"a")                           # mutation 1
+    trigger.get(A)
+    trigger.put(B, b"b")                           # 2: fires first
+    trigger.batch([BatchOp.get(B), BatchOp.put(C, b"c"),   # 3
+                   BatchOp.delete(A),                      # 4: fires
+                   BatchOp.put(MISSING, b"m")])            # 5
+    trigger.put(A, b"a2")                          # 6
+    assert seen == [(2, 2, [A]), (4, 4, sorted([A, B, C]))]
+    assert trigger.mutations == 6 and not trigger.actions
+    assert sorted(backend.raw_blobs()) == sorted([A, B, C, MISSING])
+
+
+def test_a_crash_action_kills_the_client_mid_frame():
+    """The crash action at sub-op k of a frame: the k - 1 sub-ops before
+    it land, it and the rest do not, and the dead client stays dead --
+    every later mutation raises too, reads still pass."""
+    backend = StorageServer()
+    trigger = MutationTrigger(backend, {2: crash})
+    with pytest.raises(ClientCrashed):
+        trigger.batch([BatchOp.put(A, b"a"), BatchOp.put(B, b"b"),
+                       BatchOp.put(C, b"c")])
+    assert sorted(backend.raw_blobs()) == [A]
+    with pytest.raises(ClientCrashed):
+        trigger.delete(A)
+    assert trigger.get(A) == b"a"
+    assert sorted(backend.raw_blobs()) == [A]
 
 
 def test_flaky_draw_order_is_pinned():

@@ -24,7 +24,7 @@ from repro.fs import layout
 from repro.fs.client import ClientConfig, SharoesFilesystem
 from repro.fs.volume import SharoesVolume
 from repro.principals.groups import GroupKeyService
-from repro.storage.resilient import CrashingServer
+from repro.storage.resilient import MutationTrigger, crash
 from repro.storage.server import StorageServer
 from repro.tools.fsck import VolumeAuditor
 from repro.tools.twin import pinned_entropy
@@ -185,7 +185,7 @@ def _fold_rig(registry, journal: bool):
     while True:
         before = _bases(volume.server)
         snapshot = volume.server.snapshot_blobs()
-        counting = CrashingServer(volume.server)
+        counting = MutationTrigger(volume.server)
         _mount(volume, "alice", config, counting).mknod(
             f"/d/f{len(names)}", mode=0o644)
         if before and _bases(volume.server) not in ([], before):
@@ -221,7 +221,7 @@ def test_crash_at_every_sub_op_of_a_fold(registry, monkeypatch, journal):
     outcomes = []
     for k in range(1, total + 1):
         server.restore_blobs(snapshot)
-        crasher = CrashingServer(server, crash_after=k)
+        crasher = MutationTrigger(server, {k: crash})
         with pytest.raises(ClientCrashed):
             _mount(volume, "alice", config, crasher).mknod(
                 f"/d/{new}", mode=0o644)
