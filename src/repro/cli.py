@@ -448,7 +448,9 @@ def _cmd_fsck(args: argparse.Namespace) -> int:
         from .errors import ClientCrashed
         from .fs.client import ClientConfig, SharoesFilesystem
         from .storage.resilient import MutationTrigger, crash
-        crasher = MutationTrigger(server, {3: crash})
+        # Mutations: the lease CAS, the frame's compared head and its
+        # fence check, the intent, then the apply.
+        crasher = MutationTrigger(server, {5: crash})
         dying = SharoesFilesystem(volume, registry.user("alice"),
                                   config=ClientConfig(journal=True,
                                                       lease=True),

@@ -14,9 +14,10 @@ which is left with paths, CAPs and keys:
 * **frame accounting** -- ``request_count``, the ``network`` span and the
   header-byte charge of every wire exchange are taken in one helper;
 * **protocol frames** -- :meth:`BlobIO.exchange` ships an ordered list of
-  sub-ops as one counted, charged frame.  The leased, journaled mutation
-  is built from it: lease CAS, intent + fence preflight, commit +
-  release, batched renewal -- and the grouped sends above.
+  sub-ops as one counted, charged frame (:meth:`BlobIO.ship` splits a
+  longer list only at the wire's sub-op cap).  The journaled mutation
+  is one of them -- lease head, intent, apply, commit, lease tail -- as
+  are lease reads, CAS, batched renewal and the grouped sends above.
 
 Stack, assembled once by ``SharoesFilesystem.__init__``::
 
@@ -34,9 +35,11 @@ from contextlib import contextmanager
 from typing import Iterable, Sequence
 
 from ..errors import (BlobNotFound, PartialWriteError, StaleEpochError,
-                      StorageError, TransientPartialWriteError)
+                      StorageError, TransientPartialWriteError,
+                      TransientStorageError)
 from ..storage.blobs import BlobId, lease_blob
 from ..storage.server import BatchOp, BatchReply, execute
+from ..storage.wire import MAX_BATCH_OPS
 from . import journal
 
 #: simulated framing overhead of one wire exchange, charged on top of
@@ -168,6 +171,33 @@ class BlobIO:
             with self.frame(op.kind, kind=op.blob_id.kind):
                 replies.append(execute(self.server, op))
                 self._charge_replies((op,), replies[-1:])
+        return replies
+
+    def ship(self, label: str,
+             ops: Sequence[BatchOp]) -> list[BatchReply]:
+        """One logical frame: :meth:`exchange` frames of at most the
+        wire's ``MAX_BATCH_OPS`` sub-ops, in order.
+
+        A part that stops leaves every later sub-op ``unattempted`` and
+        unsent.  Only the first part raises: a later part's storage
+        failure reads as an ``error`` at its first sub-op, so the caller
+        still sees what the earlier parts applied.
+        """
+        replies: list[BatchReply] = []
+        for start in range(0, len(ops), MAX_BATCH_OPS):
+            part = ops[start:start + MAX_BATCH_OPS]
+            if any(reply.status in ("fenced", "error") for reply in replies):
+                replies += [BatchReply("unattempted")] * len(part)
+                continue
+            try:
+                replies += self.exchange(label, part)
+            except StorageError as exc:
+                if not replies:
+                    raise
+                replies += [BatchReply(
+                    "error", message=str(exc),
+                    transient=isinstance(exc, TransientStorageError))]
+                replies += [BatchReply("unattempted")] * (len(part) - 1)
         return replies
 
     def _charge_replies(self, ops, replies) -> None:
@@ -305,10 +335,20 @@ class BlobIO:
             for blob_id, payload in blobs:
                 self._send_one(blob_id, payload, epoch_of(blob_id.inode))
             return
-        replies = self.exchange(
+        self.raise_failure(blobs, self.exchange(
             "delete_many" if deleting else "put_many",
-            [self._op(bid, payload, epoch_of(bid.inode))
-             for bid, payload in blobs])
+            self.ops(blobs, fences)))
+
+    def ops(self, blobs: Sequence[tuple[BlobId, "bytes | None"]],
+            fences: "dict[int, int] | None" = None) -> list[BatchOp]:
+        """The sub-ops that upload (payload) or delete (``None``)
+        ``blobs``, each fenced on its inode's epoch in ``fences``."""
+        epoch_of = (fences or {}).get
+        return [self._op(blob_id, payload, epoch_of(blob_id.inode))
+                for blob_id, payload in blobs]
+
+    def raise_failure(self, blobs, replies) -> None:
+        """Raise what the first failed reply to :meth:`ops` means."""
         for index, reply in enumerate(replies):
             if reply.status == "ok":
                 continue

@@ -30,12 +30,12 @@ from ..caps.record import (ObjectRecord, lockbox_payload, open_metadata_blob,
                            parse_lockbox_payload)
 from ..crypto import esign
 from ..crypto.provider import CryptoProvider
-from ..errors import (BlobNotFound, CryptoError, DirectoryNotEmpty,
-                      FileExists, FileNotFound, FilesystemError,
-                      IntegrityError, IsADirectory, LeaseHeldError,
-                      LeaseLostError, NotADirectory, PermissionDenied,
-                      SharoesError, StaleEpochError, StorageError,
-                      TransientStorageError)
+from ..errors import (BlobNotFound, CircuitOpenError, CryptoError,
+                      DirectoryNotEmpty, FileExists, FileNotFound,
+                      FilesystemError, IntegrityError, IsADirectory,
+                      LeaseError, LeaseHeldError, LeaseLostError,
+                      NotADirectory, PermissionDenied, SharoesError,
+                      StaleEpochError, StorageError, TransientStorageError)
 from ..fs import path as fspath
 from ..obs.metrics import (MetricsRegistry, bind_cache_stats,
                            bind_cost_model, bind_crypto_counters,
@@ -45,16 +45,15 @@ from ..principals.groups import UserAgent
 from ..principals.users import User
 from ..sim.costmodel import CostModel
 from ..storage.blobs import (BlobId, group_key_blob, journal_blob,
-                             lease_blob, lockbox_blob, meta_blob,
-                             superblock_blob)
+                             lockbox_blob, meta_blob, superblock_blob)
 from ..storage.server import BatchOp
-from ..storage.wire import MAX_BATCH_OPS
 from . import journal, layout
 from .blobio import BlobIO
 from .cache import LruCache
 from .dirtable import (DIRECT, SPLIT, VIEW_FULL, ZERO, DirEntry,
                        DirPointer, TableView)
 from .freshness import FreshnessMonitor
+from .lease import HeadCasLost, LeaseManager
 from .mdcache import (DIR_WRITE_CAPS, LIST_CAPS, TRAVERSE_CAPS,
                       VerifiedMetadataCache)
 from .metadata import MetadataAttrs, MetadataView, Stat
@@ -359,14 +358,31 @@ class OpenFile:
 def _mutating(op: str):
     """Scope a client method as one mutation (``_mutation``).
 
-    Composes with ``@traced``: the span covers the journal append/apply/
-    commit cycle.  Reentrant -- nested mutating calls (``create_file``
-    -> ``mknod`` -> ``_create``) join the outer op.
+    Composes with ``@traced``: the span covers the whole mutation frame.
+    Reentrant -- nested mutating calls (``create_file`` -> ``mknod`` ->
+    ``_create``) join the outer op.  When the frame's optimistic head
+    CAS lost (:class:`~repro.fs.lease.HeadCasLost`), or the op refused
+    (``FileExists``, ``FileNotFound``...) on reads a deferred CAS had
+    not proven yet, nothing of it was written, and the outermost call
+    runs the op once more, acquiring every lease before it reads.
     """
     def wrap(fn):
         @functools.wraps(fn)
         def inner(self, *args, **kwargs):
-            with self._mutation(op):
+            outermost = self._touched is None
+            try:
+                with self._mutation(op):
+                    return fn(self, *args, **kwargs)
+            except FilesystemError as exc:
+                # Nothing was written.  Run it again if the head CAS
+                # lost, or if the op refused on reads a deferred CAS
+                # was yet to prove.
+                if not (outermost and (
+                        isinstance(exc, HeadCasLost)
+                        or (self._unproven
+                            and not isinstance(exc, LeaseError)))):
+                    raise
+            with self._mutation(op, optimistic=False):
                 return fn(self, *args, **kwargs)
         return inner
     return wrap
@@ -502,13 +518,16 @@ class SharoesFilesystem:
         #: inodes the current outermost mutation has written (None
         #: outside one) -- see ``_mutation``.
         self._touched: set[int] | None = None
+        #: may ``_touch`` defer a lease CAS to the mutation frame's head?
+        self._optimistic = True
+        #: did it, over a link another writer could have moved?
+        self._unproven = False
         if self.config.lease:
             if not self.config.journal:
                 raise SharoesError(
                     "ClientConfig(lease=True) requires journal=True: "
                     "fenced commits ride the intent journal")
             from ..sim.clock import SimClock
-            from .lease import LeaseManager
             # A volume-level clock (shared across clients) is the lease
             # time authority; a private cost-model clock only serves the
             # single-client case.
@@ -521,7 +540,7 @@ class SharoesFilesystem:
                 duration_s=self.config.lease_duration_s,
                 provider=self.provider, escrow=volume.registry.user,
                 tracer=self.tracer, metrics=self.metrics,
-                exchange=self.blobs.exchange)
+                exchange=self.blobs.ship)
 
     def enable_consistency_log(self):
         """Attach a SUNDR-style fork-consistency log (paper section VI).
@@ -629,22 +648,26 @@ class SharoesFilesystem:
     # ------------------------------------------------------------------ journal
 
     @contextmanager
-    def _mutation(self, op: str):
+    def _mutation(self, op: str, optimistic: bool = True):
         """Scope one mutating op: the cache's one failure rule.
 
         What a mutation writes through to the cache (its own table
         views, metadata views and plaintext blocks) is trusted only if
         the mutation returns.  The outermost scope keeps the inodes the
         op touched (``_touch``); any exception leaving it -- a refused
-        put, a failed journal append, a partial apply, a lease takeover
-        -- invalidates each of them, so this client re-reads what the
-        SSP actually holds.  Nested mutating calls join the outer op;
-        with ``journal=True`` the op is also one intent (``_journaled``).
+        put, a failed journal append, a partial apply, a lost head CAS,
+        a lease takeover -- invalidates each of them, so this client
+        re-reads what the SSP actually holds.  Nested mutating calls
+        join the outer op; with ``journal=True`` the op is also one
+        intent (``_journaled``).  ``optimistic=False`` makes ``_touch``
+        acquire every existing inode's lease before the op reads it.
         """
         if self._touched is not None:
             yield
             return
         self._touched = set()
+        self._optimistic = optimistic
+        self._unproven = False
         try:
             if self.config.journal:
                 with self._journaled(op):
@@ -660,17 +683,20 @@ class SharoesFilesystem:
 
     @contextmanager
     def _journaled(self, op: str):
-        """One crash-consistent mutation (see fs/journal.py).
+        """One crash-consistent mutation (see fs/journal.py): one frame.
 
         Every put/delete the body issues is deferred into a
-        :class:`~repro.fs.journal.MutationBatch`; on clean exit the
-        batch is sealed into an intent, journaled at the SSP, applied,
-        and committed -- three frames behind the ``k`` lease CAS frames
-        of the body: intent (+ fence preflight), apply, commit (+ lease
-        release).  If the body raises before staging completes, nothing
-        was sent: the op rolls back by construction.  If applying fails
-        part-way, the intent stays pending and is replayed
-        (idempotently) before the next mutation or at mount.
+        :class:`~repro.fs.journal.MutationBatch`.  On clean exit the
+        batch is sealed into an intent and the mutation ships as one
+        ``OP_BATCH`` frame, split only at the wire's sub-op cap: the
+        lease head (``LeaseManager.release``), the intent, the fenced
+        apply, the commit -- an empty journal -- and the released
+        leases.  If the body raises, nothing was sent; if the frame
+        stops before the intent (a lost head CAS, a taken-over lease),
+        nothing was written: either way the op rolls back by
+        construction.  If the apply stops part-way, the intent stays
+        pending and is replayed (idempotently) before the next mutation
+        or at mount.
         """
         self._replay_pending()
         batch = journal.MutationBatch(op)
@@ -689,53 +715,42 @@ class SharoesFilesystem:
             return
         record = batch.record(self._next_seq(),
                               fences=tuple(sorted(self._fences.items())))
+        blobs = [blob for call in record.calls for blob in call.blobs]
+        ops = ([self._journal_put(self._pending + [record])]
+               + self.blobs.ops(blobs, self._fences)
+               + [self._journal_put(self._pending)])
         self._pending.append(record)
         try:
-            # The fence preflight rides the intent: sub-ops apply in
-            # order, so the intent is durable before the lease blobs
-            # are read.
-            current = self._journal_write(
-                "append", probe=[inode for inode, _ in record.fences])
-        except BaseException:
-            # The intent never became durable, and no blob of the op was
-            # sent: the mutation rolled back whole.
+            with self.tracer.span("journal", phase="mutation",
+                                  pending=len(self._pending)):
+                replies = (self.lease.release(*self._fences, body=ops)
+                           if self.lease is not None
+                           else self.blobs.ship("mutation", ops))
+            replies[0].raise_for_status()
+        except BaseException as exc:
+            if self._intent_durable(exc, ops[0].payload):
+                # Part of the frame may have landed: keep the redo (the
+                # next mutation replays it) and the leases it is fenced on.
+                raise
+            # Nothing to redo: the frame stopped ahead of its intent (or
+            # the intent was superseded, fenced below a takeover), so the
+            # mutation rolled back whole -- or a transport failure hid a
+            # frame that landed through its commit.
             self._pending.remove(record)
             self._release_fences()
             raise
         self.metrics.counter(
             "journal.appends", help="intents journaled").inc()
         try:
-            # Preflight before the first apply write: if a successor
-            # already took a lease over while we were paused, every
-            # write of this mutation is doomed -- better to learn that
-            # from the lease blobs than to strand a partial apply (the
-            # SSP would accept the uncontended inodes' blobs and only
-            # reject the contended one).  The preflight-to-write race
-            # that remains is exactly the post-append case a successor
-            # resolves by rolling our intent forward.
-            if journal.fences_behind(record, current):
-                raise StaleEpochError(
-                    "lease chain advanced past this mutation's fences")
-            self._apply_record(record)
+            self.blobs.raise_failure(blobs, replies[1:-1])
         except StaleEpochError as exc:
-            # A successor took our lease over mid-flight.  It rolled our
+            # A successor took our lease over mid-frame.  It rolled our
             # journaled intent forward before bumping the epoch, so the
             # op is *applied* -- by them, not us.  Drop the pending
-            # record (the successor already truncated our journal at the
-            # SSP), forget the stale leases, and surface the loss (the
+            # record, forget the stale leases, and surface the loss (the
             # successor may have kept writing: ``_mutation`` invalidates
             # every inode this op touched).
             self._pending.remove(record)
-            try:
-                # Best-effort scrub: if our append raced *after* the
-                # successor's truncation, the SSP journal still shows
-                # the superseded intent; rewrite it empty so nothing
-                # dangles.  On failure the stale-fence checks (fenced
-                # replay here, fences_stale in roll_forward) still
-                # keep it from ever being applied.
-                self._journal_write("commit")
-            except StorageError:
-                pass
             self._forget_fences()
             self.metrics.counter(
                 "lease.lost",
@@ -743,13 +758,11 @@ class SharoesFilesystem:
             raise LeaseLostError(
                 f"{record.op}: lease taken over mid-mutation "
                 f"({exc})") from exc
+        # A commit that failed stays pending: the next mutation replays
+        # the (idempotent) intent and commits it.
+        replies[-1].raise_for_status()
         self._pending.remove(record)
-        try:
-            # The release rides the commit.
-            self._journal_write("commit", release=True)
-        except BaseException:
-            self._pending.append(record)
-            raise
+        self._fences = {}
         self.metrics.counter(
             "journal.commits", help="intents committed").inc()
         if self.consistency is not None:
@@ -765,15 +778,22 @@ class SharoesFilesystem:
         through to the cache -- and before the first read its decision
         rests on, so a mutation that raises knows what to invalidate
         (``_mutation``).  With leasing on it also acquires (or renews)
-        the inode's write lease, *before* the stale read can happen
-        (``new``: the inode was allocated by this op, no lease blob
-        exists yet).  One coherence rule for acquire and renew: the
-        cache for the inode stays warm exactly when the lease manager
-        proved the epoch chain only moved through this client since its
-        last link (:attr:`LeaseManager.unbroken`); any other outcome --
-        the blob had to be read, a CAS was lost, another holder's or
-        fsck's link was found -- invalidates it: another client may
-        have written the inode since we last looked.
+        the inode's write lease (``new``: the inode was allocated by
+        this op, no lease blob exists yet).  Over this client's own
+        released link, or a new inode's absent blob, the CAS is
+        deferred to the head of the mutation frame: no frame now, and
+        the frame writes nothing unless the CAS wins -- which proves
+        nobody wrote the inode since that link, so what the op read of
+        it stands.  Otherwise -- and for every existing inode when an
+        op runs again -- the lease is acquired here, *before* the read
+        the op decides on.
+        One coherence rule for every outcome: the cache for the inode
+        stays warm exactly when the lease manager proved (or its
+        deferred CAS will prove) that the epoch chain only moved through
+        this client since its last link (:attr:`LeaseManager.unbroken`);
+        anything else -- the blob had to be read, a CAS was lost,
+        another holder's or fsck's link was found -- invalidates it:
+        another client may have written the inode since we last looked.
         """
         self._touched.add(inode)
         if self.lease is None or self.blobs.batch is None:
@@ -784,7 +804,8 @@ class SharoesFilesystem:
         delay = LEASE_WAIT_BASE_S
         for attempt in range(attempts + 1):
             try:
-                record = self.lease.acquire(inode, new=new)
+                record = self.lease.acquire(
+                    inode, new=new, defer=self._optimistic or new)
                 break
             except LeaseHeldError:
                 if attempt >= attempts:
@@ -799,6 +820,7 @@ class SharoesFilesystem:
                 self._wait_for_lease(delay)
                 delay = min(delay * 2, LEASE_WAIT_MAX_S)
         self._fences[inode] = record.epoch
+        self._unproven = self._unproven or self.lease.deferred(inode)
         if not self.lease.unbroken:
             self._invalidate(inode)
 
@@ -817,23 +839,17 @@ class SharoesFilesystem:
         else:
             self.lease.clock.advance(seconds)
 
-    def _release_fences(self, lead=()) -> list:
-        """Release the mutation's leases in one frame (best effort).
-
-        ``lead`` sub-ops -- the journal commit -- ride in front of the
-        released records and their replies are returned; without a lead
-        a failed release is swallowed: an unreleased lease only costs
-        peers a takeover after expiry, never fail a mutation over it.
-        """
+    def _release_fences(self) -> None:
+        """Release the mutation's held leases in one frame (best effort:
+        an unreleased lease only costs peers a takeover after expiry --
+        never fail a mutation over it).  Deferred CASes go unsent."""
         fences, self._fences = self._fences, {}
+        if self.lease is None or not fences:
+            return
         try:
-            if self.lease is not None and fences:
-                return self.lease.release(*fences, lead=lead)
-            return self.blobs.exchange("commit", lead) if lead else []
+            self.lease.release(*fences)
         except StorageError:
-            if lead:
-                raise
-            return []
+            pass
 
     def _forget_fences(self) -> None:
         """Drop lease state without touching the SSP (lease was lost)."""
@@ -847,27 +863,43 @@ class SharoesFilesystem:
         self._journal_seq += 1
         return self._journal_seq
 
-    def _journal_write(self, phase: str, probe=(),
-                       release: bool = False) -> list:
-        """Seal + upload the current pending-intent list: one frame.
+    def _journal_put(self, records) -> BatchOp:
+        """The sub-op that seals ``records`` into this user's journal."""
+        return BatchOp.put(journal_blob(self.agent.user_id),
+                           journal.seal_journal(self.provider,
+                                                self.agent.user, records))
 
-        ``probe`` inodes' lease blobs are read behind the put (the
-        apply's fence preflight) and returned, ``None`` for an absent
-        one; ``release`` surrenders the mutation's leases behind it.
+    def _intent_durable(self, exc: BaseException, intent: bytes) -> bool:
+        """Might the intent of a mutation frame that raised ``exc`` be
+        journaled at the SSP?
+
+        Any other failure shows where the frame stopped; a transport
+        failure does not: the frame -- or a copy the transport sent
+        again -- may have landed whole or in part.  The journal blob
+        settles it: it holds the intent's exact bytes from the moment
+        they land until the frame's commit replaces them.  A journal
+        that cannot be read keeps the intent: its replay is fenced and
+        idempotent, while a half-applied frame without its redo is lost.
         """
-        ops = [BatchOp.put(
-            journal_blob(self.agent.user_id),
-            journal.seal_journal(self.provider, self.agent.user,
-                                 self._pending))]
-        ops += [BatchOp.get(lease_blob(inode)) for inode in probe]
+        if (not isinstance(exc, TransientStorageError)
+                or isinstance(exc, CircuitOpenError)):
+            return False
+        try:
+            reply, = self.blobs.exchange("journal.read", [
+                BatchOp.get(journal_blob(self.agent.user_id))])
+        except StorageError:
+            return True
+        if reply.status == "ok":
+            return reply.payload == intent
+        return reply.status != "missing"
+
+    def _journal_write(self, phase: str) -> None:
+        """Seal + upload the current pending-intent list: one frame."""
         with self.tracer.span("journal", phase=phase,
                               pending=len(self._pending)):
-            replies = (self._release_fences(lead=ops) if release
-                       else self.blobs.exchange(phase, ops))
-        for reply in replies:
-            if reply.status != "missing":  # an absent lease blob
-                reply.raise_for_status()
-        return [reply.payload for reply in replies[1:]]
+            reply, = self.blobs.exchange(
+                phase, [self._journal_put(self._pending)])
+        reply.raise_for_status()
 
     def _apply_record(self, record: journal.IntentRecord) -> None:
         """Replay an intent's staged calls for real: one frame.
@@ -882,11 +914,9 @@ class SharoesFilesystem:
         a replay by a zombie whose lease was taken over is rejected by
         the SSP with :class:`StaleEpochError`.
         """
-        fences = dict(record.fences) or None
         blobs = [blob for call in record.calls for blob in call.blobs]
-        for start in range(0, len(blobs), MAX_BATCH_OPS):
-            self.blobs.send(blobs[start:start + MAX_BATCH_OPS],
-                            grouped=True, fences=fences)
+        self.blobs.raise_failure(blobs, self.blobs.ship(
+            "apply", self.blobs.ops(blobs, dict(record.fences))))
 
     def _replay(self, record: journal.IntentRecord, phase: str) -> bool:
         """Apply a journaled intent again (in-session or at mount).
@@ -896,7 +926,7 @@ class SharoesFilesystem:
         the half-applied state.  From here the SSP moves past that --
         whether this replay completes, fails again further on, or finds
         a lease successor already did the writing -- so the cache
-        forgets those inodes first (``send`` only drops raw slots).
+        forgets those inodes first, raw readahead slots included.
 
         Replays stay *fenced*: if a successor took over our lease since
         the intent was journaled, it already rolled the intent forward,

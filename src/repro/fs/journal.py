@@ -8,16 +8,21 @@ mid-mutation strands half-applied state that an audit can detect but
 not explain.  This module supplies the redo log that makes those
 mutations atomic:
 
-* before any blob of a mutation leaves the client, the full set of
-  staged wire calls (puts with their sealed payloads, deletes) is
-  serialized into an :class:`IntentRecord` and uploaded to the user's
-  journal blob at the SSP;
-* the mutation then *applies* (replays the staged calls for real) and
-  *commits* (truncates the journal);
-* a crash at any point leaves either no intent (nothing was sent:
-  the op rolled back by construction) or a sealed intent whose replay
-  is idempotent (every staged action is an overwrite-put or an
-  idempotent delete), so recovery always converges on *fully applied*.
+* the full set of a mutation's staged wire calls (puts with their
+  sealed payloads, deletes) is serialized into an :class:`IntentRecord`
+  and ships as the first write of the mutation's one frame, a put of
+  the user's journal blob at the SSP;
+* behind it in the same frame the mutation *applies* (the staged calls
+  for real, in order) and *commits* (a put of the emptied journal);
+* the SSP applies a frame's sub-ops in order and stops at the first
+  that fails (a sharded SSP resolves journal writes as barriers to keep
+  that order), so a crash or refusal at any point leaves either no
+  intent (nothing of the op was written: it rolled back by
+  construction) or a sealed intent whose replay is idempotent (every
+  staged action is an overwrite-put or an idempotent delete), so
+  recovery always converges on *fully applied*.  A frame whose reply
+  is lost is settled by reading the journal back: it holds the intent's
+  exact bytes exactly while a redo is owed.
 
 The SSP is untrusted, so the journal is **sealed** (encrypt-then-MAC)
 under a **journal key** derived from the user's private identity key
@@ -264,19 +269,6 @@ class RecoveryOutcome:
     aborted: list[IntentRecord] = field(default_factory=list)
 
 
-def fences_behind(record: IntentRecord, current) -> bool:
-    """Is any of ``record``'s fences below the lease blob read for it?
-
-    ``current`` holds the lease blobs' bytes in ``record.fences`` order;
-    an absent blob (``None``) reads as epoch 0 (fail open), matching the
-    SSP's fence check.
-    """
-    from ..storage.server import fence_epoch
-
-    return any(epoch < fence_epoch(raw)
-               for (_, epoch), raw in zip(record.fences, current))
-
-
 def fences_stale(server, record: IntentRecord) -> bool:
     """Has any lease this intent relied on moved past its epoch?
 
@@ -284,20 +276,20 @@ def fences_stale(server, record: IntentRecord) -> bool:
     lease over (rolling the journal forward first), so anything still
     journaled at an older epoch predates the successor's writes and
     must be dropped, not replayed -- replaying it would resurrect the
-    lost-update the fencing exists to prevent.  (A client's own
-    mutation reads the same blobs in the frame that journals the
-    intent and asks :func:`fences_behind` itself.)
+    lost-update the fencing exists to prevent.  An absent lease blob
+    reads as epoch 0 (fail open), matching the SSP's fence check.
     """
     from ..storage.blobs import lease_blob
+    from ..storage.server import fence_epoch
 
-    def current():  # lazily: the first stale fence settles it
-        for inode, _ in record.fences:
-            try:
-                yield server.get(lease_blob(inode))
-            except BlobNotFound:
-                yield None
-
-    return fences_behind(record, current())
+    for inode, epoch in record.fences:
+        try:
+            current = server.get(lease_blob(inode))
+        except BlobNotFound:
+            current = None
+        if epoch < fence_epoch(current):
+            return True
+    return False
 
 
 def roll_forward(server, provider: CryptoProvider,

@@ -49,6 +49,18 @@ bytes); :attr:`LeaseManager.unbroken` reports it, and the filesystem
 keeps its cache for the inode on the strength of it.  A lost CAS hands
 back the current bytes and falls into the inspect-and-advance loop
 below, exactly as a read would have.
+
+**One frame per mutation.**  Over its own released link (or a new
+inode's absent blob) the CAS need not even go first: :meth:`acquire`
+with ``defer`` builds it and sends nothing, and :meth:`release` with a
+``body`` ships the whole mutation as one frame -- the CASes (the
+*head*), the body (intent, apply, commit), the released links (the
+*tail*).  Conflicts do not stop an ``OP_BATCH`` frame, fences do, so
+the intent is fenced at the head's links.  For the fence to bite, a
+released link's next epoch belongs to its writer: anyone else advancing
+the chain past it skips that epoch (:func:`successor_epoch`), so a CAS
+that lost leaves the chain past the fence and the SSP stops the frame
+before the intent.
 """
 
 from __future__ import annotations
@@ -59,8 +71,8 @@ from ..crypto import rsa
 from ..errors import (CasConflictError, IntegrityError, LeaseHeldError,
                       LeaseLostError)
 from ..serialize import Reader, SerializationError, Writer
-from ..storage.blobs import BlobId, lease_blob
-from ..storage.server import EPOCH_PREFIX_BYTES, BatchOp
+from ..storage.blobs import LEASE, BlobId, lease_blob
+from ..storage.server import EPOCH_PREFIX_BYTES, BatchOp, BatchReply
 from .freshness import FreshnessMonitor
 from .journal import roll_forward
 
@@ -70,6 +82,22 @@ from .journal import roll_forward
 _ACQUIRE_ROUNDS = 4
 
 _SIGN_DOMAIN = b"sharoes/lease/"
+
+
+class HeadCasLost(LeaseLostError):
+    """A mutation frame's optimistic head CAS lost.
+
+    The link this client last wrote was no longer the tip: another
+    writer advanced the chain since.  The SSP fenced the frame out
+    before its intent, so nothing of the mutation reached the SSP; the
+    filesystem runs the op once more on the acquire-first path.
+    """
+
+
+def _check_blob(inode: int) -> BlobId:
+    """What a fence check deletes: an id nothing ever writes, so the
+    ``delete_fenced`` changes nothing -- but the SSP still fences it."""
+    return BlobId(LEASE, inode, "check")
 
 
 @dataclass(frozen=True)
@@ -154,8 +182,20 @@ class LeaseRecord:
         return self.released or now_us >= self.expires_us
 
 
+def successor_epoch(prior: LeaseRecord) -> int:
+    """The epoch of a link written over ``prior`` after reading it.
+
+    A released link's next epoch is reserved for the mount that wrote
+    it, whose next mutation CASes over it unread and fences that
+    mutation's frame at ``epoch + 1``; anyone who found the link by
+    reading it -- another client, fsck, another mount of the same user
+    -- skips that epoch, so that frame stops before anything is written.
+    """
+    return prior.epoch + (2 if prior.released else 1)
+
+
 def break_record(prior: LeaseRecord, holder_user) -> LeaseRecord:
-    """A signed *released* successor of ``prior`` (epoch + 1).
+    """A signed *released* successor of ``prior``.
 
     Built with the holder's escrowed private key: after rolling a dead
     client's journal forward, the enterprise (``fsck --repair`` /
@@ -163,7 +203,7 @@ def break_record(prior: LeaseRecord, holder_user) -> LeaseRecord:
     take over immediately instead of waiting out the expiry -- while
     the epoch chain stays monotone and verifiable.
     """
-    return replace(prior, epoch=prior.epoch + 1,
+    return replace(prior, epoch=successor_epoch(prior),
                    released=True).signed(holder_user.private_key)
 
 
@@ -180,7 +220,7 @@ class LeaseManager:
     trust, exactly what fsck already holds); without it, takeover of a
     *dead* client's lease is refused rather than performed lossily.
     ``exchange(label, ops) -> replies`` ships one frame of sub-ops; the
-    filesystem passes :meth:`BlobIO.exchange` so every lease frame is
+    filesystem passes :meth:`BlobIO.ship` so every lease frame is
     counted and charged, standalone it is ``server.batch``.
     """
 
@@ -202,6 +242,13 @@ class LeaseManager:
         #: inode -> the last chain link this client wrote (held or
         #: released): what the next acquire CASes against unread.
         self._last: dict[int, tuple[LeaseRecord, bytes]] = {}
+        #: inode -> (link, its bytes, the bytes it CASes over): a
+        #: deferred acquire, sent at the head of the next mutation frame.
+        self._planned: dict[int, tuple[LeaseRecord, bytes,
+                                       bytes | None]] = {}
+        #: inode -> the bytes a lost head CAS handed back: what the next
+        #: acquire inspects instead of reading the blob.
+        self._seeds: dict[int, bytes | None] = {}
         #: did the last :meth:`acquire` prove the chain moved only
         #: through this client since its previous link?
         self.unbroken = False
@@ -247,9 +294,16 @@ class LeaseManager:
     def held_inodes(self) -> list[int]:
         return sorted(self._held)
 
+    def deferred(self, inode: int) -> bool:
+        """Is a CAS over this client's own link on ``inode`` waiting for
+        a mutation frame's head (a link another writer could move)?"""
+        planned = self._planned.get(inode)
+        return planned is not None and planned[2] is not None
+
     # -- the state machine ---------------------------------------------------
 
-    def acquire(self, inode: int, new: bool = False) -> LeaseRecord:
+    def acquire(self, inode: int, new: bool = False,
+                defer: bool = False) -> LeaseRecord:
         """Hold (or keep holding) the lease on ``inode``.
 
         Outcomes: a fresh acquisition (absent/released/expired lease,
@@ -261,9 +315,13 @@ class LeaseManager:
 
         The first CAS goes out unread against the last link this client
         wrote (``new``: against an absent blob -- the caller allocated
-        the inode in this very op); only a client with neither reads the
-        blob first.  :attr:`unbroken` is set when that first CAS won
-        over our own link.
+        the inode in this very op); a client with neither inspects the
+        link a lost head CAS handed back, else reads the blob first.
+        :attr:`unbroken` is set when that first CAS won over our own
+        link.  With ``defer``, a CAS over our own released link or an
+        absent blob is built but not sent: the returned link is the one
+        the caller's mutation frame will CAS in (:meth:`release`), and
+        :attr:`unbroken` predicts that it wins.
         """
         held = self._held.get(inode)
         if held is not None and not held[0].expired(self._now_us()):
@@ -275,8 +333,18 @@ class LeaseManager:
         if (last is not None and last[0].epoch
                 != self.freshness.high_watermark(inode)):
             last = None  # the chain was seen past it: not the tip
+        if defer and (new or (last is not None and last[0].released)):
+            base = (last[0].epoch if last is not None
+                    else self.freshness.high_watermark(inode) or 0)
+            record = self._make(inode, base + 1)
+            self._planned[inode] = (record, record.to_bytes(),
+                                    last[1] if last is not None else None)
+            self.unbroken = last is not None
+            return record
         raw: bytes | None = None
         fetched = new  # a new inode's blob is absent: nothing to read
+        if inode in self._seeds:
+            raw, fetched, last = self._seeds.pop(inode), True, None
         if last is not None:
             verb, help = (
                 ("lease.acquires", "fresh lease acquisitions")
@@ -339,7 +407,7 @@ class LeaseManager:
             # Ours (this session's, or a previous incarnation's -- that
             # one's journal is replayed by our own mount): renew.
             return self._swap(inode, blob_id,
-                              self._make(inode, record.epoch + 1),
+                              self._make(inode, successor_epoch(record)),
                               expected=raw, verb="lease.renewals",
                               help="renewals of held leases")
 
@@ -373,7 +441,7 @@ class LeaseManager:
             if not record.released:
                 self._roll_forward_holder(record.holder)
             taken = self._swap(inode, blob_id,
-                               self._make(inode, record.epoch + 1),
+                               self._make(inode, successor_epoch(record)),
                                expected=raw, verb="lease.takeovers",
                                help="takeovers of expired/released "
                                     "leases")
@@ -449,43 +517,167 @@ class LeaseManager:
     def _drop(self, inode: int) -> None:
         self._held.pop(inode, None)
 
-    def release(self, *inodes: int, lead=()) -> list:
-        """Surrender held leases with one frame of *released* records.
+    def release(self, *inodes: int, body=()) -> list:
+        """Surrender leases with one frame of *released* records.
 
         The chain stays monotone (release bumps the epoch, never
         deletes the blob), so freshness monitoring keeps working across
         release/re-acquire cycles, and the released record is the link
         the next :meth:`acquire` CASes against.  Losing a release CAS is
         benign: a successor already took the lease over.  A release the
-        frame never reached (it stopped at a failed sub-op) only costs
-        peers a takeover after expiry.
+        frame never reached (it stopped at a failed sub-op) leaves the
+        lease held; peers take it over after expiry.
 
-        ``lead`` sub-ops ride in front -- a mutation's journal commit,
-        so the release costs it no frame of its own; their replies are
-        returned for the caller to judge.
+        A ``body`` -- a mutation's intent, apply and commit, in that
+        order -- rides in the same frame, behind a **head**: one
+        ``put_if`` per inode (the CAS :meth:`acquire` deferred, or a held
+        lease's bytes against themselves: no epoch bump, no signature),
+        then the intent fenced at the first link another writer could
+        have taken, every other such link checked right before and right
+        behind it (a ``delete_fenced`` of an id nothing writes).  A lost
+        CAS leaves the chain past the epoch its fence names
+        (:func:`successor_epoch`), so the SSP stops the frame ahead of the
+        intent; a takeover during the head stops it ahead of the apply,
+        the intent it let through superseded.  Either way nothing of the
+        mutation is ever applied: :class:`HeadCasLost` if the link was a
+        deferred CAS's, else :class:`LeaseLostError`.  Otherwise the
+        body's replies are returned for the caller to judge.  A frame
+        the transport sent again after its first copy landed reads as
+        that copy (:meth:`_resent`), never as a lost CAS.  A body-less
+        release drops deferred CASes unsent.
         """
-        lead = list(lead)
-        released = []
+        body = list(body)
+        label = "mutation" if body else "lease.release"
+        head, checks, links = [], [], {}
         for inode in inodes:
-            held = self._held.pop(inode, None)
-            if held is not None:
-                record = self._make(inode, held[0].epoch + 1, released=True)
-                released.append((record, BatchOp.put_if(
-                    lease_blob(inode), record.to_bytes(),
-                    expected=held[1])))
-        if not (lead or released):
+            planned = self._planned.pop(inode, None)
+            if body and planned is not None:
+                record, raw, expected = planned
+                head.append((inode, record,
+                             BatchOp.put_if(lease_blob(inode), raw, expected)))
+                links[inode] = (record, raw)
+                if expected is not None:
+                    checks.append((inode, record.epoch))
+            elif inode in self._held:
+                record, raw = links[inode] = self._held[inode]
+                if body:
+                    head.append((inode, None,
+                                 BatchOp.put_if(lease_blob(inode), raw, raw)))
+                    checks.append((inode, record.epoch))
+        tail = []
+        for inode, (record, raw) in links.items():
+            released = self._make(inode, record.epoch + 1, released=True)
+            tail.append((inode, released, BatchOp.put_if(
+                lease_blob(inode), released.to_bytes(), expected=raw)))
+        if not (body or tail):
             return []
-        replies = self._exchange("lease.release",
-                                 lead + [op for _, op in released])
-        for (record, op), reply in zip(released, replies[len(lead):]):
+        if body:
+            self._seeds = {}
+        ops = [op for *_, op in head]
+        guards: list[int | None] = [None] * len(ops)  # a fence's link
+        intent_at = None
+        if body and checks:
+            (first, epoch), rest = checks[0], checks[1:]
+            probes = [BatchOp.delete_fenced(_check_blob(inode),
+                                            lease_blob(inode), at)
+                      for inode, at in rest]
+            others = [inode for inode, _ in rest]
+            intent, body = body[0], body[1:]
+            intent_at = len(ops) + len(probes)
+            ops += probes + [BatchOp.put_fenced(
+                intent.blob_id, intent.payload or b"", lease_blob(first),
+                epoch)] + probes
+            guards += others + [first] + others
+        gate = len(ops)
+        ops += body + [op for *_, op in tail]
+        # A retrying transport (``retries``) may send the frame twice.
+        retries = getattr(self.server, "retries", 0)
+        replies = self._exchange(label, ops)
+        if body and getattr(self.server, "retries", 0) != retries:
+            replies = self._resent(ops, head, tail, replies)
+        self._took_head(head, replies)
+        self._took_tail(tail, replies[len(ops) - len(tail):])
+        stop = next((at for at in range(gate)
+                     if replies[at].status in ("fenced", "error")), None)
+        if stop is None:
+            return ([] if intent_at is None else [replies[intent_at]]) + \
+                replies[gate:len(ops) - len(tail)]
+        if replies[stop].status == "error":
+            replies[stop].raise_for_status()
+        inode = guards[stop]
+        if inode in self._seeds:
+            raise HeadCasLost(f"inode {inode}: the chain moved past this "
+                              f"client's last link")
+        self.forget(inode)
+        self._count("lease.lost",
+                    "leases found taken over by a mutation frame's head")
+        raise LeaseLostError(f"inode {inode}: lease taken over before "
+                             f"the mutation frame")
+
+    def _resent(self, ops, head, tail, replies) -> list:
+        """``replies`` as the first copy of a frame the transport sent
+        again would have had them, if that copy landed through its
+        commit.
+
+        A copy sent after the first landed finds the chain past the
+        frame's own fences -- its own tail moved it there -- and stops
+        as if a peer had taken the lease.  The journal tells the two
+        apart: it holds the frame's commit (sealed under a fresh nonce,
+        so no other write matches it) exactly when the first copy got
+        that far.  The commit landed means the body did.  An inode whose
+        head conflicted with the released link the tail built is booked
+        released; any other is forgotten: its next acquire reads the
+        chain.
+        """
+        if not any(reply.status == "fenced" for reply in replies):
+            return replies
+        commit = ops[len(ops) - len(tail) - 1]
+        journal, = self._exchange("journal.read",
+                                  [BatchOp.get(commit.blob_id)])
+        if journal.status == "error":
+            journal.raise_for_status()
+        if journal.payload != commit.payload:
+            return replies
+        built = {inode: op.payload for inode, _, op in tail}
+        released = {inode for (inode, *_), reply in zip(head, replies)
+                    if reply.status == "conflict"
+                    and reply.payload == built[inode]}
+        for inode, *_ in head:
+            if inode not in released:
+                self.forget(inode)
+        owner = ([inode for inode, *_ in head]
+                 + [None] * (len(ops) - len(head) - len(tail))
+                 + [inode for inode, *_ in tail])
+        return [BatchReply("ok" if inode is None or inode in released
+                           else "unattempted") for inode in owner]
+
+    def _took_head(self, head, replies) -> None:
+        """Book the deferred CASes of a mutation frame's head."""
+        for (inode, record, op), reply in zip(head, replies):
+            if record is None:
+                continue  # a held lease, compared: its fence judges it
             if reply.status == "ok":
-                self.freshness.observe_metadata(record.inode, record.epoch,
+                self.freshness.observe_metadata(inode, record.epoch,
                                                 op.payload)
-                self._last[record.inode] = (record, op.payload)
+                self._held[inode] = self._last[inode] = (record, op.payload)
+                self._count("lease.acquires", "fresh lease acquisitions")
+                continue
+            self._last.pop(inode, None)  # not the tip (or unknown)
+            if reply.status == "conflict":
+                self._seeds[inode] = reply.payload
+                self._count("lease.conflicts",
+                            "CAS races lost while acquiring leases")
+
+    def _took_tail(self, tail, replies) -> None:
+        for (inode, record, op), reply in zip(tail, replies):
+            if reply.status == "ok":
+                self.freshness.observe_metadata(inode, record.epoch,
+                                                op.payload)
+                self._held.pop(inode, None)
+                self._last[inode] = (record, op.payload)
                 self._count("lease.releases", "voluntary lease releases")
             elif reply.status == "conflict":
-                self._last.pop(record.inode, None)
-        return replies[:len(lead)]
+                self.forget(inode)
 
     def release_all(self) -> None:
         self.release(*self.held_inodes())
@@ -500,9 +692,13 @@ class LeaseManager:
         """
         self._drop(inode)
         self._last.pop(inode, None)
+        self._planned.pop(inode, None)
+        self._seeds.pop(inode, None)
 
     def forget_all(self) -> None:
         """Drop local lease state without touching the SSP (crash sim,
         unmount)."""
         self._held.clear()
         self._last.clear()
+        self._planned.clear()
+        self._seeds.clear()

@@ -11,9 +11,12 @@ either hash of user/group ID (for Scheme-1) or CAP ID (Scheme-2)"
 * ``groupkey/<group>/<user-hash>`` -- group keys wrapped per member
 * ``lockbox/<inode>/<user-hash>``  -- Scheme-2 split-point lockboxes
 * ``journal/<user-hash>``      -- per-user write-ahead intent journals
-  (MEK-encrypted + signed client-side; see :mod:`repro.fs.journal`)
+  (sealed client-side under a key derived from the user's private key;
+  see :mod:`repro.fs.journal`)
 * ``lease/<inode>``            -- per-inode signed lease blobs with a
-  plaintext fencing-epoch prefix (see :mod:`repro.fs.lease`)
+  plaintext fencing-epoch prefix (see :mod:`repro.fs.lease`);
+  ``lease/<inode>/check`` is never stored: a mutation frame's fenced
+  no-op delete of it checks the lease
 * ``plan/0/-``                 -- the signed shard-rebalance plan with a
   plaintext plan-epoch prefix (see :mod:`repro.storage.rebalance`)
 

@@ -106,9 +106,14 @@ class MutationTrigger(ServerWrapper):
     def __init__(self, inner: StorageServer,
                  actions: dict[int, Callable[[], None]] | None = None):
         super().__init__(inner, name=f"trigger({inner.name})")
+        self._death: Exception | None = None
+        self.arm(actions)
+
+    def arm(self, actions: dict[int, Callable[[], None]] | None = None
+            ) -> None:
+        """Count afresh from here: the next mutation is k = 1."""
         self.actions = dict(actions or {})
         self.mutations = 0
-        self._death: Exception | None = None
 
     def _forward(self, op: BatchOp):
         if op.kind in MUTATION_KINDS:

@@ -40,7 +40,9 @@ the blob id did not already leak -- to one of N backend shards:
   scatter-gather round: mutations replicate into each target shard's
   sub-frame, reads ride their primary's sub-frame with single-op
   failover, ``put_if`` sub-ops are ordering barriers resolved through
-  the quorum CAS, and the per-shard
+  the quorum CAS, journal writes are barriers too (a mutation frame's
+  intent lands before its apply, its apply before its commit), and the
+  per-shard
   :meth:`ResilientTransport.batch` partial-retry applies unchanged
   below the fan-out.
 
@@ -83,7 +85,7 @@ from ..errors import (BlobNotFound, CasConflictError, StaleEpochError,
                       TransientStorageError)
 from ..sim.clock import SimClock
 from .accounting import ServerStats
-from .blobs import LEASE, PLAN, BlobId
+from .blobs import JOURNAL, LEASE, PLAN, BlobId
 from .resilient import (_BREAKER_GAUGE, OutageServer, ResilientTransport,
                         RetryPolicy)
 from .server import (BatchOp, BatchReply, StorageServer, execute,
@@ -761,8 +763,11 @@ class ShardedServer:
     def batch(self, ops: Sequence[BatchOp]) -> list[BatchReply]:
         """Fan one OP_BATCH frame out as per-shard sub-frames.
 
-        The frame is split at ``put_if`` barriers (a CAS must resolve
-        against the quorum winner *in order*, via :meth:`put_if`); each
+        The frame is split at barriers, each resolved alone and in order
+        through its single-op method: ``put_if`` (a CAS must resolve
+        against the quorum winner) and every journal sub-op (a mutation
+        frame's intent must be durable before its apply scatters, and
+        its apply resolved before the commit empties the journal).  Each
         barrier-free segment is scattered in one round: every mutation
         sub-op is appended to each of its replica shards' sub-frames,
         every plain read rides its first trusted replica's sub-frame,
@@ -792,7 +797,7 @@ class ShardedServer:
                 merged.append(BatchReply("unattempted"))
                 i += 1
                 continue
-            if ops[i].kind == "put_if":
+            if self._barrier(ops[i]):
                 reply = execute(self, ops[i])
                 merged.append(reply)
                 if reply.status in ("fenced", "error"):
@@ -800,7 +805,7 @@ class ShardedServer:
                 i += 1
                 continue
             j = i
-            while j < len(ops) and ops[j].kind != "put_if":
+            while j < len(ops) and not self._barrier(ops[j]):
                 j += 1
             segment_replies = self._scatter_segment(ops[i:j])
             merged.extend(segment_replies)
@@ -809,6 +814,10 @@ class ShardedServer:
                 stopped = True
             i = j
         return merged
+
+    @staticmethod
+    def _barrier(op: BatchOp) -> bool:
+        return op.kind == "put_if" or op.blob_id.kind == JOURNAL
 
     def _scatter_segment(self,
                          segment: Sequence[BatchOp]) -> list[BatchReply]:

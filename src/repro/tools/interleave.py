@@ -75,7 +75,8 @@ class InterleaveCase:
     all_applied: Callable[[SharoesFilesystem], bool]
     #: the first op is fully absent, every rider applied.
     first_rolled_back: Callable[[SharoesFilesystem], bool]
-    #: run by every client of the schedule right after it mounts; a case
+    #: run by every client of the schedule right after it mounts (the
+    #: first client last, and before its mutations are counted); a case
     #: that sets it mounts its clients *with* a cache (the others run
     #: cache-less), so what a client read before the race is in play.
     warm: Callable[[SharoesFilesystem], None] | None = None
@@ -112,6 +113,12 @@ def build_cases(payloads: dict[str, bytes]) -> list[InterleaveCase]:
     """
     pa, pb, pc, px = (payloads["a"], payloads["b"], payloads["c"],
                       payloads["x"])
+
+    def own_tip(fs: SharoesFilesystem) -> None:
+        """Leave this client's released link at the tip of ``/d``."""
+        path = f"/d/.{fs.agent.user_id}"
+        fs.mknod(path)
+        fs.unlink(path)
 
     def claim(payload: bytes) -> Callable[[SharoesFilesystem], None]:
         def op(fs: SharoesFilesystem) -> None:
@@ -186,6 +193,21 @@ def build_cases(payloads: dict[str, bytes]) -> list[InterleaveCase]:
             all_applied=lambda fs: fs.read_file("/d/same") in (pa, pb),
             first_rolled_back=lambda fs: fs.read_file("/d/same") == pb,
             warm=lambda fs: fs.readdir("/d")),
+        # The first writer warmed up last, so its own released link is
+        # the tip on /d: its create is one frame, read from its cache
+        # and CASed over that link at the frame's head.  k = 1 runs the
+        # rider between those reads and the head CAS that must prove
+        # them.
+        InterleaveCase(
+            "create-own-tip",
+            prepare=lambda fs: None,
+            first=lambda fs: fs.create_file("/d/a", pa),
+            others=(("bob", lambda fs: fs.create_file("/d/b", pb)),),
+            all_applied=lambda fs: (fs.read_file("/d/a") == pa
+                                    and fs.read_file("/d/b") == pb),
+            first_rolled_back=lambda fs: (not path_exists(fs, "/d/a")
+                                          and fs.read_file("/d/b") == pb),
+            warm=own_tip),
     ]
 
 
@@ -308,10 +330,12 @@ class InterleaveMatrix(Sweep):
 
         first_error = ""
         action = {CRASH: crash, PREEMPT: pause, ZOMBIE: pause}.get(mode)
-        first_server = (MutationTrigger(self.rig.server, {point: action})
+        first_server = (MutationTrigger(self.rig.server)
                         if action is not None else None)
         first = self._client("alice", first_server, consistency=True,
                              warm=case.warm)
+        if first_server is not None:
+            first_server.arm({point: action})
 
         try:
             case.first(first)
@@ -363,5 +387,7 @@ class InterleaveMatrix(Sweep):
         """Counting run: how many SSP mutations the first op issues."""
         self._prepare(case)
         counter = MutationTrigger(self.rig.server)
-        case.first(self._client("alice", counter, warm=case.warm))
+        first = self._client("alice", counter, warm=case.warm)
+        counter.arm()
+        case.first(first)
         return counter.mutations

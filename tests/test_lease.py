@@ -131,9 +131,10 @@ class TestStateMachine:
         record = LeaseRecord.from_bytes(server.get(lease_blob(5)))
         assert record.released and record.epoch == 2
         assert mgr.held_epoch(5) is None
-        # Another client may take a released lease over immediately.
+        # Another client may take a released lease over immediately --
+        # past epoch 3, which stays alice's (her next frame fences at it).
         bob = make_manager(registry, server, clock, "bob")
-        assert bob.acquire(5).epoch == 3
+        assert bob.acquire(5).epoch == 4
 
     def test_unexpired_lease_blocks_peers(self, registry, clock):
         server = StorageServer()
@@ -403,7 +404,9 @@ class TestZombie:
         prep = make_leased(volume, registry, "alice")
         prep.mkdir("/d", mode=0o775)
         prep.unmount()
-        crasher = MutationTrigger(server, {4: crash})
+        # mutations: the acquire of /d; the frame's head CASes of /d and
+        # of the new inode and its check of /d; the intent; the apply.
+        crasher = MutationTrigger(server, {6: crash})
         dying = make_leased(volume, registry, "alice", server=crasher)
         with pytest.raises(ClientCrashed):
             dying.create_file("/d/dead", b"committed-before-crash")
@@ -425,17 +428,18 @@ class TestZombie:
 
 
 class _JournalTap(ServerWrapper):
-    """Records every version of one user's journal blob as it is put."""
+    """Records every version of one user's journal blob as it is put
+    (a leased intent is a fenced put)."""
 
     def __init__(self, inner, user_id: str):
         super().__init__(inner)
         self.jid = journal_blob(user_id)
         self.history: list[bytes] = []
 
-    def put(self, blob_id, payload):
-        if blob_id == self.jid:
-            self.history.append(payload)
-        self.inner.put(blob_id, payload)
+    def _forward(self, op):
+        if op.blob_id == self.jid and op.payload is not None:
+            self.history.append(op.payload)
+        return op.call(self.inner)
 
 
 class TestVslJournalBinding:
@@ -532,19 +536,31 @@ class _OpTap(ServerWrapper):
 
 def test_leased_revocation_leases_before_it_reads_the_blocks(shared,
                                                              registry):
-    """A revoking chmod re-keys the file's blocks: it must hold the
-    inode's lease before it reads the content it is about to re-send,
-    or a peer's write between the read and the lease is overwritten."""
+    """A revoking chmod re-keys the file's blocks: the content it
+    re-sends must be read under the lease, or a peer's write between the
+    read and the lease is overwritten.  A mount with no link of its own
+    on the inode acquires before it reads; one whose own released link
+    is the tip reads first and sends the blocks behind the head CAS
+    that proves nobody wrote since."""
     server, volume = shared
+    fs = make_leased(volume, registry, "alice")
+    inode = fs.create_file("/f", b"z" * 300, mode=0o664).inode
+    fs.unmount()
     tap = _OpTap(server)
     fs = make_leased(volume, registry, "alice", server=tap)
-    inode = fs.create_file("/f", b"z" * 300, mode=0o664).inode
-    del tap.ops[:]
     fs.chmod("/f", 0o660)  # o-r: a revocation
     ids = [op.blob_id for op in tap.ops]
     first_block = next(at for at, blob_id in enumerate(ids)
                        if (blob_id.kind, blob_id.inode) == ("data", inode))
     assert ids.index(lease_blob(inode)) < first_block
+    del tap.ops[:]
+    fs.chmod("/f", 0o600)  # g-rw: another revocation, over our own link
+    block_puts = [at for at, op in enumerate(tap.ops)
+                  if op.kind == "put_fenced"
+                  and (op.blob_id.kind, op.blob_id.inode) == ("data", inode)]
+    head = next(at for at, op in enumerate(tap.ops)
+                if op.kind == "put_if" and op.blob_id == lease_blob(inode))
+    assert block_puts and head < block_puts[0]
 
 
 # -- lease contention backoff (ClientConfig surface) --------------------------

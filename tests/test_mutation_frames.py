@@ -1,32 +1,43 @@
 """The leased, journaled mutation protocol, frame by frame.
 
-One mutation of a ``journal=True, lease=True`` client is ``k`` lease CAS
-frames (``k`` = inodes it leases), then three: the intent with the fence
-preflight behind it, the apply, the commit with the releases behind it
-(docs/CONCURRENCY.md).  This file pins
+One mutation of a ``journal=True, lease=True`` client is one frame: a
+head (one lease CAS per inode, then a fence check per link another
+writer could have taken), the intent, the fenced apply, the commit, the
+released links (docs/CONCURRENCY.md).  A warm inode's CAS -- over this
+client's own released link -- rides that head instead of a frame of its
+own; a cold one is acquired first.  This file pins
 
 * the exact frame script -- kind and blob ids of every frame -- of the
   ops the repo benchmark's ``duo_wire`` is made of;
+* that a lost head CAS stops the frame before anything is written, and
+  a lease taken over under a pre-acquired client does the same;
 * the one cache-coherence rule of ``_touch``: the cache for an inode
-  stays warm exactly when the first lease CAS won over this client's
-  own last chain link, and a second client's write between two of our
-  mutations is always seen;
+  stays warm exactly when the CAS goes over this client's own last
+  chain link, and a second client's write between two of our mutations
+  is always seen;
 * that the ``batching=False`` reference execution leaves the SSP byte
   for byte where the batched one does;
-* that an apply frame fenced out part-way still surfaces
-  ``LeaseLostError`` and invalidates what the op touched.
+* that an apply fenced out part-way still surfaces ``LeaseLostError``
+  and invalidates what the op touched;
+* that a frame whose reply is lost lands exactly once: a copy the
+  transport sends again is recognised by the journal, and without
+  retries the journal decides whether the redo is kept;
+* that on a sharded SSP an intent no journal replica took stops the
+  frame before any of its apply.
 """
 
 from __future__ import annotations
 
 import functools
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.provider import CryptoProvider
-from repro.errors import (FileExists, FileNotFound, LeaseLostError)
+from repro.errors import (FileExists, FileNotFound, LeaseLostError,
+                          TransientStorageError)
 from repro.fs import client as fs_client
 from repro.fs.blobio import BlobIO
 from repro.fs.client import ClientConfig, SharoesFilesystem
@@ -34,9 +45,11 @@ from repro.fs.lease import LeaseManager, LeaseRecord, break_record
 from repro.fs.volume import SharoesVolume
 from repro.principals.groups import GroupKeyService
 from repro.sim.clock import SimClock
-from repro.storage.blobs import lease_blob
-from repro.storage.resilient import MutationTrigger, ServerWrapper
+from repro.storage.blobs import journal_blob, lease_blob
+from repro.storage.resilient import (MutationTrigger, RetryPolicy,
+                                     ServerWrapper)
 from repro.storage.server import StorageServer, apply_batch
+from repro.storage.shards import ShardedServer
 from repro.tools.fsck import VolumeAuditor
 from repro.tools.twin import pinned_entropy
 
@@ -125,62 +138,63 @@ def _views(prefix: str, kind: str = "put_fenced") -> tuple[str, ...]:
     return tuple(f"{kind} {prefix}{who}" for who in "ogw")
 
 
-INTENT = "put journal"
+INTENT = "put_fenced journal"      # fenced on the head's first link
+COMMIT = "put journal"
+
+
+def _check(inode: str) -> str:
+    return f"delete_fenced lease/{inode}/check"
 
 
 # -- the frame scripts ----------------------------------------------------------
 
 
-def test_create_file_is_k_plus_three_frames(stack, registry):
+def test_create_file_is_one_frame(stack, registry):
     fs, tap = steady(stack, registry)
     tap.names[fs.volume.allocator._next] = "N"
     fs.create_file("/d/new", b"y" * 300, mode=0o664)
     assert tap.take() == [
-        ("put_if lease/D/-",),          # over our own released link
-        ("put_if lease/N/-",),          # a new inode: expected absent
         ("exists data/N/b1",),          # the tail probe (still its own)
-        (INTENT, "get lease/D/-", "get lease/N/-"),
-        _views("meta/N/") + _views("data/D/t:") + ("put_fenced data/N/b0",),
-        (INTENT, "put_if lease/D/-", "put_if lease/N/-"),
+        ("put_if lease/D/-",            # over our own released link
+         "put_if lease/N/-",            # a new inode: expected absent
+         INTENT)
+        + _views("meta/N/") + _views("data/D/t:") + ("put_fenced data/N/b0",)
+        + (COMMIT, "put_if lease/D/-", "put_if lease/N/-"),
     ]
 
 
-def test_unlink_is_k_plus_three_frames(stack, registry):
+def test_unlink_is_one_frame(stack, registry):
     fs, tap = steady(stack, registry)
     fs.unlink("/d/f-alice")
-    frames = tap.take()
-    deletes = frames[4][3:]
-    assert frames[:4] == [
-        ("put_if lease/D/-",),
-        ("put_if lease/F/-",),
-        ("exists data/F/b1",),
-        (INTENT, "get lease/D/-", "get lease/F/-"),
-    ]
-    assert frames[4][:3] == _views("data/D/t:")
+    probe, frame = tap.take()
+    assert probe == ("exists data/F/b1",)
+    assert frame[:8] == ("put_if lease/D/-", "put_if lease/F/-",
+                         _check("F"), INTENT, _check("F")) + _views(
+                             "data/D/t:")
+    deletes = frame[8:-3]
     assert deletes[:4] == _views("meta/F/", "delete_fenced") + (
         "delete_fenced data/F/b0",)
     assert all(op.startswith("delete_fenced lockbox/F/")
                for op in deletes[4:])
-    assert frames[5:] == [(INTENT, "put_if lease/D/-", "put_if lease/F/-")]
+    assert frame[-3:] == (COMMIT, "put_if lease/D/-", "put_if lease/F/-")
 
 
-def test_own_append_is_k_plus_three_frames(stack, registry):
+def test_own_append_is_one_frame(stack, registry):
     fs, tap = steady(stack, registry)
     fs.append_file("/d/f-alice", b"+" * 40)
     assert tap.take() == [
-        ("put_if lease/F/-",),
         ("get data/F/b0",),             # no block cache: the base
         ("exists data/F/b1",),
-        (INTENT, "get lease/F/-"),
-        ("put_fenced data/F/b0",),
-        (INTENT, "put_if lease/F/-"),
+        ("put_if lease/F/-", INTENT, "put_fenced data/F/b0", COMMIT,
+         "put_if lease/F/-"),
     ]
 
 
 def test_contended_shared_append_pays_one_lost_cas(stack, registry):
-    """Bob appended in between: alice's blind CAS loses, hands back
-    bob's released link, and the second CAS takes it over -- no read of
-    the lease blob on either side once each has written a link."""
+    """Bob appended in between: alice's frame loses its head CAS and
+    stops at the fenced intent; she runs the append once more, acquiring
+    first -- a takeover of the link the lost CAS handed back, no read of
+    the lease blob -- and re-reads the base under the lease."""
     alice, tap = steady(stack, registry)
     bob, bob_tap = mount(stack, registry, "bob")
     bob_tap.names = tap.names
@@ -190,13 +204,14 @@ def test_contended_shared_append_pays_one_lost_cas(stack, registry):
     alice.append_file("/d/f-alice", b"a" * 40)
     protocol = [frame for frame in tap.take()
                 if not frame[0].startswith(("get meta/", "exists "))]
+    frame = ("put_if lease/F/-", INTENT, "put_fenced data/F/b0", COMMIT,
+             "put_if lease/F/-")
     assert protocol == [
-        ("put_if lease/F/-",),          # lost: bob's link rode back
+        ("get data/F/b0",),
+        frame,                          # lost: stopped at the intent
         ("put_if lease/F/-",),          # takeover of bob's released link
         ("get data/F/b0",),
-        (INTENT, "get lease/F/-"),
-        ("put_fenced data/F/b0",),
-        (INTENT, "put_if lease/F/-"),
+        frame,                          # head: the held link, compared
     ]
     reader = SharoesFilesystem(stack[1], registry.user("bob"))
     reader.mount()
@@ -204,26 +219,99 @@ def test_contended_shared_append_pays_one_lost_cas(stack, registry):
                                               + b"b" * 40 + b"a" * 40)
 
 
-def test_rename_within_a_directory_is_four_frames(stack, registry):
+def test_rename_within_a_directory_is_one_frame(stack, registry):
     fs, tap = steady(stack, registry)
     fs.rename("/d/f-alice", "/d/g")
     assert tap.take() == [
-        ("put_if lease/D/-",),
-        (INTENT, "get lease/D/-"),
-        _views("data/D/t:") + _views("data/D/t:"),  # add row, drop row
-        (INTENT, "put_if lease/D/-"),
+        ("put_if lease/D/-", INTENT)
+        + _views("data/D/t:") + _views("data/D/t:")  # add row, drop row
+        + (COMMIT, "put_if lease/D/-"),
     ]
 
 
 def test_every_protocol_frame_is_counted_and_charged(stack, registry):
-    """Lease, intent and commit frames enter ``request_count`` (only the
-    ``exists`` probe stays outside, ROADMAP item 1(a))."""
+    """The mutation frame enters ``request_count`` (only the ``exists``
+    probe stays outside, ROADMAP item 1(a))."""
     fs, tap = steady(stack, registry)
     before = fs.request_count
     fs.create_file("/d/new", b"y" * 300, mode=0o664)
     frames = tap.take()
     probes = [frame for frame in frames if frame[0].startswith("exists ")]
-    assert fs.request_count - before == len(frames) - len(probes) == 5
+    assert fs.request_count - before == len(frames) - len(probes) == 1
+
+
+# -- a head that loses writes nothing ----------------------------------------------
+
+
+class MutationFrames(FrameTap):
+    """A frame spy that also keeps the SSP's blobs before and after
+    every frame carrying a journal put."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.states: list[tuple[dict, dict]] = []
+
+    def batch(self, ops):
+        if not any(op.blob_id.kind == "journal" for op in ops):
+            return super().batch(ops)
+        before = self.inner.raw_blobs()
+        try:
+            return super().batch(ops)
+        finally:
+            self.states.append((before, self.inner.raw_blobs()))
+
+
+def test_a_lost_head_cas_writes_nothing_then_the_op_lands(stack, registry):
+    """The frame whose head CAS lost leaves the SSP as it found it; the
+    retry lands the append on the other writer's, as a sequential run
+    of the three appends would."""
+    server, volume, _ = stack
+    alice, _ = steady(stack, registry)
+    spy = MutationFrames(server)
+    alice.blobs.server = alice.lease.server = spy
+    bob, _ = mount(stack, registry, "bob")
+    alice.append_file("/d/f-alice", b"a" * 40)
+    bob.append_file("/d/f-alice", b"b" * 40)
+    del spy.states[:]
+    alice.append_file("/d/f-alice", b"c" * 40)
+    (lost_before, lost_after), (before, after) = spy.states
+    assert lost_after == lost_before
+    assert after != before
+    assert alice.read_file("/d/f-alice") == (b"x" * 300 + b"a" * 40
+                                             + b"b" * 40 + b"c" * 40)
+    report = VolumeAuditor(volume).audit()
+    assert report.clean and not report.orphaned_blobs, report.summary()
+
+
+def test_a_taken_over_pre_acquired_lease_stops_the_frame(stack, registry):
+    """Alice acquired ``/d`` first (no link of her own), then paused
+    before her frame's head; her lease expired and bob took it over.
+    The compared head loses, the SSP fences the intent out, and the op raises ``LeaseLostError``: nothing of hers but
+    the new inode's own lease reaches the SSP."""
+    server, volume, clock = stack
+    bob, _ = mount(stack, registry, "bob")
+    seen = {}
+
+    def hook() -> None:
+        clock.advance(_LEASE_S + 1.0)
+        bob.create_file("/d/from-bob", b"bob")
+        seen.update(server.raw_blobs())
+
+    # mutations: the acquire of /d, then the frame's head.
+    pauser = MutationTrigger(server, {2: hook})
+    alice = SharoesFilesystem(volume, registry.user("alice"),
+                              config=CONFIG, server=pauser)
+    alice.mount()
+    with pytest.raises(LeaseLostError):
+        alice.create_file("/d/from-alice", b"alice")
+    after = server.raw_blobs()
+    changed = {blob_id for blob_id in set(seen) | set(after)
+               if seen.get(blob_id) != after.get(blob_id)}
+    assert {blob_id.kind for blob_id in changed} == {"lease"}
+    assert alice.readdir("/d") == ["from-bob"]
+    assert alice.metrics.snapshot()["lease.lost"] == 1
+    report = VolumeAuditor(volume).audit()
+    assert report.clean and not report.orphaned_blobs, report.summary()
 
 
 # -- rule 2: one coherence rule for acquire and renew ----------------------------
@@ -288,15 +376,15 @@ def test_a_link_below_the_watermark_is_not_cased_blind(registry):
 
     alice, bob = manager("alice"), manager("bob")
     alice.acquire(5)
-    alice.release(5)
-    bob.acquire(5)
+    alice.release(5)                  # epoch 2, released
+    bob.acquire(5)                    # 4: epoch 3 stays alice's
     bob.release(5)
     tip = server.get(lease_blob(5))
-    alice.freshness.observe_metadata(5, 4, tip)  # seen some other way
+    alice.freshness.observe_metadata(5, 5, tip)  # seen some other way
     kinds = []
     alice._exchange = lambda label, ops: (
         kinds.append([op.kind for op in ops]) or server.batch(ops))
-    assert alice.acquire(5).epoch == 5
+    assert alice.acquire(5).epoch == 7
     assert kinds == [["get"], ["put_if"]] and not alice.unbroken
 
 
@@ -404,9 +492,9 @@ def test_unbatched_reference_leaves_identical_ssp_state(registry,
 
 
 def test_fenced_out_apply_frame_surfaces_lease_lost(stack, registry):
-    """Alice is paused inside her apply frame, after its first sub-op;
-    her lease on ``/d`` expires and bob takes it over (rolling her
-    intent forward).  The rest of her frame is fenced out: the op
+    """Alice is paused inside her frame, after the first sub-op of its
+    apply; her lease on ``/d`` expires and bob takes it over (rolling
+    her intent forward).  The rest of her frame is fenced out: the op
     raises ``LeaseLostError`` and what she cached of ``/d`` is gone, so
     she lists what the SSP holds -- her own create, applied by bob, and
     bob's."""
@@ -417,8 +505,9 @@ def test_fenced_out_apply_frame_surfaces_lease_lost(stack, registry):
         clock.advance(_LEASE_S + 1.0)
         bob.create_file("/d/from-bob", b"bob")
 
-    # mutations: CAS /d, CAS new, intent, then the apply's sub-ops.
-    pauser = MutationTrigger(server, {5: hook})
+    # mutations: the acquire of /d; the frame's head CASes of /d and of
+    # the new inode and its check of /d; the intent; the apply.
+    pauser = MutationTrigger(server, {7: hook})
     alice = SharoesFilesystem(volume, registry.user("alice"),
                               config=CONFIG, server=pauser)
     alice.mount()
@@ -427,5 +516,139 @@ def test_fenced_out_apply_frame_surfaces_lease_lost(stack, registry):
         alice.create_file("/d/from-alice", b"alice")
     assert alice.readdir("/d") == ["from-alice", "from-bob"]
     assert alice.read_file("/d/from-alice") == b"alice"
+    report = VolumeAuditor(volume).audit()
+    assert report.clean and not report.orphaned_blobs, report.summary()
+
+
+# -- a frame whose reply is lost --------------------------------------------------
+
+
+class LostReply(ServerWrapper):
+    """Applies the first ``prefix`` sub-ops (all by default) of each of
+    the next ``armed`` mutation frames, then loses the reply."""
+
+    def __init__(self, inner, prefix: int | None = None):
+        super().__init__(inner)
+        self.prefix = prefix
+        self.armed = 0
+
+    def batch(self, ops):
+        if not (self.armed and any(op.blob_id.kind == "journal"
+                                   and op.kind != "get" for op in ops)):
+            return super().batch(ops)
+        self.armed -= 1
+        apply_batch(self, ops[:self.prefix])
+        raise TransientStorageError("reply lost")
+
+
+def _retrying(stack, registry, server):
+    _, volume, _ = stack
+    fs = SharoesFilesystem(volume, registry.user("alice"), server=server,
+                           config=replace(CONFIG, retry_policy=RetryPolicy(
+                               jitter=False)))
+    fs.mount()
+    return fs
+
+
+def test_a_frame_resent_after_it_landed_lands_once(stack, registry):
+    """The transport sends the append's frame again after its reply was
+    lost: the copy finds the chain at the frame's own released link and
+    stops at the intent.  The journal holds the frame's commit, so the
+    append landed -- once -- and nothing is run again."""
+    lossy = LostReply(stack[0])
+    alice = _retrying(stack, registry, lossy)
+    alice.create_file("/d/f", b"x" * 300, mode=0o664)
+    lossy.armed = 1
+    alice.append_file("/d/f", b"+once")
+    assert not lossy.armed
+    alice.append_file("/d/f", b"+next")
+    assert alice.lease.unbroken  # the tail was booked: no chain read
+    reader = SharoesFilesystem(stack[1], registry.user("bob"))
+    reader.mount()
+    assert reader.read_file("/d/f") == b"x" * 300 + b"+once" + b"+next"
+    snapshot = alice.metrics.snapshot()
+    assert snapshot.get("lease.lost", 0) == 0
+    assert snapshot.get("lease.conflicts", 0) == 0
+
+
+def test_a_resent_frame_with_a_compared_head_is_not_a_lost_lease(stack,
+                                                                 registry):
+    """A cold mount acquires ``/d`` first; its frame compares the held
+    link.  The copy sent again conflicts with the frame's own released
+    link and is fenced: that is the first copy landing, not a takeover."""
+    lossy = LostReply(stack[0])
+    alice = _retrying(stack, registry, lossy)
+    assert alice.readdir("/d") == []
+    lossy.armed = 1
+    alice.create_file("/d/new", b"y" * 300, mode=0o664)
+    assert not lossy.armed
+    assert alice.readdir("/d") == ["new"]
+    assert alice.metrics.snapshot().get("lease.lost", 0) == 0
+    report = VolumeAuditor(stack[1]).audit()
+    assert report.clean and not report.orphaned_blobs, report.summary()
+
+
+@pytest.mark.parametrize("prefix, listing", [
+    (2, ["f", "second"]),            # the heads only: nothing to redo
+    (4, ["f", "first", "second"]),   # ... the intent, one view: kept
+    (None, ["f", "first", "second"]),  # through the commit: done
+])
+def test_a_lost_reply_without_retries_keeps_exactly_the_redo(
+        stack, registry, prefix, listing):
+    """No retrying transport: the frame raises with its outcome unknown.
+    The journal settles it -- an intent still there is replayed before
+    the next mutation, anything else is not -- so the create lands whole
+    or not at all."""
+    lossy = LostReply(stack[0], prefix=prefix)
+    alice = SharoesFilesystem(stack[1], registry.user("alice"),
+                              config=CONFIG, server=lossy)
+    alice.mount()
+    alice.create_file("/d/f", b"x" * 300, mode=0o664)
+    lossy.armed = 1
+    with pytest.raises(TransientStorageError):
+        alice.create_file("/d/first", b"1" * 300, mode=0o664)
+    alice.create_file("/d/second", b"2" * 300, mode=0o664)
+    assert alice.readdir("/d") == listing
+    report = VolumeAuditor(stack[1]).audit()
+    assert report.clean and not report.orphaned_blobs, report.summary()
+
+
+class JournalDown(ServerWrapper):
+    """A shard whose copy of every journal blob is out of reach."""
+
+    def _forward(self, op):
+        if op.blob_id.kind == "journal":
+            raise TransientStorageError(f"{op.blob_id}: replica down")
+        return super()._forward(op)
+
+
+def test_an_intent_no_journal_replica_took_writes_nothing(registry):
+    """Sharded SSP, alice's journal down on both its replicas: the frame
+    stops at its intent before any apply sub-op reaches a shard.  The
+    journal cannot say whether the intent landed, so the redo is kept;
+    once the journal is back, it and the next op both land."""
+    clock = SimClock()
+    server = ShardedServer(shards=4, replicas=2, clock=clock)
+    volume = SharoesVolume(server, registry, clock=clock)
+    volume.format(root_owner="alice", root_group="eng")
+    GroupKeyService(registry, server, CryptoProvider()).publish_all()
+    alice = SharoesFilesystem(volume, registry.user("alice"), config=CONFIG)
+    alice.mount()
+    alice.mkdir("/d", mode=0o775)
+
+    def objects() -> dict:
+        return {blob_id: payload
+                for blob_id, payload in server.raw_blobs().items()
+                if blob_id.kind not in ("lease", "journal")}
+
+    before = objects()
+    for index in server.placement(journal_blob("alice")):
+        server.wrap_shard(index, JournalDown)
+    with pytest.raises(TransientStorageError):
+        alice.create_file("/d/first", b"1" * 300, mode=0o664)
+    assert objects() == before
+    server.clear_wrappers()
+    alice.create_file("/d/second", b"2" * 300, mode=0o664)
+    assert alice.readdir("/d") == ["first", "second"]
     report = VolumeAuditor(volume).audit()
     assert report.clean and not report.orphaned_blobs, report.summary()

@@ -18,7 +18,8 @@ import pytest
 from repro.errors import (BlobNotFound, CasConflictError, StaleEpochError,
                           TransientStorageError)
 from repro.sim.clock import SimClock
-from repro.storage.blobs import LEASE, BlobId, data_blob, meta_blob
+from repro.storage.blobs import (LEASE, BlobId, data_blob, journal_blob,
+                                 meta_blob)
 from repro.storage.faults import RollbackServer, TamperingServer
 from repro.storage.resilient import OutageServer
 from repro.storage.server import BatchOp
@@ -324,6 +325,35 @@ class TestShardedBatch:
         replies = server.batch(ops)
         assert replies[0].status == "fenced"
         assert replies[0].epoch == 3
+
+    def test_journal_writes_are_barriers(self):
+        """Intent, apply, commit: an intent no replica took stops the
+        frame before any apply sub-op scatters, and an apply sub-op no
+        replica took keeps the commit out of the journal."""
+        server = ShardedServer(shards=4, replicas=2)
+        journal = journal_blob("alice")
+        data = [data_blob(i, 2) for i in range(8)]
+        frame = ([BatchOp.put(journal, b"intent")]
+                 + [BatchOp.put(blob, b"x") for blob in data]
+                 + [BatchOp.put(journal, b"commit")])
+        for index in server.placement(journal):
+            server.outage(index)
+        replies = server.batch(frame)
+        assert replies[0].status == "error"
+        assert {r.status for r in replies[1:]} == {"unattempted"}
+        assert not set(data) & set(server.census())
+
+        server.clear_wrappers()
+        lost = next(blob for blob in data
+                    if not set(server.placement(blob))
+                    & set(server.placement(journal)))
+        for index in server.placement(lost):
+            server.outage(index)
+        replies = server.batch(frame)
+        assert replies[0].status == "ok"
+        assert replies[1 + data.index(lost)].status == "error"
+        assert replies[-1].status == "unattempted"
+        assert server.get(journal) == b"intent"
 
 
 # ---------------------------------------------------------------------------
