@@ -93,13 +93,18 @@ class CryptoProvider:
 
     # -- symmetric ----------------------------------------------------------
 
-    def sym_encrypt(self, key: bytes, plaintext: bytes) -> bytes:
-        self._emit("sym_encrypt", len(plaintext))
-        return stream.seal(key, plaintext)
+    # ``associated`` bytes are MACed, not encrypted; they count in the
+    # same event, so authenticating a payload costs what sealing it did.
 
-    def sym_decrypt(self, key: bytes, sealed: bytes) -> bytes:
-        self._emit("sym_decrypt", len(sealed))
-        return stream.open_sealed(key, sealed)
+    def sym_encrypt(self, key: bytes, plaintext: bytes,
+                    associated: bytes | None = None) -> bytes:
+        self._emit("sym_encrypt", len(plaintext) + len(associated or b""))
+        return stream.seal(key, plaintext, associated)
+
+    def sym_decrypt(self, key: bytes, sealed: bytes,
+                    associated: bytes | None = None) -> bytes:
+        self._emit("sym_decrypt", len(sealed) + len(associated or b""))
+        return stream.open_sealed(key, sealed, associated)
 
     # -- public key ----------------------------------------------------------
 

@@ -16,7 +16,9 @@ Python-level hash construction per 32 bytes -- 32,768 per MiB, measured
 at a third of a bulk read's host time with the XOR already in C.
 
 Every sealed payload -- metadata, directory tables, data blocks, the
-journal -- goes through this cipher (``CryptoProvider.sym_encrypt``).
+journal -- goes through this cipher (``CryptoProvider.sym_encrypt``);
+the journal's staged payloads, sealed already, ride its MAC as
+associated data.
 The simulated cost model charges it as "AES-128 on the paper's 2008
 client", so the figures reproduce the paper's cipher, not this one.
 """
@@ -39,10 +41,23 @@ def _keystream(key: bytes, nonce: bytes, length: int) -> bytes:
     return hashlib.shake_256(b"sharoes-stream" + key + nonce).digest(length)
 
 
-def _tag(key: bytes, ciphertext: bytes) -> bytes:
-    """HMAC over ``ciphertext`` under a MAC key derived from ``key``."""
-    tag_key = hashlib.sha256(b"sharoes-mac" + key).digest()
-    return hmac.new(tag_key, ciphertext, hashlib.sha256).digest()
+def _tag(key: bytes, ciphertext: bytes, associated: bytes | None) -> bytes:
+    """HMAC over ``ciphertext`` (and ``associated``) under a MAC key
+    derived from ``key``.
+
+    With associated data the MAC key is a separate derivation and the
+    ciphertext's length leads the MAC input, so neither a tag of the
+    other form nor a moved ciphertext/associated boundary verifies.
+    """
+    if associated is None:
+        tag_key = hashlib.sha256(b"sharoes-mac" + key).digest()
+        return hmac.new(tag_key, ciphertext, hashlib.sha256).digest()
+    tag_key = hashlib.sha256(b"sharoes-mac-ad" + key).digest()
+    mac = hmac.new(tag_key, len(ciphertext).to_bytes(8, "big"),
+                   hashlib.sha256)
+    mac.update(ciphertext)
+    mac.update(associated)
+    return mac.digest()
 
 
 def encrypt(key: bytes, plaintext: bytes, nonce: bytes | None = None) -> bytes:
@@ -67,23 +82,28 @@ def decrypt(key: bytes, ciphertext: bytes) -> bytes:
     return xor_bytes(body, _keystream(key, nonce, len(body)))
 
 
-def seal(key: bytes, plaintext: bytes) -> bytes:
+def seal(key: bytes, plaintext: bytes,
+         associated: bytes | None = None) -> bytes:
     """Encrypt-then-MAC: ciphertext || HMAC(tag_key, ciphertext).
 
     The MAC key is derived from the encryption key so callers manage a
     single symmetric key per object, as the paper's DEK/MEK do.
+    ``associated`` bytes are authenticated, not encrypted, and not part
+    of the result: the caller stores them and hands them to
+    :func:`open_sealed` again.
     """
     ciphertext = encrypt(key, plaintext)
-    return ciphertext + _tag(key, ciphertext)
+    return ciphertext + _tag(key, ciphertext, associated)
 
 
-def open_sealed(key: bytes, sealed: bytes) -> bytes:
+def open_sealed(key: bytes, sealed: bytes,
+                associated: bytes | None = None) -> bytes:
     """Verify the MAC then decrypt; raises :class:`IntegrityError` on tamper."""
     if not key:
         raise CryptoError("empty key")
     if len(sealed) < NONCE_SIZE + TAG_SIZE:
         raise CryptoError("sealed payload too short")
     ciphertext, tag = sealed[:-TAG_SIZE], sealed[-TAG_SIZE:]
-    if not hmac.compare_digest(_tag(key, ciphertext), tag):
+    if not hmac.compare_digest(_tag(key, ciphertext, associated), tag):
         raise IntegrityError("sealed payload failed MAC verification")
     return decrypt(key, ciphertext)

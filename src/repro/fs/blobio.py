@@ -18,6 +18,8 @@ which is left with paths, CAPs and keys:
   longer list only at the wire's sub-op cap).  The journaled mutation
   is one of them -- lease head, intent, apply, commit, lease tail -- as
   are lease reads, CAS, batched renewal and the grouped sends above.
+  Its apply puts name their payloads inside the intent, and a frame is
+  charged what the codec sends (``wire.payload_bytes``).
 
 Stack, assembled once by ``SharoesFilesystem.__init__``::
 
@@ -39,7 +41,7 @@ from ..errors import (BlobNotFound, PartialWriteError, StaleEpochError,
                       TransientStorageError)
 from ..storage.blobs import BlobId, lease_blob
 from ..storage.server import BatchOp, BatchReply, execute
-from ..storage.wire import MAX_BATCH_OPS
+from ..storage.wire import MAX_BATCH_OPS, payload_bytes
 from . import journal
 
 #: simulated framing overhead of one wire exchange, charged on top of
@@ -57,13 +59,6 @@ _BATCH_SIZE_BUCKETS = (1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0,
 #: wire protocol's MAX_BATCH_OPS so a huge directory cannot build an
 #: unsendable frame.
 _MAX_PREFETCH = 1024
-
-#: (deleting, grouped) -> journal ``StagedCall`` kind: the intent
-#: records how the op grouped its blobs.
-_STAGED_KIND = {(False, False): journal.PUT,
-                (False, True): journal.PUT_MANY,
-                (True, False): journal.DELETE,
-                (True, True): journal.DELETE_MANY}
 
 
 class BlobIO:
@@ -203,10 +198,12 @@ class BlobIO:
     def _charge_replies(self, ops, replies) -> None:
         # One request header for the frame (blob ids ride in its
         # payload), and only what crossed the wire: on a partial failure
-        # the unattempted tail never left the client.
+        # the unattempted tail never left the client, and a payload sent
+        # as a reference costs the reference.
         self.charge(
-            up=sum(op.sent_bytes() + len(op.expected or b"")
-                   for op, reply in zip(ops, replies)
+            up=sum(sent + len(op.expected or b"")
+                   for op, sent, reply in zip(ops, payload_bytes(ops),
+                                              replies)
                    if reply.status != "unattempted"),
             down=sum(len(reply.payload) for reply in replies
                      if reply.payload))
@@ -305,7 +302,7 @@ class BlobIO:
             for blob_id, _ in blobs:
                 self.cache.invalidate(("raw", blob_id))
         if self.batch is not None:
-            self.batch.stage(_STAGED_KIND[deleting, grouped], blobs)
+            self.batch.stage(blobs)
             return
         epoch_of = (fences or {}).get
         scheduler = self.scheduler
@@ -340,11 +337,14 @@ class BlobIO:
             self.ops(blobs, fences)))
 
     def ops(self, blobs: Sequence[tuple[BlobId, "bytes | None"]],
-            fences: "dict[int, int] | None" = None) -> list[BatchOp]:
+            fences: "dict[int, int] | None" = None,
+            ref: "BlobId | None" = None) -> list[BatchOp]:
         """The sub-ops that upload (payload) or delete (``None``)
-        ``blobs``, each fenced on its inode's epoch in ``fences``."""
+        ``blobs``, each fenced on its inode's epoch in ``fences``; a put
+        whose payload an earlier put of ``ref`` in the frame carries
+        goes as a reference to it (``wire.payload_refs``)."""
         epoch_of = (fences or {}).get
-        return [self._op(blob_id, payload, epoch_of(blob_id.inode))
+        return [self._op(blob_id, payload, epoch_of(blob_id.inode), ref)
                 for blob_id, payload in blobs]
 
     def raise_failure(self, blobs, replies) -> None:
@@ -362,14 +362,14 @@ class BlobIO:
 
     @staticmethod
     def _op(blob_id: BlobId, payload: "bytes | None",
-            epoch: "int | None") -> BatchOp:
+            epoch: "int | None", ref: "BlobId | None" = None) -> BatchOp:
         if epoch is None:
             return (BatchOp.delete(blob_id) if payload is None
-                    else BatchOp.put(blob_id, payload))
+                    else BatchOp.put(blob_id, payload, ref))
         fence = lease_blob(blob_id.inode)
         return (BatchOp.delete_fenced(blob_id, fence, epoch)
                 if payload is None
-                else BatchOp.put_fenced(blob_id, payload, fence, epoch))
+                else BatchOp.put_fenced(blob_id, payload, fence, epoch, ref))
 
     def _send_one(self, blob_id: BlobId, payload: "bytes | None",
                   epoch: "int | None") -> None:

@@ -710,14 +710,16 @@ class SharoesFilesystem:
             self._release_fences()
             raise
         self.blobs.batch = None
-        if not batch.calls:
+        if not batch.blobs:
             self._release_fences()
             return
         record = batch.record(self._next_seq(),
                               fences=tuple(sorted(self._fences.items())))
-        blobs = [blob for call in record.calls for blob in call.blobs]
+        # The apply names its payloads inside the intent: each crosses
+        # the link once.
         ops = ([self._journal_put(self._pending + [record])]
-               + self.blobs.ops(blobs, self._fences)
+               + self.blobs.ops(record.blobs, self._fences,
+                                ref=journal_blob(self.agent.user_id))
                + [self._journal_put(self._pending)])
         self._pending.append(record)
         try:
@@ -742,7 +744,7 @@ class SharoesFilesystem:
         self.metrics.counter(
             "journal.appends", help="intents journaled").inc()
         try:
-            self.blobs.raise_failure(blobs, replies[1:-1])
+            self.blobs.raise_failure(record.blobs, replies[1:-1])
         except StaleEpochError as exc:
             # A successor took our lease over mid-frame.  It rolled our
             # journaled intent forward before bumping the epoch, so the
@@ -914,9 +916,8 @@ class SharoesFilesystem:
         a replay by a zombie whose lease was taken over is rejected by
         the SSP with :class:`StaleEpochError`.
         """
-        blobs = [blob for call in record.calls for blob in call.blobs]
-        self.blobs.raise_failure(blobs, self.blobs.ship(
-            "apply", self.blobs.ops(blobs, dict(record.fences))))
+        self.blobs.raise_failure(record.blobs, self.blobs.ship(
+            "apply", self.blobs.ops(record.blobs, dict(record.fences))))
 
     def _replay(self, record: journal.IntentRecord, phase: str) -> bool:
         """Apply a journaled intent again (in-session or at mount).

@@ -13,7 +13,9 @@ mutations atomic:
   and ships as the first write of the mutation's one frame, a put of
   the user's journal blob at the SSP;
 * behind it in the same frame the mutation *applies* (the staged calls
-  for real, in order) and *commits* (a put of the emptied journal);
+  for real, in order) and *commits* (a put of the emptied journal).
+  Each apply put names its payload as a slice of the intent's (wire
+  ``REF_FLAG``), so a payload crosses the link once;
 * the SSP applies a frame's sub-ops in order and stops at the first
   that fails (a sharded SSP resolves journal writes as barriers to keep
   that order), so a crash or refusal at any point leaves either no
@@ -27,9 +29,13 @@ mutations atomic:
 The SSP is untrusted, so the journal is **sealed** (encrypt-then-MAC)
 under a **journal key** derived from the user's private identity key
 (the user-scope MEK analogue -- it never exists outside the enterprise),
-its slot's context inside the MAC.  It is not signed: whoever can open
-it (the user's mounts, the escrow behind fsck and takeover) can derive
-the key, so the MAC already rejects all the SSP could forge
+its slot's context inside the MAC.  The seal encrypts the slot context,
+seq, op, blob ids, fences and payload lengths; the staged payloads
+follow it verbatim under the same MAC -- they are already ciphertext,
+and the SSP receives exactly these bytes in the apply, so it learns
+nothing from them it does not learn there.  It is not signed: whoever
+can open it (the user's mounts, the escrow behind fsck and takeover) can
+derive the key, so the MAC already rejects all the SSP could forge
 (docs/THREAT_MODEL.md).  A tampered, forged or misplaced intent raises
 :class:`~repro.errors.IntegrityError` and is never replayed.
 
@@ -48,17 +54,6 @@ from ..errors import BlobNotFound, CryptoError, IntegrityError
 from ..serialize import Reader, SerializationError, Writer
 from ..storage.blobs import BlobId, principal_hash
 from .sealed import bind_context
-
-#: staged wire-call kinds, mirroring the client's batching helpers: the
-#: intent records how the op grouped its blobs.  (The apply ships every
-#: call of an intent as one frame; the grouping is kept for reporting
-#: and for the stored format.)
-PUT = "put"
-PUT_MANY = "put_many"
-DELETE = "delete"
-DELETE_MANY = "delete_many"
-
-_KINDS = (PUT, PUT_MANY, DELETE, DELETE_MANY)
 
 
 def journal_key(user) -> bytes:
@@ -79,48 +74,14 @@ def journal_context(user_id: str) -> bytes:
 
 
 @dataclass(frozen=True)
-class StagedCall:
-    """One deferred wire call of a mutation batch.
-
-    ``blobs`` pairs each :class:`BlobId` with its sealed payload (puts)
-    or ``None`` (deletes).  Payloads are stored exactly as they would
-    hit the wire -- already encrypted and signed under object keys --
-    so replay needs no cryptography beyond opening the journal itself.
-    """
-
-    kind: str
-    blobs: tuple[tuple[BlobId, bytes | None], ...]
-
-    def blob_ids(self) -> tuple[BlobId, ...]:
-        return tuple(blob_id for blob_id, _ in self.blobs)
-
-    def to_writer(self, writer: Writer) -> None:
-        writer.put_str(self.kind)
-        writer.put_int(len(self.blobs))
-        for blob_id, payload in self.blobs:
-            writer.put_str(blob_id.kind)
-            writer.put_int(blob_id.inode)
-            writer.put_str(blob_id.selector)
-            writer.put_optional_bytes(payload)
-
-    @classmethod
-    def from_reader(cls, reader: Reader) -> "StagedCall":
-        kind = reader.get_str()
-        if kind not in _KINDS:
-            raise SerializationError(f"unknown staged call kind {kind!r}")
-        count = reader.get_int()
-        blobs = []
-        for _ in range(count):
-            blob_id = BlobId(kind=reader.get_str(),
-                             inode=reader.get_int(),
-                             selector=reader.get_str())
-            blobs.append((blob_id, reader.get_optional_bytes()))
-        return cls(kind=kind, blobs=tuple(blobs))
-
-
-@dataclass(frozen=True)
 class IntentRecord:
-    """One journaled mutation: op name, sequence number, staged calls.
+    """One journaled mutation: op name, sequence number, staged blobs.
+
+    ``blobs`` is the op's wire calls in order: each :class:`BlobId` with
+    its sealed payload (a put) or ``None`` (a delete).  Payloads are
+    stored exactly as they hit the wire -- already encrypted and signed
+    under object keys -- so replay needs no cryptography beyond opening
+    the journal itself.
 
     ``fences`` lists the ``(inode, fencing epoch)`` pairs of the leases
     this mutation held when it was journaled (empty without the lease
@@ -133,64 +94,86 @@ class IntentRecord:
 
     seq: int
     op: str
-    calls: tuple[StagedCall, ...]
+    blobs: tuple[tuple[BlobId, bytes | None], ...]
     fences: tuple[tuple[int, int], ...] = ()
-
-    def mutation_count(self) -> int:
-        """Total individual puts+deletes this intent will apply."""
-        return sum(len(call.blobs) for call in self.calls)
 
     def inodes(self) -> set[int]:
         """The inodes whose blobs this intent (re)writes or deletes."""
-        return {blob_id.inode for call in self.calls
-                for blob_id in call.blob_ids()}
-
-    def to_writer(self, writer: Writer) -> None:
-        writer.put_int(self.seq)
-        writer.put_str(self.op)
-        writer.put_int(len(self.calls))
-        for call in self.calls:
-            call.to_writer(writer)
-        writer.put_int(len(self.fences))
-        for inode, epoch in self.fences:
-            writer.put_int(inode)
-            writer.put_int(epoch)
-
-    @classmethod
-    def from_reader(cls, reader: Reader) -> "IntentRecord":
-        seq = reader.get_int()
-        op = reader.get_str()
-        count = reader.get_int()
-        calls = tuple(StagedCall.from_reader(reader)
-                      for _ in range(count))
-        fence_count = reader.get_int()
-        fences = tuple((reader.get_int(), reader.get_int())
-                       for _ in range(fence_count))
-        return cls(seq=seq, op=op, calls=calls, fences=fences)
+        return {blob_id.inode for blob_id, _ in self.blobs}
 
 
 def encode_records(records: list[IntentRecord]) -> bytes:
+    """The records without their payloads: seq, op, fences and, per
+    blob, its id and its payload's length (none for a delete)."""
     writer = Writer()
     writer.put_int(len(records))
     for record in records:
-        record.to_writer(writer)
+        writer.put_int(record.seq)
+        writer.put_str(record.op)
+        writer.put_int(len(record.blobs))
+        for blob_id, payload in record.blobs:
+            writer.put_str(blob_id.kind)
+            writer.put_int(blob_id.inode)
+            writer.put_str(blob_id.selector)
+            writer.put_bool(payload is not None)
+            if payload is not None:
+                writer.put_int(len(payload))
+        writer.put_int(len(record.fences))
+        for inode, epoch in record.fences:
+            writer.put_int(inode)
+            writer.put_int(epoch)
     return writer.getvalue()
 
 
-def decode_records(raw: bytes) -> list[IntentRecord]:
+def decode_records(raw: bytes, payloads: bytes) -> list[IntentRecord]:
+    """Inverse of :func:`encode_records`: each put takes its payload, in
+    order, from ``payloads``, which the records must use up exactly."""
     reader = Reader(raw)
-    count = reader.get_int()
-    records = [IntentRecord.from_reader(reader) for _ in range(count)]
+    offset = 0
+    records = []
+    for _ in range(reader.get_int()):
+        seq = reader.get_int()
+        op = reader.get_str()
+        blobs = []
+        for _ in range(reader.get_int()):
+            blob_id = BlobId(kind=reader.get_str(), inode=reader.get_int(),
+                             selector=reader.get_str())
+            payload = None
+            if reader.get_bool():
+                end = offset + reader.get_int()
+                if end > len(payloads):
+                    raise SerializationError("payload section too short")
+                payload, offset = payloads[offset:end], end
+            blobs.append((blob_id, payload))
+        fences = tuple((reader.get_int(), reader.get_int())
+                       for _ in range(reader.get_int()))
+        records.append(IntentRecord(seq=seq, op=op, blobs=tuple(blobs),
+                                    fences=fences))
     reader.expect_end()
+    if offset != len(payloads):
+        raise SerializationError(
+            f"{len(payloads) - offset} trailing payload bytes")
     return records
 
 
 def seal_journal(provider: CryptoProvider, user,
                  records: list[IntentRecord]) -> bytes:
-    """Seal (encrypt-then-MAC) slot context + pending intents."""
-    return provider.sym_encrypt(journal_key(user),
-                                journal_context(user.user_id)
-                                + encode_records(records))
+    """The journal blob: ``u32 n | sealed header (n bytes) | payloads``.
+
+    The header -- slot context, then :func:`encode_records` -- is
+    encrypted; the staged payloads follow verbatim, in record order.
+    They are ciphertext under object keys already, and the apply sends
+    the SSP these very bytes, so they are authenticated (one MAC with
+    the header, under :func:`journal_key`), not encrypted again.
+    """
+    payloads = b"".join(payload for record in records
+                        for _, payload in record.blobs
+                        if payload is not None)
+    sealed = provider.sym_encrypt(
+        journal_key(user),
+        journal_context(user.user_id) + encode_records(records),
+        associated=payloads)
+    return Writer().put_bytes(sealed).getvalue() + payloads
 
 
 def open_journal(provider: CryptoProvider, user,
@@ -198,15 +181,19 @@ def open_journal(provider: CryptoProvider, user,
     """Authenticate, decrypt and decode a journal blob.
 
     Every failure is one :class:`IntegrityError`: too short to open, a
-    failed MAC (tampering, or an SSP forgery -- the SSP cannot derive
-    :func:`journal_key`), another slot's context, corrupt records.
+    failed MAC (tampering with either part, payloads swapped or cut, or
+    an SSP forgery -- the SSP cannot derive :func:`journal_key`), another
+    slot's context, corrupt records.
     """
     context = journal_context(user.user_id)
     try:
-        payload = provider.sym_decrypt(journal_key(user), blob)
-        if not payload.startswith(context):
+        sealed = Reader(blob).get_bytes()
+        payloads = blob[4 + len(sealed):]
+        header = provider.sym_decrypt(journal_key(user), sealed,
+                                      associated=payloads)
+        if not header.startswith(context):
             raise IntegrityError("sealed for another journal slot")
-        return decode_records(payload[len(context):])
+        return decode_records(header[len(context):], payloads)
     except (CryptoError, SerializationError) as exc:
         raise IntegrityError(
             f"journal for {user.user_id} does not open: {exc}") from exc
@@ -224,13 +211,12 @@ class MutationBatch:
 
     def __init__(self, op: str):
         self.op = op
-        self.calls: list[StagedCall] = []
+        self.blobs: list[tuple[BlobId, bytes | None]] = []
         self._writes: dict[BlobId, bytes] = {}
         self._deletes: set[BlobId] = set()
 
-    def stage(self, kind: str,
-              blobs: list[tuple[BlobId, bytes | None]]) -> None:
-        self.calls.append(StagedCall(kind=kind, blobs=tuple(blobs)))
+    def stage(self, blobs: list[tuple[BlobId, bytes | None]]) -> None:
+        self.blobs.extend(blobs)
         for blob_id, payload in blobs:
             if payload is None:
                 self._writes.pop(blob_id, None)
@@ -257,7 +243,7 @@ class MutationBatch:
 
     def record(self, seq: int,
                fences: tuple[tuple[int, int], ...] = ()) -> IntentRecord:
-        return IntentRecord(seq=seq, op=self.op, calls=tuple(self.calls),
+        return IntentRecord(seq=seq, op=self.op, blobs=tuple(self.blobs),
                             fences=fences)
 
 
@@ -300,7 +286,7 @@ def roll_forward(server, provider: CryptoProvider,
     (including ``--stranded``) and lease takeover: open the user's
     journal with their key (the caller supplies the key material -- the
     user's own at mount, the enterprise escrow everywhere else), replay
-    every staged call in order, and commit the empty journal.  Replay
+    every staged blob in order, and commit the empty journal.  Replay
     itself is *unfenced* (the recovering party acts for or ahead of the
     newest fencing epoch by construction), but records whose recorded
     fences lag the current lease chain are skipped: they were already
@@ -325,12 +311,11 @@ def roll_forward(server, provider: CryptoProvider,
     for record in records:
         if fences_stale(server, record):
             continue
-        for call in record.calls:
-            for blob_id, payload in call.blobs:
-                if payload is None:
-                    server.delete(blob_id)
-                else:
-                    server.put(blob_id, payload)
+        for blob_id, payload in record.blobs:
+            if payload is None:
+                server.delete(blob_id)
+            else:
+                server.put(blob_id, payload)
         replayed.append(record)
     server.put(jid, seal_journal(provider, user, []))
     return replayed

@@ -75,10 +75,16 @@ class BatchOp:
     #: Optional per-sub-op trace context (obs.wiretrace.TraceContext);
     #: rides the wire behind the sub-opcode's TRACE_FLAG bit.
     ctx: object | None = None
+    #: Put kinds only, a hint to the wire codec: the payload sits
+    #: verbatim inside the payload of the nearest earlier put of blob
+    #: ``ref`` in the same frame, so it may be sent as a reference to
+    #: that slice (``wire.payload_refs``).  Every other layer ignores it.
+    ref: BlobId | None = None
 
     @classmethod
-    def put(cls, blob_id: BlobId, payload: bytes) -> "BatchOp":
-        return cls("put", blob_id, payload=payload)
+    def put(cls, blob_id: BlobId, payload: bytes,
+            ref: BlobId | None = None) -> "BatchOp":
+        return cls("put", blob_id, payload=payload, ref=ref)
 
     @classmethod
     def get(cls, blob_id: BlobId) -> "BatchOp":
@@ -99,9 +105,10 @@ class BatchOp:
 
     @classmethod
     def put_fenced(cls, blob_id: BlobId, payload: bytes,
-                   fence: BlobId, epoch: int) -> "BatchOp":
+                   fence: BlobId, epoch: int,
+                   ref: BlobId | None = None) -> "BatchOp":
         return cls("put_fenced", blob_id, payload=payload,
-                   fence=fence, epoch=epoch)
+                   fence=fence, epoch=epoch, ref=ref)
 
     @classmethod
     def delete_fenced(cls, blob_id: BlobId,
@@ -109,7 +116,8 @@ class BatchOp:
         return cls("delete_fenced", blob_id, fence=fence, epoch=epoch)
 
     def sent_bytes(self) -> int:
-        """Uplink payload bytes this sub-op carries (for cost parity)."""
+        """Uplink payload bytes this sub-op carries inline (for cost
+        parity; ``wire.payload_bytes`` prices a frame's references)."""
         return len(self.payload) if self.payload is not None else 0
 
     def call(self, server):

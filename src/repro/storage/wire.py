@@ -32,9 +32,21 @@ Wire format (all integers big-endian):
 1 = the remaining bytes are the value -- CAS must distinguish "expect
 absent" from "expect empty".)
 
+**Payload references** (batch sub-ops only): ``REF_FLAG`` (0x40) on a
+PUT or PUT_FENCED sub-opcode replaces the payload field's bytes with
+``u32 index | u32 offset | u32 length``: the payload is that slice of
+the payload of sub-op ``index``, an earlier put of the same frame.  A
+journaled mutation's apply names its bytes inside the intent this way,
+so each payload crosses the link once; :func:`payload_refs` is the one
+place that decides, for the codec and for every byte count.  The server
+resolves references while it validates the frame: backends only ever
+see full payloads.
+
 A batch frame is validated *in full* before any sub-op touches the
-store: a truncated sub-op, a zero or oversize count, a nested batch, or
-an unknown sub-opcode earns a top-level ERROR with nothing applied.
+store: a truncated sub-op, a zero or oversize count, a nested batch, an
+unknown sub-opcode, or a reference to itself, to a later or payload-less
+sub-op, out of its target's bounds or on another opcode earns a
+top-level ERROR with nothing applied.
 Sub-replies reuse the single-op payload encodings; sub-status
 UNATTEMPTED(5) marks the tail after the batch stopped at a failed or
 fenced sub-op.  An ERROR sub-reply payload is one transient-flag byte
@@ -61,6 +73,7 @@ import socket
 import socketserver
 import struct
 import threading
+from dataclasses import replace
 
 from ..errors import (BlobNotFound, CasConflictError, StaleEpochError,
                       StorageError, TransientStorageError)
@@ -80,6 +93,15 @@ OP_BATCH = 8
 #: block (u64 trace_id | u64 parent_span_id) before the normal fields.
 TRACE_FLAG = 0x80
 _TRACE_CTX_BYTES = 16
+
+#: Bit of a batch PUT / PUT_FENCED sub-opcode: the payload field is a
+#: reference, ``u32 index | u32 offset | u32 length`` into the payload
+#: of an earlier sub-op of the frame.
+REF_FLAG = 0x40
+_REF = struct.Struct(">III")
+_REF_KINDS = ("put", "put_fenced")
+#: The sub-op kinds a reference may point into.
+_PAYLOAD_KINDS = ("put", "put_if", "put_fenced")
 
 STATUS_OK = 0
 STATUS_MISSING = 1
@@ -180,38 +202,100 @@ def decode_trace_context(body: bytes):
 
 # -- OP_BATCH codec -----------------------------------------------------------
 
-def _encode_sub_body(op: BatchOp) -> bytes:
-    """A sub-op body is byte-identical to the single-op request body."""
+def payload_refs(ops) -> list[tuple[int, int, int] | None]:
+    """How each sub-op of one frame sends its payload: the ``(index,
+    offset, length)`` slice of an earlier sub-op's payload it goes as,
+    or None to send it inline.
+
+    A put or put_fenced whose ``ref`` names a blob put earlier in *this*
+    list, and whose payload that put's payload contains, goes as a
+    reference; anything else inlines.  So a frame split at
+    ``MAX_BATCH_OPS``, a suffix sent again and a replay inline by
+    construction.
+    """
+    refs: list[tuple[int, int, int] | None] = []
+    latest: dict[BlobId, int] = {}  # blob -> its nearest earlier put
+    ends: dict[int, int] = {}       # target -> end of its last slice
+    for index, op in enumerate(ops):
+        at = latest.get(op.ref) if op.kind in _REF_KINDS else None
+        payload = op.payload or b""
+        offset = -1
+        if at is not None:
+            # Slices of one target usually follow each other: look where
+            # the last one ended before searching the whole payload.
+            target, hint = ops[at].payload, ends.get(at, 0)
+            offset = (hint if target.startswith(payload, hint)
+                      else target.find(payload))
+        if offset < 0:
+            refs.append(None)
+        else:
+            refs.append((at, offset, len(payload)))
+            ends[at] = offset + len(payload)
+        if op.kind in _PAYLOAD_KINDS and op.payload is not None:
+            latest[op.blob_id] = index
+    return refs
+
+
+def payload_bytes(ops) -> list[int]:
+    """Uplink payload bytes of each sub-op of one frame, as sent."""
+    return [op.sent_bytes() if ref is None else _REF.size
+            for op, ref in zip(ops, payload_refs(ops))]
+
+
+def _encode_sub_body(op: BatchOp,
+                     ref: tuple[int, int, int] | None = None) -> bytes:
+    """A sub-op body is byte-identical to the single-op request body
+    (but for a ``ref``'s payload field, batch sub-ops only)."""
     bid = str(op.blob_id).encode()
+    payload = (op.payload or b"") if ref is None else _REF.pack(*ref)
     if op.kind == "put":
-        return _pack_fields(bid, op.payload or b"")
+        return _pack_fields(bid, payload)
     if op.kind in ("get", "delete", "exists"):
         return _pack_fields(bid)
     if op.kind == "put_if":
-        return _pack_fields(bid, _pack_presence(op.expected),
-                            op.payload or b"")
+        return _pack_fields(bid, _pack_presence(op.expected), payload)
     if op.kind == "put_fenced":
         return _pack_fields(bid, str(op.fence).encode(),
-                            struct.pack(">Q", op.epoch or 0),
-                            op.payload or b"")
+                            struct.pack(">Q", op.epoch or 0), payload)
     if op.kind == "delete_fenced":
         return _pack_fields(bid, str(op.fence).encode(),
                             struct.pack(">Q", op.epoch or 0))
     raise StorageError(f"unknown batch sub-op kind {op.kind!r}")
 
 
-def _decode_sub_body(opcode: int, body: bytes) -> BatchOp:
+def _decode_sub_body(opcode: int, body: bytes,
+                     earlier: list[BatchOp] = ()) -> BatchOp:
+    base = opcode & ~(TRACE_FLAG | REF_FLAG)
     ctx = None
     if opcode & TRACE_FLAG:
-        if not OP_PUT <= opcode & (TRACE_FLAG - 1) < OP_BATCH:
+        if not OP_PUT <= base < OP_BATCH:
             raise StorageError(f"unknown batch sub-opcode {opcode}")
-        opcode &= TRACE_FLAG - 1
         ctx, body = decode_trace_context(body)
-    op = _decode_sub_fields(opcode, body)
+    if opcode & REF_FLAG and _OPCODE_TO_KIND.get(base) not in _REF_KINDS:
+        raise StorageError(f"payload reference on batch sub-opcode {opcode}")
+    op = _decode_sub_fields(base, body)
+    if opcode & REF_FLAG:
+        op = replace(op, payload=_resolve_ref(op.payload, earlier))
     if ctx is not None:
-        import dataclasses
-        op = dataclasses.replace(op, ctx=ctx)
+        op = replace(op, ctx=ctx)
     return op
+
+
+def _resolve_ref(raw: bytes, earlier: list[BatchOp]) -> bytes:
+    """The payload a reference names, in the sub-ops decoded so far."""
+    if len(raw) != _REF.size:
+        raise StorageError(f"malformed payload reference ({len(raw)} bytes)")
+    index, offset, length = _REF.unpack(raw)
+    if index >= len(earlier):
+        raise StorageError(f"payload reference to sub-op {index}, "
+                           f"not an earlier one")
+    target = earlier[index]
+    if target.kind not in _PAYLOAD_KINDS:
+        raise StorageError(f"payload reference to a {target.kind} sub-op")
+    if offset + length > len(target.payload):
+        raise StorageError(f"payload reference [{offset}:+{length}] "
+                           f"beyond sub-op {index}'s payload")
+    return target.payload[offset:offset + length]
 
 
 def _decode_sub_fields(opcode: int, body: bytes) -> BatchOp:
@@ -247,9 +331,9 @@ def _decode_sub_fields(opcode: int, body: bytes) -> BatchOp:
 
 def _encode_batch_request(ops) -> bytes:
     out = bytearray(struct.pack(">I", len(ops)))
-    for op in ops:
-        body = _encode_sub_body(op)
-        opcode = _KIND_TO_OPCODE[op.kind]
+    for op, ref in zip(ops, payload_refs(ops)):
+        body = _encode_sub_body(op, ref)
+        opcode = _KIND_TO_OPCODE[op.kind] | (0 if ref is None else REF_FLAG)
         ctx = getattr(op, "ctx", None)
         if ctx is not None:
             opcode |= TRACE_FLAG
@@ -265,7 +349,9 @@ def _decode_batch_request(body: bytes) -> list[BatchOp]:
 
     Validation happens *before* application so a malformed frame can
     never half-apply: zero or oversize counts, truncated sub-ops,
-    trailing garbage, nested batches, and unknown sub-opcodes all raise.
+    trailing garbage, nested batches, unknown sub-opcodes and bad
+    payload references all raise.  References resolve here, so the
+    backend gets full payloads.
     """
     if len(body) < 4:
         raise StorageError("batch frame missing count")
@@ -285,7 +371,8 @@ def _decode_batch_request(body: bytes) -> list[BatchOp]:
         offset += 5
         if offset + length > len(body):
             raise StorageError("truncated batch sub-op body")
-        ops.append(_decode_sub_body(opcode, body[offset:offset + length]))
+        ops.append(_decode_sub_body(opcode, body[offset:offset + length],
+                                    ops))
         offset += length
     if offset != len(body):
         raise StorageError("trailing garbage after batch sub-ops")
@@ -588,12 +675,13 @@ class RemoteStorageClient(OpMethods, StorageServer):
                                   current_epoch=_parse_epoch(payload))
         raise StorageError(f"SSP error: {payload.decode(errors='replace')}")
 
-    def _record(self, op: BatchOp, reply: BatchReply) -> None:
+    def _record(self, op: BatchOp, reply: BatchReply, sent: int) -> None:
         """Local stats for one *acknowledged* op, single or batched: a
-        refused, fenced or timed-out request is not traffic served."""
+        refused, fenced or timed-out request is not traffic served.
+        ``sent`` is the payload bytes the op put on the wire."""
         if reply.status == "ok":
             if op.kind in ("put", "put_if", "put_fenced"):
-                self.stats.record_put(op.blob_id.kind, op.sent_bytes())
+                self.stats.record_put(op.blob_id.kind, sent)
             elif op.kind == "get":
                 self.stats.record_get(op.blob_id.kind,
                                       len(reply.payload or b""))
@@ -611,9 +699,9 @@ class RemoteStorageClient(OpMethods, StorageServer):
         try:
             payload = self._check(self._roundtrip(body))
         except BlobNotFound:
-            self._record(op, BatchReply("missing"))
+            self._record(op, BatchReply("missing"), 0)
             raise
-        self._record(op, BatchReply("ok", payload=payload))
+        self._record(op, BatchReply("ok", payload=payload), op.sent_bytes())
         if op.kind == "get":
             return payload
         if op.kind == "exists":
@@ -627,8 +715,8 @@ class RemoteStorageClient(OpMethods, StorageServer):
         body = self._frame(OP_BATCH, _encode_batch_request(ops))
         payload = self._check(self._roundtrip(body))
         replies = _decode_batch_reply(payload, len(ops))
-        for op, reply in zip(ops, replies):
-            self._record(op, reply)
+        for op, reply, sent in zip(ops, replies, payload_bytes(ops)):
+            self._record(op, reply, sent)
         return replies
 
     # The proxy cannot enumerate or audit the remote store.

@@ -3,7 +3,7 @@
 A recording fake server and cost model stand under a real ``BlobIO`` so
 each case can assert the *route* (journal batch / write-behind queue /
 one frame / single ops), that frames are counted once, the bytes
-charged, the ``StagedCall.kind`` emitted and the raw-slot invalidation
+charged, the blobs staged into the journal and the raw-slot invalidation
 -- for every put/delete x single/grouped x routing condition.
 """
 
@@ -129,8 +129,7 @@ def test_send_route(deleting, grouped, condition):
     verb = "delete" if deleting else "put"
     many = verb + ("_many" if grouped else "")
     if route == "journal":
-        assert [(c.kind, c.blobs) for c in io.batch.calls] == [
-            (many, tuple(blobs))]
+        assert io.batch.blobs == blobs
     elif route == "queue":
         assert io.scheduler.queue_depth == len(blobs)
         assert all(io.scheduler.covers(bid) for bid, _ in blobs)
@@ -139,7 +138,7 @@ def test_send_route(deleting, grouped, condition):
         assert io.request_count == 0
         assert cost.requests == [] and cost.flights == []
         return
-    assert io.batch is None or not io.batch.calls
+    assert io.batch is None or not io.batch.blobs
     op = verb + ("_fenced" if fenced else "")
     sent = 0 if deleting else len(PAYLOAD)
     if route == "frame" and grouped:
@@ -162,8 +161,7 @@ def test_ungrouped_blobs_are_one_wire_call_each():
     io.batch = journal.MutationBatch("op")
     blobs = [(data_blob(60 + i, "b0"), None) for i in range(2)]
     io.send(blobs, grouped=False)
-    assert [(c.kind, c.blobs) for c in io.batch.calls] == [
-        (journal.DELETE, (blob,)) for blob in blobs]
+    assert io.batch.blobs == blobs
     io.batch = None
     io.send(blobs, grouped=False)
     assert server.calls == [("delete", bid) for bid, _ in blobs]

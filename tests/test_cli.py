@@ -203,9 +203,9 @@ class TestBenchTrajectory:
         from repro.obs.bench import bench_trajectory
         (row,) = [r for r in bench_trajectory(self.RESULTS)
                   if (r["pr"], r["workload"]) == (10, "throughput")]
-        assert row["wall_s"] == pytest.approx(2267.261, abs=1e-3)
+        assert row["wall_s"] == pytest.approx(2034.035, abs=1e-3)
         assert row["requests"] == 5172
         assert main(["bench", "--list",
                      "--out-dir", str(self.RESULTS)]) == 0
         out = capsys.readouterr().out
-        assert "2267.261" in out and "5172" in out
+        assert "2034.035" in out and "5172" in out

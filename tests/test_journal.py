@@ -2,8 +2,9 @@
 
 The crash-point sweep across every op lives in test_crash_matrix.py;
 this file covers the journal's own contracts -- the record codec, the
-crypto envelope (tamper/forge rejection), batch staging semantics,
-partial-write surfacing, and recovery idempotence.
+crypto envelope (tamper/forge rejection, the clear payload section
+under the MAC), batch staging semantics, partial-write surfacing, and
+recovery idempotence.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from repro.fs import journal
 from repro.fs.client import ClientConfig, SharoesFilesystem
 from repro.fs.lease import LeaseManager
 from repro.fs.volume import SharoesVolume
+from repro.serialize import SerializationError, Writer
 from repro.sim.clock import SimClock
 from repro.storage.blobs import BlobId, journal_blob
 from repro.storage.resilient import MutationTrigger, ServerWrapper, crash
@@ -40,31 +42,40 @@ def make_journaled(volume, registry, user_id="alice", server=None,
 
 class TestCodec:
     def _record(self) -> journal.IntentRecord:
-        return journal.IntentRecord(seq=7, op="rename", calls=(
-            journal.StagedCall(journal.PUT_MANY, (
-                (BlobId("meta", 3, "u"), b"sealed-meta"),
-                (BlobId("data", 3, "t:u"), b"sealed-table"))),
-            journal.StagedCall(journal.DELETE, (
-                (BlobId("data", 4, "b0"), None),)),
-        ))
+        return journal.IntentRecord(seq=7, op="rename", blobs=(
+            (BlobId("meta", 3, "u"), b"sealed-meta"),
+            (BlobId("data", 3, "t:u"), b"sealed-table"),
+            (BlobId("data", 4, "b0"), None),
+        ), fences=((3, 5),))
 
     def test_roundtrip(self):
+        """The header carries no payload byte; the payloads decode from
+        their own section, in order."""
         record = self._record()
-        [back] = journal.decode_records(
-            journal.encode_records([record]))
+        header = journal.encode_records([record])
+        assert b"sealed" not in header
+        [back] = journal.decode_records(header, b"sealed-metasealed-table")
         assert back == record
-        assert back.mutation_count() == 3
+        assert back.inodes() == {3, 4}
 
     def test_empty_list_roundtrip(self):
-        assert journal.decode_records(journal.encode_records([])) == []
+        assert journal.decode_records(journal.encode_records([]), b"") == []
 
     def test_unknown_call_kind_rejected(self):
-        bad = journal.StagedCall.__new__(journal.StagedCall)
-        object.__setattr__(bad, "kind", "format_volume")
-        object.__setattr__(bad, "blobs", ())
-        record = journal.IntentRecord(seq=1, op="x", calls=(bad,))
-        with pytest.raises(Exception):
-            journal.decode_records(journal.encode_records([record]))
+        """A staged blob is a put (its payload length follows) or a
+        delete; any other kind flag does not decode."""
+        writer = Writer().put_int(1).put_int(1).put_str("x").put_int(1)
+        writer.put_str("data").put_int(4).put_str("b0")
+        writer.put_bytes(b"\x02").put_int(0)
+        with pytest.raises(SerializationError):
+            journal.decode_records(writer.getvalue(), b"")
+
+    @pytest.mark.parametrize("payloads", [b"sealed-meta",
+                                          b"sealed-metasealed-table!"])
+    def test_payload_section_is_used_up_exactly(self, payloads):
+        with pytest.raises(SerializationError):
+            journal.decode_records(
+                journal.encode_records([self._record()]), payloads)
 
 
 # -- crypto envelope ----------------------------------------------------------
@@ -74,7 +85,7 @@ class TestEnvelope:
     def test_seal_open_roundtrip(self, registry):
         provider = CryptoProvider()
         alice = registry.user("alice")
-        records = [journal.IntentRecord(seq=1, op="mkdir", calls=())]
+        records = [journal.IntentRecord(seq=1, op="mkdir", blobs=())]
         blob = journal.seal_journal(provider, alice, records)
         assert journal.open_journal(provider, alice, blob) == records
 
@@ -83,7 +94,7 @@ class TestEnvelope:
         alice = registry.user("alice")
         blob = bytearray(journal.seal_journal(
             provider, alice,
-            [journal.IntentRecord(seq=1, op="mkdir", calls=())]))
+            [journal.IntentRecord(seq=1, op="mkdir", blobs=())]))
         blob[len(blob) // 2] ^= 1
         with pytest.raises(IntegrityError):
             journal.open_journal(provider, alice, bytes(blob))
@@ -94,13 +105,15 @@ class TestEnvelope:
         provider = CryptoProvider()
         forged = journal.seal_journal(
             provider, registry.user("bob"),
-            [journal.IntentRecord(seq=9, op="unlink", calls=())])
+            [journal.IntentRecord(seq=9, op="unlink", blobs=())])
         with pytest.raises(IntegrityError):
             journal.open_journal(provider, registry.user("alice"),
                                  forged)
 
     def test_journal_blob_is_ciphertext(self, volume, registry):
-        """The SSP sees no blob ids or op names in a stored journal."""
+        """The SSP sees no blob ids or op names in a stored journal, and
+        a pending one shows it in the clear only the sealed objects its
+        apply stores anyway."""
         fs = make_journaled(volume, registry)
         crasher = MutationTrigger(volume.server, {3: crash})
         dying = make_journaled(volume, registry, server=crasher)
@@ -111,6 +124,19 @@ class TestEnvelope:
         assert b"secret-payload" not in raw
         assert b"create" not in raw
         assert b"meta" not in raw
+        [record] = journal.open_journal(CryptoProvider(),
+                                        registry.user("alice"), raw)
+        staged = [payload for _, payload in record.blobs if payload]
+        assert _clear_section(raw) == b"".join(staged)
+        fs = make_journaled(volume, registry)  # mount rolls it forward
+        stored = set(volume.server.raw_blobs().values())
+        assert all(payload in stored for payload in staged)
+        assert fs.read_file("/secret-name") == b"secret-payload"
+
+
+def _clear_section(blob: bytes) -> bytes:
+    """What follows the sealed header of a journal blob."""
+    return blob[4 + int.from_bytes(blob[:4], "big"):]
 
 
 # -- recovery rejects bad journals -------------------------------------------
@@ -143,9 +169,8 @@ class TestRecoveryRejection:
         provider = CryptoProvider()
         forged = journal.seal_journal(
             provider, registry.user("bob"),
-            [journal.IntentRecord(seq=1, op="unlink", calls=(
-                journal.StagedCall(journal.DELETE, (
-                    (journal_blob("alice"), None),)),))])
+            [journal.IntentRecord(seq=1, op="unlink", blobs=(
+                (journal_blob("alice"), None),))])
         volume.server.put(journal_blob("alice"), forged)
         census = volume.server.blob_count()
         with pytest.raises(IntegrityError):
@@ -178,6 +203,13 @@ def _stranded(volume, registry, user_id: str, path: str) -> bytes:
     return volume.server.get(journal_blob(user_id))
 
 
+def _resealed(blob: bytes, key: bytes, header: bytes) -> bytes:
+    """``blob`` with its header sealed anew, over its own payloads."""
+    payloads = _clear_section(blob)
+    sealed = CryptoProvider().sym_encrypt(key, header, associated=payloads)
+    return Writer().put_bytes(sealed).getvalue() + payloads
+
+
 _UNOPENABLE = ("truncated", "empty", "bobs_journal_in_alices_slot",
                "alices_key_bobs_context")
 
@@ -195,8 +227,8 @@ def unopenable(request, volume, registry) -> bytes:
         "truncated": alices[:40],
         "empty": b"",
         "bobs_journal_in_alices_slot": bobs,
-        "alices_key_bobs_context": provider.sym_encrypt(
-            journal.journal_key(alice),
+        "alices_key_bobs_context": _resealed(
+            alices, journal.journal_key(alice),
             journal.journal_context("bob") + journal.encode_records(
                 journal.open_journal(provider, alice, alices))),
     }[request.param]
@@ -240,6 +272,95 @@ class TestOneExceptionOnOpen:
         assert not any(intent.startswith("alice ")
                        for intent in report.completed_intents)
         assert not volume.server.exists(journal_blob("alice"))
+
+
+# -- the clear payload section is under the MAC --------------------------------
+
+
+def _swap_first_payloads(blob: bytes, user) -> bytes:
+    [record] = journal.open_journal(CryptoProvider(), user, blob)
+    first, second = [payload for _, payload in record.blobs if payload][:2]
+    clear = _clear_section(blob)
+    assert clear.startswith(first + second) and first != second
+    return blob[:len(blob) - len(clear)] + second + first + clear[
+        len(first) + len(second):]
+
+
+_DEFECTS = {
+    "flipped_payload_byte": lambda blob, user: (
+        blob[:-7] + bytes([blob[-7] ^ 1]) + blob[-6:]),
+    "swapped_payloads": _swap_first_payloads,
+    "truncated_payloads": lambda blob, user: blob[:-1],
+}
+
+
+@pytest.mark.parametrize("defect", sorted(_DEFECTS))
+def test_a_defective_payload_section_is_never_replayed(volume, registry,
+                                                       defect):
+    """The payloads travel in the clear, but under the journal MAC: a
+    changed byte, a reordering or a cut is one IntegrityError at open,
+    and mount, fsck and takeover replay nothing."""
+    blob = _stranded(volume, registry, "alice", "/f")
+    broken = _DEFECTS[defect](blob, registry.user("alice"))
+    volume.server.put(journal_blob("alice"), broken)
+    before = volume.server.raw_blobs()
+    with pytest.raises(IntegrityError):
+        journal.open_journal(CryptoProvider(), registry.user("alice"),
+                             broken)
+    with pytest.raises(IntegrityError):
+        make_journaled(volume, registry)
+    with pytest.raises(IntegrityError):
+        journal.roll_forward(volume.server, CryptoProvider(),
+                             registry.user("alice"))
+    assert volume.server.raw_blobs() == before
+    report = VolumeAuditor(volume).repair()
+    assert report.rejected_journals == ["alice"]
+    assert not any(intent.startswith("alice ")
+                   for intent in report.completed_intents)
+
+
+def _recover_by_mount(volume, registry) -> None:
+    make_journaled(volume, registry)
+
+
+def _recover_by_takeover(volume, registry) -> None:
+    clock = SimClock()
+
+    def manager(user_id, escrow=None):
+        return LeaseManager(registry.user(user_id), registry.directory,
+                            volume.server, clock, duration_s=1.0,
+                            provider=CryptoProvider(), escrow=escrow)
+
+    manager("alice").acquire(999)
+    clock.advance(2.0)
+    manager("bob", escrow=registry.user).acquire(999)
+
+
+def _recover_by_fsck(volume, registry) -> None:
+    report = VolumeAuditor(volume).repair()
+    assert any(intent.startswith("alice ")
+               for intent in report.completed_intents)
+
+
+@pytest.mark.parametrize("recover", [_recover_by_mount,
+                                     _recover_by_takeover,
+                                     _recover_by_fsck],
+                         ids=["mount", "takeover", "fsck"])
+def test_a_client_crashed_before_commit_is_rolled_forward(volume, registry,
+                                                          recover):
+    """Each recovery path replays the intent's payloads from the clear
+    section: the create lands whole and the journal is committed."""
+    blob = _stranded(volume, registry, "alice", "/f")
+    assert _clear_section(blob)
+    recover(volume, registry)
+    assert journal.open_journal(
+        CryptoProvider(), registry.user("alice"),
+        volume.server.get(journal_blob("alice"))) == []
+    fs = SharoesFilesystem(volume, registry.user("alice"))
+    fs.mount()
+    assert fs.read_file("/f") == b"x" * 100
+    report = VolumeAuditor(volume).audit()
+    assert report.clean and not report.orphaned_blobs, report.summary()
 
 
 # -- a journaled mutation pays no public-key operation ------------------------

@@ -166,8 +166,7 @@ class TestStateMachine:
         target = BlobId("data", 99, "b0")
         server.put(journal_blob("alice"), journal.seal_journal(
             provider, alice, [journal.IntentRecord(
-                seq=1, op="x", calls=(journal.StagedCall(
-                    journal.PUT, ((target, b"pending-payload"),)),))]))
+                seq=1, op="x", blobs=((target, b"pending-payload"),))]))
         clock.advance(2.0)
         bob = make_manager(registry, server, clock, "bob",
                            escrow=registry.user)
@@ -274,8 +273,7 @@ class TestFenceSupersession:
         target = BlobId("data", 50, "b0")
         server.put(journal_blob("alice"), journal.seal_journal(
             provider, alice, [journal.IntentRecord(
-                seq=3, op="x", calls=(journal.StagedCall(
-                    journal.PUT, ((target, b"superseded"),)),),
+                seq=3, op="x", blobs=((target, b"superseded"),),
                 fences=((50, 0),))]))  # epoch 0 < current epoch 1
         replayed = journal.roll_forward(server, provider, alice)
         assert replayed == []
@@ -290,8 +288,7 @@ class TestFenceSupersession:
         make_manager(registry, server, clock).acquire(50)
         target = BlobId("data", 50, "b0")
         record = journal.IntentRecord(
-            seq=3, op="x", calls=(journal.StagedCall(
-                journal.PUT, ((target, b"live"),)),),
+            seq=3, op="x", blobs=((target, b"live"),),
             fences=((50, 1),))
         server.put(journal_blob("alice"),
                    journal.seal_journal(provider, alice, [record]))

@@ -17,6 +17,10 @@ own; a cold one is acquired first.  This file pins
   is always seen;
 * that the ``batching=False`` reference execution leaves the SSP byte
   for byte where the batched one does;
+* that each payload crosses the link once -- the apply names its bytes
+  inside the intent -- and that a reference never escapes its frame: a
+  live socket, a frame split at the wire's sub-op cap and a suffix the
+  transport sends again all land the in-process state byte for byte;
 * that an apply fenced out part-way still surfaces ``LeaseLostError``
   and invalidates what the op touched;
 * that a frame whose reply is lost lands exactly once: a copy the
@@ -29,6 +33,7 @@ own; a cold one is acquired first.  This file pins
 from __future__ import annotations
 
 import functools
+from contextlib import contextmanager
 from dataclasses import replace
 
 import pytest
@@ -38,6 +43,7 @@ from hypothesis import strategies as st
 from repro.crypto.provider import CryptoProvider
 from repro.errors import (FileExists, FileNotFound, LeaseLostError,
                           TransientStorageError)
+from repro.fs import blobio
 from repro.fs import client as fs_client
 from repro.fs.blobio import BlobIO
 from repro.fs.client import ClientConfig, SharoesFilesystem
@@ -48,8 +54,9 @@ from repro.sim.clock import SimClock
 from repro.storage.blobs import journal_blob, lease_blob
 from repro.storage.resilient import (MutationTrigger, RetryPolicy,
                                      ServerWrapper)
-from repro.storage.server import StorageServer, apply_batch
+from repro.storage.server import BatchReply, StorageServer, apply_batch
 from repro.storage.shards import ShardedServer
+from repro.storage.wire import RemoteStorageClient, SspServer
 from repro.tools.fsck import VolumeAuditor
 from repro.tools.twin import pinned_entropy
 
@@ -231,13 +238,28 @@ def test_rename_within_a_directory_is_one_frame(stack, registry):
 
 def test_every_protocol_frame_is_counted_and_charged(stack, registry):
     """The mutation frame enters ``request_count`` (only the ``exists``
-    probe stays outside, ROADMAP item 1(a))."""
+    probe stays outside, ROADMAP item 1(a)), and is charged each payload
+    once: every apply put is a 12-byte reference into the intent."""
     fs, tap = steady(stack, registry)
+    sent, charged = [], []
+    tap.batch = lambda ops, batch=tap.batch: (sent.append(ops),
+                                              batch(ops))[1]
+    fs.blobs.charge = lambda up=0, down=0, charge=fs.blobs.charge: (
+        charged.append(up), charge(up, down))
     before = fs.request_count
     fs.create_file("/d/new", b"y" * 300, mode=0o664)
     frames = tap.take()
     probes = [frame for frame in frames if frame[0].startswith("exists ")]
     assert fs.request_count - before == len(frames) - len(probes) == 1
+    [ops] = sent
+    intent = next(op for op in ops if op.blob_id.kind == "journal")
+    applied = [op for op in ops if op.ref is not None]
+    assert len(applied) == 7  # three views, three table views, a block
+    assert all(op.payload in intent.payload for op in applied)
+    every_byte = sum(len(op.payload or b"") + len(op.expected or b"")
+                     for op in ops)
+    assert charged == [every_byte
+                       - sum(len(op.payload) - 12 for op in applied)]
 
 
 # -- a head that loses writes nothing ----------------------------------------------
@@ -449,7 +471,13 @@ def test_a_peers_write_between_our_mutations_is_always_seen(registry,
 # -- the reference execution ------------------------------------------------------
 
 
-def _leased_sequence(registry, batching: bool, monkeypatch) -> dict:
+def _leased_sequence(registry, batching: bool, monkeypatch,
+                     connect=None, config: ClientConfig = CONFIG) -> dict:
+    """Two leased writers' fixed script; the SSP's blobs at the end.
+
+    ``connect(server)``, if given, is what each writer talks to instead
+    of ``server`` itself.
+    """
     with monkeypatch.context() as patch, pinned_entropy(24):
         if not batching:
             patch.setattr(fs_client, "BlobIO",
@@ -459,8 +487,9 @@ def _leased_sequence(registry, batching: bool, monkeypatch) -> dict:
         volume.format(root_owner="alice", root_group="eng")
         writers = []
         for user_id in ("alice", "bob"):
-            fs = SharoesFilesystem(volume, registry.user(user_id),
-                                   config=CONFIG)
+            fs = SharoesFilesystem(
+                volume, registry.user(user_id), config=config,
+                server=connect(server) if connect is not None else None)
             fs.mount()
             writers.append(fs)
         alice, bob = writers
@@ -476,7 +505,8 @@ def _leased_sequence(registry, batching: bool, monkeypatch) -> dict:
         for fs in writers:
             fs.unmount()
         frames = alice.metrics.histogram("client.batch.size").count
-        return {"blobs": server.raw_blobs(), "frames": frames}
+        return {"blobs": server.raw_blobs(), "frames": frames,
+                "bytes_received": server.stats.bytes_received}
 
 
 def test_unbatched_reference_leaves_identical_ssp_state(registry,
@@ -486,6 +516,111 @@ def test_unbatched_reference_leaves_identical_ssp_state(registry,
     assert reference["frames"] == 0 < batched["frames"]
     assert set(batched["blobs"]) == set(reference["blobs"])
     assert batched["blobs"] == reference["blobs"]
+
+
+# -- each payload crosses the link once, and only inside its frame -------------
+
+
+class FailBehindIntent(ServerWrapper):
+    """Lands the next mutation frame through its intent, then answers
+    the sub-op behind it with a transient error: a retrying transport
+    sends the rest of the frame again, without the intent."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.armed = 1
+        self.failed = self.resent = None  # the unapplied sub-ops, twice
+
+    def batch(self, ops):
+        if self.failed is not None and self.resent is None:
+            self.resent = list(ops)
+        at = next((index for index, op in enumerate(ops)
+                   if op.blob_id.kind == "journal" and op.kind != "get"),
+                  len(ops))
+        if not self.armed or at + 1 >= len(ops):
+            return super().batch(ops)
+        self.armed -= 1
+        self.failed = list(ops[at + 1:])
+        return (apply_batch(self, ops[:at + 1])
+                + [BatchReply("error", message="blip", transient=True)]
+                + [BatchReply("unattempted")] * (len(ops) - at - 2))
+
+
+@contextmanager
+def _sockets(wrap=None):
+    """``connect(server)``: a socket client of an SSP serving ``server``
+    (through ``wrap``); and the list of the clients it made."""
+    servers, clients = [], []
+
+    def connect(server):
+        if not servers:
+            backend = wrap(server) if wrap is not None else server
+            servers.append(SspServer(backend).start())
+        clients.append(RemoteStorageClient(*servers[0].address))
+        return clients[-1]
+
+    try:
+        yield connect, clients
+    finally:
+        for client in clients:
+            client.close()
+        for ssp in servers:
+            ssp.stop()
+
+
+def test_a_socket_carries_each_payload_once_to_the_same_state(registry,
+                                                              monkeypatch):
+    """Over a live ``SspServer`` the apply puts go as references (the
+    clients sent fewer payload bytes than the backend stored) and the
+    SSP ends byte for byte where the in-process run does."""
+    reference = _leased_sequence(registry, True, monkeypatch)
+    with _sockets() as (connect, clients):
+        remote = _leased_sequence(registry, True, monkeypatch, connect)
+    assert remote["blobs"] == reference["blobs"]
+    sent = sum(client.stats.bytes_received for client in clients)
+    stored = reference["bytes_received"]
+    assert 0 < sent < stored - 12_000
+
+
+def test_a_split_frame_inlines_and_lands_the_same_state(registry,
+                                                        monkeypatch):
+    """A frame cut at a lowered sub-op cap: a part without the intent
+    sends its payloads inline, over a live socket, to the same state."""
+    reference = _leased_sequence(registry, True, monkeypatch)
+    monkeypatch.setattr(blobio, "MAX_BATCH_OPS", 3)
+    with _sockets() as (connect, _):
+        split = _leased_sequence(registry, True, monkeypatch, connect)
+    assert split["frames"] > reference["frames"]
+    assert split["blobs"] == reference["blobs"]
+
+
+def test_a_suffix_sent_again_inlines_and_lands_the_same_state(registry,
+                                                              monkeypatch):
+    """The SSP lands a frame through its intent and then fails; the
+    retrying transport re-sends the rest without the intent, so the
+    apply puts in it go inline -- the SSP decodes exactly the sub-ops it
+    did not apply -- and the objects match a run that never failed (the
+    lease links differ: the backoff moved the clock)."""
+    config = replace(CONFIG, retry_policy=RetryPolicy(jitter=False))
+    reference = _leased_sequence(registry, True, monkeypatch, config=config)
+    wrappers = []
+
+    def wrap(server):
+        wrappers.append(FailBehindIntent(server))
+        return wrappers[-1]
+
+    with _sockets(wrap) as (connect, _):
+        retried = _leased_sequence(registry, True, monkeypatch, connect,
+                                   config=config)
+    [failing] = wrappers
+    assert any(op.kind == "put_fenced" for op in failing.failed)
+    assert failing.resent == failing.failed
+
+    def objects(run):
+        return {blob_id: payload for blob_id, payload in run["blobs"].items()
+                if blob_id.kind != "lease"}
+
+    assert objects(retried) == objects(reference)
 
 
 # -- a fenced-out apply frame ----------------------------------------------------

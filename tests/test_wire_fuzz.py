@@ -23,7 +23,9 @@ from repro.errors import StorageError, TransientStorageError
 from repro.storage.blobs import data_blob
 from repro.storage.resilient import ResilientTransport, RetryPolicy
 from repro.storage.server import BatchOp, StorageServer
-from repro.storage.wire import (MAX_BATCH_OPS, OP_BATCH, OP_GET, OP_PUT,
+from repro.storage.wire import (MAX_BATCH_OPS, OP_BATCH, OP_DELETE,
+                                OP_DELETE_FENCED, OP_GET, OP_PUT,
+                                OP_PUT_FENCED, OP_PUT_IF, REF_FLAG,
                                 STATUS_ERROR, STATUS_OK,
                                 RemoteStorageClient, SspServer,
                                 _decode_batch_reply, _pack_fields,
@@ -149,6 +151,38 @@ def _put_sub(blob_id, payload: bytes) -> bytes:
     return _sub_op(OP_PUT, _pack_fields(str(blob_id).encode(), payload))
 
 
+def _ref_sub(blob_id, index: int, offset: int, length: int,
+             opcode: int = OP_PUT) -> bytes:
+    """A sub-op whose payload field is a reference (``REF_FLAG``)."""
+    return _sub_op(opcode | REF_FLAG, _pack_fields(
+        str(blob_id).encode(), struct.pack(">III", index, offset, length)))
+
+
+_VICTIM = data_blob(7, "ref-victim")
+_BID = str(BLOB).encode()
+
+#: (case, sub-ops) of frames whose payload reference must not resolve.
+_BAD_REFS = [
+    ("self", [_ref_sub(_VICTIM, 0, 0, 1)]),
+    ("forward", [_ref_sub(_VICTIM, 1, 0, 1), _put_sub(BLOB, b"later")]),
+    ("get_target", [_sub_op(OP_GET, _pack_fields(_BID)),
+                    _ref_sub(_VICTIM, 0, 0, 1)]),
+    ("delete_target", [_sub_op(OP_DELETE, _pack_fields(_BID)),
+                       _ref_sub(_VICTIM, 0, 0, 1)]),
+    ("beyond_payload", [_put_sub(BLOB, b"abc"),
+                        _ref_sub(_VICTIM, 0, 2, 2)]),
+    ("malformed", [_put_sub(BLOB, b"abc"), _sub_op(
+        OP_PUT | REF_FLAG, _pack_fields(str(_VICTIM).encode(), b"\0" * 8))]),
+    ("on_get", [_put_sub(BLOB, b"abc"), _sub_op(
+        OP_GET | REF_FLAG, _pack_fields(_BID))]),
+    ("on_put_if", [_put_sub(BLOB, b"abc"), _ref_sub(
+        _VICTIM, 0, 0, 1, OP_PUT_IF)]),
+    ("on_delete_fenced", [_put_sub(BLOB, b"abc"), _sub_op(
+        OP_DELETE_FENCED | REF_FLAG,
+        _pack_fields(_BID, _BID, struct.pack(">Q", 0)))]),
+]
+
+
 class TestBatchFrameFuzz:
     """Malformed OP_BATCH frames: clean error, never crash, and --
     the invariant that matters for a multi-op frame -- never a silent
@@ -239,6 +273,37 @@ class TestBatchFrameFuzz:
             assert live_server.backend.get(fresh) == b"landed"
         finally:
             client.close()
+
+    @pytest.mark.parametrize("case,subs", _BAD_REFS,
+                             ids=[case for case, _ in _BAD_REFS])
+    def test_a_bad_payload_reference_rejects_whole_frame(self, live_server,
+                                                         case, subs):
+        """A reference to itself, to a later or payload-less sub-op, out
+        of its target's bounds, or on an opcode other than PUT /
+        PUT_FENCED: a top-level ERROR, and not one sub-op applied."""
+        before = live_server.backend.raw_blobs()
+        reply = _exchange(live_server.address,
+                          _batch_frame(len(subs), b"".join(subs)))
+        assert reply[0] == STATUS_ERROR
+        assert live_server.backend.raw_blobs() == before
+        assert _server_still_serves(live_server)
+
+    def test_a_payload_reference_resolves_before_apply(self, live_server):
+        """A well-formed reference lands the slice it names, fenced or
+        not, and the backend only ever sees the full payload."""
+        fresh = data_blob(7, "ref-fresh")
+        fenced = data_blob(7, "ref-fenced")
+        fence = _pack_fields(str(fenced).encode(),
+                             str(data_blob(7, "no-lease")).encode(),
+                             struct.pack(">Q", 0),
+                             struct.pack(">III", 0, 11, 4))
+        subs = (_put_sub(data_blob(7, "ref-intent"), b"head:fresh:sums")
+                + _ref_sub(fresh, 0, 5, 5)
+                + _sub_op(OP_PUT_FENCED | REF_FLAG, fence))
+        reply = _exchange(live_server.address, _batch_frame(3, subs))
+        assert reply[0] == STATUS_OK
+        assert live_server.backend.get(fresh) == b"fresh"
+        assert live_server.backend.get(fenced) == b"sums"
 
     def test_seeded_garbage_batch_storm(self, live_server):
         rng = random.Random(0xBA7C)

@@ -2,15 +2,17 @@
 
 For every opcode the request bytes :class:`RemoteStorageClient` puts on
 the socket and the response bytes the server answers with are compared
-against fixtures recorded once, with and without ``TRACE_FLAG``.  A
-refactor of either codec that moves a single byte fails here, not in a
-mixed-version deployment.  The last test pins the fact the merged codec
+against fixtures recorded once, with and without ``TRACE_FLAG``, and
+for a batch whose puts name their bytes inside an earlier put
+(``REF_FLAG``).  A refactor of either codec that moves a single byte
+fails here, not in a mixed-version deployment.  The last test pins the fact the merged codec
 relies on: a single-op request body *is* the batch sub-op body.
 """
 
 from __future__ import annotations
 
 import struct
+from dataclasses import replace
 
 import pytest
 
@@ -109,6 +111,29 @@ BATCH_RESPONSE_HEX = (
     "0500000000")
 
 
+#: Later puts naming their bytes inside an earlier put's payload
+#: (REF_FLAG 0x40: ``u32 index | u32 offset | u32 length`` in place of
+#: the payload): a put, a put_fenced, one with a sub-op trace context
+#: (0xc1), and one whose bytes the target does not hold, which inlines.
+TARGET = data_blob(11, "b0")
+REF_BATCH = [BatchOp.put(TARGET, b"head:new:fen"),
+             BatchOp.put(ABSENT, b"new", ref=TARGET),
+             BatchOp.put_fenced(BLOB, b"fen", FENCE, 5, ref=TARGET),
+             replace(BatchOp.put(EMPTY, b"new", ref=TARGET), ctx=CTX),
+             BatchOp.put(data_blob(10, "b0"), b"zzz", ref=TARGET)]
+REF_BATCH_REQUEST_HEX = (
+    "0800000005"
+    "010000001e0000000a646174612f31312f62300000000c686561643a6e65773a66656e"
+    "410000001d00000009646174612f392f62300000000c"
+    "000000000000000500000003"
+    "460000003600000009646174612f372f6230000000096c656173652f372f2d"
+    "0000000800000000000000050000000c000000000000000900000003"
+    "c10000002d" + CTX_HEX + "00000009646174612f382f62300000000c"
+    "000000000000000500000003"
+    "01000000150000000a646174612f31302f6230000000037a7a7a")
+REF_BATCH_RESPONSE_HEX = "0000000005" + "0000000000" * 5
+
+
 def _call(server, op: BatchOp):
     """The named-method call for ``op``, spelled out (not ``op.call``)
     so this file also runs unmodified against the tree the fixtures
@@ -182,6 +207,17 @@ def test_batch_frames(rig):
     request, response = _exchange(backend, traced, lambda c: c.batch(BATCH))
     assert request.hex() == "88" + CTX_HEX + BATCH_REQUEST_HEX[2:]
     assert response.hex() == BATCH_RESPONSE_HEX
+
+
+def test_batch_frames_with_payload_references(rig):
+    backend, plain, traced = rig
+    for client, flag in ((plain, "08"), (traced, "88" + CTX_HEX)):
+        request, response = _exchange(backend, client,
+                                      lambda c: c.batch(REF_BATCH))
+        assert request.hex() == flag + REF_BATCH_REQUEST_HEX[2:]
+        assert response.hex() == REF_BATCH_RESPONSE_HEX
+        assert backend.get(ABSENT) == backend.get(EMPTY) == b"new"
+        assert backend.get(BLOB) == b"fen"
 
 
 def test_error_sub_reply_bytes():
