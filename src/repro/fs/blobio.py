@@ -26,9 +26,10 @@ Stack, assembled once by ``SharoesFilesystem.__init__``::
     filesystem -> BlobIO -> RequestScheduler -> ResilientTransport
                -> TracedServer -> wire / SSP
 
-Consistency-log traffic and the roll-forward of a *dead* client's
-journal (takeover, fsck) keep their own modules; ``exists`` probes are
-(still) uncounted.
+The replay of a pending intent -- this client's or, at a lease
+takeover, a dead client's -- ships through :meth:`BlobIO.ship` too
+(``journal.roll_forward``).  Consistency-log traffic keeps its own
+module; ``exists`` probes are (still) uncounted.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from typing import Iterable, Sequence
 from ..errors import (BlobNotFound, PartialWriteError, StaleEpochError,
                       StorageError, TransientPartialWriteError,
                       TransientStorageError)
-from ..storage.blobs import BlobId, lease_blob
+from ..storage.blobs import BlobId
 from ..storage.server import BatchOp, BatchReply, execute
 from ..storage.wire import MAX_BATCH_OPS, payload_bytes
 from . import journal
@@ -325,30 +326,20 @@ class BlobIO:
             else:
                 scheduler.stage_put_many(blobs)
             return
+        ops = journal.write_ops(blobs, fences)
         if not (grouped and self.batching):
             # A direct (fenced or oversized) write must order after
             # everything staged.
             self.flush()
-            for blob_id, payload in blobs:
-                self._send_one(blob_id, payload, epoch_of(blob_id.inode))
+            for op in ops:
+                self._send_one(op)
             return
         self.raise_failure(blobs, self.exchange(
-            "delete_many" if deleting else "put_many",
-            self.ops(blobs, fences)))
-
-    def ops(self, blobs: Sequence[tuple[BlobId, "bytes | None"]],
-            fences: "dict[int, int] | None" = None,
-            ref: "BlobId | None" = None) -> list[BatchOp]:
-        """The sub-ops that upload (payload) or delete (``None``)
-        ``blobs``, each fenced on its inode's epoch in ``fences``; a put
-        whose payload an earlier put of ``ref`` in the frame carries
-        goes as a reference to it (``wire.payload_refs``)."""
-        epoch_of = (fences or {}).get
-        return [self._op(blob_id, payload, epoch_of(blob_id.inode), ref)
-                for blob_id, payload in blobs]
+            "delete_many" if deleting else "put_many", ops))
 
     def raise_failure(self, blobs, replies) -> None:
-        """Raise what the first failed reply to :meth:`ops` means."""
+        """Raise what the first failed reply to the
+        :func:`journal.write_ops` of ``blobs`` means."""
         for index, reply in enumerate(replies):
             if reply.status == "ok":
                 continue
@@ -360,23 +351,11 @@ class BlobIO:
                 continue
             self._raise_put_failure(blobs, index, reply)
 
-    @staticmethod
-    def _op(blob_id: BlobId, payload: "bytes | None",
-            epoch: "int | None", ref: "BlobId | None" = None) -> BatchOp:
-        if epoch is None:
-            return (BatchOp.delete(blob_id) if payload is None
-                    else BatchOp.put(blob_id, payload, ref))
-        fence = lease_blob(blob_id.inode)
-        return (BatchOp.delete_fenced(blob_id, fence, epoch)
-                if payload is None
-                else BatchOp.put_fenced(blob_id, payload, fence, epoch, ref))
-
-    def _send_one(self, blob_id: BlobId, payload: "bytes | None",
-                  epoch: "int | None") -> None:
-        with self.frame("delete" if payload is None else "put",
-                        kind=blob_id.kind):
-            self.charge(up=0 if payload is None else len(payload))
-            self._op(blob_id, payload, epoch).call(self.server)
+    def _send_one(self, op: BatchOp) -> None:
+        with self.frame("delete" if op.payload is None else "put",
+                        kind=op.blob_id.kind):
+            self.charge(up=op.sent_bytes())
+            op.call(self.server)
 
     def _raise_put_failure(self, blobs, index: int, reply) -> None:
         blob_id = blobs[index][0]

@@ -718,8 +718,8 @@ class SharoesFilesystem:
         # The apply names its payloads inside the intent: each crosses
         # the link once.
         ops = ([self._journal_put(self._pending + [record])]
-               + self.blobs.ops(record.blobs, self._fences,
-                                ref=journal_blob(self.agent.user_id))
+               + journal.write_ops(record.blobs, self._fences,
+                                   ref=journal_blob(self.agent.user_id))
                + [self._journal_put(self._pending)])
         self._pending.append(record)
         try:
@@ -895,78 +895,47 @@ class SharoesFilesystem:
             return reply.payload == intent
         return reply.status != "missing"
 
-    def _journal_write(self, phase: str) -> None:
-        """Seal + upload the current pending-intent list: one frame."""
-        with self.tracer.span("journal", phase=phase,
-                              pending=len(self._pending)):
-            reply, = self.blobs.exchange(
-                phase, [self._journal_put(self._pending)])
-        reply.raise_for_status()
+    def _roll_forward(self, records: list[journal.IntentRecord],
+                      phase: str) -> list[journal.IntentRecord]:
+        """Replay ``records`` through this client's counted channel:
+        :func:`journal.roll_forward`, one fenced frame per record.
 
-    def _apply_record(self, record: journal.IntentRecord) -> None:
-        """Replay an intent's staged calls for real: one frame.
-
-        Every staged call goes out in order as sub-ops of one
-        ``OP_BATCH`` (split only at the wire's sub-op cap).  A frame
-        stops at the first fenced or failed sub-op, and every staged
-        action is an overwrite-put or an idempotent delete, so a crash
-        or refusal part-way leaves a prefix applied and replaying the
-        intent converges on fully-applied -- the same states one frame
-        per staged call left.  The record's fences (if any) ride along:
-        a replay by a zombie whose lease was taken over is rejected by
-        the SSP with :class:`StaleEpochError`.
+        The first apply of each stopped part-way (or its client died),
+        and whatever this client read of its inodes since is that
+        half-applied state; from here the SSP moves past it -- whether
+        the replay completes, fails again further on, or finds a lease
+        successor already did the writing -- so the cache forgets those
+        inodes first, raw readahead slots included.  A record fenced out
+        was rolled forward by that successor: it is dropped, never
+        replayed unfenced over the successor's newer writes.  Returns
+        the replayed records.
         """
-        self.blobs.raise_failure(record.blobs, self.blobs.ship(
-            "apply", self.blobs.ops(record.blobs, dict(record.fences))))
-
-    def _replay(self, record: journal.IntentRecord, phase: str) -> bool:
-        """Apply a journaled intent again (in-session or at mount).
-
-        Its first apply stopped part-way and the failed mutation's
-        inodes were invalidated, so whatever was read of them since is
-        the half-applied state.  From here the SSP moves past that --
-        whether this replay completes, fails again further on, or finds
-        a lease successor already did the writing -- so the cache
-        forgets those inodes first, raw readahead slots included.
-
-        Replays stay *fenced*: if a successor took over our lease since
-        the intent was journaled, it already rolled the intent forward,
-        so a :class:`StaleEpochError` means the work is done (by them)
-        and our stale copy must be dropped, not retried -- an unfenced
-        replay would overwrite the successor's newer writes.  Returns
-        False in that case.
-        """
-        for inode in record.inodes():
-            self._invalidate(inode)
-        try:
-            with self.tracer.span("journal", phase=phase, op=record.op):
-                self._apply_record(record)
-        except StaleEpochError:
+        for record in records:
+            for inode in record.inodes():
+                self._invalidate(inode)
+        with self.tracer.span("journal", phase=phase, pending=len(records)):
+            replayed = journal.roll_forward(self.blobs.ship, self.provider,
+                                            self.agent.user, records)
+        for _ in range(len(records) - len(replayed)):
             self.metrics.counter(
                 "journal.fenced_replays",
                 help="pending intents dropped: already rolled "
                      "forward by a lease successor").inc()
-            return False
-        return True
+        return replayed
 
     def _replay_pending(self) -> None:
-        """Re-apply intents whose first apply failed part-way."""
-        while self._pending:
-            record = self._pending[0]
-            applied = self._replay(record, "replay")
-            self._pending.pop(0)
-            if not applied:
-                continue
-            try:
-                self._journal_write("commit")
-            except BaseException:
-                self._pending.insert(0, record)
-                raise
+        """Re-apply the intent whose first apply failed part-way; it
+        stays pending while its replay fails."""
+        if not self._pending:
+            return
+        replayed = self._roll_forward(self._pending, "replay")
+        self._pending = []
+        for _ in replayed:
             self.metrics.counter(
                 "journal.replays",
                 help="pending intents re-applied in-session").inc()
 
-    def _recover_journal(self) -> journal.RecoveryOutcome:
+    def _recover_journal(self) -> None:
         """Mount-time recovery: replay whatever a dead client left.
 
         The journal blob is authenticated (sealed under the user's
@@ -974,17 +943,12 @@ class SharoesFilesystem:
         replayed -- a tampered, SSP-forged or misplaced record raises
         :class:`IntegrityError` here and is never applied.
         """
-        outcome = journal.RecoveryOutcome()
         if self.blobs.batch is not None:  # nested mount inside a mutation
-            return outcome
-        try:
-            blob = self.blobs.get(journal_blob(self.agent.user_id))
-        except BlobNotFound:
-            return outcome
-        records = journal.open_journal(self.provider, self.agent.user,
-                                       blob)
+            return
+        records = journal.pending(self.blobs.ship, self.provider,
+                                  self.agent.user)
         if not records:
-            return outcome
+            return
         if (self.consistency is not None
                 and max(r.seq for r in records)
                 <= self.consistency.journal_seq):
@@ -999,20 +963,14 @@ class SharoesFilesystem:
                 f"already committed per my version statement)")
         self._journal_seq = max(self._journal_seq,
                                 max(r.seq for r in records))
-        for record in records:
-            if not self._replay(record, "recover"):
-                outcome.aborted.append(record)
-                continue
-            outcome.replayed.append(record)
+        self._pending = []
+        replayed = self._roll_forward(records, "recover")
+        for _ in replayed:
             self.metrics.counter(
                 "journal.recovered",
                 help="intents replayed by mount-time recovery").inc()
-        self._pending = []
-        self._journal_write("commit")
-        if self.consistency is not None and outcome.replayed:
-            self.consistency.observe_journal(
-                max(r.seq for r in outcome.replayed))
-        return outcome
+        if self.consistency is not None and replayed:
+            self.consistency.observe_journal(max(r.seq for r in replayed))
 
     # ------------------------------------------------------------------ mount
 

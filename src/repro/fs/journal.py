@@ -24,7 +24,11 @@ mutations atomic:
   staged action is an overwrite-put or an idempotent delete), so
   recovery always converges on *fully applied*.  A frame whose reply
   is lost is settled by reading the journal back: it holds the intent's
-  exact bytes exactly while a redo is owed.
+  exact bytes exactly while a redo is owed;
+* a pending intent is replayed by one function, :func:`roll_forward`,
+  wherever it is found -- in session, at mount, at lease takeover and
+  by ``fsck --repair`` -- as one frame per record, fenced at the
+  record's leases, through the caller's channel.
 
 The SSP is untrusted, so the journal is **sealed** (encrypt-then-MAC)
 under a **journal key** derived from the user's private identity key
@@ -46,13 +50,15 @@ cannot see (SUNDR's fork-consistency gap; ``docs/ROBUSTNESS.md``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..crypto import hashes
 from ..crypto.provider import CryptoProvider
-from ..errors import BlobNotFound, CryptoError, IntegrityError
+from ..errors import CryptoError, IntegrityError
 from ..serialize import Reader, SerializationError, Writer
-from ..storage.blobs import BlobId, principal_hash
+from ..storage.blobs import (LEASE, BlobId, journal_blob, lease_blob,
+                             principal_hash)
+from ..storage.server import BatchOp
 from .sealed import bind_context
 
 
@@ -87,9 +93,10 @@ class IntentRecord:
     this mutation held when it was journaled (empty without the lease
     subsystem).  The apply phase fences each write on the corresponding
     lease blob, so a zombie whose lease was taken over is rejected by
-    the SSP mechanically; recovery, by contrast, replays *unfenced* --
-    whoever recovers (successor takeover, fsck, the owner's next mount)
-    is by construction acting on behalf of the newest epoch.
+    the SSP mechanically; every replay is fenced the same way, each
+    fence checked before the first write (:func:`roll_forward`), so a
+    record a successor superseded is never replayed -- whoever replays
+    it, the owner or a successor.
     """
 
     seq: int
@@ -247,75 +254,113 @@ class MutationBatch:
                             fences=fences)
 
 
-@dataclass
-class RecoveryOutcome:
-    """What one journal recovery pass did (client mount or fsck)."""
+def write_ops(blobs, fences: "dict[int, int] | None" = None,
+              ref: BlobId | None = None) -> list[BatchOp]:
+    """The sub-ops that upload (payload) or delete (``None``) ``blobs``,
+    in order, each fenced on its inode's lease at that inode's epoch in
+    ``fences``; a put whose payload an earlier put of ``ref`` in the
+    same frame carries may go as a reference to it
+    (``wire.payload_refs``)."""
+    epoch_of = (fences or {}).get
+    ops = []
+    for blob_id, payload in blobs:
+        epoch = epoch_of(blob_id.inode)
+        if epoch is None:
+            ops.append(BatchOp.delete(blob_id) if payload is None
+                       else BatchOp.put(blob_id, payload, ref))
+            continue
+        fence = lease_blob(blob_id.inode)
+        ops.append(BatchOp.delete_fenced(blob_id, fence, epoch)
+                   if payload is None
+                   else BatchOp.put_fenced(blob_id, payload, fence, epoch,
+                                           ref))
+    return ops
 
-    replayed: list[IntentRecord] = field(default_factory=list)
-    aborted: list[IntentRecord] = field(default_factory=list)
+
+def fence_checks(fences) -> list[BatchOp]:
+    """One sub-op per ``(inode, epoch)`` that changes nothing but stops
+    its frame unless that inode's lease is still at or below ``epoch``:
+    a fenced delete of ``lease/<inode>/check``, an id nothing writes."""
+    return [BatchOp.delete_fenced(BlobId(LEASE, inode, "check"),
+                                  lease_blob(inode), epoch)
+            for inode, epoch in fences]
 
 
-def fences_stale(server, record: IntentRecord) -> bool:
-    """Has any lease this intent relied on moved past its epoch?
+def fences_stale(replies) -> bool:
+    """Did the SSP stop a replay frame at a fence?
 
-    A record with stale fences was *superseded*: a successor took the
-    lease over (rolling the journal forward first), so anything still
-    journaled at an older epoch predates the successor's writes and
-    must be dropped, not replayed -- replaying it would resurrect the
-    lost-update the fencing exists to prevent.  An absent lease blob
-    reads as epoch 0 (fail open), matching the SSP's fence check.
+    A record whose fences lag the lease chain was *superseded*: a
+    successor took a lease over (rolling the journal forward first), so
+    whatever is still journaled at an older epoch predates the
+    successor's writes and must be dropped, not replayed -- replaying it
+    would resurrect the lost update the fencing exists to prevent.  The
+    SSP judges it (an absent lease blob reads as epoch 0, fail open);
+    any other failure of the frame is raised.
     """
-    from ..storage.blobs import lease_blob
-    from ..storage.server import fence_epoch
-
-    for inode, epoch in record.fences:
-        try:
-            current = server.get(lease_blob(inode))
-        except BlobNotFound:
-            current = None
-        if epoch < fence_epoch(current):
+    for reply in replies:
+        if reply.status == "fenced":
             return True
+        if reply.status == "error":
+            reply.raise_for_status()
     return False
 
 
-def roll_forward(server, provider: CryptoProvider,
-                 user) -> list[IntentRecord]:
-    """Verify and replay ``user``'s pending intents, then truncate.
+def pending(exchange, provider: CryptoProvider, user) -> list[IntentRecord]:
+    """``user``'s journaled intents, read through ``exchange`` and
+    opened (none for an absent journal).  Raises
+    :class:`~repro.errors.IntegrityError` for a journal that does not
+    open (:func:`open_journal`)."""
+    reply, = exchange("journal.read",
+                      [BatchOp.get(journal_blob(user.user_id))])
+    if reply.status == "missing":
+        return []
+    reply.raise_for_status()
+    return open_journal(provider, user, reply.payload or b"")
 
-    The single roll-forward code path shared by ``fsck --repair``
-    (including ``--stranded``) and lease takeover: open the user's
-    journal with their key (the caller supplies the key material -- the
-    user's own at mount, the enterprise escrow everywhere else), replay
-    every staged blob in order, and commit the empty journal.  Replay
-    itself is *unfenced* (the recovering party acts for or ahead of the
-    newest fencing epoch by construction), but records whose recorded
-    fences lag the current lease chain are skipped: they were already
-    superseded by a takeover (see :func:`fences_stale`).
 
-    Returns the replayed records (empty if no journal / nothing
-    pending).  Raises :class:`~repro.errors.IntegrityError` if the
-    journal fails verification -- the caller decides whether to
-    quarantine; nothing is ever replayed from untrusted bytes.
+def roll_forward(exchange, provider: CryptoProvider, user,
+                 records: list[IntentRecord] | None = None
+                 ) -> list[IntentRecord]:
+    """Replay ``user``'s pending intents: the one replayer.
+
+    Every pending intent is replayed this way -- in session (a frame
+    whose apply stopped part-way), at mount, at lease takeover and by
+    ``fsck --repair`` -- through the caller's ``exchange(label, ops) ->
+    replies`` channel (a client's counted, charged ``BlobIO.ship``, a
+    lease manager's, fsck's server).  ``records`` defaults to the
+    journal read through that channel (:func:`pending`; the caller
+    supplies the key material -- the user's own at mount, the enterprise
+    escrow everywhere else).
+
+    Each record is one frame: a :func:`fence_checks` sub-op per fence
+    it was journaled under, its staged calls in order (fenced the same
+    way), then the journal sealed over the records behind it.  Replay is
+    idempotent (overwrite-puts and idempotent deletes), so a frame that
+    stops part-way leaves a journal whose replay still converges.  A
+    record whose fences lag the chain is stopped by the SSP before any
+    of it applies and dropped (:func:`fences_stale`); if it was the
+    last, one more frame commits the empty journal.
+
+    Returns the replayed records.  Raises
+    :class:`~repro.errors.IntegrityError` if the journal fails
+    verification -- the caller decides whether to quarantine; nothing is
+    ever replayed from untrusted bytes -- and whatever a frame's first
+    failed sub-op means.
     """
-    from ..storage.blobs import journal_blob  # cycle-free local import
-
+    if records is None:
+        records = pending(exchange, provider, user)
     jid = journal_blob(user.user_id)
-    try:
-        blob = server.get(jid)
-    except BlobNotFound:
-        return []
-    records = open_journal(provider, user, blob)
-    if not records:
-        return []
-    replayed = []
-    for record in records:
-        if fences_stale(server, record):
-            continue
-        for blob_id, payload in record.blobs:
-            if payload is None:
-                server.delete(blob_id)
-            else:
-                server.put(blob_id, payload)
-        replayed.append(record)
-    server.put(jid, seal_journal(provider, user, []))
+    replayed, committed = [], True
+    for index, record in enumerate(records):
+        rest = seal_journal(provider, user, records[index + 1:])
+        committed = not fences_stale(exchange(
+            "journal.replay", fence_checks(record.fences)
+            + write_ops(record.blobs, dict(record.fences))
+            + [BatchOp.put(jid, rest)]))
+        if committed:
+            replayed.append(record)
+    if not committed:
+        reply, = exchange("journal.commit",
+                          [BatchOp.put(jid, seal_journal(provider, user, []))])
+        reply.raise_for_status()
     return replayed

@@ -25,9 +25,9 @@ coordination primitive that fixes it while keeping the SSP untrusted:
   matter when it wakes up.
 * **Roll-forward takeover**: before bumping the epoch past a dead
   client, the new holder verifies and replays the dead client's pending
-  intent journal (the same code path as ``fsck --repair``, via
-  :func:`repro.fs.journal.roll_forward`), so committed-but-unapplied
-  work is never lost.  Takeover needs the enterprise key escrow (the
+  intent journal through its own frame channel (the one replayer,
+  :func:`repro.fs.journal.roll_forward`, as at mount and in ``fsck
+  --repair``), so committed-but-unapplied work is never lost.  Takeover needs the enterprise key escrow (the
   registry's private keys) -- the same trust fsck already requires.
 
 What the untrusted SSP can and cannot do to a lease:
@@ -71,10 +71,10 @@ from ..crypto import rsa
 from ..errors import (CasConflictError, IntegrityError, LeaseHeldError,
                       LeaseLostError)
 from ..serialize import Reader, SerializationError, Writer
-from ..storage.blobs import LEASE, BlobId, lease_blob
+from ..storage.blobs import BlobId, lease_blob
 from ..storage.server import EPOCH_PREFIX_BYTES, BatchOp, BatchReply
+from . import journal
 from .freshness import FreshnessMonitor
-from .journal import roll_forward
 
 #: CAS re-inspection rounds before acquire() reports the lease as held.
 #: These are *protocol* retries (losing a race and looking again), not
@@ -92,12 +92,6 @@ class HeadCasLost(LeaseLostError):
     before its intent, so nothing of the mutation reached the SSP; the
     filesystem runs the op once more on the acquire-first path.
     """
-
-
-def _check_blob(inode: int) -> BlobId:
-    """What a fence check deletes: an id nothing ever writes, so the
-    ``delete_fenced`` changes nothing -- but the SSP still fences it."""
-    return BlobId(LEASE, inode, "check")
 
 
 @dataclass(frozen=True)
@@ -453,8 +447,8 @@ class LeaseManager:
                 f"lease of {holder} expired but no key escrow is "
                 f"available to roll its journal forward; refusing a "
                 f"lossy takeover", holder=holder)
-        replayed = roll_forward(self.server, self.provider,
-                                self.escrow(holder))
+        replayed = journal.roll_forward(self._exchange, self.provider,
+                                        self.escrow(holder))
         for _ in replayed:
             self._count("lease.takeover_replays",
                         "dead clients' intents replayed at takeover")
@@ -578,9 +572,7 @@ class LeaseManager:
         intent_at = None
         if body and checks:
             (first, epoch), rest = checks[0], checks[1:]
-            probes = [BatchOp.delete_fenced(_check_blob(inode),
-                                            lease_blob(inode), at)
-                      for inode, at in rest]
+            probes = journal.fence_checks(rest)
             others = [inode for inode, _ in rest]
             intent, body = body[0], body[1:]
             intent_at = len(ops) + len(probes)
@@ -632,11 +624,11 @@ class LeaseManager:
         if not any(reply.status == "fenced" for reply in replies):
             return replies
         commit = ops[len(ops) - len(tail) - 1]
-        journal, = self._exchange("journal.read",
-                                  [BatchOp.get(commit.blob_id)])
-        if journal.status == "error":
-            journal.raise_for_status()
-        if journal.payload != commit.payload:
+        stored, = self._exchange("journal.read",
+                                 [BatchOp.get(commit.blob_id)])
+        if stored.status == "error":
+            stored.raise_for_status()
+        if stored.payload != commit.payload:
             return replies
         built = {inode: op.payload for inode, _, op in tail}
         released = {inode for (inode, *_), reply in zip(head, replies)

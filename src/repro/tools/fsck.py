@@ -131,6 +131,10 @@ class VolumeAuditor:
     def __init__(self, volume: SharoesVolume):
         self.volume = volume
 
+    def _exchange(self, _label: str, ops) -> list:
+        """fsck's frame channel to the volume's SSP (for the journal)."""
+        return self.volume.server.batch(ops)
+
     def audit(self, check_orphans: bool = True) -> AuditReport:
         report = AuditReport()
         recorder = _RecordingServer(self.volume.server)
@@ -172,15 +176,13 @@ class VolumeAuditor:
         """
         for user in self.volume.registry.users():
             try:
-                blob = self.volume.server.get(journal_blob(user.user_id))
-            except (BlobNotFound, StorageError):
-                continue
-            try:
-                records = journal.open_journal(CryptoProvider(), user,
-                                               blob)
+                records = journal.pending(self._exchange, CryptoProvider(),
+                                          user)
             except IntegrityError as exc:
                 report.integrity_errors.append(
                     f"journal[{user.user_id}]: {exc}")
+                continue
+            except StorageError:
                 continue
             for record in records:
                 report.pending_intents.append(
@@ -283,14 +285,13 @@ class VolumeAuditor:
         server = self.volume.server
         provider = CryptoProvider()
         for user in self.volume.registry.users():
-            jid = journal_blob(user.user_id)
             try:
-                # Same verified roll-forward path as lease takeover
-                # (fs/journal.roll_forward): verify, replay staged
-                # calls in order, truncate.
-                records = journal.roll_forward(server, provider, user)
+                # The one replayer (fs/journal.roll_forward): verify,
+                # then one fenced frame per record.
+                records = journal.roll_forward(self._exchange, provider,
+                                               user)
             except IntegrityError:
-                server.delete(jid)
+                server.delete(journal_blob(user.user_id))
                 report.rejected_journals.append(user.user_id)
                 continue
             except StorageError:

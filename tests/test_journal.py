@@ -310,8 +310,8 @@ def test_a_defective_payload_section_is_never_replayed(volume, registry,
     with pytest.raises(IntegrityError):
         make_journaled(volume, registry)
     with pytest.raises(IntegrityError):
-        journal.roll_forward(volume.server, CryptoProvider(),
-                             registry.user("alice"))
+        journal.roll_forward(lambda _label, ops: volume.server.batch(ops),
+                             CryptoProvider(), registry.user("alice"))
     assert volume.server.raw_blobs() == before
     report = VolumeAuditor(volume).repair()
     assert report.rejected_journals == ["alice"]

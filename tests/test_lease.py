@@ -61,6 +61,11 @@ def make_manager(registry, server, clock, user_id="alice", escrow=None,
                         provider=CryptoProvider(), escrow=escrow)
 
 
+def _direct(server):
+    """``server`` as a frame channel: ``(label, ops) -> replies``."""
+    return lambda _label, ops: server.batch(ops)
+
+
 def make_leased(volume, registry, user_id="alice", server=None,
                 consistency=False) -> SharoesFilesystem:
     fs = SharoesFilesystem(volume, registry.user(user_id),
@@ -275,7 +280,7 @@ class TestFenceSupersession:
             provider, alice, [journal.IntentRecord(
                 seq=3, op="x", blobs=((target, b"superseded"),),
                 fences=((50, 0),))]))  # epoch 0 < current epoch 1
-        replayed = journal.roll_forward(server, provider, alice)
+        replayed = journal.roll_forward(_direct(server), provider, alice)
         assert replayed == []
         assert not server.exists(target)
         assert journal.open_journal(provider, alice,
@@ -292,9 +297,71 @@ class TestFenceSupersession:
             fences=((50, 1),))
         server.put(journal_blob("alice"),
                    journal.seal_journal(provider, alice, [record]))
-        assert not journal.fences_stale(server, record)
-        assert journal.roll_forward(server, provider, alice) == [record]
+        assert journal.roll_forward(_direct(server), provider,
+                                    alice) == [record]
         assert server.get(target) == b"live"
+
+
+    @staticmethod
+    def _chains(registry, server, clock) -> None:
+        """Lease 50 at epoch 1; lease 51 released past its epoch 1."""
+        make_manager(registry, server, clock).acquire(50)
+        bob = make_manager(registry, server, clock, "bob")
+        bob.acquire(51)
+        bob.release(51)
+
+    @pytest.mark.parametrize("path", ["roll_forward", "mount"])
+    def test_an_intent_stale_on_any_fence_applies_nothing(
+            self, shared, registry, clock, path):
+        """Every fence is checked before the first staged call: a record
+        current on one lease and stale on another writes none of its
+        blobs, whichever path replays it."""
+        server, volume = shared
+        provider = CryptoProvider()
+        alice = registry.user("alice")
+        self._chains(registry, server, clock)
+        live, gone = BlobId("data", 50, "b0"), BlobId("data", 51, "b0")
+        server.put(journal_blob("alice"), journal.seal_journal(
+            provider, alice, [journal.IntentRecord(
+                seq=3, op="x", blobs=((live, b"a"), (gone, b"b")),
+                fences=((50, 1), (51, 1)))]))
+        if path == "mount":
+            fs = make_leased(volume, registry)
+            assert fs.metrics.snapshot()["journal.fenced_replays"] == 1
+        else:
+            assert journal.roll_forward(_direct(server), provider,
+                                        alice) == []
+        assert not server.exists(live) and not server.exists(gone)
+        assert journal.open_journal(provider, alice,
+                                    server.get(journal_blob("alice"))) == []
+
+    @pytest.mark.parametrize("stale_last", [False, True])
+    def test_one_frame_per_record_and_a_stale_one_is_dropped(
+            self, registry, clock, stale_last):
+        """Each record is one frame whose commit is the journal of the
+        records behind it; a superseded record's frame stops at its
+        check, and if it was the last, one more frame commits."""
+        server = StorageServer()
+        provider = CryptoProvider()
+        alice = registry.user("alice")
+        self._chains(registry, server, clock)
+        ok, stale, plain = (journal.IntentRecord(
+            seq=seq, op="x", blobs=((BlobId("data", inode, "b0"), b"p"),),
+            fences=fences) for seq, inode, fences in (
+                (1, 50, ((50, 1),)), (2, 51, ((51, 1),)), (3, 52, ())))
+        records = [ok, plain, stale] if stale_last else [ok, stale, plain]
+        server.put(journal_blob("alice"),
+                   journal.seal_journal(provider, alice, records))
+        frames = []
+        replayed = journal.roll_forward(
+            lambda label, ops: (frames.append(label), server.batch(ops))[1],
+            provider, alice)
+        assert replayed == [ok, plain]
+        assert frames == ["journal.read"] + ["journal.replay"] * 3 + (
+            ["journal.commit"] if stale_last else [])
+        assert not server.exists(BlobId("data", 51, "b0"))
+        assert journal.open_journal(provider, alice,
+                                    server.get(journal_blob("alice"))) == []
 
 
 # -- fenced writes at the SSP and over the wire -------------------------------

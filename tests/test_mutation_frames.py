@@ -27,7 +27,10 @@ own; a cold one is acquired first.  This file pins
   transport sends again is recognised by the journal, and without
   retries the journal decides whether the redo is kept;
 * that on a sharded SSP an intent no journal replica took stops the
-  frame before any of its apply.
+  frame before any of its apply;
+* that every pending intent is replayed the same way -- in session, at
+  mount, at lease takeover and by ``fsck --repair`` -- as one fenced
+  frame per record through the caller's channel, counted by a client.
 """
 
 from __future__ import annotations
@@ -41,9 +44,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.provider import CryptoProvider
-from repro.errors import (FileExists, FileNotFound, LeaseLostError,
+from repro.errors import (ClientCrashed, FileExists, FileNotFound,
+                          LeaseLostError, PartialWriteError, StorageError,
                           TransientStorageError)
-from repro.fs import blobio
+from repro.fs import blobio, journal
 from repro.fs import client as fs_client
 from repro.fs.blobio import BlobIO
 from repro.fs.client import ClientConfig, SharoesFilesystem
@@ -53,7 +57,7 @@ from repro.principals.groups import GroupKeyService
 from repro.sim.clock import SimClock
 from repro.storage.blobs import journal_blob, lease_blob
 from repro.storage.resilient import (MutationTrigger, RetryPolicy,
-                                     ServerWrapper)
+                                     ServerWrapper, crash)
 from repro.storage.server import BatchReply, StorageServer, apply_batch
 from repro.storage.shards import ShardedServer
 from repro.storage.wire import RemoteStorageClient, SspServer
@@ -787,3 +791,127 @@ def test_an_intent_no_journal_replica_took_writes_nothing(registry):
     assert alice.readdir("/d") == ["first", "second"]
     report = VolumeAuditor(volume).audit()
     assert report.clean and not report.orphaned_blobs, report.summary()
+
+
+# -- the one replayer -------------------------------------------------------------
+
+
+def _replay_frame(tap: FrameTap, record) -> tuple[str, ...]:
+    """The frame ``journal.roll_forward`` sends for ``record``: a check
+    per fence, the staged calls fenced, the journal sealed over the
+    records behind it."""
+    ops = (journal.fence_checks(record.fences)
+           + journal.write_ops(record.blobs, dict(record.fences)))
+    return tuple(tap._render(op) for op in ops) + (COMMIT,)
+
+
+def _strand(stack, registry):
+    """Alice dies inside her create's apply: the journal holds the
+    intent, fenced at her links on ``/d`` and the new inode."""
+    server, volume, _ = stack
+    dying = SharoesFilesystem(volume, registry.user("alice"), config=CONFIG,
+                              server=MutationTrigger(server, {5: crash}))
+    dying.mount()
+    with pytest.raises(ClientCrashed):
+        dying.create_file("/d/dead", b"d" * 300, mode=0o664)
+    [record] = journal.open_journal(CryptoProvider(), registry.user("alice"),
+                                    server.get(journal_blob("alice")))
+    assert len(record.fences) == 2
+    return record
+
+
+def _by_mount(stack, registry):
+    server, volume, _ = stack
+    tap = FrameTap(server)
+    fs = SharoesFilesystem(volume, registry.user("alice"), config=CONFIG,
+                           server=tap)
+    fs.mount()
+    return tap, fs.request_count, tap.take()
+
+
+def _by_takeover(stack, registry):
+    stack[2].advance(_LEASE_S + 1.0)
+    bob, tap = mount(stack, registry, "bob")
+    tap.take()
+    before = bob.request_count
+    bob.create_file("/d/from-bob", b"b" * 300, mode=0o664)
+    return tap, bob.request_count - before, tap.take()
+
+
+def _by_fsck(stack, registry, monkeypatch):
+    tap = FrameTap(stack[0])
+    monkeypatch.setattr(stack[1], "server", tap)
+    report = VolumeAuditor(stack[1]).repair()
+    assert report.completed_intents == ["alice create_file#1"]
+    return tap, None, [frame for frame in tap.take()
+                       if not frame[0].startswith("get ")
+                       or frame == ("get journal",)]
+
+
+@pytest.mark.parametrize("recover", ["mount", "takeover", "fsck"])
+def test_a_dead_clients_intent_is_one_fenced_frame(stack, registry,
+                                                   monkeypatch, recover):
+    """Mount, takeover and ``fsck --repair`` replay a dead client's
+    intent alike: the journal read, then one frame -- a check per fence,
+    the fenced apply, the commit -- and a client counts both."""
+    record = _strand(stack, registry)
+    tap, counted, frames = (_by_fsck(stack, registry, monkeypatch)
+                           if recover == "fsck" else
+                           {"mount": _by_mount,
+                            "takeover": _by_takeover}[recover](stack,
+                                                               registry))
+    replay = _replay_frame(tap, record)
+    assert replay[:2] == tuple(_check(inode) for inode, _ in record.fences)
+    assert frames.count(replay) == 1
+    assert frames[frames.index(replay) - 1] == ("get journal",)
+    if counted is not None:
+        probes = [frame for frame in frames if frame[0].startswith("exists ")]
+        assert counted == len(frames) - len(probes)
+    reader = SharoesFilesystem(stack[1], registry.user("bob"))
+    reader.mount()
+    assert reader.read_file("/d/dead") == b"d" * 300
+    report = VolumeAuditor(stack[1]).audit()
+    assert report.clean and not report.orphaned_blobs, report.summary()
+    assert report.pending_intents == []
+
+
+class ApplyRefused(ServerWrapper):
+    """Refuses the first fenced data put once armed (a hard error: the
+    frame stops there and its commit never lands)."""
+
+    armed = False
+
+    def _forward(self, op):
+        if (self.armed and op.kind == "put_fenced"
+                and op.blob_id.kind == "data"):
+            self.armed = False
+            raise StorageError("refused")
+        return op.call(self.inner)
+
+
+def test_an_in_session_replay_is_one_fenced_frame(stack, registry):
+    """An apply refused part-way keeps its intent pending; the next
+    mutation replays it first in one counted frame: checks, fenced
+    apply, commit."""
+    refusing = ApplyRefused(stack[0])
+    tap = FrameTap(refusing)
+    alice = SharoesFilesystem(stack[1], registry.user("alice"),
+                              config=CONFIG, server=tap)
+    alice.mount()
+    alice.create_file("/d/f", b"x" * 300, mode=0o664)
+    refusing.armed = True
+    with pytest.raises(PartialWriteError):
+        alice.append_file("/d/f", b"+first")
+    [record] = alice._pending
+    tap.names = {alice.getattr("/d/f").inode: "F"}
+    tap.take()
+    before = alice.request_count
+    alice.append_file("/d/f", b"+second")
+    frames = tap.take()
+    assert frames[0] == _replay_frame(tap, record) == (
+        _check("F"), "put_fenced data/F/b0", COMMIT)
+    probes = [frame for frame in frames if frame[0].startswith("exists ")]
+    assert alice.request_count - before == len(frames) - len(probes)
+    assert alice._pending == []
+    assert alice.metrics.snapshot()["journal.replays"] == 1
+    assert alice.read_file("/d/f") == b"x" * 300 + b"+first" + b"+second"
