@@ -335,6 +335,13 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         registry.gauge(name).set(value)
         if name.startswith(_CACHE_METRIC_PREFIXES):
             cache_registry.gauge(name).set(value)
+    prefetched = payload["metrics"].get("client.readahead.prefetched")
+    if prefetched:
+        # Speculation's waste: blobs fetched ahead that their load then
+        # ruled out unread.
+        cache_registry.gauge("client.readahead.waste").set(
+            payload["metrics"].get("client.readahead.dropped", 0.0)
+            / prefetched)
     print(op_table(payload, title=f"{args.workload} per-operation costs "
                                   f"({args.impl})"))
     if len(cache_registry.snapshot()):

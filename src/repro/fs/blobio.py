@@ -404,6 +404,17 @@ class BlobIO:
             "client.readahead.prefetched",
             help="blobs fetched speculatively").inc()
 
+    def discard(self, blob_ids: Iterable[BlobId]) -> None:
+        """Drop the parked bytes of speculated blobs their load ruled
+        out unread: a slot that outlived the load could serve a stale
+        copy to a later one."""
+        for blob_id in blob_ids:
+            if ("raw", blob_id) in self.cache:
+                self.cache.invalidate(("raw", blob_id))
+                self.metrics.counter(
+                    "client.readahead.dropped",
+                    help="speculated blobs discarded unread").inc()
+
     def prefetch(self, blob_ids: Iterable[BlobId]) -> None:
         """Speculatively fetch blobs in one ``OP_BATCH`` round trip.
 

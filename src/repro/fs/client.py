@@ -180,12 +180,16 @@ class OpenFile:
     * ``pwrite`` -- block 0 and the blocks the write touches (also the
       last block when the write starts beyond it: the gap is zero-filled
       from the file's end);
-    * ``write`` (append) -- block 0, then the last block: its length is
+    * ``write`` (append) -- block 0 and the last block: its length is
       the only record of the file's size;
     * ``truncate`` -- block 0 and the new last block (to cut or pad it);
     * ``close`` -- nothing; it seals the written blocks (and block 0
       again when the count changed).  Only a pending lazy revocation
       loads the rest, to re-seal every block under the fresh key.
+
+    Where the blocks an access needs depend on the count (``read()``,
+    an append), the loader names them at the count the client last
+    verified, so block 0 and they share one flight while it holds.
     """
 
     fs: "SharoesFilesystem"
@@ -232,9 +236,10 @@ class OpenFile:
         """Have blocks ``first``..``last`` (None: through the end) in
         the map, as far as the file reaches."""
         if self._stored_count is None:
-            # Block 0 for the count; a range whose end is known rides
-            # the same flight.
-            self._fetch(range(first, last + 1) if last is not None else ())
+            # Block 0 for the count, with the range in the same flight;
+            # an open end reaches as far as this client last saw.
+            self._fetch(range(first, last + 1) if last is not None
+                        else lambda count: range(first, count))
         end = self._count if last is None else min(last + 1, self._count)
         missing = [index for index in range(first, end)
                    if index not in self._blocks]
@@ -247,7 +252,10 @@ class OpenFile:
 
     def _size(self) -> int:
         """The length in bytes, which only the last block records."""
-        self._hold(0, 0)  # the count
+        if self._stored_count is None:
+            # Block 0 for the count, in one flight with the block this
+            # client last saw end the file.
+            self._fetch(lambda count: [count - 1])
         if not self._count:
             return 0
         last = self._count - 1
@@ -363,8 +371,10 @@ def _mutating(op: str):
     ``_create``) join the outer op.  When the frame's optimistic head
     CAS lost (:class:`~repro.fs.lease.HeadCasLost`), or the op refused
     (``FileExists``, ``FileNotFound``...) on reads a deferred CAS had
-    not proven yet, nothing of it was written, and the outermost call
-    runs the op once more, acquiring every lease before it reads.
+    not proven yet, or a leased op found no such name while resolving
+    through cached tables no lease proves, nothing of it was written,
+    and the outermost call runs the op once more -- those tables
+    dropped -- acquiring every lease before it reads.
     """
     def wrap(fn):
         @functools.wraps(fn)
@@ -376,12 +386,16 @@ def _mutating(op: str):
             except FilesystemError as exc:
                 # Nothing was written.  Run it again if the head CAS
                 # lost, or if the op refused on reads a deferred CAS
-                # was yet to prove.
+                # was yet to prove or on cached tables (dropped now).
+                unseen = (self._cached_dirs
+                          if isinstance(exc, FileNotFound) else ())
                 if not (outermost and (
-                        isinstance(exc, HeadCasLost)
+                        isinstance(exc, HeadCasLost) or unseen
                         or (self._unproven
                             and not isinstance(exc, LeaseError)))):
                     raise
+                for inode in unseen:
+                    self._invalidate(inode)
             with self._mutation(op, optimistic=False):
                 return fn(self, *args, **kwargs)
         return inner
@@ -522,6 +536,9 @@ class SharoesFilesystem:
         self._optimistic = True
         #: did it, over a link another writer could have moved?
         self._unproven = False
+        #: directories whose cached tables the current leased mutation
+        #: resolved through: no lease proves them (see ``_mutating``).
+        self._cached_dirs: set[int] = set()
         if self.config.lease:
             if not self.config.journal:
                 raise SharoesError(
@@ -668,6 +685,7 @@ class SharoesFilesystem:
         self._touched = set()
         self._optimistic = optimistic
         self._unproven = False
+        self._cached_dirs = set()
         try:
             if self.config.journal:
                 with self._journaled(op):
@@ -1022,7 +1040,7 @@ class SharoesFilesystem:
                 pass  # leases expire; peers take over after the window
             self.lease.forget_all()
         self._superblock = None
-        self.cache.clear()
+        self.mdcache.clear()
         self.agent.group_keys.clear()
 
     @traced("renew_leases")
@@ -1116,6 +1134,8 @@ class SharoesFilesystem:
             raise NotADirectory(f"inode {node.inode} is not a directory")
         cached = self.mdcache.get_table(node.inode, node.selector)
         if cached is not None:
+            if self._touched is not None and self.lease is not None:
+                self._cached_dirs.add(node.inode)
             with self.tracer.span("cache", hit=True, kind="table"):
                 return cached
         return self._load_table(node.inode, node.selector,
@@ -1435,15 +1455,25 @@ class SharoesFilesystem:
         """The one block loader: fetch, verify and decrypt the
         ``wanted`` blocks of a file/symlink -> (count, index -> content).
 
-        ``count`` is the block count when the caller already holds block
-        0; without it block 0 is loaded too, for the count it carries (no
-        block 0 is the empty file).  A wanted index at or past the count
-        is not there to load; one below it that the SSP cannot produce
-        is an attack.  With a scheduler the blocks not in the data cache
-        travel as one flight -- block 0 included, so a caller that knows
-        its range up front pays one wave, and one that must see the
-        count first (the whole file) asks twice.  ``for_write`` (a
-        writable handle's loads) refuses blocks served degraded: see
+        ``wanted`` is a list of indices, or a function of the block
+        count naming them (a whole-file read: ``range``; an append: the
+        last block).  ``count`` is the block count when the caller
+        already holds block 0; without it block 0 is loaded too, and
+        the count it carries (no block 0 is the empty file) is the only
+        authority on which blocks exist: a wanted index at or past it is
+        not there to load; one below it that the SSP cannot produce is
+        an attack.
+
+        With a scheduler the blocks not in the data cache travel as one
+        flight, block 0 included: with the indices a list names, or
+        those a function names at the count this client last verified
+        (``mdcache.block_count``) -- so a whole-file read or an append
+        whose count did not move pays one wave.  Wanted blocks that
+        flight missed (the file grew) take a second, as they would
+        without the guess; speculated ones the count rules out (it
+        shrank) are discarded unread (``BlobIO.discard``).  Without a
+        scheduler nothing is speculated.  ``for_write`` (a writable
+        handle's loads) refuses blocks served degraded: see
         ``_was_degraded``.
         """
         if node.attrs.ftype == DIRECTORY:
@@ -1451,6 +1481,7 @@ class SharoesFilesystem:
         dek = node.view.require_dek()
         dvk = node.view.require_dvk()
         inode = node.inode
+        pick = wanted if callable(wanted) else (lambda _count: wanted)
 
         def flight(indices) -> None:
             # Cold is decided here, once per index, without counting a
@@ -1478,31 +1509,40 @@ class SharoesFilesystem:
             return plain
 
         blocks: dict[int, bytes] = {}
+        ahead: list[int] = []
         if count is None:
-            flight(sorted({0, *wanted}))
+            if callable(wanted):
+                known = self.mdcache.block_count(inode) or 0
+                ahead = [index for index in wanted(known)
+                         if 0 < index < known]
+            else:
+                ahead = list(wanted)
+            ahead = sorted({0, *ahead})
+            flight(ahead)
             try:
                 count, blocks[0] = layout.split_count(load(0))
             except BlobNotFound:
-                return 0, {}  # empty file: no blocks at all
-        else:
-            flight(wanted)
-        for index in wanted:
-            if 0 < index < count:
-                try:
-                    blocks[index] = load(index)
-                except BlobNotFound:
-                    raise IntegrityError(
-                        f"inode {inode}: block {index} missing "
-                        f"(truncation attack?)") from None
+                count = 0  # empty file: no blocks at all
+            self.mdcache.remember_count(inode, count)
+        needed = [index for index in pick(count) if 0 < index < count]
+        flight(needed)
+        for index in needed:
+            try:
+                blocks[index] = load(index)
+            except BlobNotFound:
+                raise IntegrityError(
+                    f"inode {inode}: block {index} missing "
+                    f"(truncation attack?)") from None
+        self.blobs.discard(layout.block_blob_id(inode, index)
+                           for index in ahead if index not in blocks)
         return count, blocks
 
     def _read_blocks(self, node: ResolvedNode,
                      for_write: bool = False) -> list[bytes]:
-        """Every block of a file/symlink, in order: block 0, then the
-        tail the count it carries names (as one flight)."""
-        count, blocks = self._load_blocks(node, (), for_write=for_write)
-        blocks.update(self._load_blocks(node, range(1, count), count,
-                                        for_write)[1])
+        """Every block of a file/symlink, in order: block 0 and the
+        tail in one flight while the count this client last verified
+        holds, else block 0, then the tail its count names."""
+        count, blocks = self._load_blocks(node, range, for_write=for_write)
         return [blocks[index] for index in range(count)]
 
     @traced("read_file")
@@ -1609,6 +1649,7 @@ class SharoesFilesystem:
                 outgoing.append(layout.seal_block(
                     self.provider, dek, dsk, node.inode, index, payload))
         self.blobs.send(outgoing, grouped=True)
+        self.mdcache.remember_count(node.inode, new_count)
         old_end = max(old_count, node.attrs.block_count)
         self._delete_tail_blocks(node.inode, new_count, old_end)
         for index in range(new_count, old_end + 1):

@@ -32,7 +32,9 @@ mutable-fixed-point metadata over an immutable encrypted block store):
   views, directory tables, pre-materialized listings, data blocks and
   the speculative readahead buffer share **one** coherence surface and
   one eviction policy -- ``invalidate_inode`` is the single choke point
-  every trigger funnels through.
+  every trigger funnels through.  (Each file's last verified block
+  count sits beside the store, an int per inode, and is dropped by the
+  same choke point.)
 
 This module is the only one that knows the verified key space
 (``("meta"|"table"|"listing", inode, selector)``, ``("data", inode,
@@ -145,6 +147,10 @@ class VerifiedMetadataCache:
         #: verified payloads not cached because the transport served
         #: them from its degraded last-known-good fallback.
         self.degraded_skips = 0
+        #: inode -> the block count this client last verified (a block
+        #: 0 load or its own close).  A hint, never an authority: it
+        #: only widens block 0's fetch flight (``_load_blocks``).
+        self._counts: dict[int, int] = {}
 
     # ---------------------------------------------------------- views
 
@@ -239,6 +245,15 @@ class VerifiedMetadataCache:
     def drop_block(self, inode: int, index: int) -> None:
         self.store.invalidate(("data", inode, index))
 
+    # --------------------------------------------------- block counts
+
+    def block_count(self, inode: int) -> int | None:
+        return self._counts.get(inode)
+
+    def remember_count(self, inode: int, count: int) -> None:
+        if self.store.capacity_bytes != 0:  # "no cache" keeps nothing
+            self._counts[inode] = count
+
     # ------------------------------------------------------ coherence
 
     def revalidate(self) -> None:
@@ -274,7 +289,13 @@ class VerifiedMetadataCache:
         self.store.invalidate_prefix(("listing", inode))
         self.store.invalidate_prefix(("data", inode))
         self.store.invalidate_prefix(("raw",))
+        self._counts.pop(inode, None)
         self.invalidations += 1
+
+    def clear(self) -> None:
+        """Unmount: forget everything."""
+        self.store.clear()
+        self._counts.clear()
 
     # -------------------------------------------------------- metrics
 

@@ -472,6 +472,37 @@ def test_a_peers_write_between_our_mutations_is_always_seen(registry,
     assert report.clean and not report.orphaned_blobs, report.summary()
 
 
+def test_a_name_a_peer_added_behind_our_cached_table_is_found(registry):
+    """Alice's create leaves her table of ``/d`` cached; bob adds ``r``
+    to it.  Alice's append resolves ``r`` through that table, where it
+    is missing, and leases only the file it never reached -- no lease
+    proves the table.  The refusal is not final: the append runs once
+    more, acquiring first, with the directories it resolved through
+    dropped from the cache, and finds bob's file."""
+    server = StorageServer()
+    volume = SharoesVolume(server, registry, clock=SimClock())
+    volume.format(root_owner="alice", root_group="eng")
+    GroupKeyService(registry, server, CryptoProvider()).publish_all()
+    config = ClientConfig(journal=True, lease=True, data_cache=True,
+                          lease_duration_s=_LEASE_S)
+    alice, bob = (SharoesFilesystem(volume, registry.user(user_id),
+                                    config=config)
+                  for user_id in ("alice", "bob"))
+    alice.mount()
+    bob.mount()
+    alice.mkdir("/d", mode=0o775)
+    alice.create_file("/d/p", b"<p>", mode=0o664)
+    bob.create_file("/d/r", b"<r>", mode=0o664)
+    alice.append_file("/d/r", b"<a>")
+    assert alice.read_file("/d/r") == b"<r><a>"
+    with pytest.raises(FileNotFound):
+        alice.append_file("/d/q", b"<a>")
+    reader = SharoesFilesystem(volume, registry.user("bob"))
+    reader.mount()
+    assert reader.readdir("/d") == ["p", "r"]
+    assert reader.read_file("/d/r") == b"<r><a>"
+
+
 # -- the reference execution ------------------------------------------------------
 
 

@@ -12,7 +12,7 @@ from repro.crypto.provider import CryptoProvider
 from repro.errors import (CryptoError, IntegrityError, KeyAccessError,
                           PermissionDenied)
 from repro.fs import layout
-from repro.fs.client import SharoesFilesystem
+from repro.fs.client import ClientConfig, SharoesFilesystem
 from repro.fs.sealed import open_unverified, replace_ciphertext
 from repro.fs.volume import SharoesVolume, block_blob_id, table_blob_id
 from repro.principals.groups import GroupKeyService
@@ -22,8 +22,8 @@ from repro.storage.blobs import meta_blob
 from repro.storage.faults import RollbackServer, TamperingServer
 
 
-def _fresh(volume, registry, user_id):
-    fs = SharoesFilesystem(volume, registry.user(user_id))
+def _fresh(volume, registry, user_id, config=None):
+    fs = SharoesFilesystem(volume, registry.user(user_id), config=config)
     fs.mount()
     return fs
 
@@ -133,12 +133,15 @@ class TestTamperingSsp:
     # touches, and must verify every one of them under its own index.
 
     BLOCK = 65536
+    #: the client the partial-load rows mount (a sequential loader).
+    CONFIG = None
 
     def _four_block_file(self, volume, registry):
-        fs = _fresh(volume, registry, "alice")
+        fs = _fresh(volume, registry, "alice", self.CONFIG)
         content = b"".join(bytes([i]) * self.BLOCK for i in range(1, 5))
         fs.create_file("/big", content, mode=0o600)
         fs.create_file("/other", b"o" * (self.BLOCK * 3), mode=0o600)
+        fs.flush_staged()
         fs.cache.clear()
         return fs, content, fs.getattr("/big").inode
 
@@ -255,6 +258,32 @@ class TestTamperingSsp:
         server.put(layout.table_base_id(inode, "o", 1), old_base)
         assert _fresh(volume, registry, "alice").readdir("/d") \
             == sorted(old_names) != sorted(names)
+
+
+class TestTamperingSspInFlight:
+    """The partial-load rows again, with a scheduler whose remembered
+    count widens block 0's flight: speculated blocks are verified under
+    their own index before use, or discarded."""
+
+    CONFIG = ClientConfig(concurrency=8)
+    BLOCK = TestTamperingSsp.BLOCK
+    _four_block_file = TestTamperingSsp._four_block_file
+    _read_block_two = TestTamperingSsp._read_block_two
+    test_partial_load_detects_index_swap = \
+        TestTamperingSsp.test_partial_load_detects_index_swap
+    test_partial_load_detects_foreign_block = \
+        TestTamperingSsp.test_partial_load_detects_foreign_block
+    test_partial_load_detects_deleted_touched_block = \
+        TestTamperingSsp.test_partial_load_detects_deleted_touched_block
+    test_append_detects_deleted_last_block = \
+        TestTamperingSsp.test_append_detects_deleted_last_block
+    test_partial_load_does_not_attest_untouched_blocks = \
+        TestTamperingSsp.test_partial_load_does_not_attest_untouched_blocks
+
+    def test_the_count_is_remembered(self, volume, registry):
+        fs, _, inode = self._four_block_file(volume, registry)
+        assert fs.mdcache.block_count(inode) == 4
+        assert fs.scheduler is not None
 
 
 class TestMaliciousWriters:
