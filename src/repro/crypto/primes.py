@@ -1,20 +1,29 @@
 """Prime generation and primality testing.
 
-RSA and ESIGN key generation both need large random primes.  We implement
-Miller-Rabin with a deterministic witness set for small inputs and a
-configurable number of random rounds for cryptographic sizes, preceded by
-one gcd against the product of a small-prime sieve to cheaply reject most
-candidates.
+RSA, ESIGN and IBE key generation need large random primes; they get
+them *proven*: :func:`random_prime` builds each prime on a smaller proven
+prime and certifies it with one Pocklington step (Shawe-Taylor, FIPS
+186-4 C.6; Maurer 1995), down to a base case where deterministic
+Miller-Rabin is a proof.  :func:`is_prime` tests an ``n`` somebody else
+chose: deterministic below ~3.3e24, random-witness Miller-Rabin above.
+Both sieve first with one gcd against the product of the small primes.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import secrets
 
-# Deterministic Miller-Rabin witnesses: sufficient for all n < 3.3 * 10**24.
-_DETERMINISTIC_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981
+# Deterministic Miller-Rabin: the first t prime bases decide every n below
+# psi_t, the smallest strong pseudoprime to all of them (OEIS A014233;
+# psi_12 and psi_13 by Jiang & Deng 2014).  _PSI[t - 1] is psi_t.
+_DETERMINISTIC_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747,
+        3474749660383, 341550071728321, 341550071728321,
+        3825123056546413051, 3825123056546413051, 3825123056546413051,
+        318665857834031151167461, 3317044064679887385961981)
+_DETERMINISTIC_LIMIT = _PSI[-1]
 
 _SIEVE_LIMIT = 2000
 
@@ -36,17 +45,9 @@ _PRIMORIAL = math.prod(SMALL_PRIMES)
 # error below 4**-rounds, applies.
 WORST_CASE_ROUNDS = 40
 
-# Miller-Rabin rounds for a prime *we* draw: (minimum bits, rounds), first
-# match wins, WORST_CASE_ROUNDS below the last row.  A random odd k-bit
-# number that passes t rounds is composite with probability p(k,t),
-# bounded by Damgard, Landrock & Pomerance (1993) -- the estimates behind
-# FIPS 186-4 C.3 and HAC table 4.4.  Each row keeps that bound <= 2**-82
-# for every size it covers: forcing the second-highest bit (and bit 1 for
-# 3 mod 4) draws from a quarter of the k-bit odd numbers, which can raise
-# the conditional error at most fourfold, so it stays <= 2**-80
-# (tests/test_crypto_support.py recomputes every row).
-AVERAGE_CASE_ROUNDS = ((1024, 3), (768, 4), (512, 6), (384, 8),
-                       (256, 12), (192, 17), (128, 21), (96, 28))
+# At or below this size a generated prime is drawn uniformly and proven by
+# deterministic Miller-Rabin; above it, by a Pocklington step.
+_BASE_BITS = 64
 
 
 def _miller_rabin_round(n: int, d: int, r: int, witness: int) -> bool:
@@ -62,15 +63,13 @@ def _miller_rabin_round(n: int, d: int, r: int, witness: int) -> bool:
 
 
 def is_prime(n: int, rounds: int = WORST_CASE_ROUNDS) -> bool:
-    """Probabilistic primality test.
+    """Primality test for an ``n`` somebody else chose.
 
-    Deterministic for ``n`` below ~3.3e24 (fixed witness set), otherwise
-    Miller-Rabin with ``rounds`` random witnesses, drawn one at a time so
-    a composite costs one draw, not ``rounds``.  For an ``n`` somebody
-    else chose the only guarantee is the worst case, error below
-    ``4**-rounds`` -- hence the default.  :func:`random_prime` passes
-    fewer rounds because the average-case bound applies to candidates
-    it drew uniformly itself (see ``AVERAGE_CASE_ROUNDS``).
+    A proof below ~3.3e24: the shortest prefix of prime bases whose
+    ``psi_t`` exceeds ``n``.  Above, Miller-Rabin with ``rounds`` random
+    witnesses, drawn one at a time so a composite costs one draw, not
+    ``rounds``; the only guarantee for an adversarial ``n`` is the worst
+    case, error below ``4**-rounds`` -- hence the default.
     """
     if n <= SMALL_PRIMES[-1]:
         return n in SMALL_PRIMES
@@ -82,27 +81,53 @@ def is_prime(n: int, rounds: int = WORST_CASE_ROUNDS) -> bool:
     d >>= r
 
     if n < _DETERMINISTIC_LIMIT:
-        return all(_miller_rabin_round(n, d, r, w)
-                   for w in _DETERMINISTIC_WITNESSES)
+        bases = _DETERMINISTIC_WITNESSES[:bisect.bisect_right(_PSI, n) + 1]
+        return all(_miller_rabin_round(n, d, r, w) for w in bases)
     return all(_miller_rabin_round(n, d, r, secrets.randbelow(n - 3) + 2)
                for _ in range(rounds))
 
 
+def _pocklington(p: int, t: int, c0: int) -> bool:
+    """Is ``p = 2*t*c0 + 1`` prime, given a prime ``c0 > sqrt(p)``?
+
+    Pocklington: p is prime iff some base a has a**(p-1) = 1 (mod p) and
+    gcd(a**(2t) - 1, p) = 1.  A base with a**(2t) = 1 decides nothing;
+    the next one is tried.
+    """
+    for a in SMALL_PRIMES:
+        z = pow(a, 2 * t, p)
+        if z != 1:
+            return pow(z, c0, p) == 1 and math.gcd(z - 1, p) == 1
+    return False
+
+
 def _draw_prime(bits: int, low_bits: int) -> int:
-    """A random ``bits``-bit prime with the top two and ``low_bits`` set."""
+    """A proven ``bits``-bit prime with the top two and ``low_bits`` set."""
     if bits < 3:
         raise ValueError("prime must have at least 3 bits")
     forced = (0b11 << (bits - 2)) | low_bits
-    rounds = next((t for k, t in AVERAGE_CASE_ROUNDS if bits >= k),
-                  WORST_CASE_ROUNDS)
+    if bits <= _BASE_BITS:
+        if forced == (1 << bits) - 1 and not is_prime(forced):
+            raise ValueError(f"no {bits}-bit prime has bits {forced:b}")
+        while True:
+            candidate = secrets.randbits(bits) | forced
+            if is_prime(candidate):
+                return candidate
+    # p = 2*t*c0 + 1 over a proven c0 of bits//2 + 1 bits (top two set),
+    # so c0 > sqrt(p); t ranges so that p has the top two bits set.
+    c0 = _draw_prime(bits // 2 + 1, 0b01)
+    low = ((3 << (bits - 2)) + 2 * c0 - 2) // (2 * c0)
+    high = ((1 << bits) - 2) // (2 * c0)
     while True:
-        candidate = secrets.randbits(bits) | forced
-        if is_prime(candidate, rounds):
-            return candidate
+        t = low + secrets.randbelow(high - low + 1)
+        p = 2 * t * c0 + 1
+        if (p & low_bits == low_bits and math.gcd(p, _PRIMORIAL) == 1
+                and _pocklington(p, t, c0)):
+            return p
 
 
 def random_prime(bits: int) -> int:
-    """Return a random prime of exactly ``bits`` bits (top two bits set).
+    """Return a random proven prime of exactly ``bits`` bits (top two set).
 
     Setting the top two bits guarantees that the product of two such primes
     has exactly ``2 * bits`` bits, which RSA key generation relies on.
@@ -111,7 +136,7 @@ def random_prime(bits: int) -> int:
 
 
 def random_prime_3mod4(bits: int) -> int:
-    """Return a random ``bits``-bit prime congruent to 3 mod 4.
+    """Return a random proven ``bits``-bit prime congruent to 3 mod 4.
 
     ESIGN parameter generation prefers such primes so that small even
     exponents behave well.

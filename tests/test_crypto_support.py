@@ -4,10 +4,10 @@ import hashlib
 import random
 import secrets
 import sys
-from math import log2, sqrt
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.crypto import esign, hashes, primes, rsa, stream
@@ -59,23 +59,68 @@ def _reference_is_prime(n: int, rounds: int = 40) -> bool:
     return all(primes._miller_rabin_round(n, d, r, w) for w in witnesses)
 
 
-def _dlp_log2_bound(k: int, t: int) -> float:
-    """log2 of the Damgard-Landrock-Pomerance bound on p(k,t): the chance
-    that a random odd k-bit number passing t Miller-Rabin rounds is
-    composite (HAC fact 4.48; the estimates behind FIPS 186-4 C.3)."""
-    bounds = [0.0]
-    if t == 1:
-        bounds.append(2 * log2(k) + 2 * (2 - sqrt(k)))
-    if (t == 2 and k >= 88) or (3 <= t <= k / 9 and k >= 21):
-        bounds.append(1.5 * log2(k) + t - 0.5 * log2(t)
-                      + 2 * (2 - sqrt(t * k)))
-    if k >= 21 and k / 9 <= t <= k / 4:
-        bounds.append(log2(7 / 20 * k * 2.0 ** (-5 * t)
-                           + 1 / 7 * k ** 3.75 * 2.0 ** (-k / 2 - 2 * t)
-                           + 12 * k * 2.0 ** (-k / 4 - 3 * t)))
-    if k >= 21 and t >= k / 4:
-        bounds.append(log2(1 / 7) + 3.75 * log2(k) - k / 2 - 2 * t)
-    return min(bounds)
+# The smallest strong pseudoprime to every base 2..37 (psi_12), pinned by
+# its factors: _reference_is_prime reads the same witness table as
+# primes.is_prime, so it cannot catch a table that stops one base short.
+_PSI_12 = 318665857834031151167461
+_PSI_12_FACTORS = (399165290221, 798330580441)
+
+
+def _strong_probable_prime(n: int, base: int) -> bool:
+    """One Miller-Rabin round in its textbook form."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(base, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(r - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _proven_below_2_64(n: int) -> bool:
+    """A primality proof for odd n < 2**64: bases 2..37 decide every n
+    below psi_12 > 2**64."""
+    assert 2 < n < 2 ** 64 < _PSI_12
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n in bases:
+        return True
+    return n % 2 == 1 and all(_strong_probable_prime(n, a) for a in bases)
+
+
+def _recorded_draws(monkeypatch) -> list:
+    """Record every ``primes._draw_prime`` result as ``(p, inner)``, with
+    ``inner`` the draws made while producing it (its certificate chain)."""
+    real = primes._draw_prime
+    frames = [[]]
+
+    def spy(bits, low_bits):
+        frames.append([])
+        p = real(bits, low_bits)
+        inner = frames.pop()
+        frames[-1].append((p, inner))
+        return p
+
+    monkeypatch.setattr(primes, "_draw_prime", spy)
+    return frames[0]
+
+
+def _check_certificate(p: int, inner: list) -> None:
+    """Re-check a generated prime's Pocklington chain down to its base."""
+    if p.bit_length() <= 64:
+        assert inner == []
+        assert _proven_below_2_64(p), p
+        return
+    [(c0, below)] = inner
+    _check_certificate(c0, below)
+    assert c0.bit_length() == p.bit_length() // 2 + 1
+    assert (p - 1) % c0 == 0 and c0 * c0 > p
+    a = next(a for a in range(2, 1000) if pow(a, (p - 1) // c0, p) != 1)
+    assert pow(a, p - 1, p) == 1
+    assert gcd(pow(a, (p - 1) // c0, p) - 1, p) == 1
 
 
 # p * q for two 48-bit primes: survives the small-prime sieve and fails
@@ -149,42 +194,74 @@ class TestPrimes:
             assert not primes.is_prime(n), n
 
     def test_carmichael_and_strong_pseudoprimes_rejected(self):
-        # The last four are the smallest strong pseudoprimes to bases
-        # {2}, {2,3,5}, {2..17} and {2..37}.
+        # The last five are the smallest strong pseudoprimes to bases
+        # {2}, {2..7}, {2..17}, {2..23} and {2..37}.
         for n in (561, 1105, 41041, 2047, 3215031751, 341550071728321,
-                  3825123056546413051):
+                  3825123056546413051, _PSI_12):
             assert not _reference_is_prime(n)
             assert not primes.is_prime(n), n
 
-    def test_round_table_keeps_average_case_error_below_2_to_minus_80(self):
-        table = primes.AVERAGE_CASE_ROUNDS
-        assert [k for k, _ in table] == sorted((k for k, _ in table),
-                                               reverse=True)
-        # Two bits of margin: the candidates have two forced bits
-        # (see the comment on the table).
-        upper = 4097
-        for low, rounds in table:
-            assert rounds < primes.WORST_CASE_ROUNDS
-            for bits in range(low, upper):
-                assert _dlp_log2_bound(bits, rounds) + 2 <= -80, (bits, rounds)
-            upper = low
+    def test_psi_12_is_composite_and_fools_bases_2_to_37(self):
+        p, q = _PSI_12_FACTORS
+        assert p * q == _PSI_12 and 1 < p < q
+        assert all(_strong_probable_prime(_PSI_12, a)
+                   for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
+        assert not _strong_probable_prime(_PSI_12, 41)
+        assert not primes.is_prime(_PSI_12)
 
-    def test_round_table_is_what_random_prime_passes(self, monkeypatch):
-        seen = []
-        real = primes.is_prime
+    def test_every_prime_carries_a_pocklington_chain(self, monkeypatch):
+        draws = _recorded_draws(monkeypatch)
+        for bits in (65, 96, 97, 128, 200, 512):
+            primes.random_prime(bits)
+            primes.random_prime_3mod4(bits)
+        primes.random_prime(40)
+        assert len(draws) == 13
+        for p, inner in draws:
+            _check_certificate(p, inner)
 
-        def spy(n, rounds=40):
-            seen.append(rounds)
-            return real(n, rounds)
+    @settings(max_examples=150, deadline=None)
+    @given(bits=st.integers(3, 300), seed=st.integers(0, 2 ** 32))
+    @example(bits=3, seed=0)
+    @example(bits=5, seed=0)
+    @example(bits=64, seed=0)
+    @example(bits=65, seed=0)
+    @example(bits=300, seed=0)
+    def test_generated_primes_have_the_promised_shape(self, bits, seed):
+        with pinned_entropy(seed):
+            drawn = [(primes.random_prime(bits), 0b01)]
+            if bits >= 5:
+                drawn.append((primes.random_prime_3mod4(bits), 0b11))
+        for p, low_bits in drawn:
+            assert p.bit_length() == bits
+            assert p >> (bits - 2) == 0b11
+            assert p & low_bits == low_bits
+            assert primes.is_prime(p, rounds=40)
 
-        monkeypatch.setattr(primes, "is_prime", spy)
-        low, rounds = primes.AVERAGE_CASE_ROUNDS[-1]
-        primes.random_prime(low)
-        assert set(seen) == {rounds}
-        seen.clear()
-        primes.random_prime_3mod4(low - 1)
-        assert set(seen) == {40}        # below the table: the default
-        assert real.__defaults__ == (primes.WORST_CASE_ROUNDS,) == (40,)
+    def test_impossible_residue_raises_instead_of_spinning(self):
+        # 0b1111 = 15 is the only 4-bit candidate with the top two bits
+        # and bits 0, 1 set.
+        with pytest.raises(ValueError):
+            primes.random_prime_3mod4(4)
+        assert primes.random_prime(4) == 13
+        assert primes.random_prime_3mod4(3) == 7
+
+    def test_a_96_bit_prime_costs_a_few_pows_not_28(self, monkeypatch):
+        # Modexp work in units of one 96-bit pow (exponent bits x modulus
+        # bits squared): 28 Miller-Rabin rounds on uniform candidates cost
+        # 31.2 per prime, a Pocklington step over a 49-bit base prime ~5.9.
+        work = 0
+
+        def counting_pow(base, exponent, modulus):
+            nonlocal work
+            work += exponent.bit_length() * modulus.bit_length() ** 2
+            return pow(base, exponent, modulus)
+
+        monkeypatch.setattr(primes, "pow", counting_pow, raising=False)
+        with pinned_entropy(2008):
+            for _ in range(300):
+                primes.random_prime(96)
+        units = work / 300 / 96 ** 3
+        assert units <= 12, units
 
     def test_composite_costs_one_witness_not_forty(self):
         assert pow(2, _SEMIPRIME_96 - 1, _SEMIPRIME_96) != 1
