@@ -32,7 +32,7 @@ from .errors import (BlobNotFound, CircuitOpenError, CryptoError,
                      PermissionDenied, SharoesError, StorageError,
                      TransientStorageError, UnsupportedPermission)
 from .fs import (AclEntry, ClientConfig, SharoesFilesystem, SharoesVolume,
-                 Stat, format_mode, parse_mode)
+                 Stat, format_mode)
 from .principals import (Group, GroupKeyService, PrincipalRegistry, User,
                          UserAgent)
 from .sim import (FREE, PAPER_2008, CostModel, CostProfile, NetworkLink,
@@ -50,7 +50,6 @@ __all__ = [
     "Stat",
     "AclEntry",
     "format_mode",
-    "parse_mode",
     "PrincipalRegistry",
     "User",
     "Group",

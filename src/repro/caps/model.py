@@ -68,14 +68,6 @@ class Cap:
     #: directory-table view style (directories only)
     table_view: str
 
-    @property
-    def grants_read(self) -> bool:
-        return self.dek
-
-    @property
-    def grants_write(self) -> bool:
-        return self.dsk
-
     def __str__(self) -> str:
         return self.cap_id
 

@@ -122,9 +122,6 @@ class ObjectRecord:
         grants_dsk = cap.dsk or is_owner
         if is_dir:
             dek = self.table_deks.get(selector) if grants_dek else None
-            if is_owner and dek is None:
-                # The owner's management view always reaches its own table.
-                dek = self.table_deks.get(selector)
         else:
             dek = self.dek if grants_dek else None
         return MetadataView(

@@ -8,7 +8,7 @@ library calls through.
 """
 
 from . import aes, esign, hashes, ibe, keys, primes, rsa, stream
-from .keys import ObjectKeySet, new_signature_pair, new_symmetric_key
+from .keys import new_signature_pair, new_symmetric_key
 from .provider import CryptoEvent, CryptoProvider
 
 __all__ = [
@@ -20,7 +20,6 @@ __all__ = [
     "primes",
     "rsa",
     "stream",
-    "ObjectKeySet",
     "new_signature_pair",
     "new_symmetric_key",
     "CryptoEvent",

@@ -54,9 +54,6 @@ class VerificationKey:
     def byte_length(self) -> int:
         return (self.n.bit_length() + 7) // 8
 
-    def fingerprint(self) -> str:
-        return hashes.fingerprint(self.to_bytes())
-
     def to_bytes(self) -> bytes:
         writer = Writer()
         writer.put_int(self.n)

@@ -46,13 +46,6 @@ def hmac(key: bytes, data: bytes, algorithm: str = DEFAULT_HASH) -> bytes:
     return _hmac.new(key, data, algorithm).digest()
 
 
-def hmac_verify(key: bytes, data: bytes, tag: bytes,
-                algorithm: str = DEFAULT_HASH) -> bool:
-    """Constant-time HMAC verification."""
-    expected = _hmac.new(key, data, algorithm).digest()
-    return _hmac.compare_digest(expected, tag)
-
-
 def derive_key(secret: bytes, label: str, length: int = 16,
                algorithm: str = DEFAULT_HASH) -> bytes:
     """Derive a ``length``-byte subkey from ``secret`` for purpose ``label``.
@@ -79,8 +72,3 @@ def derive_row_key(table_dek: bytes, name: str, length: int = 16,
     section III-A).
     """
     return derive_key(table_dek, "sharoes-row:" + name, length, algorithm)
-
-
-def fingerprint(data: bytes, length: int = 8) -> str:
-    """Short stable identifier for keys/blobs in logs and blob indices."""
-    return hashlib.sha256(data).hexdigest()[: length * 2]

@@ -18,7 +18,6 @@ AES-128 / NIST SP 800-78 configuration.
 from __future__ import annotations
 
 import secrets
-from dataclasses import dataclass
 
 from . import esign
 
@@ -41,46 +40,3 @@ def new_signature_pair(prime_bits: int = OBJECT_SIGNATURE_PRIME_BITS
     """Fresh ESIGN pair for DSK/DVK or MSK/MVK."""
     return esign.generate_keypair(prime_bits=prime_bits)
 
-
-@dataclass
-class ObjectKeySet:
-    """The complete key material minted for one filesystem object.
-
-    Only the *owner's* CAP ever sees all of these; other CAPs receive a
-    filtered view (see :mod:`repro.caps`).
-    """
-
-    dek: bytes
-    dsk: esign.SigningKey
-    dvk: esign.VerificationKey
-    mek: bytes
-    msk: esign.SigningKey
-    mvk: esign.VerificationKey
-
-    @classmethod
-    def generate(cls, prime_bits: int = OBJECT_SIGNATURE_PRIME_BITS
-                 ) -> "ObjectKeySet":
-        data_pair = new_signature_pair(prime_bits)
-        meta_pair = new_signature_pair(prime_bits)
-        return cls(
-            dek=new_symmetric_key(),
-            dsk=data_pair.signing,
-            dvk=data_pair.verification,
-            mek=new_symmetric_key(),
-            msk=meta_pair.signing,
-            mvk=meta_pair.verification,
-        )
-
-    def rekey_data(self) -> None:
-        """Replace the data keys (used by revocation)."""
-        pair = new_signature_pair(self.dsk.prime_bits)
-        self.dek = new_symmetric_key()
-        self.dsk = pair.signing
-        self.dvk = pair.verification
-
-    def rekey_metadata(self) -> None:
-        """Replace the metadata keys (used by revocation)."""
-        pair = new_signature_pair(self.msk.prime_bits)
-        self.mek = new_symmetric_key()
-        self.msk = pair.signing
-        self.mvk = pair.verification

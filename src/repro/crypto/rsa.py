@@ -56,10 +56,6 @@ class PublicKey:
     def max_payload(self) -> int:
         return self.byte_length - _PAD_OVERHEAD
 
-    def fingerprint(self) -> str:
-        return hashes.fingerprint(
-            self.n.to_bytes(self.byte_length, "big"))
-
     def to_bytes(self) -> bytes:
         writer = Writer()
         writer.put_int(self.n)
@@ -200,12 +196,6 @@ def decrypt(private: PrivateKey, ciphertext: bytes) -> bytes:
 
 
 # -- multi-block blobs --------------------------------------------------------
-
-def block_count(public: PublicKey, payload_len: int) -> int:
-    """Number of RSA blocks needed to encrypt ``payload_len`` bytes."""
-    chunk = public.max_payload
-    return max(1, (payload_len + chunk - 1) // chunk)
-
 
 def encrypt_blob(public: PublicKey, payload: bytes) -> bytes:
     """Chunk ``payload`` into modulus-size blocks and encrypt each.

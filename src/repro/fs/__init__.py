@@ -9,7 +9,7 @@ from .inode import InodeAllocator
 from .metadata import MetadataAttrs, MetadataView, Stat
 from .permissions import (DIRECTORY, EXEC, FILE, GROUP, OTHER, OWNER, READ,
                           WRITE, AclEntry, ObjectPerms, ReferenceEvaluator,
-                          format_mode, parse_mode, triple)
+                          format_mode, triple)
 from .superblock import Superblock
 from .volume import (DEFAULT_BLOCK_SIZE, SharoesVolume, block_blob_id,
                      table_blob_id)
@@ -45,7 +45,6 @@ __all__ = [
     "ObjectPerms",
     "ReferenceEvaluator",
     "format_mode",
-    "parse_mode",
     "triple",
     "READ",
     "WRITE",

@@ -584,8 +584,8 @@ class SharoesFilesystem:
         return statement
 
     @traced("sync_statements", path_arg=None)
-    def sync_statements(self, peer_ids: list[str] | None = None):
-        """Fetch + fork-check peers' statements (if enabled).
+    def sync_statements(self, peer_ids: list[str]):
+        """Fetch + fork-check the statements of ``peer_ids`` (if enabled).
 
         Raises :class:`repro.fs.consistency.ForkDetected` when the SSP
         has shown this client and a peer divergent histories.
@@ -594,9 +594,6 @@ class SharoesFilesystem:
             raise SharoesError("consistency log not enabled")
         self._charge_other()
         self.flush_staged()
-        if peer_ids is None:
-            peer_ids = [u.user_id
-                        for u in self.volume.registry.users()]
         accepted = self.consistency.sync(self.server, peer_ids)
         for statement in accepted:
             self.blobs.charge(down=len(statement.to_bytes()))

@@ -84,6 +84,3 @@ class FreshnessMonitor:
     def high_watermark(self, inode: int) -> int | None:
         obs = self._seen.get(inode)
         return obs.version if obs is not None else None
-
-    def tracked_count(self) -> int:
-        return len(self._seen)

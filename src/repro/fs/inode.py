@@ -20,8 +20,3 @@ class InodeAllocator:
         inode = self._next
         self._next += 1
         return inode
-
-    @property
-    def allocated(self) -> int:
-        """How many inodes have been handed out."""
-        return self._next - self.ROOT_INODE

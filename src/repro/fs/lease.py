@@ -133,7 +133,12 @@ class LeaseRecord:
                 + writer.getvalue())
 
     @classmethod
-    def from_bytes(cls, raw: bytes) -> "LeaseRecord":
+    def from_bytes(cls, raw: bytes, inode: int) -> "LeaseRecord":
+        """Decode the lease blob read at ``inode``'s slot.
+
+        The signed inode must name that slot: a signature over another
+        inode's link is a blob the SSP relocated.
+        """
         if len(raw) < EPOCH_PREFIX_BYTES:
             raise IntegrityError("lease blob shorter than epoch prefix")
         prefix = int.from_bytes(raw[:EPOCH_PREFIX_BYTES], "big")
@@ -160,6 +165,10 @@ class LeaseRecord:
             raise IntegrityError(
                 f"lease prefix epoch {prefix} contradicts signed epoch "
                 f"{record.epoch}")
+        if record.inode != inode:
+            raise IntegrityError(
+                f"lease blob of inode {inode} carries signed inode "
+                f"{record.inode}: relocated by the SSP")
         return record
 
     def signed(self, private_key) -> "LeaseRecord":
@@ -369,7 +378,7 @@ class LeaseManager:
                             "CAS races lost while acquiring leases")
                 raw = exc.current
                 fetched = True
-        record = LeaseRecord.from_bytes(raw) if raw else None
+        record = LeaseRecord.from_bytes(raw, inode) if raw else None
         raise LeaseHeldError(
             f"inode {inode}: lease contended beyond "
             f"{_ACQUIRE_ROUNDS} CAS rounds",
@@ -393,7 +402,7 @@ class LeaseManager:
                               expected=None, verb="lease.acquires",
                               help="fresh lease acquisitions")
 
-        record = LeaseRecord.from_bytes(raw)
+        record = LeaseRecord.from_bytes(raw, inode)
         self._observe(inode, raw, record)
         now_us = self._now_us()
 

@@ -44,21 +44,6 @@ def format_mode(mode: int) -> str:
     return "".join(out)
 
 
-def parse_mode(text: str) -> int:
-    """Inverse of :func:`format_mode` (also accepts octal strings)."""
-    if text.isdigit():
-        return int(text, 8)
-    if len(text) != 9:
-        raise ValueError(f"mode string must be 9 chars: {text!r}")
-    mode = 0
-    for i, (char, bit) in enumerate(zip(text, "rwxrwxrwx")):
-        if char == bit:
-            mode |= 1 << (8 - i)
-        elif char != "-":
-            raise ValueError(f"bad mode char {char!r} at {i}")
-    return mode
-
-
 @dataclass(frozen=True)
 class AclEntry:
     """A POSIX-ACL style per-user permission grant."""
@@ -106,19 +91,19 @@ class ObjectPerms:
 
 
 class ReferenceEvaluator:
-    """Plain *nix semantics over a tree of :class:`ObjectPerms`.
+    """Plain *nix semantics over :class:`ObjectPerms`.
 
-    ``lookup_perms(path)`` must return the :class:`ObjectPerms` of every
-    object; the evaluator then answers the questions the paper's CAPs
-    encode (section III): can this user list / traverse / read / write /
-    create-in / delete-from each object?
+    ``user_groups_of(user_id)`` names a user's groups; the evaluator then
+    answers the questions the paper's CAPs encode (section III): can this
+    user list / traverse / read / write / create-in / delete-from each
+    object?  ``tests/test_property_semantics.py`` checks the
+    cryptographic client against it.
 
     Path-level operations require EXEC on every ancestor directory
     (traversal), exactly as in UNIX.
     """
 
-    def __init__(self, lookup_perms, user_groups_of):
-        self._perms = lookup_perms
+    def __init__(self, user_groups_of):
         self._groups = user_groups_of
 
     def _bits(self, path_perms: ObjectPerms, user_id: str) -> int:
@@ -134,11 +119,6 @@ class ReferenceEvaluator:
         return perms.ftype == DIRECTORY and bool(
             self._bits(perms, user_id) & READ)
 
-    def can_enter(self, perms: ObjectPerms, user_id: str) -> bool:
-        """``cd``/traversal needs EXEC on the directory."""
-        return perms.ftype == DIRECTORY and bool(
-            self._bits(perms, user_id) & EXEC)
-
     def can_modify_dir(self, perms: ObjectPerms, user_id: str) -> bool:
         """Creating/deleting entries needs WRITE *and* EXEC on the dir."""
         bits = self._bits(perms, user_id)
@@ -151,6 +131,3 @@ class ReferenceEvaluator:
     def can_write_file(self, perms: ObjectPerms, user_id: str) -> bool:
         return perms.ftype == FILE and bool(
             self._bits(perms, user_id) & WRITE)
-
-    def can_execute_file(self, perms: ObjectPerms, user_id: str) -> bool:
-        return perms.ftype == FILE and bool(self._bits(perms, user_id) & EXEC)

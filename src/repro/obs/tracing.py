@@ -70,14 +70,6 @@ class Span:
         self.self_costs[category] = (
             self.self_costs.get(category, 0.0) + seconds)
 
-    def total_costs(self) -> dict[str, float]:
-        """Category -> seconds over this span and all descendants."""
-        out = dict(self.self_costs)
-        for child in self.children:
-            for category, seconds in child.total_costs().items():
-                out[category] = out.get(category, 0.0) + seconds
-        return out
-
     def walk(self) -> Iterator["Span"]:
         yield self
         for child in self.children:

@@ -49,7 +49,6 @@ __all__ = [
     "push_wire_context",
     "pop_wire_context",
     "stitch",
-    "server_phase_totals",
 ]
 
 
@@ -322,10 +321,6 @@ class TracedServer(ServerWrapper):
                         phases[category] += seconds
         return {"service": self.service, "spans": len(self.spans),
                 "wall": wall, "errors": errors, "phases": phases}
-
-
-def server_phase_totals(servers: Iterable[TracedServer]) -> list[dict]:
-    return [server.phase_totals() for server in servers]
 
 
 def _as_dict(span) -> dict[str, Any]:

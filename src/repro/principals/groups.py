@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from ..crypto import rsa
 from ..crypto.provider import CryptoProvider
-from ..errors import BlobNotFound, KeyAccessError
+from ..errors import KeyAccessError
 from ..storage.blobs import group_key_blob
 from ..storage.server import StorageServer
 from .registry import PrincipalRegistry
@@ -79,23 +79,6 @@ class UserAgent:
     def principal_ids(self) -> list[str]:
         """Identities this agent can decrypt for: the user, then groups."""
         return [self.user.user_id] + sorted(self.group_keys)
-
-    def fetch_group_keys(self, server: StorageServer) -> int:
-        """Mount-time step: unwrap this user's group key blocks from the SSP.
-
-        Returns the number of group keys obtained.  Missing blobs are not
-        an error -- the user may simply belong to no published groups.
-        """
-        self.group_keys.clear()
-        for group_id in sorted(self.user.groups):
-            try:
-                wrapped = server.get(
-                    group_key_blob(group_id, self.user.user_id))
-            except BlobNotFound:
-                continue
-            raw = self.provider.pk_decrypt(self.user.private_key, wrapped)
-            self.group_keys[group_id] = rsa.PrivateKey.from_bytes(raw)
-        return len(self.group_keys)
 
     def install_group_key(self, group_id: str, wrapped: bytes) -> None:
         """Unwrap one group key block fetched by the client at mount."""

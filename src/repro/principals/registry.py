@@ -88,9 +88,6 @@ class PrincipalRegistry:
         except KeyError:
             raise UnknownPrincipal(f"group {group_id!r}") from None
 
-    def is_member(self, user_id: str, group_id: str) -> bool:
-        return user_id in self.group(group_id).members
-
     def add_member(self, group_id: str, user_id: str) -> None:
         self.group(group_id).members.add(self.user(user_id).user_id)
         self._users[user_id].groups.add(group_id)

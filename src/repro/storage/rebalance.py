@@ -437,9 +437,8 @@ class Rebalancer:
     @staticmethod
     def _dsts(blob_id: BlobId, old: RingSpec,
               new: RingSpec) -> tuple[int, ...]:
-        """Shards the new placement adds for one blob (the copy set)."""
-        if blob_id.kind == PLAN:
-            return ()
+        """Shards the new placement adds for one blob (the copy set).
+        ``moves`` never holds the plan blob itself."""
         if blob_id.kind == LEASE:
             return tuple(sorted(set(new.members) - set(old.members)))
         old_targets = set(old.targets(blob_id))
@@ -450,8 +449,6 @@ class Rebalancer:
     def _srcs(blob_id: BlobId, old: RingSpec,
               new: RingSpec) -> tuple[int, ...]:
         """Shards the new placement vacates for one blob (the drop set)."""
-        if blob_id.kind == PLAN:
-            return ()
         if blob_id.kind == LEASE:
             return tuple(sorted(set(old.members) - set(new.members)))
         new_targets = set(new.targets(blob_id))

@@ -376,7 +376,6 @@ class ResilientTransport(ServerWrapper):
         self.failed_attempts = 0
         self.giveups = 0
         self.degraded_reads = 0
-        self._stale_mark = 0  # degraded_reads at the last consume_stale_flags
         self.breaker_opens = 0
         self.breaker_rejections = 0
         self.backoff_seconds = 0.0
@@ -511,13 +510,6 @@ class ResilientTransport(ServerWrapper):
         self.degraded_reads += 1
         self.stale_blob_ids.add(blob_id)
         return payload
-
-    def consume_stale_flags(self) -> int:
-        """Degraded reads served since the last call (for callers that
-        must flag results stale, e.g. the chaos harness)."""
-        count = self.degraded_reads - self._stale_mark
-        self._stale_mark = self.degraded_reads
-        return count
 
     # -- the StorageServer interface ----------------------------------------
 

@@ -372,30 +372,6 @@ class StorageServer:
         """
         return apply_batch(self, ops)
 
-    def get_many(self, blob_ids: Sequence[BlobId]) -> list[bytes | None]:
-        """Fetch several blobs in one round trip; ``None`` marks absent."""
-        out: list[bytes | None] = []
-        for reply in self.batch([BatchOp.get(bid) for bid in blob_ids]):
-            if reply.status == "missing":
-                out.append(None)
-                continue
-            reply.raise_for_status()
-            out.append(reply.payload)
-        return out
-
-    def put_many(self,
-                 items: Sequence[tuple[BlobId, bytes]]) -> None:
-        """Store several blobs in one round trip; raises on first failure."""
-        for reply in self.batch(
-                [BatchOp.put(bid, payload) for bid, payload in items]):
-            reply.raise_for_status()
-
-    def delete_many(self, blob_ids: Sequence[BlobId]) -> None:
-        """Remove several blobs in one round trip (idempotent per blob)."""
-        for reply in self.batch(
-                [BatchOp.delete(bid) for bid in blob_ids]):
-            reply.raise_for_status()
-
     def list_kind(self, kind: str) -> Iterator[BlobId]:
         """Enumerate stored ids of one kind (used by audits and ablations)."""
         return (bid for bid in self._blobs if bid.kind == kind)

@@ -79,7 +79,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from ..errors import (BlobNotFound, CasConflictError, StaleEpochError,
                       TransientStorageError)
@@ -240,12 +240,8 @@ class ShardedServer:
                  policy: RetryPolicy | None = None,
                  clock: SimClock | None = None,
                  read_quorum: int = 1,
-                 backends: Sequence[StorageServer] | None = None,
                  name: str = "sharded-ssp",
                  read_seed: int = 0):
-        if backends is not None:
-            backends = list(backends)
-            shards = len(backends)
         if shards < 1:
             raise ValueError("need at least one shard")
         if not 1 <= replicas <= shards:
@@ -263,8 +259,7 @@ class ShardedServer:
         self.stats = ServerStats()
         self.shards: list[Shard] = []
         for i in range(shards):
-            backend = (backends[i] if backends is not None
-                       else StorageServer(name=f"{name}-{i}"))
+            backend = StorageServer(name=f"{name}-{i}")
             self.shards.append(Shard(
                 index=i, backend=backend, wrapped=backend,
                 transport=self._make_transport(i, backend)))
@@ -941,12 +936,6 @@ class ShardedServer:
             self.stats.record_delete(op.blob_id.kind, 0)
         return BatchReply("ok")
 
-    # -- many-op conveniences (same contract as StorageServer) ---------------
-
-    get_many = StorageServer.get_many
-    put_many = StorageServer.put_many
-    delete_many = StorageServer.delete_many
-
     # -- anti-entropy --------------------------------------------------------
 
     def census(self) -> dict[BlobId, set[int]]:
@@ -1129,18 +1118,6 @@ class ShardedServer:
             if winner is not None:
                 out[blob_id] = winner
         return out
-
-    def list_kind(self, kind: str) -> Iterator[BlobId]:
-        return (bid for bid in self._union() if bid.kind == kind)
-
-    def blob_count(self) -> int:
-        """Logical (deduplicated) blob count across all shards."""
-        return len(self._union())
-
-    def stored_bytes(self, kind: str | None = None) -> int:
-        """Logical stored bytes (one replica's worth per blob)."""
-        return sum(len(payload) for bid, payload in self._union().items()
-                   if kind is None or bid.kind == kind)
 
     def physical_bytes(self) -> int:
         """Actual bytes held across every shard (with replication)."""

@@ -215,15 +215,10 @@ class VolumeAuditor:
         from ..fs.lease import LeaseRecord
         for blob_id, raw in self._lease_blobs():
             try:
-                record = LeaseRecord.from_bytes(raw)
-                record.verify(self.volume.registry.directory)
+                LeaseRecord.from_bytes(raw, blob_id.inode).verify(
+                    self.volume.registry.directory)
             except (IntegrityError, SharoesError) as exc:
                 report.integrity_errors.append(f"{blob_id}: {exc}")
-                continue
-            if record.inode != blob_id.inode:
-                report.integrity_errors.append(
-                    f"{blob_id}: signed inode {record.inode} "
-                    f"contradicts blob location")
 
     def _break_leases(self, holder: str, report: RepairReport) -> None:
         """Release a rolled-forward client's unreleased leases.
@@ -239,7 +234,7 @@ class VolumeAuditor:
         from ..errors import CasConflictError
         for blob_id, raw in self._lease_blobs():
             try:
-                record = LeaseRecord.from_bytes(raw)
+                record = LeaseRecord.from_bytes(raw, blob_id.inode)
             except IntegrityError:
                 continue  # audit reports it; nothing safe to advance
             if record.holder != holder or record.released:

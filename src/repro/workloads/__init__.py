@@ -7,8 +7,8 @@ from .opcosts import (OPERATIONS, PAPER_FIG13_ANCHORS, OpCost, run_op_costs)
 from .postmark import (FIG10_CACHE_FRACTIONS, FIG10_IMPLS,
                        PAPER_FIG10_ANCHORS, PostmarkResult, dataset_bytes,
                        run_postmark)
-from .report import (ComparisonRow, fmt_seconds, format_comparison,
-                     format_table, overhead_pct)
+from .report import (ComparisonRow, format_comparison, format_table,
+                     overhead_pct)
 from .runner import (IMPLEMENTATIONS, LABELS, OBSERVED_WORKLOADS, BenchEnv,
                      make_env, run_observed, run_traced)
 from .trace import (Trace, TraceOp, replay_timed,
@@ -44,7 +44,6 @@ __all__ = [
     "ComparisonRow",
     "format_comparison",
     "format_table",
-    "fmt_seconds",
     "overhead_pct",
     "Trace",
     "TraceOp",

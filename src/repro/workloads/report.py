@@ -54,14 +54,6 @@ def format_comparison(title: str, rows: list[ComparisonRow],
                 f"measured ({unit})", "measured/paper"], body)
 
 
-def fmt_seconds(value: float) -> str:
-    if value >= 100:
-        return f"{value:.0f}"
-    if value >= 1:
-        return f"{value:.1f}"
-    return f"{value * 1000:.0f}ms"
-
-
 def overhead_pct(value: float, baseline: float) -> float:
     """Relative overhead of ``value`` over ``baseline`` (0.11 = +11%)."""
     if baseline == 0:

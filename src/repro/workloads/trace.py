@@ -135,15 +135,6 @@ class Trace:
                if line.strip() and not line.startswith("#")]
         return cls(ops=ops)
 
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.dumps())
-
-    @classmethod
-    def load(cls, path) -> "Trace":
-        with open(path, encoding="utf-8") as handle:
-            return cls.loads(handle.read())
-
     # -- replay -----------------------------------------------------------------------
 
     def replay(self, fs, seed: int = 0) -> int:

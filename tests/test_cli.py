@@ -1,5 +1,6 @@
 """The command-line interface."""
 
+import copy
 import json
 import pathlib
 
@@ -94,6 +95,49 @@ class TestCommands:
         assert "ERRORS FOUND" in out
         assert "integrity:" in out
 
+    def test_fsck_stranded_repair(self, capsys):
+        assert main(["fsck", "--stranded", "--repair"]) == 0
+        out = capsys.readouterr().out
+        assert "1 pending intents" in out
+        assert "fsck --repair: CLEAN -- 1 intents completed" in out
+        assert out.rstrip().endswith("0 pending intents")
+
+    @pytest.mark.parametrize("argv, code, last_line", [
+        (["stats", "--workload", "andrew", "--mdcache", "--scale",
+          "0.02"], 0, "ssp.puts_by_kind.super"),
+        (["shard-rebalance"], 0, "post-rebalance audit: fsck: CLEAN"),
+        (["bench", "--workload", "createlist", "--scale", "0.02",
+          "--concurrency", "4", "--out-dir", "{tmp}"], 0,
+         "wrote {tmp}/BENCH_createlist.json"),
+        (["bench", "--list", "--out-dir", "{tmp}"], 1, ""),
+    ], ids=["stats-mdcache", "rebalance-no-crash", "bench-concurrency",
+            "empty-trajectory"])
+    def test_operator_options(self, capsys, tmp_path, argv, code,
+                              last_line):
+        """Options no CI step passes still run end to end."""
+        fill = [arg.format(tmp=tmp_path) for arg in argv]
+        assert main(fill) == code
+        out = capsys.readouterr().out.strip().splitlines()
+        assert (out[-1] if out else "").startswith(
+            last_line.format(tmp=tmp_path))
+
+    def test_trace_file_feeds_profile(self, capsys, tmp_path):
+        spans = tmp_path / "spans.jsonl"
+        assert main(["trace", "--workload", "office", "--scale", "0.02",
+                     "--out", str(spans)]) == 0
+        assert capsys.readouterr().out.startswith("wrote ")
+        for fmt, row in (("folded", "readdir "), ("top", "write_file ")):
+            assert main(["profile", "--input", str(spans),
+                         "--format", fmt]) == 0
+            assert row in capsys.readouterr().out
+
+    @pytest.mark.parametrize("figure, title", [
+        ("fig10", "Figure 10 Postmark"), ("fig11", "Figure 11 Andrew")])
+    def test_bench_fig10_fig11_tiny(self, capsys, figure, title):
+        assert main(["bench", figure, "--scale", "0.02"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(title) and "SHAROES" in out
+
 
 class TestMatrix:
     """``repro matrix <kind>``: one command for the four sweeps."""
@@ -183,6 +227,74 @@ class TestBenchDiffResolveGate:
         assert main(["stats", "--workload", "office",
                      "--mdcache"]) == 2
         assert "andrew" in capsys.readouterr().err
+
+
+class TestBenchDiffGates:
+    """Each gate CI's same-numbers and perf-regression steps rely on
+    fails on a copy of the committed BENCH_10.json doctored in the one
+    field it gates; the untouched copy passes them all."""
+
+    BENCH_10 = (pathlib.Path(__file__).resolve().parents[1]
+                / "benchmarks" / "results" / "BENCH_10.json")
+
+    @staticmethod
+    def _scale_wall(doc):
+        doc["workloads"]["postmark"]["cost_model"]["total"] *= 1.05
+
+    @staticmethod
+    def _one_more_request(doc):
+        doc["workloads"]["postmark"]["metrics"]["client.requests"] += 1
+
+    @staticmethod
+    def _drop_workload(doc):
+        del doc["workloads"]["office"]
+
+    @staticmethod
+    def _halve_throughput(doc):
+        doc["workloads"]["throughput"]["ops_per_sec"] /= 2
+
+    @staticmethod
+    def _unclean_fsck(doc):
+        doc["workloads"]["throughput"]["fsck_clean"] = False
+        doc["workloads"]["throughput"]["fsck_errors"] = 1
+
+    def _diff(self, tmp_path, capsys, doctor, *flags) -> tuple[int, str]:
+        old = json.loads(self.BENCH_10.read_text())
+        new = copy.deepcopy(old)
+        if doctor is not None:
+            doctor(new)
+        old_path, new_path = tmp_path / "old.json", tmp_path / "new.json"
+        old_path.write_text(json.dumps(old))
+        new_path.write_text(json.dumps(new))
+        code = main(["bench", "--diff", str(old_path), str(new_path),
+                     *flags])
+        return code, capsys.readouterr().err
+
+    def test_the_committed_snapshot_passes(self, capsys, tmp_path):
+        assert self._diff(tmp_path, capsys, None, "--overlap-gate",
+                          "postmark=0.75") == (0, "")
+
+    @pytest.mark.parametrize("doctor, flags, regression", [
+        (_scale_wall, (),
+         "postmark: wall 151.133s -> 158.690s (+5.0% > 2.0%)"),
+        (_one_more_request, (),
+         "postmark: requests 1164 -> 1165 (+0.1% > 0.0%)"),
+        (_drop_workload, (), "office: workload removed from new run"),
+        (_halve_throughput, (),
+         "throughput: throughput 0.983 -> 0.492 ops/s"),
+        (_unclean_fsck, (),
+         "throughput: final fsck was not clean (1 errors)"),
+        (None, ("--overlap-gate", "postmark=0.1"),
+         "postmark: concurrent wall 110.486s exceeds x0.1 floor"),
+    ], ids=["wall", "requests", "removed", "throughput", "fsck",
+            "overlap"])
+    def test_each_gate_fails_its_doctored_copy(self, capsys, tmp_path,
+                                               doctor, flags, regression):
+        code, err = self._diff(tmp_path, capsys, doctor, *flags)
+        lines = err.splitlines()
+        assert code == 1
+        assert len(lines) == 1 and lines[0].startswith(
+            f"REGRESSION: {regression}"), err
 
 
 class TestBenchTrajectory:

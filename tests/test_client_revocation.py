@@ -1,11 +1,14 @@
 """Revocation (immediate + lazy), chown, ACLs, rekey, group revocation."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import PermissionDenied
 from repro.principals.registry import UnknownPrincipal
 from repro.fs.client import ClientConfig, SharoesFilesystem
 from repro.fs.permissions import AclEntry
+from repro.tools.fsck import VolumeAuditor
 
 
 def fresh(volume, registry, user_id, **config_kwargs):
@@ -118,6 +121,22 @@ class TestLazyRevocation:
             carol.read_file("/f")
 
 
+    def test_lazy_directory_revocation(self, volume, registry):
+        """A directory revoked lazily keeps its table base until the
+        owner's next change in it; the revoked reader is denied at
+        once, and the deferred rekey leaves a consistent tree."""
+        alice = fresh(volume, registry, "alice",
+                      immediate_revocation=False)
+        alice.mkdir("/d", mode=0o755)
+        alice.create_file("/d/f", b"x", mode=0o644)
+        alice.chmod("/d", 0o700)
+        with pytest.raises(PermissionDenied):
+            fresh(volume, registry, "carol").readdir("/d")
+        alice.create_file("/d/g", b"y", mode=0o600)
+        assert fresh(volume, registry, "alice").readdir("/d") == ["f", "g"]
+        assert VolumeAuditor(volume).audit().clean
+
+
 class TestChown:
     def test_ownership_transfer(self, alice_fs, volume, registry):
         alice_fs.create_file("/gift", b"present", mode=0o600)
@@ -192,6 +211,29 @@ class TestAcl:
         alice_fs.mknod("/f")
         with pytest.raises(UnknownPrincipal):
             alice_fs.set_acl("/f", (AclEntry("mallory", 0o4),))
+
+    def test_hard_link_keeps_the_acl_readers_lockbox(self, alice_fs,
+                                                     volume, registry):
+        """A link adds no view but must re-issue the ACL user's
+        lockboxes: dave reads through the new name too."""
+        alice_fs.create_file("/f", b"for dave", mode=0o600)
+        alice_fs.set_acl("/f", (AclEntry("dave", 0o4),))
+        alice_fs.link("/f", "/g")
+        dave = fresh(volume, registry, "dave")
+        assert dave.read_file("/g") == b"for dave"
+
+    def test_a_vanished_selector_that_carried_keys_is_a_revocation(
+            self, alice_fs):
+        """Losing a replica that held keys revokes; losing a zero-CAP
+        one does not.  (Through ``set_acl`` the vanished entry's user is
+        named first, and chown rotates everything, so the rule is
+        checked on the attributes directly.)"""
+        alice_fs.create_file("/f", b"x", mode=0o600)
+        bare = alice_fs._resolve("/f").attrs
+        reader = dataclasses.replace(bare, acl=(AclEntry("dave", 0o4),))
+        nobody = dataclasses.replace(bare, acl=(AclEntry("dave", 0o0),))
+        assert alice_fs._is_revocation(reader, bare)
+        assert not alice_fs._is_revocation(nobody, bare)
 
     def test_acl_on_directory(self, alice_fs, volume, registry):
         alice_fs.mkdir("/d", mode=0o700)

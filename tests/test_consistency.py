@@ -128,6 +128,26 @@ class TestForkDetection:
         with pytest.raises(ForkDetected):
             bob.sync(server, ["carol"])
 
+    def test_own_slot_claiming_another_author_detected_at_resume(
+            self, logs, server):
+        """At mount the SSP serves bob's valid statement in alice's own
+        slot: alice refuses to resume another user's chain."""
+        logs("bob").publish(server)
+        server.put(statement_blob("alice"),
+                   server.get(statement_blob("bob")))
+        with pytest.raises(ForkDetected, match="claims author 'bob'"):
+            logs("alice").resume_from(server)
+
+    def test_own_slot_with_bad_signature_detected_at_resume(self, logs,
+                                                             server):
+        logs("alice").publish(server)
+        forged = VersionStatement(
+            user_id="alice", sequence=9, previous_digest=b"\x00" * 32,
+            observations=(), seen=(), signature=b"\x01" * 64)
+        server.put(statement_blob("alice"), forged.to_bytes())
+        with pytest.raises(ForkDetected, match="on my own statement"):
+            logs("alice").resume_from(server)
+
     def test_causal_contradiction_detected(self, logs, server):
         """The heart of fork consistency: bob acknowledges alice's chain
         but the SSP fed him a forked history of inode 7."""
@@ -227,7 +247,7 @@ class TestClientWiring:
         with pytest.raises(SharoesError):
             alice_fs.publish_statement()
         with pytest.raises(SharoesError):
-            alice_fs.sync_statements()
+            alice_fs.sync_statements(["bob"])
 
 
 class TestForkEdges:

@@ -4,6 +4,8 @@ import pytest
 
 from repro.errors import PermissionDenied
 from repro.fs.client import SharoesFilesystem
+from repro.fs.dirtable import SPLIT
+from repro.tools.fsck import VolumeAuditor
 from repro.workloads.andrew import _source_tree
 from repro.workloads.runner import LABELS
 
@@ -59,6 +61,28 @@ class TestGroupEdgeCases:
             bob_fs.readdir("/tri")
         with pytest.raises(PermissionDenied):
             carol_fs.read_file("/tri/f")  # other: ---
+
+    def test_vacuous_group_chain_points_through_lockboxes(self, alice_fs,
+                                                          registry, volume):
+        """/p's group holds only its owner, so /p's group view has no
+        users; a child in another group gets a SPLIT pointer there (the
+        vacuous-chain rule).  Everyone else resolves as the modes say,
+        and the tree audits clean."""
+        registry.create_group("solo", {"alice"}, key_bits=512)
+        alice_fs.mkdir("/p", mode=0o755, group="solo")
+        alice_fs.create_file("/p/f", b"eng only", mode=0o640, group="eng")
+        p = alice_fs._resolve("/p")
+        f = alice_fs._resolve("/p/f")
+        assert volume.scheme.child_pointer(p.attrs, f.attrs, "g") == (
+            SPLIT, None)
+        bob = SharoesFilesystem(volume, registry.user("bob"))
+        bob.mount()
+        assert bob.read_file("/p/f") == b"eng only"
+        carol = SharoesFilesystem(volume, registry.user("carol"))
+        carol.mount()
+        with pytest.raises(PermissionDenied):
+            carol.read_file("/p/f")
+        assert VolumeAuditor(volume).audit().clean
 
 
 class TestStatSemantics:

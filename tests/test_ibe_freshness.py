@@ -122,7 +122,7 @@ class TestFreshnessMonitor:
         monitor.observe_metadata(5, 3, b"x")
         monitor.forget(5)
         monitor.observe_metadata(5, 1, b"y")  # fresh start allowed
-        assert monitor.tracked_count() == 1
+        assert monitor.high_watermark(5) == 1
 
     def test_independent_inodes(self):
         monitor = FreshnessMonitor()

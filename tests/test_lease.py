@@ -85,7 +85,7 @@ class TestRecordCodec:
         mgr = make_manager(registry, server, clock)
         record = mgr.acquire(9)
         raw = server.get(lease_blob(9))
-        back = LeaseRecord.from_bytes(raw)
+        back = LeaseRecord.from_bytes(raw, 9)
         assert back == record
         assert back.epoch == 1 and back.holder == "alice"
         back.verify(registry.directory)  # does not raise
@@ -96,7 +96,7 @@ class TestRecordCodec:
         make_manager(registry, server, clock).acquire(9)
         raw = bytearray(server.get(lease_blob(9)))
         raw[-1] ^= 1
-        record = LeaseRecord.from_bytes(bytes(raw))
+        record = LeaseRecord.from_bytes(bytes(raw), 9)
         with pytest.raises(IntegrityError):
             record.verify(registry.directory)
 
@@ -109,11 +109,26 @@ class TestRecordCodec:
         raw = bytearray(server.get(lease_blob(9)))
         raw[7] ^= 0xFF  # bump the plaintext epoch prefix only
         with pytest.raises(IntegrityError, match="contradicts"):
-            LeaseRecord.from_bytes(bytes(raw))
+            LeaseRecord.from_bytes(bytes(raw), 9)
 
     def test_truncated_blob_rejected(self):
         with pytest.raises(IntegrityError):
-            LeaseRecord.from_bytes(b"\x00\x01")
+            LeaseRecord.from_bytes(b"\x00\x01", 9)
+
+    def test_blob_without_domain_tag_rejected(self, registry, clock):
+        server = StorageServer()
+        make_manager(registry, server, clock).acquire(9)
+        raw = server.get(lease_blob(9)).replace(b"sharoes/lease/",
+                                                b"sharoes/other/")
+        with pytest.raises(IntegrityError, match="domain tag"):
+            LeaseRecord.from_bytes(raw, 9)
+
+    def test_unparseable_body_rejected(self, registry, clock):
+        server = StorageServer()
+        make_manager(registry, server, clock).acquire(9)
+        raw = server.get(lease_blob(9))
+        with pytest.raises(IntegrityError, match="malformed lease blob"):
+            LeaseRecord.from_bytes(raw[:-3], 9)
 
 
 # -- state machine ------------------------------------------------------------
@@ -133,7 +148,7 @@ class TestStateMachine:
         mgr = make_manager(registry, server, clock)
         mgr.acquire(5)
         mgr.release(5)
-        record = LeaseRecord.from_bytes(server.get(lease_blob(5)))
+        record = LeaseRecord.from_bytes(server.get(lease_blob(5)), 5)
         assert record.released and record.epoch == 2
         assert mgr.held_epoch(5) is None
         # Another client may take a released lease over immediately --
@@ -219,7 +234,7 @@ class TestStateMachine:
                                                            clock):
         server = StorageServer()
         make_manager(registry, server, clock).acquire(5)
-        prior = LeaseRecord.from_bytes(server.get(lease_blob(5)))
+        prior = LeaseRecord.from_bytes(server.get(lease_blob(5)), 5)
         broken = break_record(prior, registry.user("alice"))
         assert broken.released and broken.epoch == prior.epoch + 1
         broken.verify(registry.directory)
@@ -248,7 +263,7 @@ class TestChainRollback:
         server = StorageServer()
         mgr = make_manager(registry, server, clock, duration=1.0)
         mgr.acquire(7)
-        prior = LeaseRecord.from_bytes(server.get(lease_blob(7)))
+        prior = LeaseRecord.from_bytes(server.get(lease_blob(7)), 7)
         clock.advance(2.0)
         bob = make_manager(registry, server, clock, "bob",
                            escrow=registry.user, duration=1.0)
@@ -261,6 +276,26 @@ class TestChainRollback:
         clock.advance(2.0)  # bob's hold lapses; he must re-read
         with pytest.raises(StaleObjectError):
             bob.acquire(7)
+
+    def test_lease_blob_relocated_from_another_inode_never_grants(
+            self, shared, registry, clock):
+        """A validly signed, fresh link of inode 7 copied into inode 1's
+        slot is not inode 1's chain: the read rejects it, and so does
+        fsck's lease audit."""
+        server, volume = shared
+        alice = make_manager(registry, server, clock)
+        alice.acquire(1)
+        alice.release(1)
+        bob = make_manager(registry, server, clock, "bob")
+        for _ in range(5):
+            bob.acquire(7)
+            bob.release(7)
+        server.put(lease_blob(1), server.get(lease_blob(7)))
+        with pytest.raises(IntegrityError, match="relocated"):
+            alice.acquire(1)
+        assert alice.held_epoch(1) is None
+        errors = VolumeAuditor(volume).audit().integrity_errors
+        assert any("relocated" in error for error in errors), errors
 
 
 # -- fence supersession (stranded intents vs. takeover) ----------------------
@@ -795,6 +830,22 @@ class TestBatchedRenewal:
         assert hist.total == subops + len(inodes)
         for inode in inodes:
             assert fs.lease.held_epoch(inode) == before[inode] + 1
+
+    def test_fs_renew_leases_drops_a_stolen_lease(self, shared, registry,
+                                                  clock):
+        """A lease a peer took over meanwhile is lost at renewal: the
+        client forgets it and its cached state, and reads afresh."""
+        server, volume = shared
+        fs = make_leased(volume, registry)
+        fs.create_file("/f", b"v1", mode=0o664)
+        inode = fs.getattr("/f").inode
+        fs.lease.acquire(inode)
+        clock.advance(2 * _LEASE_S)
+        make_manager(registry, server, clock, "bob",
+                     escrow=registry.user).acquire(inode)
+        assert fs.renew_leases() == []
+        assert fs.lease.held_epoch(inode) is None
+        assert fs.read_file("/f") == b"v1"
 
     def test_fs_renew_leases_none_held_is_free(self, shared, registry):
         server, volume = shared

@@ -382,7 +382,7 @@ def test_a_break_record_successor_invalidates(stack, registry):
     server, _, _ = stack
     alice, tap = steady(stack, registry)
     blob_id = lease_blob(alice.getattr("/d").inode)
-    prior = LeaseRecord.from_bytes(server.get(blob_id))
+    prior = LeaseRecord.from_bytes(server.get(blob_id), blob_id.inode)
     server.put(blob_id,
                break_record(prior, registry.user("alice")).to_bytes())
     alice.mknod("/d/after-fsck", mode=0o664)

@@ -49,7 +49,6 @@ class TestSpanTree:
                 cost.charge(NETWORK, 2.0)
         assert root.self_costs == {NETWORK: 1.0}
         assert root.children[0].self_costs == {NETWORK: 2.0}
-        assert root.total_costs() == {NETWORK: 3.0}
         assert root.duration == 3.0
 
     def test_charge_outside_any_span_is_dropped(self, traced_cost):

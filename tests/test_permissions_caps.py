@@ -10,7 +10,7 @@ from repro.caps.model import (ALL_CAPS, D_EXEC_ONLY, D_READ, D_READ_EXEC,
                               cap_for_bits, supported_bits)
 from repro.errors import UnsupportedPermission
 from repro.fs.permissions import (DIRECTORY, FILE, AclEntry, ObjectPerms,
-                                  format_mode, parse_mode, triple)
+                                  format_mode, triple)
 from repro.migration.migrate import degrade_bits, degrade_mode
 
 
@@ -20,22 +20,9 @@ class TestModeHelpers:
         assert triple(0o754, "group") == 0o5
         assert triple(0o754, "other") == 0o4
 
-    def test_format_and_parse(self):
+    def test_format_mode(self):
         assert format_mode(0o755) == "rwxr-xr-x"
         assert format_mode(0o640) == "rw-r-----"
-        assert parse_mode("rwxr-xr-x") == 0o755
-        assert parse_mode("644") == 0o644
-
-    def test_parse_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            parse_mode("rwx")
-        with pytest.raises(ValueError):
-            parse_mode("rwxrwxrwz")
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.integers(min_value=0, max_value=0o777))
-    def test_format_parse_roundtrip(self, mode):
-        assert parse_mode(format_mode(mode)) == mode
 
 
 class TestClassResolution:
@@ -115,12 +102,12 @@ class TestFileCaps:
     def test_read(self):
         cap = cap_for_bits(0o4, FILE)
         assert cap is F_READ
-        assert cap.grants_read and not cap.grants_write
+        assert cap.dek and not cap.dsk
 
     def test_read_write(self):
         cap = cap_for_bits(0o6, FILE)
         assert cap is F_READ_WRITE
-        assert cap.grants_write
+        assert cap.dsk
 
     def test_read_exec_collapses_to_read(self):
         assert cap_for_bits(0o5, FILE) is F_READ

@@ -14,8 +14,8 @@ class TestRegistry:
     def test_users_and_groups(self, registry):
         assert [u.user_id for u in registry.users()] == [
             "alice", "bob", "carol", "dave"]
-        assert registry.is_member("alice", "eng")
-        assert not registry.is_member("carol", "eng")
+        assert "alice" in registry.group("eng").members
+        assert "carol" not in registry.group("eng").members
         assert registry.user("alice").groups == {"eng"}
 
     def test_duplicate_user_rejected(self, registry):
@@ -36,10 +36,10 @@ class TestRegistry:
 
     def test_membership_changes(self, registry):
         registry.add_member("eng", "carol")
-        assert registry.is_member("carol", "eng")
+        assert "carol" in registry.group("eng").members
         assert "eng" in registry.user("carol").groups
         registry.remove_member("eng", "carol")
-        assert not registry.is_member("carol", "eng")
+        assert "carol" not in registry.group("eng").members
         assert "eng" not in registry.user("carol").groups
 
     def test_directory_exposes_public_keys_only(self, registry):
@@ -54,8 +54,9 @@ class TestGroupKeys:
         service = GroupKeyService(registry, server, provider)
         assert service.publish(registry.group("eng")) == 2
         agent = UserAgent(registry.user("alice"), provider)
-        assert agent.fetch_group_keys(server) == 1
-        assert "eng" in agent.group_keys
+        agent.install_group_key(
+            "eng", server.get(group_key_blob("eng", "alice")))
+        assert agent.principal_ids() == ["alice", "eng"]
         # The fetched key matches the group's actual private key.
         assert (agent.group_keys["eng"].n
                 == registry.group("eng").keypair.private.n)
@@ -64,8 +65,6 @@ class TestGroupKeys:
         provider = CryptoProvider()
         GroupKeyService(registry, server, provider).publish_all()
         assert not server.exists(group_key_blob("eng", "carol"))
-        agent = UserAgent(registry.user("dave"), provider)
-        assert agent.fetch_group_keys(server) == 0
 
     def test_member_cannot_unwrap_others_blob(self, registry, server):
         provider = CryptoProvider()
@@ -82,12 +81,13 @@ class TestGroupKeys:
         service.publish_all()
         old_n = registry.group("eng").keypair.private.n
         service.revoke_member("eng", "bob")
-        assert not registry.is_member("bob", "eng")
+        assert "bob" not in registry.group("eng").members
         assert not server.exists(group_key_blob("eng", "bob"))
         assert registry.group("eng").keypair.private.n != old_n
-        # Remaining member can still fetch the fresh key.
+        # Remaining member can still unwrap the fresh key.
         agent = UserAgent(registry.user("alice"), provider)
-        agent.fetch_group_keys(server)
+        agent.install_group_key(
+            "eng", server.get(group_key_blob("eng", "alice")))
         assert (agent.group_keys["eng"].n
                 == registry.group("eng").keypair.private.n)
 

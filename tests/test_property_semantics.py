@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 from repro.errors import (FileNotFound, PermissionDenied, SharoesError,
                           UnsupportedPermission)
 from repro.caps.model import supported_bits
+from repro.fs import path as fspath
 from repro.fs.client import SharoesFilesystem
-from repro.fs.permissions import EXEC, READ, WRITE, triple
+from repro.fs.permissions import ObjectPerms, ReferenceEvaluator
 from repro.fs.volume import SharoesVolume
 from repro.migration.localfs import LocalTree
 from repro.migration.migrate import MigrationTool
@@ -68,27 +69,30 @@ def _groups_of(user: str) -> set[str]:
         {"hr"} if user == "carol" else set())
 
 
+REFERENCE = ReferenceEvaluator(_groups_of)
+
+
+def _perms(node) -> ObjectPerms:
+    return ObjectPerms(owner=node.owner, group=node.group, mode=node.mode,
+                       ftype=node.ftype)
+
+
 def _expected_rights(tree: LocalTree, path: str, user: str):
-    """(can_reach, can_list_or_read, can_write) per plain *nix rules."""
-    from repro.fs import path as fspath
-    parts = fspath.split_path(path)
+    """(can_reach, can_list_or_read, can_write) per the reference
+    evaluator."""
     node = tree.root
-    groups = _groups_of(user)
-    for name in parts:
-        bits = node.mode if node.is_dir() else 0
-        from repro.fs.permissions import ObjectPerms
-        perms = ObjectPerms(owner=node.owner, group=node.group,
-                            mode=node.mode, ftype=node.ftype)
-        if not perms.bits_for(user, groups) & EXEC:
-            return False, False, False
+    ancestors = []
+    for name in fspath.split_path(path):
+        ancestors.append(_perms(node))
         node = node.children[name]
-    from repro.fs.permissions import ObjectPerms
-    perms = ObjectPerms(owner=node.owner, group=node.group,
-                        mode=node.mode, ftype=node.ftype)
-    bits = perms.bits_for(user, groups)
+    if not REFERENCE.can_traverse_to(ancestors, user):
+        return False, False, False
+    perms = _perms(node)
     if node.is_dir():
-        return True, bool(bits & READ), bool(bits & WRITE and bits & EXEC)
-    return True, bool(bits & READ), bool(bits & WRITE)
+        return (True, REFERENCE.can_list(perms, user),
+                REFERENCE.can_modify_dir(perms, user))
+    return (True, REFERENCE.can_read_file(perms, user),
+            REFERENCE.can_write_file(perms, user))
 
 
 @pytest.fixture(scope="module")

@@ -12,6 +12,8 @@ through ``repro matrix rebalance``.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.crypto import rsa
@@ -150,6 +152,22 @@ class TestPlanBlob:
         with pytest.raises(IntegrityError):
             RebalancePlan.from_blob(b"\x00" * 8 + b"not json",
                                     KEY.public)
+
+    def test_signed_body_missing_its_rings_refused(self):
+        """A correctly signed body that is not a plan is refused, not a
+        ``KeyError`` in every router that reads it."""
+        body = b'{"epoch":1}'
+        raw = (1 * 256 + 1).to_bytes(8, "big") + json.dumps({
+            "body": body.decode(),
+            "sig": rsa.sign(KEY.private, body).hex()}).encode()
+        with pytest.raises(IntegrityError, match="malformed plan body"):
+            RebalancePlan.from_blob(raw, KEY.public)
+
+    def test_unknown_state_rank_refused(self):
+        # The rank rides outside the signature: the SSP can write any.
+        raw = (1 * 256 + 99).to_bytes(8, "big") + _plan().to_blob()[8:]
+        with pytest.raises(IntegrityError, match="unknown plan state"):
+            RebalancePlan.from_blob(raw, KEY.public)
 
 
 # ---------------------------------------------------------------------------

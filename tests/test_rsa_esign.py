@@ -58,6 +58,33 @@ class TestRsaEncryption:
         with pytest.raises(CryptoError):
             rsa.decrypt(other.private, blob)
 
+    @staticmethod
+    def _raw_encrypt(public, padded: bytes) -> bytes:
+        """Textbook-encrypt an already padded block: what an SSP holding
+        only the public key can plant in a lockbox."""
+        value = pow(int.from_bytes(padded, "big"), public.e, public.n)
+        return value.to_bytes(public.byte_length, "big")
+
+    @pytest.mark.parametrize("body, error", [
+        (b"\x01" * 62, "separator missing"),
+        (b"\x01" * 5 + b"\x00" + b"m" * 56, "padding too short"),
+    ], ids=["no-separator", "short-padding"])
+    def test_forged_padding_rejected(self, rsa_pair, body, error):
+        blob = self._raw_encrypt(rsa_pair.public, b"\x00\x02" + body)
+        with pytest.raises(CryptoError, match=error):
+            rsa.decrypt(rsa_pair.private, blob)
+
+    def test_ciphertext_of_wrong_length_rejected(self, rsa_pair):
+        blob = rsa.encrypt(rsa_pair.public, b"secret")
+        with pytest.raises(CryptoError, match="length does not match"):
+            rsa.decrypt(rsa_pair.private, blob + b"\x00")
+
+    def test_ciphertext_out_of_range_rejected(self, rsa_pair):
+        blob = rsa_pair.public.n.to_bytes(rsa_pair.public.byte_length,
+                                          "big")
+        with pytest.raises(CryptoError, match="out of range"):
+            rsa.decrypt(rsa_pair.private, blob)
+
     def test_nominal_block_count(self):
         assert rsa.nominal_block_count(0) == 1
         assert rsa.nominal_block_count(245) == 1
@@ -95,6 +122,12 @@ class TestRsaSignatures:
         with pytest.raises(IntegrityError):
             rsa.verify(rsa_pair.public, b"message", b"short")
 
+    def test_signature_out_of_range_rejected(self, rsa_pair):
+        signature = rsa_pair.public.n.to_bytes(rsa_pair.public.byte_length,
+                                               "big")
+        with pytest.raises(IntegrityError, match="out of range"):
+            rsa.verify(rsa_pair.public, b"message", signature)
+
 
 class TestRsaSerialization:
     def test_public_roundtrip(self, rsa_pair):
@@ -108,10 +141,6 @@ class TestRsaSerialization:
         msg = b"still works"
         assert rsa.decrypt(restored,
                            rsa.encrypt(rsa_pair.public, msg)) == msg
-
-    def test_fingerprint_stable(self, rsa_pair):
-        assert (rsa_pair.public.fingerprint()
-                == rsa_pair.public.fingerprint())
 
 
 class TestEsign:

@@ -36,12 +36,6 @@ class TestTraceFormat:
         with pytest.raises(SharoesError):
             Trace.loads("mkdir\t/a\t755\textra\n")
 
-    def test_save_load_file(self, tmp_path):
-        trace = Trace().mkdir("/x", 0o700).create("/x/y", 10, 0o600)
-        target = tmp_path / "ops.trace"
-        trace.save(target)
-        assert Trace.load(target).ops == trace.ops
-
     def test_synthesized_trace_shape(self):
         trace = synthesize_office_trace(users_dirs=2, files_per_dir=3,
                                         churn=10)
