@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 from ..storage.resilient import ServerWrapper
-from ..storage.server import ok_reply
+from ..storage.server import failure_reply, ok_reply
 from .tracing import Span
 
 __all__ = [
@@ -200,23 +200,12 @@ class TracedServer(ServerWrapper):
         self.spans.append(root)
         return root
 
-    def _lookup_cost(self, exc: Exception) -> tuple[float, float]:
-        """Errors that prove the store was consulted still cost a seek;
-        guard rejections (CAS/fence) additionally cost the check."""
-        from ..errors import (BlobNotFound, CasConflictError,
-                              StaleEpochError)
-        if isinstance(exc, (CasConflictError, StaleEpochError)):
-            return self.profile.disk_fixed_s, self.profile.verify_fixed_s
-        if isinstance(exc, BlobNotFound):
-            return self.profile.disk_fixed_s, 0.0
-        return 0.0, 0.0
-
     # -- traced operations ------------------------------------------------
 
     def _forward(self, op):
         """One ``server.<kind>`` span per single request, priced exactly
-        like the same op riding a batch (:meth:`_sub_costs`); a raising
-        request is priced by how far it got (:meth:`_lookup_cost`)."""
+        like the same op riding a batch (:meth:`_sub_costs` over the
+        reply its outcome maps to); the original exception re-raises."""
         ctx = self._ctx()
         start = self.clock.now
         decode_s = self._decode_seconds(
@@ -227,12 +216,12 @@ class TracedServer(ServerWrapper):
         try:
             result = op.call(self.inner)
         except Exception as exc:
-            disk_s, verify_s = self._lookup_cost(exc)
-            self._emit(op.kind, ctx, start, decode_s, disk_s, verify_s,
+            self._emit(op.kind, ctx, start, decode_s,
+                       *self._sub_costs(op, failure_reply(exc)),
                        error=type(exc).__name__, **attrs)
             raise
-        disk_s, verify_s = self._sub_costs(op, ok_reply(op, result))
-        self._emit(op.kind, ctx, start, decode_s, disk_s, verify_s, **attrs)
+        self._emit(op.kind, ctx, start, decode_s,
+                   *self._sub_costs(op, ok_reply(op, result)), **attrs)
         return result
 
     def batch(self, ops):

@@ -37,14 +37,15 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-from ..errors import (CasConflictError, CircuitOpenError, ClientCrashed,
+from ..errors import (CircuitOpenError, ClientCrashed, StorageError,
                       TransientStorageError)
 from ..fs.cache import LruCache
 from ..sim.clock import SimClock
 from ..sim.costmodel import NETWORK, CostModel
 from .blobs import BlobId
 from .server import (MUTATION_KINDS, BatchOp, BatchReply, OpMethods,
-                     StorageServer, apply_batch, ok_reply)
+                     StorageServer, apply_batch, failure_reply, ok_reply,
+                     reply_value)
 
 
 class ServerWrapper(OpMethods):
@@ -430,60 +431,112 @@ class ResilientTransport(ServerWrapper):
 
     # -- the retry loop -----------------------------------------------------
 
-    def _execute(self, op: str, blob_id: BlobId, attempt_fn,
-                 fallback_fn=None):
+    def _execute(self, label: str, ops: list[BatchOp],
+                 send: Callable[[list[BatchOp]], list[BatchReply]]
+                 ) -> list[BatchReply]:
+        """The one attempt loop: a frame, or a single op as a frame of one.
+
+        ``send`` ships the sub-ops not yet resolved and returns a reply
+        per sub-op.  Each attempt's replies extend the resolved prefix
+        (:meth:`_settle`); a transient sub-reply, a short reply or a lost
+        frame (``send`` raising ``TransientStorageError``) is a failed
+        attempt, retried from the first unresolved sub-op -- applied
+        sub-ops are never re-sent.  ``fenced`` or a hard ``error`` ends
+        the frame (a revoked fence only moves further away; a server
+        that answers is healthy).  Exhausted retries put a transient
+        ``error`` at the first unresolved sub-op and the tail reads
+        ``unattempted``.  An open breaker raises ``CircuitOpenError``
+        before any attempt; ``ClientCrashed`` propagates unhandled.
+
+        Backoff: the first retry waits ``base_delay_s``; a retry that
+        fails draws the next wait (:meth:`_next_delay`), so one request
+        draws the same jitter whether it is a frame or a single op.
+        """
         policy = self.policy
+        for op in ops:
+            if op.kind in ("delete", "delete_fenced"):
+                # Invalidate before the first attempt: even when every
+                # try fails, a blob this client asked to delete is never
+                # served back from the fallback cache.
+                self._forget(op.blob_id)
         if not self._breaker_allows():
             self.breaker_rejections += 1
-            if fallback_fn is not None:
-                served = fallback_fn()
-                if served is not None:
-                    return served
             raise CircuitOpenError(
                 f"{self.name}: circuit open for another "
                 f"{self._opened_at + policy.breaker_cooldown_s - self._now():.3f}s "
-                f"({op} {blob_id})")
+                f"({label} of {len(ops)})")
 
+        merged: list[BatchReply] = []  # the resolved prefix
         backoff_spent = 0.0
         delay = policy.base_delay_s
         wait = 0.0  # backoff before the next attempt (0 for the first)
+        tries = 0
         last_error: TransientStorageError | None = None
         for attempt in range(1, policy.max_attempts + 1):
             if attempt > 1:
                 if backoff_spent + wait > policy.deadline_s:
                     break  # deadline: give up before sleeping again
                 self.retries += 1
-            failed = False
-            with self._attempt_scope(op, attempt, wait) as span:
+            last_error = None
+            with self._attempt_scope(label, attempt, wait) as span:
                 if wait:
                     self._sleep(wait)
                     backoff_spent += wait
+                self.attempts += 1
+                tries = attempt
                 try:
-                    self.attempts += 1
-                    result = attempt_fn()
+                    self._settle(ops, merged, send(ops[len(merged):]),
+                                 resent=attempt > 1)
                 except TransientStorageError as exc:
                     last_error = exc
-                    failed = True
                     if span is not None:
                         span.error = type(exc).__name__
-            if failed:
-                self._record_failure()
-                if attempt > 1:
-                    delay = self._next_delay(delay)
-                wait = delay
-                continue
-            self._record_success()
-            return result
+            if last_error is None:
+                self._record_success()
+                return merged
+            self._record_failure()
+            if attempt > 1:
+                delay = self._next_delay(delay)
+            wait = delay
 
         self.giveups += 1
-        if fallback_fn is not None:
-            served = fallback_fn()
-            if served is not None:
-                return served
-        raise TransientStorageError(
-            f"{self.name}: {op} {blob_id} failed after "
-            f"{policy.max_attempts} attempts "
-            f"({backoff_spent:.3f}s backoff)") from last_error
+        failed_op = ops[len(merged)]
+        merged.append(BatchReply(
+            "error", transient=True,
+            message=(f"{self.name}: {failed_op.kind} {failed_op.blob_id} "
+                     f"failed after {tries} attempts "
+                     f"({backoff_spent:.3f}s backoff): {last_error}")))
+        merged += [BatchReply("unattempted")] * (len(ops) - len(merged))
+        return merged
+
+    def _settle(self, ops: list[BatchOp], merged: list[BatchReply],
+                replies: list[BatchReply], resent: bool) -> None:
+        """Fold one attempt's replies into the resolved prefix ``merged``.
+
+        Raises ``TransientStorageError`` to retry from the first sub-op
+        still unresolved (a transient sub-reply or a short reply).
+        """
+        for op, reply in zip(ops[len(merged):], replies):
+            if (resent and reply.status == "conflict"
+                    and op.kind == "put_if"
+                    and reply.payload == bytes(op.payload or b"")):
+                # Only on a re-sent attempt: an earlier one applied
+                # before its ack was lost, so the "conflict" is our own
+                # landed write.  On a first attempt it is a lost race --
+                # another writer can produce identical bytes.
+                reply = BatchReply("ok")
+            if reply.status == "unattempted":
+                break
+            if reply.status == "error" and reply.transient:
+                raise TransientStorageError(reply.message)
+            merged.append(reply)
+            self._absorb_subop(op, reply)
+            if reply.status in ("fenced", "error"):
+                merged += [BatchReply("unattempted")] * (
+                    len(ops) - len(merged))
+                return
+        if len(merged) < len(ops):
+            raise TransientStorageError("short batch reply")
 
     def _next_delay(self, previous: float) -> float:
         policy = self.policy
@@ -499,192 +552,86 @@ class ResilientTransport(ServerWrapper):
             candidate = previous * 2.0
         return min(policy.max_delay_s, candidate)
 
-    # -- degraded reads -----------------------------------------------------
+    # -- the fallback cache -------------------------------------------------
 
-    def _serve_stale(self, blob_id: BlobId):
-        if not self.policy.cache_fallback:
+    def _forget(self, blob_id: BlobId) -> None:
+        self._fallback.invalidate(blob_id)
+        self.stale_blob_ids.discard(blob_id)
+
+    def _serve_stale(self, op: BatchOp):
+        """The last-known-good copy for a read that could not be served
+        (None: not a read, or nothing cached)."""
+        if op.kind != "get" or not self.policy.cache_fallback:
             return None
-        payload = self._fallback.get(blob_id)
+        payload = self._fallback.get(op.blob_id)
         if payload is None:
             return None
         self.degraded_reads += 1
-        self.stale_blob_ids.add(blob_id)
+        self.stale_blob_ids.add(op.blob_id)
         return payload
+
+    def _absorb_subop(self, op: BatchOp, reply: BatchReply) -> None:
+        """Fallback-cache upkeep for one acknowledged sub-op."""
+        if not self.policy.cache_fallback or reply.status != "ok":
+            return
+        if op.kind in ("put", "put_if", "put_fenced"):
+            # Write-through: this client's own upload is the freshest
+            # possible fallback copy.
+            payload = op.payload or b""
+            self._fallback.put(op.blob_id, bytes(payload), len(payload))
+        elif op.kind == "get":
+            # A genuinely fresh fetch: refresh the fallback copy and
+            # clear any stale mark from an earlier degraded serve.
+            payload = reply.payload or b""
+            self._fallback.put(op.blob_id, payload, len(payload))
+            self.stale_blob_ids.discard(op.blob_id)
+        elif op.kind in ("delete", "delete_fenced"):
+            self._forget(op.blob_id)
 
     # -- the StorageServer interface ----------------------------------------
 
     def _forward(self, op: BatchOp):
-        """One retried request: every named method arrives here.
+        """A single op: a frame of one through :meth:`_execute`.
 
-        Transient faults are retried; a genuine CAS conflict or a stale
-        fence is terminal (plain StorageErrors propagate immediately --
-        a revoked fence can only move further away).
+        It still reaches the layer below as its named method, so its
+        wire frame is unchanged, and it returns what that method returns
+        and raises what it raised.  A read that gives up, or meets an
+        open breaker, is served from the fallback cache when it can be.
         """
-        blob_id = op.blob_id
-        if op.kind in ("delete", "delete_fenced"):
-            # Invalidate before the attempt: even when every try fails,
-            # a blob this client asked to delete is never served back
-            # from the fallback cache.
-            self._fallback.invalidate(blob_id)
-            self.stale_blob_ids.discard(blob_id)
+        raised: list[StorageError] = []
 
-        def attempt():
+        def send(_unresolved):
             try:
-                return op.call(self.inner)
-            except CasConflictError as exc:
-                # If an earlier attempt *applied* before its ack was
-                # lost, the retry sees a "conflict" whose current bytes
-                # are exactly what we tried to write -- that is success,
-                # not a lost race.
-                if (op.kind == "put_if"
-                        and exc.current == bytes(op.payload or b"")):
-                    return None  # our own earlier attempt landed
+                return [ok_reply(op, op.call(self.inner))]
+            except StorageError as exc:
+                raised.append(exc)
+                if isinstance(exc, TransientStorageError):
+                    raise  # the frame of one was lost: re-send it
+                return [failure_reply(exc)]
+
+        try:
+            [reply] = self._execute(op.kind, [op], send)
+        except CircuitOpenError:
+            stale = self._serve_stale(op)
+            if stale is None:
                 raise
-
-        degraded_before = self.degraded_reads
-        result = self._execute(
-            op.kind, blob_id, attempt,
-            fallback_fn=((lambda: self._serve_stale(blob_id))
-                         if op.kind == "get" else None))
-        if self.degraded_reads == degraded_before:
-            # Acknowledged by the backend (not a stale serve): same
-            # fallback-cache upkeep as an ``ok`` batch sub-reply.
-            self._absorb_subop(op, ok_reply(op, result))
-        return result
-
-    def _absorb_subop(self, op: BatchOp, reply: BatchReply) -> None:
-        """Fallback-cache upkeep for one terminally-resolved op."""
-        if not self.policy.cache_fallback:
-            return
-        if reply.status == "ok":
-            if op.kind in ("put", "put_if", "put_fenced"):
-                # Write-through: this client's own upload is the
-                # freshest possible fallback copy.
-                payload = op.payload or b""
-                self._fallback.put(op.blob_id, bytes(payload),
-                                   len(payload))
-            elif op.kind == "get":
-                # A genuinely fresh fetch: refresh the fallback copy and
-                # clear any stale mark from an earlier degraded serve.
-                payload = reply.payload or b""
-                self._fallback.put(op.blob_id, payload, len(payload))
-                self.stale_blob_ids.discard(op.blob_id)
-            elif op.kind in ("delete", "delete_fenced"):
-                self._fallback.invalidate(op.blob_id)
-                self.stale_blob_ids.discard(op.blob_id)
-
-    # -- batched requests ----------------------------------------------------
+            return stale
+        if reply.ok:
+            return reply_value(op, reply)
+        if reply.status == "error" and reply.transient:  # gave up
+            stale = self._serve_stale(op)
+            if stale is not None:
+                return stale
+            raise TransientStorageError(reply.message) from raised[-1]
+        raise raised[-1]
 
     def batch(self, ops) -> list[BatchReply]:
-        """Batched request with *partial-failure* retry.
-
-        Sub-ops resolve in order, so each server answer is a terminal
-        prefix (ok/missing/conflict, possibly ending in fenced or error)
-        plus an unattempted tail.  The terminal prefix is committed to
-        the merged result and **only the unapplied suffix is re-sent** on
-        a transient failure -- applied sub-ops are never re-executed, so
-        the applied/failed/remaining contract survives retries intact.
-
-        Terminal outcomes: a ``fenced`` sub-reply ends the batch (a
-        revoked fence only moves further away); a non-transient error
-        ends it; exhausted retries leave a transient ``error`` sub-reply
-        at the failure point.  The caller maps those onto
-        ``StaleEpochError`` / ``PartialWriteError`` exactly as for
-        single ops.  ``ClientCrashed`` propagates unhandled.
-        """
+        """A frame through :meth:`_execute`: partial-failure retry that
+        re-sends only the unresolved suffix, so the applied / failed /
+        remaining contract survives retries intact.  The caller maps a
+        ``fenced`` or ``error`` reply onto ``StaleEpochError`` /
+        ``PartialWriteError`` exactly as for single ops."""
         ops = list(ops)
         if not ops:
             return []
-        policy = self.policy
-        if not self._breaker_allows():
-            self.breaker_rejections += 1
-            raise CircuitOpenError(
-                f"{self.name}: circuit open for another "
-                f"{self._opened_at + policy.breaker_cooldown_s - self._now():.3f}s "
-                f"(batch of {len(ops)})")
-
-        merged: list[BatchReply | None] = [None] * len(ops)
-        start = 0  # first sub-op not yet terminally resolved
-        backoff_spent = 0.0
-        delay = policy.base_delay_s
-        attempt = 0
-        failure_msg = "batch failed"
-
-        def _giveup() -> list[BatchReply]:
-            self.giveups += 1
-            merged[start] = BatchReply(
-                "error", transient=True,
-                message=(f"{self.name}: batch sub-op {start} failed "
-                         f"after {attempt} attempts: {failure_msg}"))
-            for k in range(start + 1, len(ops)):
-                merged[k] = BatchReply("unattempted")
-            return merged  # type: ignore[return-value]
-
-        wait = 0.0  # backoff before the next attempt (0 for the first)
-        while True:
-            attempt += 1
-            self.attempts += 1
-            retry_needed = False
-            with self._attempt_scope("batch", attempt, wait) as span:
-                if wait:
-                    self._sleep(wait)
-                    backoff_spent += wait
-                try:
-                    replies = self.inner.batch(ops[start:])
-                except TransientStorageError as exc:
-                    # Whole frame lost (e.g. the socket died): nothing in
-                    # this slice is known-applied; re-send it verbatim.
-                    # Sub-ops are idempotent (put_if via the echo below).
-                    failure_msg = str(exc)
-                    retry_needed = True
-                    replies = []
-                for j, reply in enumerate(replies):
-                    i = start + j
-                    op = ops[i]
-                    if (reply.status == "conflict" and op.kind == "put_if"
-                            and attempt > 1
-                            and reply.payload == bytes(op.payload or b"")):
-                        # Our own earlier attempt landed before its ack
-                        # was lost: that is success, not a lost race.
-                        reply = BatchReply("ok")
-                    if reply.status in ("ok", "missing", "conflict"):
-                        merged[i] = reply
-                        self._absorb_subop(op, reply)
-                        continue
-                    if reply.status == "fenced":
-                        merged[i] = reply
-                        for k in range(i + 1, len(ops)):
-                            merged[k] = BatchReply("unattempted")
-                        self._record_success()
-                        return merged  # type: ignore[return-value]
-                    if reply.status == "error" and not reply.transient:
-                        merged[i] = reply
-                        for k in range(i + 1, len(ops)):
-                            merged[k] = BatchReply("unattempted")
-                        # The server answered; the transport is fine.
-                        self._record_success()
-                        return merged  # type: ignore[return-value]
-                    if reply.status == "error":  # transient: retry suffix
-                        start = i
-                        failure_msg = reply.message
-                        retry_needed = True
-                    break  # unattempted tail (or the error we just noted)
-                if not retry_needed:
-                    if start + len(replies) < len(ops):
-                        # Defensive: a short reply with no error marker.
-                        start += len(replies)
-                        failure_msg = "short batch reply"
-                        retry_needed = True
-                    else:
-                        self._record_success()
-                        return merged  # type: ignore[return-value]
-                if span is not None:
-                    span.error = "TransientStorageError"
-            self._record_failure()
-            if attempt >= policy.max_attempts:
-                return _giveup()
-            if backoff_spent + delay > policy.deadline_s:
-                return _giveup()
-            self.retries += 1
-            wait = delay
-            delay = self._next_delay(delay)
+        return self._execute("batch", ops, self.inner.batch)

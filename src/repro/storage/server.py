@@ -194,25 +194,40 @@ def ok_reply(op: BatchOp, result) -> BatchReply:
     return BatchReply("ok", payload=result)
 
 
-def execute(server: "StorageServer", op: BatchOp) -> BatchReply:
-    """Run one op through ``server``'s named method; outcome as a reply.
+def reply_value(op: BatchOp, reply: BatchReply):
+    """What the named method returns for an ``ok`` reply (the inverse of
+    :func:`ok_reply`)."""
+    if op.kind == "exists":
+        return reply.payload == b"\x01"
+    return reply.payload
+
+
+def failure_reply(exc: Exception) -> BatchReply:
+    """The reply a named method's exception stands for.
 
     The only exception -> status mapping.  ``missing`` and ``conflict``
     are answers; ``fenced`` and ``error`` are what stop a batch.
-    ``ClientCrashed`` is not a storage outcome and propagates.
+    """
+    if isinstance(exc, BlobNotFound):
+        return BatchReply("missing")
+    if isinstance(exc, CasConflictError):
+        return BatchReply("conflict", payload=exc.current)
+    if isinstance(exc, StaleEpochError):
+        return BatchReply("fenced", epoch=exc.current_epoch)
+    return BatchReply("error", message=str(exc),
+                      transient=isinstance(exc, TransientStorageError))
+
+
+def execute(server: "StorageServer", op: BatchOp) -> BatchReply:
+    """Run one op through ``server``'s named method; outcome as a reply.
+
+    ``ClientCrashed`` (and anything else that is not a storage outcome)
+    propagates.
     """
     try:
         return ok_reply(op, op.call(server))
-    except BlobNotFound:
-        return BatchReply("missing")
-    except CasConflictError as exc:
-        return BatchReply("conflict", payload=exc.current)
-    except StaleEpochError as exc:
-        return BatchReply("fenced", epoch=exc.current_epoch)
-    except TransientStorageError as exc:
-        return BatchReply("error", message=str(exc), transient=True)
     except StorageError as exc:
-        return BatchReply("error", message=str(exc))
+        return failure_reply(exc)
 
 
 def apply_batch(server: "StorageServer",

@@ -81,8 +81,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from ..errors import (BlobNotFound, CasConflictError, StaleEpochError,
-                      TransientStorageError)
+from ..errors import BlobNotFound, CasConflictError, TransientStorageError
 from ..sim.clock import SimClock
 from .accounting import ServerStats
 from .blobs import JOURNAL, LEASE, PLAN, BlobId
@@ -617,73 +616,16 @@ class ShardedServer:
 
     # -- mutations -----------------------------------------------------------
 
-    def _fan_out(self, op: str, blob_id: BlobId,
-                 call: Callable[[ResilientTransport], None]
-                 ) -> tuple[list[int], list[int]]:
-        """Apply one mutation to every replica; succeed on >= 1 live.
-
-        Returns ``(applied, missed)`` shard indices.  Missed replicas
-        hold a stale copy now -- the caller flags them suspect and
-        anti-entropy restores them.  Terminal storage answers (CAS
-        conflict, stale epoch) propagate immediately: they are protocol
-        outcomes, not shard failures; replicas that already applied are
-        flagged suspect so the skew cannot be served.
-        """
-        targets = self.placement(blob_id)
-        applied: list[int] = []
-        missed: list[int] = []
-        for shard_index in targets:
-            try:
-                call(self.shards[shard_index].transport)
-                applied.append(shard_index)
-            except TransientStorageError:
-                missed.append(shard_index)
-            except (CasConflictError, StaleEpochError):
-                for done in applied:
-                    self._mark_suspect(blob_id, done)
-                raise
-        if not applied:
-            self.failed_ops += 1
-            raise TransientStorageError(
-                f"{self.name}: no live replica for {op} {blob_id} "
-                f"(shards {targets})")
-        if missed:
-            self.partial_writes += 1
-        return applied, missed
-
-    def _after_write(self, blob_id: BlobId, applied: Sequence[int],
-                     missed: Sequence[int]) -> None:
-        if self.plan is not None and blob_id.kind not in _CONTROL_KINDS:
-            self.dual_writes += 1
-        self._deleted.pop(blob_id, None)
-        for shard_index in applied:
-            self._clear_suspect(blob_id, shard_index)
-        for shard_index in missed:
-            self._mark_suspect(blob_id, shard_index)
-
-    def _after_delete(self, blob_id: BlobId,
-                      missed: Sequence[int]) -> None:
-        if self.plan is not None and blob_id.kind not in _CONTROL_KINDS:
-            self.dual_writes += 1
-        self._suspect.pop(blob_id, None)
-        still = {s for s in missed
-                 if self.shards[s].backend.exists(blob_id)}
-        if still:
-            self._deleted[blob_id] = still
-        else:
-            self._deleted.pop(blob_id, None)
+    def _write(self, op: BatchOp) -> None:
+        """One mutation: a one-sub-op segment through the frame's merge
+        (:meth:`_scatter_segment`), its reply re-raised."""
+        self._scatter_segment([op])[0].raise_for_status()
 
     def put(self, blob_id: BlobId, payload: bytes) -> None:
-        applied, missed = self._fan_out(
-            "put", blob_id, lambda t: t.put(blob_id, payload))
-        self._after_write(blob_id, applied, missed)
-        self.stats.record_put(blob_id.kind, len(payload))
+        self._write(BatchOp.put(blob_id, payload))
 
     def delete(self, blob_id: BlobId) -> None:
-        _, missed = self._fan_out(
-            "delete", blob_id, lambda t: t.delete(blob_id))
-        self._after_delete(blob_id, missed)
-        self.stats.record_delete(blob_id.kind, 0)
+        self._write(BatchOp.delete(blob_id))
 
     def put_if(self, blob_id: BlobId, payload: bytes,
                expected: bytes | None) -> None:
@@ -701,10 +643,7 @@ class ShardedServer:
         if current != expected:
             raise CasConflictError(f"cas conflict on {blob_id}",
                                    current=current)
-        applied, missed = self._fan_out(
-            "put_if", blob_id, lambda t: t.put(blob_id, payload))
-        self._after_write(blob_id, applied, missed)
-        self.stats.record_put(blob_id.kind, len(payload))
+        self._write(BatchOp.put(blob_id, payload))
 
     def _live_fence_epoch(self, fence: BlobId) -> int:
         """Highest fencing epoch across live replicas of ``fence``."""
@@ -719,37 +658,13 @@ class ShardedServer:
                 continue
         return max(epochs)
 
-    def _check_fence(self, fence: BlobId, epoch: int) -> None:
-        current = self._live_fence_epoch(fence)
-        if epoch < current:
-            raise StaleEpochError(
-                f"fenced write at epoch {epoch} rejected: "
-                f"{fence} is at epoch {current}",
-                current_epoch=current)
-
     def put_fenced(self, blob_id: BlobId, payload: bytes,
                    fence: BlobId, epoch: int) -> None:
-        """Fence on the max live epoch, then every replica re-checks.
-
-        The pre-check closes the zombie gap a lagging replica would
-        open (its local fence copy fails open at a stale epoch); the
-        per-replica check keeps each shard independently safe.
-        """
-        self._check_fence(fence, epoch)
-        applied, missed = self._fan_out(
-            "put_fenced", blob_id,
-            lambda t: t.put_fenced(blob_id, payload, fence, epoch))
-        self._after_write(blob_id, applied, missed)
-        self.stats.record_put(blob_id.kind, len(payload))
+        self._write(BatchOp.put_fenced(blob_id, payload, fence, epoch))
 
     def delete_fenced(self, blob_id: BlobId,
                       fence: BlobId, epoch: int) -> None:
-        self._check_fence(fence, epoch)
-        _, missed = self._fan_out(
-            "delete_fenced", blob_id,
-            lambda t: t.delete_fenced(blob_id, fence, epoch))
-        self._after_delete(blob_id, missed)
-        self.stats.record_delete(blob_id.kind, 0)
+        self._write(BatchOp.delete_fenced(blob_id, fence, epoch))
 
     # -- batched sub-ops: per-shard scatter-gather ---------------------------
 
@@ -817,24 +732,21 @@ class ShardedServer:
     def _scatter_segment(self,
                          segment: Sequence[BatchOp]) -> list[BatchReply]:
         """One barrier-free scatter-gather round over ``segment``."""
-        # Fenced pre-check (same zombie gap as the single-op path): cut
-        # the segment at the first sub-op whose fence already advanced.
+        # Fenced pre-check on the max live epoch: a lagging replica's
+        # local fence copy fails open at a stale epoch, so a zombie could
+        # otherwise land there.  Cut the segment at the first sub-op
+        # whose fence already advanced; every replica re-checks its own.
         cut = len(segment)
         fenced_reply: BatchReply | None = None
-        checked: dict[tuple[BlobId, int], BatchReply | None] = {}
+        live: dict[BlobId, int] = {}
         for idx, op in enumerate(segment):
             if op.kind not in ("put_fenced", "delete_fenced"):
                 continue
-            key = (op.fence, op.epoch or 0)
-            if key not in checked:
-                try:
-                    self._check_fence(op.fence, op.epoch or 0)
-                    checked[key] = None
-                except StaleEpochError as exc:
-                    checked[key] = BatchReply(
-                        "fenced", epoch=exc.current_epoch)
-            if checked[key] is not None:
-                cut, fenced_reply = idx, checked[key]
+            if op.fence not in live:
+                live[op.fence] = self._live_fence_epoch(op.fence)
+            if (op.epoch or 0) < live[op.fence]:
+                cut = idx
+                fenced_reply = BatchReply("fenced", epoch=live[op.fence])
                 break
 
         frames: dict[int, list[tuple[int, BatchOp]]] = {}
@@ -927,13 +839,26 @@ class ShardedServer:
                          f"{op.kind} {op.blob_id}"))
         if missed:
             self.partial_writes += 1
+        blob_id = op.blob_id
+        if self.plan is not None and blob_id.kind not in _CONTROL_KINDS:
+            self.dual_writes += 1
         if op.kind in ("put", "put_fenced"):
-            self._after_write(op.blob_id, applied, missed)
-            self.stats.record_put(op.blob_id.kind,
-                                  len(op.payload or b""))
+            self._deleted.pop(blob_id, None)
+            for shard_index in applied:
+                self._clear_suspect(blob_id, shard_index)
+            for shard_index in missed:
+                self._mark_suspect(blob_id, shard_index)
+            self.stats.record_put(blob_id.kind, len(op.payload or b""))
         else:  # delete / delete_fenced
-            self._after_delete(op.blob_id, missed)
-            self.stats.record_delete(op.blob_id.kind, 0)
+            # A missed replica still holding bytes is a pending delete.
+            self._suspect.pop(blob_id, None)
+            still = {s for s in missed
+                     if self.shards[s].backend.exists(blob_id)}
+            if still:
+                self._deleted[blob_id] = still
+            else:
+                self._deleted.pop(blob_id, None)
+            self.stats.record_delete(blob_id.kind, 0)
         return BatchReply("ok")
 
     # -- anti-entropy --------------------------------------------------------

@@ -3,7 +3,7 @@
 Covers the three transient-fault injectors (Flaky / Slow / Outage), the
 retry loop (backoff, jitter determinism, deadline), the circuit breaker
 state machine, graceful degradation through the last-known-good cache,
-and the observability wiring (cost-model charges, retry spans,
+and the observability wiring (cost-model charges, attempt spans,
 ``bind_transport`` metrics).  Whole-filesystem chaos lives in
 ``test_chaos.py``; this file isolates each mechanism.
 """
@@ -25,7 +25,7 @@ from repro.storage.resilient import (BREAKER_CLOSED, BREAKER_HALF_OPEN,
                                      OutageServer, ResilientTransport,
                                      RetryPolicy, ServerWrapper,
                                      SlowServer)
-from repro.storage.server import StorageServer
+from repro.storage.server import BatchOp, StorageServer
 
 BLOB = data_blob(1, "b0")
 OTHER = data_blob(2, "b0")
@@ -256,6 +256,25 @@ class TestRetryLoop:
         assert transport.backoff_seconds == pytest.approx(3.0)
         assert transport.attempts == 3  # far fewer than max_attempts
 
+    @pytest.mark.parametrize("fails", [1, 2, 3])
+    def test_a_single_op_is_a_frame_of_one(self, fails):
+        """Same counters, same backoff and the same next jitter draw
+        after ``put`` as after ``batch([put])``: one loop, one order."""
+        def state_after(send):
+            transport = ResilientTransport(
+                FailNTimes(StorageServer(), fails=fails),
+                RetryPolicy(seed=3))
+            send(transport)
+            return (transport.attempts, transport.retries,
+                    transport.failed_attempts, transport.backoff_seconds,
+                    transport._rng.random())
+
+        single = state_after(lambda t: t.put(BLOB, b"x"))
+        framed = state_after(
+            lambda t: t.batch([BatchOp.put(BLOB, b"x")])[0].raise_for_status())
+        assert single == framed
+        assert single[:3] == (fails + 1, fails, fails)
+
     def test_put_and_delete_retry_too(self):
         backend = seeded_backend()
         transport = ResilientTransport(FailNTimes(backend, fails=1))
@@ -313,6 +332,27 @@ class TestCircuitBreaker:
         assert transport.breaker_state == BREAKER_OPEN
         cost.clock.advance(5.0)  # cooldown elapses on the sim clock
         assert transport.get(BLOB) == b"payload-v1"  # half-open probe
+        assert transport.breaker_state == BREAKER_CLOSED
+
+    @pytest.mark.parametrize("framed", [False, True],
+                             ids=["single", "frame_of_one"])
+    def test_an_answer_closes_a_half_open_breaker(self, framed):
+        """A probe the server answers, even with ``missing``, proves it
+        reachable: the breaker closes alone or in a frame."""
+        cost = CostModel(FREE)
+        transport = ResilientTransport(
+            FailNTimes(StorageServer(), fails=4), self.POLICY, cost=cost)
+        for _ in range(2):
+            with pytest.raises(TransientStorageError):
+                transport.get(BLOB)
+        assert transport.breaker_state == BREAKER_OPEN
+        cost.clock.advance(5.0)
+        if framed:
+            [reply] = transport.batch([BatchOp.get(BLOB)])
+            assert reply.status == "missing"
+        else:
+            with pytest.raises(BlobNotFound):
+                transport.get(BLOB)
         assert transport.breaker_state == BREAKER_CLOSED
 
     def test_half_open_probe_failure_reopens(self):
@@ -443,6 +483,26 @@ class TestDegradedReads:
         gate.remaining = 10**9
         with pytest.raises(TransientStorageError):
             transport.get(BLOB)
+
+    @pytest.mark.parametrize("framed", [False, True],
+                             ids=["single", "frame_of_one"])
+    def test_a_failed_delete_is_never_resurrected(self, framed):
+        """A delete that runs out of retries drops the fallback copy all
+        the same, alone or riding a frame: the blob is not served back."""
+        flaky = FlakyServer(StorageServer(), failure_rate=0.0)
+        transport = ResilientTransport(flaky)
+        transport.put(BLOB, b"secret-v1")
+        flaky.rates.update(get=1.0, delete=1.0)
+        if framed:
+            [reply] = transport.batch([BatchOp.delete(BLOB)])
+            assert (reply.status, reply.transient) == ("error", True)
+        else:
+            with pytest.raises(TransientStorageError):
+                transport.delete(BLOB)
+        with pytest.raises(TransientStorageError):
+            transport.get(BLOB)
+        assert transport.degraded_reads == 0
+        assert transport.stale_blob_ids == set()
 
 
 # -- degraded reads x client caches (PR 7 regression) -------------------------

@@ -4,9 +4,11 @@ is indistinguishable from the bare :class:`StorageServer` beneath it.
 One fixed script of all seven kinds (hit, miss, CAS conflict, stale
 fence) is run singly and then as one mixed batch through each decorator
 in ``src/`` and through :class:`RemoteStorageClient` over both wire
-front-ends; return values, exception types and the final blobs must
-equal the reference run; the mutation trigger has a row bare and one
-armed for each of its crash, pause and rebalance-stage roles.
+front-ends, and through the sharded router; return values, exception
+types and the final blobs must equal the reference run, and so must a
+CAS that loses to bytes equal to its own payload (``ECHO``); the
+mutation trigger has a row bare and one armed for each of its crash,
+pause and rebalance-stage roles.
 Alongside: the trigger counts exactly ``MUTATION_KINDS`` however it is
 armed and fires each registered action once, just before its k-th
 mutation, and ``FlakyServer``'s RNG
@@ -33,11 +35,12 @@ from repro.storage.resilient import (FlakyServer, MutationTrigger,
                                      ServerWrapper, SlowServer, crash)
 from repro.storage.server import (BATCH_KINDS, MUTATION_KINDS, BatchOp,
                                   StorageServer)
-from repro.storage.shards import ShardOutageServer
+from repro.storage.shards import ShardedServer, ShardOutageServer
 from repro.storage.wire import RemoteStorageClient, SspServer
 from repro.tools.fsck import _RecordingServer
 
 A, B, C = data_blob(1, "b0"), data_blob(2, "b0"), data_blob(3, "b0")
+D = data_blob(4, "b0")
 MISSING = data_blob(9, "b0")
 FENCE = lease_blob(3)
 FENCE_AT_5 = struct.pack(">Q", 5) + b"lease"
@@ -77,6 +80,14 @@ BATCH = [
     BatchOp.get(C),
 ]
 
+#: A CAS that loses although the blob already holds its payload: on a
+#: first attempt that is a conflict like any other, singly and in a frame
+#: (only a *re-sent* attempt may read it as its own landed write).
+ECHO = [
+    BatchOp.put(D, b"same"),
+    BatchOp.put_if(D, b"same", b"other"),
+]
+
 
 _SCRIPT_MUTATIONS = sum(op.kind in MUTATION_KINDS for op in SCRIPT)
 
@@ -101,6 +112,12 @@ def _remote(front_end):
     finally:
         client.close()
         server.stop()
+
+
+@contextmanager
+def _sharded(shards: int, replicas: int):
+    router = ShardedServer(shards, replicas)
+    yield router, router  # its raw_blobs is the logical store
 
 
 def _no_op() -> None:
@@ -132,6 +149,7 @@ LAYERS = {
     "ShardOutageServer": lambda: _in_process(
         lambda b: ShardOutageServer(b, SimClock(), 0, start_s=100.0)),
     "ResilientTransport": lambda: _in_process(ResilientTransport),
+    "ShardedServer": lambda: _sharded(4, 2),
     "TracedServer": lambda: _in_process(
         lambda b: TracedServer(b, SimClock())),
     "TamperingServer": lambda: _in_process(
@@ -163,13 +181,15 @@ def _observe(layer, backend):
     # payload on the wire and None in process -- the same answer.
     frame = [(r.status, r.payload or None, r.epoch)
              for r in layer.batch(BATCH)]
-    return singles, frame, backend.raw_blobs()
+    echo = [_outcome(layer, op) for op in ECHO] + [
+        (r.status, r.payload or None) for r in layer.batch(ECHO)]
+    return singles, frame, echo, backend.raw_blobs()
 
 
 @pytest.fixture(scope="module")
 def reference():
     server = StorageServer()
-    singles, frame, blobs = _observe(server, server)
+    singles, frame, echo, blobs = _observe(server, server)
     # The script is only a conformance script if it reaches every
     # outcome; pin that here rather than trusting the table above.
     assert {op.kind for op in SCRIPT} == set(BATCH_KINDS)
@@ -177,7 +197,9 @@ def reference():
         "BlobNotFound", "CasConflictError", "StaleEpochError"}
     assert {status for status, _, _ in frame} == {
         "ok", "missing", "conflict", "fenced", "unattempted"}
-    return singles, frame, blobs
+    assert echo[1][:2] == ("raised", "CasConflictError")
+    assert echo[3] == ("conflict", b"same")
+    return singles, frame, echo, blobs
 
 
 @pytest.mark.parametrize("name", LAYERS)
