@@ -4,7 +4,9 @@ The observability layer must stay out of the hot path: with the metrics
 registry attached, the extra work per operation is span bookkeeping plus
 one histogram observe.  This harness measures *host*
 wall-clock of an identical Postmark pass with tracing active vs stubbed
-out, and bounds the difference below 5%.
+out, and bounds the difference below 5%.  The passes alternate
+(instrumented, stubbed, instrumented, ...), so a slow spell of the host
+lands on both sides instead of one.
 """
 
 import time
@@ -16,7 +18,12 @@ from .common import emit
 
 
 class _NullSpan:
+    """What the client reads of a span: a finished walk step records its
+    hit/miss in ``attrs`` and adds its ``duration`` to the per-depth
+    resolve attribution."""
+
     __slots__ = ("attrs",)
+    duration = 0.0
 
     def __init__(self):
         self.attrs = {}
@@ -38,19 +45,25 @@ def _postmark_wall_seconds() -> float:
     return time.perf_counter() - start
 
 
+def _stubbed_wall_seconds(monkeypatch) -> float:
+    with monkeypatch.context() as patch:
+        patch.setattr(Tracer, "span", _null_span)
+        patch.setattr(Tracer, "on_charge",
+                      lambda self, category, seconds: None)
+        return _postmark_wall_seconds()
+
+
 def test_overhead_under_5_percent(monkeypatch):
     _postmark_wall_seconds()  # warm caches/imports before timing
     repeats = 3
-    instrumented = min(_postmark_wall_seconds() for _ in range(repeats))
-
-    monkeypatch.setattr(Tracer, "span", _null_span)
-    monkeypatch.setattr(Tracer, "on_charge",
-                        lambda self, category, seconds: None)
-    bare = min(_postmark_wall_seconds() for _ in range(repeats))
+    timed = [(_postmark_wall_seconds(), _stubbed_wall_seconds(monkeypatch))
+             for _ in range(repeats)]
+    instrumented = min(pair[0] for pair in timed)
+    bare = min(pair[1] for pair in timed)
 
     ratio = instrumented / bare
     emit("obs_overhead",
          "Postmark wall-clock (120 files/120 txns, min of "
-         f"{repeats}): instrumented {instrumented:.3f}s vs stubbed "
-         f"{bare:.3f}s -> x{ratio:.3f}")
+         f"{repeats} alternating passes each): instrumented "
+         f"{instrumented:.3f}s vs stubbed {bare:.3f}s -> x{ratio:.3f}")
     assert ratio < 1.05, ratio

@@ -95,6 +95,10 @@ class BlobIO:
         self.batching = batching
         #: SSP requests issued by this client (a batch counts once).
         self.request_count = 0
+        #: of those, demand ``get`` frames: a path-walk step that moved
+        #: this count missed the cache (readahead batches, flights and
+        #: raw-slot reuse do not move it).
+        self.get_frames = 0
         #: the active mutation's journal batch (None outside one): sends
         #: are deferred into it and reads see its staged state first.
         self.batch: journal.MutationBatch | None = None
@@ -135,6 +139,8 @@ class BlobIO:
         batches after it (only what the replies show crossed the wire).
         """
         self._count()
+        if op == "get":
+            self.get_frames += 1
         with self.tracer.span("network", op=op, **attrs):
             if "count" in attrs:
                 self._observe_batch(attrs["count"])
@@ -256,8 +262,7 @@ class BlobIO:
                     "client.readahead.hits",
                     help="gets served from the speculative read "
                          "buffer").inc()
-                with self.tracer.span("cache", hit=True, kind="raw"):
-                    return raw
+                return raw
         with self.frame("get", kind=blob_id.kind):
             try:
                 payload = self.server.get(blob_id)

@@ -1096,8 +1096,7 @@ class SharoesFilesystem:
                     mvk: esign.VerificationKey) -> MetadataView:
         cached = self.mdcache.get_view(inode, selector)
         if cached is not None:
-            with self.tracer.span("cache", hit=True, kind="meta"):
-                return cached
+            return cached
         blob_id = meta_blob(inode, selector)
         try:
             blob = self.blobs.get(blob_id)
@@ -1133,8 +1132,7 @@ class SharoesFilesystem:
         if cached is not None:
             if self._touched is not None and self.lease is not None:
                 self._cached_dirs.add(node.inode)
-            with self.tracer.span("cache", hit=True, kind="table"):
-                return cached
+            return cached
         return self._load_table(node.inode, node.selector,
                                 node.view.require_dek(),
                                 node.view.require_dvk())
@@ -1196,7 +1194,7 @@ class SharoesFilesystem:
 
     def _root_node(self) -> ResolvedNode:
         sb = self._require_mounted()
-        mvk = esign.VerificationKey.from_bytes(sb.root_mvk)
+        mvk = sb.root_verification_key
         view = self._fetch_view(sb.root_inode, sb.root_selector,
                                 sb.root_mek, mvk)
         return ResolvedNode(inode=sb.root_inode, selector=sb.root_selector,
@@ -1222,17 +1220,17 @@ class SharoesFilesystem:
                 f"{entry.name!r}: your permission chain has no access")
         if entry.kind == SPLIT:
             selector, mek, mvk_raw = self._resolve_lockbox(entry.inode)
+            mvk = esign.VerificationKey.from_bytes(mvk_raw)
         else:
             assert entry.pointer is not None
             selector = entry.pointer.selector
             mek = entry.pointer.mek
-            mvk_raw = entry.pointer.mvk
+            mvk = entry.pointer.verification_key
             if lookahead and self.config.readahead:
                 # The walk continues below this component: its metadata
                 # *and* its table will both be needed, so fetch the pair
                 # in one round trip.
                 self._prefetch_walk(entry.inode, selector)
-        mvk = esign.VerificationKey.from_bytes(mvk_raw)
         view = self._fetch_view(entry.inode, selector, mek, mvk)
         return ResolvedNode(inode=entry.inode, selector=selector, mek=mek,
                             mvk=mvk, view=view)
@@ -1260,18 +1258,11 @@ class SharoesFilesystem:
         from ..obs.wiretrace import TraceContext
         return TraceContext(self.tracer.trace_id or 0, current.span_id)
 
-    def _note_walk(self, depth: int, span) -> None:
-        """Classify one finished walk-component span as a cache hit or
-        miss and fold it into the per-depth resolve attribution."""
-        children = getattr(span, "children", None)
-        if children is None:
-            return  # tracing stubbed out (overhead harness)
-        # A demand metadata/table fetch inside the component shows up as
-        # a ``network`` get; speculative prefetches (get_many) and
-        # raw-buffer consumption still count as hits.
-        miss = any(node.name == "network"
-                   and node.attrs.get("op") == "get"
-                   for child in children for node in child.walk())
+    def _note_walk(self, depth: int, span, miss: bool) -> None:
+        """Record one finished walk-component span as a cache hit or
+        ``miss`` (it sent a demand ``get`` frame: ``BlobIO.get_frames``
+        moved; speculative prefetches and raw-buffer reuse are hits) and
+        fold it into the per-depth resolve attribution."""
         span.attrs["cache"] = "miss" if miss else "hit"
         stats = self._walk_depth.setdefault(
             depth, {"walks": 0, "hits": 0, "misses": 0, "seconds": 0.0})
@@ -1298,11 +1289,12 @@ class SharoesFilesystem:
             parts = fspath.split_path(path)
             for index, name in enumerate(parts):
                 is_last = index == len(parts) - 1
+                gets = self.blobs.get_frames
                 with self.tracer.span("walk", depth=index,
                                       component=name) as wspan:
                     node = self._lookup_child(node, name,
                                               lookahead=not is_last)
-                self._note_walk(index, wspan)
+                self._note_walk(index, wspan, self.blobs.get_frames != gets)
                 if node.attrs.ftype == SYMLINK and (follow_last or
                                                     not is_last):
                     if _depth >= self._MAX_SYMLINK_DEPTH:
@@ -1410,12 +1402,11 @@ class SharoesFilesystem:
             # Pre-materialized fast path: the permission verdict and the
             # name tuple were both evaluated when the listing was built
             # from a verified table -- O(1), zero round trips.
-            with self.tracer.span("cache", hit=True, kind="listing"):
-                if not listing.can_list:
-                    raise PermissionDenied(
-                        f"{path}: listing requires read permission "
-                        f"(CAP {node.cap_id})")
-                return list(listing.names)
+            if not listing.can_list:
+                raise PermissionDenied(
+                    f"{path}: listing requires read permission "
+                    f"(CAP {node.cap_id})")
+            return list(listing.names)
         if node.cap_id not in LIST_CAPS:
             raise PermissionDenied(
                 f"{path}: listing requires read permission "
@@ -1491,9 +1482,7 @@ class SharoesFilesystem:
         def load(index: int) -> bytes:
             plain: bytes | None = None
             if self.mdcache.data:
-                with self.tracer.span("cache", kind="data") as cspan:
-                    plain = self.mdcache.get_block(inode, index)
-                    cspan.attrs["hit"] = plain is not None
+                plain = self.mdcache.get_block(inode, index)
             if plain is None:
                 blob_id = layout.block_blob_id(inode, index)
                 blob = self.blobs.get(blob_id)
@@ -2064,7 +2053,7 @@ class SharoesFilesystem:
             if row.kind == DIRECT and row.pointer is not None:
                 child_owner_sel = row.pointer.selector
                 try:
-                    mvk = esign.VerificationKey.from_bytes(row.pointer.mvk)
+                    mvk = row.pointer.verification_key
                     child_view = self._fetch_view(
                         row.inode, child_owner_sel, row.pointer.mek, mvk)
                     if child_view.is_owner_view:

@@ -28,8 +28,9 @@ replaced (a key is a name, or a hidden row's locator).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from ..crypto import hashes
+from ..crypto import esign, hashes
 from ..crypto.provider import CryptoProvider
 from ..errors import (CryptoError, FileNotFound, IntegrityError,
                       PermissionDenied)
@@ -52,6 +53,13 @@ class DirPointer:
     selector: str
     mek: bytes
     mvk: bytes  # serialized VerificationKey
+
+    @cached_property
+    def verification_key(self) -> esign.VerificationKey:
+        """``mvk`` parsed, once per pointer: a cached table view's rows
+        hand every walk through them the same key object, and a rekey
+        writes new pointer bytes, so a new pointer and a new key."""
+        return esign.VerificationKey.from_bytes(self.mvk)
 
 
 @dataclass

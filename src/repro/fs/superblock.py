@@ -10,8 +10,9 @@ public-key operation and needs no out-of-band channel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from ..crypto import rsa
+from ..crypto import esign, rsa
 from ..crypto.provider import CryptoProvider
 from ..serialize import Reader, Writer
 
@@ -26,6 +27,12 @@ class Superblock:
     root_mvk: bytes  # serialized VerificationKey
     scheme_name: str
     block_size: int
+
+    @cached_property
+    def root_verification_key(self) -> esign.VerificationKey:
+        """``root_mvk`` parsed, once per mount (the superblock is
+        unwrapped once per mount)."""
+        return esign.VerificationKey.from_bytes(self.root_mvk)
 
     def to_bytes(self) -> bytes:
         writer = Writer()

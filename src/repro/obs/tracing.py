@@ -1,21 +1,23 @@
 """Hierarchical operation span tracing on the simulated clock.
 
 Every public filesystem operation opens a *root span*; internals open
-child spans ("resolve", "network", "cache", ...).  Span timestamps come
-from the :class:`~repro.sim.clock.SimClock`, and the cost model forwards
-every charge to the innermost open span -- so a span's duration equals
-the simulated seconds charged inside it, and the per-phase decomposition
-of an operation reconciles *exactly* with the whole-run
-:class:`~repro.sim.costmodel.CostBreakdown` (the acceptance invariant of
-the paper's Figure 13 reproduction).
+child spans ("resolve", "walk", "network", "crypto", ...).  Span
+timestamps come from the :class:`~repro.sim.clock.SimClock`, and the
+cost model forwards every charge to the innermost open span -- so a
+span's duration equals the simulated seconds charged inside it, and the
+per-phase decomposition of an operation reconciles *exactly* with the
+whole-run :class:`~repro.sim.costmodel.CostBreakdown` (the acceptance
+invariant of the paper's Figure 13 reproduction).
 
 Phase attribution rules (see :func:`phase_breakdown`):
 
 * any charge under a ``resolve`` span is the path-walk phase (metadata
   fetch + decrypt + verify while resolving a path);
-* any charge under a ``cache`` span is cache bookkeeping (zero simulated
-  seconds today -- cache hits are free in the 2008 model -- but the slot
-  exists so a future cost model can price deserialization);
+* any charge under a ``cache`` span is cache bookkeeping.  The bucket
+  is reserved and 0 today: cache hits are free in the 2008 model, so
+  the client counts them (``client.mdcache.*``, ``client.cache.*``)
+  instead of opening a span, and the slot waits for a cost model that
+  prices deserialization;
 * remaining charges split by cost category: network / crypto / other.
 """
 
@@ -134,7 +136,7 @@ class _SpanScope:
 
     Hot path: a hand-rolled ``__enter__``/``__exit__`` pair costs a
     fraction of the generator-``contextmanager`` machinery, and spans
-    open for every cache lookup and block decrypt.
+    open for every path-walk step and block decrypt.
     """
 
     __slots__ = ("_tracer", "_name", "_attrs", "_span")
