@@ -568,7 +568,7 @@ class SharoesFilesystem:
         """
         from .consistency import ConsistencyLog
         self.consistency = ConsistencyLog(
-            self.agent.user_id, self.agent.user.private_key,
+            self.agent.user_id, self.agent.user.signing.signing,
             self.volume.registry.directory, self.provider)
         return self.consistency
 

@@ -15,8 +15,10 @@ the statement log forever -- and any cross-read exposes it.
 
 Protocol implemented here:
 
-* every client keeps a hash-chained sequence of signed
-  :class:`VersionStatement`s.  A statement carries:
+* every client keeps a hash-chained sequence of
+  :class:`VersionStatement`s, each signed with its user's ESIGN
+  signature key (USK) and checked against the UVK in the PKI
+  directory.  A statement carries:
 
   - the publisher's ``sequence`` and the digest of its previous statement
     (its own chain must be linear);
@@ -44,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..crypto import hashes, rsa
+from ..crypto import esign, hashes
 from ..crypto.provider import CryptoProvider
 from ..errors import BlobNotFound, IntegrityError
 from ..serialize import Reader, Writer
@@ -147,12 +149,13 @@ class VersionStatement:
 class ConsistencyLog:
     """Client-side fork-consistency state for one user."""
 
-    def __init__(self, user_id: str, private_key: rsa.PrivateKey,
+    def __init__(self, user_id: str, signing_key: esign.SigningKey,
                  directory, provider: CryptoProvider | None = None):
-        """``directory`` maps user ids to RSA public keys (the registry's
+        """``signing_key`` is the user's USK; ``directory`` maps user ids
+        to their UVKs (the registry's
         :class:`~repro.principals.registry.PublicKeyDirectory`)."""
         self.user_id = user_id
-        self._private = private_key
+        self._signing = signing_key
         self._directory = directory
         self._provider = provider or CryptoProvider()
         self._sequence = 0
@@ -192,7 +195,7 @@ class ConsistencyLog:
             previous_digest=self._previous_digest,
             observations=observations, seen=seen,
             journal_seq=self.journal_seq)
-        signature = rsa.sign(self._private, unsigned.signed_payload())
+        signature = esign.sign(self._signing, unsigned.signed_payload())
         statement = VersionStatement(
             user_id=unsigned.user_id, sequence=unsigned.sequence,
             previous_digest=unsigned.previous_digest,
@@ -232,8 +235,8 @@ class ConsistencyLog:
                 f"statement in my slot claims author "
                 f"{statement.user_id!r}")
         try:
-            rsa.verify(self._directory.user_key(self.user_id),
-                       statement.signed_payload(), statement.signature)
+            esign.verify(self._directory.signature_key(self.user_id),
+                         statement.signed_payload(), statement.signature)
         except IntegrityError as exc:
             raise ForkDetected(
                 f"{self.user_id}: invalid signature on my own "
@@ -279,10 +282,9 @@ class ConsistencyLog:
             raise ForkDetected(
                 f"statement in {peer_id!r}'s slot claims author "
                 f"{statement.user_id!r}")
-        public = self._directory.user_key(peer_id)
         try:
-            rsa.verify(public, statement.signed_payload(),
-                       statement.signature)
+            esign.verify(self._directory.signature_key(peer_id),
+                         statement.signed_payload(), statement.signature)
         except IntegrityError as exc:
             raise ForkDetected(
                 f"{peer_id}: invalid statement signature ({exc})"

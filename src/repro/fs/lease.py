@@ -32,7 +32,9 @@ coordination primitive that fixes it while keeping the SSP untrusted:
 
 What the untrusted SSP can and cannot do to a lease:
 
-* it **cannot forge** a lease (records are RSA-signed by the holder);
+* it **cannot forge** a lease (records are ESIGN-signed with the
+  holder's user signature key, USK, and checked against its UVK in the
+  PKI directory);
 * it **cannot roll back** the chain against a client that has seen a
   newer epoch (freshness monitor);
 * it **can** drop or hide lease blobs -- that denies service (as can
@@ -67,7 +69,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from ..crypto import rsa
+from ..crypto import esign
 from ..errors import (CasConflictError, IntegrityError, LeaseHeldError,
                       LeaseLostError)
 from ..serialize import Reader, SerializationError, Writer
@@ -171,15 +173,16 @@ class LeaseRecord:
                 f"{record.inode}: relocated by the SSP")
         return record
 
-    def signed(self, private_key) -> "LeaseRecord":
-        """This record, signed by its holder's ``private_key``."""
-        return replace(self, signature=rsa.sign(private_key,
-                                                self.signed_payload()))
+    def signed(self, key: esign.SigningKey) -> "LeaseRecord":
+        """This record, signed with its holder's USK ``key``."""
+        return replace(self, signature=esign.sign(key,
+                                                  self.signed_payload()))
 
     def verify(self, directory) -> None:
-        """Check the holder's signature against the PKI directory."""
-        rsa.verify(directory.user_key(self.holder),
-                   self.signed_payload(), self.signature)
+        """Check the holder's signature against its UVK in the PKI
+        directory."""
+        esign.verify(directory.signature_key(self.holder),
+                     self.signed_payload(), self.signature)
 
     def expired(self, now_us: int) -> bool:
         return self.released or now_us >= self.expires_us
@@ -200,14 +203,14 @@ def successor_epoch(prior: LeaseRecord) -> int:
 def break_record(prior: LeaseRecord, holder_user) -> LeaseRecord:
     """A signed *released* successor of ``prior``.
 
-    Built with the holder's escrowed private key: after rolling a dead
+    Built with the holder's escrowed USK: after rolling a dead
     client's journal forward, the enterprise (``fsck --repair`` /
     ``--stranded``) marks the client's lease released so successors can
     take over immediately instead of waiting out the expiry -- while
     the epoch chain stays monotone and verifiable.
     """
     return replace(prior, epoch=successor_epoch(prior),
-                   released=True).signed(holder_user.private_key)
+                   released=True).signed(holder_user.signing.signing)
 
 
 class LeaseManager:
@@ -285,7 +288,7 @@ class LeaseManager:
             inode=inode, epoch=epoch, holder=self.user.user_id,
             acquired_us=now,
             expires_us=now + int(self.duration_s * 1_000_000),
-            released=released).signed(self.user.private_key)
+            released=released).signed(self.user.signing.signing)
 
     # -- queries -------------------------------------------------------------
 

@@ -8,7 +8,7 @@ public keys for all other users" (section II-A).  The directory holds only
 
 from __future__ import annotations
 
-from ..crypto import rsa
+from ..crypto import esign, rsa
 from ..errors import SharoesError
 from .users import Group, User
 
@@ -18,17 +18,27 @@ class UnknownPrincipal(SharoesError):
 
 
 class PublicKeyDirectory:
-    """Maps user ids to their public keys."""
+    """Maps user ids to their public keys: the RSA key others encrypt
+    to and the ESIGN verification key (UVK) their signatures check
+    against."""
 
     def __init__(self) -> None:
         self._user_keys: dict[str, rsa.PublicKey] = {}
+        self._signature_keys: dict[str, esign.VerificationKey] = {}
 
     def register_user(self, user: User) -> None:
         self._user_keys[user.user_id] = user.public_key
+        self._signature_keys[user.user_id] = user.signing.verification
 
     def user_key(self, user_id: str) -> rsa.PublicKey:
         try:
             return self._user_keys[user_id]
+        except KeyError:
+            raise UnknownPrincipal(f"user {user_id!r}") from None
+
+    def signature_key(self, user_id: str) -> esign.VerificationKey:
+        try:
+            return self._signature_keys[user_id]
         except KeyError:
             raise UnknownPrincipal(f"user {user_id!r}") from None
 

@@ -208,7 +208,7 @@ class VolumeAuditor:
     def _check_leases(self, report: AuditReport) -> None:
         """Verify every lease blob: structure, signature, known holder.
 
-        The SSP cannot forge a lease (no user private key), so a bad
+        The SSP cannot forge a lease (no user signature key), so a bad
         signature here is tampering; an unknown holder is either
         tampering or a stale registry.
         """
@@ -226,7 +226,7 @@ class VolumeAuditor:
         Shares the takeover contract (journal first, epoch second): only
         called after ``roll_forward`` drained the holder's journal, it
         writes a *released* successor record under the holder's escrowed
-        key so live clients can re-acquire without waiting out the
+        USK so live clients can re-acquire without waiting out the
         expiry.  Losing the CAS is benign -- someone already advanced
         the chain past the epoch we were about to break.
         """

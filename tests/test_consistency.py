@@ -1,11 +1,15 @@
 """Fork-consistency log (the paper's SUNDR integration, section VI)."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.crypto import esign
 from repro.crypto.provider import CryptoProvider
 from repro.fs.consistency import (ConsistencyLog, ForkDetected,
                                   VersionStatement, statement_blob)
 from repro.storage.server import StorageServer
+from tests.conftest import FOREIGN_SIGNERS
 
 
 @pytest.fixture
@@ -13,7 +17,7 @@ def logs(registry):
     """A ConsistencyLog per user, sharing the registry's directory."""
     def make(user_id: str) -> ConsistencyLog:
         user = registry.user(user_id)
-        return ConsistencyLog(user_id, user.private_key,
+        return ConsistencyLog(user_id, user.signing.signing,
                               registry.directory)
     return make
 
@@ -93,15 +97,14 @@ class TestForkDetection:
         alice.observe(3, 1)
         alice.publish(server)
         bob.sync(server, ["alice"])
-        # The SSP (or a compromised alice key) crafts a DIFFERENT
+        # The SSP (or a compromised alice USK) crafts a DIFFERENT
         # statement with the same sequence number.
-        from repro.crypto import rsa
         forged = VersionStatement(
             user_id="alice", sequence=1,
             previous_digest=b"\x00" * 32,
             observations=((3, 99),), seen=())
-        signature = rsa.sign(registry.user("alice").private_key,
-                             forged.signed_payload())
+        signature = esign.sign(registry.user("alice").signing.signing,
+                               forged.signed_payload())
         forged = VersionStatement(
             user_id="alice", sequence=1,
             previous_digest=b"\x00" * 32,
@@ -176,15 +179,53 @@ class TestForkDetection:
             alice.sync(server, ["bob"])
 
 
+def _alice_statement(registry, sign) -> VersionStatement:
+    """alice's first statement, its payload signed by
+    ``sign(registry, payload)``."""
+    unsigned = VersionStatement(
+        user_id="alice", sequence=1, previous_digest=b"\x00" * 32,
+        observations=((3, 1),), seen=())
+    return replace(unsigned,
+                   signature=sign(registry, unsigned.signed_payload()))
+
+
+class TestOnlyTheAuthorsUskSigns:
+    """A statement in alice's slot verifies under alice's UVK and
+    nothing else -- not at a peer's sync, not at alice's own resume."""
+
+    @pytest.fixture(params=sorted(FOREIGN_SIGNERS))
+    def forged(self, request, registry) -> VersionStatement:
+        return _alice_statement(registry, FOREIGN_SIGNERS[request.param])
+
+    def test_alices_usk_signs_the_same_statement_validly(self, logs,
+                                                         server, registry):
+        statement = _alice_statement(registry, lambda reg, payload:
+                                     esign.sign(reg.user("alice")
+                                                .signing.signing, payload))
+        server.put(statement_blob("alice"), statement.to_bytes())
+        assert logs("bob").sync(server, ["alice"]) == [statement]
+        assert logs("alice").resume_from(server) == statement
+
+    def test_a_peer_rejects_it(self, logs, server, forged):
+        server.put(statement_blob("alice"), forged.to_bytes())
+        with pytest.raises(ForkDetected, match="invalid statement signature"):
+            logs("bob").sync(server, ["alice"])
+
+    def test_its_author_rejects_it_at_resume(self, logs, server, forged):
+        server.put(statement_blob("alice"), forged.to_bytes())
+        with pytest.raises(ForkDetected, match="on my own statement"):
+            logs("alice").resume_from(server)
+
+
 class TestFilesystemIntegration:
     def test_wired_to_real_volume(self, volume, registry, server,
                                   alice_fs, bob_fs):
         """Drive logs from actual client freshness observations."""
         alice_log = ConsistencyLog("alice",
-                                   registry.user("alice").private_key,
+                                   registry.user("alice").signing.signing,
                                    registry.directory)
         bob_log = ConsistencyLog("bob",
-                                 registry.user("bob").private_key,
+                                 registry.user("bob").signing.signing,
                                  registry.directory)
         alice_fs.create_file("/shared", b"v1", mode=0o664)
         stat = alice_fs.getattr("/shared")

@@ -9,8 +9,11 @@ recovery idempotence.
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
+from repro.crypto import rsa
 from repro.crypto.provider import CryptoProvider
 from repro.errors import (ClientCrashed, FileExists, IntegrityError,
                           PartialWriteError, TransientPartialWriteError,
@@ -19,6 +22,7 @@ from repro.fs import journal
 from repro.fs.client import ClientConfig, SharoesFilesystem
 from repro.fs.lease import LeaseManager
 from repro.fs.volume import SharoesVolume
+from repro.principals.groups import GroupKeyService
 from repro.serialize import SerializationError, Writer
 from repro.sim.clock import SimClock
 from repro.storage.blobs import BlobId, journal_blob
@@ -366,37 +370,68 @@ def test_a_client_crashed_before_commit_is_rolled_forward(volume, registry,
 # -- a journaled mutation pays no public-key operation ------------------------
 
 
-def _op_crypto(registry, config: ClientConfig) -> dict[str, dict]:
-    """Provider event counts of one steady-state create and append."""
+def _op_crypto(registry, config: ClientConfig,
+               monkeypatch) -> dict[str, dict]:
+    """Provider event counts and RSA private-key operations of a mount
+    and of one steady-state create, append and unlink.
+
+    ``rsa_private`` counts every ``rsa.PrivateKey._private_op``, the
+    ones that never reach the provider included (a lease link or a
+    version statement signed with the RSA identity key would);
+    ``rsa_decrypt_blocks`` those of them that decrypt an RSA block."""
+    private_ops = []
+    private_op = rsa.PrivateKey._private_op
+
+    def counted(key, value):
+        private_ops.append(sys._getframe(1).f_code.co_name)
+        return private_op(key, value)
+
+    monkeypatch.setattr(rsa.PrivateKey, "_private_op", counted)
     server = StorageServer()
     volume = SharoesVolume(server, registry, clock=SimClock())
     volume.format(root_owner="alice", root_group="eng")
+    GroupKeyService(registry, server, CryptoProvider()).publish_all()
     fs = SharoesFilesystem(volume, registry.user("alice"), config=config)
-    fs.mount()
-    fs.mkdir("/d")
-    fs.create_file("/d/f", b"x" * 300)
     counts = {}
-    for name, op in (("create", lambda: fs.create_file("/d/g", b"y" * 300)),
-                     ("append", lambda: fs.append_file("/d/f", b"+" * 40))):
+    for name, op in (("mount", fs.mount),
+                     ("mkdir", lambda: fs.mkdir("/d")),
+                     ("warm-up", lambda: fs.create_file("/d/f", b"x" * 300)),
+                     ("create", lambda: fs.create_file("/d/g", b"y" * 300)),
+                     ("append", lambda: fs.append_file("/d/f", b"+" * 40)),
+                     ("unlink", lambda: fs.unlink("/d/g"))):
         before = dict(fs.provider.counters.ops)
+        private_before = len(private_ops)
         op()
         counts[name] = {kind: fs.provider.counters.total(kind)
                         - before.get(kind, 0)
                         for kind in ("sign_rsa", "verify_rsa",
-                                     "sym_encrypt")}
+                                     "sym_encrypt", "pk_decrypt")}
+        ran = private_ops[private_before:]
+        counts[name]["rsa_private"] = len(ran)
+        counts[name]["rsa_decrypt_blocks"] = ran.count(rsa.decrypt.__name__)
     return counts
 
 
 def test_a_journaled_leased_mutation_seals_twice_and_signs_nothing(
-        registry):
+        registry, monkeypatch):
     """Intent and commit are two symmetric seals each; no RSA sign or
-    verify reaches the provider on the journal path."""
+    verify reaches the provider on the journal path, and no RSA
+    private-key operation runs at all: lease links are signed with the
+    user's ESIGN key.  A mount still opens the superblock and the group
+    key: two RSA decryptions, and no other private-key operation."""
     leased = _op_crypto(registry, ClientConfig(journal=True, lease=True,
-                                               data_cache=False))
-    plain = _op_crypto(registry, ClientConfig(data_cache=False))
-    for op in ("create", "append"):
+                                               data_cache=False),
+                        monkeypatch)
+    plain = _op_crypto(registry, ClientConfig(data_cache=False),
+                       monkeypatch)
+    for op in ("create", "append", "unlink"):
         assert leased[op]["sign_rsa"] == leased[op]["verify_rsa"] == 0
+        assert leased[op]["rsa_private"] == 0
+    for op in ("create", "append"):
         assert leased[op]["sym_encrypt"] == plain[op]["sym_encrypt"] + 2
+    mount = leased["mount"]
+    assert mount["pk_decrypt"] == 2
+    assert mount["rsa_private"] == mount["rsa_decrypt_blocks"] > 0
 
 
 # -- batch semantics ----------------------------------------------------------

@@ -12,8 +12,11 @@ cost parity for default (non-leased) clients.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+from repro.crypto import esign
 from repro.crypto.provider import CryptoProvider
 from repro.errors import (CasConflictError, ClientCrashed, FileExists,
                           IntegrityError, LeaseHeldError, LeaseLostError,
@@ -32,6 +35,7 @@ from repro.storage.resilient import MutationTrigger, ServerWrapper, crash
 from repro.storage.server import StorageServer, fence_epoch
 from repro.storage.wire import RemoteStorageClient, SspServer
 from repro.tools.fsck import VolumeAuditor
+from tests.conftest import FOREIGN_SIGNERS
 
 _LEASE_S = 5.0
 
@@ -129,6 +133,70 @@ class TestRecordCodec:
         raw = server.get(lease_blob(9))
         with pytest.raises(IntegrityError, match="malformed lease blob"):
             LeaseRecord.from_bytes(raw[:-3], 9)
+
+
+# -- the holder's USK is the only key a link verifies under -------------------
+
+
+def _alice_link(registry, sign) -> bytes:
+    """Wire bytes of an unexpired epoch-5 link of inode 9 naming holder
+    alice, its payload signed by ``sign(registry, payload)``."""
+    record = LeaseRecord(inode=9, epoch=5, holder="alice", acquired_us=0,
+                         expires_us=3_600_000_000)
+    return replace(record, signature=sign(
+        registry, record.signed_payload())).to_bytes()
+
+
+class TestOnlyTheHoldersUskSigns:
+    """A link naming alice verifies under alice's UVK and nothing else."""
+
+    @pytest.fixture(params=sorted(FOREIGN_SIGNERS))
+    def forged(self, request, registry) -> bytes:
+        return _alice_link(registry, FOREIGN_SIGNERS[request.param])
+
+    def test_alices_usk_signs_the_same_link_validly(self, registry):
+        raw = _alice_link(registry, lambda reg, payload: esign.sign(
+            reg.user("alice").signing.signing, payload))
+        LeaseRecord.from_bytes(raw, 9).verify(registry.directory)
+
+    def test_the_holders_manager_rejects_it_on_read(self, registry, clock,
+                                                    forged):
+        server = StorageServer()
+        server.put(lease_blob(9), forged)
+        alice = make_manager(registry, server, clock)
+        with pytest.raises(IntegrityError, match="ESIGN signature"):
+            alice.acquire(9)
+        assert alice.held_epoch(9) is None
+
+    def test_another_manager_rejects_it_after_a_lost_cas(self, registry,
+                                                         clock, forged):
+        server = StorageServer()
+        frames = []
+
+        def exchange(label, ops):
+            frames.append(label)
+            return server.batch(ops)
+
+        bob = LeaseManager(registry.user("bob"), registry.directory,
+                           server, clock, duration_s=_LEASE_S,
+                           provider=CryptoProvider(), exchange=exchange)
+        bob.acquire(9)
+        bob.release(9)
+        server.put(lease_blob(9), forged)
+        frames.clear()
+        with pytest.raises(IntegrityError, match="ESIGN signature"):
+            bob.acquire(9)
+        # One unread CAS over bob's released link, lost: the bytes it
+        # handed back are what failed verification.
+        assert frames == ["lease.acquire"]
+        assert bob.held_epoch(9) is None
+
+    def test_fsck_reports_it(self, shared, registry, forged):
+        server, volume = shared
+        server.put(lease_blob(9), forged)
+        errors = VolumeAuditor(volume).audit().integrity_errors
+        assert any(error.startswith(f"{lease_blob(9)}: ESIGN signature")
+                   for error in errors), errors
 
 
 # -- state machine ------------------------------------------------------------

@@ -1,11 +1,17 @@
 """Users, groups, registry, group key distribution, user agent wallet."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.crypto import esign, rsa
 from repro.crypto.provider import CryptoProvider
 from repro.errors import KeyAccessError, SharoesError
+from repro.fs.consistency import ConsistencyLog
+from repro.fs.lease import LeaseRecord
 from repro.principals.groups import GroupKeyService, UserAgent
-from repro.principals.registry import UnknownPrincipal
+from repro.principals.registry import PrincipalRegistry, UnknownPrincipal
+from repro.principals.users import User
 from repro.storage.blobs import group_key_blob
 from repro.storage.server import StorageServer
 
@@ -29,6 +35,8 @@ class TestRegistry:
             registry.group("pirates")
         with pytest.raises(UnknownPrincipal):
             registry.directory.user_key("mallory")
+        with pytest.raises(UnknownPrincipal):
+            registry.directory.signature_key("mallory")
 
     def test_group_with_unknown_member_rejected(self, registry):
         with pytest.raises(UnknownPrincipal):
@@ -46,6 +54,38 @@ class TestRegistry:
         key = registry.directory.user_key("alice")
         assert key == registry.user("alice").public_key
         assert not hasattr(key, "d")
+        uvk = registry.directory.signature_key("alice")
+        assert uvk == registry.user("alice").signing.verification
+        assert not hasattr(uvk, "p")
+
+
+class TestUserSignatureKeySizes:
+    """Counted bytes repeat bit for bit only while a USK signature is
+    exactly as long as an RSA signature under the identity key."""
+
+    @pytest.mark.parametrize("key_bits", [512, 768, 1024])
+    def test_every_enrolled_pair_signs_at_the_identity_length(self,
+                                                              key_bits):
+        identity = rsa.generate_keypair(key_bits)
+        lengths = {len(esign.sign(User(user_id="u", keypair=identity)
+                                  .signing.signing, b"message"))
+                   for _ in range(30)}
+        assert lengths == {key_bits // 8}
+
+    def test_a_512_bit_enrolment_keeps_link_and_statement_sizes(self):
+        """A lease link and a version statement signed with a fresh
+        enrolment's USK are exactly as long as the RSA-signed ones."""
+        erin = PrincipalRegistry().create_user("erin")
+        link = LeaseRecord(inode=9, epoch=1, holder="erin", acquired_us=0,
+                           expires_us=5_000_000).signed(
+                               erin.signing.signing)
+        statement = ConsistencyLog(
+            "erin", erin.signing.signing, None).publish(StorageServer())
+        for signed in (link, statement):
+            rsa_signed = replace(signed, signature=rsa.sign(
+                erin.private_key, signed.signed_payload()))
+            assert len(signed.signature) == 64
+            assert len(signed.to_bytes()) == len(rsa_signed.to_bytes())
 
 
 class TestGroupKeys:

@@ -132,12 +132,13 @@ class TestFlakySsp:
 
 class TestMultiGroupUsers:
     @pytest.fixture
-    def multi_registry(self, session_keypairs):
+    def multi_registry(self, session_keypairs, session_signing_pairs):
         from repro.principals.users import User
         reg = PrincipalRegistry()
         for name in ("alice", "bob", "carol", "dave"):
             reg.add_user(User(user_id=name,
-                              keypair=session_keypairs[name]))
+                              keypair=session_keypairs[name],
+                              signing=session_signing_pairs[name]))
         reg.create_group("eng", {"alice", "bob"}, key_bits=512)
         reg.create_group("ops", {"bob", "carol"}, key_bits=512)
         return reg

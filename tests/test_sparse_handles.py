@@ -117,10 +117,11 @@ def _play(fs: SharoesFilesystem, server: StorageServer, path: str,
     return model
 
 
-def _registry(session_keypairs) -> PrincipalRegistry:
+def _registry(session_keypairs, session_signing_pairs) -> PrincipalRegistry:
     registry = PrincipalRegistry()
     for name, keypair in session_keypairs.items():
-        registry.add_user(User(user_id=name, keypair=keypair))
+        registry.add_user(User(user_id=name, keypair=keypair,
+                               signing=session_signing_pairs[name]))
     registry.create_group("eng", {"alice", "bob"}, key_bits=512)
     return registry
 
@@ -136,8 +137,8 @@ def _stack(registry, config: ClientConfig):
 
 
 @pytest.fixture(scope="module")
-def block_registry(session_keypairs):
-    return _registry(session_keypairs)
+def block_registry(session_keypairs, session_signing_pairs):
+    return _registry(session_keypairs, session_signing_pairs)
 
 
 @pytest.mark.parametrize("journal", [False, True])
@@ -180,6 +181,7 @@ def test_handle_scripts_match_the_model(block_registry, data_cache,
 @_SETTINGS
 @given(_script)
 def test_cache_and_scheduler_leave_identical_ssp_state(session_keypairs,
+                                                       session_signing_pairs,
                                                        script):
     """The twin differential: what a handle fetches depends on the data
     cache and the scheduler; what it leaves at the SSP does not."""
@@ -187,7 +189,8 @@ def test_cache_and_scheduler_leave_identical_ssp_state(session_keypairs,
     for config in (ClientConfig(data_cache=True, concurrency=0),
                    ClientConfig(data_cache=False, concurrency=8)):
         with pinned_entropy(2008):
-            server, _, fs = _stack(_registry(session_keypairs), config)
+            server, _, fs = _stack(
+                _registry(session_keypairs, session_signing_pairs), config)
             model = _play(fs, server, "/twin", script)
             assert fs.read_file("/twin") == bytes(model)
             fs.unmount()
