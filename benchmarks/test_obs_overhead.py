@@ -18,12 +18,10 @@ from .common import emit
 
 
 class _NullSpan:
-    """What the client reads of a span: a finished walk step records its
-    hit/miss in ``attrs`` and adds its ``duration`` to the per-depth
-    resolve attribution."""
+    """What the client touches of a span: a walk step writes
+    ``attrs["cache"]``."""
 
     __slots__ = ("attrs",)
-    duration = 0.0
 
     def __init__(self):
         self.attrs = {}

@@ -477,6 +477,8 @@ class SharoesFilesystem:
         if self.config.wire_trace:
             from ..obs.tracing import next_trace_id
             from ..obs.wiretrace import TracedServer
+            # Server spans parent under the open client span.
+            self.tracer.record()
             self.tracer.trace_id = next_trace_id()
             self.traced_server = TracedServer(
                 raw, clock=self.tracer.clock,
@@ -1258,17 +1260,20 @@ class SharoesFilesystem:
         from ..obs.wiretrace import TraceContext
         return TraceContext(self.tracer.trace_id or 0, current.span_id)
 
-    def _note_walk(self, depth: int, span, miss: bool) -> None:
-        """Record one finished walk-component span as a cache hit or
-        ``miss`` (it sent a demand ``get`` frame: ``BlobIO.get_frames``
-        moved; speculative prefetches and raw-buffer reuse are hits) and
-        fold it into the per-depth resolve attribution."""
-        span.attrs["cache"] = "miss" if miss else "hit"
+    def _note_walk(self, depth: int, span, miss: bool,
+                   seconds: float) -> None:
+        """Record one finished walk component, ``seconds`` long on the
+        simulated clock, as a cache hit or ``miss`` (it sent a demand
+        ``get`` frame: ``BlobIO.get_frames`` moved; speculative
+        prefetches and raw-buffer reuse are hits) on its span, if one
+        was recorded, and in the per-depth resolve attribution."""
+        if span is not None:
+            span.attrs["cache"] = "miss" if miss else "hit"
         stats = self._walk_depth.setdefault(
             depth, {"walks": 0, "hits": 0, "misses": 0, "seconds": 0.0})
         stats["walks"] += 1
         stats["misses" if miss else "hits"] += 1
-        stats["seconds"] += span.duration
+        stats["seconds"] += seconds
 
     def _collect_walk_depth(self) -> dict[str, float]:
         out: dict[str, float] = {}
@@ -1284,17 +1289,21 @@ class SharoesFilesystem:
 
     def _resolve(self, path: str, follow_last: bool = True,
                  _depth: int = 0) -> ResolvedNode:
-        with self.tracer.span("resolve", path=path):
+        tracer = self.tracer
+        clock = tracer.clock
+        with tracer.span("resolve", path=path):
             node = self._root_node()
             parts = fspath.split_path(path)
             for index, name in enumerate(parts):
                 is_last = index == len(parts) - 1
                 gets = self.blobs.get_frames
-                with self.tracer.span("walk", depth=index,
-                                      component=name) as wspan:
+                start = clock.now
+                with tracer.span("walk", depth=index,
+                                 component=name) as wspan:
                     node = self._lookup_child(node, name,
                                               lookahead=not is_last)
-                self._note_walk(index, wspan, self.blobs.get_frames != gets)
+                self._note_walk(index, wspan, self.blobs.get_frames != gets,
+                                clock.now - start)
                 if node.attrs.ftype == SYMLINK and (follow_last or
                                                     not is_last):
                     if _depth >= self._MAX_SYMLINK_DEPTH:

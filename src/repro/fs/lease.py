@@ -72,6 +72,7 @@ from dataclasses import dataclass, replace
 from ..crypto import esign
 from ..errors import (CasConflictError, IntegrityError, LeaseHeldError,
                       LeaseLostError)
+from ..obs.tracing import Tracer
 from ..serialize import Reader, SerializationError, Writer
 from ..storage.blobs import BlobId, lease_blob
 from ..storage.server import EPOCH_PREFIX_BYTES, BatchOp, BatchReply
@@ -241,7 +242,7 @@ class LeaseManager:
         self.duration_s = float(duration_s)
         self.provider = provider
         self.escrow = escrow
-        self._tracer = tracer
+        self._tracer = tracer if tracer is not None else Tracer()
         self._metrics = metrics
         #: inode -> (record we hold, its exact wire bytes for CAS)
         self._held: dict[int, tuple[LeaseRecord, bytes]] = {}
@@ -266,12 +267,6 @@ class LeaseManager:
     def _count(self, name: str, help: str) -> None:
         if self._metrics is not None:
             self._metrics.counter(name, help=help).inc()
-
-    def _span(self, name: str, **tags):
-        if self._tracer is not None:
-            return self._tracer.span(name, **tags)
-        from ..storage.resilient import _NULL_SCOPE
-        return _NULL_SCOPE
 
     def _now_us(self) -> int:
         return int(self.clock.now * 1_000_000)
@@ -441,9 +436,9 @@ class LeaseManager:
         # journal before releasing); an *expired* one belongs to a
         # presumed-dead client whose pending intents must be rolled
         # forward first so no committed work is lost.
-        with self._span("lease.takeover", inode=inode,
-                        prior_holder=record.holder,
-                        prior_epoch=record.epoch):
+        with self._tracer.span("lease.takeover", inode=inode,
+                               prior_holder=record.holder,
+                               prior_epoch=record.epoch):
             if not record.released:
                 self._roll_forward_holder(record.holder)
             taken = self._swap(inode, blob_id,
@@ -496,7 +491,7 @@ class LeaseManager:
         ops = [BatchOp.put_if(lease_blob(inode), successor.to_bytes(),
                               expected=self._held[inode][1])
                for inode, successor in zip(inodes, successors)]
-        with self._span("lease.renew_all", count=len(ops)):
+        with self._tracer.span("lease.renew_all", count=len(ops)):
             replies = self._exchange("lease.renew", ops)
         renewed: list[int] = []
         lost: list[int] = []

@@ -46,8 +46,8 @@ from typing import Callable, Iterable, Sequence
 
 from ..errors import (BlobNotFound, PartialWriteError, StaleEpochError,
                       StorageError, TransientPartialWriteError)
+from ..obs.tracing import Tracer
 from ..storage.blobs import BlobId
-from ..storage.resilient import _NULL_SCOPE
 from ..storage.server import BatchOp, BatchReply
 from .blobio import _REQUEST_HEADER_BYTES, _RESPONSE_HEADER_BYTES
 
@@ -65,8 +65,9 @@ class RequestScheduler:
         Requests kept in flight concurrently (the ``ClientConfig``
         ``concurrency`` knob); at least 2.
     cost / tracer:
-        Optional cost model and span tracer; waves charge
-        ``cost.charge_flight`` and open ``network`` spans.
+        Optional cost model and span tracer (default: an unobserved
+        one); waves charge ``cost.charge_flight`` and open ``network``
+        spans.
     write_behind:
         Allow mutation staging.  The owning client disables it when the
         intent journal is on -- journal append/apply/commit ordering is
@@ -87,7 +88,7 @@ class RequestScheduler:
         self.server = server
         self.window = window
         self.cost = cost
-        self.tracer = tracer
+        self.tracer = tracer if tracer is not None else Tracer()
         self.write_behind = write_behind
         #: called once per inode whose staged writes a failed
         #: :meth:`flush` dropped; the owning client sets it to stop
@@ -217,8 +218,6 @@ class RequestScheduler:
     # -- shipping ------------------------------------------------------------
 
     def _span(self, op: str, **attrs):
-        if self.tracer is None:
-            return _NULL_SCOPE
         return self.tracer.span("network", op=op, **attrs)
 
     @staticmethod

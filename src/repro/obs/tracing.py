@@ -19,6 +19,12 @@ Phase attribution rules (see :func:`phase_breakdown`):
   instead of opening a span, and the slot waits for a cost model that
   prices deserialization;
 * remaining charges split by cost category: network / crypto / other.
+
+Only a tracer something reads builds spans: one with ``max_finished``
+> 0 (see :meth:`Tracer.record`; the figure runner, ``repro trace`` /
+``profile``, wire tracing and tests switch it on).  An unobserved
+tracer's span is a depth counter, and its outermost span still feeds
+the per-op metrics from the simulated clock.
 """
 
 from __future__ import annotations
@@ -29,7 +35,11 @@ from typing import Any, Iterator
 from ..errors import IntegrityError
 from ..sim.clock import SimClock
 from ..sim.costmodel import CRYPTO, NETWORK
-from .metrics import MetricsRegistry
+from .metrics import Counter, MetricsRegistry
+
+#: How many finished roots a tracer switched on by :meth:`Tracer.record`
+#: retains.
+RECORDED_ROOTS = 100_000
 
 #: The phase keys of a per-operation breakdown, in reporting order.
 PHASES = ("resolve", "network", "crypto", "cache", "other")
@@ -165,37 +175,86 @@ class _SpanScope:
         tracer = self._tracer
         span.end = tracer.clock.now
         tracer._stack.pop()
-        integrity_failure = False
         if exc is not None:
             span.error = type(exc).__name__
-            integrity_failure = isinstance(exc, IntegrityError)
         if not tracer._stack:
-            tracer._finish_root(span, integrity_failure)
+            tracer.finished.append(span)
+            tracer._observe_op(span.name, span.duration,
+                               span.error is not None,
+                               isinstance(exc, IntegrityError))
+        return False
+
+
+class _QuietScope:
+    """The scope of a span nothing records: it moves the tracer's depth
+    counter, and the outermost one feeds the per-op metrics from the
+    clock delta.  One per tracer; :meth:`Tracer.span` and the
+    :func:`traced` wrapper name the root before it is entered."""
+
+    __slots__ = ("_tracer",)
+
+    def __init__(self, tracer: "Tracer"):
+        self._tracer = tracer
+
+    def __enter__(self) -> None:
+        tracer = self._tracer
+        if not tracer._depth:
+            tracer._root_start = tracer.clock.now
+        tracer._depth += 1
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        tracer = self._tracer
+        tracer._depth -= 1
+        if not tracer._depth:
+            tracer._observe_op(tracer._root_name,
+                               tracer.clock.now - tracer._root_start,
+                               exc is not None,
+                               isinstance(exc, IntegrityError))
         return False
 
 
 class Tracer:
     """Produces spans on a shared simulated clock.
 
-    Finished *root* spans are retained in a bounded deque (``finished``).
-    When a registry is attached, each finished root span feeds a
-    per-operation latency histogram plus op/error counters -- that is
-    the entire push-side coupling, one histogram observe per filesystem
-    operation.
+    Spans are built only while the tracer records: ``max_finished`` > 0
+    at construction or after :meth:`record`.  Finished *root* spans are
+    then retained in a deque bounded by that (``finished``).  Otherwise a
+    span is a depth counter and nothing is retained.  Either way, when
+    a registry is attached, each finished root feeds a per-operation
+    latency histogram plus op/error counters -- that is the entire
+    push-side coupling, one histogram observe per filesystem operation.
     """
 
     def __init__(self, clock: SimClock | None = None,
                  registry: MetricsRegistry | None = None,
-                 max_finished: int = 100_000):
+                 max_finished: int = 0):
         self.clock = clock if clock is not None else SimClock()
         self.registry = registry
         #: Wire-trace correlation id (set by clients that propagate
         #: trace context to the SSP; ``None`` when wire tracing is off).
         self.trace_id: int | None = None
         self.finished: deque[Span] = deque(maxlen=max_finished)
+        self.recording = max_finished > 0
         self._stack: list[Span] = []
         self._next_id = 1
         self._op_histograms: dict[str, Any] = {}
+        self._op_count: Counter | None = None
+        # The unobserved path: open-span depth and the open root.
+        self._quiet = _QuietScope(self)
+        self._depth = 0
+        self._root_name = ""
+        self._root_start = 0.0
+
+    def record(self) -> None:
+        """Build span trees from now on, retaining the last
+        :data:`RECORDED_ROOTS` roots (a tracer that already records
+        keeps its bound).  Switch between operations, not inside one."""
+        if self.recording:
+            return
+        if self._depth:
+            raise RuntimeError("cannot switch span recording inside a span")
+        self.finished = deque(maxlen=RECORDED_ROOTS)
+        self.recording = True
 
     @property
     def current(self) -> Span | None:
@@ -203,34 +262,43 @@ class Tracer:
 
     @property
     def depth(self) -> int:
-        return len(self._stack)
+        return len(self._stack) + self._depth
 
-    def span(self, name: str, **attrs: Any) -> _SpanScope:
-        """Open a span: ``with tracer.span("resolve", path=p) as s:``."""
-        return _SpanScope(self, name, attrs)
+    def span(self, name: str, **attrs: Any) -> "_SpanScope | _QuietScope":
+        """Open a span: ``with tracer.span("resolve", path=p) as s:``.
+
+        ``s`` is the :class:`Span` while recording and ``None`` when
+        not."""
+        if self.recording:
+            return _SpanScope(self, name, attrs)
+        if not self._depth:
+            self._root_name = name
+        return self._quiet
 
     def on_charge(self, category: str, seconds: float) -> None:
         """Cost-model hook: attribute a charge to the innermost span."""
         if self._stack:
             self._stack[-1].add_cost(category, seconds)
 
-    def _finish_root(self, span: Span, integrity_failure: bool) -> None:
-        self.finished.append(span)
-        if self.registry is not None:
-            histogram = self._op_histograms.get(span.name)
-            if histogram is None:
-                histogram = self.registry.histogram(
-                    f"ops.{span.name}.seconds",
-                    help=f"latency of {span.name}")
-                self._op_histograms[span.name] = histogram
-            histogram.observe(span.duration)
-            self.registry.counter("ops.count").inc()
-            if span.error is not None:
-                self.registry.counter("ops.errors").inc()
-            if integrity_failure:
-                self.registry.counter(
-                    "client.integrity_failures",
-                    help="SSP tampering/rollback detections").inc()
+    def _observe_op(self, name: str, seconds: float, failed: bool,
+                    integrity_failure: bool) -> None:
+        """Feed one finished root (an operation) into the registry."""
+        if self.registry is None:
+            return
+        histogram = self._op_histograms.get(name)
+        if histogram is None:
+            histogram = self.registry.histogram(
+                f"ops.{name}.seconds", help=f"latency of {name}")
+            self._op_histograms[name] = histogram
+            self._op_count = self.registry.counter("ops.count")
+        histogram.observe(seconds)
+        self._op_count.inc()
+        if failed:
+            self.registry.counter("ops.errors").inc()
+        if integrity_failure:
+            self.registry.counter(
+                "client.integrity_failures",
+                help="SSP tampering/rollback detections").inc()
 
     def reset(self) -> None:
         """Drop finished spans (open spans are left untouched)."""
@@ -242,16 +310,23 @@ def traced(name: str, path_arg: int | None = 0):
 
     ``path_arg`` names the positional index (after ``self``) of a path
     argument to record on the span; ``None`` records no attrs.  The
-    wrapped object must expose ``self.tracer``.
+    wrapped object must expose ``self.tracer``.  Unrecorded, the wrapper
+    enters the tracer's quiet scope and builds no attrs.
     """
 
     def decorate(fn):
         def wrapper(self, *args, **kwargs):
+            tracer = self.tracer
+            if not tracer.recording:
+                if not tracer._depth:
+                    tracer._root_name = name
+                with tracer._quiet:
+                    return fn(self, *args, **kwargs)
             attrs = {}
             if (path_arg is not None and len(args) > path_arg
                     and isinstance(args[path_arg], str)):
                 attrs["path"] = args[path_arg]
-            with self.tracer.span(name, **attrs):
+            with tracer.span(name, **attrs):
                 return fn(self, *args, **kwargs)
         wrapper.__name__ = fn.__name__
         wrapper.__doc__ = fn.__doc__

@@ -32,7 +32,6 @@ immediately -- retrying cannot change either.
 
 from __future__ import annotations
 
-import contextlib
 import random
 from dataclasses import dataclass
 from typing import Callable
@@ -318,11 +317,6 @@ BREAKER_OPEN = "open"
 _BREAKER_GAUGE = {BREAKER_CLOSED: 0, BREAKER_HALF_OPEN: 1, BREAKER_OPEN: 2}
 
 
-#: the span stand-in when no tracer is attached (also fs/scheduler.py,
-#: fs/lease.py).
-_NULL_SCOPE = contextlib.nullcontext()
-
-
 class ResilientTransport(ServerWrapper):
     """Deadline-bounded retries + circuit breaker + degraded reads.
 
@@ -333,9 +327,10 @@ class ResilientTransport(ServerWrapper):
 
     Instrumentation: plain integer counters on the instance (adapted
     into a :class:`~repro.obs.metrics.MetricsRegistry` by
-    ``bind_transport``) and, when a tracer is attached, an ``attempt``
-    child span per attempt -- the first included -- carrying the
-    attempt's backoff charge; failed attempts are error-marked.  An
+    ``bind_transport``) and, on the tracer it is given (default: an
+    unobserved one), an ``attempt`` child span per attempt -- the first
+    included -- carrying the attempt's backoff charge; failed attempts
+    are error-marked.  An
     injected fault at attempt k therefore yields k+1 sibling attempt
     spans under the issuing ``network`` span, and the total attempt-span
     count reconciles with the ``attempts`` counter.
@@ -363,6 +358,9 @@ class ResilientTransport(ServerWrapper):
             self._clock = clock
         else:
             self._clock = SimClock()
+        if tracer is None:
+            from ..obs.tracing import Tracer  # obs/ imports this module
+            tracer = Tracer()
         self._tracer = tracer
         self._rng = random.Random(self.policy.seed)
         self._fallback = LruCache(
@@ -399,8 +397,6 @@ class ResilientTransport(ServerWrapper):
 
     def _attempt_scope(self, op: str, attempt: int, delay: float):
         """One span per attempt (attempt 1 included, delay 0.0)."""
-        if self._tracer is None:
-            return _NULL_SCOPE
         return self._tracer.span("attempt", op=op, attempt=attempt,
                                  delay=round(delay, 6))
 

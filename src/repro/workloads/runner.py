@@ -80,6 +80,8 @@ class BenchEnv:
         else:
             fs = BASELINES[self.impl](self._volume, self.user,
                                       cost_model=self.cost, config=config)
+        # The figure runner reads every op's span tree (op_report).
+        fs.tracer.record()
         fs.mount()
         self.fs = fs
         return fs

@@ -81,10 +81,13 @@ def make_fs(volume, registry):
 
     def factory(user_id: str = "alice",
                 config: ClientConfig | None = None,
-                with_costs: bool = False) -> SharoesFilesystem:
+                with_costs: bool = False,
+                record_spans: bool = False) -> SharoesFilesystem:
         cost = CostModel(PAPER_2008 if with_costs else FREE)
         fs = SharoesFilesystem(volume, registry.user(user_id),
                                cost_model=cost, config=config)
+        if record_spans:
+            fs.tracer.record()
         fs.mount()
         return fs
 

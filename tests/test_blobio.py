@@ -81,7 +81,7 @@ class RecordingCost:
 def _io(server=None, **kwargs):
     server = server or RecordingServer()
     cost = RecordingCost()
-    io = BlobIO(server, LruCache(), tracer=Tracer(),
+    io = BlobIO(server, LruCache(), tracer=Tracer(max_finished=1000),
                 metrics=MetricsRegistry(), cost=cost, **kwargs)
     return io, server, cost
 

@@ -178,6 +178,7 @@ class TestWrite:
         assert alice_fs.read_file("/f") == b"ab\x00\x00\x00"
 
     def test_truncate_is_traced(self, alice_fs):
+        alice_fs.tracer.record()
         alice_fs.create_file("/f", b"0123456789")
         with alice_fs.open("/f", "rw") as handle:
             handle.truncate(4)

@@ -34,6 +34,7 @@ def _stack(registry, server):
     volume.format(root_owner="alice", root_group="eng")
     GroupKeyService(registry, server, CryptoProvider()).publish_all()
     fs = SharoesFilesystem(volume, registry.user("alice"))
+    fs.tracer.record()
     fs.mount()
     return fs
 
@@ -167,6 +168,7 @@ def _resilient_stack(registry, config):
     fault = _FailFirstK(server)
     fs = SharoesFilesystem(volume, registry.user("alice"),
                            cost_model=cost, config=config, server=fault)
+    fs.tracer.record()
     fs.mount()
     return fs, fault
 

@@ -12,7 +12,8 @@ import pytest
 from repro.errors import IntegrityError
 from repro.obs.export import spans_to_jsonl
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracing import PHASES, Tracer, phase_breakdown, traced
+from repro.obs.tracing import (PHASES, RECORDED_ROOTS, Tracer, phase_breakdown,
+                               traced)
 from repro.sim.costmodel import CRYPTO, NETWORK, OTHER, CostModel
 from repro.sim.profiles import PAPER_2008
 
@@ -21,7 +22,8 @@ from repro.sim.profiles import PAPER_2008
 def traced_cost():
     """A cost model whose charges feed a tracer on the shared clock."""
     cost = CostModel(PAPER_2008)
-    tracer = Tracer(clock=cost.clock, registry=MetricsRegistry())
+    tracer = Tracer(clock=cost.clock, registry=MetricsRegistry(),
+                    max_finished=100)
     cost.tracer = tracer
     return cost, tracer
 
@@ -166,6 +168,87 @@ class TestTracedDecorator:
         assert self.Thing.frob.__wrapped__.__name__ == "frob"
 
 
+class TestUnobservedTracer:
+    """Nothing records: a span is a depth counter, the outermost one
+    feeds the same per-op metrics a recorded span does, and nothing is
+    retained."""
+
+    class Ops:
+        def __init__(self, tracer):
+            self.tracer = tracer
+
+        @traced("outer")
+        def outer(self, path, fail=None):
+            self.tracer.clock.advance(0.5)
+            return self.inner(path, fail)
+
+        @traced("inner")
+        def inner(self, path, fail):
+            with self.tracer.span("walk", depth=0) as span:
+                self.tracer.on_charge(NETWORK, 0.25)
+                self.tracer.clock.advance(0.25)
+                if fail is not None:
+                    raise fail
+            return span
+
+    def _script(self, tracer):
+        ops = self.Ops(tracer)
+        seen = [ops.outer("/a")]
+        for fail in (RuntimeError("boom"), IntegrityError("bad MAC")):
+            with pytest.raises(type(fail)):
+                ops.outer("/b", fail)
+        with tracer.span("compile"):  # a bare root
+            seen.append(tracer.depth)
+            tracer.clock.advance(2.0)
+        return seen
+
+    def test_quiet_roots_feed_what_recorded_roots_feed(self):
+        quiet = Tracer(registry=MetricsRegistry())
+        recorded = Tracer(registry=MetricsRegistry(), max_finished=10)
+        assert not quiet.recording and recorded.recording
+        assert self._script(quiet) == [None, 1]
+        self._script(recorded)
+        assert quiet.registry.snapshot() == recorded.registry.snapshot()
+        snap = quiet.registry.snapshot()
+        assert snap["ops.count"] == 4
+        assert snap["ops.errors"] == 2
+        assert snap["client.integrity_failures"] == 1
+        assert snap["ops.outer.seconds.mean"] == pytest.approx(0.75)
+        assert snap["ops.compile.seconds.max"] == pytest.approx(2.0)
+        assert "ops.inner.seconds.count" not in snap
+        assert [s.name for s in recorded.finished] == [
+            "outer", "outer", "outer", "compile"]
+        assert len(quiet.finished) == 0 and quiet.depth == 0
+
+    def test_quiet_span_is_a_counter(self):
+        tracer = Tracer()
+        with tracer.span("a", path="/") as a:
+            assert a is None and tracer.current is None
+            with tracer.span("b") as b:
+                assert b is None and tracer.depth == 2
+                tracer.on_charge(CRYPTO, 1.0)  # no open span: dropped
+        assert tracer.depth == 0 and len(tracer.finished) == 0
+
+    def test_record_switches_between_ops_only(self):
+        tracer = Tracer()
+        with tracer.span("op"):
+            with pytest.raises(RuntimeError):
+                tracer.record()
+        tracer.record()
+        assert tracer.finished.maxlen == RECORDED_ROOTS
+        with tracer.span("x") as span:
+            assert span is tracer.current
+        assert [s.name for s in tracer.finished] == ["x"]
+
+    def test_constructor_bound_retains_the_last_roots(self):
+        tracer = Tracer(max_finished=2)
+        tracer.record()  # already recording: keeps its bound
+        for name in ("x", "y", "z"):
+            with tracer.span(name) as span:
+                assert span is tracer.current
+        assert [s.name for s in tracer.finished] == ["y", "z"]
+
+
 class TestFilesystemIntegration:
     """Replay a mixed workload through a real client and reconcile."""
 
@@ -181,7 +264,7 @@ class TestFilesystemIntegration:
         fs.unlink("/obs/c")
 
     def test_every_root_span_has_a_child_phase(self, make_fs):
-        fs = make_fs("alice", with_costs=True)
+        fs = make_fs("alice", with_costs=True, record_spans=True)
         self._workout(fs)
         roots = list(fs.tracer.finished)
         assert {"mount", "mkdir", "create_file", "read_file", "readdir",
@@ -191,7 +274,7 @@ class TestFilesystemIntegration:
         assert childless == []
 
     def test_phase_totals_reconcile_with_cost_model(self, make_fs):
-        fs = make_fs("alice", with_costs=True)
+        fs = make_fs("alice", with_costs=True, record_spans=True)
         self._workout(fs)
         phase_total = sum(
             sum(phase_breakdown(span).values())
@@ -200,7 +283,7 @@ class TestFilesystemIntegration:
         assert phase_total == pytest.approx(fs.cost.totals.total, rel=0.01)
 
     def test_spans_to_jsonl_round_trip(self, make_fs):
-        fs = make_fs("alice", with_costs=True)
+        fs = make_fs("alice", with_costs=True, record_spans=True)
         fs.create_file("/f", b"x", mode=0o644)
         text = spans_to_jsonl(fs.tracer.finished)
         names = [json.loads(line)["name"] for line in text.splitlines()]

@@ -14,7 +14,7 @@ from repro.obs.tracing import Tracer
 
 def _sample_roots():
     """Two client roots with nested children and explicit durations."""
-    tracer = Tracer()
+    tracer = Tracer(max_finished=100)
     clock = tracer.clock
     with tracer.span("read_file"):
         with tracer.span("resolve"):

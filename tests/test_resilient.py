@@ -674,7 +674,7 @@ class TestObservability:
     def test_attempt_spans_emitted(self):
         """Every attempt gets a sibling span -- the first included -- so
         a fault at attempt k leaves k+1 spans, the failures marked."""
-        tracer = Tracer()
+        tracer = Tracer(max_finished=100)
         transport = ResilientTransport(
             FailNTimes(seeded_backend(), fails=2),
             RetryPolicy(base_delay_s=0.1, jitter=False), tracer=tracer)

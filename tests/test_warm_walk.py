@@ -8,7 +8,7 @@ mounted superblock) it came from.  These tests pin that shape, pin that
 the per-step hit/miss attribution (counted from demand ``get`` frames)
 is the rule it replaced (a ``network`` span with ``op == "get"`` under
 the step), and pin that a memoised key never outlives the bytes it was
-parsed from.
+parsed from.  A client nothing records spans for builds no span at all.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from repro.errors import IntegrityError
 from repro.fs.client import ClientConfig, SharoesFilesystem
 from repro.fs.dirtable import DirPointer
 from repro.fs.volume import SharoesVolume
-from repro.obs.tracing import phase_breakdown
+from repro.obs.tracing import Span, phase_breakdown
 from repro.principals.groups import GroupKeyService
 from repro.sim.costmodel import CostModel
 from repro.sim.profiles import PAPER_2008
@@ -45,6 +45,20 @@ def key_parses(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def span_inits(monkeypatch):
+    """Count ``Span`` constructions (a one-item list)."""
+    calls = [0]
+    init = Span.__init__
+
+    def counting(self, *args, **kwargs):
+        calls[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Span, "__init__", counting)
+    return calls
+
+
 class TestWarmWalkShape:
     """A warm repeat opens the op, ``resolve`` and one ``walk`` per
     component -- nothing for the cache hits under them -- and parses
@@ -57,20 +71,28 @@ class TestWarmWalkShape:
         ("readdir", lambda fs: fs.readdir("/a/b"), 2),
     )
 
-    def test_warm_repeat_spans_and_parses(self, volume, registry,
-                                          key_parses):
+    def _tree(self, volume, registry, record: bool) -> SharoesFilesystem:
         fs = SharoesFilesystem(volume, registry.user("alice"),
                                cost_model=CostModel(PAPER_2008))
+        if record:
+            fs.tracer.record()
         fs.mount()
         fs.mkdir("/a", mode=0o755)
         fs.mkdir("/a/b", mode=0o755)
         fs.create_file("/a/b/c", b"warm bytes", mode=0o644)
         fs.cache.clear()
+        return fs
+
+    def test_warm_repeat_spans_and_parses(self, volume, registry,
+                                          key_parses, span_inits):
+        fs = self._tree(volume, registry, record=True)
         for name, op, depth in self.OPS:
             op(fs)  # cold: fetches, verifies, fills the caches
             key_parses[0] = 0
+            span_inits[0] = 0
             requests = fs.request_count
             op(fs)
+            assert span_inits[0] == 2 + depth, name
             root = fs.tracer.finished[-1]
             assert root.name == name
             assert [span.name for span in root.walk()] == (
@@ -88,6 +110,28 @@ class TestWarmWalkShape:
                     if phase != "other"} == {
                 "resolve": 0.0, "network": 0.0, "crypto": 0.0,
                 "cache": 0.0}
+
+    def test_unobserved_warm_repeat_builds_no_span(self, volume, registry,
+                                                   key_parses, span_inits):
+        """Nothing records: the same repeats construct no ``Span`` --
+        the cold runs neither -- and still count one op each and
+        attribute each walk step as a hit."""
+        fs = self._tree(volume, registry, record=False)
+        assert span_inits[0] == 0
+        for name, op, depth in self.OPS:
+            op(fs)
+            key_parses[0] = 0
+            ops = fs.metrics.value("ops.count")
+            hits = fs.walk_depth_stats()[str(depth - 1)]["hits"]
+            requests = fs.request_count
+            op(fs)
+            assert span_inits[0] == 0, name
+            assert key_parses[0] == 0, name
+            assert fs.request_count == requests
+            assert fs.metrics.value("ops.count") == ops + 1
+            assert fs.metrics.value(f"ops.{name}.seconds.count") >= 2
+            assert fs.walk_depth_stats()[str(depth - 1)]["hits"] == hits + 1
+        assert len(fs.tracer.finished) == 0
 
     def test_a_pointer_parses_its_key_once(self, alice_fs, key_parses):
         alice_fs.mkdir("/a", mode=0o755)

@@ -155,7 +155,7 @@ class TestStitch:
         return root
 
     def test_server_span_grafts_under_issuing_client_span(self):
-        tracer = Tracer()
+        tracer = Tracer(max_finished=100)
         root = self._client_root(tracer)
         network = root.children[0]
         server = Span("server.get", 1 << 41, network.span_id, 0.0,
@@ -168,7 +168,7 @@ class TestStitch:
         assert grafted["name"] == "server.get"
 
     def test_unmatched_server_span_is_orphaned(self):
-        tracer = Tracer()
+        tracer = Tracer(max_finished=100)
         root = self._client_root(tracer)
         stray = Span("server.get", 1 << 41, 999_999, 0.0, {})
         stray.end = 0.001
@@ -176,7 +176,7 @@ class TestStitch:
         assert len(orphans) == 1
 
     def test_stitch_never_mutates_client_spans(self):
-        tracer = Tracer()
+        tracer = Tracer(max_finished=100)
         root = self._client_root(tracer)
         network = root.children[0]
         children_before = len(network.children)
