@@ -115,8 +115,12 @@ class ReplicationScheme(ABC):
         users = self.users_of_selector(parent_attrs, parent_selector)
         materialized = set(self.selectors(child_attrs))
         if not users:
-            # Vacuous chain (e.g. an empty group): keep a structurally
-            # sensible pointer so future members resolve correctly.
+            # Vacuous chain (e.g. an empty group): point where the chain
+            # would lead if it had users.  That keeps the row well
+            # formed; it does not make a later member resolve -- a user
+            # added to the group afterwards is denied the listing in
+            # both schemes until the parent's rows are rewritten
+            # (ROADMAP 14(a)).
             candidate = self._structural_child_selector(
                 parent_attrs, child_attrs, parent_selector)
             if candidate is None:

@@ -21,8 +21,6 @@ Design invariants (paper sections II-IV):
 
 from __future__ import annotations
 
-import functools
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from ..caps.model import cap_for_bits
@@ -30,12 +28,10 @@ from ..caps.record import (ObjectRecord, lockbox_payload, open_metadata_blob,
                            parse_lockbox_payload)
 from ..crypto import esign
 from ..crypto.provider import CryptoProvider
-from ..errors import (BlobNotFound, CircuitOpenError, CryptoError,
-                      DirectoryNotEmpty, FileExists, FileNotFound,
-                      FilesystemError, IntegrityError, IsADirectory,
-                      LeaseError, LeaseHeldError, LeaseLostError,
-                      NotADirectory, PermissionDenied, SharoesError,
-                      StaleEpochError, StorageError, TransientStorageError)
+from ..errors import (BlobNotFound, CryptoError, DirectoryNotEmpty,
+                      FileExists, FileNotFound, FilesystemError,
+                      IntegrityError, IsADirectory, NotADirectory,
+                      PermissionDenied, SharoesError, TransientStorageError)
 from ..fs import path as fspath
 from ..obs.metrics import (MetricsRegistry, bind_cache_stats,
                            bind_cost_model, bind_crypto_counters,
@@ -44,28 +40,22 @@ from ..obs.tracing import Tracer, traced
 from ..principals.groups import UserAgent
 from ..principals.users import User
 from ..sim.costmodel import CostModel
-from ..storage.blobs import (BlobId, group_key_blob, journal_blob,
-                             lockbox_blob, meta_blob, superblock_blob)
-from ..storage.server import BatchOp
-from . import journal, layout
+from ..storage.blobs import (BlobId, group_key_blob, lockbox_blob,
+                             meta_blob, superblock_blob)
+from . import layout
 from .blobio import BlobIO
 from .cache import LruCache
 from .dirtable import (DIRECT, SPLIT, VIEW_FULL, ZERO, DirEntry,
                        DirPointer, TableView)
 from .freshness import FreshnessMonitor
-from .lease import HeadCasLost, LeaseManager
+from .lease import LeaseManager
 from .mdcache import (DIR_WRITE_CAPS, LIST_CAPS, TRAVERSE_CAPS,
                       VerifiedMetadataCache)
 from .metadata import MetadataAttrs, MetadataView, Stat
+from .mutation import MutationPipeline, mutating
 from .permissions import DIRECTORY, FILE, SYMLINK, AclEntry
 from .superblock import Superblock
 from .volume import SharoesVolume
-
-#: backoff while waiting out a held lease (``lease_wait_attempts``):
-#: first wait and the cap its doubling stops at, in simulated seconds.
-LEASE_WAIT_BASE_S = 0.05
-LEASE_WAIT_MAX_S = 2.0
-
 
 @dataclass
 class ClientConfig:
@@ -363,45 +353,6 @@ class OpenFile:
         self.close()
 
 
-def _mutating(op: str):
-    """Scope a client method as one mutation (``_mutation``).
-
-    Composes with ``@traced``: the span covers the whole mutation frame.
-    Reentrant -- nested mutating calls (``create_file`` -> ``mknod`` ->
-    ``_create``) join the outer op.  When the frame's optimistic head
-    CAS lost (:class:`~repro.fs.lease.HeadCasLost`), or the op refused
-    (``FileExists``, ``FileNotFound``...) on reads a deferred CAS had
-    not proven yet, or a leased op found no such name while resolving
-    through cached tables no lease proves, nothing of it was written,
-    and the outermost call runs the op once more -- those tables
-    dropped -- acquiring every lease before it reads.
-    """
-    def wrap(fn):
-        @functools.wraps(fn)
-        def inner(self, *args, **kwargs):
-            outermost = self._touched is None
-            try:
-                with self._mutation(op):
-                    return fn(self, *args, **kwargs)
-            except FilesystemError as exc:
-                # Nothing was written.  Run it again if the head CAS
-                # lost, or if the op refused on reads a deferred CAS
-                # was yet to prove or on cached tables (dropped now).
-                unseen = (self._cached_dirs
-                          if isinstance(exc, FileNotFound) else ())
-                if not (outermost and (
-                        isinstance(exc, HeadCasLost) or unseen
-                        or (self._unproven
-                            and not isinstance(exc, LeaseError)))):
-                    raise
-                for inode in unseen:
-                    self._invalidate(inode)
-            with self._mutation(op, optimistic=False):
-                return fn(self, *args, **kwargs)
-        return inner
-    return wrap
-
-
 class SharoesFilesystem:
     """A mounted SHAROES client for one user."""
 
@@ -452,16 +403,6 @@ class SharoesFilesystem:
         self.metrics.gauge("client.requests",
                            help="SSP requests issued by this client",
                            fn=lambda: self.request_count)
-        #: crash consistency: intents journaled at the SSP but not yet
-        #: committed -- see fs/journal.py.  (The active mutation's staged
-        #: wire calls live in ``self.blobs.batch``.)
-        self._pending: list[journal.IntentRecord] = []
-        self._journal_seq = 0
-        if self.config.journal:
-            self.metrics.gauge(
-                "journal.pending",
-                help="intents journaled at the SSP but not yet committed",
-                fn=lambda: len(self._pending))
         #: the server this client actually talks to.  ``server`` (if
         #: given) overrides ``volume.server`` -- benchmarks use it to
         #: inject per-client fault wrappers.  A retry policy in the
@@ -520,27 +461,18 @@ class SharoesFilesystem:
         self.scheduler = self.blobs.scheduler
         if self.scheduler is not None:
             # Staged writes a failed flush drops are invalidated like a
-            # failed mutation's (``_mutation``).
+            # failed mutation's (``MutationPipeline.scope``).
             self.scheduler.on_drop = self._invalidate
+        #: every mutating op runs through the pipeline (fs/mutation.py):
+        #: its scope, leases, journal frame and replay.
+        self.mutation = MutationPipeline(
+            user, self.provider, self.blobs, metrics=self.metrics,
+            tracer=self.tracer, invalidate=self._invalidate,
+            journaled=self.config.journal, cost=cost_model,
+            wait_attempts=self.config.lease_wait_attempts)
         #: multi-client safety: per-inode signed leases with fencing
-        #: epochs (fs/lease.py).  ``_fences`` maps inode -> held epoch
-        #: for the *current* mutation; the journaled intent carries it
-        #: and the apply phase fences each write with it.
+        #: epochs (fs/lease.py), written under the pipeline's holder.
         self.lease = None
-        self._fences: dict[int, int] = {}
-        #: inodes the current mutation deleted: their lease links are
-        #: forgotten once the commit frame has released them.
-        self._unlinked: set[int] = set()
-        #: inodes the current outermost mutation has written (None
-        #: outside one) -- see ``_mutation``.
-        self._touched: set[int] | None = None
-        #: may ``_touch`` defer a lease CAS to the mutation frame's head?
-        self._optimistic = True
-        #: did it, over a link another writer could have moved?
-        self._unproven = False
-        #: directories whose cached tables the current leased mutation
-        #: resolved through: no lease proves them (see ``_mutating``).
-        self._cached_dirs: set[int] = set()
         if self.config.lease:
             if not self.config.journal:
                 raise SharoesError(
@@ -553,13 +485,13 @@ class SharoesFilesystem:
             clock = getattr(volume, "clock", None)
             if clock is None and cost_model is not None:
                 clock = cost_model.clock
-            self.lease = LeaseManager(
+            self.lease = self.mutation.lease = LeaseManager(
                 user, volume.registry.directory, self.server,
                 clock if clock is not None else SimClock(),
                 duration_s=self.config.lease_duration_s,
                 provider=self.provider, escrow=volume.registry.user,
                 tracer=self.tracer, metrics=self.metrics,
-                exchange=self.blobs.ship)
+                exchange=self.blobs.ship, holder=self.mutation.holder)
 
     def enable_consistency_log(self):
         """Attach a SUNDR-style fork-consistency log (paper section VI).
@@ -569,8 +501,8 @@ class SharoesFilesystem:
         to cross-check peers.  Returns the log.
         """
         from .consistency import ConsistencyLog
-        self.consistency = ConsistencyLog(
-            self.agent.user_id, self.agent.user.signing.signing,
+        self.consistency = self.mutation.consistency = ConsistencyLog(
+            self.mutation.holder, self.agent.user.signing.signing,
             self.volume.registry.directory, self.provider)
         return self.consistency
 
@@ -661,334 +593,6 @@ class SharoesFilesystem:
             wanted.append(meta_blob(entry.inode, entry.pointer.selector))
         self.blobs.prefetch(wanted)
 
-    # ------------------------------------------------------------------ journal
-
-    @contextmanager
-    def _mutation(self, op: str, optimistic: bool = True):
-        """Scope one mutating op: the cache's one failure rule.
-
-        What a mutation writes through to the cache (its own table
-        views, metadata views and plaintext blocks) is trusted only if
-        the mutation returns.  The outermost scope keeps the inodes the
-        op touched (``_touch``); any exception leaving it -- a refused
-        put, a failed journal append, a partial apply, a lost head CAS,
-        a lease takeover -- invalidates each of them, so this client
-        re-reads what the SSP actually holds.  Nested mutating calls
-        join the outer op; with ``journal=True`` the op is also one
-        intent (``_journaled``).  ``optimistic=False`` makes ``_touch``
-        acquire every existing inode's lease before the op reads it.
-        """
-        if self._touched is not None:
-            yield
-            return
-        self._touched = set()
-        self._optimistic = optimistic
-        self._unproven = False
-        self._cached_dirs = set()
-        try:
-            if self.config.journal:
-                with self._journaled(op):
-                    yield
-            else:
-                yield
-        except BaseException:
-            for inode in self._touched:
-                self._invalidate(inode)
-            raise
-        finally:
-            self._touched = None
-
-    @contextmanager
-    def _journaled(self, op: str):
-        """One crash-consistent mutation (see fs/journal.py): one frame.
-
-        Every put/delete the body issues is deferred into a
-        :class:`~repro.fs.journal.MutationBatch`.  On clean exit the
-        batch is sealed into an intent and the mutation ships as one
-        ``OP_BATCH`` frame, split only at the wire's sub-op cap: the
-        lease head (``LeaseManager.release``), the intent, the fenced
-        apply, the commit -- an empty journal -- and the released
-        leases.  If the body raises, nothing was sent; if the frame
-        stops before the intent (a lost head CAS, a taken-over lease),
-        nothing was written: either way the op rolls back by
-        construction.  If the apply stops part-way, the intent stays
-        pending and is replayed (idempotently) before the next mutation
-        or at mount.
-        """
-        self._replay_pending()
-        batch = journal.MutationBatch(op)
-        self.blobs.batch = batch
-        self._fences = {}
-        self._unlinked = set()
-        try:
-            yield
-        except BaseException:
-            self.blobs.batch = None
-            self._release_fences()
-            raise
-        self.blobs.batch = None
-        if not batch.blobs:
-            self._release_fences()
-            return
-        record = batch.record(self._next_seq(),
-                              fences=tuple(sorted(self._fences.items())))
-        # The apply names its payloads inside the intent: each crosses
-        # the link once.
-        ops = ([self._journal_put(self._pending + [record])]
-               + journal.write_ops(record.blobs, self._fences,
-                                   ref=journal_blob(self.agent.user_id))
-               + [self._journal_put(self._pending)])
-        self._pending.append(record)
-        try:
-            with self.tracer.span("journal", phase="mutation",
-                                  pending=len(self._pending)):
-                replies = (self.lease.release(*self._fences, body=ops)
-                           if self.lease is not None
-                           else self.blobs.ship("mutation", ops))
-            replies[0].raise_for_status()
-        except BaseException as exc:
-            if self._intent_durable(exc, ops[0].payload):
-                # Part of the frame may have landed: keep the redo (the
-                # next mutation replays it) and the leases it is fenced on.
-                raise
-            # Nothing to redo: the frame stopped ahead of its intent (or
-            # the intent was superseded, fenced below a takeover), so the
-            # mutation rolled back whole -- or a transport failure hid a
-            # frame that landed through its commit.
-            self._pending.remove(record)
-            self._release_fences()
-            raise
-        self.metrics.counter(
-            "journal.appends", help="intents journaled").inc()
-        try:
-            self.blobs.raise_failure(record.blobs, replies[1:-1])
-        except StaleEpochError as exc:
-            # A successor took our lease over mid-frame.  It rolled our
-            # journaled intent forward before bumping the epoch, so the
-            # op is *applied* -- by them, not us.  Drop the pending
-            # record, forget the stale leases, and surface the loss (the
-            # successor may have kept writing: ``_mutation`` invalidates
-            # every inode this op touched).
-            self._pending.remove(record)
-            self._forget_fences()
-            self.metrics.counter(
-                "lease.lost",
-                help="mutations fenced out by a lease takeover").inc()
-            raise LeaseLostError(
-                f"{record.op}: lease taken over mid-mutation "
-                f"({exc})") from exc
-        # A commit that failed stays pending: the next mutation replays
-        # the (idempotent) intent and commits it.
-        replies[-1].raise_for_status()
-        self._pending.remove(record)
-        self._fences = {}
-        self.metrics.counter(
-            "journal.commits", help="intents committed").inc()
-        if self.consistency is not None:
-            self.consistency.observe_journal(record.seq)
-        if self.lease is not None:
-            for inode in self._unlinked:
-                self.lease.forget(inode)
-
-    def _touch(self, inode: int, new: bool = False) -> None:
-        """The current mutation is about to write ``inode``.
-
-        Called by every writer before its first write -- to the SSP or
-        through to the cache -- and before the first read its decision
-        rests on, so a mutation that raises knows what to invalidate
-        (``_mutation``).  With leasing on it also acquires (or renews)
-        the inode's write lease (``new``: the inode was allocated by
-        this op, no lease blob exists yet).  Over this client's own
-        released link, or a new inode's absent blob, the CAS is
-        deferred to the head of the mutation frame: no frame now, and
-        the frame writes nothing unless the CAS wins -- which proves
-        nobody wrote the inode since that link, so what the op read of
-        it stands.  Otherwise -- and for every existing inode when an
-        op runs again -- the lease is acquired here, *before* the read
-        the op decides on.
-        One coherence rule for every outcome: the cache for the inode
-        stays warm exactly when the lease manager proved (or its
-        deferred CAS will prove) that the epoch chain only moved through
-        this client since its last link (:attr:`LeaseManager.unbroken`);
-        anything else -- the blob had to be read, a CAS was lost,
-        another holder's or fsck's link was found -- invalidates it:
-        another client may have written the inode since we last looked.
-        """
-        self._touched.add(inode)
-        if self.lease is None or self.blobs.batch is None:
-            return
-        if inode in self._fences:
-            return
-        attempts = max(0, self.config.lease_wait_attempts)
-        delay = LEASE_WAIT_BASE_S
-        for attempt in range(attempts + 1):
-            try:
-                record = self.lease.acquire(
-                    inode, new=new, defer=self._optimistic or new)
-                break
-            except LeaseHeldError:
-                if attempt >= attempts:
-                    raise
-                # Wait the holder out.  The backoff advances the sim
-                # clock, so a crashed holder's lease expires during the
-                # wait and the next acquire() takes it over (rolling the
-                # holder's journal forward first).
-                self.metrics.counter(
-                    "lease.waits",
-                    help="backoffs spent waiting out held leases").inc()
-                self._wait_for_lease(delay)
-                delay = min(delay * 2, LEASE_WAIT_MAX_S)
-        self._fences[inode] = record.epoch
-        self._unproven = self._unproven or self.lease.deferred(inode)
-        if not self.lease.unbroken:
-            self._invalidate(inode)
-
-    def _wait_for_lease(self, seconds: float) -> None:
-        """Advance the lease clock through one backoff window.
-
-        Lease expiry is judged against the volume clock; when the cost
-        model shares that clock the wait is charged (OTHER) so backoff
-        shows up in breakdowns, otherwise the clock is advanced
-        directly.
-        """
-        if seconds <= 0 or self.lease is None:
-            return
-        if self.cost is not None and self.cost.clock is self.lease.clock:
-            self.cost.charge_wait(seconds)
-        else:
-            self.lease.clock.advance(seconds)
-
-    def _release_fences(self) -> None:
-        """Release the mutation's held leases in one frame (best effort:
-        an unreleased lease only costs peers a takeover after expiry --
-        never fail a mutation over it).  Deferred CASes go unsent."""
-        fences, self._fences = self._fences, {}
-        if self.lease is None or not fences:
-            return
-        try:
-            self.lease.release(*fences)
-        except StorageError:
-            pass
-
-    def _forget_fences(self) -> None:
-        """Drop lease state without touching the SSP (lease was lost)."""
-        fences, self._fences = self._fences, {}
-        if self.lease is None:
-            return
-        for inode in fences:
-            self.lease.forget(inode)
-
-    def _next_seq(self) -> int:
-        self._journal_seq += 1
-        return self._journal_seq
-
-    def _journal_put(self, records) -> BatchOp:
-        """The sub-op that seals ``records`` into this user's journal."""
-        return BatchOp.put(journal_blob(self.agent.user_id),
-                           journal.seal_journal(self.provider,
-                                                self.agent.user, records))
-
-    def _intent_durable(self, exc: BaseException, intent: bytes) -> bool:
-        """Might the intent of a mutation frame that raised ``exc`` be
-        journaled at the SSP?
-
-        Any other failure shows where the frame stopped; a transport
-        failure does not: the frame -- or a copy the transport sent
-        again -- may have landed whole or in part.  The journal blob
-        settles it: it holds the intent's exact bytes from the moment
-        they land until the frame's commit replaces them.  A journal
-        that cannot be read keeps the intent: its replay is fenced and
-        idempotent, while a half-applied frame without its redo is lost.
-        """
-        if (not isinstance(exc, TransientStorageError)
-                or isinstance(exc, CircuitOpenError)):
-            return False
-        try:
-            reply, = self.blobs.exchange("journal.read", [
-                BatchOp.get(journal_blob(self.agent.user_id))])
-        except StorageError:
-            return True
-        if reply.status == "ok":
-            return reply.payload == intent
-        return reply.status != "missing"
-
-    def _roll_forward(self, records: list[journal.IntentRecord],
-                      phase: str) -> list[journal.IntentRecord]:
-        """Replay ``records`` through this client's counted channel:
-        :func:`journal.roll_forward`, one fenced frame per record.
-
-        The first apply of each stopped part-way (or its client died),
-        and whatever this client read of its inodes since is that
-        half-applied state; from here the SSP moves past it -- whether
-        the replay completes, fails again further on, or finds a lease
-        successor already did the writing -- so the cache forgets those
-        inodes first, raw readahead slots included.  A record fenced out
-        was rolled forward by that successor: it is dropped, never
-        replayed unfenced over the successor's newer writes.  Returns
-        the replayed records.
-        """
-        for record in records:
-            for inode in record.inodes():
-                self._invalidate(inode)
-        with self.tracer.span("journal", phase=phase, pending=len(records)):
-            replayed = journal.roll_forward(self.blobs.ship, self.provider,
-                                            self.agent.user, records)
-        for _ in range(len(records) - len(replayed)):
-            self.metrics.counter(
-                "journal.fenced_replays",
-                help="pending intents dropped: already rolled "
-                     "forward by a lease successor").inc()
-        return replayed
-
-    def _replay_pending(self) -> None:
-        """Re-apply the intent whose first apply failed part-way; it
-        stays pending while its replay fails."""
-        if not self._pending:
-            return
-        replayed = self._roll_forward(self._pending, "replay")
-        self._pending = []
-        for _ in replayed:
-            self.metrics.counter(
-                "journal.replays",
-                help="pending intents re-applied in-session").inc()
-
-    def _recover_journal(self) -> None:
-        """Mount-time recovery: replay whatever a dead client left.
-
-        The journal blob is authenticated (sealed under the user's
-        journal key, its slot context inside the MAC) before anything is
-        replayed -- a tampered, SSP-forged or misplaced record raises
-        :class:`IntegrityError` here and is never applied.
-        """
-        if self.blobs.batch is not None:  # nested mount inside a mutation
-            return
-        records = journal.pending(self.blobs.ship, self.provider,
-                                  self.agent.user)
-        if not records:
-            return
-        if (self.consistency is not None
-                and max(r.seq for r in records)
-                <= self.consistency.journal_seq):
-            # The VSL says we already committed past every intent the
-            # SSP is serving: this journal was truncated and the SSP is
-            # re-serving the stale pre-commit copy.  Replaying it would
-            # silently roll the volume back.
-            from .consistency import ForkDetected
-            raise ForkDetected(
-                f"{self.agent.user_id}: SSP served a stale committed "
-                f"journal (intents <= {self.consistency.journal_seq}, "
-                f"already committed per my version statement)")
-        self._journal_seq = max(self._journal_seq,
-                                max(r.seq for r in records))
-        self._pending = []
-        replayed = self._roll_forward(records, "recover")
-        for _ in replayed:
-            self.metrics.counter(
-                "journal.recovered",
-                help="intents replayed by mount-time recovery").inc()
-        if self.consistency is not None and replayed:
-            self.consistency.observe_journal(max(r.seq for r in replayed))
-
     # ------------------------------------------------------------------ mount
 
     @traced("mount", path_arg=None)
@@ -1013,13 +617,8 @@ class SharoesFilesystem:
             # Resume our own statement chain *before* journal recovery:
             # the adopted journal_seq watermark is what lets recovery
             # reject a stale re-served committed journal as a rollback.
-            # New intents must also number past the watermark, or this
-            # session's own commits would look like stale re-serves.
             self.consistency.resume_from(self.server)
-            self._journal_seq = max(self._journal_seq,
-                                    self.consistency.journal_seq)
-        if self.config.journal:
-            self._recover_journal()
+        self.mutation.recover()
 
     @property
     def mounted(self) -> bool:
@@ -1032,39 +631,16 @@ class SharoesFilesystem:
 
     def unmount(self) -> None:
         self.flush_staged()
-        if self.lease is not None:
-            try:
-                self.lease.release_all()
-            except StorageError:
-                pass  # leases expire; peers take over after the window
-            self.lease.forget_all()
+        self.mutation.close()
         self._superblock = None
         self.mdcache.clear()
         self.agent.group_keys.clear()
 
     @traced("renew_leases")
     def renew_leases(self) -> list[int]:
-        """Renew every held lease in one ``OP_BATCH`` round trip.
-
-        Long-running clients keep their write leases alive by renewing
-        before expiry; batching collapses the one-CAS-per-inode cost to
-        a single frame.  A lease another client advanced past meanwhile
-        is *lost*: it is dropped locally and the inode's cached state
-        invalidated (the successor may have written it).  Returns the
-        inodes whose leases were renewed.
-        """
-        if self.lease is None:
-            return []
-        renewed, lost = self.lease.renew_all()
-        for inode in lost:
-            self._fences.pop(inode, None)
-            self._invalidate(inode)
-        for inode in renewed:
-            if inode in self._fences:
-                epoch = self.lease.held_epoch(inode)
-                if epoch is not None:
-                    self._fences[inode] = epoch
-        return renewed
+        """Renew every held lease in one frame; returns the inodes
+        renewed (``MutationPipeline.renew``)."""
+        return self.mutation.renew()
 
     # ------------------------------------------------------------------ fetch
 
@@ -1132,8 +708,7 @@ class SharoesFilesystem:
             raise NotADirectory(f"inode {node.inode} is not a directory")
         cached = self.mdcache.get_table(node.inode, node.selector)
         if cached is not None:
-            if self._touched is not None and self.lease is not None:
-                self._cached_dirs.add(node.inode)
+            self.mutation.note_cached_table(node.inode)
             return cached
         return self._load_table(node.inode, node.selector,
                                 node.view.require_dek(),
@@ -1349,7 +924,7 @@ class SharoesFilesystem:
             self._resolve(path, follow_last=False).attrs)
 
     @traced("symlink", path_arg=1)
-    @_mutating("symlink")
+    @mutating("symlink")
     def symlink(self, target: str, path: str, mode: int = 0o644) -> Stat:
         """Create a symbolic link at ``path`` pointing at ``target``.
 
@@ -1376,7 +951,7 @@ class SharoesFilesystem:
         return self._read_symlink_target(node)
 
     @traced("link", path_arg=1)
-    @_mutating("link")
+    @mutating("link")
     def link(self, existing_path: str, new_path: str) -> Stat:
         """Create a hard link (owner only: the link count lives in
         metadata, which only the MSK holder can update, and the new
@@ -1389,7 +964,8 @@ class SharoesFilesystem:
         record = ObjectRecord.from_owner_view(node.view, node.mvk)
         new_parent, name = self._resolve_parent(new_path)
         self._require_dir_write(new_parent, new_path)
-        self._touch(new_parent.inode)  # lease, then the table we judge by
+        # The lease, then the table we judge by.
+        self.mutation.touch(new_parent.inode)
         if name in self._fetch_table(new_parent):
             raise FileExists(new_path)
         record.attrs.nlink += 1
@@ -1585,16 +1161,16 @@ class SharoesFilesystem:
             handle.pwrite(data, 0)
 
     @traced("append_file")
-    @_mutating("append_file")
+    @mutating("append_file")
     def append_file(self, path: str, data: bytes) -> None:
         with self.open(path, "a") as handle:
             # Lease first: a fresh acquisition drops the cached blocks
             # another writer may have outdated, so the base the append
             # extends is read under the lease.
-            self._touch(handle.node.inode)
+            self.mutation.touch(handle.node.inode)
             handle.write(data)
 
-    @_mutating("writeback")
+    @mutating("writeback")
     def _flush_file(self, handle: OpenFile) -> None:
         """Encrypt and upload a handle's written blocks; update metadata
         if owner.
@@ -1610,7 +1186,7 @@ class SharoesFilesystem:
         the blocks the handle never needed are loaded for it now.
         """
         node = handle.node
-        self._touch(node.inode)
+        self.mutation.touch(node.inode)
         dek = node.view.require_dek()
         dsk = node.view.require_dsk()
         record = None
@@ -1690,7 +1266,7 @@ class SharoesFilesystem:
             cap_for_bits(entry.bits, ftype)
 
     def _write_metadata_replicas(self, record: ObjectRecord) -> None:
-        self._touch(record.attrs.inode)
+        self.mutation.touch(record.attrs.inode)
         self.blobs.send(list(layout.metadata_replicas(
             self.volume.scheme, self.provider, record)), grouped=True)
         self.mdcache.drop_views(record.attrs.inode)
@@ -1744,7 +1320,7 @@ class SharoesFilesystem:
         the parent write CAP (table DEK map + DSK), which is how the
         cryptography enforces the *nix w+x requirement.
         """
-        self._touch(parent.inode)
+        self.mutation.touch(parent.inode)
         attrs = parent.attrs
         dsk = parent.view.require_dsk()
         table_deks = parent.view.table_deks
@@ -1808,7 +1384,7 @@ class SharoesFilesystem:
                   self.provider.pk_encrypt(public, payload))],
                 grouped=False)
 
-    @_mutating("create")
+    @mutating("create")
     def _create(self, path: str, mode: int, ftype: str,
                 group: str | None, acl: tuple[AclEntry, ...]) -> Stat:
         self._charge_other()
@@ -1817,13 +1393,13 @@ class SharoesFilesystem:
         self._validate_mode(mode, ftype, acl)
         # Lease first: "is the name free" must be read from a table no
         # other writer can change under us (a kept cache is as good --
-        # see ``_touch``).
-        self._touch(parent.inode)
+        # see ``MutationPipeline.touch``).
+        self.mutation.touch(parent.inode)
         table = self._fetch_table(parent)
         if name in table:
             raise FileExists(path)
         inode = self.volume.allocator.allocate()
-        self._touch(inode, new=True)
+        self.mutation.touch(inode, new=True)
         attrs = MetadataAttrs(
             inode=inode, ftype=ftype, owner=self.agent.user_id,
             group=group or parent.attrs.group, mode=mode, acl=acl)
@@ -1860,7 +1436,7 @@ class SharoesFilesystem:
         return self._create(path, mode, DIRECTORY, group, acl)
 
     @traced("create_file")
-    @_mutating("create_file")
+    @mutating("create_file")
     def create_file(self, path: str, data: bytes = b"",
                     mode: int = 0o644, group: str | None = None) -> Stat:
         """mknod + write + close in one call."""
@@ -1872,7 +1448,7 @@ class SharoesFilesystem:
     # ------------------------------------------------------------------ remove
 
     def _delete_object_blobs(self, attrs: MetadataAttrs) -> None:
-        self._touch(attrs.inode)
+        self.mutation.touch(attrs.inode)
         scheme = self.volume.scheme
         victims = layout.replica_ids(scheme, attrs)
         if attrs.ftype != DIRECTORY:
@@ -1889,11 +1465,10 @@ class SharoesFilesystem:
                         grouped=True)
         self._invalidate(attrs.inode)
         self.freshness.forget(attrs.inode)
-        if self.lease is not None:
-            self._unlinked.add(attrs.inode)
+        self.mutation.deleted(attrs.inode)
 
     @traced("unlink")
-    @_mutating("unlink")
+    @mutating("unlink")
     def unlink(self, path: str) -> None:
         """Remove a file or symlink: drop its rows from the parent views.
 
@@ -1905,7 +1480,7 @@ class SharoesFilesystem:
         self._charge_other()
         parent, name = self._resolve_parent(path)
         self._require_dir_write(parent, path)
-        self._touch(parent.inode)
+        self.mutation.touch(parent.inode)
         child = self._lookup_child(parent, name)
         if child.attrs.ftype == DIRECTORY:
             raise IsADirectory(path)
@@ -1921,16 +1496,17 @@ class SharoesFilesystem:
         self._delete_object_blobs(child.attrs)
 
     @traced("rmdir")
-    @_mutating("rmdir")
+    @mutating("rmdir")
     def rmdir(self, path: str) -> None:
         self._charge_other()
         parent, name = self._resolve_parent(path)
         self._require_dir_write(parent, path)
-        self._touch(parent.inode)
+        self.mutation.touch(parent.inode)
         child = self._lookup_child(parent, name)
         if child.attrs.ftype != DIRECTORY:
             raise NotADirectory(path)
-        self._touch(child.inode)  # "is it empty" is read under its lease
+        # "Is it empty" is read under its lease.
+        self.mutation.touch(child.inode)
         try:
             table = self._fetch_table(child)
         except CryptoError:
@@ -1943,7 +1519,7 @@ class SharoesFilesystem:
         self._delete_object_blobs(child.attrs)
 
     @traced("rename")
-    @_mutating("rename")
+    @mutating("rename")
     def rename(self, old_path: str, new_path: str) -> None:
         """Move/rename: child keys are untouched, only rows move."""
         self._charge_other()
@@ -1951,8 +1527,8 @@ class SharoesFilesystem:
         new_parent, new_name = self._resolve_parent(new_path)
         self._require_dir_write(old_parent, old_path)
         self._require_dir_write(new_parent, new_path)
-        self._touch(old_parent.inode)
-        self._touch(new_parent.inode)
+        self.mutation.touch(old_parent.inode)
+        self.mutation.touch(new_parent.inode)
         child = self._lookup_child(old_parent, old_name)
         new_table = self._fetch_table(new_parent)
         if new_name in new_table:
@@ -2004,7 +1580,7 @@ class SharoesFilesystem:
         directory's old views were stored at (0: inline, or a file).
         """
         attrs = record.attrs
-        self._touch(attrs.inode)
+        self.mutation.touch(attrs.inode)
         base_gen = 0
         if attrs.ftype != DIRECTORY:
             blocks = self._read_blocks(node, for_write=True)
@@ -2193,7 +1769,7 @@ class SharoesFilesystem:
         return Stat.from_attrs(new_attrs)
 
     @traced("chmod")
-    @_mutating("chmod")
+    @mutating("chmod")
     def chmod(self, path: str, mode: int) -> Stat:
         """Change permissions (owner only)."""
         def edit(attrs: MetadataAttrs) -> None:
@@ -2251,7 +1827,7 @@ class SharoesFilesystem:
     # ------------------------------------------------------------------ chown / acl
 
     @traced("chown")
-    @_mutating("chown")
+    @mutating("chown")
     def chown(self, path: str, new_owner: str,
               new_group: str | None = None) -> Stat:
         """Transfer ownership: full rekey (the old owner knew every key)."""
@@ -2264,7 +1840,7 @@ class SharoesFilesystem:
         return self._change_attrs(path, edit, rotate=True)
 
     @traced("set_acl")
-    @_mutating("set_acl")
+    @mutating("set_acl")
     def set_acl(self, path: str, entries: tuple[AclEntry, ...]) -> Stat:
         """Replace the POSIX-ACL user entries (owner only).
 
@@ -2280,7 +1856,7 @@ class SharoesFilesystem:
         return self._change_attrs(path, edit)
 
     @traced("rekey")
-    @_mutating("rekey")
+    @mutating("rekey")
     def rekey(self, path: str) -> Stat:
         """Rotate every key of an object (owner only).
 

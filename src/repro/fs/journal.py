@@ -23,8 +23,8 @@ mutations atomic:
   construction) or a sealed intent whose replay is idempotent (every
   staged action is an overwrite-put or an idempotent delete), so
   recovery always converges on *fully applied*.  A frame whose reply
-  is lost is settled by reading the journal back: it holds the intent's
-  exact bytes exactly while a redo is owed;
+  is lost is settled by reading the journal back (fs/mutation.py): it
+  holds the intent's exact bytes exactly while a redo is owed;
 * a pending intent is replayed by one function, :func:`roll_forward`,
   wherever it is found -- in session, at mount, at lease takeover and
   by ``fsck --repair`` -- as one frame per record, fenced at the
@@ -164,35 +164,39 @@ def decode_records(raw: bytes, payloads: bytes) -> list[IntentRecord]:
 
 
 def seal_journal(provider: CryptoProvider, user,
-                 records: list[IntentRecord]) -> bytes:
+                 records: list[IntentRecord],
+                 holder: str | None = None) -> bytes:
     """The journal blob: ``u32 n | sealed header (n bytes) | payloads``.
 
-    The header -- slot context, then :func:`encode_records` -- is
-    encrypted; the staged payloads follow verbatim, in record order.
-    They are ciphertext under object keys already, and the apply sends
-    the SSP these very bytes, so they are authenticated (one MAC with
-    the header, under :func:`journal_key`), not encrypted again.
+    The header -- the context of ``holder``'s slot (``user``'s by
+    default), then :func:`encode_records` -- is encrypted; the staged
+    payloads follow verbatim, in record order.  They are ciphertext
+    under object keys already, and the apply sends the SSP these very
+    bytes, so they are authenticated (one MAC with the header, under
+    ``user``'s :func:`journal_key`), not encrypted again.
     """
     payloads = b"".join(payload for record in records
                         for _, payload in record.blobs
                         if payload is not None)
     sealed = provider.sym_encrypt(
         journal_key(user),
-        journal_context(user.user_id) + encode_records(records),
+        journal_context(holder or user.user_id) + encode_records(records),
         associated=payloads)
     return Writer().put_bytes(sealed).getvalue() + payloads
 
 
-def open_journal(provider: CryptoProvider, user,
-                 blob: bytes) -> list[IntentRecord]:
+def open_journal(provider: CryptoProvider, user, blob: bytes,
+                 holder: str | None = None) -> list[IntentRecord]:
     """Authenticate, decrypt and decode a journal blob.
 
     Every failure is one :class:`IntegrityError`: too short to open, a
     failed MAC (tampering with either part, payloads swapped or cut, or
     an SSP forgery -- the SSP cannot derive :func:`journal_key`), another
-    slot's context, corrupt records.
+    slot's context than ``holder``'s (``user``'s by default), corrupt
+    records.
     """
-    context = journal_context(user.user_id)
+    holder = holder or user.user_id
+    context = journal_context(holder)
     try:
         sealed = Reader(blob).get_bytes()
         payloads = blob[4 + len(sealed):]
@@ -203,7 +207,7 @@ def open_journal(provider: CryptoProvider, user,
         return decode_records(header[len(context):], payloads)
     except (CryptoError, SerializationError) as exc:
         raise IntegrityError(
-            f"journal for {user.user_id} does not open: {exc}") from exc
+            f"journal for {holder} does not open: {exc}") from exc
 
 
 class MutationBatch:
@@ -305,22 +309,24 @@ def fences_stale(replies) -> bool:
     return False
 
 
-def pending(exchange, provider: CryptoProvider, user) -> list[IntentRecord]:
-    """``user``'s journaled intents, read through ``exchange`` and
-    opened (none for an absent journal).  Raises
+def pending(exchange, provider: CryptoProvider, user,
+            holder: str | None = None) -> list[IntentRecord]:
+    """The intents journaled in ``holder``'s slot (``user``'s by
+    default), read through ``exchange`` and opened with ``user``'s key
+    (none for an absent journal).  Raises
     :class:`~repro.errors.IntegrityError` for a journal that does not
     open (:func:`open_journal`)."""
-    reply, = exchange("journal.read",
-                      [BatchOp.get(journal_blob(user.user_id))])
+    holder = holder or user.user_id
+    reply, = exchange("journal.read", [BatchOp.get(journal_blob(holder))])
     if reply.status == "missing":
         return []
     reply.raise_for_status()
-    return open_journal(provider, user, reply.payload or b"")
+    return open_journal(provider, user, reply.payload or b"", holder)
 
 
 def roll_forward(exchange, provider: CryptoProvider, user,
-                 records: list[IntentRecord] | None = None
-                 ) -> list[IntentRecord]:
+                 records: list[IntentRecord] | None = None,
+                 holder: str | None = None) -> list[IntentRecord]:
     """Replay ``user``'s pending intents: the one replayer.
 
     Every pending intent is replayed this way -- in session (a frame
@@ -328,9 +334,9 @@ def roll_forward(exchange, provider: CryptoProvider, user,
     ``fsck --repair`` -- through the caller's ``exchange(label, ops) ->
     replies`` channel (a client's counted, charged ``BlobIO.ship``, a
     lease manager's, fsck's server).  ``records`` defaults to the
-    journal read through that channel (:func:`pending`; the caller
-    supplies the key material -- the user's own at mount, the enterprise
-    escrow everywhere else).
+    journal in ``holder``'s slot (``user``'s by default) read through
+    that channel (:func:`pending`; the caller supplies the key material
+    -- the user's own at mount, the enterprise escrow everywhere else).
 
     Each record is one frame: a :func:`fence_checks` sub-op per fence
     it was journaled under, its staged calls in order (fenced the same
@@ -347,12 +353,13 @@ def roll_forward(exchange, provider: CryptoProvider, user,
     ever replayed from untrusted bytes -- and whatever a frame's first
     failed sub-op means.
     """
+    holder = holder or user.user_id
     if records is None:
-        records = pending(exchange, provider, user)
-    jid = journal_blob(user.user_id)
+        records = pending(exchange, provider, user, holder)
+    jid = journal_blob(holder)
     replayed, committed = [], True
     for index, record in enumerate(records):
-        rest = seal_journal(provider, user, records[index + 1:])
+        rest = seal_journal(provider, user, records[index + 1:], holder)
         committed = not fences_stale(exchange(
             "journal.replay", fence_checks(record.fences)
             + write_ops(record.blobs, dict(record.fences))
@@ -360,7 +367,7 @@ def roll_forward(exchange, provider: CryptoProvider, user,
         if committed:
             replayed.append(record)
     if not committed:
-        reply, = exchange("journal.commit",
-                          [BatchOp.put(jid, seal_journal(provider, user, []))])
+        reply, = exchange("journal.commit", [
+            BatchOp.put(jid, seal_journal(provider, user, [], holder))])
         reply.raise_for_status()
     return replayed

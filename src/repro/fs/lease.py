@@ -3,8 +3,9 @@
 SHAROES clients do not trust the SSP to arbitrate anything, yet many
 honest enterprise clients mount the same volume.  Without coordination,
 two clients rewriting the same directory table interleave their
-multi-blob commits and silently lose updates.  This module supplies the
-coordination primitive that fixes it while keeping the SSP untrusted:
+multi-blob updates and silently lose some of them.  This module supplies
+the coordination primitive that fixes it while keeping the SSP
+untrusted:
 
 * **Lease blobs** (``lease/<inode>``): a signed :class:`LeaseRecord`
   naming the holder and a sim-clock expiry, prefixed by a *plaintext*
@@ -24,11 +25,12 @@ coordination primitive that fixes it while keeping the SSP untrusted:
   and was taken over -- can therefore never clobber its successor, no
   matter when it wakes up.
 * **Roll-forward takeover**: before bumping the epoch past a dead
-  client, the new holder verifies and replays the dead client's pending
-  intent journal through its own frame channel (the one replayer,
+  client, the new holder verifies and replays the dead client's
+  journal through its own frame channel (the one replayer,
   :func:`repro.fs.journal.roll_forward`, as at mount and in ``fsck
-  --repair``), so committed-but-unapplied work is never lost.  Takeover needs the enterprise key escrow (the
-  registry's private keys) -- the same trust fsck already requires.
+  --repair``), so journaled-but-unapplied work is never lost.  Takeover
+  needs the enterprise key escrow (the registry's private keys) -- the
+  same trust fsck already requires.
 
 What the untrusted SSP can and cannot do to a lease:
 
@@ -54,20 +56,21 @@ below, exactly as a read would have.
 
 **One frame per mutation.**  Over its own released link (or a new
 inode's absent blob) the CAS need not even go first: :meth:`acquire`
-with ``defer`` builds it and sends nothing, and :meth:`release` with a
-``body`` ships the whole mutation as one frame -- the CASes (the
-*head*), the body (intent, apply, commit), the released links (the
-*tail*).  Conflicts do not stop an ``OP_BATCH`` frame, fences do, so
-the intent is fenced at the head's links.  For the fence to bite, a
-released link's next epoch belongs to its writer: anyone else advancing
-the chain past it skips that epoch (:func:`successor_epoch`), so a CAS
-that lost leaves the chain past the fence and the SSP stops the frame
-before the intent.
+with ``defer`` builds it and sends nothing, and :meth:`links` plans the
+sub-ops a mutation frame carries around its body -- the CASes (the
+*head*) and the released links (the *tail*) -- and names the links
+another writer could have moved, whose fences the frame must carry
+(fs/mutation.py composes the frame); :meth:`book` takes the head's and
+the tail's replies back.  For a fence to bite, a released link's next
+epoch belongs to its writer: anyone else advancing the chain past it
+skips that epoch (:func:`successor_epoch`), so a CAS that lost leaves
+the chain past the fence and the SSP stops the frame before anything
+of the mutation is written.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from ..crypto import esign
 from ..errors import (CasConflictError, IntegrityError, LeaseHeldError,
@@ -92,8 +95,8 @@ class HeadCasLost(LeaseLostError):
 
     The link this client last wrote was no longer the tip: another
     writer advanced the chain since.  The SSP fenced the frame out
-    before its intent, so nothing of the mutation reached the SSP; the
-    filesystem runs the op once more on the acquire-first path.
+    before anything of the mutation was written; the filesystem runs
+    the op once more on the acquire-first path.
     """
 
 
@@ -201,6 +204,20 @@ def successor_epoch(prior: LeaseRecord) -> int:
     return prior.epoch + (2 if prior.released else 1)
 
 
+@dataclass
+class FrameLinks:
+    """The lease sub-ops around a mutation frame (:meth:`LeaseManager.
+    links`): ``(inode, link, put_if)`` triples -- the head's link a
+    deferred CAS's, or None for a held lease compared against its own
+    bytes; the tail's its released successor -- and, for each head link
+    another writer could have moved, ``(inode, epoch its fence names)``.
+    """
+
+    head: list = field(default_factory=list)
+    tail: list = field(default_factory=list)
+    checks: list[tuple[int, int]] = field(default_factory=list)
+
+
 def break_record(prior: LeaseRecord, holder_user) -> LeaseRecord:
     """A signed *released* successor of ``prior``.
 
@@ -228,13 +245,17 @@ class LeaseManager:
     *dead* client's lease is refused rather than performed lossily.
     ``exchange(label, ops) -> replies`` ships one frame of sub-ops; the
     filesystem passes :meth:`BlobIO.ship` so every lease frame is
-    counted and charged, standalone it is ``server.batch``.
+    counted and charged, standalone it is ``server.batch``.  ``holder``
+    is the name the links are written under (the mutation pipeline's,
+    fs/mutation.py; the user id by default); ``user`` signs them.
     """
 
     def __init__(self, user, directory, server, clock,
                  duration_s: float = 30.0, provider=None, escrow=None,
-                 tracer=None, metrics=None, exchange=None):
+                 tracer=None, metrics=None, exchange=None,
+                 holder: str | None = None):
         self.user = user
+        self.holder = holder or user.user_id
         self.directory = directory
         self.server = server
         self._exchange = exchange or (lambda label, ops: server.batch(ops))
@@ -280,7 +301,7 @@ class LeaseManager:
               released: bool = False) -> LeaseRecord:
         now = self._now_us()
         return LeaseRecord(
-            inode=inode, epoch=epoch, holder=self.user.user_id,
+            inode=inode, epoch=epoch, holder=self.holder,
             acquired_us=now,
             expires_us=now + int(self.duration_s * 1_000_000),
             released=released).signed(self.user.signing.signing)
@@ -404,7 +425,7 @@ class LeaseManager:
         self._observe(inode, raw, record)
         now_us = self._now_us()
 
-        if record.holder == self.user.user_id:
+        if record.holder == self.holder:
             # Ours (this session's, or a previous incarnation's -- that
             # one's journal is replayed by our own mount): renew.
             return self._swap(inode, blob_id,
@@ -415,7 +436,7 @@ class LeaseManager:
         self._last.pop(inode, None)  # the tip is somebody else's link
         if held is not None:
             # We believed we held this lease; the chain moved past us.
-            self._drop(inode)
+            self._held.pop(inode, None)
             self._count("lease.lost",
                         "leases discovered lost at acquire time")
             raise LeaseLostError(
@@ -434,8 +455,8 @@ class LeaseManager:
         # Expired or released lease of another client: take over.  A
         # *released* record needs no repair (the holder drained its own
         # journal before releasing); an *expired* one belongs to a
-        # presumed-dead client whose pending intents must be rolled
-        # forward first so no committed work is lost.
+        # presumed-dead client whose journal must be rolled forward
+        # first so no journaled work is lost.
         with self._tracer.span("lease.takeover", inode=inode,
                                prior_holder=record.holder,
                                prior_epoch=record.epoch):
@@ -455,10 +476,11 @@ class LeaseManager:
                 f"available to roll its journal forward; refusing a "
                 f"lossy takeover", holder=holder)
         replayed = journal.roll_forward(self._exchange, self.provider,
-                                        self.escrow(holder))
+                                        self.escrow(holder), holder=holder)
         for _ in replayed:
             self._count("lease.takeover_replays",
-                        "dead clients' intents replayed at takeover")
+                        "dead clients' journal records replayed at "
+                        "takeover")
 
     def _swap(self, inode: int, blob_id: BlobId, record: LeaseRecord,
               expected: bytes | None, verb: str,
@@ -515,144 +537,60 @@ class LeaseManager:
 
     # -- release -------------------------------------------------------------
 
-    def _drop(self, inode: int) -> None:
-        self._held.pop(inode, None)
-
-    def release(self, *inodes: int, body=()) -> list:
+    def release(self, *inodes: int) -> None:
         """Surrender leases with one frame of *released* records.
 
         The chain stays monotone (release bumps the epoch, never
         deletes the blob), so freshness monitoring keeps working across
         release/re-acquire cycles, and the released record is the link
         the next :meth:`acquire` CASes against.  Losing a release CAS is
-        benign: a successor already took the lease over.  A release the
-        frame never reached (it stopped at a failed sub-op) leaves the
-        lease held; peers take it over after expiry.
-
-        A ``body`` -- a mutation's intent, apply and commit, in that
-        order -- rides in the same frame, behind a **head**: one
-        ``put_if`` per inode (the CAS :meth:`acquire` deferred, or a held
-        lease's bytes against themselves: no epoch bump, no signature),
-        then the intent fenced at the first link another writer could
-        have taken, every other such link checked right before and right
-        behind it (a ``delete_fenced`` of an id nothing writes).  A lost
-        CAS leaves the chain past the epoch its fence names
-        (:func:`successor_epoch`), so the SSP stops the frame ahead of the
-        intent; a takeover during the head stops it ahead of the apply,
-        the intent it let through superseded.  Either way nothing of the
-        mutation is ever applied: :class:`HeadCasLost` if the link was a
-        deferred CAS's, else :class:`LeaseLostError`.  Otherwise the
-        body's replies are returned for the caller to judge.  A frame
-        the transport sent again after its first copy landed reads as
-        that copy (:meth:`_resent`), never as a lost CAS.  A body-less
-        release drops deferred CASes unsent.
+        benign: a successor already took the lease over.  Deferred CASes
+        are dropped unsent.
         """
-        body = list(body)
-        label = "mutation" if body else "lease.release"
-        head, checks, links = [], [], {}
         for inode in inodes:
-            planned = self._planned.pop(inode, None)
-            if body and planned is not None:
-                record, raw, expected = planned
-                head.append((inode, record,
-                             BatchOp.put_if(lease_blob(inode), raw, expected)))
-                links[inode] = (record, raw)
-                if expected is not None:
-                    checks.append((inode, record.epoch))
-            elif inode in self._held:
-                record, raw = links[inode] = self._held[inode]
-                if body:
-                    head.append((inode, None,
-                                 BatchOp.put_if(lease_blob(inode), raw, raw)))
-                    checks.append((inode, record.epoch))
+            self._planned.pop(inode, None)
+        plan = FrameLinks(tail=self._released(
+            {inode: self._held[inode] for inode in inodes
+             if inode in self._held}))
+        if plan.tail:
+            self.book(plan, [], self._exchange(
+                "lease.release", [op for *_, op in plan.tail]))
+
+    def _released(self, links: dict) -> list:
+        """The tail: a released successor CASed over each link."""
         tail = []
         for inode, (record, raw) in links.items():
             released = self._make(inode, record.epoch + 1, released=True)
             tail.append((inode, released, BatchOp.put_if(
                 lease_blob(inode), released.to_bytes(), expected=raw)))
-        if not (body or tail):
-            return []
-        if body:
-            self._seeds = {}
-        ops = [op for *_, op in head]
-        guards: list[int | None] = [None] * len(ops)  # a fence's link
-        intent_at = None
-        if body and checks:
-            (first, epoch), rest = checks[0], checks[1:]
-            probes = journal.fence_checks(rest)
-            others = [inode for inode, _ in rest]
-            intent, body = body[0], body[1:]
-            intent_at = len(ops) + len(probes)
-            ops += probes + [BatchOp.put_fenced(
-                intent.blob_id, intent.payload or b"", lease_blob(first),
-                epoch)] + probes
-            guards += others + [first] + others
-        gate = len(ops)
-        ops += body + [op for *_, op in tail]
-        # A retrying transport (``retries``) may send the frame twice.
-        retries = getattr(self.server, "retries", 0)
-        replies = self._exchange(label, ops)
-        if body and getattr(self.server, "retries", 0) != retries:
-            replies = self._resent(ops, head, tail, replies)
-        self._took_head(head, replies)
-        self._took_tail(tail, replies[len(ops) - len(tail):])
-        stop = next((at for at in range(gate)
-                     if replies[at].status in ("fenced", "error")), None)
-        if stop is None:
-            return ([] if intent_at is None else [replies[intent_at]]) + \
-                replies[gate:len(ops) - len(tail)]
-        if replies[stop].status == "error":
-            replies[stop].raise_for_status()
-        inode = guards[stop]
-        if inode in self._seeds:
-            raise HeadCasLost(f"inode {inode}: the chain moved past this "
-                              f"client's last link")
-        self.forget(inode)
-        self._count("lease.lost",
-                    "leases found taken over by a mutation frame's head")
-        raise LeaseLostError(f"inode {inode}: lease taken over before "
-                             f"the mutation frame")
+        return tail
 
-    def _resent(self, ops, head, tail, replies) -> list:
-        """``replies`` as the first copy of a frame the transport sent
-        again would have had them, if that copy landed through its
-        commit.
+    def links(self, *inodes: int) -> FrameLinks:
+        """Plan the head and the tail of a mutation frame over the
+        leases of ``inodes``: each deferred CAS, or a held lease's bytes
+        against themselves, then its released successor."""
+        self._seeds = {}
+        plan, links = FrameLinks(), {}
+        for inode in inodes:
+            planned = self._planned.pop(inode, None)
+            if planned is not None:
+                record, raw, expected = planned
+                plan.head.append((inode, record, BatchOp.put_if(
+                    lease_blob(inode), raw, expected)))
+                links[inode] = (record, raw)
+                if expected is not None:
+                    plan.checks.append((inode, record.epoch))
+            elif inode in self._held:
+                record, raw = links[inode] = self._held[inode]
+                plan.head.append((inode, None, BatchOp.put_if(
+                    lease_blob(inode), raw, raw)))
+                plan.checks.append((inode, record.epoch))
+        plan.tail = self._released(links)
+        return plan
 
-        A copy sent after the first landed finds the chain past the
-        frame's own fences -- its own tail moved it there -- and stops
-        as if a peer had taken the lease.  The journal tells the two
-        apart: it holds the frame's commit (sealed under a fresh nonce,
-        so no other write matches it) exactly when the first copy got
-        that far.  The commit landed means the body did.  An inode whose
-        head conflicted with the released link the tail built is booked
-        released; any other is forgotten: its next acquire reads the
-        chain.
-        """
-        if not any(reply.status == "fenced" for reply in replies):
-            return replies
-        commit = ops[len(ops) - len(tail) - 1]
-        stored, = self._exchange("journal.read",
-                                 [BatchOp.get(commit.blob_id)])
-        if stored.status == "error":
-            stored.raise_for_status()
-        if stored.payload != commit.payload:
-            return replies
-        built = {inode: op.payload for inode, _, op in tail}
-        released = {inode for (inode, *_), reply in zip(head, replies)
-                    if reply.status == "conflict"
-                    and reply.payload == built[inode]}
-        for inode, *_ in head:
-            if inode not in released:
-                self.forget(inode)
-        owner = ([inode for inode, *_ in head]
-                 + [None] * (len(ops) - len(head) - len(tail))
-                 + [inode for inode, *_ in tail])
-        return [BatchReply("ok" if inode is None or inode in released
-                           else "unattempted") for inode in owner]
-
-    def _took_head(self, head, replies) -> None:
-        """Book the deferred CASes of a mutation frame's head."""
-        for (inode, record, op), reply in zip(head, replies):
+    def book(self, plan: FrameLinks, head_replies, tail_replies) -> None:
+        """Take the replies to a frame's head and tail back."""
+        for (inode, record, op), reply in zip(plan.head, head_replies):
             if record is None:
                 continue  # a held lease, compared: its fence judges it
             if reply.status == "ok":
@@ -666,9 +604,7 @@ class LeaseManager:
                 self._seeds[inode] = reply.payload
                 self._count("lease.conflicts",
                             "CAS races lost while acquiring leases")
-
-    def _took_tail(self, tail, replies) -> None:
-        for (inode, record, op), reply in zip(tail, replies):
+        for (inode, record, op), reply in zip(plan.tail, tail_replies):
             if reply.status == "ok":
                 self.freshness.observe_metadata(inode, record.epoch,
                                                 op.payload)
@@ -677,6 +613,35 @@ class LeaseManager:
                 self._count("lease.releases", "voluntary lease releases")
             elif reply.status == "conflict":
                 self.forget(inode)
+
+    def landed(self, plan: FrameLinks, head_replies) -> None:
+        """Book a frame whose first copy landed whole, from the head
+        replies of a copy the transport sent again: an inode whose CAS
+        conflicted with the released link the tail built is booked as
+        acquired and released; any other is forgotten (its next acquire
+        reads the chain)."""
+        built = [op.payload for *_, op in plan.tail]
+        replies = [BatchReply("ok" if reply.status == "conflict"
+                              and reply.payload == payload
+                              else "unattempted")
+                   for reply, payload in zip(head_replies, built)]
+        for (inode, *_), reply in zip(plan.head, replies):
+            if reply.status != "ok":
+                self.forget(inode)
+        self.book(plan, replies, replies)
+
+    def fenced_out(self, inode: int) -> None:
+        """Raise what a mutation frame stopped at ``inode``'s fence
+        means: :class:`HeadCasLost` if the link was a deferred CAS's
+        that lost, else :class:`LeaseLostError` (taken over)."""
+        if inode in self._seeds:
+            raise HeadCasLost(f"inode {inode}: the chain moved past this "
+                              f"client's last link")
+        self.forget(inode)
+        self._count("lease.lost",
+                    "leases found taken over by a mutation frame's head")
+        raise LeaseLostError(f"inode {inode}: lease taken over before "
+                             f"the mutation frame")
 
     def release_all(self) -> None:
         self.release(*self.held_inodes())
@@ -689,7 +654,7 @@ class LeaseManager:
         and wrong (the lease is not ours to release) -- and when the
         inode itself is gone (unlinked).
         """
-        self._drop(inode)
+        self._held.pop(inode, None)
         self._last.pop(inode, None)
         self._planned.pop(inode, None)
         self._seeds.pop(inode, None)

@@ -1,8 +1,9 @@
 """Crash-point matrix: kill a client at every mutation of every op.
 
 For each filesystem mutation (create_file, mkdir, unlink, rmdir, rename,
-link, symlink, pwrite/truncate writeback) the harness first counts how
-many SSP mutations (puts + deletes) the journaled op issues, then sweeps
+link, symlink, pwrite/truncate writeback, and the owner's chmod, rekey,
+set_acl and chown) the harness first counts how many SSP mutations
+(puts + deletes) the journaled op issues, then sweeps
 crash point k = 1..T: restore the volume to the pre-op checkpoint, run
 the op over a :class:`~repro.storage.resilient.MutationTrigger` whose
 :func:`~repro.storage.resilient.crash` action kills the client at the
@@ -30,8 +31,9 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-from ..errors import ClientCrashed
+from ..errors import ClientCrashed, PermissionDenied
 from ..fs.client import SharoesFilesystem
+from ..fs.permissions import AclEntry
 from ..storage.resilient import MutationTrigger, crash
 from .fsck import VolumeAuditor
 from .twin import BLOCK, Rig, Sweep, holds, path_exists, principals
@@ -70,12 +72,36 @@ class CrashOutcome:
                 and self.fsck_clean and self.orphans == 0)
 
 
-def build_cases(data: bytes, new: bytes) -> list[CrashCase]:
+def build_cases(data: bytes, new: bytes,
+                reader: Callable[[], SharoesFilesystem] | None = None
+                ) -> list[CrashCase]:
     """The op suite: every mutation family the client exposes.
 
     ``data`` is the initial 3-block file content and ``new`` the pwrite
-    payload; :class:`CrashMatrix` derives both from its seed.
+    payload; :class:`CrashMatrix` derives both from its seed.  The owner
+    ops' oracles also ask whether bob can read the file: ``reader``
+    mounts bob's client.
     """
+
+    def bob_reads(path: str) -> bool:
+        """Does bob read ``data`` at ``path`` (False: denied)?"""
+        try:
+            return reader().read_file(path) == data
+        except PermissionDenied:
+            return False
+
+    def owner_case(name: str, mode: int, run, after, before) -> CrashCase:
+        """An owner op on a fresh ``/d/o`` of ``mode``: applied when
+        ``after`` holds of its stat and bob's read access, rolled back
+        when ``before`` does -- and alice reads ``data`` either way."""
+        def judge(expect):
+            return lambda fs: (fs.read_file("/d/o") == data
+                               and expect(fs.getattr("/d/o"),
+                                          bob_reads("/d/o")))
+        return CrashCase(
+            name,
+            prepare=lambda fs: fs.create_file("/d/o", data, mode=mode),
+            run=run, applied=judge(after), rolled_back=judge(before))
 
     def pwrite_run(fs: SharoesFilesystem) -> None:
         with fs.open("/d/f", "rw") as handle:
@@ -151,6 +177,31 @@ def build_cases(data: bytes, new: bytes) -> list[CrashCase]:
             run=truncate_run,
             applied=lambda fs: fs.read_file("/d/f") == data[:60],
             rolled_back=lambda fs: fs.read_file("/d/f") == data),
+        owner_case(
+            "chmod-revoke", 0o640,
+            run=lambda fs: fs.chmod("/d/o", 0o600),
+            after=lambda st, bob: st.mode == 0o600 and not bob,
+            before=lambda st, bob: st.mode == 0o640 and bob),
+        owner_case(
+            "chmod-grant", 0o600,
+            run=lambda fs: fs.chmod("/d/o", 0o640),
+            after=lambda st, bob: st.mode == 0o640 and bob,
+            before=lambda st, bob: st.mode == 0o600 and not bob),
+        owner_case(
+            "rekey", 0o640,
+            run=lambda fs: fs.rekey("/d/o"),
+            after=lambda st, bob: st.version == 2 and bob,
+            before=lambda st, bob: st.version == 1 and bob),
+        owner_case(
+            "set_acl", 0o600,
+            run=lambda fs: fs.set_acl("/d/o", (AclEntry("bob", 0o4),)),
+            after=lambda st, bob: st.version == 2 and bob,
+            before=lambda st, bob: st.version == 1 and not bob),
+        owner_case(
+            "chown", 0o640,
+            run=lambda fs: fs.chown("/d/o", "bob"),
+            after=lambda st, bob: st.owner == "bob" and bob,
+            before=lambda st, bob: st.owner == "alice" and bob),
     ]
 
 
@@ -175,9 +226,10 @@ class CrashMatrix(Sweep):
         rng = random.Random(seed)
         data = bytes(rng.randrange(256) for _ in range(3 * BLOCK))
         new = bytes(rng.randrange(256) for _ in range(700))
-        self.cases = build_cases(data, new)
         self.rig = Rig(principals(("alice", "bob")), journal=True,
                        cache_bytes=0)
+        self.cases = build_cases(data, new,
+                                 reader=lambda: self.rig.client("bob"))
 
     def count(self, case: CrashCase) -> int:
         """Prepare the op's state, then run it once uncrashed: that

@@ -498,9 +498,9 @@ class TestBatchAtomicity:
         wrapper.fail_at = wrapper.puts + 3  # die mid-apply
         with pytest.raises(TransientStorageError):
             fs.mkdir("/d")
-        assert len(fs._pending) == 1
+        assert len(fs.mutation.pending) == 1
         fs.create_file("/other", b"x")  # replays /d's intent first
-        assert fs._pending == []
+        assert fs.mutation.pending == []
         assert fs.readdir("/d") == []
         assert fs.metrics.snapshot()["journal.replays"] == 1
 

@@ -22,11 +22,11 @@ from repro.errors import (CasConflictError, ClientCrashed, FileExists,
                           IntegrityError, LeaseHeldError, LeaseLostError,
                           StaleEpochError)
 from repro.fs import journal, layout
-from repro.fs.client import (LEASE_WAIT_BASE_S, LEASE_WAIT_MAX_S,
-                             ClientConfig, SharoesFilesystem)
+from repro.fs.client import ClientConfig, SharoesFilesystem
 from repro.fs.consistency import ForkDetected
 from repro.fs.freshness import StaleObjectError
 from repro.fs.lease import LeaseManager, LeaseRecord, break_record
+from repro.fs.mutation import LEASE_WAIT_BASE_S, LEASE_WAIT_MAX_S
 from repro.fs.volume import SharoesVolume
 from repro.principals.groups import GroupKeyService
 from repro.sim.clock import SimClock

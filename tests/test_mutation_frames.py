@@ -933,7 +933,7 @@ def test_an_in_session_replay_is_one_fenced_frame(stack, registry):
     refusing.armed = True
     with pytest.raises(PartialWriteError):
         alice.append_file("/d/f", b"+first")
-    [record] = alice._pending
+    [record] = alice.mutation.pending
     tap.names = {alice.getattr("/d/f").inode: "F"}
     tap.take()
     before = alice.request_count
@@ -943,6 +943,6 @@ def test_an_in_session_replay_is_one_fenced_frame(stack, registry):
         _check("F"), "put_fenced data/F/b0", COMMIT)
     probes = [frame for frame in frames if frame[0].startswith("exists ")]
     assert alice.request_count - before == len(frames) - len(probes)
-    assert alice._pending == []
+    assert alice.mutation.pending == []
     assert alice.metrics.snapshot()["journal.replays"] == 1
     assert alice.read_file("/d/f") == b"x" * 300 + b"+first" + b"+second"
