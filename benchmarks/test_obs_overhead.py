@@ -13,6 +13,7 @@ import time
 from contextlib import contextmanager
 
 from repro.obs.tracing import Tracer
+from repro.tools.twin import pinned_entropy
 
 from .common import emit
 
@@ -37,10 +38,11 @@ def _null_span(self, name, **attrs):
 
 def _postmark_wall_seconds() -> float:
     from repro.workloads import make_env, run_postmark
-    env = make_env("sharoes")
-    start = time.perf_counter()
-    run_postmark(env, files=120, transactions=120, cache_fraction=0.25)
-    return time.perf_counter() - start
+    with pinned_entropy(2008):
+        env = make_env("sharoes")
+        start = time.perf_counter()
+        run_postmark(env, files=120, transactions=120, cache_fraction=0.25)
+        return time.perf_counter() - start
 
 
 def _stubbed_wall_seconds(monkeypatch) -> float:

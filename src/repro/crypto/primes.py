@@ -4,16 +4,21 @@ RSA, ESIGN and IBE key generation need large random primes; they get
 them *proven*: :func:`random_prime` builds each prime on a smaller proven
 prime and certifies it with one Pocklington step (Shawe-Taylor, FIPS
 186-4 C.6; Maurer 1995), down to a base case where deterministic
-Miller-Rabin is a proof.  :func:`is_prime` tests an ``n`` somebody else
-chose: deterministic below ~3.3e24, random-witness Miller-Rabin above.
-Both sieve first with one gcd against the product of the small primes.
+Miller-Rabin is a proof.  Each level draws one start and walks up from
+it, as C.6 does, sieving the walk a window at a time by the small odd
+primes; only survivors pay a gcd and a proof.  :func:`is_prime` tests an
+``n`` somebody else chose: deterministic below ~3.3e24, random-witness
+Miller-Rabin above, after one gcd against the product of the small
+primes.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import secrets
+from typing import Callable
 
 # Deterministic Miller-Rabin: the first t prime bases decide every n below
 # psi_t, the smallest strong pseudoprime to all of them (OEIS A014233;
@@ -41,12 +46,19 @@ def _small_primes(limit: int = _SIEVE_LIMIT) -> tuple[int, ...]:
 SMALL_PRIMES = _small_primes()
 _PRIMORIAL = math.prod(SMALL_PRIMES)
 
+# A generated prime's candidates are sieved by the odd primes below 75
+# one window of _WINDOW candidates at a time; survivors pay one gcd
+# against the product of the small primes the window did not strike.
+_SIEVE_PRIMES = tuple(q for q in SMALL_PRIMES if 2 < q < 75)
+_UNSIEVED = _PRIMORIAL // math.prod(_SIEVE_PRIMES) // 2
+_WINDOW = 128
+
 # Rounds for an ``n`` somebody else chose: only the worst-case bound,
 # error below 4**-rounds, applies.
 WORST_CASE_ROUNDS = 40
 
-# At or below this size a generated prime is drawn uniformly and proven by
-# deterministic Miller-Rabin; above it, by a Pocklington step.
+# At or below this size a generated prime is walked to from a uniform start
+# and proven by deterministic Miller-Rabin; above it, by a Pocklington step.
 _BASE_BITS = 64
 
 
@@ -101,29 +113,64 @@ def _pocklington(p: int, t: int, c0: int) -> bool:
     return False
 
 
+def _walk(bits: int, residue: int, step: int,
+          proven: Callable[[int], bool]) -> int | None:
+    """The first ``p = residue + step*u`` of ``bits`` bits (top two set)
+    that ``proven`` accepts, for u counting up from one uniform u0 and
+    wrapping from the largest such u back to the smallest; None if no
+    u is accepted.
+
+    The progression is sieved one window of u at a time: q divides p
+    exactly when u is ``-residue / step`` mod q, so each small prime
+    strikes its multiples with one slice assignment and only the
+    survivors reach ``proven``.
+    """
+    low = -((residue - (3 << (bits - 2))) // step)
+    high = ((1 << bits) - 1 - residue) // step
+    # A prime below the smallest candidate never strikes itself.
+    smallest = residue + step * low
+    roots = [(q, -residue * pow(step, -1, q) % q)
+             for q in _SIEVE_PRIMES if q < smallest]
+    u = low + secrets.randbelow(high - low + 1)
+    left = high - low + 1
+    while left:
+        length = min(_WINDOW, high + 1 - u, left)
+        window = bytearray(b"\x01") * length
+        for q, root in roots:
+            first = (root - u) % q
+            window[first::q] = bytes((length - 1 - first) // q + 1)
+        start = residue + step * u
+        for i in itertools.compress(range(length), window):
+            p = start + step * i
+            if proven(p):
+                return p
+        left -= length
+        u = u + length if u + length <= high else low
+    return None
+
+
 def _draw_prime(bits: int, low_bits: int) -> int:
-    """A proven ``bits``-bit prime with the top two and ``low_bits`` set."""
+    """A proven ``bits``-bit prime with the top two and ``low_bits`` set.
+
+    ``low_bits`` is 0b01 or 0b11, so stepping by ``low_bits + 1`` keeps
+    them set: the base case walks odd numbers (or 3 mod 4) directly.
+    Above it, p = 2*t*c0 + 1 over a proven c0 of bits//2 + 1 bits (top
+    two set), so c0 > sqrt(p); p is 3 mod 4 exactly when t is odd, so
+    that walk steps t by 2 from an odd start.
+    """
     if bits < 3:
         raise ValueError("prime must have at least 3 bits")
-    forced = (0b11 << (bits - 2)) | low_bits
+    step = low_bits + 1
     if bits <= _BASE_BITS:
-        if forced == (1 << bits) - 1 and not is_prime(forced):
-            raise ValueError(f"no {bits}-bit prime has bits {forced:b}")
-        while True:
-            candidate = secrets.randbits(bits) | forced
-            if is_prime(candidate):
-                return candidate
-    # p = 2*t*c0 + 1 over a proven c0 of bits//2 + 1 bits (top two set),
-    # so c0 > sqrt(p); t ranges so that p has the top two bits set.
-    c0 = _draw_prime(bits // 2 + 1, 0b01)
-    low = ((3 << (bits - 2)) + 2 * c0 - 2) // (2 * c0)
-    high = ((1 << bits) - 2) // (2 * c0)
-    while True:
-        t = low + secrets.randbelow(high - low + 1)
-        p = 2 * t * c0 + 1
-        if (p & low_bits == low_bits and math.gcd(p, _PRIMORIAL) == 1
-                and _pocklington(p, t, c0)):
-            return p
+        p = _walk(bits, low_bits, step, is_prime)
+    else:
+        c0 = _draw_prime(bits // 2 + 1, 0b01)
+        p = _walk(bits, 1 + c0 * (step - 2), c0 * step,
+                  lambda p: (math.gcd(p, _UNSIEVED) == 1
+                             and _pocklington(p, (p - 1) // (2 * c0), c0)))
+    if p is None:
+        raise ValueError(f"no {bits}-bit prime has low bits {low_bits:b}")
+    return p
 
 
 def random_prime(bits: int) -> int:

@@ -62,7 +62,7 @@ class DirPointer:
         return esign.VerificationKey.from_bytes(self.mvk)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DirEntry:
     """One row of one view: a named child and how (if) to reach it."""
 
@@ -71,15 +71,11 @@ class DirEntry:
     kind: str  # DIRECT | SPLIT | ZERO
     pointer: DirPointer | None = None
 
-    def to_writer(self, writer: Writer) -> None:
-        writer.put_str(self.name)
-        writer.put_int(self.inode)
-        writer.put_str(self.kind)
-        if self.kind == DIRECT:
-            assert self.pointer is not None
-            writer.put_str(self.pointer.selector)
-            writer.put_bytes(self.pointer.mek)
-            writer.put_bytes(self.pointer.mvk)
+    @cached_property
+    def encoded(self) -> bytes:
+        """The row as a full view serializes it, encoded once: a table
+        rewritten on every create and unlink joins these bytes."""
+        return Writer().put_str(self.name).getvalue() + self.hidden_payload()
 
     @classmethod
     def from_reader(cls, reader: Reader) -> "DirEntry":
@@ -333,7 +329,7 @@ class TableView:
         writer.put_int(len(keys))
         if self.style == VIEW_FULL:
             for name in sorted(keys):
-                self.entries[name].to_writer(writer)
+                writer.put_encoded(self.entries[name].encoded)
         elif self.style == VIEW_NAMES:
             for name in sorted(keys):
                 writer.put_str(name)

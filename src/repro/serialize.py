@@ -49,6 +49,11 @@ class Writer:
             return self.put_bytes(b"\x00")
         return self.put_bytes(b"\x01" + value)
 
+    def put_encoded(self, value: bytes) -> "Writer":
+        """Append fields another :class:`Writer` already encoded."""
+        self._parts.append(value)
+        return self
+
     def getvalue(self) -> bytes:
         return b"".join(self._parts)
 

@@ -4,6 +4,7 @@ import hashlib
 import random
 import secrets
 import sys
+import types
 from math import gcd
 
 import pytest
@@ -262,6 +263,72 @@ class TestPrimes:
                 primes.random_prime(96)
         units = work / 300 / 96 ** 3
         assert units <= 12, units
+
+    def test_a_96_bit_prime_costs_one_draw_per_level(self, monkeypatch):
+        # Shawe-Taylor's walk: one uniform start per chain level (the
+        # 49-bit base, the 96-bit Pocklington step), then t + 1, t + 2,
+        # ... through a sieved window.  Redrawing every candidate cost
+        # ~47 draws and one gcd each.
+        draws = gcds = 0
+
+        def counted(draw):
+            def count(*args):
+                nonlocal draws
+                draws += 1
+                return draw(*args)
+            return count
+
+        def counting_gcd(a, b):
+            nonlocal gcds
+            gcds += 1
+            return gcd(a, b)
+
+        with pinned_entropy(2008), monkeypatch.context() as patch:
+            for name in ("randbits", "randbelow", "token_bytes"):
+                patch.setattr(secrets, name, counted(getattr(secrets, name)))
+            patch.setattr(primes, "math", types.SimpleNamespace(
+                gcd=counting_gcd, prod=primes.math.prod))
+            p = primes.random_prime(96)
+        assert p.bit_length() == 96
+        assert draws == 2
+        assert gcds <= 20, gcds
+
+    @pytest.mark.parametrize("low_bits", [0b01, 0b11])
+    def test_the_walk_wraps_from_the_top_to_the_bottom(self, monkeypatch,
+                                                       low_bits):
+        # Every start is the largest candidate: the base walk starts
+        # just below 2**49 and the Pocklington walk at t = high, so both
+        # wrap before they find a prime.
+        draws = _recorded_draws(monkeypatch)
+        monkeypatch.setattr(secrets, "randbelow", lambda n: n - 1)
+        draw = (primes.random_prime if low_bits == 0b01
+                else primes.random_prime_3mod4)
+        p = draw(96)
+        [(p_seen, inner)] = draws
+        [(c0, _)] = inner
+        assert p == p_seen
+        assert p.bit_length() == 96 and p >> 94 == 0b11
+        assert p & low_bits == low_bits
+        _check_certificate(p, inner)
+        # The first proven candidates at or after the bottom of each
+        # range: 2**49 - 1 (= 127 * 4432676798593) is composite, as is
+        # the top of the 96-bit progression.
+        assert not primes.is_prime((1 << 49) - 1)
+        assert c0 == next(n for n in range(3 << 47 | 1, 1 << 49, 2)
+                          if primes.is_prime(n))
+        low = ((3 << 94) + 2 * c0 - 2) // (2 * c0)
+        high = ((1 << 96) - 2) // (2 * c0)
+        assert not any(n & low_bits == low_bits and primes.is_prime(n)
+                       for n in (2 * t * c0 + 1 for t in (high - 1, high)))
+        assert p == next(n for n in (2 * t * c0 + 1 for t in range(low, high))
+                         if n & low_bits == low_bits and primes.is_prime(n))
+        # The base case on its own, from just below 2**64 (composite).
+        base = draw(64)
+        assert base >> 62 == 0b11 and _proven_below_2_64(base)
+        assert not primes.is_prime((1 << 64) - 1)
+        assert base == next(n for n in range(3 << 62 | low_bits, 1 << 64,
+                                             low_bits + 1)
+                            if primes.is_prime(n))
 
     def test_composite_costs_one_witness_not_forty(self):
         assert pow(2, _SEMIPRIME_96 - 1, _SEMIPRIME_96) != 1

@@ -20,7 +20,8 @@ from repro.caps.model import VIEW_FULL, VIEW_HIDDEN, VIEW_NAMES
 from repro.crypto import hashes
 from repro.crypto.provider import CryptoProvider
 from repro.errors import IntegrityError
-from repro.fs.dirtable import DIRECT, ZERO, DirEntry, DirPointer, TableView
+from repro.fs.dirtable import (DIRECT, SPLIT, ZERO, DirEntry, DirPointer,
+                              TableView)
 from repro.serialize import SerializationError, Writer
 from repro.tools.twin import pinned_entropy
 
@@ -141,3 +142,61 @@ def test_a_base_must_be_a_plain_view_of_the_head_s_style():
             TableView(VIEW_NAMES), 10)
     with pytest.raises(IntegrityError):
         TableView.from_bytes(head.to_bytes()).overlay(head, 10)
+
+
+def _reference_bytes(view: TableView) -> bytes:
+    """``TableView.to_bytes`` written out field by field, row by row."""
+    writer = Writer()
+    keys = view._keys()
+    if view.base_gen:
+        writer.put_str("head")
+        writer.put_int(view.base_gen)
+        writer.put_bytes(view.base_digest)
+        keys = view._added
+    writer.put_str(view.style)
+    writer.put_int(len(keys))
+    for key in sorted(keys):
+        if view.style == VIEW_FULL:
+            entry = view.entries[key]
+            writer.put_str(entry.name)
+            writer.put_int(entry.inode)
+            writer.put_str(entry.kind)
+            if entry.kind == DIRECT:
+                writer.put_str(entry.pointer.selector)
+                writer.put_bytes(entry.pointer.mek)
+                writer.put_bytes(entry.pointer.mvk)
+        elif view.style == VIEW_NAMES:
+            writer.put_str(key)
+        else:
+            writer.put_bytes(key)
+            writer.put_bytes(view.cells[key])
+    if view.base_gen:
+        put = writer.put_bytes if view.style == VIEW_HIDDEN else writer.put_str
+        writer.put_int(len(view._dead))
+        for key in sorted(view._dead):
+            put(key)
+    return writer.getvalue()
+
+
+@pytest.mark.parametrize("style", [VIEW_FULL, VIEW_NAMES, VIEW_HIDDEN])
+def test_a_row_encoded_once_serializes_field_by_field(style):
+    provider = CryptoProvider()
+    keys = dict(provider=provider, table_dek=DEK)
+    rows = [_entry(name, version) for version, name in enumerate(NAMES, 1)]
+    rows.append(DirEntry(name="split", inode=99, kind=SPLIT))
+    view = TableView.build(style, rows, **keys)
+    inline = view.to_bytes()
+    assert inline == _reference_bytes(view)
+
+    view.rebase(4, hashes.digest(inline), len(inline))
+    view.remove(NAMES[0], **keys)
+    view.remove(NAMES[1], **keys)
+    view.add(_entry(NAMES[1], 50), **keys)
+    view.add(_entry("new", 8), **keys)
+    head = view.to_bytes()
+    assert head == _reference_bytes(view)
+
+    # The next base: the head parsed cold, laid over its base, folded.
+    loaded = _load(head, inline)
+    loaded.rebase(0)
+    assert loaded.to_bytes() == _reference_bytes(loaded)
