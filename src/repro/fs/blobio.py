@@ -9,27 +9,26 @@ which is left with paths, CAPs and keys:
   by every read, probe and speculation through one walk;
 * **mutation routing** -- one :meth:`BlobIO.send` decides whether a put
   or delete is deferred into the journal batch, staged write-behind, or
-  shipped now (fenced with its lease epoch, as one ``OP_BATCH`` frame or
-  as single ops);
-* **frame accounting** -- ``request_count``, the ``network`` span and the
-  header-byte charge of every wire exchange are taken in one helper;
+  shipped now (as one ``OP_BATCH`` frame or as single ops);
+* **the frame ledger** -- every frame is counted (``request_count``),
+  spanned (``network``), priced and, failed, mapped to the single-op
+  exception taxonomy here and nowhere else, the scheduler's flights
+  (:meth:`BlobIO.flight`, :meth:`BlobIO.wave`) included;
 * **protocol frames** -- :meth:`BlobIO.exchange` ships an ordered list of
   sub-ops as one counted, charged frame (:meth:`BlobIO.ship` splits a
   longer list only at the wire's sub-op cap).  The journaled mutation
   is one of them -- lease head, intent, apply, commit, lease tail -- as
-  are lease reads, CAS, batched renewal and the grouped sends above.
-  Its apply puts name their payloads inside the intent, and a frame is
-  charged what the codec sends (``wire.payload_bytes``).
+  are lease reads, CAS, batched renewal, intent replay, version
+  statements and the grouped sends above.  Its apply puts name their
+  payloads inside the intent, and a frame is charged what the codec
+  sends (``wire.payload_bytes``).
 
 Stack, assembled once by ``SharoesFilesystem.__init__``::
 
-    filesystem -> BlobIO -> RequestScheduler -> ResilientTransport
+    filesystem -> BlobIO (its RequestScheduler queues) -> ResilientTransport
                -> TracedServer -> wire / SSP
 
-The replay of a pending intent -- this client's or, at a lease
-takeover, a dead client's -- ships through :meth:`BlobIO.ship` too
-(``journal.roll_forward``).  Consistency-log traffic keeps its own
-module; ``exists`` probes are (still) uncounted.
+Only ``exists`` probes are (still) uncounted.
 """
 
 from __future__ import annotations
@@ -46,8 +45,8 @@ from ..storage.wire import MAX_BATCH_OPS, payload_bytes
 from . import journal
 
 #: simulated framing overhead of one wire exchange, charged on top of
-#: the payload bytes (the only definition; the scheduler, baselines and
-#: migration price their frames with the same two numbers).
+#: the payload bytes (the only definition; the baselines and migration
+#: price their frames with the same two numbers).
 _REQUEST_HEADER_BYTES = 64
 _RESPONSE_HEADER_BYTES = 16
 
@@ -79,7 +78,7 @@ class BlobIO:
         is the one-round-trip-per-blob differential reference execution.
     window / write_behind:
         ``window >= 2`` attaches a ``RequestScheduler`` of that many
-        overlapped requests; ``write_behind`` lets unfenced mutations
+        overlapped requests; ``write_behind`` lets plain mutations
         stage in its queue (the client turns it off under the journal,
         whose append/apply/commit order is a durability contract).
     """
@@ -105,10 +104,8 @@ class BlobIO:
         self.scheduler = None
         if window:
             from .scheduler import RequestScheduler
-            self.scheduler = RequestScheduler(
-                server, window, cost=cost, tracer=tracer,
-                write_behind=write_behind,
-                count_request=self._count, observe_batch=self._observe_batch)
+            self.scheduler = RequestScheduler(self, window,
+                                              write_behind=write_behind)
             metrics.register_source(
                 "client.scheduler", self.scheduler.snapshot,
                 help="pipelined request scheduler: write-behind "
@@ -116,19 +113,21 @@ class BlobIO:
 
     # -- frame accounting ----------------------------------------------------
 
-    def _count(self) -> None:
-        self.request_count += 1
-
-    def _observe_batch(self, count: int) -> None:
-        self.metrics.histogram(
-            "client.batch.size", help="sub-ops per OP_BATCH frame",
-            buckets=_BATCH_SIZE_BUCKETS).observe(float(count))
-
     def charge(self, up: int = 0, down: int = 0) -> None:
         """Bill one exchange: payload bytes plus the frame headers."""
         if self.cost is not None:
             self.cost.charge_request(up + _REQUEST_HEADER_BYTES,
                                      down + _RESPONSE_HEADER_BYTES)
+
+    def _count(self, op: str, count: int | None = None) -> None:
+        """Count one frame (``count``: the sub-ops of an ``OP_BATCH``)."""
+        self.request_count += 1
+        if op == "get":
+            self.get_frames += 1
+        if count is not None:
+            self.metrics.histogram(
+                "client.batch.size", help="sub-ops per OP_BATCH frame",
+                buckets=_BATCH_SIZE_BUCKETS).observe(float(count))
 
     @contextmanager
     def frame(self, op: str, **attrs):
@@ -138,12 +137,8 @@ class BlobIO:
         calls :meth:`charge` itself: single ops charge before the call,
         batches after it (only what the replies show crossed the wire).
         """
-        self._count()
-        if op == "get":
-            self.get_frames += 1
+        self._count(op, attrs.get("count"))
         with self.tracer.span("network", op=op, **attrs):
-            if "count" in attrs:
-                self._observe_batch(attrs["count"])
             yield
 
     def exchange(self, label: str,
@@ -201,6 +196,43 @@ class BlobIO:
                     transient=isinstance(exc, TransientStorageError))]
                 replies += [BatchReply("unattempted")] * (len(part) - 1)
         return replies
+
+    def flight(self, label: str, count: int):
+        """The one ``network`` span of a scheduler flush or fetch flight
+        of ``count`` sub-ops; its waves (:meth:`wave`) ship inside it."""
+        return self.tracer.span("network", op=label, count=count,
+                                window=self.scheduler.window)
+
+    def wave(self, ops: Sequence[BatchOp]) -> list[BatchReply]:
+        """One wave of the scheduler's window: ``ops`` as overlapped
+        requests, inside the open :meth:`flight`.
+
+        Counted once, like any frame, but priced as a flight
+        (``cost.charge_flight``): every attempted sub-op is its own
+        pipelined request -- a header and its bytes up, a header and any
+        payload down -- whose RTTs overlap within the window while the
+        bytes serialize.  A wave the transport refuses raises: a write
+        wave unpriced, as a refused :meth:`exchange`; a read wave at its
+        headers, as a refused :meth:`prefetch`.
+        """
+        self._count("wave", len(ops))
+        try:
+            replies = self.server.batch(ops)
+        except StorageError:
+            if ops[0].kind == "get":
+                self._charge_wave(ops, [BatchReply("error")] * len(ops))
+            raise
+        self._charge_wave(ops, replies)
+        return replies
+
+    def _charge_wave(self, ops, replies) -> None:
+        if self.cost is not None:
+            self.cost.charge_flight(
+                [(op.sent_bytes() + _REQUEST_HEADER_BYTES,
+                  len(reply.payload or b"") + _RESPONSE_HEADER_BYTES)
+                 for op, reply in zip(ops, replies)
+                 if reply.status != "unattempted"],
+                parallel=self.scheduler.window)
 
     def _charge_replies(self, ops, replies) -> None:
         # One request header for the frame (blob ids ride in its
@@ -284,8 +316,7 @@ class BlobIO:
         return self.scheduler.flush() if self.scheduler is not None else 0
 
     def send(self, blobs: Sequence[tuple[BlobId, "bytes | None"]], *,
-             grouped: bool,
-             fences: "dict[int, int] | None" = None) -> None:
+             grouped: bool) -> None:
         """Upload (payload) or delete (``None``) blobs.
 
         ``grouped`` sends are one request: the paper's Figure 8 prices a
@@ -294,14 +325,13 @@ class BlobIO:
         the crypto column, not the network column).  Its sub-ops apply
         in order, and a group of puts may end in deletes (a table fold's
         old bases); it is a ``put_many`` all the same.  Ungrouped blobs
-        are one wire call each.  ``fences`` maps inode -> lease epoch; a
-        covered blob's write is fenced on its lease blob.
+        are one wire call each.
         """
         if not blobs:
             return
         if not grouped and len(blobs) > 1:
             for blob in blobs:
-                self.send((blob,), grouped=False, fences=fences)
+                self.send((blob,), grouped=False)
             return
         deleting = blobs[0][1] is None
         if self.cache is not None:
@@ -310,11 +340,9 @@ class BlobIO:
         if self.batch is not None:
             self.batch.stage(blobs)
             return
-        epoch_of = (fences or {}).get
         scheduler = self.scheduler
         if (scheduler is not None and scheduler.write_behind
-                and len(blobs) <= scheduler.window
-                and all(epoch_of(bid.inode) is None for bid, _ in blobs)):
+                and len(blobs) <= scheduler.window):
             # Small independent groups ride the write-behind queue and
             # merge with neighbouring ops into shared RTT waves.  A
             # group larger than the window would *lose* by staging (its
@@ -331,10 +359,9 @@ class BlobIO:
             else:
                 scheduler.stage_put_many(blobs)
             return
-        ops = journal.write_ops(blobs, fences)
+        ops = journal.write_ops(blobs)
         if not (grouped and self.batching):
-            # A direct (fenced or oversized) write must order after
-            # everything staged.
+            # A direct write must order after everything staged.
             self.flush()
             for op in ops:
                 self._send_one(op)
@@ -344,7 +371,8 @@ class BlobIO:
 
     def raise_failure(self, blobs, replies) -> None:
         """Raise what the first failed reply to the
-        :func:`journal.write_ops` of ``blobs`` means."""
+        :func:`journal.write_ops` of ``blobs`` means: the one rule for a
+        grouped send, a journaled apply and a write-behind flush."""
         for index, reply in enumerate(replies):
             if reply.status == "ok":
                 continue
@@ -450,10 +478,10 @@ class BlobIO:
     def fetch_tail(self, blob_ids: Iterable[BlobId]) -> None:
         """Overlap independent reads as one scheduler flight.
 
-        Waves of ``window`` requests share RTTs (the scheduler counts
-        and charges them); the sealed bytes park in the raw slots the
-        sequential loop's :meth:`get` drains -- same bytes, same
-        verification, fewer serialized round trips.  A missing blob
+        Waves of ``window`` requests share RTTs (each a :meth:`wave`);
+        the sealed bytes park in the raw slots the sequential loop's
+        :meth:`get` drains -- same bytes, same verification, fewer
+        serialized round trips.  A missing blob
         stays unfetched and the demand path surfaces the usual error.
         A no-op without a scheduler.
         """
@@ -462,9 +490,6 @@ class BlobIO:
         wanted = self._cold(blob_ids)
         if not wanted:
             return
-        with self.tracer.span("network", op="fetch_tail",
-                              count=len(wanted)):
-            fetched = self.scheduler.fetch_many(wanted)
-        for blob_id, payload in fetched.items():
+        for blob_id, payload in self.scheduler.fetch_many(wanted).items():
             if payload is not None:
                 self._park(blob_id, payload)

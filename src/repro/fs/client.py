@@ -503,7 +503,7 @@ class SharoesFilesystem:
         from .consistency import ConsistencyLog
         self.consistency = self.mutation.consistency = ConsistencyLog(
             self.mutation.holder, self.agent.user.signing.signing,
-            self.volume.registry.directory, self.provider)
+            self.volume.registry.directory, self.blobs.ship, self.provider)
         return self.consistency
 
     @traced("publish_statement", path_arg=None)
@@ -512,10 +512,7 @@ class SharoesFilesystem:
         if self.consistency is None:
             raise SharoesError("consistency log not enabled")
         self._charge_other()
-        self.flush_staged()
-        statement = self.consistency.publish(self.server)
-        self.blobs.charge(up=len(statement.to_bytes()))
-        return statement
+        return self.consistency.publish()
 
     @traced("sync_statements", path_arg=None)
     def sync_statements(self, peer_ids: list[str]):
@@ -527,11 +524,7 @@ class SharoesFilesystem:
         if self.consistency is None:
             raise SharoesError("consistency log not enabled")
         self._charge_other()
-        self.flush_staged()
-        accepted = self.consistency.sync(self.server, peer_ids)
-        for statement in accepted:
-            self.blobs.charge(down=len(statement.to_bytes()))
-        return accepted
+        return self.consistency.sync(peer_ids)
 
     # ------------------------------------------------------------------ wire
 
@@ -548,11 +541,12 @@ class SharoesFilesystem:
         """Barrier: ship every staged write-behind mutation now.
 
         Called at every point where staged state must be visible beyond
-        this client -- close-to-open ``revalidate()``, ``unmount()``,
-        consistency-log publishes.  (Mutations that must order directly
-        against the SSP -- fenced writes, oversized groups -- flush
-        inside :meth:`BlobIO.send`.)  A no-op without a scheduler.
-        Returns the number of sub-ops shipped.
+        this client -- close-to-open ``revalidate()``, ``unmount()``.
+        (Frames that must order directly against the SSP -- protocol
+        frames such as consistency-log publishes, oversized groups --
+        flush inside :meth:`BlobIO.exchange` and :meth:`BlobIO.send`.)
+        A no-op without a scheduler.  Returns the number of sub-ops
+        shipped.
         """
         return self.blobs.flush()
 
@@ -603,9 +597,7 @@ class SharoesFilesystem:
         normal access path (paper section III-C).
         """
         self._charge_other()
-        blob = self.blobs.get(superblock_blob(self.agent.user_id))
-        self._superblock = Superblock.unwrap(
-            self.provider, self.agent.user.private_key, blob)
+        self._read_superblock()
         for group_id in sorted(self.agent.user.groups):
             try:
                 wrapped = self.blobs.get(
@@ -617,8 +609,18 @@ class SharoesFilesystem:
             # Resume our own statement chain *before* journal recovery:
             # the adopted journal_seq watermark is what lets recovery
             # reject a stale re-served committed journal as a rollback.
-            self.consistency.resume_from(self.server)
-        self.mutation.recover()
+            self.consistency.resume_from()
+        mine = superblock_blob(self.agent.user_id)
+        if any(blob_id == mine for record in self.mutation.recover()
+               for blob_id, _ in record.blobs):
+            # The replay finished a root change: read the superblock it
+            # wrote, not the one it replaced.
+            self._read_superblock()
+
+    def _read_superblock(self) -> None:
+        blob = self.blobs.get(superblock_blob(self.agent.user_id))
+        self._superblock = Superblock.unwrap(
+            self.provider, self.agent.user.private_key, blob)
 
     @property
     def mounted(self) -> bool:
@@ -1791,9 +1793,13 @@ class SharoesFilesystem:
         scheme = self.volume.scheme
         sb = self._require_mounted()
         if record.attrs.inode == sb.root_inode:
-            self.volume.write_superblocks(self.provider, record)
+            # The superblocks are this op's writes like any other: sent
+            # inside it (under the journal, in its frame).
+            self.blobs.send(self.volume.superblocks(self.provider, record),
+                            grouped=True)
             self.volume._root_record = record
-            self.mount()  # refresh our own superblock view
+            self._superblock = self.volume.superblock(record,
+                                                      self.agent.user_id)
             return
         parent_path, name = fspath.parent_and_name(path)
         parent = self._resolve(parent_path)

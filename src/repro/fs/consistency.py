@@ -40,6 +40,11 @@ Protocol implemented here:
      forked us.
 
 Any violation raises :class:`ForkDetected`.
+
+Statements travel through the ``exchange`` a client hands the log (its
+counted, charged :meth:`~repro.fs.blobio.BlobIO.ship`) and are signed
+and verified through its :class:`~repro.crypto.provider.CryptoProvider`,
+so both show in the client's ledger.
 """
 
 from __future__ import annotations
@@ -48,10 +53,10 @@ from dataclasses import dataclass
 
 from ..crypto import esign, hashes
 from ..crypto.provider import CryptoProvider
-from ..errors import BlobNotFound, IntegrityError
+from ..errors import IntegrityError
 from ..serialize import Reader, Writer
 from ..storage.blobs import BlobId, principal_hash
-from ..storage.server import StorageServer
+from ..storage.server import BatchOp
 
 VSL_KIND = "vsl"
 
@@ -150,13 +155,17 @@ class ConsistencyLog:
     """Client-side fork-consistency state for one user."""
 
     def __init__(self, user_id: str, signing_key: esign.SigningKey,
-                 directory, provider: CryptoProvider | None = None):
+                 directory, exchange,
+                 provider: CryptoProvider | None = None):
         """``signing_key`` is the user's USK; ``directory`` maps user ids
         to their UVKs (the registry's
-        :class:`~repro.principals.registry.PublicKeyDirectory`)."""
+        :class:`~repro.principals.registry.PublicKeyDirectory`);
+        ``exchange(label, ops) -> replies`` ships one frame of sub-ops
+        (standalone: ``lambda label, ops: server.batch(ops)``)."""
         self.user_id = user_id
         self._signing = signing_key
         self._directory = directory
+        self._exchange = exchange
         self._provider = provider or CryptoProvider()
         self._sequence = 0
         self._previous_digest = b"\x00" * 32
@@ -184,7 +193,7 @@ class ConsistencyLog:
 
     # -- publishing -----------------------------------------------------------
 
-    def publish(self, server: StorageServer) -> VersionStatement:
+    def publish(self) -> VersionStatement:
         """Sign and upload this client's current observation statement."""
         observations = tuple(sorted(self.known_high.items()))
         seen = tuple(sorted((peer, state[0])
@@ -195,13 +204,16 @@ class ConsistencyLog:
             previous_digest=self._previous_digest,
             observations=observations, seen=seen,
             journal_seq=self.journal_seq)
-        signature = esign.sign(self._signing, unsigned.signed_payload())
+        signature = self._provider.sign(self._signing,
+                                        unsigned.signed_payload())
         statement = VersionStatement(
             user_id=unsigned.user_id, sequence=unsigned.sequence,
             previous_digest=unsigned.previous_digest,
             observations=unsigned.observations, seen=unsigned.seen,
             journal_seq=unsigned.journal_seq, signature=signature)
-        server.put(statement_blob(self.user_id), statement.to_bytes())
+        reply, = self._exchange("vsl.publish", [BatchOp.put(
+            statement_blob(self.user_id), statement.to_bytes())])
+        reply.raise_for_status()
         self._previous_digest = statement.digest()
         for inode, version in observations:
             current = self._asserted.get(inode)
@@ -211,7 +223,7 @@ class ConsistencyLog:
 
     # -- resuming an existing chain -------------------------------------------
 
-    def resume_from(self, server: StorageServer) -> VersionStatement | None:
+    def resume_from(self) -> VersionStatement | None:
         """Adopt this user's last published statement from the SSP.
 
         Called at mount, *before* journal recovery: verifies the
@@ -225,18 +237,17 @@ class ConsistencyLog:
         contact is SUNDR's residual first-contact gap -- peers detect it
         at the next cross-sync.)
         """
-        try:
-            raw = server.get(statement_blob(self.user_id))
-        except BlobNotFound:
+        statement, = self._read("vsl.resume", [self.user_id])
+        if statement is None:
             return None
-        statement = VersionStatement.from_bytes(raw)
         if statement.user_id != self.user_id:
             raise ForkDetected(
                 f"statement in my slot claims author "
                 f"{statement.user_id!r}")
         try:
-            esign.verify(self._directory.signature_key(self.user_id),
-                         statement.signed_payload(), statement.signature)
+            self._provider.verify(self._directory.signature_key(self.user_id),
+                                  statement.signed_payload(),
+                                  statement.signature)
         except IntegrityError as exc:
             raise ForkDetected(
                 f"{self.user_id}: invalid signature on my own "
@@ -251,23 +262,20 @@ class ConsistencyLog:
 
     # -- verification ------------------------------------------------------------
 
-    def sync(self, server: StorageServer,
-             peer_ids: list[str]) -> list[VersionStatement]:
-        """Fetch, verify and fork-check every peer's latest statement.
+    def sync(self, peer_ids: list[str]) -> list[VersionStatement]:
+        """Fetch (in one frame), verify and fork-check every peer's
+        latest statement.
 
         Accepted observations are merged into this client's known
         high-water marks (that is what makes the causal check bite on
         the *next* round of statements).
         """
+        peers = [peer_id for peer_id in peer_ids if peer_id != self.user_id]
         accepted = []
-        for peer_id in peer_ids:
-            if peer_id == self.user_id:
+        for peer_id, statement in zip(
+                peers, self._read("vsl.sync", peers) if peers else ()):
+            if statement is None:
                 continue
-            try:
-                raw = server.get(statement_blob(peer_id))
-            except BlobNotFound:
-                continue
-            statement = VersionStatement.from_bytes(raw)
             self._verify(peer_id, statement)
             for inode, version in statement.observations:
                 if version > self.known_high.get(inode, 0):
@@ -277,14 +285,27 @@ class ConsistencyLog:
             accepted.append(statement)
         return accepted
 
+    def _read(self, label: str,
+              user_ids: list[str]) -> list[VersionStatement | None]:
+        """The statements in ``user_ids``' slots, fetched in one frame
+        (None for an empty slot)."""
+        replies = self._exchange(label, [BatchOp.get(statement_blob(user_id))
+                                         for user_id in user_ids])
+        for reply in replies:
+            if reply.status != "missing":
+                reply.raise_for_status()
+        return [VersionStatement.from_bytes(reply.payload or b"")
+                if reply.ok else None for reply in replies]
+
     def _verify(self, peer_id: str, statement: VersionStatement) -> None:
         if statement.user_id != peer_id:
             raise ForkDetected(
                 f"statement in {peer_id!r}'s slot claims author "
                 f"{statement.user_id!r}")
         try:
-            esign.verify(self._directory.signature_key(peer_id),
-                         statement.signed_payload(), statement.signature)
+            self._provider.verify(self._directory.signature_key(peer_id),
+                                  statement.signed_payload(),
+                                  statement.signature)
         except IntegrityError as exc:
             raise ForkDetected(
                 f"{peer_id}: invalid statement signature ({exc})"

@@ -467,8 +467,9 @@ class MutationPipeline:
                         "pending intents re-applied in-session",
                         len(replayed))
 
-    def recover(self) -> None:
-        """At mount: replay whatever a dead mount left.
+    def recover(self) -> list[journal.IntentRecord]:
+        """At mount: replay whatever a dead mount left; returns the
+        intents replayed.
 
         New intents number past the version statement's watermark, or
         this session's commits would look like stale re-serves.  The
@@ -478,12 +479,12 @@ class MutationPipeline:
         """
         if self.consistency is not None:
             self._seq = max(self._seq, self.consistency.journal_seq)
-        if not self.journaled or self.blobs.batch is not None:
-            return  # (a nested mount inside a mutation)
+        if not self.journaled:
+            return []
         records = journal.pending(self.blobs.ship, self.provider,
                                   self.user, holder=self.holder)
         if not records:
-            return
+            return []
         last = max(record.seq for record in records)
         if (self.consistency is not None
                 and last <= self.consistency.journal_seq):
@@ -502,3 +503,4 @@ class MutationPipeline:
                     "intents replayed by mount-time recovery", len(replayed))
         if self.consistency is not None and replayed:
             self.consistency.observe_journal(max(r.seq for r in replayed))
+        return replayed

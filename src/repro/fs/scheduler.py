@@ -29,27 +29,34 @@ written -- just when they cross the wire.  The concurrent-vs-sequential
 differential suite (tests/test_concurrency_differential.py) proves the
 final SSP state byte-identical.
 
+The scheduler keeps the queue, the overlay, dedup and generation
+cancellation -- nothing of the wire.  It ships each flush or fetch
+flight through the owning :class:`~repro.fs.blobio.BlobIO`, which opens
+its ``network`` span (:meth:`~repro.fs.blobio.BlobIO.flight`), counts and
+prices each wave as a flight of overlapped requests
+(:meth:`~repro.fs.blobio.BlobIO.wave`), and maps a failed flush by the
+grouped send's rule (:meth:`~repro.fs.blobio.BlobIO.raise_failure`).
+
 Ordering and flush rules (see docs/CONCURRENCY.md):
 
 * staged blobs are flushed, in order, as soon as the queue reaches
   ``window`` sub-ops, or at any *barrier*: an explicit
   ``flush_staged()``, ``unmount()``, ``revalidate()`` (close-to-open
-  visibility), consistency-log publishes, and before any operation that
-  must order against the SSP (fenced/CAS writes, oversized groups);
+  visibility), consistency-log publishes, and before any frame that
+  must order against the SSP (protocol frames, oversized groups);
 * errors keep the single-op exception taxonomy, surfaced at flush time
-  with the applied/failed/remaining contract of ``PartialWriteError``.
+  with the applied/failed/remaining contract of ``PartialWriteError``
+  over the whole drained queue.
 """
 
 from __future__ import annotations
 
+from itertools import takewhile
 from typing import Callable, Iterable, Sequence
 
-from ..errors import (BlobNotFound, PartialWriteError, StaleEpochError,
-                      StorageError, TransientPartialWriteError)
-from ..obs.tracing import Tracer
+from ..errors import StorageError
 from ..storage.blobs import BlobId
 from ..storage.server import BatchOp, BatchReply
-from .blobio import _REQUEST_HEADER_BYTES, _RESPONSE_HEADER_BYTES
 
 
 class RequestScheduler:
@@ -57,45 +64,31 @@ class RequestScheduler:
 
     Parameters
     ----------
-    server:
-        The transport the owning client talks to (possibly a
+    blobs:
+        The owning :class:`~repro.fs.blobio.BlobIO`, which ships each
+        wave (over the client's transport, possibly a
         ``ResilientTransport`` -- waves ride its ``batch`` partial-retry
         path, so flaky backends reconcile exactly like sequential runs).
     window:
         Requests kept in flight concurrently (the ``ClientConfig``
         ``concurrency`` knob); at least 2.
-    cost / tracer:
-        Optional cost model and span tracer (default: an unobserved
-        one); waves charge ``cost.charge_flight`` and open ``network``
-        spans.
     write_behind:
         Allow mutation staging.  The owning client disables it when the
         intent journal is on -- journal append/apply/commit ordering is
         a durability contract the write-behind queue must not reorder --
         while fetch flights stay available.
-    count_request / observe_batch:
-        Callbacks into the owning :class:`~repro.fs.blobio.BlobIO`'s
-        request counter and batch-size histogram, so wire-frame
-        accounting stays in one place.
     """
 
-    def __init__(self, server, window: int, cost=None, tracer=None,
-                 write_behind: bool = True,
-                 count_request: Callable[[], None] | None = None,
-                 observe_batch: Callable[[int], None] | None = None):
+    def __init__(self, blobs, window: int, write_behind: bool = True):
         if window < 2:
             raise ValueError("scheduler window must be >= 2")
-        self.server = server
+        self.blobs = blobs
         self.window = window
-        self.cost = cost
-        self.tracer = tracer if tracer is not None else Tracer()
         self.write_behind = write_behind
         #: called once per inode whose staged writes a failed
         #: :meth:`flush` dropped; the owning client sets it to stop
         #: trusting what it cached of them.
         self.on_drop: Callable[[int], None] = lambda inode: None
-        self._count_request = count_request or (lambda: None)
-        self._observe_batch = observe_batch or (lambda n: None)
         #: staged mutations in arrival order (put/delete sub-ops only).
         self._staged: list[BatchOp] = []
         #: read-your-writes overlay: blob id -> newest staged payload
@@ -217,45 +210,20 @@ class RequestScheduler:
 
     # -- shipping ------------------------------------------------------------
 
-    def _span(self, op: str, **attrs):
-        return self.tracer.span("network", op=op, **attrs)
-
-    @staticmethod
-    def _transfer(op: BatchOp, reply: BatchReply) -> tuple[int, int]:
-        """(up, down) wire bytes of one pipelined request."""
-        if op.kind == "get":
-            down = len(reply.payload or b"") if reply.ok else 0
-            return (_REQUEST_HEADER_BYTES,
-                    down + _RESPONSE_HEADER_BYTES)
-        return (op.sent_bytes() + _REQUEST_HEADER_BYTES,
-                _RESPONSE_HEADER_BYTES)
-
-    def _charge_wave(self, ops: Sequence[BatchOp],
-                     replies: Sequence[BatchReply]) -> None:
-        """Bill one wave: attempted requests overlap their RTTs within
-        the window; unattempted sub-ops never left the client."""
-        if self.cost is None:
-            return
-        transfers = [self._transfer(op, reply)
-                     for op, reply in zip(ops, replies)
-                     if reply.status != "unattempted"]
-        self.cost.charge_flight(transfers, parallel=self.window)
-
     def flush(self) -> int:
         """Drain the staged queue in waves of ``window`` sub-ops.
 
-        Each wave is one wire exchange (window-many pipelined requests
-        whose RTTs overlap); waves apply strictly in order, so the SSP
-        observes the exact sequential mutation order.  Returns the
-        number of sub-ops shipped.
+        Each wave is one :meth:`BlobIO.wave` (window-many pipelined
+        requests whose RTTs overlap); waves apply strictly in order, so
+        the SSP observes the exact sequential mutation order.  Returns
+        the number of sub-ops shipped.
 
-        On a sub-op failure the queue is cleared and the single-op
-        exception taxonomy is raised: ``fenced`` -> StaleEpochError
-        (cannot happen for staged ops -- fenced writes bypass staging),
-        a failed put -> ``PartialWriteError`` (transient cause keeps its
-        retryable type) carrying applied/failed/remaining blob ids, any
-        other failure via ``BatchReply.raise_for_status``.  The failed
-        and remaining sub-ops (of this or of earlier, already returned
+        The first wave with a failed sub-op ends the flush, and the
+        queue is gone: it raises what a grouped send of the whole
+        drained queue would (:meth:`BlobIO.raise_failure` --
+        ``PartialWriteError`` naming applied/failed/remaining, a
+        transient cause keeping its retryable type).  The failed and
+        remaining sub-ops (of this or of earlier, already returned
         client ops) never reached the SSP: each of their inodes is
         reported through ``on_drop`` before the error surfaces.
         """
@@ -264,46 +232,22 @@ class RequestScheduler:
         if not ops:
             return 0
         self.flushes += 1
-        applied: list[BlobId] = []
+        replies: list[BatchReply] = []
         try:
-            with self._span("flush", count=len(ops), window=self.window):
+            with self.blobs.flight("flush", len(ops)):
                 for base in range(0, len(ops), self.window):
-                    wave = ops[base:base + self.window]
+                    if not all(reply.ok for reply in replies):
+                        break
                     self.flush_waves += 1
-                    self._count_request()
-                    self._observe_batch(len(wave))
-                    replies = self.server.batch(wave)
-                    self._charge_wave(wave, replies)
-                    for index, (op, reply) in enumerate(zip(wave, replies)):
-                        if reply.ok:
-                            applied.append(op.blob_id)
-                            self.flushed_ops += 1
-                            continue
-                        self._raise_wave_failure(ops, base + index, op,
-                                                 reply, applied)
-        except BaseException:
-            for inode in {op.blob_id.inode for op in ops[len(applied):]}:
+                    replies += self.blobs.wave(ops[base:base + self.window])
+                self.blobs.raise_failure(
+                    [(op.blob_id, op.payload) for op in ops], replies)
+        finally:
+            applied = len(list(takewhile(lambda reply: reply.ok, replies)))
+            self.flushed_ops += applied
+            for inode in {op.blob_id.inode for op in ops[applied:]}:
                 self.on_drop(inode)
-            raise
         return len(ops)
-
-    def _raise_wave_failure(self, ops: Sequence[BatchOp], index: int,
-                            op: BatchOp, reply: BatchReply,
-                            applied: list[BlobId]) -> None:
-        remaining = [later.blob_id for later in ops[index + 1:]]
-        if op.kind == "put" and reply.status == "error":
-            cls = (TransientPartialWriteError if reply.transient
-                   else PartialWriteError)
-            raise cls(
-                f"write-behind flush failed at {op.blob_id} "
-                f"({len(applied)}/{len(ops)} sub-ops applied): "
-                f"{reply.message}",
-                applied=applied, failed=op.blob_id, remaining=remaining)
-        # Deletes and anything else surface exactly like the single op
-        # (missing -> BlobNotFound, error -> StorageError taxonomy).
-        reply.raise_for_status()
-        raise StorageError(  # pragma: no cover - defensive
-            f"unexpected sub-reply {reply.status!r} for {op.kind}")
 
     # -- fetch flights -------------------------------------------------------
 
@@ -342,24 +286,15 @@ class RequestScheduler:
         generation = self.generation
         self.fetch_flights += 1
         fetched: dict[BlobId, bytes | None] = {}
-        with self._span("fetch_flight", count=len(wanted),
-                        window=self.window):
+        with self.blobs.flight("fetch_flight", len(wanted)):
             for base in range(0, len(wanted), self.window):
                 wave = wanted[base:base + self.window]
-                wave_ops = [BatchOp.get(blob_id) for blob_id in wave]
                 self.fetch_waves += 1
-                self._count_request()
-                self._observe_batch(len(wave))
                 try:
-                    replies = self.server.batch(wave_ops)
+                    replies = self.blobs.wave(
+                        [BatchOp.get(blob_id) for blob_id in wave])
                 except StorageError:
-                    if self.cost is not None:
-                        self.cost.charge_flight(
-                            [(_REQUEST_HEADER_BYTES,
-                              _RESPONSE_HEADER_BYTES)] * len(wave),
-                            parallel=self.window)
                     break
-                self._charge_wave(wave_ops, replies)
                 for blob_id, reply in zip(wave, replies):
                     if reply.ok and reply.payload is not None:
                         fetched[blob_id] = reply.payload

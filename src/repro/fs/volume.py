@@ -21,7 +21,7 @@ from ..errors import SharoesError
 from ..principals.registry import PrincipalRegistry
 # meta_blob, block_blob_id and table_blob_id are re-exported: existing
 # importers take the blob-id helpers from here.
-from ..storage.blobs import meta_blob, superblock_blob  # noqa: F401
+from ..storage.blobs import BlobId, meta_blob, superblock_blob  # noqa: F401
 from ..storage.server import StorageServer
 from . import layout
 from .dirtable import TableView
@@ -77,16 +77,20 @@ class SharoesVolume:
         self.write_object(provider, record)
         self.root_inode = inode
         self._root_record = record
-        self.write_superblocks(provider, record)
+        self.put_blobs(self.superblocks(provider, record))
         return record
+
+    def put_blobs(self, blobs) -> None:
+        """Put ``(blob id, bytes)`` pairs straight to the SSP."""
+        for blob_id, blob in blobs:
+            self.server.put(blob_id, blob)
 
     def write_object(self, provider: CryptoProvider,
                      record: ObjectRecord,
                      table_entries=None) -> None:
         """Write all metadata replicas (and table views for a directory)."""
-        for blob_id, blob in layout.metadata_replicas(self.scheme, provider,
-                                                      record):
-            self.server.put(blob_id, blob)
+        self.put_blobs(layout.metadata_replicas(self.scheme, provider,
+                                                record))
         if record.attrs.ftype == DIRECTORY:
             self.write_tables(provider, record, table_entries or {})
 
@@ -101,39 +105,33 @@ class SharoesVolume:
             views[selector] = (dek, TableView.build(
                 style, entries_by_selector.get(selector, []),
                 provider=provider, table_dek=dek))
-        blobs, _ = layout.store_tables(provider, record.dsk, attrs.inode,
-                                       views)
-        for blob_id, blob in blobs:
-            self.server.put(blob_id, blob)
+        self.put_blobs(layout.store_tables(provider, record.dsk,
+                                           attrs.inode, views)[0])
 
-    def write_superblocks(self, provider: CryptoProvider,
-                          root_record: ObjectRecord) -> int:
-        """(Re)issue the per-user encrypted superblocks.
+    def superblock(self, root_record: ObjectRecord,
+                   user_id: str) -> Superblock:
+        """``user_id``'s superblock for the root ``root_record`` (every
+        user's selector is materialized, the zero CAP's included)."""
+        selector = self.scheme.selector_for_user(root_record.attrs, user_id)
+        return Superblock(
+            root_inode=root_record.attrs.inode,
+            root_selector=selector,
+            root_mek=root_record.selector_meks[selector],
+            root_mvk=root_record.mvk.to_bytes(),
+            scheme_name=self.scheme.name,
+            block_size=self.block_size,
+        )
 
-        A user whose selector on the root is not materialized (zero CAP)
-        gets no superblock and therefore cannot mount -- the in-band
-        analogue of not being in /etc/passwd.
-        """
-        attrs = root_record.attrs
-        materialized = set(self.scheme.selectors(attrs))
-        count = 0
-        for user in self.registry.users():
-            selector = self.scheme.selector_for_user(attrs, user.user_id)
-            if selector not in materialized:
-                continue
-            superblock = Superblock(
-                root_inode=attrs.inode,
-                root_selector=selector,
-                root_mek=root_record.selector_meks[selector],
-                root_mvk=root_record.mvk.to_bytes(),
-                scheme_name=self.scheme.name,
-                block_size=self.block_size,
-            )
-            blob = superblock.wrap(
-                provider, self.registry.directory.user_key(user.user_id))
-            self.server.put(superblock_blob(user.user_id), blob)
-            count += 1
-        return count
+    def superblocks(self, provider: CryptoProvider,
+                    root_record: ObjectRecord) -> list[tuple[BlobId, bytes]]:
+        """Every user's superblock for ``root_record``, encrypted to that
+        user, as ``(blob id, bytes)`` pairs: :meth:`format`,
+        :meth:`provision_user` and the migration tool put them, a
+        client's root attribute change sends them inside its op."""
+        return [(superblock_blob(user.user_id),
+                 self.superblock(root_record, user.user_id).wrap(
+                     provider, self.registry.directory.user_key(user.user_id)))
+                for user in self.registry.users()]
 
     def provision_user(self, user_id: str,
                        provider: CryptoProvider | None = None) -> None:
@@ -152,5 +150,5 @@ class SharoesVolume:
                 "Scheme-1 enrolment requires rebuilding every owner's "
                 "replica tree; register users before migration instead "
                 "(this cost asymmetry is the point of Scheme-2)")
-        provider = provider or CryptoProvider()
-        self.write_superblocks(provider, self._root_record)
+        self.put_blobs(self.superblocks(provider or CryptoProvider(),
+                                        self._root_record))

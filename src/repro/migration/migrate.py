@@ -153,16 +153,13 @@ class MigrationTool:
 
     def migrate(self, tree: LocalTree) -> MigrationReport:
         """Run the transition; returns the report."""
-        scheme = self.volume.scheme
         root_record = self._build_node("/", tree.root)
         self.volume.root_inode = root_record.attrs.inode
         self.volume._root_record = root_record
-        self.report.superblocks = self.volume.write_superblocks(
-            self.provider, root_record)
+        superblocks = self.volume.superblocks(self.provider, root_record)
+        self.volume.put_blobs(superblocks)
+        self.report.superblocks = len(superblocks)
         self._flush_batch()
-        if scheme.name == "scheme1":
-            # Scheme-1 has no shared replicas, hence its storage cost.
-            pass
         return self.report
 
     def _build_node(self, path: str, node: LocalNode) -> ObjectRecord:

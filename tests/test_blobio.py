@@ -4,12 +4,15 @@ A recording fake server and cost model stand under a real ``BlobIO`` so
 each case can assert the *route* (journal batch / write-behind queue /
 one frame / single ops), that frames are counted once, the bytes
 charged, the blobs staged into the journal and the raw-slot invalidation
--- for every put/delete x single/grouped x routing condition.
+-- for every put/delete x single/grouped x routing condition -- and that
+a write-behind flush that fails part-way raises, counts and drops what a
+grouped send would.
 """
 
 import pytest
 
-from repro.errors import BlobNotFound
+from repro.errors import (BlobNotFound, PartialWriteError, StorageError,
+                          TransientPartialWriteError, TransientStorageError)
 from repro.fs import journal
 from repro.fs.blobio import (_REQUEST_HEADER_BYTES, _RESPONSE_HEADER_BYTES,
                              BlobIO)
@@ -17,10 +20,9 @@ from repro.fs.cache import LruCache
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer
 from repro.storage.blobs import data_blob, lease_blob
-from repro.storage.server import BatchReply
+from repro.storage.server import BatchReply, apply_batch
 
 PAYLOAD = b"x" * 100
-EPOCH = 7
 UP, DOWN = _REQUEST_HEADER_BYTES, _RESPONSE_HEADER_BYTES
 
 
@@ -91,18 +93,15 @@ def _frame_ops(io):
             if span.name == "network"]
 
 
-#: condition -> (BlobIO kwargs, journal batch active, fenced,
+#: condition -> (BlobIO kwargs, journal batch active,
 #:               route of a single send, route of a grouped send of 3)
 CONDITIONS = {
-    "journal": (dict(window=4), True, False, "journal", "journal"),
-    "write_behind": (dict(window=4, write_behind=True), False, False,
+    "journal": (dict(window=4), True, "journal", "journal"),
+    "write_behind": (dict(window=4, write_behind=True), False,
                      "queue", "queue"),
-    "group_over_window": (dict(window=2, write_behind=True), False, False,
+    "group_over_window": (dict(window=2, write_behind=True), False,
                           "queue", "frame"),
-    "fenced": (dict(window=4, write_behind=True), False, True,
-               "frame", "frame"),
-    "batching_off": (dict(batching=False), False, False,
-                     "frame", "singles"),
+    "batching_off": (dict(batching=False), False, "frame", "singles"),
 }
 
 
@@ -110,7 +109,7 @@ CONDITIONS = {
 @pytest.mark.parametrize("grouped", [False, True], ids=["single", "grouped"])
 @pytest.mark.parametrize("deleting", [False, True], ids=["put", "delete"])
 def test_send_route(deleting, grouped, condition):
-    kwargs, journaled, fenced, *routes = CONDITIONS[condition]
+    kwargs, journaled, *routes = CONDITIONS[condition]
     route = routes[grouped]
     io, server, cost = _io(**kwargs)
     blobs = [(data_blob(50 + i, "b0"), None if deleting else PAYLOAD)
@@ -119,9 +118,8 @@ def test_send_route(deleting, grouped, condition):
         io.cache.put(("raw", blob_id), b"stale", 5)
     if journaled:
         io.batch = journal.MutationBatch("op")
-    fences = {bid.inode: EPOCH for bid, _ in blobs} if fenced else None
 
-    io.send(blobs, grouped=grouped, fences=fences)
+    io.send(blobs, grouped=grouped)
 
     # Whatever the route, a speculative copy of a blob being rewritten
     # must not survive to serve a later read.
@@ -139,17 +137,13 @@ def test_send_route(deleting, grouped, condition):
         assert cost.requests == [] and cost.flights == []
         return
     assert io.batch is None or not io.batch.blobs
-    op = verb + ("_fenced" if fenced else "")
     sent = 0 if deleting else len(PAYLOAD)
     if route == "frame" and grouped:
-        assert server.calls == [("batch", (op,) * 3)]
+        assert server.calls == [("batch", (verb,) * 3)]
         assert _frame_ops(io) == [many]
         charges = [(3 * sent + UP, DOWN)]
     else:
-        fence_args = [(lease_blob(bid.inode), EPOCH) if fenced else ()
-                      for bid, _ in blobs]
-        assert server.calls == [(op, bid, *extra) for (bid, _), extra
-                                in zip(blobs, fence_args)]
+        assert server.calls == [(verb, bid) for bid, _ in blobs]
         assert _frame_ops(io) == [verb] * len(blobs)
         charges = [(sent + UP, DOWN)] * len(blobs)
     assert io.request_count == len(charges)
@@ -169,16 +163,69 @@ def test_ungrouped_blobs_are_one_wire_call_each():
 
 
 def test_direct_send_orders_after_the_write_behind_queue():
-    io, server, cost = _io(window=4, write_behind=True)
-    queued, fenced = data_blob(70, "b0"), data_blob(71, "b0")
+    io, server, cost = _io(window=2, write_behind=True)
+    queued = data_blob(70, "b0")
+    group = [(data_blob(71 + i, "b0"), PAYLOAD) for i in range(3)]
     io.send([(queued, PAYLOAD)], grouped=False)
-    io.send([(fenced, PAYLOAD)], grouped=False, fences={71: EPOCH})
-    assert server.calls == [
-        ("batch", ("put",)),
-        ("put_fenced", fenced, lease_blob(71), EPOCH)]
-    # The flushed wave and the fenced put are one counted frame each.
-    assert io.request_count == 2
-    assert len(cost.flights) == 1 and len(cost.requests) == 1
+    io.send(group, grouped=True)  # larger than the window: shipped now
+    assert server.calls == [("batch", ("put",)), ("batch", ("put",) * 3)]
+    # The flushed wave and the group are one counted frame each: the
+    # wave priced as a flight, the group as one request.
+    assert io.request_count == 2 and _frame_ops(io) == ["flush", "put_many"]
+    assert cost.flights == [([(len(PAYLOAD) + UP, DOWN)], 2)]
+    assert cost.requests == [(3 * len(PAYLOAD) + UP, DOWN)]
+
+
+class RefusingServer(RecordingServer):
+    """Refuses every put of one blob with ``exc``; a batch runs its
+    sub-ops through the named methods (the SSP's stop rule)."""
+
+    def __init__(self, refused, exc):
+        super().__init__()
+        self.refused, self.exc = refused, exc
+
+    def put(self, blob_id, payload):
+        if blob_id == self.refused:
+            raise self.exc
+        super().put(blob_id, payload)
+
+    def batch(self, ops):
+        self.calls.append(("batch", tuple(op.kind for op in ops)))
+        return apply_batch(self, ops)
+
+
+@pytest.mark.parametrize("transient", [False, True],
+                         ids=["permanent", "transient"])
+def test_a_flush_failing_in_its_second_wave_fails_as_a_grouped_send(
+        transient):
+    blobs = [(data_blob(40 + i, "b0"), PAYLOAD) for i in range(5)]
+    ids = [blob_id for blob_id, _ in blobs]
+    exc = (TransientStorageError if transient else StorageError)("full")
+    io, server, cost = _io(RefusingServer(ids[3], exc), window=3,
+                           write_behind=True)
+    dropped = []
+    io.scheduler.on_drop = dropped.append
+    io.send(blobs[:1], grouped=False)
+    io.send(blobs[1:2], grouped=False)
+    with pytest.raises(TransientPartialWriteError if transient
+                       else PartialWriteError) as err:
+        io.send(blobs[2:], grouped=True)  # queue of 5: waves of 3 and 2
+    assert type(err.value) is (TransientPartialWriteError if transient
+                               else PartialWriteError)
+    assert err.value.applied == tuple(ids[:3])
+    assert err.value.failed == ids[3]
+    assert err.value.remaining == (ids[4],)
+    assert io.metrics.snapshot()["transport.partial_writes"] == 1
+    assert sorted(dropped) == [ids[3].inode, ids[4].inode]
+    assert io.scheduler.queue_depth == 0 and not io.scheduler.covers(ids[4])
+    # Both waves were counted and priced as flights, in the flush's one
+    # span; the unattempted tail of the second never left the client.
+    assert [call for call in server.calls if call[0] == "batch"] == [
+        ("batch", ("put",) * 3), ("batch", ("put",) * 2)]
+    assert io.request_count == 2 and _frame_ops(io) == ["flush"]
+    assert cost.flights == [([(len(PAYLOAD) + UP, DOWN)] * 3, 3),
+                            ([(len(PAYLOAD) + UP, DOWN)], 3)]
+    assert io.scheduler.flushed_ops == 3
 
 
 def test_reads_see_batch_then_queue_then_raw_slot_then_wire():
@@ -223,7 +270,10 @@ def test_speculation_parks_cold_blobs_and_skips_staged_ones(flight):
     assert server.calls == [("batch", ("get",) * 3)]
     assert io.request_count == 1
     if flight:
-        assert _frame_ops(io) == ["fetch_tail"] and not cost.requests
+        # One wave, one span: priced as a flight of three requests.
+        assert _frame_ops(io) == ["fetch_flight"] and not cost.requests
+        assert cost.flights == [([(UP, 2 + DOWN), (UP, 2 + DOWN),
+                                  (UP, DOWN)], 4)]
     else:
         assert _frame_ops(io) == ["get_many"]
         assert cost.requests == [(UP, 4 + DOWN)]

@@ -12,14 +12,18 @@ from repro.storage.server import StorageServer
 from tests.conftest import FOREIGN_SIGNERS
 
 
+def _log(registry, server, user_id: str) -> ConsistencyLog:
+    """``user_id``'s log, talking to ``server`` directly."""
+    return ConsistencyLog(user_id, registry.user(user_id).signing.signing,
+                          registry.directory,
+                          lambda label, ops: server.batch(ops))
+
+
 @pytest.fixture
-def logs(registry):
-    """A ConsistencyLog per user, sharing the registry's directory."""
-    def make(user_id: str) -> ConsistencyLog:
-        user = registry.user(user_id)
-        return ConsistencyLog(user_id, user.signing.signing,
-                              registry.directory)
-    return make
+def logs(registry, server):
+    """A ConsistencyLog per user over the ``server`` fixture, sharing
+    the registry's directory."""
+    return lambda user_id: _log(registry, server, user_id)
 
 
 class TestStatements:
@@ -27,7 +31,7 @@ class TestStatements:
         log = logs("alice")
         log.observe(5, 3)
         log.observe(7, 1)
-        statement = log.publish(server)
+        statement = log.publish()
         restored = VersionStatement.from_bytes(
             server.get(statement_blob("alice")))
         assert restored == statement
@@ -36,16 +40,16 @@ class TestStatements:
 
     def test_chain_digests(self, logs, server):
         log = logs("alice")
-        first = log.publish(server)
-        second = log.publish(server)
+        first = log.publish()
+        second = log.publish()
         assert second.previous_digest == first.digest()
         assert second.sequence == first.sequence + 1
 
     def test_seen_vector_grows(self, logs, server):
         alice, bob = logs("alice"), logs("bob")
-        bob.publish(server)
-        alice.sync(server, ["bob"])
-        statement = alice.publish(server)
+        bob.publish()
+        alice.sync(["bob"])
+        statement = alice.publish()
         assert statement.seen_sequence("bob") == 1
         assert statement.seen_sequence("carol") == 0
 
@@ -54,8 +58,8 @@ class TestHonestOperation:
     def test_peers_exchange_cleanly(self, logs, server):
         alice, bob = logs("alice"), logs("bob")
         alice.observe(10, 4)
-        alice.publish(server)
-        accepted = bob.sync(server, ["alice", "carol"])
+        alice.publish()
+        accepted = bob.sync(["alice", "carol"])
         assert len(accepted) == 1
         assert bob.known_high[10] == 4  # learned from alice
 
@@ -63,19 +67,19 @@ class TestHonestOperation:
         """bob publishes BEFORE seeing alice's newer version: no fork."""
         alice, bob = logs("alice"), logs("bob")
         bob.observe(10, 1)
-        bob.publish(server)
+        bob.publish()
         alice.observe(10, 9)
-        alice.publish(server)
-        alice.sync(server, ["bob"])  # bob's older view: fine
+        alice.publish()
+        alice.sync(["bob"])  # bob's older view: fine
 
     def test_multi_round_convergence(self, logs, server):
         alice, bob, carol = logs("alice"), logs("bob"), logs("carol")
         alice.observe(1, 5)
-        alice.publish(server)
+        alice.publish()
         for log in (bob, carol):
-            log.sync(server, ["alice", "bob", "carol"])
-            log.publish(server)
-        alice.sync(server, ["bob", "carol"])
+            log.sync(["alice", "bob", "carol"])
+            log.publish()
+        alice.sync(["bob", "carol"])
         assert bob.known_high[1] == 5
         assert carol.known_high[1] == 5
 
@@ -83,20 +87,20 @@ class TestHonestOperation:
 class TestForkDetection:
     def test_sequence_regression_detected(self, logs, server):
         alice, bob = logs("alice"), logs("bob")
-        old_one = alice.publish(server)
+        old_one = alice.publish()
         old_blob = server.get(statement_blob("alice"))
-        alice.publish(server)
-        bob.sync(server, ["alice"])          # bob saw seq 2
+        alice.publish()
+        bob.sync(["alice"])          # bob saw seq 2
         server.put(statement_blob("alice"), old_blob)  # SSP rolls back
         with pytest.raises(ForkDetected):
-            bob.sync(server, ["alice"])
+            bob.sync(["alice"])
 
     def test_equivocation_same_sequence_detected(self, logs, server,
                                                  registry):
         alice, bob = logs("alice"), logs("bob")
         alice.observe(3, 1)
-        alice.publish(server)
-        bob.sync(server, ["alice"])
+        alice.publish()
+        bob.sync(["alice"])
         # The SSP (or a compromised alice USK) crafts a DIFFERENT
         # statement with the same sequence number.
         forged = VersionStatement(
@@ -111,7 +115,7 @@ class TestForkDetection:
             observations=((3, 99),), seen=(), signature=signature)
         server.put(statement_blob("alice"), forged.to_bytes())
         with pytest.raises(ForkDetected):
-            bob.sync(server, ["alice"])
+            bob.sync(["alice"])
 
     def test_unsigned_statement_rejected(self, logs, server):
         bob = logs("bob")
@@ -120,63 +124,63 @@ class TestForkDetection:
             observations=(), seen=(), signature=b"\x01" * 64)
         server.put(statement_blob("alice"), fake.to_bytes())
         with pytest.raises(ForkDetected):
-            bob.sync(server, ["alice"])
+            bob.sync(["alice"])
 
     def test_wrong_slot_rejected(self, logs, server):
         alice, bob = logs("alice"), logs("bob")
-        alice.publish(server)
+        alice.publish()
         # SSP serves alice's (valid) statement in carol's slot.
         server.put(statement_blob("carol"),
                    server.get(statement_blob("alice")))
         with pytest.raises(ForkDetected):
-            bob.sync(server, ["carol"])
+            bob.sync(["carol"])
 
     def test_own_slot_claiming_another_author_detected_at_resume(
             self, logs, server):
         """At mount the SSP serves bob's valid statement in alice's own
         slot: alice refuses to resume another user's chain."""
-        logs("bob").publish(server)
+        logs("bob").publish()
         server.put(statement_blob("alice"),
                    server.get(statement_blob("bob")))
         with pytest.raises(ForkDetected, match="claims author 'bob'"):
-            logs("alice").resume_from(server)
+            logs("alice").resume_from()
 
     def test_own_slot_with_bad_signature_detected_at_resume(self, logs,
                                                              server):
-        logs("alice").publish(server)
+        logs("alice").publish()
         forged = VersionStatement(
             user_id="alice", sequence=9, previous_digest=b"\x00" * 32,
             observations=(), seen=(), signature=b"\x01" * 64)
         server.put(statement_blob("alice"), forged.to_bytes())
         with pytest.raises(ForkDetected, match="on my own statement"):
-            logs("alice").resume_from(server)
+            logs("alice").resume_from()
 
     def test_causal_contradiction_detected(self, logs, server):
         """The heart of fork consistency: bob acknowledges alice's chain
         but the SSP fed him a forked history of inode 7."""
         alice, bob = logs("alice"), logs("bob")
         alice.observe(7, 5)
-        alice.publish(server)              # alice seq 1: inode7@v5
-        bob.sync(server, ["alice"])        # bob acks alice seq 1 + merges
+        alice.publish()              # alice seq 1: inode7@v5
+        bob.sync(["alice"])        # bob acks alice seq 1 + merges
         # The fork: bob's client is manipulated to believe inode7@v2,
         # overriding what the (forked) SSP let him learn.
         bob.known_high[7] = 2
-        bob.publish(server)                # claims seen alice@1, 7@v2
+        bob.publish()                # claims seen alice@1, 7@v2
         with pytest.raises(ForkDetected):
-            alice.sync(server, ["bob"])
+            alice.sync(["bob"])
 
     def test_fork_detected_even_after_delay(self, logs, server):
         """Statements keep history honest across multiple rounds."""
         alice, bob = logs("alice"), logs("bob")
         alice.observe(7, 5)
-        alice.publish(server)
-        bob.sync(server, ["alice"])
-        bob.publish(server)
-        alice.sync(server, ["bob"])        # round 1: clean
+        alice.publish()
+        bob.sync(["alice"])
+        bob.publish()
+        alice.sync(["bob"])        # round 1: clean
         bob.known_high[7] = 1              # forked view appears later
-        bob.publish(server)
+        bob.publish()
         with pytest.raises(ForkDetected):
-            alice.sync(server, ["bob"])
+            alice.sync(["bob"])
 
 
 def _alice_statement(registry, sign) -> VersionStatement:
@@ -203,51 +207,47 @@ class TestOnlyTheAuthorsUskSigns:
                                      esign.sign(reg.user("alice")
                                                 .signing.signing, payload))
         server.put(statement_blob("alice"), statement.to_bytes())
-        assert logs("bob").sync(server, ["alice"]) == [statement]
-        assert logs("alice").resume_from(server) == statement
+        assert logs("bob").sync(["alice"]) == [statement]
+        assert logs("alice").resume_from() == statement
 
     def test_a_peer_rejects_it(self, logs, server, forged):
         server.put(statement_blob("alice"), forged.to_bytes())
         with pytest.raises(ForkDetected, match="invalid statement signature"):
-            logs("bob").sync(server, ["alice"])
+            logs("bob").sync(["alice"])
 
     def test_its_author_rejects_it_at_resume(self, logs, server, forged):
         server.put(statement_blob("alice"), forged.to_bytes())
         with pytest.raises(ForkDetected, match="on my own statement"):
-            logs("alice").resume_from(server)
+            logs("alice").resume_from()
 
 
 class TestFilesystemIntegration:
     def test_wired_to_real_volume(self, volume, registry, server,
                                   alice_fs, bob_fs):
         """Drive logs from actual client freshness observations."""
-        alice_log = ConsistencyLog("alice",
-                                   registry.user("alice").signing.signing,
-                                   registry.directory)
-        bob_log = ConsistencyLog("bob",
-                                 registry.user("bob").signing.signing,
-                                 registry.directory)
+        alice_log = _log(registry, server, "alice")
+        bob_log = _log(registry, server, "bob")
         alice_fs.create_file("/shared", b"v1", mode=0o664)
         stat = alice_fs.getattr("/shared")
         alice_log.observe(stat.inode, stat.version)
-        alice_log.publish(server)
+        alice_log.publish()
 
-        bob_log.sync(server, ["alice"])
+        bob_log.sync(["alice"])
         bob_stat = bob_fs.getattr("/shared")
         bob_log.observe(bob_stat.inode, bob_stat.version)
-        bob_log.publish(server)
-        alice_log.sync(server, ["bob"])  # clean: same history
+        bob_log.publish()
+        alice_log.sync(["bob"])  # clean: same history
 
         # chmod bumps the version; alice publishes the new state.
         alice_fs.chmod("/shared", 0o660)
         stat = alice_fs.getattr("/shared")
         alice_log.observe(stat.inode, stat.version)
-        alice_log.publish(server)
+        alice_log.publish()
         # bob acknowledges it; if the SSP later hid the chmod from bob's
         # *statements*, alice would catch the contradiction.
-        bob_log.sync(server, ["alice"])
-        bob_log.publish(server)
-        alice_log.sync(server, ["bob"])
+        bob_log.sync(["alice"])
+        bob_log.publish()
+        alice_log.sync(["bob"])
 
 
 class TestClientWiring:
@@ -283,6 +283,26 @@ class TestClientWiring:
         with pytest.raises(ForkDetected):
             alice_fs.sync_statements(["bob"])
 
+    def test_statements_are_signed_and_verified_on_the_ledger(self,
+                                                              make_fs):
+        """A publish is one ESIGN signature and a sync one verification
+        per statement it reads, each in ``client.crypto.ops.*`` and
+        priced in the crypto column."""
+        alice = make_fs("alice", with_costs=True)
+        bob = make_fs("bob", with_costs=True)
+        alice.enable_consistency_log()
+        bob.enable_consistency_log()
+        for fs, kind, step in ((alice, "sign", alice.publish_statement),
+                               (bob, "verify",
+                                lambda: bob.sync_statements(["alice"]))):
+            ops = fs.provider.counters.total(kind)
+            crypto_s = fs.cost.totals.seconds["crypto"]
+            step()
+            assert fs.provider.counters.total(kind) == ops + 1
+            assert fs.metrics.snapshot()[f"client.crypto.ops.{kind}"] == (
+                ops + 1)
+            assert fs.cost.totals.seconds["crypto"] > crypto_s
+
     def test_not_enabled_raises(self, alice_fs):
         from repro.errors import SharoesError
         with pytest.raises(SharoesError):
@@ -300,42 +320,42 @@ class TestForkEdges:
         # before the SSP partitions them into divergent views.
         alice, bob = logs("alice"), logs("bob")
         alice.observe(7, 5)
-        alice.publish(server)
-        bob.sync(server, ["alice"])  # bob now acks alice@1
+        alice.publish()
+        bob.sync(["alice"])  # bob now acks alice@1
         # Partition: the SSP feeds bob a forked history where inode 7
         # never went past version 2.  Bob's own chain stays perfectly
         # linear while he keeps working and publishing.
         bob.known_high[7] = 2
-        bob.publish(server)
+        bob.publish()
         bob.observe(11, 1)
-        bob.publish(server)
+        bob.publish()
         # Alice also keeps working during the partition.
         alice.observe(3, 1)
-        alice.publish(server)
+        alice.publish()
         # Heal: the very FIRST cross-read of bob's statements must expose
         # the fork -- bob acknowledged alice@1 (which asserted 7@5) yet
         # reports 7@2.
         with pytest.raises(ForkDetected):
-            alice.sync(server, ["bob"])
+            alice.sync(["bob"])
 
     def test_stale_but_linear_peer_is_legal(self, logs, server):
         # A peer that merely LAGS -- acknowledging an old statement and
         # reporting old versions consistent with it -- is not a fork.
         alice, bob = logs("alice"), logs("bob")
         alice.observe(7, 1)
-        alice.publish(server)  # seq 1 asserts 7@1
-        bob.sync(server, ["alice"])  # bob acks alice@1
+        alice.publish()  # seq 1 asserts 7@1
+        bob.sync(["alice"])  # bob acks alice@1
         # Alice advances to 7@9 in seq 2; bob never sees it (stale SSP
         # cache, slow replication -- all benign).
         alice.observe(7, 9)
-        alice.publish(server)
-        bob.publish(server)  # seen alice@1, observations {7: 1}
-        accepted = alice.sync(server, ["bob"])  # must NOT raise
+        alice.publish()
+        bob.publish()  # seen alice@1, observations {7: 1}
+        accepted = alice.sync(["bob"])  # must NOT raise
         assert len(accepted) == 1
         assert accepted[0].observed(7) == 1
         # Bob keeps publishing stale-but-linear statements; still legal.
-        bob.publish(server)
-        assert alice.sync(server, ["bob"])
+        bob.publish()
+        assert alice.sync(["bob"])
 
     def test_stale_peer_becomes_fork_once_it_acks_the_new_chain(
             self, logs, server):
@@ -343,15 +363,15 @@ class TestForkEdges:
         # still contradicting it, legality flips to fork.
         alice, bob = logs("alice"), logs("bob")
         alice.observe(7, 1)
-        alice.publish(server)
-        bob.sync(server, ["alice"])
+        alice.publish()
+        bob.sync(["alice"])
         alice.observe(7, 9)
-        alice.publish(server)  # seq 2 asserts 7@9
-        bob.sync(server, ["alice"])  # bob acks alice@2 ...
+        alice.publish()  # seq 2 asserts 7@9
+        bob.sync(["alice"])  # bob acks alice@2 ...
         bob.known_high[7] = 1  # ... but the SSP forks his view back
-        bob.publish(server)
+        bob.publish()
         with pytest.raises(ForkDetected):
-            alice.sync(server, ["bob"])
+            alice.sync(["bob"])
 
 
 class TestShardedReplicaDivergence:

@@ -25,7 +25,7 @@ from repro.fs.volume import SharoesVolume
 from repro.principals.groups import GroupKeyService
 from repro.serialize import SerializationError, Writer
 from repro.sim.clock import SimClock
-from repro.storage.blobs import BlobId, journal_blob
+from repro.storage.blobs import BlobId, journal_blob, superblock_blob
 from repro.storage.resilient import MutationTrigger, ServerWrapper, crash
 from repro.storage.server import StorageServer
 from repro.tools.fsck import VolumeAuditor
@@ -365,6 +365,61 @@ def test_a_client_crashed_before_commit_is_rolled_forward(volume, registry,
     assert fs.read_file("/f") == b"x" * 100
     report = VolumeAuditor(volume).audit()
     assert report.clean and not report.orphaned_blobs, report.summary()
+
+
+# -- a root change's superblocks travel in its frame --------------------------
+
+#: the root attribute changes that rewrite every user's superblock: a
+#: key rotation, and a chmod that revokes the world's read and traverse.
+ROOT_CHANGES = {
+    "rekey": lambda fs: fs.rekey("/"),
+    "chmod-revoke": lambda fs: fs.chmod("/", 0o750),
+}
+
+
+def _both_read(volume, registry, journaled: bool = False) -> None:
+    """alice (owner) and bob (group eng) mount and read ``/f``."""
+    config = JCONF if journaled else ClientConfig()
+    for user_id in ("alice", "bob"):
+        fs = make_journaled(volume, registry, user_id, config=config)
+        assert fs.read_file("/f") == b"root file"
+
+
+@pytest.mark.parametrize("change", sorted(ROOT_CHANGES))
+def test_a_root_change_that_dies_before_its_frame_changes_nothing(
+        volume, registry, change):
+    make_journaled(volume, registry).create_file("/f", b"root file",
+                                                 mode=0o644)
+    before = volume.server.raw_blobs()
+    crasher = MutationTrigger(volume.server, {1: crash})
+    dying = make_journaled(volume, registry, server=crasher)
+    with pytest.raises(ClientCrashed):
+        ROOT_CHANGES[change](dying)
+    assert volume.server.raw_blobs() == before
+    _both_read(volume, registry)
+
+
+@pytest.mark.parametrize("change", sorted(ROOT_CHANGES))
+def test_a_root_change_that_dies_mid_apply_is_replayed_with_its_superblocks(
+        volume, registry, change):
+    make_journaled(volume, registry).create_file("/f", b"root file",
+                                                 mode=0o644)
+    crasher = MutationTrigger(volume.server, {2: crash})  # after the intent
+    dying = make_journaled(volume, registry, server=crasher)
+    with pytest.raises(ClientCrashed):
+        ROOT_CHANGES[change](dying)
+    [record] = journal.open_journal(
+        CryptoProvider(), registry.user("alice"),
+        volume.server.get(journal_blob("alice")))
+    staged = {blob_id for blob_id, _ in record.blobs}
+    assert {superblock_blob(user.user_id)
+            for user in registry.users()} <= staged
+    _both_read(volume, registry, journaled=True)  # alice's mount replays
+    assert journal.open_journal(
+        CryptoProvider(), registry.user("alice"),
+        volume.server.get(journal_blob("alice"))) == []
+    report = VolumeAuditor(volume).audit()
+    assert report.clean, report.summary()
 
 
 # -- a journaled mutation pays no public-key operation ------------------------

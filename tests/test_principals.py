@@ -79,8 +79,10 @@ class TestUserSignatureKeySizes:
         link = LeaseRecord(inode=9, epoch=1, holder="erin", acquired_us=0,
                            expires_us=5_000_000).signed(
                                erin.signing.signing)
+        server = StorageServer()
         statement = ConsistencyLog(
-            "erin", erin.signing.signing, None).publish(StorageServer())
+            "erin", erin.signing.signing, None,
+            lambda label, ops: server.batch(ops)).publish()
         for signed in (link, statement):
             rsa_signed = replace(signed, signature=rsa.sign(
                 erin.private_key, signed.signed_payload()))

@@ -27,7 +27,10 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import BlobNotFound
+from repro.fs.blobio import BlobIO
 from repro.fs.scheduler import RequestScheduler
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracing import Tracer
 from repro.storage.blobs import meta_blob
 from repro.storage.server import StorageServer
 
@@ -72,6 +75,13 @@ class _RecordingServer:
         return getattr(self.inner, name)
 
 
+def _scheduler(server, window: int) -> RequestScheduler:
+    """A write-behind scheduler as a client holds it: under a BlobIO
+    over ``server``, which ships its waves."""
+    return BlobIO(server, None, tracer=Tracer(), metrics=MetricsRegistry(),
+                  window=window, write_behind=True).scheduler
+
+
 def _bid(key: int):
     return meta_blob(key, "o")
 
@@ -88,7 +98,7 @@ def _server_value(server: StorageServer, blob_id):
 def test_read_your_writes_and_fifo_shipping(ops, window):
     backend = StorageServer()
     recording = _RecordingServer(backend)
-    sched = RequestScheduler(recording, window)
+    sched = _scheduler(recording, window)
     model: dict = {}  # blob id -> latest bytes, None = deleted
 
     for kind, key, payload in ops:
@@ -135,7 +145,7 @@ def test_fetch_dedup_single_flight(keys, staged, window):
     for key in range(10):
         backend.put(_bid(key), b"server" + bytes([key]))
     recording = _RecordingServer(backend)
-    sched = RequestScheduler(recording, window)
+    sched = _scheduler(recording, window)
     for key in staged:
         sched.stage_put(_bid(key), b"staged" + bytes([key]))
 
@@ -165,7 +175,7 @@ def test_invalidation_drops_inflight_fetch(keys, staged, window):
     for key in range(10):
         backend.put(_bid(key), b"fresh" + bytes([key]))
     recording = _RecordingServer(backend)
-    sched = RequestScheduler(recording, window)
+    sched = _scheduler(recording, window)
     for key in staged:
         sched.stage_put(_bid(key), b"mine" + bytes([key]))
 
