@@ -2,11 +2,12 @@
 
 The observability layer must stay out of the hot path: with the metrics
 registry attached, the extra work per operation is span bookkeeping plus
-one histogram observe.  This harness measures *host*
-wall-clock of an identical Postmark pass with tracing active vs stubbed
-out, and bounds the difference below 5%.  The passes alternate
-(instrumented, stubbed, instrumented, ...), so a slow spell of the host
-lands on both sides instead of one.
+one histogram observe.  This harness measures the *host* CPU time
+this process spends on an identical Postmark pass with tracing active
+vs stubbed out, and bounds the difference below 5%.  CPU time, not
+wall-clock: other tenants of a shared runner then do not show up as
+overhead.  The passes alternate (instrumented, stubbed, instrumented,
+...), so a slow spell of the host lands on both sides instead of one.
 """
 
 import time
@@ -36,34 +37,34 @@ def _null_span(self, name, **attrs):
     yield _NULL
 
 
-def _postmark_wall_seconds() -> float:
+def _postmark_cpu_seconds() -> float:
     from repro.workloads import make_env, run_postmark
     with pinned_entropy(2008):
         env = make_env("sharoes")
-        start = time.perf_counter()
+        start = time.process_time()
         run_postmark(env, files=120, transactions=120, cache_fraction=0.25)
-        return time.perf_counter() - start
+        return time.process_time() - start
 
 
-def _stubbed_wall_seconds(monkeypatch) -> float:
+def _stubbed_cpu_seconds(monkeypatch) -> float:
     with monkeypatch.context() as patch:
         patch.setattr(Tracer, "span", _null_span)
         patch.setattr(Tracer, "on_charge",
                       lambda self, category, seconds: None)
-        return _postmark_wall_seconds()
+        return _postmark_cpu_seconds()
 
 
 def test_overhead_under_5_percent(monkeypatch):
-    _postmark_wall_seconds()  # warm caches/imports before timing
+    _postmark_cpu_seconds()  # warm caches/imports before timing
     repeats = 3
-    timed = [(_postmark_wall_seconds(), _stubbed_wall_seconds(monkeypatch))
+    timed = [(_postmark_cpu_seconds(), _stubbed_cpu_seconds(monkeypatch))
              for _ in range(repeats)]
     instrumented = min(pair[0] for pair in timed)
     bare = min(pair[1] for pair in timed)
 
     ratio = instrumented / bare
     emit("obs_overhead",
-         "Postmark wall-clock (120 files/120 txns, min of "
+         "Postmark CPU time (120 files/120 txns, min of "
          f"{repeats} alternating passes each): instrumented "
          f"{instrumented:.3f}s vs stubbed {bare:.3f}s -> x{ratio:.3f}")
     assert ratio < 1.05, ratio

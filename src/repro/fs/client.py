@@ -117,11 +117,11 @@ class ClientConfig:
     #: be taken over mid-wait.  Backoff: ``LEASE_WAIT_BASE_S``,
     #: doubling per attempt up to ``LEASE_WAIT_MAX_S``.
     lease_wait_attempts: int = 0
-    #: end-to-end wire tracing: attach trace_id/parent_span_id context
-    #: to every SSP request and record server-side spans (decode/disk/
-    #: verify on a synthetic timeline) that stitch under this client's
-    #: trace tree -- see docs/OBSERVABILITY.md.  Zero simulated cost and
-    #: byte-identical wire frames when False.
+    #: end-to-end wire tracing: wrap this client's server in an
+    #: in-process TracedServer that records server-side spans (decode/
+    #: disk/verify on a synthetic timeline) parented under the client
+    #: span issuing each request -- see docs/OBSERVABILITY.md.  Zero
+    #: simulated cost, and no trace context on the wire.
     wire_trace: bool = False
     #: pipelined request window: ``concurrency >= 2`` attaches a
     #: :class:`~repro.fs.scheduler.RequestScheduler` that keeps up to
@@ -1794,12 +1794,17 @@ class SharoesFilesystem:
         sb = self._require_mounted()
         if record.attrs.inode == sb.root_inode:
             # The superblocks are this op's writes like any other: sent
-            # inside it (under the journal, in its frame).
+            # inside it (under the journal, in its frame), and adopted
+            # once they are on the SSP.
             self.blobs.send(self.volume.superblocks(self.provider, record),
                             grouped=True)
-            self.volume._root_record = record
-            self._superblock = self.volume.superblock(record,
-                                                      self.agent.user_id)
+
+            def adopt() -> None:
+                self.volume._root_record = record
+                self._superblock = self.volume.superblock(
+                    record, self.agent.user_id)
+
+            self.mutation.on_landed(adopt)
             return
         parent_path, name = fspath.parent_and_name(path)
         parent = self._resolve(parent_path)

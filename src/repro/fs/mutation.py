@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 from contextlib import contextmanager
+from typing import Callable
 
 from ..errors import (CircuitOpenError, FileNotFound, FilesystemError,
                       LeaseError, LeaseHeldError, LeaseLostError,
@@ -76,6 +77,8 @@ class MutationPipeline:
         self.consistency = None
         #: intents journaled at the SSP but not yet committed.
         self.pending: list[journal.IntentRecord] = []
+        #: intent seq -> what to run once its writes land (on_landed).
+        self._landing: dict[int, list[Callable[[], None]]] = {}
         self._seq = 0
         #: inode -> the lease epoch the current mutation is fenced at.
         self._fences: dict[int, int] = {}
@@ -167,6 +170,20 @@ class MutationPipeline:
         frame has released it."""
         if self.lease is not None:
             self._unlinked.add(inode)
+
+    def on_landed(self, fn: Callable[[], None]) -> None:
+        """Run ``fn`` once the current op's writes are on the SSP: now,
+        unjournaled (they were sent); journaled, when its frame's apply
+        lands -- or its replay's, for an intent left pending.  An op
+        that rolls back never runs it."""
+        if self.blobs.batch is None:
+            fn()
+        else:
+            self._landing.setdefault(self._seq + 1, []).append(fn)
+
+    def _landed(self, record: journal.IntentRecord) -> None:
+        for fn in self._landing.pop(record.seq, ()):
+            fn()
 
     # -- leases --------------------------------------------------------------
 
@@ -267,10 +284,12 @@ class MutationPipeline:
             yield
         except BaseException:
             self.blobs.batch = None
+            self._landing.pop(self._seq + 1, None)
             self._release_fences()
             raise
         self.blobs.batch = None
         if not batch.blobs:
+            self._landing.pop(self._seq + 1, None)
             self._release_fences()
             return
         self._seq += 1
@@ -326,6 +345,7 @@ class MutationPipeline:
                     in (INTENT, UNREADABLE)):
                 raise
             self.pending.remove(record)
+            self._landing.pop(record.seq, None)
             self._release_fences()
             raise
         self._count("journal.appends", "intents journaled")
@@ -338,6 +358,7 @@ class MutationPipeline:
             # surface the loss (the scope invalidates what the op
             # touched: the successor may have kept writing).
             self.pending.remove(record)
+            self._landed(record)
             for inode in self._fences:
                 self.lease.forget(inode)
             self._fences = {}
@@ -346,6 +367,7 @@ class MutationPipeline:
             raise LeaseLostError(
                 f"{record.op}: lease taken over mid-mutation "
                 f"({exc})") from exc
+        self._landed(record)
         # A commit that failed stays pending: the next mutation replays
         # the (idempotent) intent and commits it.
         replies[-1].raise_for_status()
@@ -462,6 +484,8 @@ class MutationPipeline:
         stays pending while its replay fails."""
         if self.pending:
             replayed = self._roll_forward(self.pending, "replay")
+            for record in self.pending:  # replayed, or by a lease successor
+                self._landed(record)
             self.pending = []
             self._count("journal.replays",
                         "pending intents re-applied in-session",

@@ -6,12 +6,12 @@ phases (Figure 13), every component's counters hang off one registry
 tree, and renderers turn both into JSON-lines span logs or human tables
 (``repro stats`` / ``repro trace``).
 
-Wire tracing (``wiretrace``) extends the span tree across the wire:
-trace context rides each frame, a :class:`TracedServer` produces
-server-side decode/dispatch/disk/verify spans, and ``stitch`` grafts
-them back under the client spans that issued them.  ``profile`` renders
-stitched trees as folded stacks / speedscope JSON; ``bench`` adds the
-``--diff`` perf-regression gate.
+Wire tracing (``wiretrace``) extends the span tree across the wire: a
+:class:`TracedServer` in the client's process produces server-side
+decode/dispatch/disk/verify spans parented under the client span that
+issued each request, and ``stitch`` grafts them into one tree.
+``profile`` renders stitched trees as folded stacks / speedscope JSON;
+``bench`` adds the ``--diff`` perf-regression gate.
 
 Import layering: this package sits *below* fs/ and workloads/ -- the
 client imports the tracer, so nothing here may import the client at

@@ -1,17 +1,19 @@
-"""End-to-end wire tracing: trace context across the client/SSP boundary.
+"""End-to-end wire tracing: server spans under the client spans.
 
-Client spans stop at the ``network`` span today -- everything the SSP
-does (frame decode, disk, fence/CAS verification) is invisible, so the
-44 % of andrew wall-clock spent in path resolve cannot be attributed
-past the wire.  This module closes the loop:
+Client spans stop at the ``network`` span -- everything the SSP does
+(frame decode, disk, fence/CAS verification) is invisible, so the 44 %
+of andrew wall-clock spent in path resolve cannot be attributed past
+the wire.  This module closes the loop in process:
 
-* :class:`TraceContext` -- the ``trace_id``/``parent_span_id`` pair a
-  client attaches to wire frames (``storage.wire`` encodes it behind an
-  opcode flag bit, so untraced frames stay byte-identical);
+* :class:`TraceContext` -- the ``trace_id``/``parent_span_id`` pair of
+  the client span issuing a request, read from the client's tracer at
+  the moment it sends (nothing rides the wire: the frames of a traced
+  and an untraced client are the same bytes);
 * :class:`TracedServer` -- a :class:`~repro.storage.resilient.ServerWrapper`
-  that records one ``server.<op>`` span per request it forwards, with
-  ``decode`` / ``dispatch`` / ``disk`` / ``verify`` children and a
-  service tag (shard-ready: one tree per server);
+  on the client's side of the transport that records one
+  ``server.<op>`` span per request it forwards, with ``decode`` /
+  ``dispatch`` / ``disk`` / ``verify`` children and a service tag
+  (shard-ready: one tree per server);
 * :func:`stitch` -- grafts the server spans under the exact client span
   that issued each request, producing a single end-to-end trace tree.
 
@@ -31,7 +33,6 @@ server performs on guarded mutations.
 
 from __future__ import annotations
 
-import contextvars
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
@@ -45,38 +46,16 @@ __all__ = [
     "ServerCostProfile",
     "DEFAULT_SERVER_PROFILE",
     "TracedServer",
-    "current_wire_context",
-    "push_wire_context",
-    "pop_wire_context",
     "stitch",
 ]
 
 
 @dataclass(frozen=True)
 class TraceContext:
-    """Correlation header carried on wire frames (16 bytes encoded)."""
+    """The client span a request is issued under."""
 
     trace_id: int
     parent_span_id: int | None = None
-
-
-# Wire dispatch (storage.wire._traced_dispatch) installs the decoded frame
-# context here so an in-process TracedServer behind a TCP loopback sees
-# the same context a directly-wrapped one gets from ``context_fn``.
-_WIRE_CONTEXT: contextvars.ContextVar[TraceContext | None] = \
-    contextvars.ContextVar("sharoes_wire_trace_context", default=None)
-
-
-def current_wire_context() -> TraceContext | None:
-    return _WIRE_CONTEXT.get()
-
-
-def push_wire_context(ctx: TraceContext | None):
-    return _WIRE_CONTEXT.set(ctx)
-
-
-def pop_wire_context(token) -> None:
-    _WIRE_CONTEXT.reset(token)
 
 
 @dataclass(frozen=True)
@@ -121,9 +100,9 @@ class TracedServer(ServerWrapper):
     Sits *below* the retrying transport, so each retry attempt produces
     its own server span (failed attempts error-marked) and the span
     count reconciles with ``transport.attempts``.  The trace context is
-    taken from ``context_fn`` (in-process clients) or from the wire
-    handler's contextvar (TCP clients); with neither, spans are still
-    recorded but stay unparented.
+    taken from ``context_fn``, the issuing client's hook; without one,
+    or when it returns None, spans are still recorded but stay
+    unparented.
     """
 
     def __init__(self, inner, clock, service: str = "ssp",
@@ -141,11 +120,7 @@ class TracedServer(ServerWrapper):
     # -- span plumbing ----------------------------------------------------
 
     def _ctx(self) -> TraceContext | None:
-        if self.context_fn is not None:
-            ctx = self.context_fn()
-            if ctx is not None:
-                return ctx
-        return current_wire_context()
+        return self.context_fn() if self.context_fn is not None else None
 
     def _new_id(self) -> int:
         span_id = self._next_id
@@ -252,14 +227,10 @@ class TracedServer(ServerWrapper):
             if reply.status == "unattempted":
                 continue
             disk_s, verify_s = self._sub_costs(op, reply)
-            attrs: dict[str, Any] = {"index": index, "kind": op.kind,
-                                     "status": reply.status}
-            sub_ctx = getattr(op, "ctx", None)
-            if sub_ctx is not None:
-                attrs["trace_id"] = sub_ctx.trace_id
-                attrs["client_span_id"] = sub_ctx.parent_span_id
             sub = Span(f"server.{op.kind}", self._new_id(),
-                       dispatch.span_id, cursor, attrs)
+                       dispatch.span_id, cursor,
+                       {"index": index, "kind": op.kind,
+                        "status": reply.status})
             if disk_s:
                 cursor = self._leaf("disk", sub, cursor, disk_s,
                                     "disk").end

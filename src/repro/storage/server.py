@@ -72,9 +72,6 @@ class BatchOp:
     expected: bytes | None = None  # put_if only
     fence: BlobId | None = None    # fenced ops only
     epoch: int | None = None       # fenced ops only
-    #: Optional per-sub-op trace context (obs.wiretrace.TraceContext);
-    #: rides the wire behind the sub-opcode's TRACE_FLAG bit.
-    ctx: object | None = None
     #: Put kinds only, a hint to the wire codec: the payload sits
     #: verbatim inside the payload of the nearest earlier put of blob
     #: ``ref`` in the same frame, so it may be sent as a reference to
@@ -196,10 +193,10 @@ def ok_reply(op: BatchOp, result) -> BatchReply:
 
 def reply_value(op: BatchOp, reply: BatchReply):
     """What the named method returns for an ``ok`` reply (the inverse of
-    :func:`ok_reply`)."""
+    :func:`ok_reply`): a mutation returns None, whatever its payload."""
     if op.kind == "exists":
         return reply.payload == b"\x01"
-    return reply.payload
+    return reply.payload if op.kind == "get" else None
 
 
 def failure_reply(exc: Exception) -> BatchReply:

@@ -114,6 +114,32 @@ def _ring_hash(key: str) -> int:
 _CONTROL_KINDS = (LEASE, PLAN)
 
 
+def _pick_copy(blob_id: BlobId, copies: dict[int, bytes | None],
+               order: Sequence[int]) -> tuple[bytes | None, str]:
+    """The one winner rule, for reads, repair and the union view.
+
+    ``copies`` maps shard index to payload (None = that replica missed
+    it); ``order`` is the preference order over them.  Returns the
+    winning copy and how it won: ``"agreed"`` (every copy equal),
+    ``"won"`` (a control blob's highest fence epoch -- a lagging replica
+    must never regress the chain -- or a strict majority of present
+    copies), or ``"tied"`` (a majority tie, broken by preference).
+    """
+    values = list(copies.values())
+    if len(set(values)) <= 1:
+        return (values[0] if values else None), "agreed"
+    present = {s: v for s, v in copies.items() if v is not None}
+    if blob_id.kind in _CONTROL_KINDS:
+        return max(present.values(), key=fence_epoch), "won"
+    tally: dict[bytes, int] = {}
+    for v in present.values():
+        tally[v] = tally.get(v, 0) + 1
+    best = max(tally.values())
+    majority = {v for v, n in tally.items() if n == best}
+    winner = next(present[s] for s in order if present.get(s) in majority)
+    return winner, ("tied" if len(majority) > 1 else "won")
+
+
 @dataclass(frozen=True)
 class RingSpec:
     """An immutable consistent-hash ring: which shard slots hold data.
@@ -501,14 +527,13 @@ class ShardedServer:
 
     def _vote(self, blob_id: BlobId, copies: dict[int, bytes | None],
               order: Sequence[int]) -> bytes | None:
-        """Pick the winning copy and flag disagreeing copies suspect.
+        """Pick the winning copy (:func:`_pick_copy`) and flag
+        disagreeing copies suspect.
 
-        Lease blobs win by fencing epoch (highest -- a lagging replica
-        must never regress the chain).  Everything else wins by
-        majority value, and the outvoted minority is flagged suspect
-        and queued for repair.  A present copy always beats an absent
-        one: an absent copy is a missed write, not evidence of deletion
-        (deletes are gated by the tombstone ledger before this point).
+        The outvoted minority is flagged suspect and queued for repair.
+        A present copy always beats an absent one: an absent copy is a
+        missed write, not evidence of deletion (deletes are gated by the
+        tombstone ledger before this point).
         A strict value tie (possible only at even replication against
         an adversary -- honest missed writes are already in the suspect
         ledger) cannot be arbitrated by an untrusted router: it is
@@ -517,28 +542,17 @@ class ShardedServer:
         own signature/freshness verification is the backstop (see
         docs/THREAT_MODEL.md).
         """
-        values = list(copies.values())
-        if len(set(values)) <= 1:
-            return values[0] if values else None
+        winner, verdict = _pick_copy(blob_id, copies, order)
+        if verdict == "agreed":
+            return winner
         self.divergent += 1
-        present = {s: v for s, v in copies.items() if v is not None}
-        if blob_id.kind in _CONTROL_KINDS:
-            winner = max(present.values(), key=fence_epoch)
-        else:
-            tally: dict[bytes, int] = {}
-            for v in present.values():
-                tally[v] = tally.get(v, 0) + 1
-            best = max(tally.values())
-            majority = {v for v, n in tally.items() if n == best}
-            winner = next(present[s] for s in order
-                          if present.get(s) in majority)
-            if len(majority) > 1:
-                self.ties += 1
-                # Absent copies are still a missed write; flag those.
-                for shard_index, value in copies.items():
-                    if value is None:
-                        self._mark_suspect(blob_id, shard_index)
-                return winner
+        if verdict == "tied":
+            self.ties += 1
+            # Absent copies are still a missed write; flag those.
+            for shard_index, value in copies.items():
+                if value is None:
+                    self._mark_suspect(blob_id, shard_index)
+            return winner
         for shard_index, value in copies.items():
             if value != winner:
                 self.outvoted += 1
@@ -992,7 +1006,8 @@ class ShardedServer:
     def _winner_copy(self, blob_id: BlobId, holders: set[int],
                      targets: Sequence[int],
                      strict: bool = False) -> bytes | None:
-        """The copy anti-entropy replicates: same rule reads use.
+        """The copy anti-entropy replicates: the rule reads use
+        (:func:`_pick_copy`), over the copies the shards hold.
 
         With ``strict=True`` (the repair path) an unresolvable value
         tie among trusted copies returns None -- repair must never
@@ -1011,22 +1026,10 @@ class ShardedServer:
             if not self._is_suspect(blob_id, shard_index):
                 trusted[shard_index] = raw[blob_id]
         copies = trusted or all_copies
-        if not copies:
-            return None
-        if len(set(copies.values())) == 1:
-            return next(iter(copies.values()))
-        if blob_id.kind in _CONTROL_KINDS:
-            return max(copies.values(), key=fence_epoch)
-        tally: dict[bytes, int] = {}
-        for v in copies.values():
-            tally[v] = tally.get(v, 0) + 1
-        best = max(tally.values())
-        majority = {v for v, n in tally.items() if n == best}
-        if strict and len(majority) > 1:
-            return None
         order = [s for s in targets if s in copies] + sorted(
             s for s in copies if s not in targets)
-        return next(copies[s] for s in order if copies[s] in majority)
+        winner, verdict = _pick_copy(blob_id, copies, order)
+        return None if strict and verdict == "tied" else winner
 
     # -- capacity / audit helpers (deduplicated union view) ------------------
 

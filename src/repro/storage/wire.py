@@ -8,34 +8,37 @@ variants), and a client-side proxy implementing the same put/get/delete
 interface so a :class:`~repro.fs.client.SharoesFilesystem` can mount a
 volume whose blobs genuinely cross a network boundary.
 
-Wire format (all integers big-endian):
+Wire format (all integers big-endian).  There is one request form, a
+batch frame, and one reply form; a single op is a frame of one:
 
-    request  := u32 length | u8 opcode | fields
+    request  := u32 length | u8 OP_BATCH (8) | u32 count |
+                count x (u8 sub-opcode, u32 body-len, body)
     response := u32 length | u8 status | payload
+                OK (0):    u32 count | count x (u8 sub-status,
+                           u32 payload-len, payload)
+                ERROR (2): u8 transient flag | message
 
-    PUT        op=1: blob-id, payload      -> status OK
-    GET        op=2: blob-id               -> status OK + payload | MISSING
-    DELETE     op=3: blob-id               -> status OK
-    EXISTS     op=4: blob-id               -> status OK + 1 byte (0/1)
-    PUT_IF     op=5: blob-id, expected*, payload
-                 -> status OK | CONFLICT + current*
-    PUT_FENCED op=6: blob-id, fence-id, u64 epoch, payload
-                 -> status OK | FENCED + u64 current epoch
-    DEL_FENCED op=7: blob-id, fence-id, u64 epoch
-                 -> status OK | FENCED + u64 current epoch
-    BATCH      op=8: u32 count | count x (u8 sub-opcode, u32 body-len,
-                 single-op body)
-                 -> status OK + u32 count | count x (u8 sub-status,
-                 u32 payload-len, single-op payload)
+Sub-op bodies and the payloads of their sub-replies:
+
+    PUT        1: blob-id, payload      -> OK
+    GET        2: blob-id               -> OK + payload | MISSING (1)
+    DELETE     3: blob-id               -> OK
+    EXISTS     4: blob-id               -> OK + 1 byte (0/1)
+    PUT_IF     5: blob-id, expected*, payload
+                 -> OK | CONFLICT (3) + current*
+    PUT_FENCED 6: blob-id, fence-id, u64 epoch, payload
+                 -> OK | FENCED (4) + u64 current epoch
+    DEL_FENCED 7: blob-id, fence-id, u64 epoch
+                 -> OK | FENCED (4) + u64 current epoch
 
 (``*`` marks a presence-prefixed field: one flag byte, 0 = absent blob,
 1 = the remaining bytes are the value -- CAS must distinguish "expect
 absent" from "expect empty".)
 
-**Payload references** (batch sub-ops only): ``REF_FLAG`` (0x40) on a
-PUT or PUT_FENCED sub-opcode replaces the payload field's bytes with
-``u32 index | u32 offset | u32 length``: the payload is that slice of
-the payload of sub-op ``index``, an earlier put of the same frame.  A
+**Payload references**: ``REF_FLAG`` (0x40) on a PUT or PUT_FENCED
+sub-opcode replaces the payload field's bytes with ``u32 index | u32
+offset | u32 length``: the payload is that slice of the payload of
+sub-op ``index``, an earlier put of the same frame.  A
 journaled mutation's apply names its bytes inside the intent this way,
 so each payload crosses the link once; :func:`payload_refs` is the one
 place that decides, for the codec and for every byte count.  The server
@@ -46,19 +49,14 @@ A batch frame is validated *in full* before any sub-op touches the
 store: a truncated sub-op, a zero or oversize count, a nested batch, an
 unknown sub-opcode, or a reference to itself, to a later or payload-less
 sub-op, out of its target's bounds or on another opcode earns a
-top-level ERROR with nothing applied.
-Sub-replies reuse the single-op payload encodings; sub-status
-UNATTEMPTED(5) marks the tail after the batch stopped at a failed or
-fenced sub-op.  An ERROR sub-reply payload is one transient-flag byte
-followed by the message.
-
-**Trace context** (optional, backward compatible): setting the top bit
-of an opcode byte (top-level *or* batch sub-op) prefixes the body with a
-16-byte correlation block -- ``u64 trace_id | u64 parent_span_id`` --
-which the server installs around dispatch so a
-:class:`~repro.obs.wiretrace.TracedServer` backend can parent its spans
-under the requesting client span.  Frames without the flag are
-byte-identical to the pre-tracing protocol.
+top-level ERROR with nothing applied, and so does any top-level
+opcode but ``OP_BATCH``.  Sub-status UNATTEMPTED (5) marks the tail
+after the batch stopped at a failed or fenced sub-op.  An ERROR carries
+one transient-flag byte before its message, as a sub-reply and as a
+whole-frame reply alike, so a backend's transient refusal (a flaky
+store, an outage) reaches the client as
+:class:`~repro.errors.TransientStorageError`, which a retrying
+transport above it retries.
 
 Blob ids travel as their string form (``kind/inode/selector``).  The
 server performs no computation on payloads -- it cannot: they are
@@ -75,10 +73,10 @@ import struct
 import threading
 from dataclasses import replace
 
-from ..errors import (BlobNotFound, CasConflictError, StaleEpochError,
-                      StorageError, TransientStorageError)
+from ..errors import StorageError, TransientStorageError
 from .blobs import BlobId
-from .server import BatchOp, BatchReply, OpMethods, StorageServer
+from .server import (BatchOp, BatchReply, OpMethods, StorageServer,
+                     reply_value)
 
 OP_PUT = 1
 OP_GET = 2
@@ -88,11 +86,6 @@ OP_PUT_IF = 5
 OP_PUT_FENCED = 6
 OP_DELETE_FENCED = 7
 OP_BATCH = 8
-
-#: Top bit of any opcode byte: the body starts with a trace-context
-#: block (u64 trace_id | u64 parent_span_id) before the normal fields.
-TRACE_FLAG = 0x80
-_TRACE_CTX_BYTES = 16
 
 #: Bit of a batch PUT / PUT_FENCED sub-opcode: the payload field is a
 #: reference, ``u32 index | u32 offset | u32 length`` into the payload
@@ -183,23 +176,6 @@ def _parse_blob_id(raw: bytes) -> BlobId:
         raise StorageError(f"malformed blob id on wire: {raw!r}") from exc
 
 
-# -- trace-context codec ------------------------------------------------------
-
-def encode_trace_context(ctx) -> bytes:
-    """16-byte correlation block; parent id 0 encodes "no parent"."""
-    return struct.pack(">QQ", ctx.trace_id, ctx.parent_span_id or 0)
-
-
-def decode_trace_context(body: bytes):
-    """Split a flagged body into (TraceContext, remaining fields)."""
-    if len(body) < _TRACE_CTX_BYTES:
-        raise StorageError("truncated trace-context block")
-    trace_id, parent = struct.unpack_from(">QQ", body, 0)
-    from ..obs.wiretrace import TraceContext
-    return (TraceContext(trace_id, parent or None),
-            body[_TRACE_CTX_BYTES:])
-
-
 # -- OP_BATCH codec -----------------------------------------------------------
 
 def payload_refs(ops) -> list[tuple[int, int, int] | None]:
@@ -244,8 +220,7 @@ def payload_bytes(ops) -> list[int]:
 
 def _encode_sub_body(op: BatchOp,
                      ref: tuple[int, int, int] | None = None) -> bytes:
-    """A sub-op body is byte-identical to the single-op request body
-    (but for a ``ref``'s payload field, batch sub-ops only)."""
+    """One sub-op's fields; a ``ref`` replaces the payload field."""
     bid = str(op.blob_id).encode()
     payload = (op.payload or b"") if ref is None else _REF.pack(*ref)
     if op.kind == "put":
@@ -265,19 +240,14 @@ def _encode_sub_body(op: BatchOp,
 
 def _decode_sub_body(opcode: int, body: bytes,
                      earlier: list[BatchOp] = ()) -> BatchOp:
-    base = opcode & ~(TRACE_FLAG | REF_FLAG)
-    ctx = None
-    if opcode & TRACE_FLAG:
-        if not OP_PUT <= base < OP_BATCH:
-            raise StorageError(f"unknown batch sub-opcode {opcode}")
-        ctx, body = decode_trace_context(body)
-    if opcode & REF_FLAG and _OPCODE_TO_KIND.get(base) not in _REF_KINDS:
+    kind = _OPCODE_TO_KIND.get(opcode & ~REF_FLAG)
+    if kind is None:
+        raise StorageError(f"unknown batch sub-opcode {opcode}")
+    if opcode & REF_FLAG and kind not in _REF_KINDS:
         raise StorageError(f"payload reference on batch sub-opcode {opcode}")
-    op = _decode_sub_fields(base, body)
+    op = _decode_sub_fields(kind, body)
     if opcode & REF_FLAG:
         op = replace(op, payload=_resolve_ref(op.payload, earlier))
-    if ctx is not None:
-        op = replace(op, ctx=ctx)
     return op
 
 
@@ -298,10 +268,7 @@ def _resolve_ref(raw: bytes, earlier: list[BatchOp]) -> bytes:
     return target.payload[offset:offset + length]
 
 
-def _decode_sub_fields(opcode: int, body: bytes) -> BatchOp:
-    kind = _OPCODE_TO_KIND.get(opcode)
-    if kind is None:
-        raise StorageError(f"unknown batch sub-opcode {opcode}")
+def _decode_sub_fields(kind: str, body: bytes) -> BatchOp:
     if kind == "put":
         blob_raw, payload = _unpack_fields(body, 2)
         return BatchOp.put(_parse_blob_id(blob_raw), payload)
@@ -334,10 +301,6 @@ def _encode_batch_request(ops) -> bytes:
     for op, ref in zip(ops, payload_refs(ops)):
         body = _encode_sub_body(op, ref)
         opcode = _KIND_TO_OPCODE[op.kind] | (0 if ref is None else REF_FLAG)
-        ctx = getattr(op, "ctx", None)
-        if ctx is not None:
-            opcode |= TRACE_FLAG
-            body = encode_trace_context(ctx) + body
         out += bytes([opcode])
         out += struct.pack(">I", len(body))
         out += body
@@ -387,12 +350,25 @@ def _encode_sub_reply(reply: BatchReply) -> bytes:
     elif reply.status == "fenced":
         payload = struct.pack(">Q", reply.epoch or 0)
     elif reply.status == "error":
-        payload = (bytes([1 if reply.transient else 0])
-                   + reply.message.encode())
+        payload = _error_payload(reply.message, reply.transient)
     else:  # missing / unattempted
         payload = b""
     return (bytes([_STATUS_TO_CODE[reply.status]])
             + struct.pack(">I", len(payload)) + payload)
+
+
+def _error_payload(message: str, transient: bool) -> bytes:
+    """An ERROR's payload, whole-frame or sub-reply: the transient flag
+    byte, then the message."""
+    return bytes([1 if transient else 0]) + message.encode()
+
+
+def _error_reply(raw: bytes) -> BatchReply:
+    """The inverse of :func:`_error_payload`."""
+    if not raw:
+        raise StorageError("error reply missing flag byte")
+    return BatchReply("error", message=raw[1:].decode(errors="replace"),
+                      transient=bool(raw[0]))
 
 
 def _encode_batch_reply(replies) -> bytes:
@@ -433,11 +409,7 @@ def _decode_batch_reply(payload: bytes, expected: int) -> list[BatchReply]:
         elif status == "fenced":
             replies.append(BatchReply("fenced", epoch=_parse_epoch(raw)))
         elif status == "error":
-            if not raw:
-                raise StorageError("error sub-reply missing flag byte")
-            replies.append(BatchReply(
-                "error", message=raw[1:].decode(errors="replace"),
-                transient=bool(raw[0])))
+            replies.append(_error_reply(raw))
         else:  # missing / unattempted
             replies.append(BatchReply(status))
     if offset != len(payload):
@@ -470,66 +442,24 @@ def _send_message(sock: socket.socket, body: bytes) -> None:
     sock.sendall(struct.pack(">I", len(body)) + body)
 
 
-def _traced_dispatch(backend: StorageServer, opcode: int,
-                     body: bytes) -> bytes:
-    """Strip an optional trace-context block and install it around
-    dispatch so a TracedServer backend parents its spans under the
-    requesting client span."""
-    if not opcode & TRACE_FLAG:
-        return _dispatch(backend, opcode, body)
-    if not OP_PUT <= opcode & (TRACE_FLAG - 1) <= OP_BATCH:
-        # Garbage opcode that happens to carry the trace bit: report
-        # it as unknown rather than complaining about the context.
-        raise StorageError(f"unknown opcode {opcode}")
-    ctx, body = decode_trace_context(body)
-    from ..obs.wiretrace import pop_wire_context, push_wire_context
-    token = push_wire_context(ctx)
-    try:
-        return _dispatch(backend, opcode & (TRACE_FLAG - 1), body)
-    finally:
-        pop_wire_context(token)
-
-
-def _dispatch(backend: StorageServer, opcode: int, body: bytes) -> bytes:
-    if opcode == OP_BATCH:
-        # Full validation first: a malformed frame raises here and
-        # becomes a top-level ERROR with zero sub-ops applied.
-        ops = _decode_batch_request(body)
-        replies = backend.batch(ops)
-        return bytes([STATUS_OK]) + _encode_batch_reply(replies)
-    if opcode not in _OPCODE_TO_KIND:
-        raise StorageError(f"unknown opcode {opcode}")
-    # A single-op body is byte-identical to a batch sub-op body.
-    op = _decode_sub_fields(opcode, body)
-    result = op.call(backend)
-    if op.kind == "get":
-        return bytes([STATUS_OK]) + result
-    if op.kind == "exists":
-        return bytes([STATUS_OK, 1 if result else 0])
-    return bytes([STATUS_OK])
-
-
 def dispatch_message(backend: StorageServer, message: bytes) -> bytes:
     """One request frame body -> one response frame body.
 
-    Opcodes, trace-context handling and the exception-to-status
-    mapping live here, apart from :class:`SspServer`'s socket loop.
+    An ``OP_BATCH`` frame is validated in full, then applied by
+    ``backend.batch``; anything else -- an empty frame, another opcode,
+    a malformed frame, a backend refusing the frame whole -- is one
+    top-level ERROR, transient exactly when the refusal was.
     """
-    if not message:
-        # A length-0 frame has no opcode byte; reply ERROR rather than
-        # dying on message[0].
-        return bytes([STATUS_ERROR]) + b"empty request frame"
     try:
-        return _traced_dispatch(backend, message[0], message[1:])
-    except BlobNotFound:
-        return bytes([STATUS_MISSING])
-    except CasConflictError as exc:
-        return bytes([STATUS_CONFLICT]) + _pack_presence(exc.current)
-    except StaleEpochError as exc:
-        return (bytes([STATUS_FENCED])
-                + struct.pack(">Q", exc.current_epoch))
-    except Exception as exc:  # surfaced to client as ERROR
-        return bytes([STATUS_ERROR]) + str(exc).encode()
+        if not message:
+            raise StorageError("empty request frame")
+        if message[0] != OP_BATCH:
+            raise StorageError(f"unknown opcode {message[0]}")
+        replies = backend.batch(_decode_batch_request(message[1:]))
+        return bytes([STATUS_OK]) + _encode_batch_reply(replies)
+    except Exception as exc:  # surfaced to the client as ERROR
+        return bytes([STATUS_ERROR]) + _error_payload(
+            str(exc), isinstance(exc, TransientStorageError))
 
 
 class _Handler(socketserver.BaseRequestHandler):
@@ -594,34 +524,22 @@ class RemoteStorageClient(OpMethods, StorageServer):
     client's view of its own traffic.
     """
 
-    def __init__(self, host: str, port: int, timeout: float = 10.0,
-                 trace_context_fn=None):
+    def __init__(self, host: str, port: int, timeout: float = 10.0):
         super().__init__(name=f"remote-ssp@{host}:{port}")
         self._lock = threading.Lock()
         self._addr = (host, port)
         self._timeout = timeout
-        #: Optional () -> TraceContext | None; when it returns a context
-        #: the request frame carries the 16-byte correlation block.
-        self._trace_context_fn = trace_context_fn
         # Connect eagerly so misconfiguration fails at construction; the
         # socket reconnects lazily after any transient failure.
         self._sock: socket.socket | None = socket.create_connection(
             self._addr, timeout=timeout)
 
     def close(self) -> None:
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-            self._sock = None
+        """Drop the socket; the next request opens a fresh one.
 
-    def _drop_sock(self) -> None:
-        """Discard a socket whose request/response stream is suspect.
-
-        After a timeout or mid-message disconnect the stream position is
-        unknown (a late response would be mis-framed as the next reply),
-        so the only safe recovery is a fresh connection.
+        Also the only safe recovery after a timeout or a mid-message
+        disconnect: the stream position is unknown there (a late
+        response would be mis-framed as the next reply).
         """
         if self._sock is not None:
             try:
@@ -639,46 +557,30 @@ class RemoteStorageClient(OpMethods, StorageServer):
                 _send_message(self._sock, body)
                 return _recv_message(self._sock)
             except TransientStorageError:
-                self._drop_sock()
+                self.close()
                 raise
             except OSError as exc:
                 # Covers socket.timeout and connection resets: report as
                 # retryable instead of crashing the filesystem client.
-                self._drop_sock()
+                self.close()
                 raise TransientStorageError(
                     f"{self.name}: {exc}") from exc
 
-    def _frame(self, opcode: int, fields: bytes) -> bytes:
-        """Request frame; byte-identical to the untraced protocol unless
-        the trace hook supplies a context for this request."""
-        ctx = (self._trace_context_fn()
-               if self._trace_context_fn is not None else None)
-        if ctx is None:
-            return bytes([opcode]) + fields
-        return (bytes([opcode | TRACE_FLAG])
-                + encode_trace_context(ctx) + fields)
-
     @staticmethod
     def _check(response: bytes) -> bytes:
-        if not response:
-            raise StorageError("empty response from SSP")
-        status, payload = response[0], response[1:]
+        """An OK response's payload; an ERROR raises, transient exactly
+        when its flag says so."""
+        status = response[0] if response else None
         if status == STATUS_OK:
-            return payload
-        if status == STATUS_MISSING:
-            raise BlobNotFound("remote blob missing")
-        if status == STATUS_CONFLICT:
-            raise CasConflictError("remote cas conflict",
-                                   current=_unpack_presence(payload))
-        if status == STATUS_FENCED:
-            raise StaleEpochError("remote fenced write rejected",
-                                  current_epoch=_parse_epoch(payload))
-        raise StorageError(f"SSP error: {payload.decode(errors='replace')}")
+            return response[1:]
+        if status == STATUS_ERROR:
+            _error_reply(response[1:]).raise_for_status()
+        raise StorageError(f"SSP response with status {status}")
 
     def _record(self, op: BatchOp, reply: BatchReply, sent: int) -> None:
-        """Local stats for one *acknowledged* op, single or batched: a
-        refused, fenced or timed-out request is not traffic served.
-        ``sent`` is the payload bytes the op put on the wire."""
+        """Local stats for one *acknowledged* sub-op: a refused, fenced
+        or timed-out request is not traffic served.  ``sent`` is the
+        payload bytes the op put on the wire."""
         if reply.status == "ok":
             if op.kind in ("put", "put_if", "put_fenced"):
                 self.stats.record_put(op.blob_id.kind, sent)
@@ -692,27 +594,19 @@ class RemoteStorageClient(OpMethods, StorageServer):
             self.stats.record_miss()
 
     # The base class implements the named methods against its own dict;
-    # the proxy ships every one of them to the real backend instead.
+    # the proxy ships every one of them to the real backend instead, as
+    # a frame of one.
 
     def _forward(self, op: BatchOp):
-        body = self._frame(_KIND_TO_OPCODE[op.kind], _encode_sub_body(op))
-        try:
-            payload = self._check(self._roundtrip(body))
-        except BlobNotFound:
-            self._record(op, BatchReply("missing"), 0)
-            raise
-        self._record(op, BatchReply("ok", payload=payload), op.sent_bytes())
-        if op.kind == "get":
-            return payload
-        if op.kind == "exists":
-            return bool(payload and payload[0])
-        return None
+        (reply,) = self.batch([op])
+        reply.raise_for_status()
+        return reply_value(op, reply)
 
     def batch(self, ops) -> list[BatchReply]:
         """Ship all sub-ops in one OP_BATCH frame: one round trip."""
         if not ops:
             return []
-        body = self._frame(OP_BATCH, _encode_batch_request(ops))
+        body = bytes([OP_BATCH]) + _encode_batch_request(ops)
         payload = self._check(self._roundtrip(body))
         replies = _decode_batch_reply(payload, len(ops))
         for op, reply, sent in zip(ops, replies, payload_bytes(ops)):

@@ -422,6 +422,42 @@ def test_a_root_change_that_dies_mid_apply_is_replayed_with_its_superblocks(
     assert report.clean, report.summary()
 
 
+class _RefuseOneFrame(ServerWrapper):
+    """Refuses the first frame that writes anything, whole and
+    transiently, before it reaches the store."""
+
+    refused = False
+
+    def batch(self, ops):
+        if not self.refused and any(op.kind != "get" for op in ops):
+            self.refused = True
+            raise TransientStorageError("frame refused")
+        return self.inner.batch(ops)
+
+
+@pytest.mark.parametrize("change", sorted(ROOT_CHANGES))
+def test_a_root_change_whose_frame_is_refused_keeps_the_old_root(
+        volume, registry, change):
+    """The client adopts a root change's superblock only once its frame
+    lands: refused, the SSP and the client both keep the old root, and
+    the same client goes on reading -- then lands the change."""
+    make_journaled(volume, registry).create_file("/f", b"root file",
+                                                 mode=0o644)
+    before, root = volume.server.raw_blobs(), volume._root_record
+    refusing = _RefuseOneFrame(volume.server)
+    fs = make_journaled(volume, registry, server=refusing)
+    with pytest.raises(TransientStorageError):
+        ROOT_CHANGES[change](fs)
+    assert refusing.refused
+    assert volume.server.raw_blobs() == before
+    assert fs.read_file("/f") == b"root file"
+    assert volume._root_record is root
+    ROOT_CHANGES[change](fs)
+    assert volume._root_record is not root
+    assert fs.read_file("/f") == b"root file"
+    _both_read(volume, registry)
+
+
 # -- a journaled mutation pays no public-key operation ------------------------
 
 

@@ -10,6 +10,8 @@ and the observability wiring (cost-model charges, attempt spans,
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import pytest
 
 from repro.errors import (BlobNotFound, CircuitOpenError, StorageError,
@@ -26,6 +28,8 @@ from repro.storage.resilient import (BREAKER_CLOSED, BREAKER_HALF_OPEN,
                                      RetryPolicy, ServerWrapper,
                                      SlowServer)
 from repro.storage.server import BatchOp, StorageServer
+from repro.storage.wire import (OP_BATCH, STATUS_ERROR, RemoteStorageClient,
+                                SspServer)
 
 BLOB = data_blob(1, "b0")
 OTHER = data_blob(2, "b0")
@@ -655,6 +659,63 @@ class TestDegradedReadsNeverFeedWrites:
         assert mount("alice").read_file("/s/f") == b"B" * 20
         bob.append_file("/s/f", b"x")
         assert mount("alice").read_file("/s/f") == b"B" * 20 + b"x"
+
+
+# -- refusals over the socket -------------------------------------------------
+
+
+@contextmanager
+def _proxy(backend):
+    """A RemoteStorageClient to ``backend`` behind a loopback SspServer."""
+    with SspServer(backend) as ssp:
+        client = RemoteStorageClient(*ssp.address, timeout=2.0)
+        try:
+            yield client
+        finally:
+            client.close()
+
+
+class TestRefusalsOverTheSocket:
+    """A refusal crosses the socket with the class it has in process: a
+    transient one stays transient (so a transport above the proxy
+    retries it), a malformed frame stays permanent."""
+
+    def test_a_flaky_single_op_refusal_is_transient(self):
+        flaky = FlakyServer(seeded_backend(), {"get": 1.0})
+        with _proxy(flaky) as client:
+            with pytest.raises(TransientStorageError):
+                client.get(BLOB)
+        assert flaky.injected_faults == 1
+
+    def test_an_outage_refusing_a_whole_frame_is_transient(self):
+        outage = OutageServer(seeded_backend(), SimClock(), 0.0, 10.0)
+        with _proxy(outage) as client:
+            with pytest.raises(TransientStorageError):
+                client.batch([BatchOp.get(BLOB), BatchOp.put(OTHER, b"x")])
+            with pytest.raises(TransientStorageError):
+                client.get(BLOB)
+        assert outage.rejected_requests == 2
+
+    @pytest.mark.parametrize("behind", ["fail_once", "outage"])
+    def test_a_transport_over_the_proxy_retries_the_refusal(self, behind):
+        clock = SimClock()
+        backend = (FailNTimes(seeded_backend(), 1) if behind == "fail_once"
+                   else OutageServer(seeded_backend(), clock, 0.0, 0.1))
+        with _proxy(backend) as client:
+            transport = ResilientTransport(
+                client, RetryPolicy(jitter=False, cache_fallback=False),
+                clock=clock)
+            assert transport.get(BLOB) == b"payload-v1"
+        assert transport.retries >= 1 and transport.giveups == 0
+
+    def test_a_malformed_frame_is_a_permanent_error(self):
+        with _proxy(seeded_backend()) as client:
+            reply = client._roundtrip(bytes([OP_BATCH, 0, 0, 0, 0]))
+            assert reply == (bytes([STATUS_ERROR, 0])
+                             + b"batch frame with zero sub-ops")
+            with pytest.raises(StorageError) as raised:
+                client._check(reply)
+        assert raised.type is StorageError
 
 
 # -- observability wiring -----------------------------------------------------

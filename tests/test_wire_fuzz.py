@@ -24,7 +24,7 @@ from repro.storage.blobs import data_blob
 from repro.storage.resilient import ResilientTransport, RetryPolicy
 from repro.storage.server import BatchOp, StorageServer
 from repro.storage.wire import (MAX_BATCH_OPS, OP_BATCH, OP_DELETE,
-                                OP_DELETE_FENCED, OP_GET, OP_PUT,
+                                OP_DELETE_FENCED, OP_EXISTS, OP_GET, OP_PUT,
                                 OP_PUT_FENCED, OP_PUT_IF, REF_FLAG,
                                 STATUS_ERROR, STATUS_OK,
                                 RemoteStorageClient, SspServer,
@@ -56,11 +56,22 @@ def _exchange(address, data: bytes, expect_reply: bool = True):
         return _recv_message(sock)
 
 
+#: A well-formed GET of BLOB: a frame of one.
+_GET_BLOB = _frame(bytes([OP_BATCH]) + struct.pack(">I", 1) + bytes([OP_GET])
+                   + struct.pack(">I", 4 + len(str(BLOB)))
+                   + _pack_fields(str(BLOB).encode()))
+
+
+def _serves(reply: bytes) -> bool:
+    """Is ``reply`` the answer to ``_GET_BLOB``?"""
+    return reply == (bytes([STATUS_OK]) + struct.pack(">I", 1)
+                     + bytes([STATUS_OK]) + struct.pack(">I", len(PAYLOAD))
+                     + PAYLOAD)
+
+
 def _server_still_serves(ssp: SspServer) -> bool:
     """The canary: a well-formed GET on a fresh connection round-trips."""
-    body = bytes([OP_GET]) + _pack_fields(str(BLOB).encode())
-    reply = _exchange(ssp.address, _frame(body))
-    return reply[0] == STATUS_OK and reply[1:] == PAYLOAD
+    return _serves(_exchange(ssp.address, _GET_BLOB))
 
 
 class TestServerSurvivesMalformedFrames:
@@ -73,10 +84,8 @@ class TestServerSurvivesMalformedFrames:
             reply = _recv_message(sock)
             assert reply[0] == STATUS_ERROR
             # Same connection still works after the bad frame.
-            body = bytes([OP_GET]) + _pack_fields(str(BLOB).encode())
-            sock.sendall(_frame(body))
-            reply = _recv_message(sock)
-            assert reply[0] == STATUS_OK and reply[1:] == PAYLOAD
+            sock.sendall(_GET_BLOB)
+            assert _serves(_recv_message(sock))
 
     def test_unknown_opcode(self, live_server):
         reply = _exchange(live_server.address, _frame(bytes([250])))
@@ -105,23 +114,42 @@ class TestServerSurvivesMalformedFrames:
 
     def test_truncated_field_inside_body(self, live_server):
         # Valid opcode, but the field declares more bytes than follow.
-        body = bytes([OP_GET]) + struct.pack(">I", 500) + b"short"
-        reply = _exchange(live_server.address, _frame(body))
+        sub = _sub_op(OP_GET, struct.pack(">I", 500) + b"short")
+        reply = _exchange(live_server.address, _batch_frame(1, sub))
         assert reply[0] == STATUS_ERROR
         assert _server_still_serves(live_server)
 
     def test_malformed_blob_id(self, live_server):
-        body = bytes([OP_GET]) + _pack_fields(b"\xff\xfe not/an-int/x")
-        reply = _exchange(live_server.address, _frame(body))
+        sub = _sub_op(OP_GET, _pack_fields(b"\xff\xfe not/an-int/x"))
+        reply = _exchange(live_server.address, _batch_frame(1, sub))
         assert reply[0] == STATUS_ERROR
         assert _server_still_serves(live_server)
 
     def test_put_with_missing_field(self, live_server):
         # PUT wants two fields; send one.
-        body = bytes([OP_PUT]) + _pack_fields(str(BLOB).encode())
-        reply = _exchange(live_server.address, _frame(body))
+        sub = _sub_op(OP_PUT, _pack_fields(str(BLOB).encode()))
+        reply = _exchange(live_server.address, _batch_frame(1, sub))
         assert reply[0] == STATUS_ERROR
+        assert live_server.backend.get(BLOB) == PAYLOAD
         assert _server_still_serves(live_server)
+
+    def test_a_top_level_single_opcode_is_an_error(self, live_server):
+        # A single op travels as a frame of one; a bare sub-opcode at
+        # the top level, well-formed body or not, is an unknown opcode
+        # and applies nothing, and the connection survives it.
+        bid = str(BLOB).encode()
+        before = live_server.backend.raw_blobs()
+        with socket.create_connection(live_server.address, 2.0) as sock:
+            for opcode in (OP_PUT, OP_GET, OP_DELETE, OP_EXISTS, OP_PUT_IF,
+                           OP_PUT_FENCED, OP_DELETE_FENCED):
+                sock.sendall(_frame(bytes([opcode])
+                                    + _pack_fields(bid, b"payload")))
+                reply = _recv_message(sock)
+                assert reply == (bytes([STATUS_ERROR, 0])
+                                 + f"unknown opcode {opcode}".encode())
+            sock.sendall(_GET_BLOB)
+            assert _serves(_recv_message(sock))
+        assert live_server.backend.raw_blobs() == before
 
     def test_seeded_random_garbage_storm(self, live_server):
         rng = random.Random(0xF00D)

@@ -1,26 +1,28 @@
 """Golden wire frames: the protocol's bytes, pinned as hex.
 
-For every opcode the request bytes :class:`RemoteStorageClient` puts on
-the socket and the response bytes the server answers with are compared
-against fixtures recorded once, with and without ``TRACE_FLAG``, and
-for a batch whose puts name their bytes inside an earlier put
-(``REF_FLAG``).  A refactor of either codec that moves a single byte
-fails here, not in a mixed-version deployment.  The last test pins the fact the merged codec
-relies on: a single-op request body *is* the batch sub-op body.
+For every sub-op kind and reply status the request bytes
+:class:`RemoteStorageClient` puts on the socket and the response bytes
+the server answers with are compared against fixtures recorded once --
+a single op as its frame of one, a mixed batch, and a batch whose puts
+name their bytes inside an earlier put (``REF_FLAG``) -- and so are the
+top-level ERROR frames, transient flag included.  A refactor of either
+codec that moves a single byte fails here, not in a mixed-version
+deployment.  The last test pins that a single op's frame carries
+exactly its sub-op body.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import replace
 
 import pytest
 
 from repro.errors import StorageError
-from repro.obs.wiretrace import TraceContext
+from repro.sim.clock import SimClock
 from repro.storage.blobs import data_blob, lease_blob
+from repro.storage.resilient import OutageServer
 from repro.storage.server import BatchOp, BatchReply, StorageServer
-from repro.storage.wire import (TRACE_FLAG, RemoteStorageClient, SspServer,
+from repro.storage.wire import (RemoteStorageClient, SspServer,
                                 _encode_batch_reply, _encode_sub_body,
                                 dispatch_message)
 
@@ -31,55 +33,78 @@ FENCE = lease_blob(7)          # at epoch 5
 SEED_STATE = {BLOB: b"cipher", EMPTY: b"",
               FENCE: struct.pack(">Q", 5) + b"L"}
 
-CTX = TraceContext(0x1122334455667788, 0x99AABBCCDDEEFF00)
-CTX_HEX = "112233445566778899aabbccddeeff00"
+#: A frame of one: OP_BATCH, count 1 (requests); OK, count 1 (replies).
+ONE = "0800000001"
+OK_ONE = "0000000001"
 
 #: (case, op, request frame hex, response frame hex), each against a
-#: fresh SEED_STATE.
+#: fresh SEED_STATE.  After the frame's head, a sub-op is its opcode,
+#: body length and body; a sub-reply its status, payload length and
+#: payload.
 CASES = [
     ("put", BatchOp.put(BLOB, b"new"),
-     "0100000009646174612f372f6230000000036e6577", "00"),
+     ONE + "0100000014" "00000009646174612f372f6230000000036e6577",
+     OK_ONE + "0000000000"),
     ("put_empty", BatchOp.put(ABSENT, b""),
-     "0100000009646174612f392f623000000000", "00"),
+     ONE + "0100000011" "00000009646174612f392f623000000000",
+     OK_ONE + "0000000000"),
     ("get_hit", BatchOp.get(BLOB),
-     "0200000009646174612f372f6230", "00636970686572"),
+     ONE + "020000000d" "00000009646174612f372f6230",
+     OK_ONE + "0000000006" "636970686572"),
     ("get_empty", BatchOp.get(EMPTY),
-     "0200000009646174612f382f6230", "00"),
+     ONE + "020000000d" "00000009646174612f382f6230",
+     OK_ONE + "0000000000"),
     ("get_miss", BatchOp.get(ABSENT),
-     "0200000009646174612f392f6230", "01"),
+     ONE + "020000000d" "00000009646174612f392f6230",
+     OK_ONE + "0100000000"),
     ("delete", BatchOp.delete(BLOB),
-     "0300000009646174612f372f6230", "00"),
+     ONE + "030000000d" "00000009646174612f372f6230",
+     OK_ONE + "0000000000"),
     ("exists_hit", BatchOp.exists(BLOB),
-     "0400000009646174612f372f6230", "0001"),
+     ONE + "040000000d" "00000009646174612f372f6230",
+     OK_ONE + "0000000001" "01"),
     ("exists_miss", BatchOp.exists(ABSENT),
-     "0400000009646174612f392f6230", "0000"),
+     ONE + "040000000d" "00000009646174612f392f6230",
+     OK_ONE + "0000000001" "00"),
     ("put_if_absent_ok", BatchOp.put_if(ABSENT, b"new", None),
-     "0500000009646174612f392f62300000000100000000036e6577", "00"),
+     ONE + "0500000019"
+     "00000009646174612f392f62300000000100000000036e6577",
+     OK_ONE + "0000000000"),
     ("put_if_match_ok", BatchOp.put_if(BLOB, b"new", b"cipher"),
-     "0500000009646174612f372f62300000000701636970686572000000036e6577",
-     "00"),
+     ONE + "050000001f"
+     "00000009646174612f372f62300000000701636970686572000000036e6577",
+     OK_ONE + "0000000000"),
     # CONFLICT carries the current bytes presence-prefixed: a value ...
     ("put_if_conflict_value", BatchOp.put_if(BLOB, b"new", b""),
-     "0500000009646174612f372f62300000000101000000036e6577",
-     "0301636970686572"),
+     ONE + "0500000019"
+     "00000009646174612f372f62300000000101000000036e6577",
+     OK_ONE + "0300000007" "01636970686572"),
     # ... an absent blob ...
     ("put_if_conflict_absent", BatchOp.put_if(ABSENT, b"new", b"x"),
-     "0500000009646174612f392f6230000000020178000000036e6577", "0300"),
+     ONE + "050000001a"
+     "00000009646174612f392f6230000000020178000000036e6577",
+     OK_ONE + "0300000001" "00"),
     # ... and an empty one are three distinct encodings.
     ("put_if_conflict_empty", BatchOp.put_if(EMPTY, b"new", None),
-     "0500000009646174612f382f62300000000100000000036e6577", "0301"),
+     ONE + "0500000019"
+     "00000009646174612f382f62300000000100000000036e6577",
+     OK_ONE + "0300000001" "01"),
     ("put_fenced_ok", BatchOp.put_fenced(BLOB, b"new", FENCE, 5),
-     "0600000009646174612f372f6230000000096c656173652f372f2d"
-     "000000080000000000000005000000036e6577", "00"),
+     ONE + "060000002d" "00000009646174612f372f6230000000096c656173652f372f2d"
+     "000000080000000000000005000000036e6577",
+     OK_ONE + "0000000000"),
     ("put_fenced_stale", BatchOp.put_fenced(BLOB, b"new", FENCE, 4),
-     "0600000009646174612f372f6230000000096c656173652f372f2d"
-     "000000080000000000000004000000036e6577", "040000000000000005"),
+     ONE + "060000002d" "00000009646174612f372f6230000000096c656173652f372f2d"
+     "000000080000000000000004000000036e6577",
+     OK_ONE + "0400000008" "0000000000000005"),
     ("delete_fenced_ok", BatchOp.delete_fenced(BLOB, FENCE, 5),
-     "0700000009646174612f372f6230000000096c656173652f372f2d"
-     "000000080000000000000005", "00"),
+     ONE + "0700000026" "00000009646174612f372f6230000000096c656173652f372f2d"
+     "000000080000000000000005",
+     OK_ONE + "0000000000"),
     ("delete_fenced_stale", BatchOp.delete_fenced(BLOB, FENCE, 4),
-     "0700000009646174612f372f6230000000096c656173652f372f2d"
-     "000000080000000000000004", "040000000000000005"),
+     ONE + "0700000026" "00000009646174612f372f6230000000096c656173652f372f2d"
+     "000000080000000000000004",
+     OK_ONE + "0400000008" "0000000000000005"),
 ]
 
 #: One mixed frame: ok, get hit, get miss, exists, conflict, delete, a
@@ -113,13 +138,13 @@ BATCH_RESPONSE_HEX = (
 
 #: Later puts naming their bytes inside an earlier put's payload
 #: (REF_FLAG 0x40: ``u32 index | u32 offset | u32 length`` in place of
-#: the payload): a put, a put_fenced, one with a sub-op trace context
-#: (0xc1), and one whose bytes the target does not hold, which inlines.
+#: the payload): a put, a put_fenced, a second put, and one whose bytes
+#: the target does not hold, which inlines.
 TARGET = data_blob(11, "b0")
 REF_BATCH = [BatchOp.put(TARGET, b"head:new:fen"),
              BatchOp.put(ABSENT, b"new", ref=TARGET),
              BatchOp.put_fenced(BLOB, b"fen", FENCE, 5, ref=TARGET),
-             replace(BatchOp.put(EMPTY, b"new", ref=TARGET), ctx=CTX),
+             BatchOp.put(EMPTY, b"new", ref=TARGET),
              BatchOp.put(data_blob(10, "b0"), b"zzz", ref=TARGET)]
 REF_BATCH_REQUEST_HEX = (
     "0800000005"
@@ -128,7 +153,7 @@ REF_BATCH_REQUEST_HEX = (
     "000000000000000500000003"
     "460000003600000009646174612f372f6230000000096c656173652f372f2d"
     "0000000800000000000000050000000c000000000000000900000003"
-    "c10000002d" + CTX_HEX + "00000009646174612f382f62300000000c"
+    "410000001d00000009646174612f382f62300000000c"
     "000000000000000500000003"
     "01000000150000000a646174612f31302f6230000000037a7a7a")
 REF_BATCH_RESPONSE_HEX = "0000000005" + "0000000000" * 5
@@ -149,13 +174,11 @@ def _call(server, op: BatchOp):
 
 @pytest.fixture(scope="module")
 def rig():
-    """(backend, plain client frames, traced client frames) over one
-    loopback server; each client records (request, response) bodies."""
+    """(backend, client) over one loopback server; the client records
+    its (request, response) bodies."""
     backend = StorageServer()
-    clients = []
-
-    def recording_client(**kwargs):
-        client = RemoteStorageClient(*server.address, **kwargs)
+    with SspServer(backend) as server:
+        client = RemoteStorageClient(*server.address)
         client.frames = []
         real = client._roundtrip
 
@@ -165,14 +188,8 @@ def rig():
             return response
 
         client._roundtrip = roundtrip
-        clients.append(client)
-        return client
-
-    with SspServer(backend) as server:
-        yield (backend, recording_client(),
-               recording_client(trace_context_fn=lambda: CTX))
-        for client in clients:
-            client.close()
+        yield backend, client
+        client.close()
 
 
 def _exchange(backend, client, send):
@@ -187,37 +204,24 @@ def _exchange(backend, client, send):
 @pytest.mark.parametrize("case,op,request_hex,response_hex", CASES,
                          ids=[case[0] for case in CASES])
 def test_single_op_frames(rig, case, op, request_hex, response_hex):
-    backend, plain, traced = rig
-    request, response = _exchange(backend, plain, lambda c: _call(c, op))
+    request, response = _exchange(*rig, lambda c: _call(c, op))
     assert request.hex() == request_hex
-    assert response.hex() == response_hex
-    # The flagged form: opcode | TRACE_FLAG, the 16-byte context block,
-    # then the very same fields; the answer does not change.
-    request, response = _exchange(backend, traced, lambda c: _call(c, op))
-    assert request.hex() == (f"{int(request_hex[:2], 16) | TRACE_FLAG:02x}"
-                             + CTX_HEX + request_hex[2:])
     assert response.hex() == response_hex
 
 
 def test_batch_frames(rig):
-    backend, plain, traced = rig
-    request, response = _exchange(backend, plain, lambda c: c.batch(BATCH))
+    request, response = _exchange(*rig, lambda c: c.batch(BATCH))
     assert request.hex() == BATCH_REQUEST_HEX
-    assert response.hex() == BATCH_RESPONSE_HEX
-    request, response = _exchange(backend, traced, lambda c: c.batch(BATCH))
-    assert request.hex() == "88" + CTX_HEX + BATCH_REQUEST_HEX[2:]
     assert response.hex() == BATCH_RESPONSE_HEX
 
 
 def test_batch_frames_with_payload_references(rig):
-    backend, plain, traced = rig
-    for client, flag in ((plain, "08"), (traced, "88" + CTX_HEX)):
-        request, response = _exchange(backend, client,
-                                      lambda c: c.batch(REF_BATCH))
-        assert request.hex() == flag + REF_BATCH_REQUEST_HEX[2:]
-        assert response.hex() == REF_BATCH_RESPONSE_HEX
-        assert backend.get(ABSENT) == backend.get(EMPTY) == b"new"
-        assert backend.get(BLOB) == b"fen"
+    backend, _client = rig
+    request, response = _exchange(*rig, lambda c: c.batch(REF_BATCH))
+    assert request.hex() == REF_BATCH_REQUEST_HEX
+    assert response.hex() == REF_BATCH_RESPONSE_HEX
+    assert backend.get(ABSENT) == backend.get(EMPTY) == b"new"
+    assert backend.get(BLOB) == b"fen"
 
 
 def test_error_sub_reply_bytes():
@@ -228,22 +232,41 @@ def test_error_sub_reply_bytes():
         "00000002" "020000000501626f6f6d" "020000000400626164")
 
 
-@pytest.mark.parametrize("message_hex,response_hex", [
-    ("", "02" + b"empty request frame".hex()),
-    ("09", "02" + b"unknown opcode 9".hex()),
-    ("89", "02" + b"unknown opcode 137".hex()),
-    ("0200000003612f62",
-     "02" + b"malformed blob id on wire: b'a/b'".hex()),
-])
-def test_top_level_error_frames(message_hex, response_hex):
-    """A top-level ERROR is the status byte + the bare message (no
-    transient flag, unlike a sub-reply)."""
+#: (message hex, the ERROR it earns): any top-level opcode but OP_BATCH
+#: (a former single-op GET too) and a frame that fails validation.
+TOP_LEVEL_ERRORS = [
+    pytest.param("", b"empty request frame", id="empty"),
+    pytest.param("09", b"unknown opcode 9", id="unknown"),
+    pytest.param("89", b"unknown opcode 137", id="high_bit"),
+    pytest.param("0200000003612f62", b"unknown opcode 2", id="single_get"),
+    pytest.param("0800000001020000000700000003612f62",
+                 b"malformed blob id on wire: b'a/b'", id="malformed_batch"),
+]
+
+
+@pytest.mark.parametrize("message_hex,message", TOP_LEVEL_ERRORS)
+def test_top_level_error_frames(message_hex, message):
+    """A top-level ERROR is the status byte, the transient flag (clear:
+    a malformed frame stays malformed) and the message -- the encoding
+    of an ERROR sub-reply's payload."""
     response = dispatch_message(StorageServer(), bytes.fromhex(message_hex))
-    assert response.hex() == response_hex
+    assert response.hex() == "0200" + message.hex()
+
+
+def test_a_frame_refused_whole_is_a_transient_error_frame():
+    """A backend refusing a frame transiently (an outage at the door)
+    answers ERROR with the flag set."""
+    outage = OutageServer(StorageServer(), SimClock(), 0.0, 1.0)
+    get_hit = {case[0]: case[2] for case in CASES}["get_hit"]
+    response = dispatch_message(outage, bytes.fromhex(get_hit))
+    assert response[:2].hex() == "0201"
+    assert response[2:].startswith(b"outage-ssp: outage until t=1s")
 
 
 @pytest.mark.parametrize("case,op,request_hex,response_hex", CASES,
                          ids=[case[0] for case in CASES])
 def test_single_op_body_is_the_sub_op_body(case, op, request_hex,
                                            response_hex):
-    assert bytes.fromhex(request_hex)[1:] == _encode_sub_body(op)
+    sub_op = bytes.fromhex(request_hex)[len(ONE) // 2:]
+    assert sub_op[5:] == _encode_sub_body(op)
+    assert int.from_bytes(sub_op[1:5], "big") == len(sub_op) - 5

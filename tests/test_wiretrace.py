@@ -2,9 +2,9 @@
 
 The acceptance invariants of the observability PR:
 
-* trace context rides wire frames behind an opcode flag bit and decodes
-  back to the same (trace_id, parent_span_id) pair -- including across a
-  real TCP loopback into a TracedServer backend;
+* a TracedServer parents its spans under the (trace_id,
+  parent_span_id) its client's ``context_fn`` names; behind a TCP
+  loopback, where no context rides the wire, its spans stay unparented;
 * a TracedServer's decode/disk/verify self-times partition its wall
   exactly (synthetic timeline, never the shared clock);
 * a traced andrew run stitches into a single client+server trace tree
@@ -16,58 +16,14 @@ The acceptance invariants of the observability PR:
 
 import pytest
 
-from repro.errors import BlobNotFound, StorageError
+from repro.errors import BlobNotFound
 from repro.obs.tracing import Span, Tracer
 from repro.obs.wiretrace import (DEFAULT_SERVER_PROFILE, TraceContext,
                                  TracedServer, stitch)
 from repro.sim.clock import SimClock
 from repro.storage.blobs import data_blob, meta_blob
 from repro.storage.server import StorageServer
-from repro.storage.wire import (OP_BATCH, OP_GET, TRACE_FLAG,
-                                RemoteStorageClient, SspServer,
-                                decode_trace_context, encode_trace_context)
-
-
-class TestTraceContextCodec:
-    def test_roundtrip(self):
-        ctx = TraceContext(trace_id=7, parent_span_id=42)
-        decoded, rest = decode_trace_context(
-            encode_trace_context(ctx) + b"tail")
-        assert decoded == ctx
-        assert rest == b"tail"
-
-    def test_no_parent_roundtrips_as_none(self):
-        decoded, _ = decode_trace_context(
-            encode_trace_context(TraceContext(trace_id=3)))
-        assert decoded.trace_id == 3
-        assert decoded.parent_span_id is None
-
-    def test_truncated_block_rejected(self):
-        with pytest.raises(StorageError):
-            decode_trace_context(b"\x00" * 15)
-
-    def test_frame_unflagged_without_context(self):
-        with SspServer(StorageServer()) as ssp:
-            client = RemoteStorageClient(*ssp.address)
-            frame = client._frame(OP_GET, b"fields")
-        assert frame == bytes([OP_GET]) + b"fields"
-
-    def test_frame_flagged_with_context(self):
-        with SspServer(StorageServer()) as ssp:
-            client = RemoteStorageClient(
-                *ssp.address,
-                trace_context_fn=lambda: TraceContext(9, 1234))
-            frame = client._frame(OP_GET, b"fields")
-        assert frame[0] == OP_GET | TRACE_FLAG
-        ctx, rest = decode_trace_context(frame[1:])
-        assert ctx == TraceContext(9, 1234)
-        assert rest == b"fields"
-
-    def test_flagged_batch_opcode_still_rejected_as_sub_op(self):
-        # A flagged OP_BATCH sub-opcode must not smuggle a nested batch.
-        from repro.storage.wire import _decode_sub_body
-        with pytest.raises(StorageError):
-            _decode_sub_body(OP_BATCH | TRACE_FLAG, b"\x00" * 32)
+from repro.storage.wire import RemoteStorageClient, SspServer
 
 
 class TestTracedServer:
@@ -128,20 +84,18 @@ class TestTracedServer:
     def test_batch_sub_ops_get_child_spans(self):
         from repro.storage.server import BatchOp
         traced = self._traced(ctx=TraceContext(5, 50))
-        ops = [BatchOp("put", meta_blob(1, "o"), payload=b"a" * 10,
-                       ctx=TraceContext(5, 51)),
-               BatchOp("get", meta_blob(1, "o"),
-                       ctx=TraceContext(5, 52))]
+        ops = [BatchOp.put(meta_blob(1, "o"), b"a" * 10),
+               BatchOp.get(meta_blob(1, "o"))]
         replies = traced.batch(ops)
         assert [r.status for r in replies] == ["ok", "ok"]
         (root,) = traced.spans
         assert root.name == "server.batch"
+        assert root.parent_id == 50
         assert root.attrs["count"] == 2
         (dispatch,) = [c for c in root.children if c.name == "dispatch"]
         subs = [c for c in dispatch.children
                 if c.name.startswith("server.")]
         assert [s.attrs["kind"] for s in subs] == ["put", "get"]
-        assert [s.attrs["client_span_id"] for s in subs] == [51, 52]
         total = sum(seconds for node in root.walk()
                     for seconds in node.self_costs.values())
         assert total == pytest.approx(root.duration, abs=1e-15)
@@ -187,21 +141,6 @@ class TestStitch:
 
 
 class TestLoopbackTcp:
-    def test_context_propagates_through_wire_handler(self):
-        backend = StorageServer()
-        traced = TracedServer(backend, clock=SimClock())
-        with SspServer(traced) as ssp:
-            host, port = ssp.address
-            client = RemoteStorageClient(
-                host, port,
-                trace_context_fn=lambda: TraceContext(21, 84))
-            client.put(meta_blob(1, "o"), b"over the wire")
-            assert client.get(meta_blob(1, "o")) == b"over the wire"
-        put_span, get_span = list(traced.spans)
-        for span in (put_span, get_span):
-            assert span.parent_id == 84
-            assert span.attrs["trace_id"] == 21
-
     def test_untraced_client_leaves_spans_unparented(self):
         traced = TracedServer(StorageServer(), clock=SimClock())
         with SspServer(traced) as ssp:
