@@ -3,13 +3,14 @@
 from .cache import CacheStats, LruCache
 from .consistency import ConsistencyLog, ForkDetected, VersionStatement
 from .freshness import FreshnessMonitor, StaleObjectError
-from .client import ClientConfig, OpenFile, ResolvedNode, SharoesFilesystem
+from .client import ClientConfig, OpenFile, SharoesFilesystem
 from .dirtable import DIRECT, SPLIT, ZERO, DirEntry, DirPointer, TableView
 from .inode import InodeAllocator
 from .metadata import MetadataAttrs, MetadataView, Stat
 from .permissions import (DIRECTORY, EXEC, FILE, GROUP, OTHER, OWNER, READ,
                           WRITE, AclEntry, ObjectPerms, ReferenceEvaluator,
                           format_mode, triple)
+from .resolve import ResolvedNode
 from .superblock import Superblock
 from .volume import (DEFAULT_BLOCK_SIZE, SharoesVolume, block_blob_id,
                      table_blob_id)

@@ -16,6 +16,9 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Hashable
 
+#: the key families a path walk reads (fs/mdcache.py's views, tables).
+WALKED_FAMILIES = frozenset({"meta", "table"})
+
 
 @dataclass
 class CacheStats:
@@ -53,6 +56,8 @@ class LruCache:
         #: files under None), so ``invalidate_prefix`` visits one family
         #: or one inode's group instead of the whole store.
         self._index: dict[Hashable, dict[Hashable, set]] = {}
+        #: bumped when a WALKED_FAMILIES entry leaves, and on clear().
+        self.generation = 0
 
     @property
     def used_bytes(self) -> int:
@@ -76,6 +81,8 @@ class LruCache:
         self._used_bytes -= size_bytes
         slot = self._slot(key)
         if slot is not None:
+            if slot[0] in WALKED_FAMILIES:
+                self.generation += 1
             family = self._index[slot[0]]
             family[slot[1]].discard(key)
             if not family[slot[1]]:
@@ -147,3 +154,4 @@ class LruCache:
         self._entries.clear()
         self._index.clear()
         self._used_bytes = 0
+        self.generation += 1

@@ -45,15 +45,15 @@ from ..storage.blobs import (BlobId, group_key_blob, lockbox_blob,
 from . import layout
 from .blobio import BlobIO
 from .cache import LruCache
-from .dirtable import (DIRECT, SPLIT, VIEW_FULL, ZERO, DirEntry,
-                       DirPointer, TableView)
+from .dirtable import (DIRECT, SPLIT, VIEW_FULL, DirEntry, DirPointer,
+                       TableView)
 from .freshness import FreshnessMonitor
 from .lease import LeaseManager
-from .mdcache import (DIR_WRITE_CAPS, LIST_CAPS, TRAVERSE_CAPS,
-                      VerifiedMetadataCache)
+from .mdcache import DIR_WRITE_CAPS, LIST_CAPS, VerifiedMetadataCache
 from .metadata import MetadataAttrs, MetadataView, Stat
 from .mutation import MutationPipeline, mutating
 from .permissions import DIRECTORY, FILE, SYMLINK, AclEntry
+from .resolve import ResolvedNode, Resolver
 from .superblock import Superblock
 from .volume import SharoesVolume
 
@@ -133,25 +133,6 @@ class ClientConfig:
     #: ``journal=True`` write-behind is disabled (journal ordering is a
     #: durability contract) but fetch flights stay on.
     concurrency: int = 0
-
-
-@dataclass
-class ResolvedNode:
-    """A path component resolved to its decrypted metadata replica."""
-
-    inode: int
-    selector: str
-    mek: bytes
-    mvk: esign.VerificationKey
-    view: MetadataView
-
-    @property
-    def attrs(self) -> MetadataAttrs:
-        return self.view.attrs
-
-    @property
-    def cap_id(self) -> str:
-        return self.view.cap_id
 
 
 @dataclass
@@ -426,12 +407,10 @@ class SharoesFilesystem:
                 service=getattr(raw, "name", "ssp"),
                 context_fn=self._trace_context)
             raw = self.traced_server
-        #: per-walk-depth resolve attribution (hits/misses/seconds per
-        #: path component depth), exported as ``client.resolve.*``.
-        self._walk_depth: dict[int, dict[str, float]] = {}
-        self.metrics.register_source(
-            "client.resolve", self._collect_walk_depth,
-            help="per-depth path-walk cache attribution")
+        #: the path walk and its memo (fs/resolve.py), with the
+        #: per-depth ``client.resolve.*`` attribution.
+        self.resolver = Resolver(self)
+        self._resolve = self.resolver.resolve
         policy = self.config.retry_policy
         if policy is not None:
             from ..storage.resilient import ResilientTransport
@@ -551,21 +530,6 @@ class SharoesFilesystem:
         return self.blobs.flush()
 
     # ------------------------------------------------------------------ readahead
-
-    def _prefetch_walk(self, inode: int, selector: str) -> None:
-        """Path-walk readahead for a not-yet-terminal component.
-
-        A directory's metadata blob and its table blob share a selector,
-        and a mid-walk component needs both (the view to check type and
-        caps, the table to look up the next name).  Fetch the pair in
-        one frame; if the component turns out to be a file (no table
-        blob) the table sub-op is just a miss.
-        """
-        if (self.mdcache.has_view(inode, selector)
-                or self.mdcache.has_table(inode, selector)):
-            return
-        self.blobs.prefetch([meta_blob(inode, selector),
-                             layout.table_blob_id(inode, selector)])
 
     def _prefetch_children(self, table: TableView) -> None:
         """Directory-scan readahead: batch the children's metadata.
@@ -771,14 +735,6 @@ class SharoesFilesystem:
 
     # ------------------------------------------------------------------ resolve
 
-    def _root_node(self) -> ResolvedNode:
-        sb = self._require_mounted()
-        mvk = sb.root_verification_key
-        view = self._fetch_view(sb.root_inode, sb.root_selector,
-                                sb.root_mek, mvk)
-        return ResolvedNode(inode=sb.root_inode, selector=sb.root_selector,
-                            mek=sb.root_mek, mvk=mvk, view=view)
-
     def _resolve_lockbox(self, inode: int) -> tuple[str, bytes, bytes]:
         """Split-point resolution: try each of this agent's identities."""
         for principal_id in self.agent.principal_ids():
@@ -792,41 +748,6 @@ class SharoesFilesystem:
             f"inode {inode}: split point with no lockbox for "
             f"{self.agent.user_id}")
 
-    def _follow_entry(self, entry: DirEntry,
-                      lookahead: bool = False) -> ResolvedNode:
-        if entry.kind == ZERO:
-            raise PermissionDenied(
-                f"{entry.name!r}: your permission chain has no access")
-        if entry.kind == SPLIT:
-            selector, mek, mvk_raw = self._resolve_lockbox(entry.inode)
-            mvk = esign.VerificationKey.from_bytes(mvk_raw)
-        else:
-            assert entry.pointer is not None
-            selector = entry.pointer.selector
-            mek = entry.pointer.mek
-            mvk = entry.pointer.verification_key
-            if lookahead and self.config.readahead:
-                # The walk continues below this component: its metadata
-                # *and* its table will both be needed, so fetch the pair
-                # in one round trip.
-                self._prefetch_walk(entry.inode, selector)
-        view = self._fetch_view(entry.inode, selector, mek, mvk)
-        return ResolvedNode(inode=entry.inode, selector=selector, mek=mek,
-                            mvk=mvk, view=view)
-
-    def _lookup_child(self, dir_node: ResolvedNode, name: str,
-                      lookahead: bool = False) -> ResolvedNode:
-        if dir_node.cap_id not in TRAVERSE_CAPS:
-            raise PermissionDenied(
-                f"inode {dir_node.inode}: traversal requires exec "
-                f"permission (CAP {dir_node.cap_id})")
-        table = self._fetch_table(dir_node)
-        entry = table.lookup(name, provider=self.provider,
-                             table_dek=dir_node.view.require_dek())
-        return self._follow_entry(entry, lookahead=lookahead)
-
-    _MAX_SYMLINK_DEPTH = 8
-
     def _trace_context(self):
         """Wire-trace context for the SSP request being issued right
         now: parent server spans under the innermost open span (the
@@ -836,64 +757,6 @@ class SharoesFilesystem:
             return None
         from ..obs.wiretrace import TraceContext
         return TraceContext(self.tracer.trace_id or 0, current.span_id)
-
-    def _note_walk(self, depth: int, span, miss: bool,
-                   seconds: float) -> None:
-        """Record one finished walk component, ``seconds`` long on the
-        simulated clock, as a cache hit or ``miss`` (it sent a demand
-        ``get`` frame: ``BlobIO.get_frames`` moved; speculative
-        prefetches and raw-buffer reuse are hits) on its span, if one
-        was recorded, and in the per-depth resolve attribution."""
-        if span is not None:
-            span.attrs["cache"] = "miss" if miss else "hit"
-        stats = self._walk_depth.setdefault(
-            depth, {"walks": 0, "hits": 0, "misses": 0, "seconds": 0.0})
-        stats["walks"] += 1
-        stats["misses" if miss else "hits"] += 1
-        stats["seconds"] += seconds
-
-    def _collect_walk_depth(self) -> dict[str, float]:
-        out: dict[str, float] = {}
-        for depth in sorted(self._walk_depth):
-            for key, value in self._walk_depth[depth].items():
-                out[f"depth{depth}.{key}"] = value
-        return out
-
-    def walk_depth_stats(self) -> dict[str, dict[str, float]]:
-        """Resolve attribution keyed by path depth (JSON-friendly)."""
-        return {str(depth): dict(stats)
-                for depth, stats in sorted(self._walk_depth.items())}
-
-    def _resolve(self, path: str, follow_last: bool = True,
-                 _depth: int = 0) -> ResolvedNode:
-        tracer = self.tracer
-        clock = tracer.clock
-        with tracer.span("resolve", path=path):
-            node = self._root_node()
-            parts = fspath.split_path(path)
-            for index, name in enumerate(parts):
-                is_last = index == len(parts) - 1
-                gets = self.blobs.get_frames
-                start = clock.now
-                with tracer.span("walk", depth=index,
-                                 component=name) as wspan:
-                    node = self._lookup_child(node, name,
-                                              lookahead=not is_last)
-                self._note_walk(index, wspan, self.blobs.get_frames != gets,
-                                clock.now - start)
-                if node.attrs.ftype == SYMLINK and (follow_last or
-                                                    not is_last):
-                    if _depth >= self._MAX_SYMLINK_DEPTH:
-                        raise FilesystemError(
-                            f"{path}: too many levels of symbolic links")
-                    target = self._read_symlink_target(node)
-                    remainder = parts[index + 1:]
-                    combined = (fspath.join(target, *remainder)
-                                if remainder else fspath.normalize(target))
-                    return self._resolve(combined,
-                                         follow_last=follow_last,
-                                         _depth=_depth + 1)
-            return node
 
     def _read_symlink_target(self, node: ResolvedNode) -> str:
         content = b"".join(self._read_blocks(node))
@@ -1413,10 +1276,12 @@ class SharoesFilesystem:
             self._write_empty_tables(record)
         # Write-through: the creator will almost always touch the new
         # object next (write/readdir); no need to re-fetch its own
-        # freshly uploaded replica.
+        # freshly uploaded replica (whose version is a watermark, too).
         owner_selector = scheme.owner_selector(attrs)
         cap = scheme.cap_for_selector(attrs, owner_selector)
         view = record.view_for(owner_selector, cap, True)
+        self.freshness.observe_metadata(inode, attrs.version,
+                                        self._attrs_digest(attrs))
         self.mdcache.put_view(inode, owner_selector, view,
                               len(view.to_bytes()))
         if self._add_row(parent, name, record) or attrs.acl:
@@ -1483,7 +1348,7 @@ class SharoesFilesystem:
         parent, name = self._resolve_parent(path)
         self._require_dir_write(parent, path)
         self.mutation.touch(parent.inode)
-        child = self._lookup_child(parent, name)
+        child = self.resolver.lookup_child(parent, name)
         if child.attrs.ftype == DIRECTORY:
             raise IsADirectory(path)
         self._remove_row(parent, name)
@@ -1504,7 +1369,7 @@ class SharoesFilesystem:
         parent, name = self._resolve_parent(path)
         self._require_dir_write(parent, path)
         self.mutation.touch(parent.inode)
-        child = self._lookup_child(parent, name)
+        child = self.resolver.lookup_child(parent, name)
         if child.attrs.ftype != DIRECTORY:
             raise NotADirectory(path)
         # "Is it empty" is read under its lease.
@@ -1531,7 +1396,7 @@ class SharoesFilesystem:
         self._require_dir_write(new_parent, new_path)
         self.mutation.touch(old_parent.inode)
         self.mutation.touch(new_parent.inode)
-        child = self._lookup_child(old_parent, old_name)
+        child = self.resolver.lookup_child(old_parent, old_name)
         new_table = self._fetch_table(new_parent)
         if new_name in new_table:
             raise FileExists(new_path)

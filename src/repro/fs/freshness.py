@@ -50,6 +50,8 @@ class FreshnessMonitor:
 
     def __init__(self) -> None:
         self._seen: dict[int, _Observation] = {}
+        #: bumped when a watermark rises (fs/resolve.py's walk memo).
+        self.generation = 0
 
     def observe_metadata(self, inode: int, version: int,
                          payload: bytes) -> None:
@@ -72,7 +74,9 @@ class FreshnessMonitor:
                 raise StaleObjectError(
                     f"inode {inode}: two different contents claim "
                     f"version {version} (equivocation)")
-        if previous is None or version >= previous.version:
+        if previous is None or version > previous.version:
+            if previous is not None:
+                self.generation += 1
             self._seen[inode] = _Observation(version=version,
                                              digest=digest)
 

@@ -221,25 +221,28 @@ def resolve_attribution(roots: Iterable[Any]) -> dict:
 
     Reads the ``walk`` spans the client opens around every path
     component lookup; each carries ``depth`` and a ``cache`` verdict
-    ("hit" when the component resolved without a demand fetch).  The
+    ("hit" when the component resolved without a demand fetch), and
+    the ``memo`` count a walk-memo hit's ``resolve`` span carries.  The
     output quantifies *where* resolve cost lives: which depths walk the
     most, miss the most, and pay the most simulated seconds.
     """
     depths: dict[int, dict[str, float]] = {}
     for root in roots:
         for doc in _iter_tree(_as_dict(root)):
-            if doc.get("name") != "walk":
-                continue
             attrs = doc.get("attrs", {})
-            depth = int(attrs.get("depth", 0))
-            entry = depths.setdefault(
-                depth, {"walks": 0, "hits": 0, "misses": 0, "seconds": 0.0})
-            entry["walks"] += 1
-            if attrs.get("cache") == "miss":
-                entry["misses"] += 1
-            else:
-                entry["hits"] += 1
-            entry["seconds"] += float(doc.get("duration", 0.0))
+            if doc.get("name") == "walk":
+                walked = (int(attrs.get("depth", 0)),)
+            else:  # a memo hit's resolve span: free hits, no walk spans
+                walked = range(attrs.get("memo", 0))
+            for depth in walked:
+                entry = depths.setdefault(depth, {
+                    "walks": 0, "hits": 0, "misses": 0, "seconds": 0.0})
+                entry["walks"] += 1
+                if attrs.get("cache") == "miss":
+                    entry["misses"] += 1
+                else:
+                    entry["hits"] += 1
+                entry["seconds"] += float(doc.get("duration", 0.0))
     totals = {"walks": 0, "hits": 0, "misses": 0, "seconds": 0.0}
     for entry in depths.values():
         for key in totals:

@@ -3,9 +3,8 @@
 One SSP process is a single point of failure.  The paper's untrusted-SSP
 model makes removing it trust-free: integrity, confidentiality and
 fencing all hold *per blob* at the client, so blobs can spread over any
-number of storage servers that need no mutual trust (ROADMAP item 2;
-UPSS layers the same encrypted-block-store abstraction over multiple
-backends).
+number of storage servers that need no mutual trust (UPSS layers the
+same encrypted-block-store abstraction over multiple backends).
 
 :class:`ShardedServer` presents the exact
 :class:`~repro.storage.server.StorageServer` interface while routing

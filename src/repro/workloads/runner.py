@@ -192,7 +192,7 @@ def _trace_section(env: BenchEnv) -> dict | None:
     if traced is None:
         return None
     return {"server": traced.phase_totals(),
-            "resolve_depth": env.fs.walk_depth_stats()}
+            "resolve_depth": env.fs.resolver.walk_depth_stats()}
 
 
 def run_observed(workload: str, impl: str = "sharoes",

@@ -131,6 +131,26 @@ class TestResolveAttribution:
             resolve_attribution(_sample_roots()))
         assert "TOTAL" in table
 
+    def test_memo_hits_count_as_the_walks_they_stand_for(self, make_fs):
+        """A walk-memo hit opens no ``walk`` span; its ``resolve`` span's
+        ``memo`` count keeps the report equal to ``client.resolve.*``."""
+        fs = make_fs(with_costs=True, record_spans=True)
+        fs.mkdir("/a")
+        for name in ("x", "y"):
+            fs.create_file(f"/a/{name}", b"again")
+        fs.cache.clear()
+        for _ in range(3):
+            for path in ("/a/x", "/a/y"):
+                fs.getattr(path)
+        report = resolve_attribution(fs.tracer.finished)
+        stats = fs.resolver.walk_depth_stats()
+        assert any("memo" in span.attrs for root in fs.tracer.finished
+                   for span in root.walk())
+        assert {depth: {key: row[key] for key in ("walks", "hits", "misses")}
+                for depth, row in report["depths"].items()} == {
+            depth: {key: row[key] for key in ("walks", "hits", "misses")}
+            for depth, row in stats.items()}
+
 
 class TestJsonlRoundtrip:
     def test_profiles_survive_jsonl_roundtrip(self, tmp_path):
