@@ -21,7 +21,7 @@ Design invariants (paper sections II-IV):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..caps.model import cap_for_bits
 from ..caps.record import (ObjectRecord, lockbox_payload, open_metadata_blob,
@@ -29,9 +29,9 @@ from ..caps.record import (ObjectRecord, lockbox_payload, open_metadata_blob,
 from ..crypto import esign
 from ..crypto.provider import CryptoProvider
 from ..errors import (BlobNotFound, CryptoError, DirectoryNotEmpty,
-                      FileExists, FileNotFound, FilesystemError,
-                      IntegrityError, IsADirectory, NotADirectory,
-                      PermissionDenied, SharoesError, TransientStorageError)
+                      FileNotFound, FilesystemError, IsADirectory,
+                      NotADirectory, PermissionDenied, SharoesError,
+                      TransientStorageError)
 from ..fs import path as fspath
 from ..obs.metrics import (MetricsRegistry, bind_cache_stats,
                            bind_cost_model, bind_crypto_counters,
@@ -42,11 +42,11 @@ from ..principals.users import User
 from ..sim.costmodel import CostModel
 from ..storage.blobs import (BlobId, group_key_blob, lockbox_blob,
                              meta_blob, superblock_blob)
-from . import layout
+from . import filedata, layout
 from .blobio import BlobIO
 from .cache import LruCache
-from .dirtable import (DIRECT, SPLIT, VIEW_FULL, DirEntry, DirPointer,
-                       TableView)
+from .dirtable import DIRECT, SPLIT, VIEW_FULL, TableView
+from .filedata import OpenFile
 from .freshness import FreshnessMonitor
 from .lease import LeaseManager
 from .mdcache import DIR_WRITE_CAPS, LIST_CAPS, VerifiedMetadataCache
@@ -55,6 +55,8 @@ from .mutation import MutationPipeline, mutating
 from .permissions import DIRECTORY, FILE, SYMLINK, AclEntry
 from .resolve import ResolvedNode, Resolver
 from .superblock import Superblock
+from .tableio import (add_row, fetch_table, rebuild_tables, remove_row,
+                      require_free, write_empty_tables)
 from .volume import SharoesVolume
 
 @dataclass
@@ -117,12 +119,6 @@ class ClientConfig:
     #: be taken over mid-wait.  Backoff: ``LEASE_WAIT_BASE_S``,
     #: doubling per attempt up to ``LEASE_WAIT_MAX_S``.
     lease_wait_attempts: int = 0
-    #: end-to-end wire tracing: wrap this client's server in an
-    #: in-process TracedServer that records server-side spans (decode/
-    #: disk/verify on a synthetic timeline) parented under the client
-    #: span issuing each request -- see docs/OBSERVABILITY.md.  Zero
-    #: simulated cost, and no trace context on the wire.
-    wire_trace: bool = False
     #: pipelined request window: ``concurrency >= 2`` attaches a
     #: :class:`~repro.fs.scheduler.RequestScheduler` that keeps up to
     #: this many independent requests in flight -- write-behind staging
@@ -133,205 +129,6 @@ class ClientConfig:
     #: ``journal=True`` write-behind is disabled (journal ordering is a
     #: durability contract) but fetch flights stay on.
     concurrency: int = 0
-
-
-@dataclass
-class OpenFile:
-    """A write-back file handle over a sparse map of the file's blocks.
-
-    This mirrors the paper's prototype ("we cache all writes locally and
-    only encrypt the file before sending it to the SSP as the result of a
-    file close"), and its block layout (section II-B) means an access
-    costs the blocks it touches, not the file.  Nothing is loaded at
-    ``open``; each access loads what it lacks through the filesystem's
-    one block loader, which verifies and decrypts every block it returns:
-
-    * ``read(size, offset)`` -- block 0 (it carries the block count) and
-      the blocks the range covers; ``read()`` loads every block;
-    * ``pwrite`` -- block 0 and the blocks the write touches (also the
-      last block when the write starts beyond it: the gap is zero-filled
-      from the file's end);
-    * ``write`` (append) -- block 0 and the last block: its length is
-      the only record of the file's size;
-    * ``truncate`` -- block 0 and the new last block (to cut or pad it);
-    * ``close`` -- nothing; it seals the written blocks (and block 0
-      again when the count changed).  Only a pending lazy revocation
-      loads the rest, to re-seal every block under the fresh key.
-
-    Where the blocks an access needs depend on the count (``read()``,
-    an append), the loader names them at the count the client last
-    verified, so block 0 and they share one flight while it holds.
-    """
-
-    fs: "SharoesFilesystem"
-    path: str
-    node: ResolvedNode
-    readable: bool
-    writable: bool
-    #: index -> content held (block 0 without its count prefix).  Every
-    #: index below ``_count`` that is missing here is unchanged at the SSP.
-    _blocks: dict[int, bytes] = field(default_factory=dict)
-    #: written index -> what was loaded there (None: a new block), so
-    #: close can skip a block rewritten with the bytes it already had.
-    _written: dict[int, "bytes | None"] = field(default_factory=dict)
-    #: the count block 0 carried when loaded (None: not loaded yet).
-    _stored_count: int | None = None
-    #: the block count now.
-    _count: int = 0
-    _dirty: bool = False
-    _closed: bool = False
-
-    def _require(self, verb: str, allowed: bool) -> None:
-        if self._closed:
-            raise FilesystemError(f"{verb} on closed handle")
-        if not allowed:
-            raise PermissionDenied(
-                f"{self.path}: not opened for "
-                f"{'reading' if verb == 'read' else 'writing'}")
-
-    def _start_empty(self) -> None:
-        """Discard the stored content unread ("w": close replaces it)."""
-        self._stored_count = 0
-        self._dirty = True
-
-    # -- the block map --------------------------------------------------------
-
-    def _fetch(self, wanted) -> None:
-        count, blocks = self.fs._load_blocks(
-            self.node, wanted, self._stored_count, self.writable)
-        if self._stored_count is None:
-            self._stored_count = self._count = count
-        self._blocks.update(blocks)
-
-    def _hold(self, first: int, last: int | None = None) -> None:
-        """Have blocks ``first``..``last`` (None: through the end) in
-        the map, as far as the file reaches."""
-        if self._stored_count is None:
-            # Block 0 for the count, with the range in the same flight;
-            # an open end reaches as far as this client last saw.
-            self._fetch(range(first, last + 1) if last is not None
-                        else lambda count: range(first, count))
-        end = self._count if last is None else min(last + 1, self._count)
-        missing = [index for index in range(first, end)
-                   if index not in self._blocks]
-        if missing:
-            self._fetch(missing)
-
-    def _set(self, index: int, content: bytes) -> None:
-        self._written.setdefault(index, self._blocks.get(index))
-        self._blocks[index] = content
-
-    def _size(self) -> int:
-        """The length in bytes, which only the last block records."""
-        if self._stored_count is None:
-            # Block 0 for the count, in one flight with the block this
-            # client last saw end the file.
-            self._fetch(lambda count: [count - 1])
-        if not self._count:
-            return 0
-        last = self._count - 1
-        self._hold(last, last)
-        return (last * self.fs.volume.block_size
-                + len(self._blocks[last]))
-
-    def _cut(self, size: int) -> None:
-        """Shorten to ``size`` bytes (not beyond the current length);
-        the block the cut lands in is held."""
-        block_size = self.fs.volume.block_size
-        self._count = -(-size // block_size)
-        for index in [i for i in self._blocks if i >= self._count]:
-            del self._blocks[index]
-        if size % block_size:
-            last = self._count - 1
-            self._set(last, self._blocks[last][:size % block_size])
-
-    def _grow(self, size: int) -> None:
-        """Zero-extend to ``size`` bytes; the last block is held."""
-        block_size = self.fs.volume.block_size
-        count = -(-size // block_size)
-        for index in range(max(self._count - 1, 0), count):
-            length = min(block_size, size - index * block_size)
-            self._set(index,
-                      self._blocks.get(index, b"").ljust(length, b"\x00"))
-        self._count = count
-
-    def _put(self, data: bytes, offset: int) -> None:
-        block_size = self.fs.volume.block_size
-        end = offset + len(data)
-        first, last = offset // block_size, (end - 1) // block_size
-        self._hold(first, last)
-        if last >= self._count - 1 and end > self._size():
-            self._grow(end)
-        for index in range(first, last + 1):
-            base = index * block_size
-            lo = max(offset, base)
-            hi = min(end, base + block_size)
-            block = self._blocks[index]
-            self._set(index, block[:lo - base] + data[lo - offset:hi - offset]
-                      + block[hi - base:])
-        self._dirty = True
-
-    # -- the handle ------------------------------------------------------------
-
-    def read(self, size: int | None = None, offset: int = 0) -> bytes:
-        with self.fs.tracer.span("read", path=self.path):
-            self._require("read", self.readable)
-            if size is not None and size <= 0:
-                return b""
-            block_size = self.fs.volume.block_size
-            first = offset // block_size
-            self._hold(first, None if size is None
-                       else (offset + size - 1) // block_size)
-            end = self._count if size is None else min(
-                self._count, -(-(offset + size) // block_size))
-            data = b"".join(self._blocks[index]
-                            for index in range(first, end))
-            return data[offset - first * block_size:][:size]
-
-    def write(self, data: bytes) -> int:
-        """Append ``data`` at the end of the file."""
-        self._require("write", self.writable)
-        return self.pwrite(data, self._size())
-
-    def pwrite(self, data: bytes, offset: int) -> int:
-        """Write at ``offset``; a gap past the end reads back as zeros."""
-        with self.fs.tracer.span("write", path=self.path):
-            self._require("write", self.writable)
-            if data:
-                self._put(data, offset)
-            return len(data)
-
-    def truncate(self, size: int = 0) -> None:
-        """Cut or zero-extend to ``size`` bytes, like ftruncate(2)."""
-        with self.fs.tracer.span("truncate", path=self.path):
-            self._require("truncate", self.writable)
-            block_size = self.fs.volume.block_size
-            # Block 0 for the count, in one flight with the block a cut
-            # would land in.
-            partial = size // block_size if size % block_size else 0
-            self._hold(partial, partial)
-            if (-(-size // block_size) < self._count
-                    or size <= self._size()):
-                self._cut(size)
-            else:
-                self._grow(size)
-            self._dirty = True
-
-    def close(self) -> None:
-        """Encrypt dirty blocks and upload (the paper's ``close`` cost)."""
-        if self._closed:
-            return
-        self._closed = True
-        with self.fs.tracer.span("close", path=self.path,
-                                 dirty=self._dirty):
-            if self._dirty:
-                self.fs._flush_file(self)
-
-    def __enter__(self) -> "OpenFile":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
 
 
 class SharoesFilesystem:
@@ -386,27 +183,11 @@ class SharoesFilesystem:
                            fn=lambda: self.request_count)
         #: the server this client actually talks to.  ``server`` (if
         #: given) overrides ``volume.server`` -- benchmarks use it to
-        #: inject per-client fault wrappers.  A retry policy in the
-        #: config wraps it in a ResilientTransport that retries
-        #: transient faults with backoff on the simulated clock -- see
-        #: docs/ROBUSTNESS.md.
+        #: inject per-client wrappers (faults, the wire tracer).  A retry
+        #: policy in the config wraps it in a ResilientTransport that
+        #: retries transient faults with backoff on the simulated clock
+        #: -- see docs/ROBUSTNESS.md.
         raw = server if server is not None else volume.server
-        #: end-to-end wire tracing: give this client's span stream a
-        #: trace id and interpose a TracedServer *below* the retrying
-        #: transport, so every attempt (including failed ones) yields a
-        #: server-side span parented under the issuing client span.
-        self.traced_server = None
-        if self.config.wire_trace:
-            from ..obs.tracing import next_trace_id
-            from ..obs.wiretrace import TracedServer
-            # Server spans parent under the open client span.
-            self.tracer.record()
-            self.tracer.trace_id = next_trace_id()
-            self.traced_server = TracedServer(
-                raw, clock=self.tracer.clock,
-                service=getattr(raw, "name", "ssp"),
-                context_fn=self._trace_context)
-            raw = self.traced_server
         #: the path walk and its memo (fs/resolve.py), with the
         #: per-depth ``client.resolve.*`` attribution.
         self.resolver = Resolver(self)
@@ -581,10 +362,11 @@ class SharoesFilesystem:
             # wrote, not the one it replaced.
             self._read_superblock()
 
-    def _read_superblock(self) -> None:
+    def _read_superblock(self) -> Superblock:
         blob = self.blobs.get(superblock_blob(self.agent.user_id))
         self._superblock = Superblock.unwrap(
             self.provider, self.agent.user.private_key, blob)
+        return self._superblock
 
     @property
     def mounted(self) -> bool:
@@ -669,53 +451,6 @@ class SharoesFilesystem:
         attrs.to_writer(writer)
         return writer.getvalue()
 
-    def _fetch_table(self, node: ResolvedNode) -> TableView:
-        if node.attrs.ftype != DIRECTORY:
-            raise NotADirectory(f"inode {node.inode} is not a directory")
-        cached = self.mdcache.get_table(node.inode, node.selector)
-        if cached is not None:
-            self.mutation.note_cached_table(node.inode)
-            return cached
-        return self._load_table(node.inode, node.selector,
-                                node.view.require_dek(),
-                                node.view.require_dvk())
-
-    def _load_table(self, inode: int, selector: str, dek: bytes, dvk,
-                    for_write: bool = False) -> TableView:
-        """The one table loader: the blob at the view's id and, when
-        that is a head, the base it names -- which must exist, have the
-        digest the head carries and verify under its own context
-        (fs/layout.py) -- merged into one view.
-
-        A read caches the view (at head + base size) unless any of it
-        was served degraded.  A load ``for_write`` refuses degraded
-        bytes and caches nothing: its caller edits the view and caches
-        what it stores.
-        """
-        blob_id = layout.table_blob_id(inode, selector)
-        blob = self.blobs.get(blob_id)
-        with self.tracer.span("crypto", op="open_table"):
-            view = layout.open_table(self.provider, dek, dvk, inode,
-                                     selector, blob)
-        degraded = self._was_degraded(blob_id, for_write)
-        if view.base_gen:
-            base_id = layout.table_base_id(inode, selector, view.base_gen)
-            try:
-                base = self.blobs.get(base_id)
-            except BlobNotFound:
-                raise IntegrityError(
-                    f"inode {inode}: table base {base_id} is missing "
-                    f"under its head (rollback or stale writer?)"
-                ) from None
-            with self.tracer.span("crypto", op="open_table"):
-                layout.open_table_base(self.provider, dek, dvk, inode,
-                                       selector, view, base)
-            degraded = self._was_degraded(base_id, for_write) or degraded
-        if not (for_write or degraded):
-            self.mdcache.put_table(inode, selector, view,
-                                   len(blob) + view.base_size)
-        return view
-
     def _invalidate(self, inode: int) -> None:
         if self.scheduler is not None:
             # Cancel in-flight speculation: a fetch that raced this
@@ -748,18 +483,9 @@ class SharoesFilesystem:
             f"inode {inode}: split point with no lockbox for "
             f"{self.agent.user_id}")
 
-    def _trace_context(self):
-        """Wire-trace context for the SSP request being issued right
-        now: parent server spans under the innermost open span (the
-        ``network`` span, or the transport's ``attempt`` span)."""
-        current = self.tracer.current
-        if current is None:
-            return None
-        from ..obs.wiretrace import TraceContext
-        return TraceContext(self.tracer.trace_id or 0, current.span_id)
-
     def _read_symlink_target(self, node: ResolvedNode) -> str:
-        content = b"".join(self._read_blocks(node))
+        _, blocks = filedata.load_blocks(self, node, range)
+        content = b"".join(blocks.values())
         try:
             return content.decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -799,11 +525,8 @@ class SharoesFilesystem:
         fspath.split_path(target)  # validates absolute form
         stat = self._create(path, mode, SYMLINK, None, ())
         node = self._resolve(path, follow_last=False)
-        handle = OpenFile(fs=self, path=path, node=node, readable=False,
-                          writable=True)
-        handle._start_empty()
-        handle._put(target.encode("utf-8"), 0)
-        self._flush_file(handle)
+        with OpenFile(self, path, node, "w") as handle:
+            handle.pwrite(target.encode("utf-8"), 0)
         return stat
 
     @traced("readlink")
@@ -829,14 +552,11 @@ class SharoesFilesystem:
         record = ObjectRecord.from_owner_view(node.view, node.mvk)
         new_parent, name = self._resolve_parent(new_path)
         self._require_dir_write(new_parent, new_path)
-        # The lease, then the table we judge by.
-        self.mutation.touch(new_parent.inode)
-        if name in self._fetch_table(new_parent):
-            raise FileExists(new_path)
+        require_free(self, new_parent, name, new_path)
         record.attrs.nlink += 1
         record.attrs.version += 1
         self._write_metadata_replicas(record)
-        if self._add_row(new_parent, name, record) or record.attrs.acl:
+        if add_row(self, new_parent, name, record) or record.attrs.acl:
             self._write_lockboxes(record)
         return Stat.from_attrs(record.attrs)
 
@@ -861,7 +581,7 @@ class SharoesFilesystem:
             raise PermissionDenied(
                 f"{path}: listing requires read permission "
                 f"(CAP {node.cap_id})")
-        table = self._fetch_table(node)
+        table = fetch_table(self, node)
         if self.config.readahead:
             self._prefetch_children(table)
         names = table.list_names()
@@ -887,231 +607,14 @@ class SharoesFilesystem:
         masks = {"r": 0o4, "w": 0o2, "x": 0o1}
         return all(bits & masks[ch] for ch in want)
 
-    def _load_blocks(self, node: ResolvedNode, wanted,
-                     count: int | None = None, for_write: bool = False
-                     ) -> tuple[int, dict[int, bytes]]:
-        """The one block loader: fetch, verify and decrypt the
-        ``wanted`` blocks of a file/symlink -> (count, index -> content).
+    # ------------------------------------------------------------------ files
 
-        ``wanted`` is a list of indices, or a function of the block
-        count naming them (a whole-file read: ``range``; an append: the
-        last block).  ``count`` is the block count when the caller
-        already holds block 0; without it block 0 is loaded too, and
-        the count it carries (no block 0 is the empty file) is the only
-        authority on which blocks exist: a wanted index at or past it is
-        not there to load; one below it that the SSP cannot produce is
-        an attack.
-
-        With a scheduler the blocks not in the data cache travel as one
-        flight, block 0 included: with the indices a list names, or
-        those a function names at the count this client last verified
-        (``mdcache.block_count``) -- so a whole-file read or an append
-        whose count did not move pays one wave.  Wanted blocks that
-        flight missed (the file grew) take a second, as they would
-        without the guess; speculated ones the count rules out (it
-        shrank) are discarded unread (``BlobIO.discard``).  Without a
-        scheduler nothing is speculated.  ``for_write`` (a writable
-        handle's loads) refuses blocks served degraded: see
-        ``_was_degraded``.
-        """
-        if node.attrs.ftype == DIRECTORY:
-            raise IsADirectory(f"inode {node.inode} is a directory")
-        dek = node.view.require_dek()
-        dvk = node.view.require_dvk()
-        inode = node.inode
-        pick = wanted if callable(wanted) else (lambda _count: wanted)
-
-        def flight(indices) -> None:
-            # Cold is decided here, once per index, without counting a
-            # cache lookup; fewer than two leave nothing to overlap.
-            cold = [layout.block_blob_id(inode, index) for index in indices
-                    if not self.mdcache.has_block(inode, index)]
-            if len(cold) > 1:
-                self.blobs.fetch_tail(cold)
-
-        def load(index: int) -> bytes:
-            plain: bytes | None = None
-            if self.mdcache.data:
-                plain = self.mdcache.get_block(inode, index)
-            if plain is None:
-                blob_id = layout.block_blob_id(inode, index)
-                blob = self.blobs.get(blob_id)
-                with self.tracer.span("crypto", op="decrypt_block"):
-                    plain = layout.open_block(self.provider, dek, dvk,
-                                              inode, index, blob)
-                if for_write or self.mdcache.data:
-                    if not self._was_degraded(blob_id, for_write):
-                        self.mdcache.put_block(inode, index, plain)
-            return plain
-
-        blocks: dict[int, bytes] = {}
-        ahead: list[int] = []
-        if count is None:
-            if callable(wanted):
-                known = self.mdcache.block_count(inode) or 0
-                ahead = [index for index in wanted(known)
-                         if 0 < index < known]
-            else:
-                ahead = list(wanted)
-            ahead = sorted({0, *ahead})
-            flight(ahead)
-            try:
-                count, blocks[0] = layout.split_count(load(0))
-            except BlobNotFound:
-                count = 0  # empty file: no blocks at all
-            self.mdcache.remember_count(inode, count)
-        needed = [index for index in pick(count) if 0 < index < count]
-        flight(needed)
-        for index in needed:
-            try:
-                blocks[index] = load(index)
-            except BlobNotFound:
-                raise IntegrityError(
-                    f"inode {inode}: block {index} missing "
-                    f"(truncation attack?)") from None
-        self.blobs.discard(layout.block_blob_id(inode, index)
-                           for index in ahead if index not in blocks)
-        return count, blocks
-
-    def _read_blocks(self, node: ResolvedNode,
-                     for_write: bool = False) -> list[bytes]:
-        """Every block of a file/symlink, in order: block 0 and the
-        tail in one flight while the count this client last verified
-        holds, else block 0, then the tail its count names."""
-        count, blocks = self._load_blocks(node, range, for_write=for_write)
-        return [blocks[index] for index in range(count)]
-
-    @traced("read_file")
-    def read_file(self, path: str) -> bytes:
-        """Read a whole file (requires the read CAP)."""
-        self._charge_other()
-        node = self._resolve(path)
-        if node.attrs.ftype != FILE:
-            raise IsADirectory(path)
-        if node.cap_id not in ("fr", "frw"):
-            raise PermissionDenied(
-                f"{path}: read requires read permission (CAP {node.cap_id})")
-        return b"".join(self._read_blocks(node))
-
-    # ------------------------------------------------------------------ writes
-
-    @traced("open")
-    def open(self, path: str, mode: str = "r") -> OpenFile:
-        """Open a file; ``mode`` in {"r", "w", "a", "rw"}.
-
-        "w" truncates.  Writes stay in the local handle until close.
-        """
-        self._charge_other()
-        if mode not in ("r", "w", "a", "rw"):
-            raise FilesystemError(f"bad open mode {mode!r}")
-        node = self._resolve(path)
-        if node.attrs.ftype != FILE:
-            raise IsADirectory(path)
-        readable = "r" in mode
-        writable = mode in ("w", "a", "rw")
-        if readable and node.cap_id not in ("fr", "frw"):
-            raise PermissionDenied(f"{path}: no read permission")
-        if writable and node.cap_id != "frw":
-            raise PermissionDenied(f"{path}: no write permission")
-        handle = OpenFile(fs=self, path=path, node=node,
-                          readable=readable, writable=writable)
-        if mode == "w":
-            handle._start_empty()
-        return handle
-
-    @traced("write_file")
-    def write_file(self, path: str, data: bytes) -> None:
-        """Truncate + write a whole file."""
-        with self.open(path, "w") as handle:
-            handle.pwrite(data, 0)
-
-    @traced("append_file")
-    @mutating("append_file")
-    def append_file(self, path: str, data: bytes) -> None:
-        with self.open(path, "a") as handle:
-            # Lease first: a fresh acquisition drops the cached blocks
-            # another writer may have outdated, so the base the append
-            # extends is read under the lease.
-            self.mutation.touch(handle.node.inode)
-            handle.write(data)
-
-    @mutating("writeback")
-    def _flush_file(self, handle: OpenFile) -> None:
-        """Encrypt and upload a handle's written blocks; update metadata
-        if owner.
-
-        Only blocks the handle wrote are re-encrypted and re-sent -- the
-        point of the paper's per-block encryption -- and of those, not
-        one that ends with the bytes it was loaded with.  Block 0 carries
-        the total block count, so appends rewrite block 0 plus the new
-        blocks, while an in-place change touches exactly one block.
-
-        If a lazy revocation is pending (owner view, needs_rekey), this
-        write is the moment it takes effect: fresh keys, full rewrite --
-        the blocks the handle never needed are loaded for it now.
-        """
-        node = handle.node
-        self.mutation.touch(node.inode)
-        dek = node.view.require_dek()
-        dsk = node.view.require_dsk()
-        record = None
-        rekeyed = False
-        if node.view.is_owner_view:
-            record = ObjectRecord.from_owner_view(node.view, node.mvk)
-            if record.needs_rekey:
-                handle._hold(0)
-                record.rekey_data()
-                dek, dsk = record.dek, record.dsk
-                rekeyed = True
-        old_count = handle._stored_count
-        new_count = handle._count
-        indices = set(range(new_count)) if rekeyed else {
-            index for index in handle._written if index < new_count}
-        if new_count and new_count != old_count:
-            indices.add(0)
-        outgoing = []
-        with self.tracer.span("crypto", op="encrypt_blocks"):
-            for index in sorted(indices):
-                content = handle._blocks[index]
-                unchanged = (not rekeyed
-                             and handle._written.get(index) == content
-                             and (index > 0 or old_count == new_count))
-                payload = (layout.count_prefixed(new_count, content)
-                           if index == 0 else content)
-                # Write-through: the plaintext is leaving this client.
-                self.mdcache.put_block(node.inode, index, payload)
-                if unchanged:
-                    continue
-                outgoing.append(layout.seal_block(
-                    self.provider, dek, dsk, node.inode, index, payload))
-        self.blobs.send(outgoing, grouped=True)
-        self.mdcache.remember_count(node.inode, new_count)
-        old_end = max(old_count, node.attrs.block_count)
-        self._delete_tail_blocks(node.inode, new_count, old_end)
-        for index in range(new_count, old_end + 1):
-            self.mdcache.drop_block(node.inode, index)
-        # Per the paper's Figure 8, close costs exactly "1-dataencrypt,
-        # data send": metadata is NOT rewritten on close (writers other
-        # than the owner could not sign it anyway -- MSK is owner-only).
-        # Sizes in metadata may go stale; block 0 carries the
-        # authoritative block count.  The exception: a pending lazy
-        # revocation (the fresh DEK must reach the replicas).
-        if record is not None and rekeyed:
-            record.attrs.size = handle._size()
-            record.attrs.block_count = new_count
-            record.attrs.version += 1
-            self._write_metadata_replicas(record)
-
-    def _delete_tail_blocks(self, inode: int, new_count: int,
-                            known_old_count: int) -> None:
-        """Remove blocks past the new end, sweeping past stale counts."""
-        victims = []
-        index = new_count
-        while index < known_old_count or self.blobs.exists(
-                layout.block_blob_id(inode, index)):
-            victims.append((layout.block_blob_id(inode, index), None))
-            index += 1
-        self.blobs.send(victims, grouped=True)
+    # A file's bytes and handles live in fs/filedata.py.
+    read_file = traced("read_file")(filedata.read_file)
+    open = traced("open")(filedata.open_file)
+    write_file = traced("write_file")(filedata.write_file)
+    append_file = traced("append_file")(
+        mutating("append_file")(filedata.append_file))
 
     # ------------------------------------------------------------------ create
 
@@ -1136,107 +639,6 @@ class SharoesFilesystem:
             self.volume.scheme, self.provider, record)), grouped=True)
         self.mdcache.drop_views(record.attrs.inode)
 
-    def _store_tables(self, inode: int, dsk,
-                      views: dict[str, tuple[bytes, TableView]],
-                      cache=(), prior_gen: int = 0) -> None:
-        """The one table store: every view of a directory (selector ->
-        (DEK, view)) goes out in the form ``layout.store_tables`` picks
-        -- inline, heads only, or a fold -- as one grouped send.  The
-        views of the ``cache`` selectors are written through first, at
-        the size they were stored at; that also drops the listing.
-        """
-        blobs, sizes = layout.store_tables(self.provider, dsk, inode,
-                                           views, prior_gen)
-        for selector in cache:
-            self.mdcache.put_table(inode, selector, views[selector][1],
-                                   sizes[selector])
-        self.blobs.send(blobs, grouped=True)
-
-    def _write_empty_tables(self, record: ObjectRecord) -> None:
-        attrs = record.attrs
-        scheme = self.volume.scheme
-        views = {}
-        for selector, style in layout.table_views(scheme, attrs).items():
-            dek = record.table_deks[selector]
-            views[selector] = (dek, TableView.build(
-                style, [], provider=self.provider, table_dek=dek))
-        self._store_tables(attrs.inode, record.dsk, views,
-                           cache=[scheme.owner_selector(attrs)])
-
-    def _entry_for_selector(self, parent_attrs: MetadataAttrs,
-                            child_record: ObjectRecord,
-                            parent_selector: str, name: str) -> DirEntry:
-        kind, child_selector = self.volume.scheme.child_pointer(
-            parent_attrs, child_record.attrs, parent_selector)
-        if kind == DIRECT:
-            pointer = DirPointer(
-                selector=child_selector,
-                mek=child_record.selector_meks[child_selector],
-                mvk=child_record.mvk.to_bytes())
-            return DirEntry(name=name, inode=child_record.attrs.inode,
-                            kind=DIRECT, pointer=pointer)
-        return DirEntry(name=name, inode=child_record.attrs.inode, kind=kind)
-
-    def _update_parent_tables(self, parent: ResolvedNode, mutate) -> None:
-        """Put every view of the parent's table through ``mutate`` and
-        store them again (a view over a base re-ships its head only).
-
-        ``mutate(view, selector, dek)`` edits one view in place.  Requires
-        the parent write CAP (table DEK map + DSK), which is how the
-        cryptography enforces the *nix w+x requirement.
-        """
-        self.mutation.touch(parent.inode)
-        attrs = parent.attrs
-        dsk = parent.view.require_dsk()
-        table_deks = parent.view.table_deks
-        if not table_deks:
-            raise PermissionDenied(
-                f"inode {parent.inode}: write CAP carries no table keys")
-        views = {}
-        for selector in layout.table_views(self.volume.scheme, attrs):
-            dek = table_deks.get(selector)
-            if dek is None:
-                raise PermissionDenied(
-                    f"inode {parent.inode}: missing table key for "
-                    f"{selector!r}")
-            view = self.mdcache.get_table(attrs.inode, selector)
-            if view is None:
-                view = self._load_table(
-                    attrs.inode, selector, dek,
-                    parent.view.require_dvk(), for_write=True)
-            mutate(view, selector, dek)
-            views[selector] = (dek, view)
-        # Write-through: the client just produced these views, no need
-        # to re-fetch and re-verify its own write.
-        self._store_tables(attrs.inode, dsk, views, cache=views)
-
-    def _add_row(self, parent: ResolvedNode, name: str,
-                 record: ObjectRecord, replace: bool = False) -> bool:
-        """Point every view of ``parent``'s table at ``record`` as
-        ``name`` (``replace`` drops the name's previous row first).
-
-        Returns whether any view got a SPLIT marker: the caller then owes
-        the child's lockboxes.
-        """
-        split_seen = False
-
-        def add_row(view: TableView, selector: str, dek: bytes) -> None:
-            nonlocal split_seen
-            entry = self._entry_for_selector(parent.attrs, record,
-                                             selector, name)
-            split_seen = split_seen or entry.kind == SPLIT
-            if replace:
-                view.remove(name, provider=self.provider, table_dek=dek)
-            view.add(entry, provider=self.provider, table_dek=dek)
-
-        self._update_parent_tables(parent, add_row)
-        return split_seen
-
-    def _remove_row(self, parent: ResolvedNode, name: str) -> None:
-        self._update_parent_tables(
-            parent, lambda view, selector, dek: view.remove(
-                name, provider=self.provider, table_dek=dek))
-
     def _write_lockboxes(self, record: ObjectRecord) -> None:
         scheme = self.volume.scheme
         for user_id, selector in scheme.lockbox_map(record.attrs).items():
@@ -1256,13 +658,7 @@ class SharoesFilesystem:
         parent, name = self._resolve_parent(path)
         self._require_dir_write(parent, path)
         self._validate_mode(mode, ftype, acl)
-        # Lease first: "is the name free" must be read from a table no
-        # other writer can change under us (a kept cache is as good --
-        # see ``MutationPipeline.touch``).
-        self.mutation.touch(parent.inode)
-        table = self._fetch_table(parent)
-        if name in table:
-            raise FileExists(path)
+        require_free(self, parent, name, path)
         inode = self.volume.allocator.allocate()
         self.mutation.touch(inode, new=True)
         attrs = MetadataAttrs(
@@ -1273,7 +669,7 @@ class SharoesFilesystem:
                                      self.volume.signature_prime_bits)
         self._write_metadata_replicas(record)
         if ftype == DIRECTORY:
-            self._write_empty_tables(record)
+            write_empty_tables(self, record)
         # Write-through: the creator will almost always touch the new
         # object next (write/readdir); no need to re-fetch its own
         # freshly uploaded replica (whose version is a watermark, too).
@@ -1284,7 +680,7 @@ class SharoesFilesystem:
                                         self._attrs_digest(attrs))
         self.mdcache.put_view(inode, owner_selector, view,
                               len(view.to_bytes()))
-        if self._add_row(parent, name, record) or attrs.acl:
+        if add_row(self, parent, name, record) or attrs.acl:
             self._write_lockboxes(record)
         return Stat.from_attrs(attrs)
 
@@ -1319,12 +715,8 @@ class SharoesFilesystem:
         scheme = self.volume.scheme
         victims = layout.replica_ids(scheme, attrs)
         if attrs.ftype != DIRECTORY:
-            index = 0
-            while (index < max(attrs.block_count, 1)
-                   or self.blobs.exists(
-                       layout.block_blob_id(attrs.inode, index))):
-                victims.append(layout.block_blob_id(attrs.inode, index))
-                index += 1
+            victims += filedata.tail_blocks(self, attrs.inode, 0,
+                                            max(attrs.block_count, 1))
         if attrs.acl or scheme.supports_splits():
             for user_id in scheme.lockbox_map(attrs):
                 victims.append(lockbox_blob(attrs.inode, user_id))
@@ -1351,7 +743,7 @@ class SharoesFilesystem:
         child = self.resolver.lookup_child(parent, name)
         if child.attrs.ftype == DIRECTORY:
             raise IsADirectory(path)
-        self._remove_row(parent, name)
+        remove_row(self, parent, name)
         if child.attrs.nlink > 1:
             if child.view.is_owner_view:
                 record = ObjectRecord.from_owner_view(child.view,
@@ -1375,20 +767,28 @@ class SharoesFilesystem:
         # "Is it empty" is read under its lease.
         self.mutation.touch(child.inode)
         try:
-            table = self._fetch_table(child)
+            table = fetch_table(self, child)
         except CryptoError:
             raise PermissionDenied(
                 f"{path}: cannot verify emptiness without read access"
             ) from None
         if table.entry_count():
             raise DirectoryNotEmpty(path)
-        self._remove_row(parent, name)
+        remove_row(self, parent, name)
         self._delete_object_blobs(child.attrs)
 
     @traced("rename")
     @mutating("rename")
     def rename(self, old_path: str, new_path: str) -> None:
-        """Move/rename: child keys are untouched, only rows move."""
+        """Move/rename: child keys are untouched, only rows move.
+
+        The new rows are minted from the child's full record, which
+        owners reconstruct.  Non-owner writers renaming a child could
+        mint rows only for selectors whose MEK they can learn -- which
+        in general they cannot, so rename of objects you do not own
+        requires the owner view (documented limitation; plain *nix has
+        the same flavour with sticky directories).
+        """
         self._charge_other()
         old_parent, old_name = self._resolve_parent(old_path)
         new_parent, new_name = self._resolve_parent(new_path)
@@ -1397,23 +797,10 @@ class SharoesFilesystem:
         self.mutation.touch(old_parent.inode)
         self.mutation.touch(new_parent.inode)
         child = self.resolver.lookup_child(old_parent, old_name)
-        new_table = self._fetch_table(new_parent)
-        if new_name in new_table:
-            raise FileExists(new_path)
-        self._add_row(new_parent, new_name,
-                      self._child_record_for_rows(child))
-        self._remove_row(old_parent, old_name)
-
-    def _child_record_for_rows(self, child: ResolvedNode) -> ObjectRecord:
-        """A record sufficient to mint parent rows for ``child``.
-
-        Owners reconstruct the full record.  Non-owner writers renaming a
-        child can still mint rows for selectors whose MEK they can learn
-        -- which in general they cannot, so rename of objects you do not
-        own requires the owner view (documented limitation; plain *nix
-        has the same flavour with sticky directories).
-        """
-        return ObjectRecord.from_owner_view(child.view, child.mvk)
+        require_free(self, new_parent, new_name, new_path)
+        add_row(self, new_parent, new_name,
+                ObjectRecord.from_owner_view(child.view, child.mvk))
+        remove_row(self, old_parent, old_name)
 
     # ------------------------------------------------------------------ chmod
 
@@ -1450,132 +837,17 @@ class SharoesFilesystem:
         self.mutation.touch(attrs.inode)
         base_gen = 0
         if attrs.ftype != DIRECTORY:
-            blocks = self._read_blocks(node, for_write=True)
+            blocks = list(filedata.load_blocks(
+                self, node, range, for_write=True)[1].values())
             for index in range(len(blocks)):
                 self.blobs.send([layout.seal_block(
                     self.provider, record.dek, record.dsk, attrs.inode,
                     index, layout.block_payload(blocks, index))],
                     grouped=False)
         else:
-            base_gen = self._rebuild_tables(record, node, old_attrs)
+            base_gen = rebuild_tables(self, record, node, old_attrs)
         self._invalidate(attrs.inode)
         return base_gen
-
-    def _rebuild_tables(self, record: ObjectRecord, node: ResolvedNode,
-                        old_attrs: MetadataAttrs) -> int:
-        """Rewrite every table view of a directory under new keys/styles
-        (returns the base generation the old views were stored at).
-
-        Each view's rows come, in order of preference, from:
-
-        1. that view's *own* previous rows (a rekey or style change never
-           alters which child replica a chain points at);
-        2. for views that did not exist before (a chain upgraded from the
-           zero CAP) -- re-derived pointers, which requires the child's
-           owner replica and therefore works when the caller owns the
-           child; otherwise the row is written as a SPLIT marker, to be
-           resolved through lockboxes once the child's owner refreshes
-           them.
-
-        The canonical (owner, always-FULL) view supplies the name/inode
-        census; crucially, its per-chain key material is *never* copied
-        into other views -- that would hand the owner's MEKs to every
-        reader.
-        """
-        attrs = record.attrs
-        scheme = self.volume.scheme
-        old_record = ObjectRecord.from_owner_view(node.view, node.mvk)
-        old_owner_sel = scheme.owner_selector(old_attrs)
-
-        def fetch_old_view(selector: str, dek: bytes) -> TableView:
-            return self._load_table(attrs.inode, selector, dek,
-                                    old_record.dvk, for_write=True)
-
-        canonical = fetch_old_view(old_owner_sel,
-                                   old_record.table_deks[old_owner_sel])
-        names = sorted(canonical.entries)
-        child_records: dict[str, ObjectRecord | None] = {}
-
-        def child_record_for(name: str) -> ObjectRecord | None:
-            """Child's full record, fetchable only if the caller owns it."""
-            if name in child_records:
-                return child_records[name]
-            row = canonical.entries[name]
-            result = None
-            if row.kind == DIRECT and row.pointer is not None:
-                child_owner_sel = row.pointer.selector
-                try:
-                    mvk = row.pointer.verification_key
-                    child_view = self._fetch_view(
-                        row.inode, child_owner_sel, row.pointer.mek, mvk)
-                    if child_view.is_owner_view:
-                        result = ObjectRecord.from_owner_view(child_view,
-                                                              mvk)
-                except (PermissionDenied, CryptoError):
-                    result = None
-            child_records[name] = result
-            return result
-
-        old_views = layout.table_views(scheme, old_attrs)
-        views = {}
-        for selector, style in layout.table_views(scheme, attrs).items():
-            old_view = None
-            old_dek = old_record.table_deks.get(selector)
-            if selector in old_views and old_dek is not None:
-                try:
-                    old_view = fetch_old_view(selector, old_dek)
-                except (BlobNotFound, CryptoError):
-                    old_view = None
-
-            dek = record.table_deks[selector]
-            view = TableView.build(style, [], provider=self.provider,
-                                   table_dek=dek)
-            for name in names:
-                entry = self._recover_row(name, canonical, old_view,
-                                          old_record, selector)
-                if entry is None:
-                    entry = self._derive_row(name, canonical,
-                                             child_record_for, selector,
-                                             attrs)
-                view.add(entry, provider=self.provider, table_dek=dek)
-            views[selector] = (dek, view)
-        # The fresh views number their bases after the generation they
-        # replace (whose bases the same send deletes).
-        self._store_tables(attrs.inode, record.dsk, views,
-                           prior_gen=canonical.base_gen)
-        return canonical.base_gen
-
-    def _recover_row(self, name: str, canonical: TableView,
-                     old_view: TableView | None, old_record: ObjectRecord,
-                     selector: str) -> DirEntry | None:
-        """Extract this view's previous row for ``name``, if recoverable."""
-        if old_view is None:
-            return None
-        if old_view.style == "full":
-            return old_view.entries.get(name)
-        if old_view.style == "hidden":
-            old_dek = old_record.table_deks.get(selector)
-            if old_dek is None:
-                return None
-            try:
-                return old_view.lookup(name, provider=self.provider,
-                                       table_dek=old_dek)
-            except (FileNotFound, CryptoError):
-                return None
-        return None  # names-only views carry no pointers
-
-    def _derive_row(self, name: str, canonical: TableView,
-                    child_record_for, selector: str,
-                    parent_attrs: MetadataAttrs) -> DirEntry:
-        """Mint a fresh row for a chain that had no previous view."""
-        census_row = canonical.entries[name]
-        child = child_record_for(name)
-        if child is None:
-            # Caller does not own the child: its per-chain MEKs are out
-            # of reach, so readers must go through lockboxes.
-            return DirEntry(name=name, inode=census_row.inode, kind=SPLIT)
-        return self._entry_for_selector(parent_attrs, child, selector,
-                                        name)
 
     def _change_attrs(self, path: str, edit, rotate: bool = False) -> Stat:
         """The one owner-side attribute change (MSK is the capability).
@@ -1617,7 +889,7 @@ class SharoesFilesystem:
             else:
                 record.needs_rekey = True
                 if new_attrs.ftype == DIRECTORY:
-                    base_gen = self._fetch_table(node).base_gen
+                    base_gen = fetch_table(self, node).base_gen
         elif layout.table_views(scheme, old_attrs) != layout.table_views(
                 scheme, new_attrs):
             # View styles or the view set changed (e.g. o--x -> o-rx):
@@ -1682,7 +954,7 @@ class SharoesFilesystem:
             for s in scheme.selectors(parent.attrs)}
         if (old_pointers != new_pointers
                 or self._pointer_keys_changed(record, parent, name)):
-            self._add_row(parent, name, record, replace=True)
+            add_row(self, parent, name, record, replace=True)
         if any(kind == SPLIT for kind, _ in new_pointers.values()) or (
                 record.attrs.acl):
             self._write_lockboxes(record)
@@ -1690,7 +962,7 @@ class SharoesFilesystem:
     def _pointer_keys_changed(self, record: ObjectRecord,
                               parent: ResolvedNode, name: str) -> bool:
         """Do the parent's current rows still carry the right MEK/MVK?"""
-        table = self._fetch_table(parent)
+        table = fetch_table(self, parent)
         if table.style != "full":
             return True
         entry = table.entries.get(name)

@@ -144,6 +144,15 @@ def table_views(scheme, attrs) -> dict[str, str]:
     return views
 
 
+def empty_views(scheme, provider, record) -> dict[str, tuple]:
+    """Every table view of a directory ``record``, empty: selector ->
+    (its table DEK, the view)."""
+    return {selector: (record.table_deks[selector], TableView.build(
+                style, [], provider=provider,
+                table_dek=record.table_deks[selector]))
+            for selector, style in table_views(scheme, record.attrs).items()}
+
+
 def seal_table(provider, dek: bytes, dsk, inode: int, qualifier: str,
                view: TableView) -> tuple[BlobId, bytes]:
     """Seal what ``view`` serializes to -- every row, or its head -- at

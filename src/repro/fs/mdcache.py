@@ -149,7 +149,7 @@ class VerifiedMetadataCache:
         self.degraded_skips = 0
         #: inode -> the block count this client last verified (a block
         #: 0 load or its own close).  A hint, never an authority: it
-        #: only widens block 0's fetch flight (``_load_blocks``).
+        #: only widens block 0's fetch flight (``filedata.load_blocks``).
         self._counts: dict[int, int] = {}
 
     # ---------------------------------------------------------- views

@@ -187,7 +187,7 @@ class MutationPipeline:
 
     # -- leases --------------------------------------------------------------
 
-    def touch(self, inode: int, new: bool = False) -> None:
+    def touch(self, inode: int, new: bool = False) -> bool:
         """The current mutation is about to write ``inode``: called
         before the op's first write of it and the first read its
         decision rests on.
@@ -198,12 +198,13 @@ class MutationPipeline:
         frame's head, which writes nothing unless the CAS wins.  The
         cache for the inode stays warm exactly when the chain provably
         moved only through this client since its last link
-        (``LeaseManager.unbroken``).
+        (``LeaseManager.unbroken``).  Returns whether this call took
+        the lease.
         """
         self._touched.add(inode)
         if (self.lease is None or self.blobs.batch is None
                 or inode in self._fences):
-            return
+            return False
         delay = LEASE_WAIT_BASE_S
         for attempt in range(self.wait_attempts + 1):
             try:
@@ -228,6 +229,7 @@ class MutationPipeline:
         self._unproven = self._unproven or self.lease.deferred(inode)
         if not self.lease.unbroken:
             self.invalidate(inode)
+        return True
 
     def _release_fences(self) -> None:
         """Release the mutation's held leases in one frame (best effort:

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..crypto import esign
-from ..errors import FileNotFound, FilesystemError, PermissionDenied
+from ..errors import (FileNotFound, FilesystemError, IntegrityError,
+                      PermissionDenied)
 from ..storage.blobs import meta_blob
 from . import layout
 from . import path as fspath
@@ -20,6 +21,7 @@ from .dirtable import SPLIT, VIEW_FULL, ZERO, DirEntry
 from .mdcache import TRAVERSE_CAPS
 from .metadata import MetadataAttrs, MetadataView
 from .permissions import SYMLINK
+from .tableio import fetch_table
 
 #: walk steps; a ``_PAID`` one runs on every access: no memo skips it.
 _VIEW, _TABLE, _PROBE, _HIT, _PAID = range(5)
@@ -123,13 +125,22 @@ class Resolver:
         return outcome
 
     def _walk(self, sb, path: str, follow_last: bool, depth: int,
-              steps: list) -> ResolvedNode:
+              steps: list, reread: bool = True) -> ResolvedNode:
         fs = self.fs
         clock = fs.tracer.clock
         blobs = fs.blobs
         mvk = sb.root_verification_key
-        view = fs._fetch_view(sb.root_inode, sb.root_selector, sb.root_mek,
-                              mvk)
+        try:
+            view = fs._fetch_view(sb.root_inode, sb.root_selector,
+                                  sb.root_mek, mvk)
+        except IntegrityError:
+            # Another mount's root re-key rewrote this user's superblock
+            # with the root's new keys: read it again, once.  Unchanged,
+            # the root replica itself failed.
+            if not reread or fs._read_superblock() == sb:
+                raise
+            return self._walk(fs._superblock, path, follow_last, depth,
+                              steps, reread=False)
         steps += (_VIEW, sb.root_inode, sb.root_selector)
         node = ResolvedNode(inode=sb.root_inode, selector=sb.root_selector,
                             mek=sb.root_mek, mvk=mvk, view=view)
@@ -169,7 +180,7 @@ class Resolver:
             raise PermissionDenied(
                 f"inode {dir_node.inode}: traversal requires exec "
                 f"permission (CAP {dir_node.cap_id})")
-        table = fs._fetch_table(dir_node)
+        table = fetch_table(fs, dir_node)
         steps += (_TABLE, dir_node.inode, dir_node.selector)
         if table.style != VIEW_FULL:
             steps += _PAID_STEP  # a hidden row: derived, opened per access

@@ -24,7 +24,6 @@ from ..principals.registry import PrincipalRegistry
 from ..storage.blobs import BlobId, meta_blob, superblock_blob  # noqa: F401
 from ..storage.server import StorageServer
 from . import layout
-from .dirtable import TableView
 from .inode import InodeAllocator
 from .layout import block_blob_id, table_blob_id  # noqa: F401
 from .metadata import MetadataAttrs
@@ -74,7 +73,11 @@ class SharoesVolume:
         selectors = self.scheme.selectors(attrs)
         record = ObjectRecord.create(attrs, selectors,
                                      self.signature_prime_bits)
-        self.write_object(provider, record)
+        self.put_blobs(layout.metadata_replicas(self.scheme, provider,
+                                                record))
+        self.put_blobs(layout.store_tables(
+            provider, record.dsk, inode,
+            layout.empty_views(self.scheme, provider, record))[0])
         self.root_inode = inode
         self._root_record = record
         self.put_blobs(self.superblocks(provider, record))
@@ -84,29 +87,6 @@ class SharoesVolume:
         """Put ``(blob id, bytes)`` pairs straight to the SSP."""
         for blob_id, blob in blobs:
             self.server.put(blob_id, blob)
-
-    def write_object(self, provider: CryptoProvider,
-                     record: ObjectRecord,
-                     table_entries=None) -> None:
-        """Write all metadata replicas (and table views for a directory)."""
-        self.put_blobs(layout.metadata_replicas(self.scheme, provider,
-                                                record))
-        if record.attrs.ftype == DIRECTORY:
-            self.write_tables(provider, record, table_entries or {})
-
-    def write_tables(self, provider: CryptoProvider, record: ObjectRecord,
-                     entries_by_selector: dict[str, list]) -> None:
-        """Seal + sign + store every table view of a directory."""
-        attrs = record.attrs
-        views = {}
-        for selector, style in layout.table_views(self.scheme,
-                                                  attrs).items():
-            dek = record.table_deks[selector]
-            views[selector] = (dek, TableView.build(
-                style, entries_by_selector.get(selector, []),
-                provider=provider, table_dek=dek))
-        self.put_blobs(layout.store_tables(provider, record.dsk,
-                                           attrs.inode, views)[0])
 
     def superblock(self, root_record: ObjectRecord,
                    user_id: str) -> Superblock:

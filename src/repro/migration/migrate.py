@@ -26,9 +26,10 @@ from ..crypto.provider import CryptoProvider
 from ..errors import MigrationError, UnsupportedPermission
 from ..fs import layout
 from ..fs.blobio import _REQUEST_HEADER_BYTES, _RESPONSE_HEADER_BYTES
-from ..fs.dirtable import SPLIT, DirEntry, DirPointer, TableView
+from ..fs.dirtable import SPLIT
 from ..fs.metadata import MetadataAttrs
 from ..fs.permissions import DIRECTORY, EXEC, FILE, READ, WRITE
+from ..fs.tableio import entry_for_selector
 from ..fs.volume import SharoesVolume
 from ..sim.costmodel import CostModel
 from ..storage.blobs import lockbox_blob
@@ -207,33 +208,17 @@ class MigrationTool:
                       children: dict[str, ObjectRecord]) -> None:
         scheme = self.volume.scheme
         attrs = record.attrs
-        views = {}
-        for selector, style in layout.table_views(scheme, attrs).items():
-            dek = record.table_deks[selector]
-            view = TableView.build(style, [], provider=self.provider,
-                                   table_dek=dek)
+        views = layout.empty_views(scheme, self.provider, record)
+        for selector, (dek, view) in views.items():
             for name, child in sorted(children.items()):
-                kind, child_selector = scheme.child_pointer(
-                    attrs, child.attrs, selector)
-                if kind == SPLIT:
+                entry = entry_for_selector(scheme, attrs, child, selector,
+                                           name)
+                if entry.kind == SPLIT:
                     self.report.splits += 1
                     # Split discovered at the parent: the child's keys go
                     # out through per-user lockboxes (paper III-D).
                     self._write_lockboxes_for(child)
-                    entry = DirEntry(name=name, inode=child.attrs.inode,
-                                     kind=SPLIT)
-                elif child_selector is None:
-                    entry = DirEntry(name=name, inode=child.attrs.inode,
-                                     kind="z")
-                else:
-                    entry = DirEntry(
-                        name=name, inode=child.attrs.inode, kind="d",
-                        pointer=DirPointer(
-                            selector=child_selector,
-                            mek=child.selector_meks[child_selector],
-                            mvk=child.mvk.to_bytes()))
                 view.add(entry, provider=self.provider, table_dek=dek)
-            views[selector] = (dek, view)
         blobs, _ = layout.store_tables(self.provider, record.dsk,
                                        attrs.inode, views)
         for blob_id, blob in blobs:

@@ -24,7 +24,7 @@ from .metrics import (DEFAULT_LATENCY_BUCKETS, Counter, Gauge, Histogram,
 from .tracing import PHASES, Span, Tracer, next_trace_id, phase_breakdown, \
     traced
 from .wiretrace import (DEFAULT_SERVER_PROFILE, ServerCostProfile,
-                        TraceContext, TracedServer, stitch)
+                        TracedServer, stitch)
 
 __all__ = [
     "MetricsRegistry",
@@ -42,7 +42,6 @@ __all__ = [
     "phase_breakdown",
     "traced",
     "next_trace_id",
-    "TraceContext",
     "TracedServer",
     "ServerCostProfile",
     "DEFAULT_SERVER_PROFILE",

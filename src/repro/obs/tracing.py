@@ -230,8 +230,8 @@ class Tracer:
                  max_finished: int = 0):
         self.clock = clock if clock is not None else SimClock()
         self.registry = registry
-        #: Wire-trace correlation id (set by clients that propagate
-        #: trace context to the SSP; ``None`` when wire tracing is off).
+        #: Wire-trace correlation id (set by the TracedServer that
+        #: follows this tracer; ``None`` when wire tracing is off).
         self.trace_id: int | None = None
         self.finished: deque[Span] = deque(maxlen=max_finished)
         self.recording = max_finished > 0

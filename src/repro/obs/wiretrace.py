@@ -5,15 +5,15 @@ Client spans stop at the ``network`` span -- everything the SSP does
 of andrew wall-clock spent in path resolve cannot be attributed past
 the wire.  This module closes the loop in process:
 
-* :class:`TraceContext` -- the ``trace_id``/``parent_span_id`` pair of
-  the client span issuing a request, read from the client's tracer at
-  the moment it sends (nothing rides the wire: the frames of a traced
-  and an untraced client are the same bytes);
 * :class:`TracedServer` -- a :class:`~repro.storage.resilient.ServerWrapper`
-  on the client's side of the transport that records one
-  ``server.<op>`` span per request it forwards, with ``decode`` /
-  ``dispatch`` / ``disk`` / ``verify`` children and a service tag
-  (shard-ready: one tree per server);
+  the caller stacks on the client's side of the transport (passed as
+  the client's ``server=``, then pointed at its tracer with
+  :meth:`TracedServer.follow`) that records one ``server.<op>`` span
+  per request it forwards, with ``decode`` / ``dispatch`` / ``disk`` /
+  ``verify`` children and a service tag (one tree per server), parented
+  under the client span issuing the request, read from the client's
+  tracer at the moment it sends (nothing rides the wire: the frames of
+  a traced and an untraced client are the same bytes);
 * :func:`stitch` -- grafts the server spans under the exact client span
   that issued each request, producing a single end-to-end trace tree.
 
@@ -35,27 +35,18 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 from ..storage.resilient import ServerWrapper
 from ..storage.server import failure_reply, ok_reply
-from .tracing import Span
+from .tracing import Span, Tracer, next_trace_id
 
 __all__ = [
-    "TraceContext",
     "ServerCostProfile",
     "DEFAULT_SERVER_PROFILE",
     "TracedServer",
     "stitch",
 ]
-
-
-@dataclass(frozen=True)
-class TraceContext:
-    """The client span a request is issued under."""
-
-    trace_id: int
-    parent_span_id: int | None = None
 
 
 @dataclass(frozen=True)
@@ -97,30 +88,34 @@ def _request_bytes(blob_id, payload) -> int:
 class TracedServer(ServerWrapper):
     """Record a ``server.<op>`` span tree for every request forwarded.
 
-    Sits *below* the retrying transport, so each retry attempt produces
-    its own server span (failed attempts error-marked) and the span
-    count reconciles with ``transport.attempts``.  The trace context is
-    taken from ``context_fn``, the issuing client's hook; without one,
-    or when it returns None, spans are still recorded but stay
-    unparented.
+    Passed as a client's ``server=``, it sits *below* the client's
+    retrying transport, so each retry attempt produces its own server
+    span (failed attempts error-marked) and the span count reconciles
+    with ``transport.attempts``.  Spans parent under the innermost open
+    span of the tracer it follows (:meth:`follow`); with none open they
+    are still recorded but stay unparented.  Its timeline starts on
+    that tracer's clock, which it never advances.
     """
 
-    def __init__(self, inner, clock, service: str = "ssp",
-                 context_fn: Callable[[], TraceContext | None] | None = None,
+    def __init__(self, inner,
                  profile: ServerCostProfile = DEFAULT_SERVER_PROFILE,
                  max_spans: int = 200_000):
         super().__init__(inner, name=f"traced({inner.name})")
-        self.clock = clock
-        self.service = service
-        self.context_fn = context_fn
+        self.service = getattr(inner, "name", "ssp")
         self.profile = profile
         self.spans: deque[Span] = deque(maxlen=max_spans)
         self._next_id = _next_id_block()
+        self.tracer = Tracer()
+
+    def follow(self, tracer: Tracer) -> None:
+        """Parent every later span under ``tracer``'s open span (a
+        client's ``network`` span, or its transport's ``attempt``
+        span): the tracer records from now on, under a fresh trace id."""
+        tracer.record()
+        tracer.trace_id = next_trace_id()
+        self.tracer = tracer
 
     # -- span plumbing ----------------------------------------------------
-
-    def _ctx(self) -> TraceContext | None:
-        return self.context_fn() if self.context_fn is not None else None
 
     def _new_id(self) -> int:
         span_id = self._next_id
@@ -131,16 +126,6 @@ class TracedServer(ServerWrapper):
         return (self.profile.decode_fixed_s
                 + self.profile.decode_per_byte_s * request_bytes)
 
-    def _root(self, op: str, ctx: TraceContext | None, start: float,
-              **attrs: Any) -> Span:
-        merged = {"service": self.service, "op": op}
-        if ctx is not None:
-            merged["trace_id"] = ctx.trace_id
-        merged.update(attrs)
-        return Span(f"server.{op}", self._new_id(),
-                    ctx.parent_span_id if ctx is not None else None,
-                    start, merged)
-
     def _leaf(self, name: str, parent: Span, start: float,
               seconds: float, category: str) -> Span:
         span = Span(name, self._new_id(), parent.span_id, start, {})
@@ -150,30 +135,47 @@ class TracedServer(ServerWrapper):
         parent.children.append(span)
         return span
 
-    def _emit(self, op: str, ctx: TraceContext | None, start: float,
+    def _open(self, op: str, parent: Span | None, start: float,
+              decode_s: float, **attrs: Any) -> tuple[Span, Span]:
+        """A request's root -> [decode, dispatch]; the dispatch span
+        starts where decode ends."""
+        merged = {"service": self.service, "op": op}
+        if parent is not None:
+            merged["trace_id"] = self.tracer.trace_id
+        merged.update(attrs)
+        root = Span(f"server.{op}", self._new_id(),
+                    parent.span_id if parent is not None else None,
+                    start, merged)
+        cursor = self._leaf("decode", root, start, decode_s, "decode").end
+        dispatch = Span("dispatch", self._new_id(), root.span_id,
+                        cursor, {})
+        root.children.append(dispatch)
+        return root, dispatch
+
+    def _work(self, span: Span, cursor: float, disk_s: float,
+              verify_s: float) -> float:
+        """``span``'s disk and verify children, laid out from
+        ``cursor``; returns where they end."""
+        if disk_s:
+            cursor = self._leaf("disk", span, cursor, disk_s, "disk").end
+        if verify_s:
+            cursor = self._leaf("verify", span, cursor, verify_s,
+                                "verify").end
+        return cursor
+
+    def _emit(self, op: str, parent: Span | None, start: float,
               decode_s: float, disk_s: float, verify_s: float,
-              error: str | None = None, **attrs: Any) -> Span:
+              error: str | None = None, **attrs: Any) -> None:
         """One request = root -> [decode, dispatch -> [disk, verify]].
 
         Children are laid out sequentially from ``start``, so the
         decode/disk/verify self-times partition the root's wall exactly.
         """
-        root = self._root(op, ctx, start, **attrs)
-        cursor = self._leaf("decode", root, start, decode_s, "decode").end
-        dispatch = Span("dispatch", self._new_id(), root.span_id,
-                        cursor, {})
-        root.children.append(dispatch)
-        if disk_s:
-            cursor = self._leaf("disk", dispatch, cursor, disk_s,
-                                "disk").end
-        if verify_s:
-            cursor = self._leaf("verify", dispatch, cursor, verify_s,
-                                "verify").end
-        dispatch.end = cursor
-        root.end = cursor
+        root, dispatch = self._open(op, parent, start, decode_s, **attrs)
+        root.end = dispatch.end = self._work(dispatch, dispatch.start,
+                                             disk_s, verify_s)
         root.error = error
         self.spans.append(root)
-        return root
 
     # -- traced operations ------------------------------------------------
 
@@ -181,8 +183,8 @@ class TracedServer(ServerWrapper):
         """One ``server.<kind>`` span per single request, priced exactly
         like the same op riding a batch (:meth:`_sub_costs` over the
         reply its outcome maps to); the original exception re-raises."""
-        ctx = self._ctx()
-        start = self.clock.now
+        parent = self.tracer.current
+        start = self.tracer.clock.now
         decode_s = self._decode_seconds(
             _request_bytes(op.blob_id, op.payload))
         attrs: dict[str, Any] = {"kind": op.blob_id.kind}
@@ -191,11 +193,11 @@ class TracedServer(ServerWrapper):
         try:
             result = op.call(self.inner)
         except Exception as exc:
-            self._emit(op.kind, ctx, start, decode_s,
+            self._emit(op.kind, parent, start, decode_s,
                        *self._sub_costs(op, failure_reply(exc)),
                        error=type(exc).__name__, **attrs)
             raise
-        self._emit(op.kind, ctx, start, decode_s,
+        self._emit(op.kind, parent, start, decode_s,
                    *self._sub_costs(op, ok_reply(op, result)), **attrs)
         return result
 
@@ -207,42 +209,33 @@ class TracedServer(ServerWrapper):
         are reconstructed from the (op, reply) pairs afterwards.
         """
         ops = list(ops)
-        ctx = self._ctx()
-        start = self.clock.now
+        parent = self.tracer.current
+        start = self.tracer.clock.now
         frame_bytes = sum(_request_bytes(op.blob_id, op.payload)
                           for op in ops) + 16
         decode_s = self._decode_seconds(frame_bytes)
         try:
             replies = self.inner.batch(ops)
         except Exception as exc:
-            self._emit("batch", ctx, start, decode_s, 0.0, 0.0,
+            self._emit("batch", parent, start, decode_s, 0.0, 0.0,
                        error=type(exc).__name__, count=len(ops))
             raise
-        root = self._root("batch", ctx, start, count=len(ops))
-        cursor = self._leaf("decode", root, start, decode_s, "decode").end
-        dispatch = Span("dispatch", self._new_id(), root.span_id,
-                        cursor, {})
-        root.children.append(dispatch)
+        root, dispatch = self._open("batch", parent, start, decode_s,
+                                    count=len(ops))
+        cursor = dispatch.start
         for index, (op, reply) in enumerate(zip(ops, replies)):
             if reply.status == "unattempted":
                 continue
-            disk_s, verify_s = self._sub_costs(op, reply)
             sub = Span(f"server.{op.kind}", self._new_id(),
                        dispatch.span_id, cursor,
                        {"index": index, "kind": op.kind,
                         "status": reply.status})
-            if disk_s:
-                cursor = self._leaf("disk", sub, cursor, disk_s,
-                                    "disk").end
-            if verify_s:
-                cursor = self._leaf("verify", sub, cursor, verify_s,
-                                    "verify").end
-            sub.end = cursor
+            cursor = sub.end = self._work(sub, cursor,
+                                          *self._sub_costs(op, reply))
             if reply.status == "error":
                 sub.error = reply.message or "error"
             dispatch.children.append(sub)
-        dispatch.end = cursor
-        root.end = cursor
+        root.end = dispatch.end = cursor
         self.spans.append(root)
         return replies
 

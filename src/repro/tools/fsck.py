@@ -39,6 +39,7 @@ from ..errors import (BlobNotFound, FilesystemError, IntegrityError,
 from ..fs import journal, layout
 from ..fs.client import SharoesFilesystem
 from ..fs.metadata import MetadataAttrs
+from ..fs.tableio import load_table
 from ..fs.volume import SharoesVolume
 from ..storage.blobs import BlobId, journal_blob
 from ..storage.resilient import ServerWrapper
@@ -371,8 +372,8 @@ class VolumeAuditor:
         same but for a fold that died between its heads; only with every
         head seen can a stored base be told from an orphan."""
         view = node.view
-        return {selector: fs._load_table(
-                    node.inode, selector, view.table_deks[selector],
+        return {selector: load_table(
+                    fs, node.inode, selector, view.table_deks[selector],
                     view.require_dvk()).base_gen
                 for selector in layout.table_views(self.volume.scheme,
                                                    node.attrs)}

@@ -19,6 +19,7 @@ from ..baselines.base import BASELINES, BaselineFilesystem, BaselineVolume
 from ..errors import SharoesError
 from ..fs.client import ClientConfig, SharoesFilesystem
 from ..fs.volume import SharoesVolume
+from ..obs.wiretrace import TracedServer
 from ..principals.registry import PrincipalRegistry
 from ..principals.users import User
 from ..sim.clock import SimClock
@@ -60,9 +61,13 @@ class BenchEnv:
     #: ClientConfig fields stamped onto *every* client of this
     #: environment, including the fresh ones workloads mint for cache
     #: sweeps (which otherwise build their own configs and would drop
-    #: environment-level settings like ``concurrency``, ``wire_trace``
-    #: or the chaos runs' ``retry_policy``).
+    #: environment-level settings like ``concurrency`` or the chaos
+    #: runs' ``retry_policy``).
     client_overrides: dict = dataclasses.field(default_factory=dict)
+    #: wire tracing: every fresh sharoes client mounts through a
+    #: TracedServer of its own (the last one is ``traced_server``).
+    wire_trace: bool = False
+    traced_server: object = None
 
     def fresh_client(self, config: ClientConfig | None = None,
                      reset_cost: bool = True
@@ -74,9 +79,15 @@ class BenchEnv:
             config = dataclasses.replace(config or ClientConfig(),
                                          **self.client_overrides)
         if self.impl == "sharoes":
+            server = self._client_server
+            if self.wire_trace:
+                server = self.traced_server = TracedServer(
+                    server if server is not None else self.server)
             fs = SharoesFilesystem(self._volume, self.user,
                                    cost_model=self.cost, config=config,
-                                   server=self._client_server)
+                                   server=server)
+            if self.wire_trace:
+                self.traced_server.follow(fs.tracer)
         else:
             fs = BASELINES[self.impl](self._volume, self.user,
                                       cost_model=self.cost, config=config)
@@ -114,9 +125,10 @@ def make_env(impl: str, profile: CostProfile = PAPER_2008,
     already carries one.  Formatting bypasses the injector so every
     environment starts from an intact volume.
 
-    ``wire_trace`` stamps ``ClientConfig.wire_trace`` onto every client
-    of the environment (sharoes only -- baselines have no wire layer to
-    trace, so the flag is a no-op there).
+    ``wire_trace`` mounts every client of the environment through a
+    :class:`~repro.obs.wiretrace.TracedServer` of its own (sharoes only
+    -- baselines have no wire layer to trace, so the flag is a no-op
+    there).
 
     ``shards`` > 0 replaces the single StorageServer with a
     :class:`~repro.storage.shards.ShardedServer` of that many backend
@@ -157,8 +169,7 @@ def make_env(impl: str, profile: CostProfile = PAPER_2008,
         env._volume.format(root_owner="alice", root_group="eng")
         if getattr(config, "concurrency", 0):
             env.client_overrides["concurrency"] = config.concurrency
-        if wire_trace:
-            env.client_overrides["wire_trace"] = True
+        env.wire_trace = wire_trace
         if flaky_p:
             from ..storage.resilient import FlakyServer, RetryPolicy
             env._client_server = FlakyServer(server, failure_rate=flaky_p,
@@ -185,10 +196,10 @@ def _trace_section(env: BenchEnv) -> dict | None:
 
     ``server``: the TracedServer's phase totals (decode/disk/verify
     seconds, span and error counts); ``resolve_depth``: the client's
-    per-walk-depth cache attribution.  ``None`` when the (last) client
-    ran without wire tracing.
+    per-walk-depth cache attribution.  ``None`` when the environment is
+    not wire-traced.
     """
-    traced = getattr(env.fs, "traced_server", None)
+    traced = env.traced_server
     if traced is None:
         return None
     return {"server": traced.phase_totals(),
@@ -261,13 +272,12 @@ def run_observed(workload: str, impl: str = "sharoes",
     run_params = dict(params, impl=impl)
     if flaky_p:
         run_params.update(flaky_p=flaky_p, flaky_seed=flaky_seed)
-    traced = env.client_overrides.get("wire_trace", False)
-    if traced:
+    if env.wire_trace:
         run_params["wire_trace"] = True
     payload = bench_payload(
         workload, op_report(spans), registry=env.fs.metrics,
         cost=env.cost, params=run_params,
-        trace=_trace_section(env) if traced else None)
+        trace=_trace_section(env))
     return payload, spans
 
 
@@ -289,7 +299,7 @@ def run_traced(workload: str, impl: str = "sharoes",
         workload, impl=impl, profile=profile, params=params,
         config=config, wire_trace=True, _env_out=env_box)
     env = env_box[0]
-    traced = getattr(env.fs, "traced_server", None)
+    traced = env.traced_server
     server_spans = list(traced.spans) if traced is not None else []
     roots, orphans = stitch(spans, server_spans)
     return payload, roots, orphans, env

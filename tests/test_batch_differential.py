@@ -26,88 +26,16 @@ crypto layer, so the call sequences match).
 from __future__ import annotations
 
 import functools
-from contextlib import contextmanager
 
 import pytest
 
 from repro.fs import client as fs_client
 from repro.fs.blobio import _BATCH_SIZE_BUCKETS, BlobIO
 from repro.fs.client import ClientConfig
-from repro.fs.permissions import AclEntry
 from repro.tools.fsck import VolumeAuditor
-from repro.tools.twin import pinned_entropy
-from repro.tools.twin import visible_tree as _visible_tree
-from repro.workloads.runner import BenchEnv, make_env
-
-_SEED = 0x5EED
-
-
-def _pinned_entropy(seed: int = _SEED):
-    return pinned_entropy(seed)
-
-
-@contextmanager
-def _forced_config(**overrides):
-    """Force config fields onto every client a run mounts.
-
-    Workloads mount their own fresh clients with their own configs
-    (cache settings etc.); the differential axis must apply to those
-    too, so ``BenchEnv.fresh_client`` is wrapped to stamp the overrides
-    onto whatever config the workload chose.
-    """
-    original = BenchEnv.fresh_client
-
-    def stamped(self, config=None, reset_cost=True):
-        config = config if config is not None else ClientConfig()
-        for name, value in overrides.items():
-            setattr(config, name, value)
-        return original(self, config=config, reset_cost=reset_cost)
-
-    BenchEnv.fresh_client = stamped
-    try:
-        yield
-    finally:
-        BenchEnv.fresh_client = original
-
-
-def _sharing_script(env: BenchEnv) -> None:
-    """Sharing/revocation mix: ACL grants, revocation (re-encryption),
-    ownership churn, rename and unlink -- the mutation-heavy paths that
-    fan multi-blob writes through ``_put_many``/``_delete_many``."""
-    fs = env.fs
-    payload = b"collaborative document " * 40
-    fs.mkdir("/proj", mode=0o755)
-    for i in range(6):
-        fs.create_file(f"/proj/f{i}", payload + bytes([i]), mode=0o644)
-    fs.set_acl("/proj/f0", (AclEntry("bob", 0o4),))
-    fs.set_acl("/proj/f1", (AclEntry("bob", 0o6),))
-    fs.chmod("/proj/f2", 0o600)
-    fs.chown("/proj/f3", "bob")
-    # Revoke bob's grant: with immediate_revocation this re-encrypts.
-    fs.set_acl("/proj/f0", ())
-    fs.rename("/proj/f4", "/proj/g4")
-    fs.unlink("/proj/f5")
-
-
-def _run_workload(workload: str, env: BenchEnv) -> None:
-    if workload == "postmark":
-        import itertools
-
-        from repro.workloads import postmark
-        # Postmark namespaces each pass with a process-global counter;
-        # pin it so both differential runs build identical paths.
-        postmark._RUN_COUNTER = itertools.count()
-        postmark.run_postmark(env, files=30, transactions=40, subdirs=3)
-    elif workload == "andrew":
-        from repro.workloads.andrew import run_andrew
-        run_andrew(env)
-    elif workload == "createlist":
-        from repro.workloads.createlist import run_create_and_list
-        run_create_and_list(env, files=60, dirs=6)
-    elif workload == "sharing":
-        _sharing_script(env)
-    else:  # pragma: no cover
-        raise AssertionError(workload)
+from repro.tools.twin import pinned_entropy, visible_tree
+from repro.workloads.runner import make_env
+from tests.differential import SEED, WORKLOADS, differential_env
 
 
 @pytest.fixture
@@ -123,24 +51,19 @@ def reference_run(monkeypatch):
 
 
 def _differential_run(workload: str, readahead: bool = False):
-    with _pinned_entropy(), _forced_config(readahead=readahead):
-        config = ClientConfig(readahead=readahead)
-        env = make_env("sharoes", config=config, extra_users=("bob",))
-        _run_workload(workload, env)
+    with differential_env(workload, SEED,
+                          {"readahead": readahead}) as env:
         fs = env.fs
         hist = fs.metrics.histogram("client.batch.size",
                                     buckets=_BATCH_SIZE_BUCKETS)
         return {
             "blobs": env.server.raw_blobs(),
-            "tree": _visible_tree(fs),
+            "tree": visible_tree(fs),
             "requests": fs.request_count,
             "frames": hist.count,
             "frame_ops": hist.total,
             "volume": env._volume,
         }
-
-
-WORKLOADS = ("postmark", "andrew", "createlist", "sharing")
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
@@ -189,7 +112,7 @@ def test_readahead_differential_createlist():
 def test_readahead_cold_component_falls_back():
     """A prefetch miss (cold/absent blob) must degrade to the demand
     path silently: same answers, fsck clean."""
-    with _pinned_entropy():
+    with pinned_entropy(SEED):
         env = make_env("sharoes", config=ClientConfig(readahead=True))
         fs = env.fs
         fs.mkdir("/d", mode=0o755)

@@ -4,10 +4,11 @@ import dataclasses
 
 import pytest
 
-from repro.errors import PermissionDenied
+from repro.errors import IntegrityError, PermissionDenied
 from repro.principals.registry import UnknownPrincipal
 from repro.fs.client import ClientConfig, SharoesFilesystem
 from repro.fs.permissions import AclEntry
+from repro.storage.blobs import meta_blob
 from repro.tools.fsck import VolumeAuditor
 
 
@@ -295,3 +296,35 @@ class TestRekey:
         # bob's reissued superblock now maps him to the world class:
         # stat still works (zero CAP), data access does not.
         assert bob.getattr("/f").owner == "alice"
+
+
+class TestRootRekeyByAnotherMount:
+    """Another mount's ``rekey("/")`` rewrites every user's superblock
+    with the root's new keys.  A mounted client whose walk no longer
+    verifies the root re-reads its own superblock once and walks again;
+    a root replica that fails under an unchanged superblock is still a
+    tamper alarm."""
+
+    def test_the_rekeyed_root_reads(self, alice_fs, volume, registry):
+        alice_fs.create_file("/f", b"shared", mode=0o644)
+        bob = fresh(volume, registry, "bob", mdcache=False)
+        assert bob.read_file("/f") == b"shared"
+        old = bob._superblock
+        alice_fs.rekey("/")
+        bob.revalidate()
+        assert bob.read_file("/f") == b"shared"
+        assert bob._superblock != old
+        assert bob.metrics.get("client.integrity_failures") is None
+
+    def test_a_tampered_root_replica_still_raises(self, alice_fs, volume,
+                                                  registry, server):
+        alice_fs.create_file("/f", b"shared", mode=0o644)
+        bob = fresh(volume, registry, "bob", mdcache=False)
+        old = bob._superblock
+        blob_id = meta_blob(old.root_inode, old.root_selector)
+        stored = server.get(blob_id)
+        server.put(blob_id, stored[:-1] + bytes([stored[-1] ^ 1]))
+        with pytest.raises(IntegrityError):
+            bob.read_file("/f")
+        assert bob._superblock == old
+        assert bob.metrics.get("client.integrity_failures").value == 1

@@ -16,10 +16,10 @@ be indistinguishable to everyone except the wall clock:
   never *slower*; on the RTT-bound postmark mix it must be strictly
   faster (the headline claim of BENCH_10, gated at >= 25% there).
 
-The entropy-pinning trick is the same as the batching differential
-(tests/test_batch_differential.py, which this module imports its
-helpers from): both runs swap ``secrets`` for a seeded generator, so
-they mint identical keys, IVs, and signature nonces in the same order.
+The entropy-pinning trick is the same as the batching differential's
+(the rig of tests/differential.py): both runs swap ``secrets`` for a
+seeded generator, so they mint identical keys, IVs, and signature
+nonces in the same order.
 That only works because staging happens strictly below seal/sign --
 which is itself part of what these tests prove.
 """
@@ -30,26 +30,21 @@ import pytest
 
 from repro.fs.client import ClientConfig
 from repro.tools.fsck import VolumeAuditor
-from repro.workloads.runner import BenchEnv, flush_client, make_env
-
-from tests.test_batch_differential import (WORKLOADS, _forced_config,
-                                           _pinned_entropy, _run_workload,
-                                           _visible_tree)
+from repro.tools.twin import pinned_entropy, visible_tree
+from repro.workloads.runner import flush_client, make_env
+from tests.differential import SEED, WORKLOADS, differential_env
 
 
 def _concurrency_run(workload: str, concurrency: int,
                      flaky_p: float = 0.0) -> dict:
-    with _pinned_entropy(), _forced_config(concurrency=concurrency):
-        config = ClientConfig(concurrency=concurrency)
-        env = make_env("sharoes", config=config, extra_users=("bob",),
-                       flaky_p=flaky_p, flaky_seed=77)
-        _run_workload(workload, env)
+    with differential_env(workload, SEED, {"concurrency": concurrency},
+                          flaky_p=flaky_p, flaky_seed=77) as env:
         fs = env.fs
         flush_client(fs)
         sched = getattr(fs, "scheduler", None)
         return {
             "blobs": env.server.raw_blobs(),
-            "tree": _visible_tree(fs),
+            "tree": visible_tree(fs),
             "requests": fs.request_count,
             "wall": env.cost.clock.now,
             "volume": env._volume,
@@ -102,7 +97,7 @@ def test_postmark_speedup_gate():
 
     def run(concurrency: int) -> float:
         import itertools
-        with _pinned_entropy(), _forced_config(concurrency=concurrency):
+        with pinned_entropy(SEED):
             env = make_env("sharoes",
                            config=ClientConfig(concurrency=concurrency))
             postmark._RUN_COUNTER = itertools.count()

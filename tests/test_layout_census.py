@@ -21,6 +21,7 @@ from repro.errors import IntegrityError, PermissionDenied
 from repro.fs import layout
 from repro.fs.client import ClientConfig, SharoesFilesystem
 from repro.fs.permissions import EXEC, READ, WRITE, AclEntry
+from repro.fs.tableio import fetch_table
 from repro.fs.volume import SharoesVolume
 from repro.principals.groups import GroupKeyService
 from repro.principals.registry import PrincipalRegistry
@@ -154,7 +155,7 @@ def test_chmod_on_a_split_directory_deletes_the_revoked_base_unread(
 
     def generation() -> int:
         fs = fresh(volume, "alice")
-        return fs._fetch_table(fs._resolve("/d")).base_gen
+        return fetch_table(fs, fs._resolve("/d")).base_gen
 
     old_gen = generation()
     world = {layout.table_blob_id(inode, "w"),

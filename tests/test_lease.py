@@ -24,6 +24,7 @@ from repro.errors import (CasConflictError, ClientCrashed, FileExists,
 from repro.fs import journal, layout
 from repro.fs.client import ClientConfig, SharoesFilesystem
 from repro.fs.consistency import ForkDetected
+from repro.fs.filedata import OpenFile
 from repro.fs.freshness import StaleObjectError
 from repro.fs.lease import LeaseManager, LeaseRecord, break_record
 from repro.fs.mutation import LEASE_WAIT_BASE_S, LEASE_WAIT_MAX_S
@@ -36,6 +37,7 @@ from repro.storage.server import StorageServer, fence_epoch
 from repro.storage.wire import RemoteStorageClient, SspServer
 from repro.tools.fsck import VolumeAuditor
 from tests.conftest import FOREIGN_SIGNERS
+from tests.test_mutation_frames import FrameTap
 
 _LEASE_S = 5.0
 
@@ -997,29 +999,39 @@ def test_create_judges_the_name_from_a_table_read_under_the_lease(shared,
     assert report.clean and not report.orphaned_blobs, report.summary()
 
 
+def _handle_append(fs, path: str, record: bytes) -> None:
+    with fs.open(path, "a") as handle:
+        handle.write(record)
+
+
 def test_alternating_shared_appends_keep_every_record(shared, registry):
     """``append_file`` takes the lease *before* it reads its base: a
     fresh acquisition invalidates the inode, so with the data cache on
     each writer extends the file as it is, not as it last saw it (it
-    used to leave ``<0:a><1:b><3:b><5:b>``)."""
+    used to leave ``<0:a><1:b><3:b><5:b>``).  An append-mode handle
+    reads its base first, but logs its ``write`` as an append: re-based
+    at close, it lands at the end the other writer left."""
     server, volume = shared
     writers = _cached_leased_pair(volume, registry)
-    writers["a"].create_file("/log", b"", mode=0o664)
     records = [f"<{i}:{'ab'[i % 2]}>".encode() for i in range(6)]
-    for i, record in enumerate(records):
-        writers["ab"[i % 2]].append_file("/log", record)
     reader = SharoesFilesystem(volume, registry.user("bob"))
     reader.mount()
-    assert reader.read_file("/log") == b"".join(records)
+    writers["a"].create_file("/log", b"", mode=0o664)
+    writers["a"].create_file("/handle-log", b"", mode=0o664)
+    for path, append in (("/log", SharoesFilesystem.append_file),
+                         ("/handle-log", _handle_append)):
+        for i, record in enumerate(records):
+            append(writers["ab"[i % 2]], path, record)
+        assert reader.read_file(path) == b"".join(records)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1(b): handles")
 def test_alternating_handle_patches_keep_every_byte(shared, registry):
     """The sibling the audit found: a writable handle loads its blocks
     through the data cache and only ``close`` takes the lease, so each
-    writer patches the file as it last saw it (``ab.b.b.b........``;
-    passes with ``data_cache=False``).  The fix is a handle-lifetime
-    decision, not three lines; this pins the defect until it lands."""
+    writer used to patch the file as it last saw it
+    (``ab.b.b.b........``).  A close that takes the lease over a chain
+    the other writer moved re-bases the handle: its edits replay over
+    blocks loaded under the lease (ROADMAP item 1(b))."""
     server, volume = shared
     writers = _cached_leased_pair(volume, registry)
     writers["a"].create_file("/f", b"." * 16, mode=0o664)
@@ -1029,3 +1041,53 @@ def test_alternating_handle_patches_keep_every_byte(shared, registry):
     reader = SharoesFilesystem(volume, registry.user("bob"))
     reader.mount()
     assert reader.read_file("/f") == b"abababab" + b"." * 8
+
+
+def test_a_truncate_re_bases_over_the_other_writers_bytes(shared,
+                                                          registry):
+    """alice's cached base predates bob's patch: her truncate replays
+    over the bytes bob left, so his patch below the cut survives."""
+    server, volume = shared
+    writers = _cached_leased_pair(volume, registry)
+    alice, bob = writers["a"], writers["b"]
+    alice.create_file("/f", b"." * 16, mode=0o664)
+    assert alice.read_file("/f") == b"." * 16
+    with bob.open("/f", "rw") as handle:
+        handle.pwrite(b"b", 3)
+    with alice.open("/f", "rw") as handle:
+        handle.truncate(8)
+    reader = SharoesFilesystem(volume, registry.user("bob"))
+    reader.mount()
+    assert reader.read_file("/f") == b"...b...."
+
+
+def test_an_unbroken_chain_re_bases_nothing(shared, registry,
+                                            monkeypatch):
+    """Alone on the chain, every close predicts its own released link
+    at the frame's head: nothing is replayed or loaded again, so a
+    pwrite, an append and a truncate each cost the probe of the block
+    past the end and the one mutation frame, as they did before handles
+    re-based."""
+    server, volume = shared
+    tap = FrameTap(server)
+    alice = SharoesFilesystem(
+        volume, registry.user("alice"), server=tap,
+        config=ClientConfig(journal=True, lease=True, data_cache=True,
+                            lease_duration_s=_LEASE_S))
+    alice.mount()
+    alice.create_file("/f", b"." * 16, mode=0o664)
+    tap.names[alice.getattr("/f").inode] = "f"
+    rebased = []
+    monkeypatch.setattr(OpenFile, "_rebase",
+                        lambda handle: rebased.append(handle.path))
+    frame = ("put_if lease/f/-", "put_fenced journal",
+             "put_fenced data/f/b0", "put journal", "put_if lease/f/-")
+    for edit in (lambda handle: handle.pwrite(b"a", 0),
+                 lambda handle: handle.write(b"tail"),
+                 lambda handle: handle.truncate(8)):
+        tap.frames.clear()
+        with alice.open("/f", "rw") as handle:
+            edit(handle)
+        assert tap.frames == [("exists data/f/b1",), frame]
+    assert rebased == []
+    assert alice.read_file("/f") == b"a......."

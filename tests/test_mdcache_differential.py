@@ -1,7 +1,8 @@
 """The verified metadata cache proven correct, twice over.
 
 Part 1 -- **cached-vs-uncached differential** (modeled on
-``tests/test_batch_differential.py``): every seeded workload runs with
+``tests/test_batch_differential.py``, on the rig of
+``tests/differential.py``): every seeded workload runs with
 ``ClientConfig(mdcache=True)`` against the strict re-fetch-per-open
 reference (``mdcache=False``).  The cache only changes *read* paths --
 decrypt/verify consume no entropy -- so under pinned entropy the two
@@ -37,15 +38,12 @@ zero stale-served cells.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 import pytest
 
 from repro.errors import ClientCrashed, LeaseLostError, PermissionDenied
 from repro.fs.client import ClientConfig, SharoesFilesystem
 from repro.fs.freshness import StaleObjectError
 from repro.fs.mdcache import _VerifiedView
-from repro.fs.permissions import AclEntry
 from repro.fs.volume import SharoesVolume, meta_blob
 from repro.principals.groups import GroupKeyService
 from repro.crypto.provider import CryptoProvider
@@ -53,9 +51,9 @@ from repro.sim.clock import SimClock
 from repro.storage.resilient import MutationTrigger, crash
 from repro.storage.server import StorageServer
 from repro.tools.fsck import VolumeAuditor
-from repro.tools.twin import pinned_entropy
-from repro.tools.twin import visible_tree as _visible_tree
-from repro.workloads.runner import BenchEnv, make_env
+from repro.tools.twin import visible_tree
+from repro.workloads.runner import make_env
+from tests.differential import WORKLOADS, differential_env
 
 _SEED = 0xCACE
 
@@ -63,82 +61,16 @@ _SEED = 0xCACE
 # -- part 1: cached-vs-uncached differential ---------------------------------
 
 
-def _pinned_entropy(seed: int = _SEED):
-    return pinned_entropy(seed)
-
-
-@contextmanager
-def _forced_config(**overrides):
-    """Stamp config fields onto every client a run mounts (workloads
-    mount fresh clients with their own configs; the differential axis
-    must reach those too)."""
-    original = BenchEnv.fresh_client
-
-    def stamped(self, config=None, reset_cost=True):
-        config = config if config is not None else ClientConfig()
-        for name, value in overrides.items():
-            setattr(config, name, value)
-        return original(self, config=config, reset_cost=reset_cost)
-
-    BenchEnv.fresh_client = stamped
-    try:
-        yield
-    finally:
-        BenchEnv.fresh_client = original
-
-
-def _sharing_script(env: BenchEnv) -> None:
-    """ACL grants, revocation (re-encryption), chown, rename, unlink --
-    the mutation mix whose invalidations the cache must survive."""
-    fs = env.fs
-    payload = b"collaborative document " * 40
-    fs.mkdir("/proj", mode=0o755)
-    for i in range(6):
-        fs.create_file(f"/proj/f{i}", payload + bytes([i]), mode=0o644)
-    fs.set_acl("/proj/f0", (AclEntry("bob", 0o4),))
-    fs.set_acl("/proj/f1", (AclEntry("bob", 0o6),))
-    fs.chmod("/proj/f2", 0o600)
-    fs.chown("/proj/f3", "bob")
-    fs.set_acl("/proj/f0", ())
-    fs.rename("/proj/f4", "/proj/g4")
-    fs.unlink("/proj/f5")
-
-
-def _run_workload(workload: str, env: BenchEnv) -> None:
-    if workload == "postmark":
-        import itertools
-
-        from repro.workloads import postmark
-        postmark._RUN_COUNTER = itertools.count()
-        postmark.run_postmark(env, files=30, transactions=40, subdirs=3)
-    elif workload == "andrew":
-        from repro.workloads.andrew import run_andrew
-        run_andrew(env)
-    elif workload == "createlist":
-        from repro.workloads.createlist import run_create_and_list
-        run_create_and_list(env, files=60, dirs=6)
-    elif workload == "sharing":
-        _sharing_script(env)
-    else:  # pragma: no cover
-        raise AssertionError(workload)
-
-
 def _differential_run(workload: str, mdcache: bool):
-    with _pinned_entropy(), _forced_config(mdcache=mdcache):
-        config = ClientConfig(mdcache=mdcache)
-        env = make_env("sharoes", config=config, extra_users=("bob",))
-        _run_workload(workload, env)
+    with differential_env(workload, _SEED, {"mdcache": mdcache}) as env:
         fs = env.fs
         return {
             "blobs": env.server.raw_blobs(),
-            "tree": _visible_tree(fs),
+            "tree": visible_tree(fs),
             "requests": fs.request_count,
             "volume": env._volume,
             "fs": fs,
         }
-
-
-WORKLOADS = ("postmark", "andrew", "createlist", "sharing")
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
@@ -151,7 +83,7 @@ def test_mdcache_differential(workload):
     assert cached["blobs"] == strict["blobs"]
 
     # Identical visible semantics (tree, stats, plaintext reads --
-    # _visible_tree re-reads every file through both clients).
+    # visible_tree re-reads every file through both clients).
     assert cached["tree"] == strict["tree"]
 
     # The cache never *adds* round trips.

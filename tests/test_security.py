@@ -14,6 +14,7 @@ from repro.errors import (CryptoError, IntegrityError, KeyAccessError,
 from repro.fs import layout
 from repro.fs.client import ClientConfig, SharoesFilesystem
 from repro.fs.sealed import open_unverified, replace_ciphertext
+from repro.fs.tableio import fetch_table
 from repro.fs.volume import SharoesVolume, block_blob_id, table_blob_id
 from repro.principals.groups import GroupKeyService
 from repro.principals.registry import PrincipalRegistry
@@ -315,7 +316,7 @@ class TestMaliciousWriters:
         alice.mknod("/d/real")
         carol = _fresh(volume, registry, "carol")
         node = carol._resolve("/d")
-        table = carol._fetch_table(node)
+        table = fetch_table(carol, node)
         with pytest.raises(KeyAccessError):
             node.view.require_dsk()
         forged = carol.provider.sym_encrypt(node.view.require_dek(),
@@ -340,7 +341,7 @@ class TestMaliciousWriters:
         alice.rekey("/d")
         dave = _fresh(volume, registry, "dave")
         node = dave._resolve("/d")
-        entry = dave._fetch_table(node).lookup(
+        entry = fetch_table(dave, node).lookup(
             "f", provider=dave.provider,
             table_dek=node.view.require_dek())
         if entry.kind == "d":

@@ -150,8 +150,7 @@ LAYERS = {
         lambda b: ShardOutageServer(b, SimClock(), 0, start_s=100.0)),
     "ResilientTransport": lambda: _in_process(ResilientTransport),
     "ShardedServer": lambda: _sharded(4, 2),
-    "TracedServer": lambda: _in_process(
-        lambda b: TracedServer(b, SimClock())),
+    "TracedServer": lambda: _in_process(TracedServer),
     "TamperingServer": lambda: _in_process(
         lambda b: TamperingServer(inner=b, should_tamper=_never)),
     "RollbackServer": lambda: _in_process(

@@ -25,9 +25,9 @@ from repro.storage.resilient import OutageServer
 from repro.storage.server import BatchOp
 from repro.storage.shards import ShardedServer, ShardOutageServer
 from repro.tools.fsck import VolumeAuditor
+from repro.tools.twin import pinned_entropy, visible_tree
 from repro.workloads.runner import make_env
-from tests.test_batch_differential import (_pinned_entropy, _run_workload,
-                                           _visible_tree)
+from tests.differential import SEED, run_workload
 
 
 def _lease(inode: int) -> BlobId:
@@ -418,26 +418,26 @@ class TestHarnessSurfaces:
 
 
 def _reference_run(workload: str):
-    with _pinned_entropy():
+    with pinned_entropy(SEED):
         env = make_env("sharoes", extra_users=("bob",))
         t0 = env.cost.clock.now
-        _run_workload(workload, env)
-        return {"tree": _visible_tree(env.fs),
+        run_workload(workload, env)
+        return {"tree": visible_tree(env.fs),
                 "blobs": env.server.raw_blobs(),
                 "duration": env.cost.clock.now - t0,
                 "volume": env._volume}
 
 
 def _sharded_killed_run(workload: str, kill: int, duration: float):
-    with _pinned_entropy():
+    with pinned_entropy(SEED):
         env = make_env("sharoes", shards=4, replicas=2,
                        extra_users=("bob",))
         server = env.server
         # The shard dies mid-workload (40% through the reference run's
         # simulated timeline) and never comes back until repair time.
         server.outage(kill, start_s=env.cost.clock.now + 0.4 * duration)
-        _run_workload(workload, env)
-        return {"tree": _visible_tree(env.fs),
+        run_workload(workload, env)
+        return {"tree": visible_tree(env.fs),
                 "blobs": server.raw_blobs(),
                 "server": server,
                 "volume": env._volume}
@@ -506,7 +506,7 @@ def _sharded_rebalanced_run(workload: str, members, replicas: int,
     from repro.storage.rebalance import VERIFIED, Rebalancer
     from repro.storage.resilient import MutationTrigger
     key = _reb_key()
-    with _pinned_entropy():
+    with pinned_entropy(SEED):
         env = make_env("sharoes", shards=4, replicas=2,
                        extra_users=("bob",))
         server = env.server
@@ -526,8 +526,8 @@ def _sharded_rebalanced_run(workload: str, members, replicas: int,
         trigger = MutationTrigger(server, {40: stage_plan,
                                            80: finish_plan})
         env._client_server = trigger
-        _run_workload(workload, env)
-        return {"tree": _visible_tree(env.fs),
+        run_workload(workload, env)
+        return {"tree": visible_tree(env.fs),
                 "blobs": server.raw_blobs(),
                 "server": server,
                 "volume": env._volume,

@@ -1,9 +1,9 @@
 """Differential harness: wire tracing is zero-cost, on or off.
 
-Reuses the pinned-entropy machinery of ``test_batch_differential``: the
-same seeded workload runs with ``ClientConfig(wire_trace=True)`` and
-``wire_trace=False``, and the two runs must be indistinguishable to
-everything except the observer:
+Runs on the differential rig (``tests/differential.py``): the same
+seeded workload runs with every client mounted through a
+``TracedServer`` (``make_env(wire_trace=True)``) and without, and the
+two runs must be indistinguishable to everything except the observer:
 
 * byte-identical final SSP state, identical visible filesystem tree;
 * identical request counts and identical simulated wall seconds --
@@ -16,30 +16,25 @@ from __future__ import annotations
 
 import pytest
 
-from repro.fs.client import ClientConfig
-from repro.workloads.runner import make_env
-
-from tests.test_batch_differential import (_forced_config, _pinned_entropy,
-                                           _run_workload, _visible_tree)
+from repro.tools.twin import visible_tree
+from tests.differential import SEED, differential_env
 
 WORKLOADS = ("createlist", "sharing")
 
 
 def _traced_differential_run(workload: str, wire_trace: bool):
-    with _pinned_entropy(), _forced_config(wire_trace=wire_trace):
-        config = ClientConfig(wire_trace=wire_trace)
-        env = make_env("sharoes", config=config, extra_users=("bob",))
-        _run_workload(workload, env)
+    with differential_env(workload, SEED, {},
+                          wire_trace=wire_trace) as env:
         fs = env.fs
         return {
             "blobs": env.server.raw_blobs(),
-            "tree": _visible_tree(fs),
+            "tree": visible_tree(fs),
             "requests": fs.request_count,
             "wall": env.cost.totals.total,
             "bytes_received": env.server.stats.bytes_received,
             "bytes_served": env.server.stats.bytes_served,
-            "traced_spans": (len(fs.traced_server.spans)
-                             if fs.traced_server is not None else 0),
+            "traced_spans": (len(env.traced_server.spans)
+                             if env.traced_server is not None else 0),
         }
 
 

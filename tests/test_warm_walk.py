@@ -35,6 +35,7 @@ from repro.fs.dirtable import DirPointer
 from repro.fs.mdcache import VerifiedMetadataCache
 from repro.fs.mutation import MutationPipeline
 from repro.fs.permissions import AclEntry
+from repro.fs.tableio import fetch_table
 from repro.fs.volume import SharoesVolume
 from repro.obs.tracing import Span, phase_breakdown
 from repro.principals.groups import GroupKeyService
@@ -158,7 +159,7 @@ class TestWarmWalkShape:
     def test_a_pointer_parses_its_key_once(self, alice_fs, key_parses):
         alice_fs.mkdir("/a", mode=0o755)
         root = alice_fs._resolve("/")
-        row = alice_fs._fetch_table(root).lookup(
+        row = fetch_table(alice_fs, root).lookup(
             "a", provider=alice_fs.provider,
             table_dek=root.view.require_dek()).pointer
         pointer = DirPointer(row.selector, row.mek, row.mvk)

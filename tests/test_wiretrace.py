@@ -2,9 +2,9 @@
 
 The acceptance invariants of the observability PR:
 
-* a TracedServer parents its spans under the (trace_id,
-  parent_span_id) its client's ``context_fn`` names; behind a TCP
-  loopback, where no context rides the wire, its spans stay unparented;
+* a TracedServer parents its spans under the open span of the tracer
+  it follows, with that tracer's trace id; behind a TCP loopback, where
+  no context rides the wire, its spans stay unparented;
 * a TracedServer's decode/disk/verify self-times partition its wall
   exactly (synthetic timeline, never the shared clock);
 * a traced andrew run stitches into a single client+server trace tree
@@ -18,8 +18,7 @@ import pytest
 
 from repro.errors import BlobNotFound
 from repro.obs.tracing import Span, Tracer
-from repro.obs.wiretrace import (DEFAULT_SERVER_PROFILE, TraceContext,
-                                 TracedServer, stitch)
+from repro.obs.wiretrace import DEFAULT_SERVER_PROFILE, TracedServer, stitch
 from repro.sim.clock import SimClock
 from repro.storage.blobs import data_blob, meta_blob
 from repro.storage.server import StorageServer
@@ -27,9 +26,11 @@ from repro.storage.wire import RemoteStorageClient, SspServer
 
 
 class TestTracedServer:
-    def _traced(self, ctx=None):
-        return TracedServer(StorageServer(), clock=SimClock(),
-                            context_fn=(lambda: ctx) if ctx else None)
+    def _traced(self, tracer=None):
+        traced = TracedServer(StorageServer())
+        if tracer is not None:
+            traced.follow(tracer)
+        return traced
 
     def test_self_costs_partition_wall_exactly(self):
         traced = self._traced()
@@ -66,16 +67,18 @@ class TestTracedServer:
         assert costs["disk"] == DEFAULT_SERVER_PROFILE.disk_fixed_s
 
     def test_spans_carry_context_and_service_tag(self):
-        traced = self._traced(ctx=TraceContext(11, 77))
-        traced.put(meta_blob(1, "o"), b"x")
+        tracer = Tracer()
+        traced = self._traced(tracer)
+        with tracer.span("network") as network:
+            traced.put(meta_blob(1, "o"), b"x")
         (root,) = traced.spans
-        assert root.parent_id == 77
-        assert root.attrs["trace_id"] == 11
+        assert root.parent_id == network.span_id
+        assert root.attrs["trace_id"] == tracer.trace_id is not None
         assert root.attrs["service"] == "ssp"
 
     def test_clock_never_advances(self):
         clock = SimClock()
-        traced = TracedServer(StorageServer(), clock=clock)
+        traced = self._traced(Tracer(clock=clock))
         before = clock.now
         traced.put(meta_blob(1, "o"), b"payload" * 100)
         traced.get(meta_blob(1, "o"))
@@ -83,14 +86,16 @@ class TestTracedServer:
 
     def test_batch_sub_ops_get_child_spans(self):
         from repro.storage.server import BatchOp
-        traced = self._traced(ctx=TraceContext(5, 50))
+        tracer = Tracer()
+        traced = self._traced(tracer)
         ops = [BatchOp.put(meta_blob(1, "o"), b"a" * 10),
                BatchOp.get(meta_blob(1, "o"))]
-        replies = traced.batch(ops)
+        with tracer.span("network") as network:
+            replies = traced.batch(ops)
         assert [r.status for r in replies] == ["ok", "ok"]
         (root,) = traced.spans
         assert root.name == "server.batch"
-        assert root.parent_id == 50
+        assert root.parent_id == network.span_id
         assert root.attrs["count"] == 2
         (dispatch,) = [c for c in root.children if c.name == "dispatch"]
         subs = [c for c in dispatch.children
@@ -142,7 +147,7 @@ class TestStitch:
 
 class TestLoopbackTcp:
     def test_untraced_client_leaves_spans_unparented(self):
-        traced = TracedServer(StorageServer(), clock=SimClock())
+        traced = TracedServer(StorageServer())
         with SspServer(traced) as ssp:
             host, port = ssp.address
             client = RemoteStorageClient(host, port)
@@ -169,7 +174,7 @@ class TestTracedWorkload:
                 if str(doc.get("name", "")).startswith("server."):
                     server_grafts += 1
                 stack.extend(doc.get("children", ()))
-        assert server_grafts >= len(env.fs.traced_server.spans) > 0
+        assert server_grafts >= len(env.traced_server.spans) > 0
 
     def test_server_phases_sum_to_wall_within_1pct(self, andrew):
         payload, _roots, _orphans, _env = andrew
@@ -182,7 +187,7 @@ class TestTracedWorkload:
         trace_id = env.fs.tracer.trace_id
         assert trace_id is not None
         traced_ids = {span.attrs.get("trace_id")
-                      for span in env.fs.traced_server.spans
+                      for span in env.traced_server.spans
                       if "trace_id" in span.attrs}
         assert traced_ids == {trace_id}
 
@@ -207,14 +212,16 @@ class TestTransportReconciliation:
         server = StorageServer()
         volume = SharoesVolume(server, registry)
         volume.format(root_owner="alice", root_group="eng")
+        traced = TracedServer(server)
         fs = SharoesFilesystem(
-            volume, user,
-            config=ClientConfig(wire_trace=True,
-                                retry_policy=RetryPolicy(jitter=False)))
+            volume, user, server=traced,
+            config=ClientConfig(retry_policy=RetryPolicy(jitter=False)))
+        traced.follow(fs.tracer)
         fs.mount()
         fs.mkdir("/d", mode=0o755)
         fs.create_file("/d/f.txt", b"contents", mode=0o644)
         fs.read_file("/d/f.txt")
         from repro.storage.resilient import ResilientTransport
         assert isinstance(fs.server, ResilientTransport)
-        assert fs.server.attempts == len(fs.traced_server.spans)
+        assert fs.server.inner is traced
+        assert fs.server.attempts == len(traced.spans)
