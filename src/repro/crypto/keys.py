@@ -25,8 +25,10 @@ SYMMETRIC_KEY_BYTES = 16
 
 #: Prime size used for object signature pairs.  96-bit primes keep key
 #: generation cheap enough to mint two pairs per created file while still
-#: exercising the real algebra; production deployments would raise this
-#: (the cost model charges 2008-era ESIGN costs regardless).
+#: exercising the real algebra; each is proven by a three-level
+#: Pocklington chain (96 -> 49 -> 25 bits, see :mod:`.primes`).
+#: Production deployments would raise this (the cost model charges
+#: 2008-era ESIGN costs regardless).
 OBJECT_SIGNATURE_PRIME_BITS = 96
 
 

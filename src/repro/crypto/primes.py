@@ -3,10 +3,13 @@
 RSA, ESIGN and IBE key generation need large random primes; they get
 them *proven*: :func:`random_prime` builds each prime on a smaller proven
 prime and certifies it with one Pocklington step (Shawe-Taylor, FIPS
-186-4 C.6; Maurer 1995), down to a base case where deterministic
-Miller-Rabin is a proof.  Each level draws one start and walks up from
-it, as C.6 does, sieving the walk a window at a time by the small odd
-primes; only survivors pay a gcd and a proof.  :func:`is_prime` tests an
+186-4 C.6; Maurer 1995), down to C.6's own base case of at most 32 bits,
+where deterministic Miller-Rabin is a proof (a 96-bit prime is a chain
+96 -> 49 -> 25 bits).  Each level draws one start and walks up from it,
+as C.6 does, sieving the walk a window at a time by the small odd
+primes; above the base a survivor pays a gcd and one base-2 Fermat pow,
+and only a candidate that passes pays the rest of the proof.
+:func:`is_prime` tests an
 ``n`` somebody else chose: deterministic below ~3.3e24, random-witness
 Miller-Rabin above, after one gcd against the product of the small
 primes.
@@ -52,14 +55,19 @@ _PRIMORIAL = math.prod(SMALL_PRIMES)
 _SIEVE_PRIMES = tuple(q for q in SMALL_PRIMES if 2 < q < 75)
 _UNSIEVED = _PRIMORIAL // math.prod(_SIEVE_PRIMES) // 2
 _WINDOW = 128
+# (q, the inverse of x mod q for each x < q; 0 for x = 0): a walk's step
+# is never a multiple of a sieve prime.
+_SIEVE_INVERSES = tuple((q, (0,) + tuple(pow(x, -1, q) for x in range(1, q)))
+                        for q in _SIEVE_PRIMES)
 
 # Rounds for an ``n`` somebody else chose: only the worst-case bound,
 # error below 4**-rounds, applies.
 WORST_CASE_ROUNDS = 40
 
 # At or below this size a generated prime is walked to from a uniform start
-# and proven by deterministic Miller-Rabin; above it, by a Pocklington step.
-_BASE_BITS = 64
+# and proven by deterministic Miller-Rabin; above it, by a Pocklington step
+# (FIPS 186-4 C.6 recurses while length >= 33).
+_BASE_BITS = 32
 
 
 def _miller_rabin_round(n: int, d: int, r: int, witness: int) -> bool:
@@ -103,13 +111,18 @@ def _pocklington(p: int, t: int, c0: int) -> bool:
     """Is ``p = 2*t*c0 + 1`` prime, given a prime ``c0 > sqrt(p)``?
 
     Pocklington: p is prime iff some base a has a**(p-1) = 1 (mod p) and
-    gcd(a**(2t) - 1, p) = 1.  A base with a**(2t) = 1 decides nothing;
-    the next one is tried.
+    gcd(a**(2t) - 1, p) = 1.  The base-2 Fermat pow comes first: it
+    rejects almost every composite in one pow, and for a = 2 it is the
+    first condition.  A base with a**(2t) = 1 decides nothing; the next
+    one is tried.
     """
+    if pow(2, p - 1, p) != 1:
+        return False
     for a in SMALL_PRIMES:
         z = pow(a, 2 * t, p)
         if z != 1:
-            return pow(z, c0, p) == 1 and math.gcd(z - 1, p) == 1
+            return ((a == 2 or pow(z, c0, p) == 1)
+                    and math.gcd(z - 1, p) == 1)
     return False
 
 
@@ -129,8 +142,8 @@ def _walk(bits: int, residue: int, step: int,
     high = ((1 << bits) - 1 - residue) // step
     # A prime below the smallest candidate never strikes itself.
     smallest = residue + step * low
-    roots = [(q, -residue * pow(step, -1, q) % q)
-             for q in _SIEVE_PRIMES if q < smallest]
+    roots = [(q, -residue * inverses[step % q] % q)
+             for q, inverses in _SIEVE_INVERSES if q < smallest]
     u = low + secrets.randbelow(high - low + 1)
     left = high - low + 1
     while left:

@@ -224,9 +224,10 @@ def run_observed(workload: str, impl: str = "sharoes",
     ``config`` overrides the mounted client's configuration (benchmark
     snapshots use it to toggle optional features like readahead).
 
-    ``wire_trace=True`` propagates trace context over the wire and adds
-    a ``trace`` section to the payload (server phase totals + resolve
-    depth attribution).  ``setup``, when given, receives the freshly
+    ``wire_trace=True`` stacks one :class:`~repro.obs.wiretrace.TracedServer`
+    per client (see :func:`make_env`) and adds a ``trace`` section to the
+    payload (server phase totals + resolve depth attribution).  ``setup``,
+    when given, receives the freshly
     built environment *before* the workload runs -- harnesses use it to
     interpose wrappers (e.g. a mid-run rebalance trigger) under the
     clients the workload will mount.  ``_env_out``, when a list,

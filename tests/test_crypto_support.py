@@ -1,11 +1,12 @@
 """Primes, hashes/KDF, stream cipher, serialization helpers."""
 
 import hashlib
+import itertools
 import random
 import secrets
 import sys
 import types
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import example, given, settings
@@ -110,8 +111,9 @@ def _recorded_draws(monkeypatch) -> list:
 
 
 def _check_certificate(p: int, inner: list) -> None:
-    """Re-check a generated prime's Pocklington chain down to its base."""
-    if p.bit_length() <= 64:
+    """Re-check a generated prime's Pocklington chain down to its base of
+    at most 32 bits (FIPS 186-4 C.6's own)."""
+    if p.bit_length() <= 32:
         assert inner == []
         assert _proven_below_2_64(p), p
         return
@@ -122,6 +124,17 @@ def _check_certificate(p: int, inner: list) -> None:
     a = next(a for a in range(2, 1000) if pow(a, (p - 1) // c0, p) != 1)
     assert pow(a, p - 1, p) == 1
     assert gcd(pow(a, (p - 1) // c0, p) - 1, p) == 1
+
+
+def _progression(bits: int, c: int, low_bits: int, downwards=False):
+    """The candidates 2*t*c + 1 of ``bits`` bits (top two and ``low_bits``
+    set) of a Pocklington walk over ``c``, from the smallest t up or from
+    the largest down."""
+    low = ((3 << (bits - 2)) + 2 * c - 2) // (2 * c)
+    high = ((1 << bits) - 2) // (2 * c)
+    ts = range(high, low - 1, -1) if downwards else range(low, high + 1)
+    return (n for n in (2 * t * c + 1 for t in ts)
+            if n & low_bits == low_bits)
 
 
 # p * q for two 48-bit primes: survives the small-prime sieve and fails
@@ -212,11 +225,11 @@ class TestPrimes:
 
     def test_every_prime_carries_a_pocklington_chain(self, monkeypatch):
         draws = _recorded_draws(monkeypatch)
-        for bits in (65, 96, 97, 128, 200, 512):
+        for bits in (33, 64, 65, 96, 97, 128, 200, 512):
             primes.random_prime(bits)
             primes.random_prime_3mod4(bits)
-        primes.random_prime(40)
-        assert len(draws) == 13
+        primes.random_prime(32)
+        assert len(draws) == 17
         for p, inner in draws:
             _check_certificate(p, inner)
 
@@ -249,12 +262,15 @@ class TestPrimes:
     def test_a_96_bit_prime_costs_a_few_pows_not_28(self, monkeypatch):
         # Modexp work in units of one 96-bit pow (exponent bits x modulus
         # bits squared): 28 Miller-Rabin rounds on uniform candidates cost
-        # 31.2 per prime, a Pocklington step over a 49-bit base prime ~5.9.
-        work = 0
+        # 31.2 per prime, the three-level chain 5.68.  Calls count apart
+        # from work: nine Miller-Rabin rounds proving c0 made 19.6 per
+        # prime, its own Pocklington step and the Fermat screen 13.6.
+        work = calls = 0
 
         def counting_pow(base, exponent, modulus):
-            nonlocal work
+            nonlocal work, calls
             work += exponent.bit_length() * modulus.bit_length() ** 2
+            calls += 1
             return pow(base, exponent, modulus)
 
         monkeypatch.setattr(primes, "pow", counting_pow, raising=False)
@@ -262,13 +278,14 @@ class TestPrimes:
             for _ in range(300):
                 primes.random_prime(96)
         units = work / 300 / 96 ** 3
-        assert units <= 12, units
+        assert units <= 5.75, units
+        assert calls / 300 <= 14.5, calls / 300
 
     def test_a_96_bit_prime_costs_one_draw_per_level(self, monkeypatch):
         # Shawe-Taylor's walk: one uniform start per chain level (the
-        # 49-bit base, the 96-bit Pocklington step), then t + 1, t + 2,
-        # ... through a sieved window.  Redrawing every candidate cost
-        # ~47 draws and one gcd each.
+        # 25-bit base, the 49- and 96-bit Pocklington steps), then t + 1,
+        # t + 2, ... through a sieved window.  Redrawing every candidate
+        # cost ~47 draws and one gcd each.
         draws = gcds = 0
 
         def counted(draw):
@@ -290,45 +307,80 @@ class TestPrimes:
                 gcd=counting_gcd, prod=primes.math.prod))
             p = primes.random_prime(96)
         assert p.bit_length() == 96
-        assert draws == 2
+        assert draws == 3
         assert gcds <= 20, gcds
 
     @pytest.mark.parametrize("low_bits", [0b01, 0b11])
     def test_the_walk_wraps_from_the_top_to_the_bottom(self, monkeypatch,
                                                        low_bits):
-        # Every start is the largest candidate: the base walk starts
-        # just below 2**49 and the Pocklington walk at t = high, so both
-        # wrap before they find a prime.
+        # Every start is the largest candidate: the base walk starts at
+        # 2**25 - 1 and each Pocklington walk at t = high, so all three
+        # levels wrap before they find a prime.
         draws = _recorded_draws(monkeypatch)
         monkeypatch.setattr(secrets, "randbelow", lambda n: n - 1)
         draw = (primes.random_prime if low_bits == 0b01
                 else primes.random_prime_3mod4)
         p = draw(96)
         [(p_seen, inner)] = draws
-        [(c0, _)] = inner
+        [(c0, [(c1, _)])] = inner
         assert p == p_seen
         assert p.bit_length() == 96 and p >> 94 == 0b11
         assert p & low_bits == low_bits
+        assert (c0.bit_length(), c1.bit_length()) == (49, 25)
         _check_certificate(p, inner)
         # The first proven candidates at or after the bottom of each
-        # range: 2**49 - 1 (= 127 * 4432676798593) is composite, as is
-        # the top of the 96-bit progression.
-        assert not primes.is_prime((1 << 49) - 1)
-        assert c0 == next(n for n in range(3 << 47 | 1, 1 << 49, 2)
+        # range: 2**25 - 1 (= 31 * 601 * 1801) is composite, as is the top
+        # of each Pocklington progression.
+        assert not primes.is_prime((1 << 25) - 1)
+        assert c1 == next(n for n in range(3 << 23 | 1, 1 << 25, 2)
                           if primes.is_prime(n))
-        low = ((3 << 94) + 2 * c0 - 2) // (2 * c0)
-        high = ((1 << 96) - 2) // (2 * c0)
-        assert not any(n & low_bits == low_bits and primes.is_prime(n)
-                       for n in (2 * t * c0 + 1 for t in (high - 1, high)))
-        assert p == next(n for n in (2 * t * c0 + 1 for t in range(low, high))
-                         if n & low_bits == low_bits and primes.is_prime(n))
-        # The base case on its own, from just below 2**64 (composite).
-        base = draw(64)
-        assert base >> 62 == 0b11 and _proven_below_2_64(base)
-        assert not primes.is_prime((1 << 64) - 1)
-        assert base == next(n for n in range(3 << 62 | low_bits, 1 << 64,
+        for bits, prime, below, low in ((49, c0, c1, 0b01),
+                                        (96, p, c0, low_bits)):
+            assert not primes.is_prime(
+                next(_progression(bits, below, low, downwards=True)))
+            assert prime == next(n for n in _progression(bits, below, low)
+                                 if primes.is_prime(n))
+        # The base case on its own, from just below 2**32 (composite).
+        base = draw(32)
+        assert base >> 30 == 0b11 and _proven_below_2_64(base)
+        assert not primes.is_prime((1 << 32) - 1)
+        assert base == next(n for n in range(3 << 30 | low_bits, 1 << 32,
                                              low_bits + 1)
                             if primes.is_prime(n))
+
+    def test_the_screened_step_rejects_every_small_pseudoprime(self):
+        # Every odd composite n < 2e6 that passes the base-2 Fermat screen
+        # and has a prime c0 | n - 1 with c0**2 > n: a step that stops at
+        # the screen accepts all 73.  Every prime below 2e5 with such a c0
+        # is accepted.
+        limit = 2_000_000
+        composite = bytearray(limit)
+        for i in range(2, isqrt(limit) + 1):
+            if not composite[i]:
+                composite[i * i::i] = b"\x01" * len(range(i * i, limit, i))
+        small = [q for q in range(2, isqrt(limit) + 1) if not composite[q]]
+
+        def certifying_factor(n):
+            """The prime c0 | n - 1 with c0**2 > n, or None."""
+            m = n - 1
+            for q in itertools.takewhile(lambda q: q * q <= n, small):
+                while m % q == 0:
+                    m //= q
+            return m if m * m > n else None
+
+        fooled = [(n, certifying_factor(n)) for n in range(9, limit, 2)
+                  if composite[n] and pow(2, n - 1, n) == 1]
+        steps = [(n, c0) for n, c0 in fooled if c0]
+        assert len(steps) == 73
+        for n, c0 in steps:
+            assert not primes._pocklington(n, (n - 1) // (2 * c0), c0), n
+        accepted = 0
+        for p in range(7, 200_000, 2):
+            c0 = None if composite[p] else certifying_factor(p)
+            if c0:
+                assert primes._pocklington(p, (p - 1) // (2 * c0), c0), p
+                accepted += 1
+        assert accepted > 1000
 
     def test_composite_costs_one_witness_not_forty(self):
         assert pow(2, _SEMIPRIME_96 - 1, _SEMIPRIME_96) != 1
