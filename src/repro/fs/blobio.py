@@ -6,10 +6,11 @@ which is left with paths, CAPs and keys:
 
 * the **read-your-writes overlay** -- the active journal batch, then the
   write-behind queue, then the consume-once readahead slots -- consulted
-  by every read, probe and speculation through one walk;
-* **mutation routing** -- one :meth:`BlobIO.send` decides whether a put
-  or delete is deferred into the journal batch, staged write-behind, or
-  shipped now (as one ``OP_BATCH`` frame or as single ops);
+  by every read and speculation through one walk;
+* **mutation routing** -- one :meth:`BlobIO.send` decides whether a put,
+  delete or tail delete is deferred into the journal batch, staged
+  write-behind, or shipped now (as one ``OP_BATCH`` frame or as single
+  ops);
 * **the frame ledger** -- every frame is counted (``request_count``),
   spanned (``network``), priced and, failed, mapped to the single-op
   exception taxonomy here and nowhere else, the scheduler's flights
@@ -27,8 +28,6 @@ Stack, assembled once by ``SharoesFilesystem.__init__``::
 
     filesystem -> BlobIO (its RequestScheduler queues) -> ResilientTransport
                -> TracedServer -> wire / SSP
-
-Only ``exists`` probes are (still) uncounted.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from typing import Iterable, Sequence
 from ..errors import (BlobNotFound, PartialWriteError, StaleEpochError,
                       StorageError, TransientPartialWriteError,
                       TransientStorageError)
-from ..storage.blobs import BlobId
+from ..storage.blobs import BlobId, in_tail
 from ..storage.server import BatchOp, BatchReply, execute
 from ..storage.wire import MAX_BATCH_OPS, payload_bytes
 from . import journal
@@ -250,34 +249,27 @@ class BlobIO:
     # -- read-your-writes overlay ---------------------------------------------
 
     def _staged(self, blob_id: BlobId,
-                probe: str) -> tuple[bool, "bytes | bool | None"]:
-        """(covered, state) from the journal batch, then the queue.
+                speculative: bool = False) -> tuple[bool, "bytes | None"]:
+        """(covered, payload or None if deleted) from the journal batch,
+        then the queue.
 
         Staged state is newer than both the SSP copy and any raw slot;
         serving it locally is what keeps a mutation ordered before its
-        dependent reads.  ``probe`` picks the question: ``"read"``
-        (state = payload, None if deleted), ``"exists"`` (state = bool)
-        or ``"covers"`` (speculation: no overlay-read counter bump).
+        dependent reads.  ``speculative`` asks only whether it is
+        covered, without an overlay-read counter bump.
         """
         if self.batch is not None:
-            if probe == "exists":
-                known = self.batch.exists(blob_id)
-                hit = (known is not None, known)
-            else:
-                hit = self.batch.read(blob_id)
+            hit = self.batch.read(blob_id)
             if hit[0]:
                 return hit
         if self.scheduler is None:
             return False, None
-        if probe == "read":
-            return self.scheduler.staged_read(blob_id)
-        if probe == "exists":
-            known = self.scheduler.staged_exists(blob_id)
-            return known is not None, known
-        return self.scheduler.covers(blob_id), None
+        if speculative:
+            return self.scheduler.covers(blob_id), None
+        return self.scheduler.staged_read(blob_id)
 
     def get(self, blob_id: BlobId) -> bytes:
-        covered, payload = self._staged(blob_id, "read")
+        covered, payload = self._staged(blob_id)
         if covered:
             if payload is None:
                 raise BlobNotFound(str(blob_id))
@@ -304,11 +296,6 @@ class BlobIO:
             self.charge(down=len(payload))
             return payload
 
-    def exists(self, blob_id: BlobId) -> bool:
-        """Existence probe, consistent with the staged state."""
-        covered, known = self._staged(blob_id, "exists")
-        return known if covered else self.server.exists(blob_id)
-
     # -- mutations -----------------------------------------------------------
 
     def flush(self) -> int:
@@ -317,7 +304,8 @@ class BlobIO:
 
     def send(self, blobs: Sequence[tuple[BlobId, "bytes | None"]], *,
              grouped: bool) -> None:
-        """Upload (payload) or delete (``None``) blobs.
+        """Upload (payload), delete (``None``) or delete the block tail
+        from (:data:`journal.TAIL`) blobs.
 
         ``grouped`` sends are one request: the paper's Figure 8 prices a
         create as one "metadata send" and one "parent-dir send" however
@@ -333,10 +321,14 @@ class BlobIO:
             for blob in blobs:
                 self.send((blob,), grouped=False)
             return
-        deleting = blobs[0][1] is None
+        deleting = not isinstance(blobs[0][1], bytes)
         if self.cache is not None:
-            for blob_id, _ in blobs:
-                self.cache.invalidate(("raw", blob_id))
+            for blob_id, payload in blobs:
+                if payload is journal.TAIL:
+                    self.cache.invalidate_prefix(
+                        ("raw",), where=lambda key: in_tail(blob_id, key[1]))
+                else:
+                    self.cache.invalidate(("raw", blob_id))
         if self.batch is not None:
             self.batch.stage(blobs)
             return
@@ -348,16 +340,7 @@ class BlobIO:
             # group larger than the window would *lose* by staging (its
             # single OP_BATCH frame costs one RTT; waves cost several),
             # so it flushes the queue and ships the classic way.
-            if not grouped:
-                blob_id, payload = blobs[0]
-                if deleting:
-                    scheduler.stage_delete(blob_id)
-                else:
-                    scheduler.stage_put(blob_id, payload)
-            elif deleting:
-                scheduler.stage_delete_many([bid for bid, _ in blobs])
-            else:
-                scheduler.stage_put_many(blobs)
+            scheduler.stage_put_many(blobs)
             return
         ops = journal.write_ops(blobs)
         if not (grouped and self.batching):
@@ -376,7 +359,7 @@ class BlobIO:
         for index, reply in enumerate(replies):
             if reply.status == "ok":
                 continue
-            if blobs[index][1] is None:
+            if not isinstance(blobs[index][1], bytes):
                 # Deletes never wrapped errors in PartialWriteError;
                 # re-raise each sub-op failure as the single-op
                 # exception (fenced -> StaleEpochError, and so on).
@@ -385,8 +368,7 @@ class BlobIO:
             self._raise_put_failure(blobs, index, reply)
 
     def _send_one(self, op: BatchOp) -> None:
-        with self.frame("delete" if op.payload is None else "put",
-                        kind=op.blob_id.kind):
+        with self.frame(op.kind, kind=op.blob_id.kind):
             self.charge(up=op.sent_bytes())
             op.call(self.server)
 
@@ -426,7 +408,7 @@ class BlobIO:
         """
         wanted = [blob_id for blob_id in blob_ids
                   if self.cache.get(("raw", blob_id)) is None
-                  and not self._staged(blob_id, "covers")[0]]
+                  and not self._staged(blob_id, speculative=True)[0]]
         if len(wanted) < 2:
             return []  # nothing to amortize: the demand path pays 1 RTT
         return wanted[:_MAX_PREFETCH]

@@ -137,8 +137,9 @@ class LruCache:
         if entry is not None:
             self._forget(key, entry[1])
 
-    def invalidate_prefix(self, prefix: tuple) -> None:
-        """Drop every entry whose (tuple) key starts with ``prefix``."""
+    def invalidate_prefix(self, prefix: tuple, where=None) -> None:
+        """Drop every entry whose (tuple) key starts with ``prefix`` (and,
+        given ``where``, for which ``where(key)`` holds)."""
         if not prefix:
             groups = [self._entries]
         elif len(prefix) == 1:
@@ -146,7 +147,8 @@ class LruCache:
         else:
             groups = [self._index.get(prefix[0], {}).get(prefix[1], ())]
         victims = [k for group in groups for k in group
-                   if isinstance(k, tuple) and k[:len(prefix)] == prefix]
+                   if isinstance(k, tuple) and k[:len(prefix)] == prefix
+                   and (where is None or where(k))]
         for key in victims:
             self.invalidate(key)
 

@@ -668,6 +668,7 @@ class SharoesFilesystem:
         record = ObjectRecord.create(attrs, scheme.selectors(attrs),
                                      self.volume.signature_prime_bits)
         self._write_metadata_replicas(record)
+        self.mdcache.remember_count(inode, 0)  # a new object holds no block
         if ftype == DIRECTORY:
             write_empty_tables(self, record)
         # Write-through: the creator will almost always touch the new
@@ -713,15 +714,15 @@ class SharoesFilesystem:
     def _delete_object_blobs(self, attrs: MetadataAttrs) -> None:
         self.mutation.touch(attrs.inode)
         scheme = self.volume.scheme
-        victims = layout.replica_ids(scheme, attrs)
+        victims = [(blob_id, None)
+                   for blob_id in layout.replica_ids(scheme, attrs)]
         if attrs.ftype != DIRECTORY:
-            victims += filedata.tail_blocks(self, attrs.inode, 0,
-                                            max(attrs.block_count, 1))
+            victims += filedata.tail_blocks(attrs.inode, 0,
+                                            attrs.block_count)
         if attrs.acl or scheme.supports_splits():
-            for user_id in scheme.lockbox_map(attrs):
-                victims.append(lockbox_blob(attrs.inode, user_id))
-        self.blobs.send([(victim, None) for victim in victims],
-                        grouped=True)
+            victims += [(lockbox_blob(attrs.inode, user_id), None)
+                        for user_id in scheme.lockbox_map(attrs)]
+        self.blobs.send(victims, grouped=True)
         self._invalidate(attrs.inode)
         self.freshness.forget(attrs.inode)
         self.mutation.deleted(attrs.inode)

@@ -17,6 +17,7 @@ from ..caps.record import ObjectRecord
 from ..errors import (BlobNotFound, FilesystemError, IntegrityError,
                       IsADirectory, PermissionDenied)
 from . import layout
+from .journal import TAIL
 from .mutation import mutating
 from .permissions import DIRECTORY, FILE
 
@@ -73,6 +74,10 @@ class OpenFile:
     _log: list = field(default_factory=list)
     _dirty: bool = False
     _closed: bool = False
+    #: the stored content was discarded unread ("w") and this client did
+    #: not last see the file empty, so ``_stored_count`` is a guess:
+    #: close deletes the block tail whatever it sends.
+    _blind: bool = False
 
     def __post_init__(self) -> None:
         self.readable = "r" in self.mode
@@ -93,6 +98,7 @@ class OpenFile:
         """Discard the stored content unread ("w": close replaces it)."""
         self._stored_count = 0
         self._dirty = True
+        self._blind = self.fs.mdcache.block_count(self.node.inode) != 0
 
     def _rebase(self) -> None:
         """Drop the block map and replay the edits over blocks loaded
@@ -390,18 +396,15 @@ def load_blocks(fs, node, wanted, count: int | None = None,
     return count, blocks
 
 
-def tail_blocks(fs, inode: int, first: int, known_end: int) -> list:
-    """The one block-tail sweep: the ids of ``inode``'s blocks from
-    ``first`` on -- through ``known_end``, then for as long as the SSP
-    holds the next one (a stored count may be stale: a close does not
-    rewrite metadata)."""
-    victims = []
-    index = first
-    while index < known_end or fs.blobs.exists(
-            layout.block_blob_id(inode, index)):
-        victims.append(layout.block_blob_id(inode, index))
-        index += 1
-    return victims
+def tail_blocks(inode: int, first: int, known_end: int) -> list:
+    """The one block-tail sweep, as staged blobs that delete ``inode``'s
+    blocks from ``first`` on: each below ``known_end``, then one
+    :data:`~repro.fs.journal.TAIL` for the run the SSP holds from there
+    (a stored count may be stale: a close does not rewrite metadata)."""
+    end = max(first, known_end)
+    return ([(layout.block_blob_id(inode, index), None)
+             for index in range(first, end)]
+            + [(layout.block_blob_id(inode, end), TAIL)])
 
 
 @mutating("writeback")
@@ -413,7 +416,9 @@ def flush_file(fs, handle: OpenFile) -> None:
     point of the paper's per-block encryption -- and of those, not
     one that ends with the bytes it was loaded with.  Block 0 carries
     the total block count, so appends rewrite block 0 plus the new
-    blocks, while an in-place change touches exactly one block.
+    blocks, while an in-place change touches exactly one block.  The
+    blocks a shrink leaves past the end go in the same frame
+    (:func:`tail_blocks`).
 
     Leased, a handle whose lease this writeback takes over a chain
     another writer moved re-bases first: the blocks it loaded before
@@ -459,11 +464,15 @@ def flush_file(fs, handle: OpenFile) -> None:
                 continue
             outgoing.append(layout.seal_block(
                 fs.provider, dek, dsk, node.inode, index, payload))
+    old_end = max(old_count, node.attrs.block_count)
+    # A close that shrinks the file, or never read its stored end,
+    # deletes the blocks past the new end, in the frame of the puts,
+    # after them.  One that grows or rewrites in place over the end it
+    # read has none of its own there.
+    if handle._blind or new_count < old_end:
+        outgoing += tail_blocks(node.inode, new_count, old_end)
     fs.blobs.send(outgoing, grouped=True)
     fs.mdcache.remember_count(node.inode, new_count)
-    old_end = max(old_count, node.attrs.block_count)
-    fs.blobs.send([(victim, None) for victim in tail_blocks(
-        fs, node.inode, new_count, old_end)], grouped=True)
     for index in range(new_count, old_end + 1):
         fs.mdcache.drop_block(node.inode, index)
     # Per the paper's Figure 8, close costs exactly "1-dataencrypt,

@@ -56,10 +56,27 @@ from ..crypto import hashes
 from ..crypto.provider import CryptoProvider
 from ..errors import CryptoError, IntegrityError
 from ..serialize import Reader, SerializationError, Writer
-from ..storage.blobs import (LEASE, BlobId, journal_blob, lease_blob,
-                             principal_hash)
+from ..storage.blobs import (LEASE, BlobId, in_tail, journal_blob,
+                             lease_blob, principal_hash)
 from ..storage.server import BatchOp
 from .sealed import bind_context
+
+
+class _Tail:
+    """The type of :data:`TAIL`."""
+
+    def __repr__(self) -> str:
+        return "TAIL"
+
+
+#: A staged blob's payload slot that deletes a *run*: the file block its
+#: id names and each next block of that inode the SSP holds -- one
+#: ``delete_tail`` sub-op (``None`` deletes one blob, bytes put one).
+TAIL = _Tail()
+
+#: How encode_records marks each blob's action (0/1 encode as the
+#: booleans the format used before tails, byte for byte).
+_DELETE, _PUT, _DELETE_TAIL = 0, 1, 2
 
 
 def journal_key(user) -> bytes:
@@ -84,7 +101,8 @@ class IntentRecord:
     """One journaled mutation: op name, sequence number, staged blobs.
 
     ``blobs`` is the op's wire calls in order: each :class:`BlobId` with
-    its sealed payload (a put) or ``None`` (a delete).  Payloads are
+    its sealed payload (a put), ``None`` (a delete) or :data:`TAIL` (a
+    tail delete).  Payloads are
     stored exactly as they hit the wire -- already encrypted and signed
     under object keys -- so replay needs no cryptography beyond opening
     the journal itself.
@@ -111,7 +129,7 @@ class IntentRecord:
 
 def encode_records(records: list[IntentRecord]) -> bytes:
     """The records without their payloads: seq, op, fences and, per
-    blob, its id and its payload's length (none for a delete)."""
+    blob, its id, its action and its payload's length (puts only)."""
     writer = Writer()
     writer.put_int(len(records))
     for record in records:
@@ -122,9 +140,10 @@ def encode_records(records: list[IntentRecord]) -> bytes:
             writer.put_str(blob_id.kind)
             writer.put_int(blob_id.inode)
             writer.put_str(blob_id.selector)
-            writer.put_bool(payload is not None)
-            if payload is not None:
-                writer.put_int(len(payload))
+            if isinstance(payload, bytes):
+                writer.put_int(_PUT).put_int(len(payload))
+            else:
+                writer.put_int(_DELETE if payload is None else _DELETE_TAIL)
         writer.put_int(len(record.fences))
         for inode, epoch in record.fences:
             writer.put_int(inode)
@@ -145,12 +164,15 @@ def decode_records(raw: bytes, payloads: bytes) -> list[IntentRecord]:
         for _ in range(reader.get_int()):
             blob_id = BlobId(kind=reader.get_str(), inode=reader.get_int(),
                              selector=reader.get_str())
-            payload = None
-            if reader.get_bool():
+            action = reader.get_int()
+            payload = {_DELETE: None, _DELETE_TAIL: TAIL}.get(action)
+            if action == _PUT:
                 end = offset + reader.get_int()
                 if end > len(payloads):
                     raise SerializationError("payload section too short")
                 payload, offset = payloads[offset:end], end
+            elif payload is None and action != _DELETE:
+                raise SerializationError(f"unknown blob action {action}")
             blobs.append((blob_id, payload))
         fences = tuple((reader.get_int(), reader.get_int())
                        for _ in range(reader.get_int()))
@@ -177,7 +199,7 @@ def seal_journal(provider: CryptoProvider, user,
     """
     payloads = b"".join(payload for record in records
                         for _, payload in record.blobs
-                        if payload is not None)
+                        if isinstance(payload, bytes))
     sealed = provider.sym_encrypt(
         journal_key(user),
         journal_context(holder or user.user_id) + encode_records(records),
@@ -217,19 +239,27 @@ class MutationBatch:
     instead of sending it, in order.  Reads during the
     op consult the overlay first, so an op that re-reads a blob it just
     wrote (e.g. ``symlink`` resolving its fresh entry with caching
-    disabled) observes its own staged state.
+    disabled) observes its own staged state.  A staged :data:`TAIL`
+    covers every block of its inode at or past its own, as deleted,
+    until a later put of one of them.
     """
 
     def __init__(self, op: str):
         self.op = op
-        self.blobs: list[tuple[BlobId, bytes | None]] = []
+        self.blobs: list[tuple[BlobId, "bytes | None"]] = []
         self._writes: dict[BlobId, bytes] = {}
         self._deletes: set[BlobId] = set()
+        self._tails: list[BlobId] = []
 
-    def stage(self, blobs: list[tuple[BlobId, bytes | None]]) -> None:
+    def stage(self, blobs: list[tuple[BlobId, "bytes | None"]]) -> None:
         self.blobs.extend(blobs)
         for blob_id, payload in blobs:
-            if payload is None:
+            if payload is TAIL:
+                self._tails.append(blob_id)
+                for covered in [b for b in self._writes
+                                if in_tail(blob_id, b)]:
+                    del self._writes[covered]
+            elif payload is None:
                 self._writes.pop(blob_id, None)
                 self._deletes.add(blob_id)
             else:
@@ -238,17 +268,15 @@ class MutationBatch:
 
     def read(self, blob_id: BlobId) -> tuple[bool, bytes | None]:
         """Overlay lookup: (covered?, payload-or-None-if-deleted)."""
-        if blob_id in self._writes:
-            return True, self._writes[blob_id]
-        if blob_id in self._deletes:
-            return True, None
-        return False, None
+        known = self.exists(blob_id)
+        return known is not None, self._writes.get(blob_id)
 
     def exists(self, blob_id: BlobId) -> bool | None:
         """Overlay existence: True/False if covered, None to fall through."""
         if blob_id in self._writes:
             return True
-        if blob_id in self._deletes:
+        if blob_id in self._deletes or self._tails and any(
+                in_tail(tail, blob_id) for tail in self._tails):
             return False
         return None
 
@@ -260,24 +288,27 @@ class MutationBatch:
 
 def write_ops(blobs, fences: "dict[int, int] | None" = None,
               ref: BlobId | None = None) -> list[BatchOp]:
-    """The sub-ops that upload (payload) or delete (``None``) ``blobs``,
-    in order, each fenced on its inode's lease at that inode's epoch in
-    ``fences``; a put whose payload an earlier put of ``ref`` in the
-    same frame carries may go as a reference to it
-    (``wire.payload_refs``)."""
+    """The sub-ops that upload (payload), delete (``None``) or delete
+    the tail from (:data:`TAIL`) ``blobs``, in order, each fenced on its
+    inode's lease at that inode's epoch in ``fences``; a put whose
+    payload an earlier put of ``ref`` in the same frame carries may go
+    as a reference to it (``wire.payload_refs``)."""
     epoch_of = (fences or {}).get
     ops = []
     for blob_id, payload in blobs:
         epoch = epoch_of(blob_id.inode)
-        if epoch is None:
-            ops.append(BatchOp.delete(blob_id) if payload is None
-                       else BatchOp.put(blob_id, payload, ref))
-            continue
         fence = lease_blob(blob_id.inode)
-        ops.append(BatchOp.delete_fenced(blob_id, fence, epoch)
-                   if payload is None
-                   else BatchOp.put_fenced(blob_id, payload, fence, epoch,
-                                           ref))
+        if payload is None:
+            ops.append(BatchOp.delete(blob_id) if epoch is None
+                       else BatchOp.delete_fenced(blob_id, fence, epoch))
+        elif payload is TAIL:
+            ops.append(BatchOp.delete_tail(blob_id) if epoch is None
+                       else BatchOp.delete_tail_fenced(blob_id, fence,
+                                                       epoch))
+        else:
+            ops.append(BatchOp.put(blob_id, payload, ref) if epoch is None
+                       else BatchOp.put_fenced(blob_id, payload, fence,
+                                               epoch, ref))
     return ops
 
 

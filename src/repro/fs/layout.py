@@ -41,7 +41,8 @@ from typing import Iterator
 
 from ..caps.model import VIEW_FULL, VIEW_NONE
 from ..errors import IntegrityError
-from ..storage.blobs import DATA, META, BlobId, data_blob, meta_blob
+from ..storage.blobs import (DATA, META, BlobId, block_blob, data_blob,
+                             meta_blob)
 from .dirtable import TableView
 from .permissions import DIRECTORY
 from .sealed import bind_context, open_verified, seal_and_sign
@@ -70,7 +71,7 @@ def table_base_id(inode: int, selector: str, gen: int) -> BlobId:
 
 def block_blob_id(inode: int, index: int) -> BlobId:
     """Blob id of one file data block."""
-    return data_blob(inode, f"b{index}")
+    return block_blob(inode, index)
 
 
 # -- file data blocks -------------------------------------------------------------

@@ -10,10 +10,11 @@ the honest math).
 
 :class:`RequestScheduler` brings that window to the simulated client:
 
-* **write-behind staging** -- independent mutations (plain puts and
-  deletes; never fenced, CAS, journal or lease traffic) queue up to
-  ``window`` sub-ops and ship together as one *wave*, charged
-  ``ceil(N / window)`` RTTs plus full serialized transfer.  A
+* **write-behind staging** -- independent mutations (plain puts,
+  deletes and tail deletes; never fenced, CAS, journal or lease
+  traffic) queue up to ``window`` sub-ops and ship together as one
+  *wave*, charged ``ceil(N / window)`` RTTs plus full serialized
+  transfer.  A
   read-your-writes **overlay** answers reads of staged blobs locally,
   so ordering is preserved: a mutation is never reordered past a read
   that depends on it, and queue order is FIFO per blob and per inode.
@@ -55,8 +56,9 @@ from itertools import takewhile
 from typing import Callable, Iterable, Sequence
 
 from ..errors import StorageError
-from ..storage.blobs import BlobId
+from ..storage.blobs import BlobId, in_tail
 from ..storage.server import BatchOp, BatchReply
+from . import journal
 
 
 class RequestScheduler:
@@ -92,9 +94,12 @@ class RequestScheduler:
         #: staged mutations in arrival order (put/delete sub-ops only).
         self._staged: list[BatchOp] = []
         #: read-your-writes overlay: blob id -> newest staged payload
-        #: (None = staged delete).  Covers exactly the blobs in the
-        #: queue; cleared when the queue drains.
+        #: (None = staged delete), and the staged tail deletes, each
+        #: covering its inode's blocks at or past it (as deleted) but
+        #: those put after it.  Covers exactly the blobs in the queue;
+        #: cleared when the queue drains.
         self._overlay: dict[BlobId, bytes | None] = {}
+        self._tails: list[BlobId] = []
         #: bumped by the owning client's invalidations; a fetch flight
         #: that observes a bump mid-flight is stale and drops its
         #: results instead of serving them into any cache.
@@ -148,23 +153,25 @@ class RequestScheduler:
         delete.  Serving it locally is what keeps mutations ordered
         before their dependent reads without forcing a flush.
         """
-        if blob_id not in self._overlay:
+        if self.staged_exists(blob_id) is None:
             return False, None
         self.overlay_reads += 1
-        return True, self._overlay[blob_id]
+        return True, self._overlay.get(blob_id)
 
     def staged_exists(self, blob_id: BlobId) -> bool | None:
         """Tri-state existence: True/False if staged state decides it."""
-        if blob_id not in self._overlay:
-            return None
-        self.overlay_reads += 1
-        return self._overlay[blob_id] is not None
+        if blob_id in self._overlay:
+            return self._overlay[blob_id] is not None
+        if self._tails and any(in_tail(tail, blob_id)
+                               for tail in self._tails):
+            return False
+        return None
 
     def covers(self, blob_id: BlobId) -> bool:
         """Queue holds staged state for this blob (no counter bump) --
         used by speculative paths to skip ids whose server copy would
         be stale the moment the queue flushes."""
-        return blob_id in self._overlay
+        return self.staged_exists(blob_id) is not None
 
     def note_invalidation(self) -> None:
         """The client invalidated cached state (lease takeover, fresh
@@ -180,7 +187,8 @@ class RequestScheduler:
     def stage_put_many(
             self, blobs: Sequence[tuple[BlobId, "bytes | None"]]) -> None:
         """Queue uploads (a ``None`` payload in the group: that blob's
-        delete); auto-flush once the window fills.
+        delete; :data:`journal.TAIL`: its tail delete); auto-flush once
+        the window fills.
 
         The whole group is staged before the flush check so its sub-ops
         stay contiguous in queue order (a flush may still split a group
@@ -189,10 +197,15 @@ class RequestScheduler:
         """
         if not self.write_behind:
             raise StorageError("scheduler write-behind is disabled")
+        self._staged += journal.write_ops(blobs)
         for blob_id, payload in blobs:
-            self._staged.append(BatchOp.delete(blob_id) if payload is None
-                                else BatchOp.put(blob_id, payload))
-            self._overlay[blob_id] = payload
+            if payload is journal.TAIL:
+                self._tails.append(blob_id)
+                for covered in [b for b in self._overlay
+                                if in_tail(blob_id, b)]:
+                    del self._overlay[covered]
+            else:
+                self._overlay[blob_id] = payload
             self.staged_ops += 1
         self.max_queue = max(self.max_queue, len(self._staged))
         self._maybe_autoflush()
@@ -228,7 +241,7 @@ class RequestScheduler:
         reported through ``on_drop`` before the error surfaces.
         """
         ops, self._staged = self._staged, []
-        self._overlay = {}
+        self._overlay, self._tails = {}, []
         if not ops:
             return 0
         self.flushes += 1

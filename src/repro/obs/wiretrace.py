@@ -241,7 +241,8 @@ class TracedServer(ServerWrapper):
 
     def _sub_costs(self, op, reply) -> tuple[float, float]:
         prof = self.profile
-        guarded = op.kind in ("put_if", "put_fenced", "delete_fenced")
+        guarded = op.kind in ("put_if", "put_fenced", "delete_fenced",
+                              "delete_tail_fenced")
         verify_s = prof.verify_fixed_s if guarded else 0.0
         if reply.status == "ok":
             if op.kind == "get":

@@ -6,7 +6,8 @@ either hash of user/group ID (for Scheme-1) or CAP ID (Scheme-2)"
 (section IV).  This module defines that index space:
 
 * ``meta/<inode>/<selector>``  -- encrypted metadata replicas
-* ``data/<inode>/<selector>``  -- encrypted data blocks / directory tables
+* ``data/<inode>/<selector>``  -- encrypted data blocks (selector
+  ``b<index>``, :func:`block_blob`) / directory tables
 * ``super/<user-hash>``        -- per-user encrypted superblocks
 * ``groupkey/<group>/<user-hash>`` -- group keys wrapped per member
 * ``lockbox/<inode>/<user-hash>``  -- Scheme-2 split-point lockboxes
@@ -66,6 +67,29 @@ def meta_blob(inode: int, selector: str = SHARED) -> BlobId:
 
 def data_blob(inode: int, selector: str = SHARED) -> BlobId:
     return BlobId(DATA, inode, selector)
+
+
+def block_blob(inode: int, index: int) -> BlobId:
+    """Blob id of block ``index`` of a file's data."""
+    return BlobId(DATA, inode, f"b{index}")
+
+
+def block_index(blob_id: BlobId) -> int | None:
+    """The index a :func:`block_blob` id names (None: not a block id)."""
+    digits = blob_id.selector[1:]
+    if (blob_id.kind != DATA or blob_id.selector[:1] != "b"
+            or not (digits.isascii() and digits.isdigit())
+            or str(int(digits)) != digits):
+        return None
+    return int(digits)
+
+
+def in_tail(tail: BlobId, blob_id: BlobId) -> bool:
+    """Does a ``delete_tail`` from block ``tail`` cover ``blob_id``: a
+    block of the same inode at or past it?"""
+    index = block_index(blob_id)
+    return (index is not None and blob_id.inode == tail.inode
+            and index >= block_index(tail))
 
 
 def superblock_blob(user_id: str) -> BlobId:

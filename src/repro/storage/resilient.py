@@ -41,10 +41,10 @@ from ..errors import (CircuitOpenError, ClientCrashed, StorageError,
 from ..fs.cache import LruCache
 from ..sim.clock import SimClock
 from ..sim.costmodel import NETWORK, CostModel
-from .blobs import BlobId
-from .server import (MUTATION_KINDS, BatchOp, BatchReply, OpMethods,
-                     StorageServer, apply_batch, failure_reply, ok_reply,
-                     reply_value)
+from .blobs import DATA, BlobId, in_tail
+from .server import (DELETE_KINDS, MUTATION_KINDS, TAIL_KINDS, BatchOp,
+                     BatchReply, OpMethods, StorageServer, apply_batch,
+                     failure_reply, ok_reply, reply_value)
 
 
 class ServerWrapper(OpMethods):
@@ -54,7 +54,7 @@ class ServerWrapper(OpMethods):
     faults`, a wrapper composes with *any* backend -- in-memory, disk,
     remote proxy, or another wrapper -- without owning blob state.
 
-    A decorator implements its rule once, in ``_forward(op)``; the seven
+    A decorator implements its rule once, in ``_forward(op)``; the nine
     named methods (:class:`~repro.storage.server.OpMethods`) and every
     sub-op of a batch arrive there.
     """
@@ -87,8 +87,9 @@ class ServerWrapper(OpMethods):
 class MutationTrigger(ServerWrapper):
     """Runs the action registered for the k-th SSP mutation.
 
-    Counts *mutations* (``MUTATION_KINDS``: puts, deletes, their CAS and
-    fenced forms, each sub-op of a batch on its own) -- reads never
+    Counts *mutations* (``MUTATION_KINDS``: puts, deletes, tail deletes,
+    their CAS and fenced forms, each sub-op of a batch on its own, a
+    tail delete once however many blocks it removes) -- reads never
     change SSP state, so a point between two reads is the same point as
     the next mutation.  ``actions`` maps k to a callable that runs once,
     just before the k-th mutation reaches the backend.  The sweeps
@@ -151,7 +152,8 @@ class FlakyServer(ServerWrapper):
     #: CAS and fenced forms fail at the rate of the plain op they guard.
     _RATE_OF = {"put": "put", "put_if": "put", "put_fenced": "put",
                 "get": "get", "exists": "exists",
-                "delete": "delete", "delete_fenced": "delete"}
+                "delete": "delete", "delete_fenced": "delete",
+                "delete_tail": "delete", "delete_tail_fenced": "delete"}
 
     def __init__(self, inner: StorageServer,
                  failure_rate: float | dict[str, float] = 0.1,
@@ -450,11 +452,11 @@ class ResilientTransport(ServerWrapper):
         """
         policy = self.policy
         for op in ops:
-            if op.kind in ("delete", "delete_fenced"):
+            if op.kind in DELETE_KINDS:
                 # Invalidate before the first attempt: even when every
                 # try fails, a blob this client asked to delete is never
                 # served back from the fallback cache.
-                self._forget(op.blob_id)
+                self._forget(op)
         if not self._breaker_allows():
             self.breaker_rejections += 1
             raise CircuitOpenError(
@@ -550,16 +552,30 @@ class ResilientTransport(ServerWrapper):
 
     # -- the fallback cache -------------------------------------------------
 
-    def _forget(self, blob_id: BlobId) -> None:
-        self._fallback.invalidate(blob_id)
-        self.stale_blob_ids.discard(blob_id)
+    @staticmethod
+    def _slot(blob_id: BlobId) -> tuple:
+        """A blob's fallback key, filed under its kind and inode (so a
+        tail delete visits only its inode's copies)."""
+        return blob_id.kind, blob_id.inode, blob_id
+
+    def _forget(self, op: BatchOp) -> None:
+        """Drop the fallback copies of what ``op`` deletes."""
+        if op.kind not in TAIL_KINDS:
+            self._fallback.invalidate(self._slot(op.blob_id))
+            self.stale_blob_ids.discard(op.blob_id)
+            return
+        self._fallback.invalidate_prefix(
+            (DATA, op.blob_id.inode),
+            where=lambda key: in_tail(op.blob_id, key[2]))
+        self.stale_blob_ids -= {blob_id for blob_id in self.stale_blob_ids
+                                if in_tail(op.blob_id, blob_id)}
 
     def _serve_stale(self, op: BatchOp):
         """The last-known-good copy for a read that could not be served
         (None: not a read, or nothing cached)."""
         if op.kind != "get" or not self.policy.cache_fallback:
             return None
-        payload = self._fallback.get(op.blob_id)
+        payload = self._fallback.get(self._slot(op.blob_id))
         if payload is None:
             return None
         self.degraded_reads += 1
@@ -574,15 +590,17 @@ class ResilientTransport(ServerWrapper):
             # Write-through: this client's own upload is the freshest
             # possible fallback copy.
             payload = op.payload or b""
-            self._fallback.put(op.blob_id, bytes(payload), len(payload))
+            self._fallback.put(self._slot(op.blob_id), bytes(payload),
+                               len(payload))
         elif op.kind == "get":
             # A genuinely fresh fetch: refresh the fallback copy and
             # clear any stale mark from an earlier degraded serve.
             payload = reply.payload or b""
-            self._fallback.put(op.blob_id, payload, len(payload))
+            self._fallback.put(self._slot(op.blob_id), payload,
+                               len(payload))
             self.stale_blob_ids.discard(op.blob_id)
-        elif op.kind in ("delete", "delete_fenced"):
-            self._forget(op.blob_id)
+        elif op.kind in DELETE_KINDS:
+            self._forget(op)
 
     # -- the StorageServer interface ----------------------------------------
 

@@ -4,7 +4,9 @@ Per the paper (section IV): "There is no computation involved on the data
 at the SSP and it simply maintains a large hashtable for encrypted metadata
 objects and encrypted data blocks."  The server therefore exposes nothing
 but put/get/delete/list on opaque byte strings keyed by
-:class:`~repro.storage.blobs.BlobId`.
+:class:`~repro.storage.blobs.BlobId`, plus one ranged delete: the run of
+a file's blocks from one on (``delete_tail``), which it finds by id
+alone.
 
 The server is *untrusted*: it stores whatever bytes arrive and returns
 them verbatim.  Confidentiality and integrity live entirely in the client
@@ -21,7 +23,7 @@ from typing import Iterator, Sequence
 from ..errors import (BlobNotFound, CasConflictError, StaleEpochError,
                       StorageError, TransientStorageError)
 from .accounting import ServerStats
-from .blobs import BlobId
+from .blobs import BlobId, block_blob, block_index
 
 #: Width of the plaintext big-endian epoch prefix on fence (lease) blobs.
 EPOCH_PREFIX_BYTES = 8
@@ -43,12 +45,20 @@ def fence_epoch(raw: bytes | None) -> int:
 
 #: Sub-operation kinds a batch frame may carry (no nested batches).
 BATCH_KINDS = ("put", "get", "delete", "exists", "put_if",
-               "put_fenced", "delete_fenced")
+               "put_fenced", "delete_fenced", "delete_tail",
+               "delete_tail_fenced")
 
 #: The kinds that change SSP state.  Crash, pause and mid-run rebalance
 #: injectors all count exactly this set, so their sweeps share one k.
 MUTATION_KINDS = frozenset(
-    {"put", "delete", "put_if", "put_fenced", "delete_fenced"})
+    {"put", "delete", "put_if", "put_fenced", "delete_fenced",
+     "delete_tail", "delete_tail_fenced"})
+
+#: The kinds that delete what they name (a tail: and the run after it).
+DELETE_KINDS = frozenset(
+    {"delete", "delete_fenced", "delete_tail", "delete_tail_fenced"})
+#: The kinds that delete a run of blocks (:meth:`StorageServer.delete_tail`).
+TAIL_KINDS = frozenset({"delete_tail", "delete_tail_fenced"})
 
 #: Sub-reply statuses.  ``unattempted`` marks the tail after the batch
 #: stopped at a failed or fenced sub-op -- those ops never reached the
@@ -112,6 +122,15 @@ class BatchOp:
                       fence: BlobId, epoch: int) -> "BatchOp":
         return cls("delete_fenced", blob_id, fence=fence, epoch=epoch)
 
+    @classmethod
+    def delete_tail(cls, blob_id: BlobId) -> "BatchOp":
+        return cls("delete_tail", blob_id)
+
+    @classmethod
+    def delete_tail_fenced(cls, blob_id: BlobId,
+                           fence: BlobId, epoch: int) -> "BatchOp":
+        return cls("delete_tail_fenced", blob_id, fence=fence, epoch=epoch)
+
     def sent_bytes(self) -> int:
         """Uplink payload bytes this sub-op carries inline (for cost
         parity; ``wire.payload_bytes`` prices a frame's references)."""
@@ -143,6 +162,11 @@ class BatchOp:
         if kind == "delete_fenced":
             return server.delete_fenced(self.blob_id, self.fence,
                                         self.epoch or 0)
+        if kind == "delete_tail":
+            return server.delete_tail(self.blob_id)
+        if kind == "delete_tail_fenced":
+            return server.delete_tail_fenced(self.blob_id, self.fence,
+                                             self.epoch or 0)
         raise StorageError(f"unknown batch sub-op kind {kind!r}")
 
 
@@ -253,8 +277,17 @@ def apply_batch(server: "StorageServer",
     return replies
 
 
+def tail_start(blob_id: BlobId) -> int:
+    """The block index a ``delete_tail`` starts at; any other id is a
+    malformed request."""
+    index = block_index(blob_id)
+    if index is None:
+        raise StorageError(f"delete_tail of {blob_id}: not a block id")
+    return index
+
+
 class OpMethods:
-    """The seven named storage methods, written once.
+    """The nine named storage methods, written once.
 
     Each builds the :class:`BatchOp` for its arguments and hands it to
     ``self._forward(op)``, which returns what the named method returns
@@ -288,6 +321,14 @@ class OpMethods:
     def delete_fenced(self, blob_id: BlobId,
                       fence: BlobId, epoch: int) -> None:
         return self._forward(BatchOp.delete_fenced(blob_id, fence, epoch))
+
+    def delete_tail(self, blob_id: BlobId) -> None:
+        return self._forward(BatchOp.delete_tail(blob_id))
+
+    def delete_tail_fenced(self, blob_id: BlobId,
+                           fence: BlobId, epoch: int) -> None:
+        return self._forward(
+            BatchOp.delete_tail_fenced(blob_id, fence, epoch))
 
 
 class StorageServer:
@@ -373,6 +414,27 @@ class StorageServer:
         """Fenced counterpart of :meth:`delete` (idempotent on absence)."""
         self._check_fence(fence, epoch)
         self.delete(blob_id)
+
+    def delete_tail(self, blob_id: BlobId) -> None:
+        """Delete the file block ``blob_id`` names and each next block
+        of its inode, for as long as one is stored (a file's blocks are
+        a contiguous run, so this is its tail from there on).
+
+        The id alone says which blobs those are: the store learns
+        nothing it could not read off the ids it already holds.
+        """
+        index = tail_start(blob_id)
+        while self._peek(block_blob(blob_id.inode, index)) is not None:
+            self.delete(block_blob(blob_id.inode, index))
+            index += 1
+
+    def delete_tail_fenced(self, blob_id: BlobId,
+                           fence: BlobId, epoch: int) -> None:
+        """Fenced :meth:`delete_tail`: a stale fence refuses the whole
+        run, before any block of it goes."""
+        tail_start(blob_id)
+        self._check_fence(fence, epoch)
+        self.delete_tail(blob_id)
 
     # -- batched sub-ops (one round trip on the wire) ------------------------
 

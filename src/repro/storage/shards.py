@@ -80,14 +80,15 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from ..errors import BlobNotFound, CasConflictError, TransientStorageError
+from ..errors import (BlobNotFound, CasConflictError, StaleEpochError,
+                      TransientStorageError)
 from ..sim.clock import SimClock
 from .accounting import ServerStats
-from .blobs import JOURNAL, LEASE, PLAN, BlobId
+from .blobs import JOURNAL, LEASE, PLAN, BlobId, block_blob
 from .resilient import (_BREAKER_GAUGE, OutageServer, ResilientTransport,
                         RetryPolicy)
-from .server import (BatchOp, BatchReply, StorageServer, execute,
-                     fence_epoch)
+from .server import (TAIL_KINDS, BatchOp, BatchReply, StorageServer,
+                     execute, fence_epoch, tail_start)
 
 #: Default per-shard transport policy: fail over fast (the *replicas*
 #: are the retry story, not backoff), zero delay so the shared clock is
@@ -679,6 +680,31 @@ class ShardedServer:
                       fence: BlobId, epoch: int) -> None:
         self._write(BatchOp.delete_fenced(blob_id, fence, epoch))
 
+    def delete_tail(self, blob_id: BlobId) -> None:
+        """The run of stored blocks from ``blob_id`` on, each found by
+        the voted :meth:`exists` and removed by a replicated
+        :meth:`delete` -- so quorum, suspect and dual-write rules hold
+        per block."""
+        index = tail_start(blob_id)
+        while self.exists(block_blob(blob_id.inode, index)):
+            self.delete(block_blob(blob_id.inode, index))
+            index += 1
+
+    def delete_tail_fenced(self, blob_id: BlobId,
+                           fence: BlobId, epoch: int) -> None:
+        """Fenced :meth:`delete_tail`: the max live epoch gates the whole
+        run, then each block is a fenced delete of its own."""
+        index = tail_start(blob_id)
+        current = self._live_fence_epoch(fence)
+        if epoch < current:
+            raise StaleEpochError(
+                f"fenced delete_tail at epoch {epoch} rejected: "
+                f"{fence} is at epoch {current}", current_epoch=current)
+        while self.exists(block_blob(blob_id.inode, index)):
+            self.delete_fenced(block_blob(blob_id.inode, index),
+                               fence, epoch)
+            index += 1
+
     # -- batched sub-ops: per-shard scatter-gather ---------------------------
 
     _SCATTER_MUTATIONS = ("put", "delete", "put_fenced", "delete_fenced")
@@ -688,7 +714,8 @@ class ShardedServer:
 
         The frame is split at barriers, each resolved alone and in order
         through its single-op method: ``put_if`` (a CAS must resolve
-        against the quorum winner) and every journal sub-op (a mutation
+        against the quorum winner), a tail delete (each block is found
+        by a voted read) and every journal sub-op (a mutation
         frame's intent must be durable before its apply scatters, and
         its apply resolved before the commit empties the journal).  Each
         barrier-free segment is scattered in one round: every mutation
@@ -740,7 +767,8 @@ class ShardedServer:
 
     @staticmethod
     def _barrier(op: BatchOp) -> bool:
-        return op.kind == "put_if" or op.blob_id.kind == JOURNAL
+        return (op.kind == "put_if" or op.kind in TAIL_KINDS
+                or op.blob_id.kind == JOURNAL)
 
     def _scatter_segment(self,
                          segment: Sequence[BatchOp]) -> list[BatchReply]:

@@ -30,6 +30,13 @@ Sub-op bodies and the payloads of their sub-replies:
                  -> OK | FENCED (4) + u64 current epoch
     DEL_FENCED 7: blob-id, fence-id, u64 epoch
                  -> OK | FENCED (4) + u64 current epoch
+    DEL_TAIL   9: block-id              -> OK
+    DEL_TAIL_FENCED 10: block-id, fence-id, u64 epoch
+                 -> OK | FENCED (4) + u64 current epoch
+
+(A tail delete removes the named file block and each next block of its
+inode for as long as one is stored; its id must be a block id,
+``data/<inode>/b<index>``, or the frame is malformed.)
 
 (``*`` marks a presence-prefixed field: one flag byte, 0 = absent blob,
 1 = the remaining bytes are the value -- CAS must distinguish "expect
@@ -47,7 +54,8 @@ see full payloads.
 
 A batch frame is validated *in full* before any sub-op touches the
 store: a truncated sub-op, a zero or oversize count, a nested batch, an
-unknown sub-opcode, or a reference to itself, to a later or payload-less
+unknown sub-opcode, a tail delete of an id that names no block, or a
+reference to itself, to a later or payload-less
 sub-op, out of its target's bounds or on another opcode earns a
 top-level ERROR with nothing applied, and so does any top-level
 opcode but ``OP_BATCH``.  Sub-status UNATTEMPTED (5) marks the tail
@@ -75,8 +83,8 @@ from dataclasses import replace
 
 from ..errors import StorageError, TransientStorageError
 from .blobs import BlobId
-from .server import (BatchOp, BatchReply, OpMethods, StorageServer,
-                     reply_value)
+from .server import (DELETE_KINDS, BatchOp, BatchReply, OpMethods,
+                     StorageServer, reply_value, tail_start)
 
 OP_PUT = 1
 OP_GET = 2
@@ -86,6 +94,8 @@ OP_PUT_IF = 5
 OP_PUT_FENCED = 6
 OP_DELETE_FENCED = 7
 OP_BATCH = 8
+OP_DELETE_TAIL = 9
+OP_DELETE_TAIL_FENCED = 10
 
 #: Bit of a batch PUT / PUT_FENCED sub-opcode: the payload field is a
 #: reference, ``u32 index | u32 offset | u32 length`` into the payload
@@ -111,6 +121,8 @@ _KIND_TO_OPCODE = {
     "put": OP_PUT, "get": OP_GET, "delete": OP_DELETE,
     "exists": OP_EXISTS, "put_if": OP_PUT_IF,
     "put_fenced": OP_PUT_FENCED, "delete_fenced": OP_DELETE_FENCED,
+    "delete_tail": OP_DELETE_TAIL,
+    "delete_tail_fenced": OP_DELETE_TAIL_FENCED,
 }
 _OPCODE_TO_KIND = {v: k for k, v in _KIND_TO_OPCODE.items()}
 
@@ -176,6 +188,12 @@ def _parse_blob_id(raw: bytes) -> BlobId:
         raise StorageError(f"malformed blob id on wire: {raw!r}") from exc
 
 
+def _parse_block_id(raw: bytes) -> BlobId:
+    blob_id = _parse_blob_id(raw)
+    tail_start(blob_id)
+    return blob_id
+
+
 # -- OP_BATCH codec -----------------------------------------------------------
 
 def payload_refs(ops) -> list[tuple[int, int, int] | None]:
@@ -225,14 +243,14 @@ def _encode_sub_body(op: BatchOp,
     payload = (op.payload or b"") if ref is None else _REF.pack(*ref)
     if op.kind == "put":
         return _pack_fields(bid, payload)
-    if op.kind in ("get", "delete", "exists"):
+    if op.kind in ("get", "delete", "exists", "delete_tail"):
         return _pack_fields(bid)
     if op.kind == "put_if":
         return _pack_fields(bid, _pack_presence(op.expected), payload)
     if op.kind == "put_fenced":
         return _pack_fields(bid, str(op.fence).encode(),
                             struct.pack(">Q", op.epoch or 0), payload)
-    if op.kind == "delete_fenced":
+    if op.kind in ("delete_fenced", "delete_tail_fenced"):
         return _pack_fields(bid, str(op.fence).encode(),
                             struct.pack(">Q", op.epoch or 0))
     raise StorageError(f"unknown batch sub-op kind {op.kind!r}")
@@ -281,6 +299,9 @@ def _decode_sub_fields(kind: str, body: bytes) -> BatchOp:
     if kind == "exists":
         (blob_raw,) = _unpack_fields(body, 1)
         return BatchOp.exists(_parse_blob_id(blob_raw))
+    if kind == "delete_tail":
+        (blob_raw,) = _unpack_fields(body, 1)
+        return BatchOp.delete_tail(_parse_block_id(blob_raw))
     if kind == "put_if":
         blob_raw, expected_raw, payload = _unpack_fields(body, 3)
         return BatchOp.put_if(_parse_blob_id(blob_raw), payload,
@@ -291,6 +312,10 @@ def _decode_sub_fields(kind: str, body: bytes) -> BatchOp:
                                   _parse_blob_id(fence_raw),
                                   _parse_epoch(epoch_raw))
     blob_raw, fence_raw, epoch_raw = _unpack_fields(body, 3)
+    if kind == "delete_tail_fenced":
+        return BatchOp.delete_tail_fenced(_parse_block_id(blob_raw),
+                                          _parse_blob_id(fence_raw),
+                                          _parse_epoch(epoch_raw))
     return BatchOp.delete_fenced(_parse_blob_id(blob_raw),
                                  _parse_blob_id(fence_raw),
                                  _parse_epoch(epoch_raw))
@@ -587,7 +612,7 @@ class RemoteStorageClient(OpMethods, StorageServer):
             elif op.kind == "get":
                 self.stats.record_get(op.blob_id.kind,
                                       len(reply.payload or b""))
-            elif op.kind in ("delete", "delete_fenced"):
+            elif op.kind in DELETE_KINDS:
                 # Bytes freed are unknowable through the wire protocol: 0.
                 self.stats.record_delete(op.blob_id.kind)
         elif reply.status == "missing" and op.kind == "get":

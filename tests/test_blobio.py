@@ -243,16 +243,12 @@ def test_reads_see_batch_then_queue_then_raw_slot_then_wire():
 
     with pytest.raises(BlobNotFound):
         io.get(a)                      # journal batch: staged delete
-    assert io.exists(a) is False
     assert io.get(b) == b"queued-b"    # write-behind queue
-    assert io.exists(b) is True
     assert io.get(c) == b"raw"         # consume-once readahead slot...
     assert server.calls == [] and io.request_count == 0
     assert io.get(c) == b"ssp2"        # ...so the re-read hits the wire
     assert io.get(d) == b"ssp3"
-    assert io.exists(d) is True
-    assert server.calls == [("get", c), ("get", d), ("exists", d)]
-    # exists probes are (still) uncounted and uncharged.
+    assert server.calls == [("get", c), ("get", d)]
     assert io.request_count == 2
     assert cost.requests == [(UP, 4 + DOWN)] * 2
 

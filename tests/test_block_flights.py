@@ -143,8 +143,7 @@ def test_a_count_too_large_never_serves_a_block_past_the_end(
 STREAM = ([_gets(index) for index in range(4)]      # alice reads
           + [_gets(index) for index in range(5)]    # after bob's append
           + [_gets(0)]                              # after bob's cut
-          + [_gets(0), ("put data/F/b0",),          # alice appends
-             ("exists data/F/b1",)]
+          + [_gets(0), ("put data/F/b0",)]          # alice appends
           + [_gets(0)])                             # a handle's read()
 
 

@@ -3,17 +3,21 @@
 ``BlobIO`` (fs/blobio.py) is the only code in a client that counts a
 frame.  A counting wrapper stands as the *volume's* server, below every
 client, so a write that goes around the client's channel -- straight to
-``volume.server`` -- is seen too.  Each row drives one configuration and
-checks that the wrapper saw exactly the clients' ``request_count``
-frames plus their ``exists`` probes (the one kind of frame still
-uncounted).
+``volume.server`` -- is seen too.  Each row drives one stack -- plain
+(one round trip per sub-op), batched, scheduled, journaled and leased
+-- and checks that the wrapper saw exactly the clients'
+``request_count`` frames: no probe or other frame goes uncounted.
 """
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from repro.crypto.provider import CryptoProvider
+from repro.fs import client as fs_client
+from repro.fs.blobio import BlobIO
 from repro.fs.client import ClientConfig, SharoesFilesystem
 from repro.fs.volume import SharoesVolume
 from repro.principals.groups import GroupKeyService
@@ -32,11 +36,9 @@ class FrameCounter(ServerWrapper):
     def __init__(self, inner):
         super().__init__(inner)
         self.frames = 0
-        self.probes = 0
 
     def _forward(self, op):
         self.frames += 1
-        self.probes += op.kind == "exists"
         return op.call(self.inner)
 
     def batch(self, ops):
@@ -67,13 +69,14 @@ def counted(registry):
         clients.append(fs)
         return fs
 
-    counter.frames = counter.probes = 0
+    counter.frames = 0
     return counter, client, clients
 
 
 def _workload(fs: SharoesFilesystem) -> None:
-    """Creates, multi-block reads and writes, a listing, a rename, a
-    permission change and deletes, closed by the revalidation barrier."""
+    """Creates, multi-block reads and writes, a shrinking close, a
+    listing, a rename, a permission change and deletes, closed by the
+    revalidation barrier."""
     fs.mkdir("/d", mode=0o755)
     payload = bytes(range(256)) * (3 * BLOCK // 256 + 7)
     fs.create_file("/d/f", payload, mode=0o644)
@@ -84,6 +87,8 @@ def _workload(fs: SharoesFilesystem) -> None:
     fs.append_file("/d/f", b"tail")
     with fs.open("/d/f", "rw") as handle:
         handle.pwrite(b"patch", BLOCK + 3)
+    with fs.open("/d/f", "rw") as handle:
+        handle.truncate(BLOCK + 1)
     assert sorted(fs.readdir("/d")) == ["f", "g"]
     fs.rename("/d/g", "/d/h")
     fs.chmod("/d/h", 0o600)
@@ -93,18 +98,24 @@ def _workload(fs: SharoesFilesystem) -> None:
 
 def _assert_one_ledger(counter, clients) -> None:
     counted = sum(fs.request_count for fs in clients)
-    assert counter.frames - counter.probes == counted, (
-        f"{counter.frames} frames at the SSP, {counter.probes} of them "
-        f"exists probes, {counted} in the clients' request_count")
+    assert counter.frames == counted, (
+        f"{counter.frames} frames at the SSP, "
+        f"{counted} in the clients' request_count")
 
 
 @pytest.mark.parametrize("config", [
+    {"batching": False},
     {},
     {"concurrency": 8},
     {"journal": True, "lease": True},
-], ids=["default", "concurrency8", "journal_lease"])
-def test_every_frame_of_a_workload_is_counted(counted, config):
+], ids=["plain", "default", "concurrency8", "journal_lease"])
+def test_every_frame_of_a_workload_is_counted(counted, config,
+                                              monkeypatch):
     counter, client, clients = counted
+    config = dict(config)
+    if not config.pop("batching", True):
+        monkeypatch.setattr(fs_client, "BlobIO",
+                            functools.partial(BlobIO, batching=False))
     _workload(client("alice", **config))
     assert counter.frames > 10
     _assert_one_ledger(counter, clients)

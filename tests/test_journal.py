@@ -66,11 +66,11 @@ class TestCodec:
         assert journal.decode_records(journal.encode_records([]), b"") == []
 
     def test_unknown_call_kind_rejected(self):
-        """A staged blob is a put (its payload length follows) or a
-        delete; any other kind flag does not decode."""
+        """A staged blob is a put (its payload length follows), a
+        delete or a tail delete; any other kind flag does not decode."""
         writer = Writer().put_int(1).put_int(1).put_str("x").put_int(1)
         writer.put_str("data").put_int(4).put_str("b0")
-        writer.put_bytes(b"\x02").put_int(0)
+        writer.put_bytes(b"\x03").put_int(0)
         with pytest.raises(SerializationError):
             journal.decode_records(writer.getvalue(), b"")
 
@@ -130,7 +130,8 @@ class TestEnvelope:
         assert b"meta" not in raw
         [record] = journal.open_journal(CryptoProvider(),
                                         registry.user("alice"), raw)
-        staged = [payload for _, payload in record.blobs if payload]
+        staged = [payload for _, payload in record.blobs
+                  if isinstance(payload, bytes)]
         assert _clear_section(raw) == b"".join(staged)
         fs = make_journaled(volume, registry)  # mount rolls it forward
         stored = set(volume.server.raw_blobs().values())

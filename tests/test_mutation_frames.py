@@ -165,7 +165,6 @@ def test_create_file_is_one_frame(stack, registry):
     tap.names[fs.volume.allocator._next] = "N"
     fs.create_file("/d/new", b"y" * 300, mode=0o664)
     assert tap.take() == [
-        ("exists data/N/b1",),          # the tail probe (still its own)
         ("put_if lease/D/-",            # over our own released link
          "put_if lease/N/-",            # a new inode: expected absent
          INTENT)
@@ -177,14 +176,15 @@ def test_create_file_is_one_frame(stack, registry):
 def test_unlink_is_one_frame(stack, registry):
     fs, tap = steady(stack, registry)
     fs.unlink("/d/f-alice")
-    probe, frame = tap.take()
-    assert probe == ("exists data/F/b1",)
+    [frame] = tap.take()
     assert frame[:8] == ("put_if lease/D/-", "put_if lease/F/-",
                          _check("F"), INTENT, _check("F")) + _views(
                              "data/D/t:")
     deletes = frame[8:-3]
+    # The stored count is the create's 0: the tail from block 0 takes
+    # the block the close wrote.
     assert deletes[:4] == _views("meta/F/", "delete_fenced") + (
-        "delete_fenced data/F/b0",)
+        "delete_tail_fenced data/F/b0",)
     assert all(op.startswith("delete_fenced lockbox/F/")
                for op in deletes[4:])
     assert frame[-3:] == (COMMIT, "put_if lease/D/-", "put_if lease/F/-")
@@ -195,7 +195,6 @@ def test_own_append_is_one_frame(stack, registry):
     fs.append_file("/d/f-alice", b"+" * 40)
     assert tap.take() == [
         ("get data/F/b0",),             # no block cache: the base
-        ("exists data/F/b1",),
         ("put_if lease/F/-", INTENT, "put_fenced data/F/b0", COMMIT,
          "put_if lease/F/-"),
     ]
@@ -214,7 +213,7 @@ def test_contended_shared_append_pays_one_lost_cas(stack, registry):
     tap.take()
     alice.append_file("/d/f-alice", b"a" * 40)
     protocol = [frame for frame in tap.take()
-                if not frame[0].startswith(("get meta/", "exists "))]
+                if not frame[0].startswith("get meta/")]
     frame = ("put_if lease/F/-", INTENT, "put_fenced data/F/b0", COMMIT,
              "put_if lease/F/-")
     assert protocol == [
@@ -241,9 +240,9 @@ def test_rename_within_a_directory_is_one_frame(stack, registry):
 
 
 def test_every_protocol_frame_is_counted_and_charged(stack, registry):
-    """The mutation frame enters ``request_count`` (only the ``exists``
-    probe stays outside, ROADMAP item 1(a)), and is charged each payload
-    once: every apply put is a 12-byte reference into the intent."""
+    """The mutation frame -- the create's one frame -- enters
+    ``request_count``, and is charged each payload once: every apply put
+    is a 12-byte reference into the intent."""
     fs, tap = steady(stack, registry)
     sent, charged = [], []
     tap.batch = lambda ops, batch=tap.batch: (sent.append(ops),
@@ -253,8 +252,7 @@ def test_every_protocol_frame_is_counted_and_charged(stack, registry):
     before = fs.request_count
     fs.create_file("/d/new", b"y" * 300, mode=0o664)
     frames = tap.take()
-    probes = [frame for frame in frames if frame[0].startswith("exists ")]
-    assert fs.request_count - before == len(frames) - len(probes) == 1
+    assert fs.request_count - before == len(frames) == 1
     [ops] = sent
     intent = next(op for op in ops if op.blob_id.kind == "journal")
     applied = [op for op in ops if op.ref is not None]
@@ -896,8 +894,7 @@ def test_a_dead_clients_intent_is_one_fenced_frame(stack, registry,
     assert frames.count(replay) == 1
     assert frames[frames.index(replay) - 1] == ("get journal",)
     if counted is not None:
-        probes = [frame for frame in frames if frame[0].startswith("exists ")]
-        assert counted == len(frames) - len(probes)
+        assert counted == len(frames)
     reader = SharoesFilesystem(stack[1], registry.user("bob"))
     reader.mount()
     assert reader.read_file("/d/dead") == b"d" * 300
@@ -941,8 +938,7 @@ def test_an_in_session_replay_is_one_fenced_frame(stack, registry):
     frames = tap.take()
     assert frames[0] == _replay_frame(tap, record) == (
         _check("F"), "put_fenced data/F/b0", COMMIT)
-    probes = [frame for frame in frames if frame[0].startswith("exists ")]
-    assert alice.request_count - before == len(frames) - len(probes)
+    assert alice.request_count - before == len(frames)
     assert alice.mutation.pending == []
     assert alice.metrics.snapshot()["journal.replays"] == 1
     assert alice.read_file("/d/f") == b"x" * 300 + b"+first" + b"+second"

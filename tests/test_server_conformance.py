@@ -1,8 +1,9 @@
 """Interface conformance: every storage layer, armed to be transparent,
 is indistinguishable from the bare :class:`StorageServer` beneath it.
 
-One fixed script of all seven kinds (hit, miss, CAS conflict, stale
-fence) is run singly and then as one mixed batch through each decorator
+One fixed script of all nine kinds (hit, miss, CAS conflict, stale
+fence; a tail delete's run, gap, empty run and non-block id) is run
+singly and then as one mixed batch through each decorator
 in ``src/`` and through :class:`RemoteStorageClient` over both wire
 front-ends, and through the sharded router; return values, exception
 types and the final blobs must equal the reference run, and so must a
@@ -28,7 +29,7 @@ from repro.errors import (ClientCrashed, SharoesError, StorageError,
                           TransientStorageError)
 from repro.obs.wiretrace import TracedServer
 from repro.sim.clock import SimClock
-from repro.storage.blobs import data_blob, lease_blob
+from repro.storage.blobs import block_blob, data_blob, lease_blob
 from repro.storage.faults import RollbackServer, TamperingServer
 from repro.storage.resilient import (FlakyServer, MutationTrigger,
                                      OutageServer, ResilientTransport,
@@ -80,6 +81,35 @@ BATCH = [
     BatchOp.get(C),
 ]
 
+#: The tail deletes, on a run of blocks 0-3 of inode 5 and a block 5
+#: past the gap: a stale fence refuses the whole run; a current one and
+#: an unfenced one each take the run from their block to the gap; a run
+#: already gone is no error; an id that names no block is one.
+T0, T1, T2, T3, T5 = (block_blob(5, index) for index in (0, 1, 2, 3, 5))
+TAIL_FENCE = lease_blob(5)
+TAIL_SCRIPT = [
+    *(BatchOp.put(block, b"t") for block in (T0, T1, T2, T3, T5)),
+    BatchOp.put(TAIL_FENCE, FENCE_AT_5),
+    BatchOp.delete_tail_fenced(T1, TAIL_FENCE, 4),
+    BatchOp.get(T3),
+    BatchOp.delete_tail_fenced(T2, TAIL_FENCE, 5),
+    BatchOp.get(T3),
+    BatchOp.delete_tail(T0),
+    BatchOp.get(T1),
+    BatchOp.get(T5),
+    BatchOp.delete_tail(T0),
+    BatchOp.delete_tail(data_blob(5, "t:x")),
+]
+#: The same in one frame, stopped by the stale fenced tail.
+TAIL_BATCH = [
+    *(BatchOp.put(block, b"u") for block in (T0, T1, T2)),
+    BatchOp.delete_tail(T1),
+    BatchOp.get(T2),
+    BatchOp.get(T0),
+    BatchOp.delete_tail_fenced(T0, TAIL_FENCE, 4),
+    BatchOp.get(T0),
+]
+
 #: A CAS that loses although the blob already holds its payload: on a
 #: first attempt that is a conflict like any other, singly and in a frame
 #: (only a *re-sent* attempt may read it as its own landed write).
@@ -90,6 +120,7 @@ ECHO = [
 
 
 _SCRIPT_MUTATIONS = sum(op.kind in MUTATION_KINDS for op in SCRIPT)
+_KINDS = {op.kind for op in SCRIPT + TAIL_SCRIPT}
 
 
 def _never(blob_id) -> bool:
@@ -182,23 +213,40 @@ def _observe(layer, backend):
              for r in layer.batch(BATCH)]
     echo = [_outcome(layer, op) for op in ECHO] + [
         (r.status, r.payload or None) for r in layer.batch(ECHO)]
-    return singles, frame, echo, backend.raw_blobs()
+    tail = [_outcome(layer, op) for op in TAIL_SCRIPT] + [
+        (r.status, r.payload or None, r.epoch)
+        for r in layer.batch(TAIL_BATCH)]
+    return singles, frame, echo, tail, backend.raw_blobs()
 
 
 @pytest.fixture(scope="module")
 def reference():
     server = StorageServer()
-    singles, frame, echo, blobs = _observe(server, server)
+    singles, frame, echo, tail, blobs = _observe(server, server)
     # The script is only a conformance script if it reaches every
     # outcome; pin that here rather than trusting the table above.
-    assert {op.kind for op in SCRIPT} == set(BATCH_KINDS)
+    assert _KINDS == set(BATCH_KINDS)
     assert {o[1] for o in singles if o[0] == "raised"} == {
         "BlobNotFound", "CasConflictError", "StaleEpochError"}
     assert {status for status, _, _ in frame} == {
         "ok", "missing", "conflict", "fenced", "unattempted"}
     assert echo[1][:2] == ("raised", "CasConflictError")
     assert echo[3] == ("conflict", b"same")
-    return singles, frame, echo, blobs
+    assert tail == [("returned", None)] * 6 + [
+        ("raised", "StaleEpochError", None, 5),
+        ("returned", b"t"),
+        ("returned", None),
+        ("raised", "BlobNotFound", None, None),
+        ("returned", None),
+        ("raised", "BlobNotFound", None, None),
+        ("returned", b"t"),
+        ("returned", None),
+        ("raised", "StorageError", None, None),
+    ] + [("ok", None, None)] * 4 + [
+        ("missing", None, None), ("ok", b"u", None), ("fenced", None, 5),
+        ("unattempted", None, None)]
+    assert T5 in blobs and T0 in blobs and T1 not in blobs
+    return singles, frame, echo, tail, blobs
 
 
 @pytest.mark.parametrize("name", LAYERS)
@@ -225,7 +273,7 @@ def test_table_covers_every_decorator_in_src():
 @pytest.mark.parametrize("name", READ_ONLY)
 def test_read_only_layer_forwards_reads_and_refuses_mutations(name):
     with READ_ONLY[name]() as (layer, backend):
-        for op in SCRIPT:
+        for op in SCRIPT + TAIL_SCRIPT:
             if op.kind not in MUTATION_KINDS:
                 assert _outcome(layer, op) == _outcome(backend, op), op
                 continue
@@ -253,18 +301,20 @@ def test_read_only_layer_forwards_reads_and_refuses_mutations(name):
 @pytest.mark.parametrize("name", ARMED)
 def test_mutation_counters_count_exactly_mutation_kinds(name):
     """However it is armed, the trigger counts the same mutations."""
-    assert MUTATION_KINDS == {op.kind for op in SCRIPT} - {"get", "exists"}
-    for op in SCRIPT:
+    assert MUTATION_KINDS == _KINDS - {"get", "exists"}
+    for op in SCRIPT + TAIL_SCRIPT:
         layer = ARMED[name](StorageServer())
         _outcome(layer, op)  # counted before forwarding, even if refused
         assert layer.mutations == (op.kind in MUTATION_KINDS), op
-    # Inside a batch: every *attempted* sub-op counts the same way.
-    layer = ARMED[name](StorageServer())
-    replies = layer.batch(SCRIPT)
-    attempted = [op for op, reply in zip(SCRIPT, replies)
-                 if reply.status != "unattempted"]
-    assert layer.mutations == sum(op.kind in MUTATION_KINDS
-                                  for op in attempted)
+    # Inside a batch: every *attempted* sub-op counts the same way -- a
+    # tail delete once, however many blocks its run removes.
+    for script in (SCRIPT, TAIL_SCRIPT):
+        layer = ARMED[name](StorageServer())
+        replies = layer.batch(script)
+        attempted = [op for op, reply in zip(script, replies)
+                     if reply.status != "unattempted"]
+        assert layer.mutations == sum(op.kind in MUTATION_KINDS
+                                      for op in attempted)
 
 
 def test_trigger_fires_each_action_once_at_its_mutation():

@@ -24,8 +24,9 @@ from repro.storage.blobs import data_blob
 from repro.storage.resilient import ResilientTransport, RetryPolicy
 from repro.storage.server import BatchOp, StorageServer
 from repro.storage.wire import (MAX_BATCH_OPS, OP_BATCH, OP_DELETE,
-                                OP_DELETE_FENCED, OP_EXISTS, OP_GET, OP_PUT,
-                                OP_PUT_FENCED, OP_PUT_IF, REF_FLAG,
+                                OP_DELETE_FENCED, OP_DELETE_TAIL,
+                                OP_DELETE_TAIL_FENCED, OP_EXISTS, OP_GET,
+                                OP_PUT, OP_PUT_FENCED, OP_PUT_IF, REF_FLAG,
                                 STATUS_ERROR, STATUS_OK,
                                 RemoteStorageClient, SspServer,
                                 _decode_batch_reply, _pack_fields,
@@ -211,6 +212,18 @@ _BAD_REFS = [
 ]
 
 
+#: (case, a tail-delete sub-op that must not decode, what the ERROR says).
+_BAD_TAILS = [
+    ("truncated", _sub_op(OP_DELETE_TAIL, _pack_fields(_BID)[:-3]),
+     b"truncated"),
+    ("not_a_block", _sub_op(OP_DELETE_TAIL, _pack_fields(b"data/7/t:x")),
+     b"not a block id"),
+    ("fenced_not_a_block", _sub_op(OP_DELETE_TAIL_FENCED, _pack_fields(
+        b"meta/7/-", b"lease/7/-", struct.pack(">Q", 0))),
+     b"not a block id"),
+]
+
+
 class TestBatchFrameFuzz:
     """Malformed OP_BATCH frames: clean error, never crash, and --
     the invariant that matters for a multi-op frame -- never a silent
@@ -301,6 +314,25 @@ class TestBatchFrameFuzz:
             assert live_server.backend.get(fresh) == b"landed"
         finally:
             client.close()
+
+    @pytest.mark.parametrize("case,sub,message", _BAD_TAILS,
+                             ids=[case for case, _, _ in _BAD_TAILS])
+    def test_a_bad_tail_delete_rejects_whole_frame(self, live_server,
+                                                   case, sub, message):
+        """A tail delete cut short, or of an id that names no block: a
+        top-level ERROR, nothing applied (not the put before it, not a
+        block of the run), and the same connection serves on."""
+        before = live_server.backend.raw_blobs()
+        frame = _batch_frame(2, _put_sub(data_blob(7, "b1"), b"x") + sub)
+        with socket.create_connection(live_server.address,
+                                      timeout=2.0) as sock:
+            sock.sendall(frame)
+            reply = _recv_message(sock)
+            sock.sendall(_GET_BLOB)
+            assert _serves(_recv_message(sock))
+        assert reply[0] == STATUS_ERROR
+        assert message in reply[1:]
+        assert live_server.backend.raw_blobs() == before
 
     @pytest.mark.parametrize("case,subs", _BAD_REFS,
                              ids=[case for case, _ in _BAD_REFS])

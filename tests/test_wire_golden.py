@@ -3,8 +3,9 @@
 For every sub-op kind and reply status the request bytes
 :class:`RemoteStorageClient` puts on the socket and the response bytes
 the server answers with are compared against fixtures recorded once --
-a single op as its frame of one, a mixed batch, and a batch whose puts
-name their bytes inside an earlier put (``REF_FLAG``) -- and so are the
+a single op as its frame of one, a mixed batch, a batch whose puts
+name their bytes inside an earlier put (``REF_FLAG``) and one whose
+tail delete removes a block put before it -- and so are the
 top-level ERROR frames, transient flag included.  A refactor of either
 codec that moves a single byte fails here, not in a mixed-version
 deployment.  The last test pins that a single op's frame carries
@@ -105,6 +106,20 @@ CASES = [
      ONE + "0700000026" "00000009646174612f372f6230000000096c656173652f372f2d"
      "000000080000000000000004",
      OK_ONE + "0400000008" "0000000000000005"),
+    # A tail delete's body is a delete's; the fenced one, a fenced
+    # delete's.
+    ("delete_tail", BatchOp.delete_tail(BLOB),
+     ONE + "090000000d" "00000009646174612f372f6230",
+     OK_ONE + "0000000000"),
+    ("delete_tail_fenced_ok", BatchOp.delete_tail_fenced(BLOB, FENCE, 5),
+     ONE + "0a00000026" "00000009646174612f372f6230000000096c656173652f372f2d"
+     "000000080000000000000005",
+     OK_ONE + "0000000000"),
+    ("delete_tail_fenced_stale",
+     BatchOp.delete_tail_fenced(BLOB, FENCE, 4),
+     ONE + "0a00000026" "00000009646174612f372f6230000000096c656173652f372f2d"
+     "000000080000000000000004",
+     OK_ONE + "0400000008" "0000000000000005"),
 ]
 
 #: One mixed frame: ok, get hit, get miss, exists, conflict, delete, a
@@ -159,6 +174,18 @@ REF_BATCH_REQUEST_HEX = (
 REF_BATCH_RESPONSE_HEX = "0000000005" + "0000000000" * 5
 
 
+#: A flush's shape: a put of block 1, then the tail from block 0 -- which
+#: takes block 1 too -- and a get that misses it.
+TAIL_BATCH = [BatchOp.put(data_blob(7, "b1"), b"new"),
+              BatchOp.delete_tail(BLOB), BatchOp.get(data_blob(7, "b1"))]
+TAIL_BATCH_REQUEST_HEX = (
+    "0800000003"
+    "010000001400000009646174612f372f6231000000036e6577"
+    "090000000d00000009646174612f372f6230"
+    "020000000d00000009646174612f372f6231")
+TAIL_BATCH_RESPONSE_HEX = "0000000003" "0000000000" "0000000000" "0100000000"
+
+
 def _call(server, op: BatchOp):
     """The named-method call for ``op``, spelled out (not ``op.call``)
     so this file also runs unmodified against the tree the fixtures
@@ -168,7 +195,9 @@ def _call(server, op: BatchOp):
             "exists": (op.blob_id,),
             "put_if": (op.blob_id, op.payload, op.expected),
             "put_fenced": (op.blob_id, op.payload, op.fence, op.epoch),
-            "delete_fenced": (op.blob_id, op.fence, op.epoch)}[op.kind]
+            "delete_fenced": (op.blob_id, op.fence, op.epoch),
+            "delete_tail": (op.blob_id,),
+            "delete_tail_fenced": (op.blob_id, op.fence, op.epoch)}[op.kind]
     return getattr(server, op.kind)(*args)
 
 
@@ -222,6 +251,14 @@ def test_batch_frames_with_payload_references(rig):
     assert response.hex() == REF_BATCH_RESPONSE_HEX
     assert backend.get(ABSENT) == backend.get(EMPTY) == b"new"
     assert backend.get(BLOB) == b"fen"
+
+
+def test_batch_frames_with_a_tail_delete(rig):
+    backend, _client = rig
+    request, response = _exchange(*rig, lambda c: c.batch(TAIL_BATCH))
+    assert request.hex() == TAIL_BATCH_REQUEST_HEX
+    assert response.hex() == TAIL_BATCH_RESPONSE_HEX
+    assert backend.raw_blobs().keys() == {EMPTY, FENCE}
 
 
 def test_error_sub_reply_bytes():
