@@ -5,8 +5,9 @@ The SSP only does ``put/get/delete`` on opaque blobs; everything about
 which is left with paths, CAPs and keys:
 
 * the **read-your-writes overlay** -- the active journal batch, then the
-  write-behind queue, then the consume-once readahead slots -- consulted
-  by every read and speculation through one walk;
+  write-behind queue (both a :class:`~repro.fs.journal.StagedWrites`),
+  then the consume-once readahead slots -- consulted by every read and
+  speculation through one walk;
 * **mutation routing** -- one :meth:`BlobIO.send` decides whether a put,
   delete or tail delete is deferred into the journal batch, staged
   write-behind, or shipped now (as one ``OP_BATCH`` frame or as single
@@ -17,10 +18,11 @@ which is left with paths, CAPs and keys:
   (:meth:`BlobIO.flight`, :meth:`BlobIO.wave`) included;
 * **protocol frames** -- :meth:`BlobIO.exchange` ships an ordered list of
   sub-ops as one counted, charged frame (:meth:`BlobIO.ship` splits a
-  longer list only at the wire's sub-op cap).  The journaled mutation
-  is one of them -- lease head, intent, apply, commit, lease tail -- as
-  are lease reads, CAS, batched renewal, intent replay, version
-  statements and the grouped sends above.  Its apply puts name their
+  longer list only at the wire's sub-op cap; both keep the frame's one
+  stop rule, :func:`~repro.storage.server.in_order`).  The journaled
+  mutation is one of them -- lease head, intent, apply, commit, lease
+  tail -- as are lease reads, CAS, batched renewal, intent replay,
+  version statements and the grouped sends above.  Its apply puts name their
   payloads inside the intent, and a frame is charged what the codec
   sends (``wire.payload_bytes``).
 
@@ -39,7 +41,7 @@ from ..errors import (BlobNotFound, PartialWriteError, StaleEpochError,
                       StorageError, TransientPartialWriteError,
                       TransientStorageError)
 from ..storage.blobs import BlobId, in_tail
-from ..storage.server import BatchOp, BatchReply, execute
+from ..storage.server import BatchOp, BatchReply, execute, in_order
 from ..storage.wire import MAX_BATCH_OPS, payload_bytes
 from . import journal
 
@@ -144,9 +146,9 @@ class BlobIO:
                  ops: Sequence[BatchOp]) -> list[BatchReply]:
         """One protocol frame: ordered sub-ops out, a reply per sub-op.
 
-        Sub-ops apply in order and the frame stops at the first
-        ``fenced`` or ``error`` one (the tail reads ``unattempted``);
-        ``missing`` and ``conflict`` are answers the caller reads.  The
+        Sub-ops apply in order under the frame's stop rule
+        (:func:`~repro.storage.server.in_order`); ``missing`` and
+        ``conflict`` are answers the caller reads.  The
         frame is counted once, inside one ``network`` span, and charged
         what the replies show crossed: the attempted sub-ops' bytes up,
         the returned payloads down.  With ``batching=False`` every
@@ -158,43 +160,39 @@ class BlobIO:
                 replies = self.server.batch(ops)
                 self._charge_replies(ops, replies)
             return replies
-        replies: list[BatchReply] = []
-        for op in ops:
-            if replies and replies[-1].status in ("fenced", "error",
-                                                  "unattempted"):
-                replies.append(BatchReply("unattempted"))
-                continue
-            with self.frame(op.kind, kind=op.blob_id.kind):
-                replies.append(execute(self.server, op))
-                self._charge_replies((op,), replies[-1:])
-        return replies
+        return in_order(ops, self._exchange_one)
+
+    def _exchange_one(self, op: BatchOp) -> BatchReply:
+        """One sub-op as its own counted, charged round trip."""
+        with self.frame(op.kind, kind=op.blob_id.kind):
+            reply = execute(self.server, op)
+            self._charge_replies((op,), (reply,))
+        return reply
 
     def ship(self, label: str,
              ops: Sequence[BatchOp]) -> list[BatchReply]:
         """One logical frame: :meth:`exchange` frames of at most the
         wire's ``MAX_BATCH_OPS`` sub-ops, in order.
 
-        A part that stops leaves every later sub-op ``unattempted`` and
-        unsent.  Only the first part raises: a later part's storage
+        Only the first part raises: a later part's storage
         failure reads as an ``error`` at its first sub-op, so the caller
         still sees what the earlier parts applied.
         """
-        replies: list[BatchReply] = []
-        for start in range(0, len(ops), MAX_BATCH_OPS):
-            part = ops[start:start + MAX_BATCH_OPS]
-            if any(reply.status in ("fenced", "error") for reply in replies):
-                replies += [BatchReply("unattempted")] * len(part)
-                continue
+        parts = [list(ops[start:start + MAX_BATCH_OPS])
+                 for start in range(0, len(ops), MAX_BATCH_OPS)]
+
+        def send(part: list[BatchOp]) -> list[BatchReply]:
             try:
-                replies += self.exchange(label, part)
+                return self.exchange(label, part)
             except StorageError as exc:
-                if not replies:
+                if part is parts[0]:
                     raise
-                replies += [BatchReply(
+                return [BatchReply(
                     "error", message=str(exc),
-                    transient=isinstance(exc, TransientStorageError))]
-                replies += [BatchReply("unattempted")] * (len(part) - 1)
-        return replies
+                    transient=isinstance(exc, TransientStorageError))
+                ] + [BatchReply("unattempted")] * (len(part) - 1)
+
+        return in_order(parts, send)
 
     def flight(self, label: str, count: int):
         """The one ``network`` span of a scheduler flush or fetch flight

@@ -232,23 +232,20 @@ def open_journal(provider: CryptoProvider, user, blob: bytes,
             f"journal for {holder} does not open: {exc}") from exc
 
 
-class MutationBatch:
-    """Staged wire calls plus a read-your-writes overlay for one op.
-
-    While a batch is active the client defers every put/delete here
-    instead of sending it, in order.  Reads during the
-    op consult the overlay first, so an op that re-reads a blob it just
-    wrote (e.g. ``symlink`` resolving its fresh entry with caching
-    disabled) observes its own staged state.  A staged :data:`TAIL`
-    covers every block of its inode at or past its own, as deleted,
-    until a later put of one of them.
+class StagedWrites:
+    """Staged wire calls in order (:func:`write_ops` input), plus the
+    one read-your-writes overlay, so an op that re-reads a blob it just
+    wrote (``symlink`` resolving its fresh entry with caching disabled)
+    observes its own staged state: the newest staged put or delete of a
+    blob decides it, and a staged :data:`TAIL` covers every block of its
+    inode at or past its own, as deleted, until a later put of one of
+    them.  A :class:`MutationBatch` is one; so is the write-behind queue.
     """
 
-    def __init__(self, op: str):
-        self.op = op
+    def __init__(self):
         self.blobs: list[tuple[BlobId, "bytes | None"]] = []
-        self._writes: dict[BlobId, bytes] = {}
-        self._deletes: set[BlobId] = set()
+        #: blob id -> newest staged payload (None = a staged delete).
+        self._overlay: dict[BlobId, bytes | None] = {}
         self._tails: list[BlobId] = []
 
     def stage(self, blobs: list[tuple[BlobId, "bytes | None"]]) -> None:
@@ -256,29 +253,34 @@ class MutationBatch:
         for blob_id, payload in blobs:
             if payload is TAIL:
                 self._tails.append(blob_id)
-                for covered in [b for b in self._writes
+                for covered in [b for b in self._overlay
                                 if in_tail(blob_id, b)]:
-                    del self._writes[covered]
-            elif payload is None:
-                self._writes.pop(blob_id, None)
-                self._deletes.add(blob_id)
+                    del self._overlay[covered]
             else:
-                self._deletes.discard(blob_id)
-                self._writes[blob_id] = payload
+                self._overlay[blob_id] = payload
 
     def read(self, blob_id: BlobId) -> tuple[bool, bytes | None]:
         """Overlay lookup: (covered?, payload-or-None-if-deleted)."""
         known = self.exists(blob_id)
-        return known is not None, self._writes.get(blob_id)
+        return known is not None, self._overlay.get(blob_id)
 
     def exists(self, blob_id: BlobId) -> bool | None:
         """Overlay existence: True/False if covered, None to fall through."""
-        if blob_id in self._writes:
-            return True
-        if blob_id in self._deletes or self._tails and any(
-                in_tail(tail, blob_id) for tail in self._tails):
+        if blob_id in self._overlay:
+            return self._overlay[blob_id] is not None
+        if self._tails and any(in_tail(tail, blob_id)
+                               for tail in self._tails):
             return False
         return None
+
+
+class MutationBatch(StagedWrites):
+    """One op's staged writes (the client defers every put and delete
+    here while the op runs), sealed into its :class:`IntentRecord`."""
+
+    def __init__(self, op: str):
+        super().__init__()
+        self.op = op
 
     def record(self, seq: int,
                fences: tuple[tuple[int, int], ...] = ()) -> IntentRecord:

@@ -30,12 +30,14 @@ written -- just when they cross the wire.  The concurrent-vs-sequential
 differential suite (tests/test_concurrency_differential.py) proves the
 final SSP state byte-identical.
 
-The scheduler keeps the queue, the overlay, dedup and generation
-cancellation -- nothing of the wire.  It ships each flush or fetch
-flight through the owning :class:`~repro.fs.blobio.BlobIO`, which opens
-its ``network`` span (:meth:`~repro.fs.blobio.BlobIO.flight`), counts and
-prices each wave as a flight of overlapped requests
-(:meth:`~repro.fs.blobio.BlobIO.wave`), and maps a failed flush by the
+The scheduler keeps the queue (a :class:`~repro.fs.journal.StagedWrites`,
+like the journal batch), dedup and generation cancellation -- nothing of
+the wire.  It ships each flush or fetch flight through the owning
+:class:`~repro.fs.blobio.BlobIO`, which opens its ``network`` span
+(:meth:`~repro.fs.blobio.BlobIO.flight`), counts and prices each wave
+as a flight of overlapped requests
+(:meth:`~repro.fs.blobio.BlobIO.wave`) under the frame's stop rule
+(:func:`~repro.storage.server.in_order`), and maps a failed flush by the
 grouped send's rule (:meth:`~repro.fs.blobio.BlobIO.raise_failure`).
 
 Ordering and flush rules (see docs/CONCURRENCY.md):
@@ -56,8 +58,8 @@ from itertools import takewhile
 from typing import Callable, Iterable, Sequence
 
 from ..errors import StorageError
-from ..storage.blobs import BlobId, in_tail
-from ..storage.server import BatchOp, BatchReply
+from ..storage.blobs import BlobId
+from ..storage.server import BatchOp, BatchReply, in_order
 from . import journal
 
 
@@ -91,15 +93,10 @@ class RequestScheduler:
         #: :meth:`flush` dropped; the owning client sets it to stop
         #: trusting what it cached of them.
         self.on_drop: Callable[[int], None] = lambda inode: None
-        #: staged mutations in arrival order (put/delete sub-ops only).
-        self._staged: list[BatchOp] = []
-        #: read-your-writes overlay: blob id -> newest staged payload
-        #: (None = staged delete), and the staged tail deletes, each
-        #: covering its inode's blocks at or past it (as deleted) but
-        #: those put after it.  Covers exactly the blobs in the queue;
-        #: cleared when the queue drains.
-        self._overlay: dict[BlobId, bytes | None] = {}
-        self._tails: list[BlobId] = []
+        #: staged mutations in arrival order (puts, deletes and tail
+        #: deletes) with their read-your-writes overlay; a fresh one
+        #: when the queue drains.
+        self.queue = journal.StagedWrites()
         #: bumped by the owning client's invalidations; a fetch flight
         #: that observes a bump mid-flight is stale and drops its
         #: results instead of serving them into any cache.
@@ -124,7 +121,7 @@ class RequestScheduler:
         """Pull-based metrics source (``client.scheduler.*``)."""
         return {
             "window": float(self.window),
-            "queue_depth": float(len(self._staged)),
+            "queue_depth": float(self.queue_depth),
             "max_queue": float(self.max_queue),
             "staged_ops": float(self.staged_ops),
             "overlay_reads": float(self.overlay_reads),
@@ -141,31 +138,23 @@ class RequestScheduler:
 
     @property
     def queue_depth(self) -> int:
-        return len(self._staged)
+        return len(self.queue.blobs)
 
     # -- read-your-writes overlay -------------------------------------------
 
     def staged_read(self, blob_id: BlobId) -> tuple[bool, bytes | None]:
-        """(covered, payload) for a blob with staged state.
-
-        ``covered=True`` means the queue holds this blob's newest state:
-        the payload of the latest staged put, or ``None`` for a staged
-        delete.  Serving it locally is what keeps mutations ordered
+        """(covered, payload or None if deleted) from the queue's
+        overlay.  Serving it locally is what keeps mutations ordered
         before their dependent reads without forcing a flush.
         """
-        if self.staged_exists(blob_id) is None:
-            return False, None
-        self.overlay_reads += 1
-        return True, self._overlay.get(blob_id)
+        covered, payload = self.queue.read(blob_id)
+        if covered:
+            self.overlay_reads += 1
+        return covered, payload
 
     def staged_exists(self, blob_id: BlobId) -> bool | None:
         """Tri-state existence: True/False if staged state decides it."""
-        if blob_id in self._overlay:
-            return self._overlay[blob_id] is not None
-        if self._tails and any(in_tail(tail, blob_id)
-                               for tail in self._tails):
-            return False
-        return None
+        return self.queue.exists(blob_id)
 
     def covers(self, blob_id: BlobId) -> bool:
         """Queue holds staged state for this blob (no counter bump) --
@@ -197,17 +186,9 @@ class RequestScheduler:
         """
         if not self.write_behind:
             raise StorageError("scheduler write-behind is disabled")
-        self._staged += journal.write_ops(blobs)
-        for blob_id, payload in blobs:
-            if payload is journal.TAIL:
-                self._tails.append(blob_id)
-                for covered in [b for b in self._overlay
-                                if in_tail(blob_id, b)]:
-                    del self._overlay[covered]
-            else:
-                self._overlay[blob_id] = payload
-            self.staged_ops += 1
-        self.max_queue = max(self.max_queue, len(self._staged))
+        self.queue.stage(blobs)
+        self.staged_ops += len(blobs)
+        self.max_queue = max(self.max_queue, self.queue_depth)
         self._maybe_autoflush()
 
     def stage_delete(self, blob_id: BlobId) -> None:
@@ -217,7 +198,7 @@ class RequestScheduler:
         self.stage_put_many([(blob_id, None) for blob_id in blob_ids])
 
     def _maybe_autoflush(self) -> None:
-        if len(self._staged) >= self.window:
+        if self.queue_depth >= self.window:
             self.autoflushes += 1
             self.flush()
 
@@ -240,27 +221,32 @@ class RequestScheduler:
         client ops) never reached the SSP: each of their inodes is
         reported through ``on_drop`` before the error surfaces.
         """
-        ops, self._staged = self._staged, []
-        self._overlay, self._tails = {}, []
-        if not ops:
+        blobs, self.queue = self.queue.blobs, journal.StagedWrites()
+        if not blobs:
             return 0
         self.flushes += 1
-        replies: list[BatchReply] = []
+        ops = journal.write_ops(blobs)
+        shipped = self.flushed_ops
         try:
             with self.blobs.flight("flush", len(ops)):
-                for base in range(0, len(ops), self.window):
-                    if not all(reply.ok for reply in replies):
-                        break
-                    self.flush_waves += 1
-                    replies += self.blobs.wave(ops[base:base + self.window])
-                self.blobs.raise_failure(
-                    [(op.blob_id, op.payload) for op in ops], replies)
+                self.blobs.raise_failure(blobs, in_order(
+                    [ops[base:base + self.window]
+                     for base in range(0, len(ops), self.window)],
+                    self._flush_wave))
         finally:
-            applied = len(list(takewhile(lambda reply: reply.ok, replies)))
-            self.flushed_ops += applied
+            applied = self.flushed_ops - shipped
             for inode in {op.blob_id.inode for op in ops[applied:]}:
                 self.on_drop(inode)
         return len(ops)
+
+    def _flush_wave(self, ops: list[BatchOp]) -> list[BatchReply]:
+        """Ship one wave of a flush; ``flushed_ops`` counts the sub-ops
+        it applied (a wave the transport refuses whole applied none)."""
+        self.flush_waves += 1
+        replies = self.blobs.wave(ops)
+        self.flushed_ops += len(list(takewhile(lambda reply: reply.ok,
+                                               replies)))
+        return replies
 
     # -- fetch flights -------------------------------------------------------
 

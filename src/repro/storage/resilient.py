@@ -42,9 +42,10 @@ from ..fs.cache import LruCache
 from ..sim.clock import SimClock
 from ..sim.costmodel import NETWORK, CostModel
 from .blobs import DATA, BlobId, in_tail
-from .server import (DELETE_KINDS, MUTATION_KINDS, TAIL_KINDS, BatchOp,
-                     BatchReply, OpMethods, StorageServer, apply_batch,
-                     failure_reply, ok_reply, reply_value)
+from .server import (BATCH_KINDS, DELETE_KINDS, MUTATION_KINDS, PUT_KINDS,
+                     STOPS, TAIL_KINDS, BatchOp, BatchReply, OpMethods,
+                     StorageServer, apply_batch, failure_reply, ok_reply,
+                     reply_value)
 
 
 class ServerWrapper(OpMethods):
@@ -150,10 +151,9 @@ class FlakyServer(ServerWrapper):
 
     OPS = ("put", "get", "delete", "exists")
     #: CAS and fenced forms fail at the rate of the plain op they guard.
-    _RATE_OF = {"put": "put", "put_if": "put", "put_fenced": "put",
-                "get": "get", "exists": "exists",
-                "delete": "delete", "delete_fenced": "delete",
-                "delete_tail": "delete", "delete_tail_fenced": "delete"}
+    _RATE_OF = {kind: "put" if kind in PUT_KINDS
+                else "delete" if kind in DELETE_KINDS else kind
+                for kind in BATCH_KINDS}
 
     def __init__(self, inner: StorageServer,
                  failure_rate: float | dict[str, float] = 0.1,
@@ -529,7 +529,7 @@ class ResilientTransport(ServerWrapper):
                 raise TransientStorageError(reply.message)
             merged.append(reply)
             self._absorb_subop(op, reply)
-            if reply.status in ("fenced", "error"):
+            if reply.status in STOPS:
                 merged += [BatchReply("unattempted")] * (
                     len(ops) - len(merged))
                 return
@@ -586,7 +586,7 @@ class ResilientTransport(ServerWrapper):
         """Fallback-cache upkeep for one acknowledged sub-op."""
         if not self.policy.cache_fallback or reply.status != "ok":
             return
-        if op.kind in ("put", "put_if", "put_fenced"):
+        if op.kind in PUT_KINDS:
             # Write-through: this client's own upload is the freshest
             # possible fallback copy.
             payload = op.payload or b""

@@ -43,20 +43,34 @@ def fence_epoch(raw: bytes | None) -> int:
     return int.from_bytes(raw[:EPOCH_PREFIX_BYTES], "big")
 
 
-#: Sub-operation kinds a batch frame may carry (no nested batches).
-BATCH_KINDS = ("put", "get", "delete", "exists", "put_if",
-               "put_fenced", "delete_fenced", "delete_tail",
-               "delete_tail_fenced")
+#: Each sub-op kind's fields in wire order: the one statement of its
+#: shape, which the wire codec and the kind sets below read.
+SUB_FIELDS = {
+    "put": ("blob_id", "payload"),
+    "get": ("blob_id",),
+    "delete": ("blob_id",),
+    "exists": ("blob_id",),
+    "put_if": ("blob_id", "expected", "payload"),
+    "put_fenced": ("blob_id", "fence", "epoch", "payload"),
+    "delete_fenced": ("blob_id", "fence", "epoch"),
+    "delete_tail": ("blob_id",),
+    "delete_tail_fenced": ("blob_id", "fence", "epoch"),
+}
 
+#: Sub-operation kinds a batch frame may carry (no nested batches).
+BATCH_KINDS = tuple(SUB_FIELDS)
+
+#: The kinds that only read.
+READ_KINDS = frozenset({"get", "exists"})
 #: The kinds that change SSP state.  Crash, pause and mid-run rebalance
 #: injectors all count exactly this set, so their sweeps share one k.
-MUTATION_KINDS = frozenset(
-    {"put", "delete", "put_if", "put_fenced", "delete_fenced",
-     "delete_tail", "delete_tail_fenced"})
-
+MUTATION_KINDS = frozenset(BATCH_KINDS) - READ_KINDS
+#: The kinds that store a payload.
+PUT_KINDS = frozenset(k for k, f in SUB_FIELDS.items() if "payload" in f)
 #: The kinds that delete what they name (a tail: and the run after it).
-DELETE_KINDS = frozenset(
-    {"delete", "delete_fenced", "delete_tail", "delete_tail_fenced"})
+DELETE_KINDS = MUTATION_KINDS - PUT_KINDS
+#: The kinds checked against a fence blob's epoch.
+FENCED_KINDS = frozenset(k for k, f in SUB_FIELDS.items() if "fence" in f)
 #: The kinds that delete a run of blocks (:meth:`StorageServer.delete_tail`).
 TAIL_KINDS = frozenset({"delete_tail", "delete_tail_fenced"})
 
@@ -65,6 +79,8 @@ TAIL_KINDS = frozenset({"delete_tail", "delete_tail_fenced"})
 #: store and are safe to re-send verbatim.
 REPLY_STATUSES = ("ok", "missing", "conflict", "fenced", "error",
                   "unattempted")
+#: The statuses that stop a frame (:func:`in_order`).
+STOPS = frozenset({"fenced", "error"})
 
 
 @dataclass(frozen=True)
@@ -251,6 +267,30 @@ def execute(server: "StorageServer", op: BatchOp) -> BatchReply:
         return failure_reply(exc)
 
 
+def in_order(parts, run) -> list["BatchReply"]:
+    """The one stop rule: apply a frame's ``parts`` in order through
+    ``run``; the first ``fenced`` or ``error`` reply stops the frame, and
+    every sub-op after it reads ``unattempted``.  A part is a sub-op
+    (``run`` returns its reply) or a list of them (their replies).
+    """
+    replies: list[BatchReply] = []
+    stopped = False
+    for part in parts:
+        together = isinstance(part, list)
+        if stopped:
+            replies += [BatchReply("unattempted")] * (
+                len(part) if together else 1)
+        elif together:
+            got = run(part)
+            replies += got
+            stopped = any(reply.status in STOPS for reply in got)
+        else:
+            reply = run(part)
+            replies.append(reply)
+            stopped = reply.status in STOPS
+    return replies
+
+
 def apply_batch(server: "StorageServer",
                 ops: Sequence[BatchOp]) -> list["BatchReply"]:
     """Apply sub-ops in order through ``server``'s own single-op methods.
@@ -258,23 +298,13 @@ def apply_batch(server: "StorageServer",
     Dispatching through the instance keeps every interception layer
     honest: fault injectors, tampering wrappers, and per-blob stats all
     see the sub-ops exactly as they would single requests.  Application
-    stops at the first ``error`` or ``fenced`` sub-op (the tail reads
-    ``unattempted``); ``missing`` and ``conflict`` are answers, not
-    failures, and do not stop the batch.
+    follows :func:`in_order`; ``missing`` and ``conflict`` are answers,
+    not failures, and do not stop the batch.
     """
     for op in ops:
-        if op.kind not in BATCH_KINDS:
+        if op.kind not in SUB_FIELDS:
             raise StorageError(f"unknown batch sub-op kind {op.kind!r}")
-    replies: list[BatchReply] = []
-    stopped = False
-    for op in ops:
-        if stopped:
-            replies.append(BatchReply("unattempted"))
-            continue
-        reply = execute(server, op)
-        stopped = reply.status in ("fenced", "error")
-        replies.append(reply)
-    return replies
+    return in_order(ops, lambda op: execute(server, op))
 
 
 def tail_start(blob_id: BlobId) -> int:

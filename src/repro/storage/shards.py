@@ -7,8 +7,10 @@ number of storage servers that need no mutual trust (UPSS layers the
 same encrypted-block-store abstraction over multiple backends).
 
 :class:`ShardedServer` presents the exact
-:class:`~repro.storage.server.StorageServer` interface while routing
-each blob by consistent hashing on ``(inode, selector)`` -- the
+:class:`~repro.storage.server.StorageServer` interface -- its named
+methods are :class:`~repro.storage.server.OpMethods`, each kind routed
+to its rule by one ``_forward`` -- while routing each blob by
+consistent hashing on ``(inode, selector)`` -- the
 selector is a CAP id or hashed principal, so placement leaks nothing
 the blob id did not already leak -- to one of N backend shards:
 
@@ -40,8 +42,10 @@ the blob id did not already leak -- to one of N backend shards:
   sub-frame, reads ride their primary's sub-frame with single-op
   failover, ``put_if`` sub-ops are ordering barriers resolved through
   the quorum CAS, journal writes are barriers too (a mutation frame's
-  intent lands before its apply, its apply before its commit), and the
-  per-shard
+  intent lands before its apply, its apply before its commit), the
+  frame's one stop rule (:func:`~repro.storage.server.in_order`) runs
+  over its barriers and segments and over each segment's merge, and
+  the per-shard
   :meth:`ResilientTransport.batch` partial-retry applies unchanged
   below the fan-out.
 
@@ -78,6 +82,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Callable, Sequence
 
 from ..errors import (BlobNotFound, CasConflictError, StaleEpochError,
@@ -87,8 +92,10 @@ from .accounting import ServerStats
 from .blobs import JOURNAL, LEASE, PLAN, BlobId, block_blob
 from .resilient import (_BREAKER_GAUGE, OutageServer, ResilientTransport,
                         RetryPolicy)
-from .server import (TAIL_KINDS, BatchOp, BatchReply, StorageServer,
-                     execute, fence_epoch, tail_start)
+from .server import (FENCED_KINDS, MUTATION_KINDS, PUT_KINDS, READ_KINDS,
+                     TAIL_KINDS, BatchOp, BatchReply, OpMethods,
+                     StorageServer, execute, fence_epoch, in_order,
+                     tail_start)
 
 #: Default per-shard transport policy: fail over fast (the *replicas*
 #: are the retry story, not backoff), zero delay so the shared clock is
@@ -258,8 +265,12 @@ class ShardRepairReport:
                 f"{self.unreachable} unreachable -> {state}")
 
 
-class ShardedServer:
-    """N-shard, k-replica storage router with the StorageServer API."""
+class ShardedServer(OpMethods):
+    """N-shard, k-replica storage router with the StorageServer API.
+
+    Its named methods (:class:`~repro.storage.server.OpMethods`) all
+    arrive at :meth:`_forward`, which routes each kind to its rule.
+    """
 
     def __init__(self, shards: int = 4, replicas: int = 2,
                  policy: RetryPolicy | None = None,
@@ -617,47 +628,41 @@ class ShardedServer:
             f"{self.name}: no live replica for get {blob_id} "
             f"(shards {targets})")
 
-    def get(self, blob_id: BlobId) -> bytes:
-        payload = self._read(blob_id)
-        if payload is None:
-            self.stats.record_miss()
-            raise BlobNotFound(str(blob_id))
-        self.stats.record_get(blob_id.kind, len(payload))
-        return payload
+    # -- single ops -----------------------------------------------------------
 
-    def exists(self, blob_id: BlobId) -> bool:
-        return self._read(blob_id) is not None
-
-    # -- mutations -----------------------------------------------------------
-
-    def _write(self, op: BatchOp) -> None:
-        """One mutation: a one-sub-op segment through the frame's merge
-        (:meth:`_scatter_segment`), its reply re-raised."""
+    def _forward(self, op: BatchOp):
+        """One op, routed by kind: a read to the voted :meth:`_read`, a
+        tail delete to :meth:`_delete_tail`, any other mutation (a CAS
+        once its compare holds) through :meth:`_scatter_segment`."""
+        kind, blob_id = op.kind, op.blob_id
+        if kind in READ_KINDS:
+            payload = self._read(blob_id)
+            if kind == "exists":
+                return payload is not None
+            if payload is None:
+                self.stats.record_miss()
+                raise BlobNotFound(str(blob_id))
+            self.stats.record_get(blob_id.kind, len(payload))
+            return payload
+        if kind in TAIL_KINDS:
+            return self._delete_tail(op)
+        if kind == "put_if":
+            # CAS against the *winner* copy, then write through
+            # everywhere.  The compare runs against the same copy a read
+            # would serve (max epoch for lease blobs), so a lagging
+            # replica can neither win a CAS with stale bytes nor block a
+            # legitimate one; the write-through then heals every live
+            # copy to the new value.  The simulated testbed is
+            # single-threaded, so resolve-then-write is atomic; a real
+            # deployment would run the same sequence under a per-blob
+            # lock at the router.
+            current = self._read(blob_id)
+            if current != op.expected:
+                raise CasConflictError(f"cas conflict on {blob_id}",
+                                       current=current)
+            op = BatchOp.put(blob_id, op.payload or b"")
         self._scatter_segment([op])[0].raise_for_status()
-
-    def put(self, blob_id: BlobId, payload: bytes) -> None:
-        self._write(BatchOp.put(blob_id, payload))
-
-    def delete(self, blob_id: BlobId) -> None:
-        self._write(BatchOp.delete(blob_id))
-
-    def put_if(self, blob_id: BlobId, payload: bytes,
-               expected: bytes | None) -> None:
-        """CAS against the *winner* copy, then write through everywhere.
-
-        The compare runs against the same copy a read would serve (max
-        epoch for lease blobs), so a lagging replica can neither win a
-        CAS with stale bytes nor block a legitimate one; the
-        write-through then heals every live copy to the new value.  The
-        simulated testbed is single-threaded, so resolve-then-write is
-        atomic; a real deployment would run the same sequence under a
-        per-blob lock at the router.
-        """
-        current = self._read(blob_id)
-        if current != expected:
-            raise CasConflictError(f"cas conflict on {blob_id}",
-                                   current=current)
-        self._write(BatchOp.put(blob_id, payload))
+        return None
 
     def _live_fence_epoch(self, fence: BlobId) -> int:
         """Highest fencing epoch across live replicas of ``fence``."""
@@ -672,42 +677,29 @@ class ShardedServer:
                 continue
         return max(epochs)
 
-    def put_fenced(self, blob_id: BlobId, payload: bytes,
-                   fence: BlobId, epoch: int) -> None:
-        self._write(BatchOp.put_fenced(blob_id, payload, fence, epoch))
-
-    def delete_fenced(self, blob_id: BlobId,
-                      fence: BlobId, epoch: int) -> None:
-        self._write(BatchOp.delete_fenced(blob_id, fence, epoch))
-
-    def delete_tail(self, blob_id: BlobId) -> None:
-        """The run of stored blocks from ``blob_id`` on, each found by
-        the voted :meth:`exists` and removed by a replicated
-        :meth:`delete` -- so quorum, suspect and dual-write rules hold
-        per block."""
-        index = tail_start(blob_id)
-        while self.exists(block_blob(blob_id.inode, index)):
-            self.delete(block_blob(blob_id.inode, index))
+    def _delete_tail(self, op: BatchOp) -> None:
+        """The run of stored blocks from ``op``'s on, each found by the
+        voted :meth:`_read` and removed by a replicated delete, so quorum,
+        suspect and dual-write rules hold per block; a fenced run is gated
+        whole on the max live epoch first."""
+        index = tail_start(op.blob_id)
+        block = block_blob(op.blob_id.inode, index)
+        fenced = op.kind in FENCED_KINDS
+        if fenced:
+            current = self._live_fence_epoch(op.fence)
+            if (op.epoch or 0) < current:
+                raise StaleEpochError(
+                    f"fenced delete_tail at epoch {op.epoch or 0} "
+                    f"rejected: {op.fence} is at epoch {current}",
+                    current_epoch=current)
+        while self._read(block) is not None:
+            self._scatter_segment([
+                BatchOp.delete_fenced(block, op.fence, op.epoch or 0)
+                if fenced else BatchOp.delete(block)])[0].raise_for_status()
             index += 1
-
-    def delete_tail_fenced(self, blob_id: BlobId,
-                           fence: BlobId, epoch: int) -> None:
-        """Fenced :meth:`delete_tail`: the max live epoch gates the whole
-        run, then each block is a fenced delete of its own."""
-        index = tail_start(blob_id)
-        current = self._live_fence_epoch(fence)
-        if epoch < current:
-            raise StaleEpochError(
-                f"fenced delete_tail at epoch {epoch} rejected: "
-                f"{fence} is at epoch {current}", current_epoch=current)
-        while self.exists(block_blob(blob_id.inode, index)):
-            self.delete_fenced(block_blob(blob_id.inode, index),
-                               fence, epoch)
-            index += 1
+            block = block_blob(op.blob_id.inode, index)
 
     # -- batched sub-ops: per-shard scatter-gather ---------------------------
-
-    _SCATTER_MUTATIONS = ("put", "delete", "put_fenced", "delete_fenced")
 
     def batch(self, ops: Sequence[BatchOp]) -> list[BatchReply]:
         """Fan one OP_BATCH frame out as per-shard sub-frames.
@@ -725,9 +717,7 @@ class ShardedServer:
         Per-shard sub-frames preserve the caller's sub-op order and
         ship through the shard's own :meth:`ResilientTransport.batch`
         (partial retry per shard); replies merge back by global index
-        under the single-server contract: ok / missing / conflict are
-        per-sub-op terminal, the first fenced or hard error stops the
-        frame, and the tail reads ``unattempted``.
+        under the single-server contract (:func:`in_order`).
 
         Two sharded-specific wrinkles, both documented in
         docs/ROBUSTNESS.md: a fence rejection from *any* replica
@@ -738,32 +728,12 @@ class ShardedServer:
         tail is safe to re-send verbatim, which is all the retry layer
         above relies on.
         """
-        ops = list(ops)
-        merged: list[BatchReply] = []
-        i = 0
-        stopped = False
-        while i < len(ops):
-            if stopped:
-                merged.append(BatchReply("unattempted"))
-                i += 1
-                continue
-            if self._barrier(ops[i]):
-                reply = execute(self, ops[i])
-                merged.append(reply)
-                if reply.status in ("fenced", "error"):
-                    stopped = True
-                i += 1
-                continue
-            j = i
-            while j < len(ops) and not self._barrier(ops[j]):
-                j += 1
-            segment_replies = self._scatter_segment(ops[i:j])
-            merged.extend(segment_replies)
-            if any(r.status in ("fenced", "error")
-                   for r in segment_replies):
-                stopped = True
-            i = j
-        return merged
+        parts: list = []  # each barrier alone, each segment a list
+        for barrier, run in groupby(ops, self._barrier):
+            parts += list(run) if barrier else [list(run)]
+        return in_order(parts, lambda part: (
+            self._scatter_segment(part) if isinstance(part, list)
+            else execute(self, part)))
 
     @staticmethod
     def _barrier(op: BatchOp) -> bool:
@@ -781,7 +751,7 @@ class ShardedServer:
         fenced_reply: BatchReply | None = None
         live: dict[BlobId, int] = {}
         for idx, op in enumerate(segment):
-            if op.kind not in ("put_fenced", "delete_fenced"):
+            if op.kind not in FENCED_KINDS:
                 continue
             if op.fence not in live:
                 live[op.fence] = self._live_fence_epoch(op.fence)
@@ -793,7 +763,7 @@ class ShardedServer:
         frames: dict[int, list[tuple[int, BatchOp]]] = {}
         singles: set[int] = set()
         for idx, op in enumerate(segment[:cut]):
-            if op.kind in self._SCATTER_MUTATIONS:
+            if op.kind in MUTATION_KINDS:
                 for shard_index in self.placement(op.blob_id):
                     frames.setdefault(shard_index, []).append((idx, op))
             else:  # get / exists
@@ -816,28 +786,16 @@ class ShardedServer:
             for (idx, _op), reply in zip(frame, shard_replies):
                 by_index.setdefault(idx, {})[shard_index] = reply
 
-        replies: list[BatchReply] = []
-        stopped = False
-        for idx, op in enumerate(segment):
-            if idx == cut and fenced_reply is not None:
-                replies.append(fenced_reply)
-                stopped = True
-                continue
-            if stopped or idx > cut:
-                replies.append(BatchReply("unattempted"))
-                continue
-            reply = self._merge_subop(op, by_index.get(idx, {}),
-                                      idx in singles)
-            replies.append(reply)
-            if reply.status in ("fenced", "error"):
-                stopped = True
-        return replies
+        # The cut is the fenced reply, which stops the segment.
+        return in_order(range(len(segment)), lambda idx: (
+            fenced_reply if idx == cut else self._merge_subop(
+                segment[idx], by_index.get(idx, {}), idx in singles)))
 
     def _merge_subop(self, op: BatchOp,
                      replies: dict[int, BatchReply],
                      resolve_single: bool) -> BatchReply:
         """Merge one sub-op's per-shard replies (or run it single-op)."""
-        if op.kind in ("get", "exists"):
+        if op.kind in READ_KINDS:
             if resolve_single or not replies:
                 return execute(self, op)
             reply = next(iter(replies.values()))
@@ -883,7 +841,7 @@ class ShardedServer:
         blob_id = op.blob_id
         if self.plan is not None and blob_id.kind not in _CONTROL_KINDS:
             self.dual_writes += 1
-        if op.kind in ("put", "put_fenced"):
+        if op.kind in PUT_KINDS:
             self._deleted.pop(blob_id, None)
             for shard_index in applied:
                 self._clear_suspect(blob_id, shard_index)

@@ -18,7 +18,9 @@ batch frame, and one reply form; a single op is a frame of one:
                            u32 payload-len, payload)
                 ERROR (2): u8 transient flag | message
 
-Sub-op bodies and the payloads of their sub-replies:
+Sub-op bodies -- each kind's fields in the order
+:data:`~repro.storage.server.SUB_FIELDS` lists them, the one statement
+the codec reads -- and the payloads of their sub-replies:
 
     PUT        1: blob-id, payload      -> OK
     GET        2: blob-id               -> OK + payload | MISSING (1)
@@ -83,8 +85,9 @@ from dataclasses import replace
 
 from ..errors import StorageError, TransientStorageError
 from .blobs import BlobId
-from .server import (DELETE_KINDS, BatchOp, BatchReply, OpMethods,
-                     StorageServer, reply_value, tail_start)
+from .server import (DELETE_KINDS, PUT_KINDS, SUB_FIELDS, TAIL_KINDS,
+                     BatchOp, BatchReply, OpMethods, StorageServer,
+                     reply_value, tail_start)
 
 OP_PUT = 1
 OP_GET = 2
@@ -102,9 +105,9 @@ OP_DELETE_TAIL_FENCED = 10
 #: of an earlier sub-op of the frame.
 REF_FLAG = 0x40
 _REF = struct.Struct(">III")
-_REF_KINDS = ("put", "put_fenced")
-#: The sub-op kinds a reference may point into.
-_PAYLOAD_KINDS = ("put", "put_if", "put_fenced")
+#: The sub-op kinds that may send a reference: every put kind but the
+#: CAS (a reference may point into any put kind's payload).
+_REF_KINDS = PUT_KINDS - {"put_if"}
 
 STATUS_OK = 0
 STATUS_MISSING = 1
@@ -188,10 +191,15 @@ def _parse_blob_id(raw: bytes) -> BlobId:
         raise StorageError(f"malformed blob id on wire: {raw!r}") from exc
 
 
-def _parse_block_id(raw: bytes) -> BlobId:
-    blob_id = _parse_blob_id(raw)
-    tail_start(blob_id)
-    return blob_id
+#: Each :data:`~repro.storage.server.SUB_FIELDS` field's wire form: how
+#: it is read off the op, and parsed off the wire.
+_FIELD_CODEC = {
+    "blob_id": (lambda op: str(op.blob_id).encode(), _parse_blob_id),
+    "expected": (lambda op: _pack_presence(op.expected), _unpack_presence),
+    "fence": (lambda op: str(op.fence).encode(), _parse_blob_id),
+    "epoch": (lambda op: struct.pack(">Q", op.epoch or 0), _parse_epoch),
+    "payload": (lambda op: op.payload or b"", bytes),
+}
 
 
 # -- OP_BATCH codec -----------------------------------------------------------
@@ -225,7 +233,7 @@ def payload_refs(ops) -> list[tuple[int, int, int] | None]:
         else:
             refs.append((at, offset, len(payload)))
             ends[at] = offset + len(payload)
-        if op.kind in _PAYLOAD_KINDS and op.payload is not None:
+        if op.kind in PUT_KINDS and op.payload is not None:
             latest[op.blob_id] = index
     return refs
 
@@ -238,22 +246,14 @@ def payload_bytes(ops) -> list[int]:
 
 def _encode_sub_body(op: BatchOp,
                      ref: tuple[int, int, int] | None = None) -> bytes:
-    """One sub-op's fields; a ``ref`` replaces the payload field."""
-    bid = str(op.blob_id).encode()
-    payload = (op.payload or b"") if ref is None else _REF.pack(*ref)
-    if op.kind == "put":
-        return _pack_fields(bid, payload)
-    if op.kind in ("get", "delete", "exists", "delete_tail"):
-        return _pack_fields(bid)
-    if op.kind == "put_if":
-        return _pack_fields(bid, _pack_presence(op.expected), payload)
-    if op.kind == "put_fenced":
-        return _pack_fields(bid, str(op.fence).encode(),
-                            struct.pack(">Q", op.epoch or 0), payload)
-    if op.kind in ("delete_fenced", "delete_tail_fenced"):
-        return _pack_fields(bid, str(op.fence).encode(),
-                            struct.pack(">Q", op.epoch or 0))
-    raise StorageError(f"unknown batch sub-op kind {op.kind!r}")
+    """One sub-op's fields (:data:`SUB_FIELDS`); a ``ref`` replaces the
+    payload field."""
+    fields = SUB_FIELDS.get(op.kind)
+    if fields is None:
+        raise StorageError(f"unknown batch sub-op kind {op.kind!r}")
+    return _pack_fields(*[
+        _REF.pack(*ref) if ref is not None and name == "payload"
+        else _FIELD_CODEC[name][0](op) for name in fields])
 
 
 def _decode_sub_body(opcode: int, body: bytes,
@@ -278,7 +278,7 @@ def _resolve_ref(raw: bytes, earlier: list[BatchOp]) -> bytes:
         raise StorageError(f"payload reference to sub-op {index}, "
                            f"not an earlier one")
     target = earlier[index]
-    if target.kind not in _PAYLOAD_KINDS:
+    if target.kind not in PUT_KINDS:
         raise StorageError(f"payload reference to a {target.kind} sub-op")
     if offset + length > len(target.payload):
         raise StorageError(f"payload reference [{offset}:+{length}] "
@@ -287,38 +287,14 @@ def _resolve_ref(raw: bytes, earlier: list[BatchOp]) -> bytes:
 
 
 def _decode_sub_fields(kind: str, body: bytes) -> BatchOp:
-    if kind == "put":
-        blob_raw, payload = _unpack_fields(body, 2)
-        return BatchOp.put(_parse_blob_id(blob_raw), payload)
-    if kind == "get":
-        (blob_raw,) = _unpack_fields(body, 1)
-        return BatchOp.get(_parse_blob_id(blob_raw))
-    if kind == "delete":
-        (blob_raw,) = _unpack_fields(body, 1)
-        return BatchOp.delete(_parse_blob_id(blob_raw))
-    if kind == "exists":
-        (blob_raw,) = _unpack_fields(body, 1)
-        return BatchOp.exists(_parse_blob_id(blob_raw))
-    if kind == "delete_tail":
-        (blob_raw,) = _unpack_fields(body, 1)
-        return BatchOp.delete_tail(_parse_block_id(blob_raw))
-    if kind == "put_if":
-        blob_raw, expected_raw, payload = _unpack_fields(body, 3)
-        return BatchOp.put_if(_parse_blob_id(blob_raw), payload,
-                              _unpack_presence(expected_raw))
-    if kind == "put_fenced":
-        blob_raw, fence_raw, epoch_raw, payload = _unpack_fields(body, 4)
-        return BatchOp.put_fenced(_parse_blob_id(blob_raw), payload,
-                                  _parse_blob_id(fence_raw),
-                                  _parse_epoch(epoch_raw))
-    blob_raw, fence_raw, epoch_raw = _unpack_fields(body, 3)
-    if kind == "delete_tail_fenced":
-        return BatchOp.delete_tail_fenced(_parse_block_id(blob_raw),
-                                          _parse_blob_id(fence_raw),
-                                          _parse_epoch(epoch_raw))
-    return BatchOp.delete_fenced(_parse_blob_id(blob_raw),
-                                 _parse_blob_id(fence_raw),
-                                 _parse_epoch(epoch_raw))
+    """A sub-op of ``kind`` from its fields (:data:`SUB_FIELDS`)."""
+    names = SUB_FIELDS[kind]
+    fields = {}
+    for name, raw in zip(names, _unpack_fields(body, len(names))):
+        fields[name] = _FIELD_CODEC[name][1](raw)
+        if name == "blob_id" and kind in TAIL_KINDS:
+            tail_start(fields[name])  # a tail delete must name a block
+    return BatchOp(kind, **fields)
 
 
 def _encode_batch_request(ops) -> bytes:
@@ -607,7 +583,7 @@ class RemoteStorageClient(OpMethods, StorageServer):
         or timed-out request is not traffic served.  ``sent`` is the
         payload bytes the op put on the wire."""
         if reply.status == "ok":
-            if op.kind in ("put", "put_if", "put_fenced"):
+            if op.kind in PUT_KINDS:
                 self.stats.record_put(op.blob_id.kind, sent)
             elif op.kind == "get":
                 self.stats.record_get(op.blob_id.kind,

@@ -15,7 +15,8 @@ What it detects:
 * orphaned blobs -- storage the SSP bills for that no user can reach
   (e.g. left over from interrupted deletes), including metadata replicas
   and table views of a live object that its attributes no longer call
-  for (the replica census, ``fs/layout.replica_ids``);
+  for (the replica census, ``fs/layout.replica_ids``) and a live file's
+  blocks at or past the count its block 0 carries;
 * pending or forged write-ahead intents in per-user journals (clients
   that died mid-mutation; SSP-injected journal bytes).
 
@@ -41,7 +42,7 @@ from ..fs.client import SharoesFilesystem
 from ..fs.metadata import MetadataAttrs
 from ..fs.tableio import load_table
 from ..fs.volume import SharoesVolume
-from ..storage.blobs import BlobId, journal_blob
+from ..storage.blobs import BlobId, block_index, journal_blob
 from ..storage.resilient import ServerWrapper
 from ..storage.server import MUTATION_KINDS, BatchOp
 
@@ -144,6 +145,8 @@ class VolumeAuditor:
         #: directory inode -> selector -> the base generation that view's
         #: head names (see ``_head_generations``)
         base_gens: dict[int, dict[str, int]] = {}
+        #: file/symlink inode -> the block count its block 0 carries
+        counts: dict[int, int] = {}
 
         for user in self.volume.registry.users():
             # The client's ``server=`` seam puts the read-only recorder
@@ -156,13 +159,14 @@ class VolumeAuditor:
                 report.unreachable_users.append(user.user_id)
                 continue
             report.users_mounted += 1
-            self._walk(fs, "/", report, visited_inodes, base_gens)
+            self._walk(fs, "/", report, visited_inodes, base_gens, counts)
 
         report.objects_visited = len(visited_inodes)
         self._check_journals(report)
         self._check_leases(report)
         if check_orphans:
-            self._find_orphans(recorder, report, visited_inodes, base_gens)
+            self._find_orphans(recorder, report, visited_inodes, base_gens,
+                               counts)
         return report
 
     # -- journals ----------------------------------------------------------------
@@ -313,7 +317,8 @@ class VolumeAuditor:
     def _walk(self, fs: SharoesFilesystem, path: str,
               report: AuditReport,
               visited: dict[int, MetadataAttrs],
-              base_gens: dict[int, dict[str, int]]) -> None:
+              base_gens: dict[int, dict[str, int]],
+              counts: dict[int, int]) -> None:
         try:
             # lstat, but keeping the ACL: the census needs it.
             node = fs._resolve(path, follow_last=False)
@@ -342,7 +347,8 @@ class VolumeAuditor:
             for name in names:
                 child = path.rstrip("/") + "/" + name
                 try:
-                    self._walk(fs, child, report, visited, base_gens)
+                    self._walk(fs, child, report, visited, base_gens,
+                               counts)
                 except IntegrityError as exc:
                     report.integrity_errors.append(f"{child}: {exc}")
                 except SharoesError as exc:
@@ -363,6 +369,12 @@ class VolumeAuditor:
                 pass  # this user cannot read it; another may
             except IntegrityError as exc:
                 report.integrity_errors.append(f"{path}: {exc}")
+        if attrs.ftype != "dir":
+            # The read loaded block 0 (``load_blocks`` remembers the
+            # count it carries) unless this user could not read it.
+            count = fs.mdcache.block_count(attrs.inode)
+            if count is not None:
+                counts[attrs.inode] = count
 
     def _head_generations(self, fs: SharoesFilesystem,
                           node) -> dict[str, int]:
@@ -383,9 +395,11 @@ class VolumeAuditor:
     def _find_orphans(self, recorder: _RecordingServer,
                       report: AuditReport,
                       visited_inodes: dict[int, MetadataAttrs],
-                      base_gens: dict[int, dict[str, int]]) -> None:
+                      base_gens: dict[int, dict[str, int]],
+                      counts: dict[int, int]) -> None:
         """Blobs belonging to no reachable inode, plus replicas of a
-        reachable inode that its attributes do not call for.
+        reachable inode that its attributes do not call for, plus the
+        blocks of a read file or symlink at or past its block count.
 
         Reachability is inode-granular: an exec-only directory's hidden
         table views and empty-class metadata replicas are legitimately
@@ -395,7 +409,8 @@ class VolumeAuditor:
         computable (``layout.replica_ids``); one stored beyond them is
         the leftover of a revoked CAP or an interrupted table fold.  A
         directory nobody holding its table keys could reach is not
-        judged: which bases its heads name is unknown.
+        judged: which bases its heads name is unknown.  Nor are the
+        blocks of a file no user could read: its count is unknown.
         """
         try:
             all_ids = set(self.volume.server.raw_blobs())
@@ -423,9 +438,12 @@ class VolumeAuditor:
                 orphaned = blob_id not in recorder.touched
             elif blob_id.inode not in expected:
                 continue  # a directory whose heads nobody could open
+            elif layout.in_census(blob_id):
+                orphaned = blob_id not in expected[blob_id.inode]
             else:
-                orphaned = (layout.in_census(blob_id)
-                            and blob_id not in expected[blob_id.inode])
+                index = block_index(blob_id)
+                orphaned = (index is not None and blob_id.inode in counts
+                            and index >= counts[blob_id.inode])
             if orphaned:
                 report.orphaned_blobs.append(str(blob_id))
 

@@ -92,3 +92,47 @@ class TestDetection:
         server.put(block_blob_id(inode, 0), bytes(blob))
         report = VolumeAuditor(volume).audit()
         assert "ERRORS FOUND" in report.summary()
+
+
+class TestStrayBlocks:
+    """A read file's blocks at or past the count its block 0 carries are
+    orphans: what a shrink or an unlink left behind."""
+
+    def test_blocks_past_the_count_are_the_orphans(self, populated, volume,
+                                                   server):
+        inode = populated.getattr("/docs/shared.txt").inode  # one block
+        strays = [block_blob_id(inode, 2), block_blob_id(inode, 3)]
+        for blob_id in strays:
+            server.put(blob_id, b"stray ciphertext")
+        report = VolumeAuditor(volume).audit()
+        assert sorted(report.orphaned_blobs) == sorted(map(str, strays))
+        assert report.clean  # orphans are waste, not corruption
+        repaired = VolumeAuditor(volume).repair()
+        assert sorted(repaired.reclaimed_blobs) == sorted(map(str, strays))
+        audit = VolumeAuditor(volume).audit()
+        assert audit.clean and audit.orphaned_blobs == []
+        assert not set(strays) & set(server.raw_blobs())
+        assert populated.read_file("/docs/shared.txt") == b"everyone"
+
+    def test_a_healthy_file_and_symlink_report_none(self, alice_fs, volume,
+                                                    server):
+        alice_fs.create_file("/big", b"x" * (2 * volume.block_size + 100),
+                             mode=0o644)
+        alice_fs.symlink("/big", "/link")
+        for path, count in (("/big", 3), ("/link", 1)):
+            inode = alice_fs.lstat(path).inode
+            assert sorted(blob_id for blob_id in server.raw_blobs()
+                          if blob_id.inode == inode
+                          and blob_id.selector.startswith("b")) == [
+                block_blob_id(inode, index) for index in range(count)]
+        report = VolumeAuditor(volume).audit()
+        assert report.clean and report.orphaned_blobs == []
+
+    def test_a_file_no_user_can_read_is_not_judged(self, alice_fs, volume,
+                                                   server):
+        alice_fs.create_file("/sealed", b"nobody reads", mode=0o600)
+        alice_fs.chmod("/sealed", 0o000)
+        inode = alice_fs.getattr("/sealed").inode
+        server.put(block_blob_id(inode, 5), b"stray ciphertext")
+        report = VolumeAuditor(volume).audit()
+        assert report.orphaned_blobs == []

@@ -9,8 +9,9 @@ against the stack that would strand blocks without it:
 
 * a run of blocks past a stale count is gone after an unlink and after a
   shrinking close, plain and journaled+leased, and fsck is clean;
-* a staged tail hides the blocks it covers from reads, in the
-  write-behind queue and in the journal batch;
+* a staged tail hides the blocks it covers from reads, in the one
+  overlay under both its users: the write-behind queue and the journal
+  batch;
 * the resilient transport never serves a covered block from its
   degraded-read fallback;
 * a crash at the tail sub-op replays to fully applied.
@@ -141,39 +142,48 @@ def _io(**kwargs):
     return io, server
 
 
-def _hidden_from_reads(io, server) -> None:
+@pytest.mark.parametrize("overlay", ["write_behind_queue", "journal_batch"])
+def test_a_staged_tail_hides_its_blocks(overlay):
+    """The one overlay (``journal.StagedWrites``) under both its users:
+    a put, a tail, a delete after it and a second tail below the first
+    hide what they cover from reads, and ship as staged."""
+    if overlay == "write_behind_queue":
+        io, server = _io(window=8, write_behind=True)
+    else:
+        io, server = _io()
+        io.batch = journal.MutationBatch("op")
+    io.cache.put(("raw", block_blob(5, 3)), b"parked", 6)
+    io.send([(block_blob(5, 0), b"new0"), (block_blob(5, 2), journal.TAIL),
+             (block_blob(5, 3), None), (block_blob(5, 1), journal.TAIL)],
+            grouped=True)
+    staged = io.batch or io.scheduler.queue
+    assert len(staged.blobs) == 4
+    if io.scheduler is not None:
+        assert io.scheduler.queue_depth == 4
+    assert ("raw", block_blob(5, 3)) not in io.cache  # no stale slot
     gets = server.stats.gets
     assert io.get(block_blob(5, 0)) == b"new0"
-    for index in (1, 3):
+    for index in (1, 2, 3):
         with pytest.raises(BlobNotFound):
             io.get(block_blob(5, index))
     assert server.stats.gets == gets  # the overlay answered
     assert io.get(block_blob(6, 2)) == b"other inode"
     io.send([(block_blob(5, 2), b"again")], grouped=True)
-    assert io.get(block_blob(5, 2)) == b"again"  # a put after the tail
-
-
-def test_a_staged_tail_hides_its_blocks_in_the_write_behind_queue():
-    io, server = _io(window=8, write_behind=True)
-    io.cache.put(("raw", block_blob(5, 3)), b"parked", 6)
-    io.send([(block_blob(5, 0), b"new0"), (block_blob(5, 1), journal.TAIL)],
-            grouped=True)
-    assert io.scheduler.queue_depth == 2
-    assert ("raw", block_blob(5, 3)) not in io.cache  # no stale slot
-    _hidden_from_reads(io, server)
-    io.flush()
+    assert io.get(block_blob(5, 2)) == b"again"  # a put after the tails
+    with pytest.raises(BlobNotFound):
+        io.get(block_blob(5, 1))  # still under the second tail
+    ops = journal.write_ops(staged.blobs)
+    assert [op.kind for op in ops] == [
+        "put", "delete_tail", "delete", "delete_tail", "put"]
+    if io.batch is not None:
+        io.batch = None
+        assert all(reply.ok for reply in io.exchange("apply", ops))
+    else:
+        io.flush()
+        assert io.scheduler.queue_depth == 0
     assert sorted(server.raw_blobs()) == [
         block_blob(5, 0), block_blob(5, 2), block_blob(6, 2)]
-
-
-def test_a_staged_tail_hides_its_blocks_in_the_journal_batch():
-    io, server = _io()
-    io.batch = journal.MutationBatch("op")
-    io.send([(block_blob(5, 0), b"new0"), (block_blob(5, 1), journal.TAIL)],
-            grouped=True)
-    _hidden_from_reads(io, server)
-    assert [op.kind for op in journal.write_ops(io.batch.blobs)] == [
-        "put", "delete_tail", "put"]
+    assert server.get(block_blob(5, 2)) == b"again"
 
 
 # -- the degraded-read fallback -------------------------------------------------
