@@ -41,9 +41,10 @@ def _keystream(key: bytes, nonce: bytes, length: int) -> bytes:
     return hashlib.shake_256(b"sharoes-stream" + key + nonce).digest(length)
 
 
-def _tag(key: bytes, ciphertext: bytes, associated: bytes | None) -> bytes:
-    """HMAC over ``ciphertext`` (and ``associated``) under a MAC key
-    derived from ``key``.
+def _tag(key: bytes, nonce, body, associated: bytes | None) -> bytes:
+    """HMAC over the ciphertext ``nonce || body`` (and ``associated``)
+    under a MAC key derived from ``key``, fed in parts: the ciphertext
+    is never joined to be hashed.
 
     With associated data the MAC key is a separate derivation and the
     ciphertext's length leads the MAC input, so neither a tag of the
@@ -51,40 +52,51 @@ def _tag(key: bytes, ciphertext: bytes, associated: bytes | None) -> bytes:
     """
     if associated is None:
         tag_key = hashlib.sha256(b"sharoes-mac" + key).digest()
-        return hmac.new(tag_key, ciphertext, hashlib.sha256).digest()
-    tag_key = hashlib.sha256(b"sharoes-mac-ad" + key).digest()
-    mac = hmac.new(tag_key, len(ciphertext).to_bytes(8, "big"),
-                   hashlib.sha256)
-    mac.update(ciphertext)
-    mac.update(associated)
+        mac = hmac.new(tag_key, nonce, hashlib.sha256)
+    else:
+        tag_key = hashlib.sha256(b"sharoes-mac-ad" + key).digest()
+        mac = hmac.new(tag_key, (len(nonce) + len(body)).to_bytes(8, "big")
+                       + nonce, hashlib.sha256)
+    mac.update(body)
+    if associated is not None:
+        mac.update(associated)
     return mac.digest()
 
 
-def encrypt(key: bytes, plaintext: bytes, nonce: bytes | None = None) -> bytes:
-    """Encrypt ``plaintext``; random nonce prepended. Length = input + 16."""
+def _encrypt(key: bytes, plaintext: bytes,
+             nonce: bytes | None) -> tuple[bytes, bytes]:
+    """``(nonce, body)``: the two parts of :func:`encrypt`'s result."""
     if not key:
         raise CryptoError("empty key")
     if nonce is None:
         nonce = secrets.token_bytes(NONCE_SIZE)
     if len(nonce) != NONCE_SIZE:
         raise CryptoError("nonce must be 16 bytes")
-    return nonce + xor_bytes(plaintext,
-                             _keystream(key, nonce, len(plaintext)))
+    return nonce, xor_bytes(plaintext, _keystream(key, nonce, len(plaintext)))
 
 
-def decrypt(key: bytes, ciphertext: bytes) -> bytes:
-    """Inverse of :func:`encrypt`."""
+def encrypt(key: bytes, plaintext: bytes, nonce: bytes | None = None) -> bytes:
+    """Encrypt ``plaintext``; random nonce prepended. Length = input + 16."""
+    nonce, body = _encrypt(key, plaintext, nonce)
+    return nonce + body
+
+
+def decrypt(key: bytes, ciphertext) -> bytes:
+    """Inverse of :func:`encrypt`; ``ciphertext`` is any byte buffer,
+    read in place."""
     if not key:
         raise CryptoError("empty key")
     if len(ciphertext) < NONCE_SIZE:
         raise CryptoError("ciphertext shorter than nonce")
-    nonce, body = ciphertext[:NONCE_SIZE], ciphertext[NONCE_SIZE:]
+    view = memoryview(ciphertext)
+    nonce, body = view[:NONCE_SIZE], view[NONCE_SIZE:]
     return xor_bytes(body, _keystream(key, nonce, len(body)))
 
 
 def seal(key: bytes, plaintext: bytes,
          associated: bytes | None = None) -> bytes:
-    """Encrypt-then-MAC: ciphertext || HMAC(tag_key, ciphertext).
+    """Encrypt-then-MAC: ``nonce || body || HMAC(tag_key, nonce || body)``,
+    joined once.
 
     The MAC key is derived from the encryption key so callers manage a
     single symmetric key per object, as the paper's DEK/MEK do.
@@ -92,18 +104,22 @@ def seal(key: bytes, plaintext: bytes,
     of the result: the caller stores them and hands them to
     :func:`open_sealed` again.
     """
-    ciphertext = encrypt(key, plaintext)
-    return ciphertext + _tag(key, ciphertext, associated)
+    nonce, body = _encrypt(key, plaintext, None)
+    return b"".join((nonce, body, _tag(key, nonce, body, associated)))
 
 
-def open_sealed(key: bytes, sealed: bytes,
+def open_sealed(key: bytes, sealed,
                 associated: bytes | None = None) -> bytes:
-    """Verify the MAC then decrypt; raises :class:`IntegrityError` on tamper."""
+    """Verify the MAC then decrypt; raises :class:`IntegrityError` on
+    tamper.  ``sealed`` is any byte buffer, read in place."""
     if not key:
         raise CryptoError("empty key")
     if len(sealed) < NONCE_SIZE + TAG_SIZE:
         raise CryptoError("sealed payload too short")
-    ciphertext, tag = sealed[:-TAG_SIZE], sealed[-TAG_SIZE:]
-    if not hmac.compare_digest(_tag(key, ciphertext, associated), tag):
+    view = memoryview(sealed)
+    ciphertext, tag = view[:-TAG_SIZE], view[-TAG_SIZE:]
+    if not hmac.compare_digest(_tag(key, ciphertext[:NONCE_SIZE],
+                                    ciphertext[NONCE_SIZE:], associated),
+                               tag):
         raise IntegrityError("sealed payload failed MAC verification")
     return decrypt(key, ciphertext)

@@ -681,12 +681,13 @@ class ShardedServer(OpMethods):
         """The run of stored blocks from ``op``'s on, each found by the
         voted :meth:`_read` and removed by a replicated delete, so quorum,
         suspect and dual-write rules hold per block; a fenced run is gated
-        whole on the max live epoch first."""
+        whole on the max live epoch first, read once for the run (every
+        replica still checks its own fence copy per block)."""
         index = tail_start(op.blob_id)
         block = block_blob(op.blob_id.inode, index)
-        fenced = op.kind in FENCED_KINDS
-        if fenced:
-            current = self._live_fence_epoch(op.fence)
+        live: dict[BlobId, int] = {}
+        if op.kind in FENCED_KINDS:
+            current = live[op.fence] = self._live_fence_epoch(op.fence)
             if (op.epoch or 0) < current:
                 raise StaleEpochError(
                     f"fenced delete_tail at epoch {op.epoch or 0} "
@@ -695,7 +696,8 @@ class ShardedServer(OpMethods):
         while self._read(block) is not None:
             self._scatter_segment([
                 BatchOp.delete_fenced(block, op.fence, op.epoch or 0)
-                if fenced else BatchOp.delete(block)])[0].raise_for_status()
+                if live else BatchOp.delete(block)],
+                live)[0].raise_for_status()
             index += 1
             block = block_blob(op.blob_id.inode, index)
 
@@ -740,16 +742,19 @@ class ShardedServer(OpMethods):
         return (op.kind == "put_if" or op.kind in TAIL_KINDS
                 or op.blob_id.kind == JOURNAL)
 
-    def _scatter_segment(self,
-                         segment: Sequence[BatchOp]) -> list[BatchReply]:
-        """One barrier-free scatter-gather round over ``segment``."""
+    def _scatter_segment(self, segment: Sequence[BatchOp],
+                         live: dict[BlobId, int] | None = None,
+                         ) -> list[BatchReply]:
+        """One barrier-free scatter-gather round over ``segment``;
+        ``live`` holds the max live epochs of fences the caller has read
+        already."""
         # Fenced pre-check on the max live epoch: a lagging replica's
         # local fence copy fails open at a stale epoch, so a zombie could
         # otherwise land there.  Cut the segment at the first sub-op
         # whose fence already advanced; every replica re-checks its own.
         cut = len(segment)
         fenced_reply: BatchReply | None = None
-        live: dict[BlobId, int] = {}
+        live = {} if live is None else live
         for idx, op in enumerate(segment):
             if op.kind not in FENCED_KINDS:
                 continue

@@ -154,12 +154,14 @@ def _unpack_presence(raw: bytes) -> bytes | None:
 _MAX_MESSAGE = 64 * 1024 * 1024
 
 
-def _pack_fields(*fields: bytes) -> bytes:
-    out = bytearray()
+def _pack_fields(*fields: bytes, out: bytearray | None = None) -> bytearray:
+    """``fields``, each behind its u32 length, appended to ``out`` (a new
+    buffer by default)."""
+    out = bytearray() if out is None else out
     for field in fields:
         out += struct.pack(">I", len(field))
         out += field
-    return bytes(out)
+    return out
 
 
 def _unpack_fields(raw: bytes, count: int) -> list[bytes]:
@@ -238,22 +240,25 @@ def payload_refs(ops) -> list[tuple[int, int, int] | None]:
     return refs
 
 
-def payload_bytes(ops) -> list[int]:
-    """Uplink payload bytes of each sub-op of one frame, as sent."""
+def payload_bytes(ops, refs=None) -> list[int]:
+    """Uplink payload bytes of each sub-op of one frame, as sent
+    (``refs``: the frame's :func:`payload_refs`, when known)."""
+    refs = payload_refs(ops) if refs is None else refs
     return [op.sent_bytes() if ref is None else _REF.size
-            for op, ref in zip(ops, payload_refs(ops))]
+            for op, ref in zip(ops, refs)]
 
 
 def _encode_sub_body(op: BatchOp,
-                     ref: tuple[int, int, int] | None = None) -> bytes:
-    """One sub-op's fields (:data:`SUB_FIELDS`); a ``ref`` replaces the
-    payload field."""
+                     ref: tuple[int, int, int] | None = None,
+                     out: bytearray | None = None) -> bytearray:
+    """One sub-op's fields (:data:`SUB_FIELDS`), appended to ``out``
+    (:func:`_pack_fields`); a ``ref`` replaces the payload field."""
     fields = SUB_FIELDS.get(op.kind)
     if fields is None:
         raise StorageError(f"unknown batch sub-op kind {op.kind!r}")
     return _pack_fields(*[
         _REF.pack(*ref) if ref is not None and name == "payload"
-        else _FIELD_CODEC[name][0](op) for name in fields])
+        else _FIELD_CODEC[name][0](op) for name in fields], out=out)
 
 
 def _decode_sub_body(opcode: int, body: bytes,
@@ -297,15 +302,19 @@ def _decode_sub_fields(kind: str, body: bytes) -> BatchOp:
     return BatchOp(kind, **fields)
 
 
-def _encode_batch_request(ops) -> bytes:
-    out = bytearray(struct.pack(">I", len(ops)))
-    for op, ref in zip(ops, payload_refs(ops)):
-        body = _encode_sub_body(op, ref)
-        opcode = _KIND_TO_OPCODE[op.kind] | (0 if ref is None else REF_FLAG)
-        out += bytes([opcode])
-        out += struct.pack(">I", len(body))
-        out += body
-    return bytes(out)
+def _encode_batch_request(ops, refs) -> bytearray:
+    """The OP_BATCH request -- opcode, count, sub-ops -- built in one
+    buffer, each field copied into it once; ``refs`` is the frame's
+    :func:`payload_refs`."""
+    out = bytearray(struct.pack(">BI", OP_BATCH, len(ops)))
+    for op, ref in zip(ops, refs):
+        out.append(_KIND_TO_OPCODE[op.kind]
+                   | (0 if ref is None else REF_FLAG))
+        start = len(out)
+        out += bytes(4)  # the body length, known once the body is in
+        _encode_sub_body(op, ref, out)
+        struct.pack_into(">I", out, start, len(out) - start - 4)
+    return out
 
 
 def _decode_batch_request(body: bytes) -> list[BatchOp]:
@@ -607,10 +616,11 @@ class RemoteStorageClient(OpMethods, StorageServer):
         """Ship all sub-ops in one OP_BATCH frame: one round trip."""
         if not ops:
             return []
-        body = bytes([OP_BATCH]) + _encode_batch_request(ops)
-        payload = self._check(self._roundtrip(body))
+        refs = payload_refs(ops)
+        payload = self._check(self._roundtrip(
+            _encode_batch_request(ops, refs)))
         replies = _decode_batch_reply(payload, len(ops))
-        for op, reply, sent in zip(ops, replies, payload_bytes(ops)):
+        for op, reply, sent in zip(ops, replies, payload_bytes(ops, refs)):
             self._record(op, reply, sent)
         return replies
 

@@ -18,8 +18,8 @@ import pytest
 from repro.errors import (BlobNotFound, CasConflictError, StaleEpochError,
                           TransientStorageError)
 from repro.sim.clock import SimClock
-from repro.storage.blobs import (LEASE, BlobId, data_blob, journal_blob,
-                                 meta_blob)
+from repro.storage.blobs import (LEASE, BlobId, block_blob, data_blob,
+                                 journal_blob, meta_blob)
 from repro.storage.faults import RollbackServer, TamperingServer
 from repro.storage.resilient import OutageServer
 from repro.storage.server import BatchOp
@@ -354,6 +354,50 @@ class TestShardedBatch:
         assert replies[1 + data.index(lost)].status == "error"
         assert replies[-1].status == "unattempted"
         assert server.get(journal) == b"intent"
+
+    @staticmethod
+    def _tail_run(epoch: int | None) -> tuple[list, list, list, BlobId]:
+        """Statuses, blocks left, backend gets and fence of one tail
+        delete of a 6-block file (``epoch`` None: unfenced) whose fence
+        is at 3."""
+        server = ShardedServer(shards=4, replicas=2)
+        fence = _lease(12)
+        server.put(fence, _epoch_payload(3))
+        blocks = [block_blob(12, i) for i in range(6)]
+        for block in blocks:
+            server.put(block, b"x")
+        gets: list[BlobId] = []
+        for shard in server.shards:
+            def counted(blob_id, real=shard.backend.get):
+                gets.append(blob_id)
+                return real(blob_id)
+            shard.backend.get = counted
+        op = (BatchOp.delete_tail(blocks[0]) if epoch is None
+              else BatchOp.delete_tail_fenced(blocks[0], fence, epoch))
+        statuses = [reply.status for reply in server.batch([op])]
+        ran = list(gets)
+        left = [block for block in blocks if server.exists(block)]
+        return statuses, left, ran, fence
+
+    def test_a_fenced_tail_delete_reads_its_fence_once(self):
+        """The run is gated on the fence's max live epoch, read once;
+        each block's fenced delete rides that epoch (every replica still
+        checks its own fence copy), so the run reads what an unfenced
+        one does plus one read of each fence replica: 12 gets, 36 when
+        every block re-read the fence everywhere."""
+        statuses, left, plain, _ = self._tail_run(None)
+        assert (statuses, left, len(plain)) == (["ok"], [], 8)
+        statuses, left, gets, fence = self._tail_run(3)
+        assert (statuses, left) == (["ok"], [])
+        assert gets.count(fence) == len(ShardedServer(
+            shards=4, replicas=2).placement(fence)) == 4
+        assert len(gets) == len(plain) + 4 == 12
+
+    def test_a_stale_tail_delete_is_refused_before_any_block_goes(self):
+        statuses, left, gets, fence = self._tail_run(2)
+        assert statuses == ["fenced"]
+        assert len(left) == 6
+        assert gets == [fence] * 4
 
 
 # ---------------------------------------------------------------------------
