@@ -24,7 +24,12 @@ which is left with paths, CAPs and keys:
   tail -- as are lease reads, CAS, batched renewal, intent replay,
   version statements and the grouped sends above.  Its apply puts name their
   payloads inside the intent, and a frame is charged what the codec
-  sends (``wire.payload_bytes``).
+  sends (``wire.payload_bytes``);
+* **the lease head** -- a lease CAS the mutation pipeline planned rides
+  the head of the next frame sent here, whatever it carries (a get, a
+  flight's first wave, a readahead, a protocol frame), with its fence
+  check behind it; the lease manager books the head's replies, and a CAS
+  that lost raises before anything behind it is handed out.
 
 Stack, assembled once by ``SharoesFilesystem.__init__``::
 
@@ -102,6 +107,9 @@ class BlobIO:
         #: the active mutation's journal batch (None outside one): sends
         #: are deferred into it and reads see its staged state first.
         self.batch: journal.MutationBatch | None = None
+        #: the client's lease manager (None unleased): the CASes it
+        #: planned ride the head of the next frame (:meth:`_ride`).
+        self.leases = None
         self.scheduler = None
         if window:
             from .scheduler import RequestScheduler
@@ -155,12 +163,46 @@ class BlobIO:
         sub-op is its own counted round trip under the same stop rule.
         """
         self.flush()  # a direct frame orders after everything staged
-        if self.batching:
-            with self.frame(label, count=len(ops)):
-                replies = self.server.batch(ops)
-                self._charge_replies(ops, replies)
+        return self._led(label, ops, self._ride())
+
+    def _led(self, label: str, ops: Sequence[BatchOp],
+             plan) -> list[BatchReply]:
+        """:meth:`exchange` behind ``plan``'s lease head; the replies to
+        ``ops``."""
+        sent = list(ops) if plan is None else plan.ops + list(ops)
+        try:
+            if self.batching:
+                with self.frame(label, count=len(sent)):
+                    replies = self.server.batch(sent)
+                    self._charge_replies(sent, replies)
+            else:
+                replies = in_order(sent, self._exchange_one)
+        except BaseException:
+            self._unride(plan)
+            raise
+        return self._settled(plan, replies)
+
+    # -- the lease head --------------------------------------------------------
+
+    def _ride(self):
+        """Take the lease CASes planned for the next frame's head (None:
+        none)."""
+        return self.leases.ride() if self.leases is not None else None
+
+    def _unride(self, plan) -> None:
+        """The frame carrying ``plan`` failed whole: the next one carries
+        its CASes again."""
+        if plan is not None:
+            self.leases.unride(plan)
+
+    def _settled(self, plan, replies: list[BatchReply]) -> list[BatchReply]:
+        """The replies behind ``plan``'s head, once the lease manager
+        booked the head's: a CAS that lost raises, and nothing the frame
+        read behind it is handed out."""
+        if plan is None:
             return replies
-        return in_order(ops, self._exchange_one)
+        self.leases.settle(plan, replies)
+        return replies[len(plan.ops):]
 
     def _exchange_one(self, op: BatchOp) -> BatchReply:
         """One sub-op as its own counted, charged round trip."""
@@ -212,15 +254,18 @@ class BlobIO:
         wave unpriced, as a refused :meth:`exchange`; a read wave at its
         headers, as a refused :meth:`prefetch`.
         """
-        self._count("wave", len(ops))
+        plan = self._ride()
+        sent = list(ops) if plan is None else plan.ops + list(ops)
+        self._count("wave", len(sent))
         try:
-            replies = self.server.batch(ops)
+            replies = self.server.batch(sent)
         except StorageError:
+            self._unride(plan)
             if ops[0].kind == "get":
-                self._charge_wave(ops, [BatchReply("error")] * len(ops))
+                self._charge_wave(sent, [BatchReply("error")] * len(sent))
             raise
-        self._charge_wave(ops, replies)
-        return replies
+        self._charge_wave(sent, replies)
+        return self._settled(plan, replies)
 
     def _charge_wave(self, ops, replies) -> None:
         if self.cost is not None:
@@ -285,6 +330,13 @@ class BlobIO:
                     help="gets served from the speculative read "
                          "buffer").inc()
                 return raw
+        plan = self._ride()
+        if plan is not None:
+            reply, = self._led("get", [BatchOp.get(blob_id)], plan)
+            if reply.status == "missing":
+                raise BlobNotFound(str(blob_id))
+            reply.raise_for_status()
+            return reply.payload
         with self.frame("get", kind=blob_id.kind):
             try:
                 payload = self.server.get(blob_id)
@@ -441,19 +493,20 @@ class BlobIO:
         wanted = self._cold(blob_ids)
         if not wanted:
             return
-        with self.frame("get_many", count=len(wanted)):
+        plan = self._ride()
+        ops = [BatchOp.get(blob_id) for blob_id in wanted]
+        sent = ops if plan is None else plan.ops + ops
+        with self.frame("get_many", count=len(sent)):
             try:
-                replies = self.server.batch(
-                    [BatchOp.get(blob_id) for blob_id in wanted])
+                replies = self.server.batch(sent)
             except StorageError:
+                self._unride(plan)
                 self.charge()
                 return
-            down = 0
-            for blob_id, reply in zip(wanted, replies):
-                if reply.status == "ok" and reply.payload is not None:
-                    down += len(reply.payload)
-                    self._park(blob_id, reply.payload)
-            self.charge(down=down)
+            self._charge_replies(sent, replies)
+        for blob_id, reply in zip(wanted, self._settled(plan, replies)):
+            if reply.status == "ok" and reply.payload is not None:
+                self._park(blob_id, reply.payload)
 
     def fetch_tail(self, blob_ids: Iterable[BlobId]) -> None:
         """Overlap independent reads as one scheduler flight.

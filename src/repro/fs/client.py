@@ -252,6 +252,7 @@ class SharoesFilesystem:
                 provider=self.provider, escrow=volume.registry.user,
                 tracer=self.tracer, metrics=self.metrics,
                 exchange=self.blobs.ship, holder=self.mutation.holder)
+            self.blobs.leases = self.lease
 
     def enable_consistency_log(self):
         """Attach a SUNDR-style fork-consistency log (paper section VI).
@@ -451,12 +452,12 @@ class SharoesFilesystem:
         attrs.to_writer(writer)
         return writer.getvalue()
 
-    def _invalidate(self, inode: int) -> None:
+    def _invalidate(self, inode: int, keep_count: bool = False) -> None:
         if self.scheduler is not None:
             # Cancel in-flight speculation: a fetch that raced this
             # invalidation must not land in any cache.
             self.scheduler.note_invalidation()
-        self.mdcache.invalidate_inode(inode)
+        self.mdcache.invalidate_inode(inode, keep_count)
 
     def revalidate(self) -> None:
         """Close-to-open consistency boundary.

@@ -54,18 +54,27 @@ keeps its cache for the inode on the strength of it.  A lost CAS hands
 back the current bytes and falls into the inspect-and-advance loop
 below, exactly as a read would have.
 
-**One frame per mutation.**  Over its own released link (or a new
-inode's absent blob) the CAS need not even go first: :meth:`acquire`
-with ``defer`` builds it and sends nothing, and :meth:`links` plans the
-sub-ops a mutation frame carries around its body -- the CASes (the
-*head*) and the released links (the *tail*) -- and names the links
-another writer could have moved, whose fences the frame must carry
-(fs/mutation.py composes the frame); :meth:`book` takes the head's and
-the tail's replies back.  For a fence to bite, a released link's next
-epoch belongs to its writer: anyone else advancing the chain past it
-skips that epoch (:func:`successor_epoch`), so a CAS that lost leaves
-the chain past the fence and the SSP stops the frame before anything
-of the mutation is written.
+**A CAS rides the op's first frame.**  Over its own released link (or
+a new inode's absent blob) the CAS need not go first in a frame of its
+own: :meth:`acquire` with ``defer`` builds it and sends nothing, and the
+first frame the op then sends carries it at its head (:meth:`ride`),
+with a fence check at its epoch behind it.  For that check to bite, a
+released link's next epoch belongs to its writer: anyone else advancing
+the chain past it skips that epoch (:func:`successor_epoch`), so a CAS
+that lost leaves the chain past the fence and the SSP stops the frame
+before the reads or writes behind it run.  :meth:`settle` books the
+head's replies: a CAS that won is held, one that lost raises
+:class:`HeadCasLost` and hands back the link it met (the *seed*).  A
+released seed is taken over the same way on the op's re-run -- planned,
+riding the re-run's first frame, without a check (the seed's successor
+epoch is anyone's) -- so only the reads in that CAS's own frame are
+trusted.  An op that sends no frame before its mutation frame has its
+CAS there (:meth:`links` plans the sub-ops a mutation frame carries
+around its body -- the CASes and compared held links (the *head*) and
+the released links (the *tail*) -- and names the links another writer
+could have moved, whose fences the frame must carry; fs/mutation.py
+composes the frame); :meth:`book` takes the head's and the tail's
+replies back.
 """
 
 from __future__ import annotations
@@ -91,13 +100,18 @@ _SIGN_DOMAIN = b"sharoes/lease/"
 
 
 class HeadCasLost(LeaseLostError):
-    """A mutation frame's optimistic head CAS lost.
+    """A planned lease CAS lost at the head of the frame it rode.
 
-    The link this client last wrote was no longer the tip: another
-    writer advanced the chain since.  The SSP fenced the frame out
-    before anything of the mutation was written; the filesystem runs
-    the op once more on the acquire-first path.
+    The link it was built over was no longer the tip: another writer
+    advanced the chain since.  The SSP fenced the frame out (or the
+    client discarded its reads unread) before anything of the mutation
+    was written; the filesystem runs the op once more, over the link
+    the CAS met.  ``inode`` names the lease.
     """
+
+    def __init__(self, message: str, inode: int):
+        super().__init__(message)
+        self.inode = inode
 
 
 @dataclass(frozen=True)
@@ -206,16 +220,23 @@ def successor_epoch(prior: LeaseRecord) -> int:
 
 @dataclass
 class FrameLinks:
-    """The lease sub-ops around a mutation frame (:meth:`LeaseManager.
-    links`): ``(inode, link, put_if)`` triples -- the head's link a
-    deferred CAS's, or None for a held lease compared against its own
-    bytes; the tail's its released successor -- and, for each head link
-    another writer could have moved, ``(inode, epoch its fence names)``.
+    """The lease sub-ops around a frame (:meth:`LeaseManager.links`,
+    :meth:`LeaseManager.ride`): ``(inode, link, put_if)`` triples -- the
+    head's link a planned CAS's, or None for a held lease compared
+    against its own bytes; the tail's its released successor -- and, for
+    each head link another writer could have moved, ``(inode, epoch its
+    fence names)``.
     """
 
     head: list = field(default_factory=list)
     tail: list = field(default_factory=list)
     checks: list[tuple[int, int]] = field(default_factory=list)
+
+    @property
+    def ops(self) -> list[BatchOp]:
+        """A ridden head as sub-ops: the CASes, then their checks."""
+        return ([op for *_, op in self.head]
+                + journal.fence_checks(self.checks))
 
 
 def break_record(prior: LeaseRecord, holder_user) -> LeaseRecord:
@@ -270,10 +291,11 @@ class LeaseManager:
         #: inode -> the last chain link this client wrote (held or
         #: released): what the next acquire CASes against unread.
         self._last: dict[int, tuple[LeaseRecord, bytes]] = {}
-        #: inode -> (link, its bytes, the bytes it CASes over): a
-        #: deferred acquire, sent at the head of the next mutation frame.
+        #: inode -> (link, its bytes, the bytes it CASes over, whether a
+        #: fence check follows it): a planned acquire, sent at the head
+        #: of the op's next frame.
         self._planned: dict[int, tuple[LeaseRecord, bytes,
-                                       bytes | None]] = {}
+                                       bytes | None, bool]] = {}
         #: inode -> the bytes a lost head CAS handed back: what the next
         #: acquire inspects instead of reading the blob.
         self._seeds: dict[int, bytes | None] = {}
@@ -316,11 +338,15 @@ class LeaseManager:
     def held_inodes(self) -> list[int]:
         return sorted(self._held)
 
+    def planned(self, inode: int) -> bool:
+        """Is a CAS on ``inode`` waiting for the head of a frame?"""
+        return inode in self._planned
+
     def deferred(self, inode: int) -> bool:
-        """Is a CAS over this client's own link on ``inode`` waiting for
-        a mutation frame's head (a link another writer could move)?"""
+        """Is a CAS over this client's own link on ``inode`` -- one the
+        cache was kept on -- waiting for the head of a frame?"""
         planned = self._planned.get(inode)
-        return planned is not None and planned[2] is not None
+        return planned is not None and planned[3]
 
     # -- the state machine ---------------------------------------------------
 
@@ -342,8 +368,10 @@ class LeaseManager:
         :attr:`unbroken` is set when that first CAS won over our own
         link.  With ``defer``, a CAS over our own released link or an
         absent blob is built but not sent: the returned link is the one
-        the caller's mutation frame will CAS in (:meth:`release`), and
-        :attr:`unbroken` predicts that it wins.
+        the op's next frame will CAS in (:meth:`ride`), and
+        :attr:`unbroken` predicts that it wins.  A released link a lost
+        CAS handed back is taken over the same way, ``defer`` or not
+        (no journal to roll forward), and never sets :attr:`unbroken`.
         """
         held = self._held.get(inode)
         if held is not None and not held[0].expired(self._now_us()):
@@ -358,15 +386,19 @@ class LeaseManager:
         if defer and (new or (last is not None and last[0].released)):
             base = (last[0].epoch if last is not None
                     else self.freshness.high_watermark(inode) or 0)
-            record = self._make(inode, base + 1)
-            self._planned[inode] = (record, record.to_bytes(),
-                                    last[1] if last is not None else None)
             self.unbroken = last is not None
-            return record
+            return self._plan(inode, base + 1,
+                              last[1] if last is not None else None,
+                              checked=self.unbroken)
         raw: bytes | None = None
         fetched = new  # a new inode's blob is absent: nothing to read
         if inode in self._seeds:
             raw, fetched, last = self._seeds.pop(inode), True, None
+            seed = self._released_seed(inode, raw)
+            if seed is not None:
+                self.unbroken = False
+                return self._plan(inode, successor_epoch(seed), raw,
+                                  checked=False)
         if last is not None:
             verb, help = (
                 ("lease.acquires", "fresh lease acquisitions")
@@ -403,6 +435,26 @@ class LeaseManager:
             f"{_ACQUIRE_ROUNDS} CAS rounds",
             holder=record.holder if record else "",
             expires_at_s=(record.expires_us / 1e6) if record else 0.0)
+
+    def _plan(self, inode: int, epoch: int, expected: bytes | None,
+              checked: bool) -> LeaseRecord:
+        record = self._make(inode, epoch)
+        self._planned[inode] = (record, record.to_bytes(), expected,
+                                checked)
+        return record
+
+    def _released_seed(self, inode: int,
+                       raw: bytes | None) -> LeaseRecord | None:
+        """The verified link a lost CAS handed back, if it is a released
+        one: taking it over needs no roll-forward."""
+        if raw is None:
+            return None
+        record = LeaseRecord.from_bytes(raw, inode)
+        if not record.released:
+            return None
+        self._observe(inode, raw, record)
+        self._last.pop(inode, None)
+        return record
 
     def _read(self, blob_id: BlobId) -> bytes | None:
         reply, = self._exchange("lease.read", [BatchOp.get(blob_id)])
@@ -567,18 +619,33 @@ class LeaseManager:
 
     def links(self, *inodes: int) -> FrameLinks:
         """Plan the head and the tail of a mutation frame over the
-        leases of ``inodes``: each deferred CAS, or a held lease's bytes
-        against themselves, then its released successor."""
+        leases of ``inodes``: each planned CAS no earlier frame carried,
+        or a held lease's bytes against themselves, then its released
+        successor.
+
+        A seeded takeover no frame carried goes first, in a frame of its
+        own: its epoch is the one any reader of the seed would write, so
+        no fence in the mutation frame could stop on its loss.
+        """
+        if any(expected is not None and not checked
+               for *_, expected, checked in self._planned.values()):
+            head = self.ride()
+            try:
+                replies = self._exchange("lease.acquire", head.ops)
+            except BaseException:
+                self.unride(head)
+                raise
+            self.settle(head, replies)
         self._seeds = {}
         plan, links = FrameLinks(), {}
         for inode in inodes:
             planned = self._planned.pop(inode, None)
             if planned is not None:
-                record, raw, expected = planned
+                record, raw, expected, checked = planned
                 plan.head.append((inode, record, BatchOp.put_if(
                     lease_blob(inode), raw, expected)))
                 links[inode] = (record, raw)
-                if expected is not None:
+                if checked:
                     plan.checks.append((inode, record.epoch))
             elif inode in self._held:
                 record, raw = links[inode] = self._held[inode]
@@ -587,6 +654,60 @@ class LeaseManager:
                 plan.checks.append((inode, record.epoch))
         plan.tail = self._released(links)
         return plan
+
+    def ride(self) -> FrameLinks | None:
+        """Take every planned CAS over a link out of the plan, for the
+        head of the frame about to be sent (None: none planned; a new
+        inode's CAS stays for the mutation frame: no other writer can
+        hold its lease).  Each link another writer could have moved gets
+        a fence check at its epoch behind the CASes, so a CAS that lost
+        stops the frame there."""
+        if not self._planned:
+            return None
+        plan = FrameLinks()
+        for inode, (record, raw, expected, checked) in list(
+                self._planned.items()):
+            if expected is None:
+                continue
+            del self._planned[inode]
+            plan.head.append((inode, record, BatchOp.put_if(
+                lease_blob(inode), raw, expected)))
+            if checked:
+                plan.checks.append((inode, record.epoch))
+        return plan if plan.head else None
+
+    def unride(self, plan: FrameLinks, inodes=None) -> None:
+        """The frame carrying ``plan`` failed (only at ``inodes``, if
+        given): plan those CASes again, for the next frame.  One that
+        landed after all meets its own link there, which :meth:`settle`
+        books as won."""
+        checked = {inode for inode, _ in plan.checks}
+        for inode, record, op in plan.head:
+            if inodes is None or inode in inodes:
+                self._planned.setdefault(inode, (
+                    record, op.payload, op.expected, inode in checked))
+
+    def settle(self, plan: FrameLinks, replies) -> None:
+        """Book the replies to a ridden head (``replies`` may run on into
+        the frame's own).  A CAS that met its own link -- a copy of the
+        frame the transport sent again -- won; one the frame did not
+        apply is planned again and its error raised; one that lost
+        raises :class:`HeadCasLost` once the link it met is kept as the
+        seed, so whatever the frame read behind it goes unread."""
+        head = [BatchReply("ok") if reply.status == "conflict"
+                and reply.payload == op.payload else reply
+                for (*_, op), reply in zip(plan.head, replies)]
+        self.unride(plan, {inode for (inode, *_), reply
+                           in zip(plan.head, head)
+                           if reply.status in ("error", "unattempted")})
+        self.book(plan, head, [])
+        for (inode, *_), reply in zip(plan.head, head):
+            if reply.status == "error":
+                reply.raise_for_status()
+            if reply.status == "conflict":
+                raise HeadCasLost(f"inode {inode}: the chain moved past "
+                                  f"the link this client's CAS expected",
+                                  inode)
 
     def book(self, plan: FrameLinks, head_replies, tail_replies) -> None:
         """Take the replies to a frame's head and tail back."""
@@ -636,7 +757,7 @@ class LeaseManager:
         that lost, else :class:`LeaseLostError` (taken over)."""
         if inode in self._seeds:
             raise HeadCasLost(f"inode {inode}: the chain moved past this "
-                              f"client's last link")
+                              f"client's last link", inode)
         self.forget(inode)
         self._count("lease.lost",
                     "leases found taken over by a mutation frame's head")

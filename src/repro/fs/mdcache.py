@@ -274,10 +274,11 @@ class VerifiedMetadataCache:
             self.store.invalidate_prefix(("table",))
             self.store.invalidate_prefix(("listing",))
 
-    def invalidate_inode(self, inode: int) -> None:
+    def invalidate_inode(self, inode: int, keep_count: bool = False) -> None:
         """What this client holds of ``inode`` may not be what the SSP
         holds -- another writer, or a local write that did not land:
-        drop everything.
+        drop everything (``keep_count``: but the remembered block count,
+        a hint that only widens block 0's flight).
 
         The raw readahead buffer is keyed by blob id, not inode, so it
         cannot be dropped per-inode; invalidation means "the SSP copy
@@ -289,7 +290,8 @@ class VerifiedMetadataCache:
         self.store.invalidate_prefix(("listing", inode))
         self.store.invalidate_prefix(("data", inode))
         self.store.invalidate_prefix(("raw",))
-        self._counts.pop(inode, None)
+        if not keep_count:
+            self._counts.pop(inode, None)
         self.invalidations += 1
 
     def clear(self) -> None:

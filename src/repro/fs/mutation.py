@@ -33,6 +33,10 @@ from .lease import HeadCasLost
 LEASE_WAIT_BASE_S = 0.05
 LEASE_WAIT_MAX_S = 2.0
 
+#: runs of an op after the first whose planned lease CAS lost (a third
+#: writer can beat the re-run's takeover too).
+LEASE_RERUNS = 4
+
 #: what the journal holds of a frame whose outcome is unknown.
 COMMIT, INTENT, OTHER, UNREADABLE = "commit", "intent", "other", "unreadable"
 
@@ -86,9 +90,10 @@ class MutationPipeline:
         self._unlinked: set[int] = set()
         #: inodes the outermost mutation touched (None outside one).
         self._touched: set[int] | None = None
-        #: may :meth:`touch` defer a lease CAS to the frame's head?
+        #: may :meth:`touch` plan a CAS over this client's own link
+        #: instead of sending it first?
         self._optimistic = True
-        #: did it, over a link another writer could have moved?
+        #: did the failed op decide on a cache whose CAS never went out?
         self._unproven = False
         #: directories whose cached tables a leased mutation resolved
         #: through: no lease proves them.
@@ -108,11 +113,13 @@ class MutationPipeline:
     def run(self, op: str, call):
         """Run ``call`` as the mutation ``op``: the re-run rule.
 
-        When the head CAS lost (:class:`~repro.fs.lease.HeadCasLost`),
-        or the op refused on reads a deferred CAS had not proven yet or
-        on cached tables no lease proves, nothing was written: the
-        outermost call runs it once more, those tables dropped,
-        acquiring every lease before it reads.
+        When a planned CAS lost (:class:`~repro.fs.lease.HeadCasLost`),
+        or the op refused on a cache whose CAS never went out or on
+        cached tables no lease proves, nothing was written: the
+        outermost call runs it once more, those tables dropped, sending
+        the CAS over its own link before it reads.  The CAS over the
+        link a lost one met rides the re-run's first frame; while a
+        third writer beats it, the op runs again (:data:`LEASE_RERUNS`).
         """
         outermost = self._touched is None
         try:
@@ -128,8 +135,13 @@ class MutationPipeline:
                 raise
             for inode in unseen:
                 self.invalidate(inode)
-        with self.scope(op, optimistic=False):
-            return call()
+        for rerun in range(LEASE_RERUNS, 0, -1):
+            try:
+                with self.scope(op, optimistic=False):
+                    return call()
+            except HeadCasLost:
+                if rerun == 1:
+                    raise
 
     @contextmanager
     def scope(self, op: str, optimistic: bool = True):
@@ -138,7 +150,9 @@ class MutationPipeline:
         only if it returns: any exception leaving the outermost scope
         invalidates every inode the op touched.  Journaled, the op is
         one frame (:meth:`_journaled`).  ``optimistic=False`` makes
-        :meth:`touch` acquire leases before the op reads.
+        :meth:`touch` send the CAS over this client's own link before
+        the op reads.  A lost CAS keeps its inode's remembered block
+        count: a hint that only widens the re-run's first flight.
         """
         if self._touched is not None:
             yield
@@ -153,9 +167,10 @@ class MutationPipeline:
                     yield
             else:
                 yield
-        except BaseException:
+        except BaseException as exc:
+            lost = exc.inode if isinstance(exc, HeadCasLost) else None
             for inode in self._touched:
-                self.invalidate(inode)
+                self.invalidate(inode, keep_count=inode == lost)
             raise
         finally:
             self._touched = None
@@ -194,10 +209,12 @@ class MutationPipeline:
 
         Leased, the inode's lease is acquired here (``new``: allocated
         by this op, no lease blob yet) -- or, over this client's own
-        released link or an absent blob, its CAS deferred to the
-        frame's head, which writes nothing unless the CAS wins.  The
-        cache for the inode stays warm exactly when the chain provably
-        moved only through this client since its last link
+        released link, an absent blob or the released link a lost CAS
+        met, its CAS planned: it rides the head of the op's next frame
+        (``BlobIO``'s reads, or the mutation frame if the op reads
+        nothing), which reads and writes nothing unless the CAS wins.
+        The cache for the inode stays warm exactly when the chain
+        provably moved only through this client since its last link
         (``LeaseManager.unbroken``).  Returns whether this call took
         the lease.
         """
@@ -226,9 +243,8 @@ class MutationPipeline:
                     self.lease.clock.advance(delay)
                 delay = min(delay * 2, LEASE_WAIT_MAX_S)
         self._fences[inode] = record.epoch
-        self._unproven = self._unproven or self.lease.deferred(inode)
         if not self.lease.unbroken:
-            self.invalidate(inode)
+            self.invalidate(inode, keep_count=self.lease.planned(inode))
         return True
 
     def _release_fences(self) -> None:
@@ -287,6 +303,8 @@ class MutationPipeline:
         except BaseException:
             self.blobs.batch = None
             self._landing.pop(self._seq + 1, None)
+            self._unproven = any(map(self.lease.deferred, self._fences)
+                                 ) if self.lease is not None else False
             self._release_fences()
             raise
         self.blobs.batch = None

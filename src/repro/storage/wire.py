@@ -142,14 +142,14 @@ def _pack_presence(value: bytes | None) -> bytes:
     return b"\x00" if value is None else b"\x01" + value
 
 
-def _unpack_presence(raw: bytes) -> bytes | None:
+def _unpack_presence(raw) -> bytes | None:
     if not raw:
         raise StorageError("empty presence-prefixed field")
     if raw[0] == 0:
         if len(raw) != 1:
             raise StorageError("malformed absent-value field")
         return None
-    return raw[1:]
+    return bytes(raw[1:])
 
 _MAX_MESSAGE = 64 * 1024 * 1024
 
@@ -164,7 +164,9 @@ def _pack_fields(*fields: bytes, out: bytearray | None = None) -> bytearray:
     return out
 
 
-def _unpack_fields(raw: bytes, count: int) -> list[bytes]:
+def _unpack_fields(raw, count: int) -> list:
+    """``count`` length-prefixed fields of ``raw``; slices of a
+    ``memoryview`` are views, not copies."""
     fields = []
     offset = 0
     for _ in range(count):
@@ -179,18 +181,19 @@ def _unpack_fields(raw: bytes, count: int) -> list[bytes]:
     return fields
 
 
-def _parse_epoch(raw: bytes) -> int:
+def _parse_epoch(raw) -> int:
     if len(raw) != 8:
         raise StorageError(f"malformed epoch field ({len(raw)} bytes)")
     return struct.unpack(">Q", raw)[0]
 
 
-def _parse_blob_id(raw: bytes) -> BlobId:
+def _parse_blob_id(raw) -> BlobId:
     try:
-        kind, inode, selector = raw.decode("utf-8").split("/", 2)
+        kind, inode, selector = str(raw, "utf-8").split("/", 2)
         return BlobId(kind=kind, inode=int(inode), selector=selector)
     except (ValueError, UnicodeDecodeError) as exc:
-        raise StorageError(f"malformed blob id on wire: {raw!r}") from exc
+        raise StorageError(
+            f"malformed blob id on wire: {bytes(raw)!r}") from exc
 
 
 #: Each :data:`~repro.storage.server.SUB_FIELDS` field's wire form: how
@@ -261,7 +264,7 @@ def _encode_sub_body(op: BatchOp,
         else _FIELD_CODEC[name][0](op) for name in fields], out=out)
 
 
-def _decode_sub_body(opcode: int, body: bytes,
+def _decode_sub_body(opcode: int, body,
                      earlier: list[BatchOp] = ()) -> BatchOp:
     kind = _OPCODE_TO_KIND.get(opcode & ~REF_FLAG)
     if kind is None:
@@ -291,7 +294,7 @@ def _resolve_ref(raw: bytes, earlier: list[BatchOp]) -> bytes:
     return target.payload[offset:offset + length]
 
 
-def _decode_sub_fields(kind: str, body: bytes) -> BatchOp:
+def _decode_sub_fields(kind: str, body) -> BatchOp:
     """A sub-op of ``kind`` from its fields (:data:`SUB_FIELDS`)."""
     names = SUB_FIELDS[kind]
     fields = {}
@@ -317,8 +320,11 @@ def _encode_batch_request(ops, refs) -> bytearray:
     return out
 
 
-def _decode_batch_request(body: bytes) -> list[BatchOp]:
+def _decode_batch_request(body) -> list[BatchOp]:
     """Strictly parse an OP_BATCH body; any defect rejects the frame whole.
+
+    ``body`` may be a ``memoryview``: sub-op bodies and fields are then
+    views into it, and a payload is copied once, into its own ``bytes``.
 
     Validation happens *before* application so a malformed frame can
     never half-apply: zero or oversize counts, truncated sub-ops,
@@ -352,7 +358,8 @@ def _decode_batch_request(body: bytes) -> list[BatchOp]:
     return ops
 
 
-def _encode_sub_reply(reply: BatchReply) -> bytes:
+def _encode_sub_reply(reply: BatchReply, out: bytearray) -> None:
+    """One sub-reply -- status, length, payload -- appended to ``out``."""
     if reply.status == "ok":
         payload = reply.payload or b""
     elif reply.status == "conflict":
@@ -363,8 +370,9 @@ def _encode_sub_reply(reply: BatchReply) -> bytes:
         payload = _error_payload(reply.message, reply.transient)
     else:  # missing / unattempted
         payload = b""
-    return (bytes([_STATUS_TO_CODE[reply.status]])
-            + struct.pack(">I", len(payload)) + payload)
+    out.append(_STATUS_TO_CODE[reply.status])
+    out += struct.pack(">I", len(payload))
+    out += payload
 
 
 def _error_payload(message: str, transient: bool) -> bytes:
@@ -381,11 +389,14 @@ def _error_reply(raw: bytes) -> BatchReply:
                       transient=bool(raw[0]))
 
 
-def _encode_batch_reply(replies) -> bytes:
-    out = bytearray(struct.pack(">I", len(replies)))
+def _encode_batch_reply(replies, out: bytearray | None = None) -> bytearray:
+    """The OK payload -- count, sub-replies -- appended to ``out`` (a new
+    buffer by default), each payload copied into it once."""
+    out = bytearray() if out is None else out
+    out += struct.pack(">I", len(replies))
     for reply in replies:
-        out += _encode_sub_reply(reply)
-    return bytes(out)
+        _encode_sub_reply(reply, out)
+    return out
 
 
 def _decode_batch_reply(payload: bytes, expected: int) -> list[BatchReply]:
@@ -448,12 +459,25 @@ def _recv_message(sock: socket.socket) -> bytes:
     return _recv_exact(sock, length)
 
 
-def _send_message(sock: socket.socket, body: bytes) -> None:
-    sock.sendall(struct.pack(">I", len(body)) + body)
+def _send_message(sock: socket.socket, body) -> None:
+    """``body`` behind its u32 length, gathered into one ``sendmsg``
+    (never copied to join them, never split into two sends that would
+    meet Nagle and delayed ACK); a partial send resumes where it
+    stopped."""
+    views = [memoryview(struct.pack(">I", len(body))), memoryview(body)]
+    while views:
+        sent = sock.sendmsg(views)
+        while views and sent >= len(views[0]):
+            sent -= len(views.pop(0))
+        if views:
+            views[0] = views[0][sent:]
 
 
-def dispatch_message(backend: StorageServer, message: bytes) -> bytes:
+def dispatch_message(backend: StorageServer, message: bytes) -> bytearray:
     """One request frame body -> one response frame body.
+
+    The request is parsed through one ``memoryview`` and the response
+    built in one buffer: a payload is copied once on each side.
 
     An ``OP_BATCH`` frame is validated in full, then applied by
     ``backend.batch``; anything else -- an empty frame, another opcode,
@@ -465,10 +489,11 @@ def dispatch_message(backend: StorageServer, message: bytes) -> bytes:
             raise StorageError("empty request frame")
         if message[0] != OP_BATCH:
             raise StorageError(f"unknown opcode {message[0]}")
-        replies = backend.batch(_decode_batch_request(message[1:]))
-        return bytes([STATUS_OK]) + _encode_batch_reply(replies)
+        replies = backend.batch(
+            _decode_batch_request(memoryview(message)[1:]))
+        return _encode_batch_reply(replies, bytearray([STATUS_OK]))
     except Exception as exc:  # surfaced to the client as ERROR
-        return bytes([STATUS_ERROR]) + _error_payload(
+        return bytearray([STATUS_ERROR]) + _error_payload(
             str(exc), isinstance(exc, TransientStorageError))
 
 

@@ -281,7 +281,7 @@ class TestBenchDiffGates:
          "postmark: requests 1164 -> 1165 (+0.1% > 0.0%)"),
         (_drop_workload, (), "office: workload removed from new run"),
         (_halve_throughput, (),
-         "throughput: throughput 0.983 -> 0.492 ops/s"),
+         "throughput: throughput 0.988 -> 0.494 ops/s"),
         (_unclean_fsck, (),
          "throughput: final fsck was not clean (1 errors)"),
         (None, ("--overlap-gate", "postmark=0.1"),
@@ -315,9 +315,9 @@ class TestBenchTrajectory:
         from repro.obs.bench import bench_trajectory
         (row,) = [r for r in bench_trajectory(self.RESULTS)
                   if (r["pr"], r["workload"]) == (10, "throughput")]
-        assert row["wall_s"] == pytest.approx(2034.035, abs=1e-3)
-        assert row["requests"] == 5172
+        assert row["wall_s"] == pytest.approx(2024.977, abs=1e-3)
+        assert row["requests"] == 5082
         assert main(["bench", "--list",
                      "--out-dir", str(self.RESULTS)]) == 0
         out = capsys.readouterr().out
-        assert "2034.035" in out and "5172" in out
+        assert "2024.977" in out and "5082" in out

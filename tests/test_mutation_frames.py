@@ -4,13 +4,18 @@ One mutation of a ``journal=True, lease=True`` client is one frame: a
 head (one lease CAS per inode, then a fence check per link another
 writer could have taken), the intent, the fenced apply, the commit, the
 released links (docs/CONCURRENCY.md).  A warm inode's CAS -- over this
-client's own released link -- rides that head instead of a frame of its
-own; a cold one is acquired first.  This file pins
+client's own released link -- rides the op's first frame instead of a
+frame of its own: the head of its read frame, with a fence check behind
+it, or of the mutation frame when the op reads nothing; a cold one is
+acquired first.  This file pins
 
 * the exact frame script -- kind and blob ids of every frame -- of the
   ops the repo benchmark's ``duo_wire`` is made of;
-* that a lost head CAS stops the frame before anything is written, and
-  a lease taken over under a pre-acquired client does the same;
+* that a lost head CAS stops the frame before anything is written and
+  hands out no block it read, that the re-run's takeover of the link it
+  met rides the re-run's flight (discarding its reads if a third writer
+  beat it), and that a lease taken over under a pre-acquired client
+  stops the frame too;
 * the one cache-coherence rule of ``_touch``: the cache for an inode
   stays warm exactly when the CAS goes over this client's own last
   chain link, and a second client's write between two of our mutations
@@ -52,7 +57,7 @@ from repro.fs import client as fs_client
 from repro.fs.blobio import BlobIO
 from repro.fs.client import ClientConfig, SharoesFilesystem
 from repro.fs.lease import LeaseManager, LeaseRecord, break_record
-from repro.fs.volume import SharoesVolume
+from repro.fs.volume import DEFAULT_BLOCK_SIZE, SharoesVolume
 from repro.principals.groups import GroupKeyService
 from repro.sim.clock import SimClock
 from repro.storage.blobs import journal_blob, lease_blob
@@ -134,12 +139,18 @@ def mount(stack, registry, user_id: str, config: ClientConfig = CONFIG):
     return fs, tap
 
 
-def steady(stack, registry, user_id: str = "alice"):
+#: a file of three blocks: an append reads block 0 and block 2.
+LONG = 2 * DEFAULT_BLOCK_SIZE + 300
+
+
+def steady(stack, registry, user_id: str = "alice", size: int = 300,
+           mode: int = 0o664):
     """A client past its first mutation in ``/d`` (it has listed the
     directory and remembers its own released link on it), holding one
-    file ``/d/f`` (inode F) of its own."""
+    file ``/d/f`` (inode F) of ``size`` bytes of its own."""
     fs, tap = mount(stack, registry, user_id)
-    inode = fs.create_file(f"/d/f-{user_id}", b"x" * 300, mode=0o664).inode
+    inode = fs.create_file(f"/d/f-{user_id}", b"x" * size,
+                           mode=mode).inode
     tap.names = {fs.getattr("/d").inode: "D", inode: "F"}
     tap.take()
     return fs, tap
@@ -191,41 +202,44 @@ def test_unlink_is_one_frame(stack, registry):
 
 
 def test_own_append_is_one_frame(stack, registry):
-    fs, tap = steady(stack, registry)
+    """The CAS over this client's own released link rides the append's
+    one read flight, its fence check behind it; the mutation frame
+    compares the link the CAS won."""
+    fs, tap = steady(stack, registry, size=LONG)
     fs.append_file("/d/f-alice", b"+" * 40)
     assert tap.take() == [
-        ("get data/F/b0",),             # no block cache: the base
-        ("put_if lease/F/-", INTENT, "put_fenced data/F/b0", COMMIT,
+        ("put_if lease/F/-", _check("F"),   # no block cache: the base
+         "get data/F/b0", "get data/F/b2"),
+        ("put_if lease/F/-", INTENT, "put_fenced data/F/b2", COMMIT,
          "put_if lease/F/-"),
     ]
 
 
 def test_contended_shared_append_pays_one_lost_cas(stack, registry):
-    """Bob appended in between: alice's frame loses its head CAS and
-    stops at the fenced intent; she runs the append once more, acquiring
-    first -- a takeover of the link the lost CAS handed back, no read of
-    the lease blob -- and re-reads the base under the lease."""
-    alice, tap = steady(stack, registry)
+    """Bob appended in between: alice's read flight loses its CAS and
+    stops at the check behind it.  She runs the append once more: the
+    file's metadata, then the takeover of the link the lost CAS handed
+    back -- no read of the lease blob -- riding the base's flight at the
+    block count she remembered, then the apply."""
+    alice, tap = steady(stack, registry, size=LONG)
     bob, bob_tap = mount(stack, registry, "bob")
     bob_tap.names = tap.names
     alice.append_file("/d/f-alice", b"a" * 40)
     bob.append_file("/d/f-alice", b"b" * 40)
     tap.take()
     alice.append_file("/d/f-alice", b"a" * 40)
-    protocol = [frame for frame in tap.take()
-                if not frame[0].startswith("get meta/")]
-    frame = ("put_if lease/F/-", INTENT, "put_fenced data/F/b0", COMMIT,
-             "put_if lease/F/-")
-    assert protocol == [
-        ("get data/F/b0",),
-        frame,                          # lost: stopped at the intent
-        ("put_if lease/F/-",),          # takeover of bob's released link
-        ("get data/F/b0",),
-        frame,                          # head: the held link, compared
+    assert tap.take() == [
+        ("put_if lease/F/-", _check("F"),   # lost: stopped at the check
+         "get data/F/b0", "get data/F/b2"),
+        ("get meta/F/o",),
+        ("put_if lease/F/-",                # takeover of bob's release
+         "get data/F/b0", "get data/F/b2"),
+        ("put_if lease/F/-", INTENT, "put_fenced data/F/b2", COMMIT,
+         "put_if lease/F/-"),           # head: the held link, compared
     ]
     reader = SharoesFilesystem(stack[1], registry.user("bob"))
     reader.mount()
-    assert reader.read_file("/d/f-alice") == (b"x" * 300 + b"a" * 40
+    assert reader.read_file("/d/f-alice") == (b"x" * LONG + b"a" * 40
                                               + b"b" * 40 + b"a" * 40)
 
 
@@ -269,14 +283,21 @@ def test_every_protocol_frame_is_counted_and_charged(stack, registry):
 
 class MutationFrames(FrameTap):
     """A frame spy that also keeps the SSP's blobs before and after
-    every frame carrying a journal put."""
+    every frame carrying a journal put or a lease CAS; ``hook``, if set,
+    runs once before the first frame ``when(rendered frame)`` picks."""
 
     def __init__(self, inner):
         super().__init__(inner)
         self.states: list[tuple[dict, dict]] = []
+        self.when, self.hook = None, None
 
     def batch(self, ops):
-        if not any(op.blob_id.kind == "journal" for op in ops):
+        if self.hook is not None and self.when(
+                tuple(self._render(op) for op in ops)):
+            hook, self.hook = self.hook, None
+            hook()
+        if not any(op.blob_id.kind == "journal" or op.kind == "put_if"
+                   for op in ops):
             return super().batch(ops)
         before = self.inner.raw_blobs()
         try:
@@ -285,26 +306,177 @@ class MutationFrames(FrameTap):
             self.states.append((before, self.inner.raw_blobs()))
 
 
-def test_a_lost_head_cas_writes_nothing_then_the_op_lands(stack, registry):
-    """The frame whose head CAS lost leaves the SSP as it found it; the
-    retry lands the append on the other writer's, as a sequential run
-    of the three appends would."""
-    server, volume, _ = stack
-    alice, _ = steady(stack, registry)
+def _changed(state) -> set:
+    before, after = state
+    return {blob_id.kind for blob_id in set(before) | set(after)
+            if before.get(blob_id) != after.get(blob_id)}
+
+
+def _contended(stack, registry, size: int = LONG, mode: int = 0o664):
+    """Alice appended to her file, then bob did: alice's next CAS over
+    her own released link loses.  -> (alice, her spy, bob), the spy's
+    states and frames emptied, the blocks alice's client parks logged in
+    ``spy.parked``."""
+    server = stack[0]
+    alice, tap = steady(stack, registry, size=size, mode=mode)
     spy = MutationFrames(server)
+    spy.names = tap.names
     alice.blobs.server = alice.lease.server = spy
     bob, _ = mount(stack, registry, "bob")
     alice.append_file("/d/f-alice", b"a" * 40)
     bob.append_file("/d/f-alice", b"b" * 40)
     del spy.states[:]
-    alice.append_file("/d/f-alice", b"c" * 40)
-    (lost_before, lost_after), (before, after) = spy.states
-    assert lost_after == lost_before
-    assert after != before
-    assert alice.read_file("/d/f-alice") == (b"x" * 300 + b"a" * 40
-                                             + b"b" * 40 + b"c" * 40)
+    spy.take()
+    spy.parked = []
+    park = alice.blobs._park
+    alice.blobs._park = lambda blob_id, payload: (
+        spy.parked.append((len(spy.frames), blob_id.selector)),
+        park(blob_id, payload))
+    return alice, spy, bob
+
+
+def _audit_clean(volume) -> None:
     report = VolumeAuditor(volume).audit()
     assert report.clean and not report.orphaned_blobs, report.summary()
+
+
+def test_a_lost_head_cas_writes_nothing_then_the_op_lands(stack, registry):
+    """The read frame whose CAS lost leaves the SSP as it found it; the
+    retry lands the append on the other writer's, as a sequential run
+    of the three appends would."""
+    alice, spy, _ = _contended(stack, registry, size=300)
+    alice.append_file("/d/f-alice", b"c" * 40)
+    lost, taken, landed = spy.states
+    assert _changed(lost) == set()
+    assert _changed(taken) == {"lease"}
+    assert _changed(landed) == {"lease", "journal", "data"}
+    assert alice.read_file("/d/f-alice") == (b"x" * 300 + b"a" * 40
+                                             + b"b" * 40 + b"c" * 40)
+    _audit_clean(stack[1])
+
+
+def test_a_read_frame_whose_cas_lost_hands_out_no_block(stack, registry):
+    """The lost CAS's check stops the flight before its gets: the SSP is
+    byte-identical, no block reaches the client, and the re-run's flight
+    -- the block count kept -- is the only one that parks any."""
+    alice, spy, _ = _contended(stack, registry)
+    alice.append_file("/d/f-alice", b"c" * 40)
+    lost = spy.states[0]
+    assert lost[0] == lost[1]
+    assert spy.frames[0] == ("put_if lease/F/-", _check("F"),
+                             "get data/F/b0", "get data/F/b2")
+    assert spy.parked == [(3, "b0"), (3, "b2")]
+    assert alice.read_file("/d/f-alice") == (b"x" * LONG + b"a" * 40
+                                             + b"b" * 40 + b"c" * 40)
+    _audit_clean(stack[1])
+
+
+def test_a_seeded_takeover_a_third_writer_beat_reads_nothing(stack,
+                                                            registry):
+    """Carol takes bob's released link over between alice's lost CAS and
+    her re-run: the re-run's CAS over that seed loses too, unchecked, so
+    its flight's blocks come back -- and are discarded unread.  The next
+    run takes carol's link over, and the file ends as the sequential
+    run of the four appends would leave it."""
+    volume = stack[1]
+    alice, spy, _ = _contended(stack, registry, mode=0o666)
+    carol, _ = mount(stack, registry, "carol")
+    spy.when = lambda frame: frame[:2] == ("put_if lease/F/-",
+                                           "get data/F/b0")
+    spy.hook = lambda: carol.append_file("/d/f-alice", b"k" * 40)
+    alice.append_file("/d/f-alice", b"c" * 40)
+    flight = ("get data/F/b0", "get data/F/b2")
+    assert [frame for frame in spy.frames
+            if not frame[0].startswith("get meta/")] == [
+        ("put_if lease/F/-", _check("F")) + flight,     # lost: stopped
+        ("put_if lease/F/-",) + flight,                 # lost: unread
+        ("put_if lease/F/-",) + flight,                 # carol's link
+        ("put_if lease/F/-", INTENT, "put_fenced data/F/b2", COMMIT,
+         "put_if lease/F/-"),
+    ]
+    assert [frame for frame, _ in spy.parked] == [5, 5]
+    assert alice.read_file("/d/f-alice") == (
+        b"x" * LONG + b"a" * 40 + b"b" * 40 + b"k" * 40 + b"c" * 40)
+    _audit_clean(volume)
+
+
+def test_a_seeded_takeover_no_read_carried_goes_alone(stack, registry):
+    """A "w" handle reads nothing: its CAS rides the mutation frame and
+    loses there, and the re-run's takeover of the seed -- which no fence
+    could stop on its loss -- goes in a frame of its own just before the
+    mutation frame."""
+    alice, spy, _ = _contended(stack, registry, size=300)
+    alice.write_file("/d/f-alice", b"w" * 40)
+    protocol = [frame for frame in spy.frames
+                if not frame[0].startswith("get meta/")]
+    assert [frame[:2] for frame in protocol] == [
+        ("put_if lease/F/-", INTENT),       # lost: stopped at the intent
+        ("put_if lease/F/-",),              # the takeover, alone
+        ("put_if lease/F/-", INTENT),       # head: the held link, compared
+    ]
+    assert alice.read_file("/d/f-alice") == b"w" * 40
+    _audit_clean(stack[1])
+
+
+def test_a_kept_count_a_peer_shrank_past_is_dropped_unread(stack,
+                                                          registry):
+    """Bob cut the file to one block after alice last saw three: the
+    re-run's flight still names block 2 at the count she kept, block 0
+    says it is gone, and nothing of it is used."""
+    alice, spy, bob = _contended(stack, registry)
+    bob.write_file("/d/f-alice", b"s" * 100)
+    alice.append_file("/d/f-alice", b"c" * 40)
+    assert [frame for frame in spy.frames
+            if not frame[0].startswith("get meta/")][1] == (
+        "put_if lease/F/-", "get data/F/b0", "get data/F/b2")
+    assert [selector for _, selector in spy.parked] == ["b0"]
+    assert alice.read_file("/d/f-alice") == b"s" * 100 + b"c" * 40
+    _audit_clean(stack[1])
+
+
+class HeadRefused(FrameTap):
+    """Fails the first frame whose head is a lease CAS with reads behind
+    it: before the SSP sees it, or (``landed``) after it applied, as a
+    lost reply."""
+
+    def __init__(self, inner, landed: bool):
+        super().__init__(inner)
+        self.landed, self.armed = landed, True
+
+    def batch(self, ops):
+        if not (self.armed and ops[0].kind == "put_if"
+                and ops[-1].kind == "get"):
+            return super().batch(ops)
+        self.armed = False
+        if self.landed:
+            super().batch(ops)
+        else:
+            self.frames.append(tuple(self._render(op) for op in ops))
+        raise TransientStorageError("frame failed whole")
+
+
+@pytest.mark.parametrize("landed", [False, True],
+                         ids=["refused", "reply_lost"])
+def test_a_head_whose_frame_failed_rides_the_next(stack, registry, landed):
+    """The read flight carrying the CAS fails whole: the speculation
+    gives up, and the CAS rides the next frame, block 0's get.  It wins
+    there -- when the first copy had landed, by meeting its own link --
+    and the append lands once."""
+    alice, tap = steady(stack, registry, size=LONG)
+    spy = HeadRefused(stack[0], landed)
+    spy.names = tap.names
+    alice.blobs.server = alice.lease.server = spy
+    alice.append_file("/d/f-alice", b"+" * 40)
+    assert spy.take() == [
+        ("put_if lease/F/-", _check("F"),   # failed whole
+         "get data/F/b0", "get data/F/b2"),
+        ("put_if lease/F/-", _check("F"), "get data/F/b0"),
+        ("get data/F/b2",),
+        ("put_if lease/F/-", INTENT, "put_fenced data/F/b2", COMMIT,
+         "put_if lease/F/-"),
+    ]
+    assert alice.read_file("/d/f-alice") == b"x" * LONG + b"+" * 40
+    _audit_clean(stack[1])
 
 
 def test_a_taken_over_pre_acquired_lease_stops_the_frame(stack, registry):

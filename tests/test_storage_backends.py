@@ -1,6 +1,7 @@
 """The TCP wire protocol."""
 
 import dataclasses
+import struct
 
 import pytest
 
@@ -12,7 +13,8 @@ from repro.fs.volume import SharoesVolume
 from repro.principals.groups import GroupKeyService
 from repro.storage.blobs import data_blob, lease_blob, meta_blob
 from repro.storage.server import BatchOp, StorageServer
-from repro.storage.wire import RemoteStorageClient, SspServer
+from repro.storage.wire import (RemoteStorageClient, SspServer,
+                                _send_message)
 
 
 @pytest.fixture
@@ -56,6 +58,32 @@ class TestWireProtocol:
         nasty = b"\x00\xff\n\r" * 100
         client.put(data_blob(8, "b0"), nasty)
         assert client.get(data_blob(8, "b0")) == nasty
+
+    @pytest.mark.parametrize("body", [b"", bytes(range(256)) * 3,
+                                      bytearray(b"\x08" * 40)],
+                             ids=["empty", "bytes", "bytearray"])
+    def test_a_partial_send_resumes_where_it_stopped(self, body):
+        """A frame goes out as its u32 length and its body gathered into
+        one ``sendmsg`` -- never joined into a copy, never two sends --
+        and a send the kernel takes only part of resumes mid-buffer."""
+
+        class Trickle:
+            """Takes at most seven bytes a call."""
+
+            def __init__(self):
+                self.sent, self.gathered = bytearray(), []
+
+            def sendmsg(self, buffers):
+                self.gathered.append(len(buffers))
+                taken = b"".join(bytes(part) for part in buffers)[:7]
+                self.sent += taken
+                return len(taken)
+
+        sock = Trickle()
+        _send_message(sock, body)
+        assert bytes(sock.sent) == struct.pack(">I", len(body)) + body
+        assert sock.gathered[0] == 2
+        assert len(sock.gathered) == -(-(4 + len(body)) // 7)
 
     def test_enumeration_refused(self, wire_pair):
         _, client = wire_pair
