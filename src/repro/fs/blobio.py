@@ -39,6 +39,7 @@ Stack, assembled once by ``SharoesFilesystem.__init__``::
 
 from __future__ import annotations
 
+import functools
 from contextlib import contextmanager
 from typing import Iterable, Sequence
 
@@ -163,24 +164,18 @@ class BlobIO:
         sub-op is its own counted round trip under the same stop rule.
         """
         self.flush()  # a direct frame orders after everything staged
-        return self._led(label, ops, self._ride())
+        return self._ridden(self._ride(), ops, functools.partial(
+            self._framed, label))
 
-    def _led(self, label: str, ops: Sequence[BatchOp],
-             plan) -> list[BatchReply]:
-        """:meth:`exchange` behind ``plan``'s lease head; the replies to
-        ``ops``."""
-        sent = list(ops) if plan is None else plan.ops + list(ops)
-        try:
-            if self.batching:
-                with self.frame(label, count=len(sent)):
-                    replies = self.server.batch(sent)
-                    self._charge_replies(sent, replies)
-            else:
-                replies = in_order(sent, self._exchange_one)
-        except BaseException:
-            self._unride(plan)
-            raise
-        return self._settled(plan, replies)
+    def _framed(self, label: str, sent: list[BatchOp]) -> list[BatchReply]:
+        """``sent`` as one counted, charged frame (unbatched: a round
+        trip per sub-op)."""
+        if not self.batching:
+            return in_order(sent, self._exchange_one)
+        with self.frame(label, count=len(sent)):
+            replies = self.server.batch(sent)
+            self._charge_replies(sent, replies)
+        return replies
 
     # -- the lease head --------------------------------------------------------
 
@@ -189,18 +184,26 @@ class BlobIO:
         none)."""
         return self.leases.ride() if self.leases is not None else None
 
-    def _unride(self, plan) -> None:
-        """The frame carrying ``plan`` failed whole: the next one carries
-        its CASes again."""
-        if plan is not None:
-            self.leases.unride(plan)
+    def _ridden(self, plan, ops: Sequence[BatchOp], send):
+        """Send ``ops`` as one frame behind ``plan``'s lease head (None:
+        none); the replies to ``ops``.
 
-    def _settled(self, plan, replies: list[BatchReply]) -> list[BatchReply]:
-        """The replies behind ``plan``'s head, once the lease manager
-        booked the head's: a CAS that lost raises, and nothing the frame
-        read behind it is handed out."""
+        ``send(sent)`` ships and prices the frame; refused, it raises or
+        returns None (handed back).  A frame that fails whole plans the
+        head's CASes again, for the next frame.  Else the lease manager
+        books the head's replies: a CAS that lost raises, and nothing
+        the frame read behind it is handed out.
+        """
         if plan is None:
-            return replies
+            return send(list(ops))
+        replies = None
+        try:
+            replies = send(plan.ops + list(ops))
+        finally:
+            if replies is None:
+                self.leases.unride(plan)
+        if replies is None:
+            return None
         self.leases.settle(plan, replies)
         return replies[len(plan.ops):]
 
@@ -254,18 +257,19 @@ class BlobIO:
         wave unpriced, as a refused :meth:`exchange`; a read wave at its
         headers, as a refused :meth:`prefetch`.
         """
-        plan = self._ride()
-        sent = list(ops) if plan is None else plan.ops + list(ops)
-        self._count("wave", len(sent))
-        try:
-            replies = self.server.batch(sent)
-        except StorageError:
-            self._unride(plan)
-            if ops[0].kind == "get":
-                self._charge_wave(sent, [BatchReply("error")] * len(sent))
-            raise
-        self._charge_wave(sent, replies)
-        return self._settled(plan, replies)
+        def send(sent: list[BatchOp]) -> list[BatchReply]:
+            self._count("wave", len(sent))
+            try:
+                replies = self.server.batch(sent)
+            except StorageError:
+                if ops[0].kind == "get":
+                    self._charge_wave(sent,
+                                      [BatchReply("error")] * len(sent))
+                raise
+            self._charge_wave(sent, replies)
+            return replies
+
+        return self._ridden(self._ride(), ops, send)
 
     def _charge_wave(self, ops, replies) -> None:
         if self.cost is not None:
@@ -332,7 +336,8 @@ class BlobIO:
                 return raw
         plan = self._ride()
         if plan is not None:
-            reply, = self._led("get", [BatchOp.get(blob_id)], plan)
+            reply, = self._ridden(plan, [BatchOp.get(blob_id)],
+                                  functools.partial(self._framed, "get"))
             if reply.status == "missing":
                 raise BlobNotFound(str(blob_id))
             reply.raise_for_status()
@@ -493,18 +498,19 @@ class BlobIO:
         wanted = self._cold(blob_ids)
         if not wanted:
             return
-        plan = self._ride()
-        ops = [BatchOp.get(blob_id) for blob_id in wanted]
-        sent = ops if plan is None else plan.ops + ops
-        with self.frame("get_many", count=len(sent)):
-            try:
-                replies = self.server.batch(sent)
-            except StorageError:
-                self._unride(plan)
-                self.charge()
-                return
-            self._charge_replies(sent, replies)
-        for blob_id, reply in zip(wanted, self._settled(plan, replies)):
+        def send(sent: list[BatchOp]) -> list[BatchReply] | None:
+            with self.frame("get_many", count=len(sent)):
+                try:
+                    replies = self.server.batch(sent)
+                except StorageError:
+                    self.charge()
+                    return None
+                self._charge_replies(sent, replies)
+            return replies
+
+        replies = self._ridden(self._ride(), [BatchOp.get(blob_id)
+                                              for blob_id in wanted], send)
+        for blob_id, reply in zip(wanted, replies or ()):
             if reply.status == "ok" and reply.payload is not None:
                 self._park(blob_id, reply.payload)
 

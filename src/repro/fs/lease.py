@@ -43,38 +43,31 @@ What the untrusted SSP can and cannot do to a lease:
   dropping any blob) but never grants two writers the same epoch, and
   fenced writes keep mutations atomic regardless.
 
-**Optimistic acquire.**  A manager remembers the exact bytes of the last
-chain link it wrote per inode -- its own *released* record included --
-and CASes the next link straight against them, without reading the
-blob first.  The CAS succeeding proves the chain moved only through
-this client since that link (every link is signed over a fresh
-timestamp and a larger epoch, so no other writer can reproduce the
-bytes); :attr:`LeaseManager.unbroken` reports it, and the filesystem
-keeps its cache for the inode on the strength of it.  A lost CAS hands
-back the current bytes and falls into the inspect-and-advance loop
-below, exactly as a read would have.
-
-**A CAS rides the op's first frame.**  Over its own released link (or
-a new inode's absent blob) the CAS need not go first in a frame of its
-own: :meth:`acquire` with ``defer`` builds it and sends nothing, and the
-first frame the op then sends carries it at its head (:meth:`ride`),
-with a fence check at its epoch behind it.  For that check to bite, a
+**One route per tip.**  A manager remembers the exact bytes of the last
+chain link it wrote per inode.  Over its own *released* link, a new
+inode's absent blob or the released link a lost CAS handed back (the
+*seed*), :meth:`acquire` builds the CAS and sends nothing: the op's
+first frame carries it at its head (:meth:`ride`), a fence check at its
+epoch behind a CAS over our own link.  That check bites because a
 released link's next epoch belongs to its writer: anyone else advancing
 the chain past it skips that epoch (:func:`successor_epoch`), so a CAS
 that lost leaves the chain past the fence and the SSP stops the frame
-before the reads or writes behind it run.  :meth:`settle` books the
-head's replies: a CAS that won is held, one that lost raises
-:class:`HeadCasLost` and hands back the link it met (the *seed*).  A
-released seed is taken over the same way on the op's re-run -- planned,
-riding the re-run's first frame, without a check (the seed's successor
-epoch is anyone's) -- so only the reads in that CAS's own frame are
-trusted.  An op that sends no frame before its mutation frame has its
-CAS there (:meth:`links` plans the sub-ops a mutation frame carries
-around its body -- the CASes and compared held links (the *head*) and
-the released links (the *tail*) -- and names the links another writer
-could have moved, whose fences the frame must carry; fs/mutation.py
-composes the frame); :meth:`book` takes the head's and the tail's
-replies back.
+before the reads or writes behind it run.  One that wins proves the
+chain moved only through this client since its link (every link is
+signed over a fresh timestamp and a larger epoch), which
+:attr:`LeaseManager.unbroken` predicts and the filesystem keeps its
+cache on.  :meth:`settle` books the head's replies: one that lost raises
+:class:`HeadCasLost` and keeps the link it met as the seed, whose
+successor epoch is anyone's, so its takeover rides unchecked and only
+the reads in its own frame are trusted.  Every other tip goes through
+one inspect-and-CAS loop, each CAS alone in its frame.  An op that sends
+no frame before its mutation frame has its CAS there (:meth:`links`
+plans the sub-ops a mutation frame carries around its body -- the CASes
+and compared held links (the *head*) and the released links (the
+*tail*) -- and names the links another writer could have moved, whose
+fences the frame must carry; fs/mutation.py composes the frame);
+:meth:`book` takes the head's and the tail's replies back.  A planned
+CAS no frame carried goes alone only from :meth:`send_planned`.
 """
 
 from __future__ import annotations
@@ -342,7 +335,7 @@ class LeaseManager:
         """Is a CAS on ``inode`` waiting for the head of a frame?"""
         return inode in self._planned
 
-    def deferred(self, inode: int) -> bool:
+    def unproven(self, inode: int) -> bool:
         """Is a CAS over this client's own link on ``inode`` -- one the
         cache was kept on -- waiting for the head of a frame?"""
         planned = self._planned.get(inode)
@@ -350,78 +343,61 @@ class LeaseManager:
 
     # -- the state machine ---------------------------------------------------
 
-    def acquire(self, inode: int, new: bool = False,
-                defer: bool = False) -> LeaseRecord:
-        """Hold (or keep holding) the lease on ``inode``.
+    def acquire(self, inode: int, new: bool = False) -> LeaseRecord:
+        """Hold (or keep holding) the lease on ``inode``; the chain's tip
+        picks the one route.
 
-        Outcomes: a fresh acquisition (absent/released/expired lease,
-        CAS-won), a renewal of our own lease, a **takeover** (expired
-        lease of a dead client: verify + roll their journal forward,
-        then bump past their epoch), :class:`LeaseHeldError` (someone
-        else holds it, unexpired), or :class:`LeaseLostError` (we
-        thought we held it but a successor's epoch proves otherwise).
+        * Our unexpired link, held: kept.
+        * Our own released link (while its epoch is the freshness
+          monitor's high watermark), a new inode (``new``: allocated in
+          this very op, its blob absent) or a released seed: the CAS is
+          built, not sent, and the returned link is the one the op's
+          next frame CASes in (:meth:`ride`).
+        * Any other tip goes through the inspect-and-CAS loop
+          (:meth:`_advance`), our own unreleased link and any other seed
+          inspected unread, else the blob read first: a fresh
+          acquisition, a renewal of our own link, a **takeover** (an
+          expired lease of a dead client: verify and roll its journal
+          forward, then bump past its epoch), :class:`LeaseHeldError`
+          (someone else holds it, unexpired), or :class:`LeaseLostError`
+          (we held it but a successor's epoch proves otherwise).
 
-        The first CAS goes out unread against the last link this client
-        wrote (``new``: against an absent blob -- the caller allocated
-        the inode in this very op); a client with neither inspects the
-        link a lost head CAS handed back, else reads the blob first.
-        :attr:`unbroken` is set when that first CAS won over our own
-        link.  With ``defer``, a CAS over our own released link or an
-        absent blob is built but not sent: the returned link is the one
-        the op's next frame will CAS in (:meth:`ride`), and
-        :attr:`unbroken` predicts that it wins.  A released link a lost
-        CAS handed back is taken over the same way, ``defer`` or not
-        (no journal to roll forward), and never sets :attr:`unbroken`.
+        :attr:`unbroken` is set when the CAS goes over our own link
+        (planned: when it predicts the CAS wins), never for a seed.
         """
         held = self._held.get(inode)
         if held is not None and not held[0].expired(self._now_us()):
             self.unbroken = True
             return held[0]
 
-        blob_id = lease_blob(inode)
         last = self._last.get(inode)
         if (last is not None and last[0].epoch
                 != self.freshness.high_watermark(inode)):
             last = None  # the chain was seen past it: not the tip
-        if defer and (new or (last is not None and last[0].released)):
+        if new or (last is not None and last[0].released):
             base = (last[0].epoch if last is not None
                     else self.freshness.high_watermark(inode) or 0)
             self.unbroken = last is not None
             return self._plan(inode, base + 1,
                               last[1] if last is not None else None,
                               checked=self.unbroken)
-        raw: bytes | None = None
-        fetched = new  # a new inode's blob is absent: nothing to read
+        own = last[1] if last is not None else None
+        raw, fetched = own, own is not None
         if inode in self._seeds:
-            raw, fetched, last = self._seeds.pop(inode), True, None
+            raw, fetched, own = self._seeds.pop(inode), True, None
             seed = self._released_seed(inode, raw)
             if seed is not None:
                 self.unbroken = False
                 return self._plan(inode, successor_epoch(seed), raw,
                                   checked=False)
-        if last is not None:
-            verb, help = (
-                ("lease.acquires", "fresh lease acquisitions")
-                if last[0].released
-                else ("lease.renewals", "renewals of held leases"))
-            try:
-                record = self._swap(
-                    inode, blob_id, self._make(inode, last[0].epoch + 1),
-                    expected=last[1], verb=verb, help=help)
-                self.unbroken = True
-                return record
-            except CasConflictError as exc:
-                self._count("lease.conflicts",
-                            "CAS races lost while acquiring leases")
-                raw = exc.current
-                fetched = True
+        blob_id = lease_blob(inode)
         self.unbroken = False
         for _ in range(_ACQUIRE_ROUNDS):
             if not fetched:
                 raw = self._read(blob_id)
             fetched = False
             try:
-                return self._advance(inode, blob_id, raw)
+                record = self._advance(inode, blob_id, raw)
             except CasConflictError as exc:
                 # Lost the race: somebody else advanced the chain.
                 # Re-inspect what they wrote instead of re-fetching.
@@ -429,6 +405,9 @@ class LeaseManager:
                             "CAS races lost while acquiring leases")
                 raw = exc.current
                 fetched = True
+                continue
+            self.unbroken = own is not None and raw == own
+            return record
         record = LeaseRecord.from_bytes(raw, inode) if raw else None
         raise LeaseHeldError(
             f"inode {inode}: lease contended beyond "
@@ -541,10 +520,20 @@ class LeaseManager:
         reply, = self._exchange(
             "lease.acquire", [BatchOp.put_if(blob_id, raw, expected)])
         reply.raise_for_status()
-        self.freshness.observe_metadata(inode, record.epoch, raw)
-        self._held[inode] = self._last[inode] = (record, raw)
-        self._count(verb, help)
+        self._won(inode, record, raw, verb, help)
         return record
+
+    def _won(self, inode: int, record: LeaseRecord, raw: bytes, verb: str,
+             help: str) -> None:
+        """Book a link this client's CAS wrote: the chain's tip, held
+        unless it is a release; counted as ``verb``."""
+        self.freshness.observe_metadata(inode, record.epoch, raw)
+        self._last[inode] = (record, raw)
+        if record.released:
+            self._held.pop(inode, None)
+        else:
+            self._held[inode] = self._last[inode]
+        self._count(verb, help)
 
     def renew_all(self) -> tuple[list[int], list[int]]:
         """Renew every held lease with one batched CAS round trip.
@@ -572,11 +561,8 @@ class LeaseManager:
         for inode, successor, op, reply in zip(inodes, successors, ops,
                                                replies):
             if reply.status == "ok":
-                raw = op.payload or b""
-                self.freshness.observe_metadata(inode, successor.epoch,
-                                                raw)
-                self._held[inode] = self._last[inode] = (successor, raw)
-                self._count("lease.renewals", "renewals of held leases")
+                self._won(inode, successor, op.payload, "lease.renewals",
+                          "renewals of held leases")
                 renewed.append(inode)
             elif reply.status == "conflict":
                 self.forget(inode)
@@ -596,7 +582,7 @@ class LeaseManager:
         deletes the blob), so freshness monitoring keeps working across
         release/re-acquire cycles, and the released record is the link
         the next :meth:`acquire` CASes against.  Losing a release CAS is
-        benign: a successor already took the lease over.  Deferred CASes
+        benign: a successor already took the lease over.  Planned CASes
         are dropped unsent.
         """
         for inode in inodes:
@@ -623,19 +609,14 @@ class LeaseManager:
         or a held lease's bytes against themselves, then its released
         successor.
 
-        A seeded takeover no frame carried goes first, in a frame of its
-        own: its epoch is the one any reader of the seed would write, so
-        no fence in the mutation frame could stop on its loss.
+        A seeded takeover no frame carried goes first
+        (:meth:`send_planned`): its epoch is the one any reader of the
+        seed would write, so no fence in the mutation frame could stop
+        on its loss.
         """
         if any(expected is not None and not checked
                for *_, expected, checked in self._planned.values()):
-            head = self.ride()
-            try:
-                replies = self._exchange("lease.acquire", head.ops)
-            except BaseException:
-                self.unride(head)
-                raise
-            self.settle(head, replies)
+            self.send_planned()
         self._seeds = {}
         plan, links = FrameLinks(), {}
         for inode in inodes:
@@ -654,6 +635,23 @@ class LeaseManager:
                 plan.checks.append((inode, record.epoch))
         plan.tail = self._released(links)
         return plan
+
+    def send_planned(self) -> None:
+        """Send every CAS :meth:`ride` would take, with its checks, in a
+        frame of its own, and book the replies (:meth:`settle`: one that
+        lost raises :class:`HeadCasLost`, its link kept as the seed the
+        next :meth:`acquire` inspects).  The one lone send of a planned
+        CAS: a seeded takeover ahead of the mutation frame, or a
+        standalone caller that needs the lease held now."""
+        head = self.ride()
+        if head is None:
+            return
+        try:
+            replies = self._exchange("lease.acquire", head.ops)
+        except BaseException:
+            self.unride(head)
+            raise
+        self.settle(head, replies)
 
     def ride(self) -> FrameLinks | None:
         """Take every planned CAS over a link out of the plan, for the
@@ -715,10 +713,8 @@ class LeaseManager:
             if record is None:
                 continue  # a held lease, compared: its fence judges it
             if reply.status == "ok":
-                self.freshness.observe_metadata(inode, record.epoch,
-                                                op.payload)
-                self._held[inode] = self._last[inode] = (record, op.payload)
-                self._count("lease.acquires", "fresh lease acquisitions")
+                self._won(inode, record, op.payload, "lease.acquires",
+                          "fresh lease acquisitions")
                 continue
             self._last.pop(inode, None)  # not the tip (or unknown)
             if reply.status == "conflict":
@@ -727,11 +723,8 @@ class LeaseManager:
                             "CAS races lost while acquiring leases")
         for (inode, record, op), reply in zip(plan.tail, tail_replies):
             if reply.status == "ok":
-                self.freshness.observe_metadata(inode, record.epoch,
-                                                op.payload)
-                self._held.pop(inode, None)
-                self._last[inode] = (record, op.payload)
-                self._count("lease.releases", "voluntary lease releases")
+                self._won(inode, record, op.payload, "lease.releases",
+                          "voluntary lease releases")
             elif reply.status == "conflict":
                 self.forget(inode)
 
@@ -753,7 +746,7 @@ class LeaseManager:
 
     def fenced_out(self, inode: int) -> None:
         """Raise what a mutation frame stopped at ``inode``'s fence
-        means: :class:`HeadCasLost` if the link was a deferred CAS's
+        means: :class:`HeadCasLost` if the link was a planned CAS's
         that lost, else :class:`LeaseLostError` (taken over)."""
         if inode in self._seeds:
             raise HeadCasLost(f"inode {inode}: the chain moved past this "

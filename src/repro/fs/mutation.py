@@ -90,9 +90,6 @@ class MutationPipeline:
         self._unlinked: set[int] = set()
         #: inodes the outermost mutation touched (None outside one).
         self._touched: set[int] | None = None
-        #: may :meth:`touch` plan a CAS over this client's own link
-        #: instead of sending it first?
-        self._optimistic = True
         #: did the failed op decide on a cache whose CAS never went out?
         self._unproven = False
         #: directories whose cached tables a leased mutation resolved
@@ -113,52 +110,48 @@ class MutationPipeline:
     def run(self, op: str, call):
         """Run ``call`` as the mutation ``op``: the re-run rule.
 
-        When a planned CAS lost (:class:`~repro.fs.lease.HeadCasLost`),
-        or the op refused on a cache whose CAS never went out or on
-        cached tables no lease proves, nothing was written: the
-        outermost call runs it once more, those tables dropped, sending
-        the CAS over its own link before it reads.  The CAS over the
-        link a lost one met rides the re-run's first frame; while a
-        third writer beats it, the op runs again (:data:`LEASE_RERUNS`).
+        The outermost call runs the op once more when nothing was
+        written and its outcome rests on what no lease proved: a planned
+        CAS lost (:class:`~repro.fs.lease.HeadCasLost`), or the first run
+        refused on a cache whose CAS never went out or on cached tables
+        no lease proves.  The failed scope invalidated every inode the op
+        touched and the tables it resolved through are dropped, so the
+        re-run reads from the SSP, its planned CAS riding those reads.
+        While a third writer beats the CAS over the link a lost one met,
+        the op runs again (:data:`LEASE_RERUNS`).
         """
         outermost = self._touched is None
-        try:
-            with self.scope(op):
-                return call()
-        except FilesystemError as exc:
-            unseen = (self._cached_dirs
-                      if isinstance(exc, FileNotFound) else ())
-            if not (outermost and (
-                    isinstance(exc, HeadCasLost) or unseen
-                    or (self._unproven
-                        and not isinstance(exc, LeaseError)))):
-                raise
-            for inode in unseen:
-                self.invalidate(inode)
-        for rerun in range(LEASE_RERUNS, 0, -1):
+        for rerun in range(LEASE_RERUNS + 1):
             try:
-                with self.scope(op, optimistic=False):
+                with self.scope(op):
                     return call()
             except HeadCasLost:
-                if rerun == 1:
+                if not outermost or rerun == LEASE_RERUNS:
                     raise
+            except FilesystemError as exc:
+                unseen = (self._cached_dirs
+                          if isinstance(exc, FileNotFound) else ())
+                if not (outermost and not rerun and (
+                        unseen or (self._unproven
+                                   and not isinstance(exc, LeaseError)))):
+                    raise
+                for inode in unseen:
+                    self.invalidate(inode)
 
     @contextmanager
-    def scope(self, op: str, optimistic: bool = True):
+    def scope(self, op: str):
         """Scope one op (nested scopes join it): the cache's one failure
         rule.  What a mutation writes through to the cache is trusted
         only if it returns: any exception leaving the outermost scope
         invalidates every inode the op touched.  Journaled, the op is
-        one frame (:meth:`_journaled`).  ``optimistic=False`` makes
-        :meth:`touch` send the CAS over this client's own link before
-        the op reads.  A lost CAS keeps its inode's remembered block
-        count: a hint that only widens the re-run's first flight.
+        one frame (:meth:`_journaled`).  A lost CAS keeps its inode's
+        remembered block count: a hint that only widens the re-run's
+        first flight.
         """
         if self._touched is not None:
             yield
             return
         self._touched = set()
-        self._optimistic = optimistic
         self._unproven = False
         self._cached_dirs = set()
         try:
@@ -207,16 +200,17 @@ class MutationPipeline:
         before the op's first write of it and the first read its
         decision rests on.
 
-        Leased, the inode's lease is acquired here (``new``: allocated
-        by this op, no lease blob yet) -- or, over this client's own
-        released link, an absent blob or the released link a lost CAS
-        met, its CAS planned: it rides the head of the op's next frame
-        (``BlobIO``'s reads, or the mutation frame if the op reads
-        nothing), which reads and writes nothing unless the CAS wins.
-        The cache for the inode stays warm exactly when the chain
-        provably moved only through this client since its last link
-        (``LeaseManager.unbroken``).  Returns whether this call took
-        the lease.
+        Leased, the inode's lease is taken here (``new``: allocated by
+        this op, no lease blob yet) by ``LeaseManager.acquire``, whose
+        chain tip picks the route: over this client's own released link,
+        an absent blob or the released link a lost CAS met, the CAS is
+        planned and rides the head of the op's next frame (``BlobIO``'s
+        reads, or the mutation frame if the op reads nothing), which
+        reads and writes nothing unless the CAS wins; any other tip is
+        inspected and CASed now.  The cache for the inode stays warm
+        exactly when the chain provably moved only through this client
+        since its last link (``LeaseManager.unbroken``).  Returns
+        whether this call took the lease.
         """
         self._touched.add(inode)
         if (self.lease is None or self.blobs.batch is None
@@ -225,8 +219,7 @@ class MutationPipeline:
         delay = LEASE_WAIT_BASE_S
         for attempt in range(self.wait_attempts + 1):
             try:
-                record = self.lease.acquire(
-                    inode, new=new, defer=self._optimistic or new)
+                record = self.lease.acquire(inode, new=new)
                 break
             except LeaseHeldError:
                 if attempt >= self.wait_attempts:
@@ -250,7 +243,7 @@ class MutationPipeline:
     def _release_fences(self) -> None:
         """Release the mutation's held leases in one frame (best effort:
         an unreleased lease only costs peers a takeover after expiry).
-        Deferred CASes go unsent."""
+        Planned CASes go unsent."""
         fences, self._fences = self._fences, {}
         if self.lease is not None and fences:
             try:
@@ -303,7 +296,7 @@ class MutationPipeline:
         except BaseException:
             self.blobs.batch = None
             self._landing.pop(self._seq + 1, None)
-            self._unproven = any(map(self.lease.deferred, self._fences)
+            self._unproven = any(map(self.lease.unproven, self._fences)
                                  ) if self.lease is not None else False
             self._release_fences()
             raise

@@ -26,7 +26,8 @@ from repro.fs.client import ClientConfig, SharoesFilesystem
 from repro.fs.consistency import ForkDetected
 from repro.fs.filedata import OpenFile
 from repro.fs.freshness import StaleObjectError
-from repro.fs.lease import LeaseManager, LeaseRecord, break_record
+from repro.fs.lease import (HeadCasLost, LeaseManager, LeaseRecord,
+                            break_record)
 from repro.fs.mutation import LEASE_WAIT_BASE_S, LEASE_WAIT_MAX_S
 from repro.fs.volume import SharoesVolume
 from repro.principals.groups import GroupKeyService
@@ -186,10 +187,14 @@ class TestOnlyTheHoldersUskSigns:
         bob.release(9)
         server.put(lease_blob(9), forged)
         frames.clear()
+        bob.acquire(9)  # planned over bob's released link, unsent
+        with pytest.raises(HeadCasLost):
+            bob.send_planned()
+        # One unread CAS over bob's released link, lost: the bytes it
+        # handed back are what the next acquire inspects, and they fail
+        # verification there.
         with pytest.raises(IntegrityError, match="ESIGN signature"):
             bob.acquire(9)
-        # One unread CAS over bob's released link, lost: the bytes it
-        # handed back are what failed verification.
         assert frames == ["lease.acquire"]
         assert bob.held_epoch(9) is None
 
@@ -323,8 +328,12 @@ class TestChainRollback:
         old_raw = server.get(lease_blob(7))  # epoch 1, valid signature
         mgr.release(7)                       # chain advances to epoch 2
         server.put(lease_blob(7), old_raw)   # the SSP rolls back
+        mgr.acquire(7)                       # planned over epoch 2
+        with pytest.raises(HeadCasLost):
+            mgr.send_planned()               # lost: epoch 1 came back
         with pytest.raises(StaleObjectError):
             mgr.acquire(7)
+        assert mgr.held_epoch(7) is None
 
     def test_equivocating_lease_blob_detected(self, registry, clock):
         """Two different validly-signed byte-strings claiming the same
@@ -359,8 +368,12 @@ class TestChainRollback:
         bob = make_manager(registry, server, clock, "bob")
         for _ in range(5):
             bob.acquire(7)
+            bob.send_planned()
             bob.release(7)
         server.put(lease_blob(1), server.get(lease_blob(7)))
+        alice.acquire(1)
+        with pytest.raises(HeadCasLost):
+            alice.send_planned()
         with pytest.raises(IntegrityError, match="relocated"):
             alice.acquire(1)
         assert alice.held_epoch(1) is None
@@ -889,6 +902,7 @@ class TestBatchedRenewal:
         inodes = [fs.getattr(p).inode for p in ("/f", "/g")]
         for inode in inodes:
             fs.lease.acquire(inode)
+        fs.lease.send_planned()
         before = {i: fs.lease.held_epoch(i) for i in inodes}
         hist = fs.metrics.histogram("client.batch.size")
         frames, subops = hist.count, hist.total
@@ -910,6 +924,7 @@ class TestBatchedRenewal:
         fs.create_file("/f", b"v1", mode=0o664)
         inode = fs.getattr("/f").inode
         fs.lease.acquire(inode)
+        fs.lease.send_planned()
         clock.advance(2 * _LEASE_S)
         make_manager(registry, server, clock, "bob",
                      escrow=registry.user).acquire(inode)

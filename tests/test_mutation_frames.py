@@ -642,27 +642,35 @@ def test_a_peers_write_between_our_mutations_is_always_seen(registry,
     assert report.clean and not report.orphaned_blobs, report.summary()
 
 
-def test_a_name_a_peer_added_behind_our_cached_table_is_found(registry):
-    """Alice's create leaves her table of ``/d`` cached; bob adds ``r``
-    to it.  Alice's append resolves ``r`` through that table, where it
-    is missing, and leases only the file it never reached -- no lease
-    proves the table.  The refusal is not final: the append runs once
-    more, acquiring first, with the directories it resolved through
-    dropped from the cache, and finds bob's file."""
-    server = StorageServer()
-    volume = SharoesVolume(server, registry, clock=SimClock())
+def _behind_cached_table(registry, wrap=None):
+    """Alice's create of ``/d/p`` leaves her table of ``/d`` cached; bob
+    adds ``r`` to it.  -> (volume, alice, bob), alice talking through
+    ``wrap(server)`` if given."""
+    volume = SharoesVolume(StorageServer(), registry, clock=SimClock())
     volume.format(root_owner="alice", root_group="eng")
-    GroupKeyService(registry, server, CryptoProvider()).publish_all()
+    GroupKeyService(registry, volume.server,
+                    CryptoProvider()).publish_all()
     config = ClientConfig(journal=True, lease=True, data_cache=True,
                           lease_duration_s=_LEASE_S)
-    alice, bob = (SharoesFilesystem(volume, registry.user(user_id),
-                                    config=config)
-                  for user_id in ("alice", "bob"))
+    alice = SharoesFilesystem(volume, registry.user("alice"), config=config,
+                              server=wrap(volume.server) if wrap
+                              else None)
+    bob = SharoesFilesystem(volume, registry.user("bob"), config=config)
     alice.mount()
     bob.mount()
     alice.mkdir("/d", mode=0o775)
     alice.create_file("/d/p", b"<p>", mode=0o664)
     bob.create_file("/d/r", b"<r>", mode=0o664)
+    return volume, alice, bob
+
+
+def test_a_name_a_peer_added_behind_our_cached_table_is_found(registry):
+    """Alice's append resolves ``r`` through her cached table of ``/d``,
+    where it is missing, and leases only the file it never reached -- no
+    lease proves the table.  The refusal is not final: the append runs
+    once more with the directories it resolved through dropped from the
+    cache, and finds bob's file."""
+    volume, alice, _ = _behind_cached_table(registry)
     alice.append_file("/d/r", b"<a>")
     assert alice.read_file("/d/r") == b"<r><a>"
     with pytest.raises(FileNotFound):
@@ -671,6 +679,44 @@ def test_a_name_a_peer_added_behind_our_cached_table_is_found(registry):
     reader.mount()
     assert reader.readdir("/d") == ["p", "r"]
     assert reader.read_file("/d/r") == b"<r><a>"
+
+
+def test_a_refusal_on_an_unproven_cache_reruns_with_the_cas_riding(
+        registry):
+    """Bob also unlinks ``p``.  Alice's create of ``p`` refuses on her
+    cached table, under a CAS over her own link on ``/d`` that never went
+    out.  The re-run reads the table from the SSP, and that read frame
+    carries the CAS and its check at its head: no lease CAS goes alone.
+    Bob moved the chain, so the check stops the frame; the next run's
+    takeover of the link it met rides the table read again."""
+    volume, alice, bob = _behind_cached_table(registry, wrap=FrameTap)
+    tap = alice.blobs.server
+    tap.names = {alice.getattr("/d").inode: "D",
+                 volume.allocator._next: "N"}
+    bob.unlink("/d/p")
+    tap.take()
+    alice.create_file("/d/p", b"<p2>", mode=0o664)
+    frames = tap.take()
+    assert frames == [
+        ("get meta/D/o",),                  # the re-run resolves /d
+        ("put_if lease/D/-", _check("D"),   # lost: stopped at the check
+         "get data/D/t:o"),
+        ("get meta/D/o",),
+        ("put_if lease/D/-", "get data/D/t:o"),    # takeover of bob's link
+        ("get data/D/t:g",),
+        ("get data/D/t:w",),
+        ("get meta/D/o",),
+        ("put_if lease/D/-", "put_if lease/N/-", INTENT)
+        + _views("meta/N/") + _views("data/D/t:")
+        + ("put_fenced data/N/b0", COMMIT, "put_if lease/D/-",
+           "put_if lease/N/-"),
+    ]
+    assert not [frame for frame in frames if len(frame) == 1
+                and frame[0].startswith("put_if lease/")]
+    reader = SharoesFilesystem(volume, registry.user("bob"))
+    reader.mount()
+    assert reader.readdir("/d") == ["p", "r"]
+    assert reader.read_file("/d/p") == b"<p2>"
 
 
 # -- the reference execution ------------------------------------------------------
@@ -706,6 +752,7 @@ def _leased_sequence(registry, batching: bool, monkeypatch,
         alice.rename("/d/a", "/d/c")
         bob.unlink("/d/b")
         alice.lease.acquire(alice.getattr("/d/c").inode)
+        alice.lease.send_planned()
         assert len(alice.renew_leases()) == 1
         for fs in writers:
             fs.unmount()
